@@ -15,6 +15,7 @@ import os
 
 from .errors import (
     BadDiagonalError,
+    BadDimLimitError,
     BadExponentError,
     BadReciprocalError,
     NotFrobeniusError,
@@ -22,21 +23,28 @@ from .errors import (
     SingularMatrixError,
     TooLargeError,
 )
-from .linalg import solve_matrix
+from .linalg import solve_matrix, solve_sparse
 from .scalars import Field, Scalar
 
 DEFAULT_DIM_LIMIT = 4096
 
 
 def dim_limit() -> int:
-    """Dimension cap; override with the QCI_DIM_LIMIT environment variable."""
+    """Dimension cap; override with the QCI_DIM_LIMIT environment variable.
+
+    The variable is read on every call.  A value that is not an integer, or
+    is below 1, raises BadDimLimitError.
+    """
     raw = os.environ.get("QCI_DIM_LIMIT")
     if raw is None:
         return DEFAULT_DIM_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
-        return DEFAULT_DIM_LIMIT
+        raise BadDimLimitError(f"QCI_DIM_LIMIT={raw!r} is not an integer") from None
+    if limit < 1:
+        raise BadDimLimitError(f"QCI_DIM_LIMIT={raw!r} must be at least 1")
+    return limit
 
 
 class Presentation:
@@ -51,6 +59,7 @@ class Presentation:
         self._basis = None
         self._index = None
         self._h_gen = None
+        self._powers = {}  # (i, j, e) -> q_ij ** e, filled by bracket
 
     def _validate(self) -> None:
         if self.n < 2:
@@ -123,11 +132,15 @@ class Presentation:
     def bracket(self, u, v) -> Scalar:
         """The scalar prod_{i<j} q_ij^{u_j v_i} on arbitrary integer vectors."""
         out = self.field.one
+        powers = self._powers
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 e = u[j] * v[i]
                 if e:
-                    out = out * self.q[i][j] ** e
+                    power = powers.get((i, j, e))
+                    if power is None:
+                        power = powers[(i, j, e)] = self.q[i][j] ** e
+                    out = out * power
         return out
 
     def mul_basis(self, u, v):
@@ -186,24 +199,23 @@ class Presentation:
         return out
 
     def invert_element(self, x: dict) -> dict:
-        """Two-sided inverse of x, via an exact solve; raises when absent."""
+        """Two-sided inverse of x, via an exact solve; raises when absent.
+
+        Solves x * y = 1 with one sparse row per basis vector: column j
+        holds the coefficients of x * x_j, column dim the right-hand side.
+        """
         basis = self.basis()
-        cols = [self.mul(x, self.monomial(w)) for w in basis]
-        mat = [
-            [cols[j].get(v, self.field.zero) for j in range(len(basis))]
-            for v in basis
-        ]
-        target = [[self.field.one if v == self.zero_vec else self.field.zero] for v in basis]
+        dim = len(basis)
+        rows = [{} for _ in basis]
+        for j, w in enumerate(basis):
+            for v, c in self.mul(x, self.monomial(w)).items():
+                rows[self.index(v)][j] = c
+        rows[self.index(self.zero_vec)][dim] = self.field.one
         try:
-            sol = solve_matrix(self.field, mat, target)
+            sol = solve_sparse(rows, dim)
         except SingularMatrixError:
             raise NotInvertibleError("element is not invertible") from None
-        inv = {}
-        for j, w in enumerate(basis):
-            c = sol[j][0]
-            if not c.is_zero():
-                inv[w] = c
-        return inv
+        return {basis[j]: c for j, c in sol.items()}
 
     # -- the distinguished automorphism data ------------------------------------
 
@@ -267,6 +279,23 @@ class Presentation:
             if not val.is_zero():
                 out[v] = val
         return out
+
+    def pairing_rows(self, phi: dict) -> list:
+        """Sparse rows of the pairing matrix: row u is {index(v): phi(x_u x_v)}.
+
+        Only the v with u + v in the support of phi can pair nonzero, so the
+        cost is O(|phi| dim) rather than dim^2.
+        """
+        support = [(w, fw) for w, fw in phi.items() if self.in_basis(w) and not fw.is_zero()]
+        rows = []
+        for u in self.basis():
+            row = {}
+            for w, fw in support:
+                v = tuple(wi - ui for wi, ui in zip(w, u))
+                if self.in_basis(v):
+                    row[self.index(v)] = fw * self.bracket(u, v)
+            rows.append(row)
+        return rows
 
     def pairing_matrix(self, phi: dict) -> list:
         """Matrix (u, v) |-> phi(x_u x_v) over the basis ordering."""

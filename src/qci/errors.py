@@ -41,6 +41,10 @@ class TooLargeError(QciError):
     """The algebra dimension exceeds the configured cap."""
 
 
+class BadDimLimitError(QciError):
+    """The QCI_DIM_LIMIT environment variable is not an integer of at least 1."""
+
+
 class NotFrobeniusError(QciError):
     """The bilinear pairing of the given functional is degenerate."""
 

@@ -1,7 +1,12 @@
 """Exact linear algebra over a coefficient field.
 
-Matrices are lists of rows of Scalars.  Elimination divides by exact pivots,
-so every result is exact; there are no thresholds anywhere.
+The one elimination routine is `rref`, which works on sparse rows: dicts
+mapping a column index to a nonzero Scalar.  Elimination divides by exact
+pivots, so every result is exact; there are no thresholds anywhere.  The
+matrices the verifier meets are monomial or close to it, so rows stay short.
+
+`rank`, `kernel_basis`, `solve_matrix` and `invert` keep the dense interface
+(lists of rows of Scalars) as thin adapters over `rref`.
 """
 
 from __future__ import annotations
@@ -10,43 +15,94 @@ from .errors import SingularMatrixError
 from .scalars import Field, Scalar
 
 
-def _copy(mat):
-    return [list(row) for row in mat]
+def _add_multiple(row: dict, factor: Scalar, other: dict) -> None:
+    """row += factor * other, in place, dropping entries that cancel."""
+    for col, x in other.items():
+        term = factor * x
+        acc = row.get(col)
+        acc = term if acc is None else acc + term
+        if acc.is_zero():
+            row.pop(col, None)
+        else:
+            row[col] = acc
 
 
-def _eliminate(field: Field, mat):
-    """Row echelon form in place; returns the list of pivot column indices."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if not mat[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
+def rref(rows) -> dict:
+    """Reduced row echelon form of sparse rows, as {pivot column: row}.
+
+    Rows are taken in order.  Each is reduced against the pivots found so
+    far; its leftmost remaining column becomes a new pivot (scaled to 1),
+    and the older pivot rows are cleared in that column.  The result is the
+    unique reduced echelon form of the row space, so it does not depend on
+    the order of the rows.  The input rows are not modified.
+    """
+    pivots: dict = {}
+    holders: dict = {}  # non-pivot column -> pivot columns whose row has it
+    for given in rows:
+        row = dict(given)
+        for col in [c for c in row if c in pivots]:
+            _add_multiple(row, -row[col], pivots[col])
+        if not row:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(rows):
-            if i != r and not mat[i][c].is_zero():
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+        lead = min(row)
+        inv = row[lead].inverse()
+        row = {col: x * inv for col, x in row.items()}
+        for p in holders.pop(lead, ()):
+            older = pivots[p]
+            _add_multiple(older, -older[lead], row)
+            for col in row:
+                if col == lead:
+                    continue
+                if col in older:
+                    holders.setdefault(col, set()).add(p)
+                else:
+                    holders.get(col, set()).discard(p)
+        pivots[lead] = row
+        for col in row:
+            if col != lead:
+                holders.setdefault(col, set()).add(lead)
     return pivots
 
 
+def null_space(field: Field, rows, ncols: int) -> list[dict]:
+    """Sparse basis of {v : row . v = 0 for every row}, over columns 0..ncols-1.
+
+    One vector per free column, in increasing order: 1 at the free column and
+    minus the reduced rows' entries at the pivot columns.
+    """
+    reduced = rref(rows)
+    basis = {c: {c: field.one} for c in range(ncols) if c not in reduced}
+    for pc, row in reduced.items():
+        for col, x in row.items():
+            if col != pc:
+                basis[col][pc] = -x
+    return list(basis.values())
+
+
+def solve_sparse(rows, n: int) -> dict:
+    """Solve A x = b for square A; rows are A's rows with b_i at column n.
+
+    Returns the solution as {index: nonzero Scalar}; raises when A is
+    singular.
+    """
+    reduced = _solved(rows, n)
+    return {i: reduced[i][n] for i in range(n) if n in reduced[i]}
+
+
+def _solved(rows, n: int) -> dict:
+    """rref of augmented rows whose first n columns form a square matrix."""
+    reduced = rref(rows)
+    if len(reduced) != n or any(c >= n for c in reduced):
+        raise SingularMatrixError("matrix is singular")
+    return reduced
+
+
+def _sparse(mat) -> list[dict]:
+    return [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in mat]
+
+
 def rank(field: Field, mat) -> int:
-    if not mat:
-        return 0
-    work = _copy(mat)
-    return len(_eliminate(field, work))
+    return len(rref(_sparse(mat)))
 
 
 def kernel_basis(field: Field, mat) -> list[list[Scalar]]:
@@ -54,29 +110,22 @@ def kernel_basis(field: Field, mat) -> list[list[Scalar]]:
     if not mat:
         return []
     cols = len(mat[0])
-    work = _copy(mat)
-    pivots = _eliminate(field, work)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [field.zero] * cols
-        vec[fc] = field.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        basis.append(vec)
-    return basis
+    out = []
+    for vec in null_space(field, _sparse(mat), cols):
+        dense = [field.zero] * cols
+        for col, x in vec.items():
+            dense[col] = x
+        out.append(dense)
+    return out
 
 
 def solve_matrix(field: Field, a, b):
     """Solve A X = B exactly for square A; raises when A is singular."""
     n = len(a)
     width = len(b[0])
-    work = [list(a[i]) + list(b[i]) for i in range(n)]
-    pivots = _eliminate(field, work)
-    if len(pivots) != n or pivots != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return [row[n : n + width] for row in work]
+    rows = _sparse([list(a[i]) + list(b[i]) for i in range(n)])
+    reduced = _solved(rows, n)
+    return [[reduced[i].get(n + k, field.zero) for k in range(width)] for i in range(n)]
 
 
 def invert(field: Field, a):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from .algebra import Presentation, monomial_name
 from .builder import BfaStructure
 from .errors import NotInvertibleError, SingularMatrixError
-from .linalg import kernel_basis, rank, solve_matrix
+from .linalg import null_space, rref, solve_sparse
 
 AXIOM_CHECKS = (
     "counit-algebra-map",
@@ -174,27 +174,29 @@ def convolution_inverse(B: BfaStructure, f: dict) -> dict:
     """Inverse of f in the dual algebra (f*g)(x) = sum f(x_1) g(x_2)."""
     P = B.presentation
     basis = P.basis()
-    mat = []
+    dim = len(basis)
+    rows = []
     for v in basis:
-        row = {w: P.field.zero for w in basis}
+        row: dict = {}
         for u, w, coeff in B.delta[v]:
             fv = f.get(u)
             if fv is not None:
-                row[w] = row[w] + fv * coeff
-        mat.append([row[w] for w in basis])
-    target = [[P.field.one if v == P.zero_vec else P.field.zero] for v in basis]
+                tensor_add_term(row, P.index(w), fv * coeff)
+        rows.append(row)
+    rows[P.index(P.zero_vec)][dim] = P.field.one
     try:
-        sol = solve_matrix(P.field, mat, target)
+        sol = solve_sparse(rows, dim)
     except SingularMatrixError:
         raise NotInvertibleError("functional has no convolution inverse") from None
-    out = {}
-    for i, w in enumerate(basis):
-        if not sol[i][0].is_zero():
-            out[w] = sol[i][0]
-    return out
+    return {basis[i]: c for i, c in sol.items()}
 
 
 # -- axiom checks --------------------------------------------------------------
+
+
+def _single(w, c):
+    """The one-term element c x_w as a comparable pair, or None when c is 0."""
+    return None if c.is_zero() else (w, c)
 
 
 def verify_axioms(B: BfaStructure) -> VerificationReport:
@@ -209,10 +211,13 @@ def verify_axioms(B: BfaStructure) -> VerificationReport:
     if B.epsilon(P.one_elem) != one:
         ok, detail = False, {"at": "epsilon(1)"}
     else:
-        for u in basis:
-            for v in basis:
-                lhs = B.epsilon(P.mul(P.monomial(u), P.monomial(v)))
-                rhs = B.epsilon(P.monomial(u)) * B.epsilon(P.monomial(v))
+        zero = P.field.zero
+        eps = [B.epsilon(P.monomial(u)) for u in basis]
+        for i, u in enumerate(basis):
+            for j, v in enumerate(basis):
+                w, c = P.mul_basis(u, v)
+                lhs = zero if w is None else B.epsilon({w: c})
+                rhs = eps[i] * eps[j]
                 if lhs != rhs:
                     ok, detail = False, {"u": list(u), "v": list(v)}
                     break
@@ -256,17 +261,15 @@ def verify_axioms(B: BfaStructure) -> VerificationReport:
     rep.record("counit-law", ok, detail)
 
     # frobenius-pairing
-    pairing = P.pairing_matrix(B.phi())
-    full = rank(P.field, pairing) == P.dim
-    rep.record("frobenius-pairing", full, None if full else {"rank": rank(P.field, pairing)})
+    r = len(rref(P.pairing_rows(B.phi())))
+    rep.record("frobenius-pairing", r == P.dim, None if r == P.dim else {"rank": r})
 
-    # frobenius-copairing: rank of w |-> t <- x_w^*
-    mat = []
-    for w in basis:
-        img = right_coaction(B, B.t_elem(), P.dual_functional(w))
-        mat.append([img.get(v, P.field.zero) for v in basis])
-    full = rank(P.field, mat) == P.dim
-    rep.record("frobenius-copairing", full, None if full else {"rank": rank(P.field, mat)})
+    # frobenius-copairing: rank of w |-> t <- x_w^*, one row per w
+    rows = [{} for _ in basis]
+    for u, w, c in B.delta[B.t_vec]:
+        tensor_add_term(rows[P.index(u)], P.index(w), c)
+    r = len(rref(rows))
+    rep.record("frobenius-copairing", r == P.dim, None if r == P.dim else {"rank": r})
 
     # antipode-antihomomorphism
     ok, detail = True, None
@@ -274,10 +277,13 @@ def verify_axioms(B: BfaStructure) -> VerificationReport:
         ok, detail = False, {"at": "S(1)"}
     else:
         for u in basis:
-            su = B.s_elem(P.monomial(u))
+            iu, cu = B.s_map[u]
             for v in basis:
-                lhs = B.s_elem(P.mul(P.monomial(u), P.monomial(v)))
-                rhs = P.mul(B.s_elem(P.monomial(v)), su)
+                w, c = P.mul_basis(u, v)
+                lhs = None if w is None else _single(B.s_map[w][0], c * B.s_map[w][1])
+                iv, cv = B.s_map[v]
+                w, c = P.mul_basis(iv, iu)
+                rhs = None if w is None else _single(w, cv * cu * c)
                 if lhs != rhs:
                     ok, detail = False, {"u": list(u), "v": list(v)}
                     break
@@ -308,16 +314,13 @@ def verify_axioms(B: BfaStructure) -> VerificationReport:
     for v in basis:
         acc: dict = {}
         for u, w, c in B.delta[B.t_vec]:
-            val = P.apply_functional(phi, P.mul(P.monomial(u), P.monomial(v)))
-            if val.is_zero():
+            uv, cuv = P.mul_basis(u, v)
+            fuv = None if uv is None else phi.get(uv)
+            if fuv is None:
                 continue
-            term = val * c
-            cur = acc.get(w)
-            cur = term if cur is None else cur + term
-            if cur.is_zero():
-                acc.pop(w, None)
-            else:
-                acc[w] = cur
+            val = fuv * cuv
+            if not val.is_zero():
+                tensor_add_term(acc, w, val * c)
         if acc != B.s_elem(P.monomial(v)):
             ok, detail = False, {
                 "v": list(v),
@@ -333,23 +336,22 @@ def verify_axioms(B: BfaStructure) -> VerificationReport:
 # -- derived checks -------------------------------------------------------------
 
 
-def _integral_space(P: Presentation, side: str):
-    """Kernel basis of y -> (y x_i)_i or (x_i y)_i over all generators."""
-    basis = P.basis()
+def _integral_space(P: Presentation, side: str) -> list:
+    """Kernel basis of y -> (y x_i)_i or (x_i y)_i over all generators.
+
+    The product of x_w with a generator is a single monomial (or zero), so
+    every row of the system has one entry: row (i, target) holds the
+    coefficient of x_target in x_w x_i (or x_i x_w) at column index(w).
+    Kernel vectors are sparse dicts keyed by basis index.
+    """
     rows = []
     for i in range(1, P.n + 1):
-        gen = P.monomial(P.unit_vec(i))
-        cols = []
-        for w in basis:
-            prod = P.mul(P.monomial(w), gen) if side == "right" else P.mul(gen, P.monomial(w))
-            cols.append(prod)
-        for target in basis:
-            row = [cols[j].get(target, P.field.zero) for j in range(len(basis))]
-            if any(not x.is_zero() for x in row):
-                rows.append(row)
-    if not rows:
-        rows = [[P.field.zero] * len(basis)]
-    return kernel_basis(P.field, rows)
+        gen = P.unit_vec(i)
+        for j, w in enumerate(P.basis()):
+            target, c = P.mul_basis(w, gen) if side == "right" else P.mul_basis(gen, w)
+            if target is not None:
+                rows.append({j: c})
+    return null_space(P.field, rows, P.dim)
 
 
 def verify_derived(B: BfaStructure) -> VerificationReport:
@@ -395,8 +397,7 @@ def verify_derived(B: BfaStructure) -> VerificationReport:
     # unimodularity: the two spaces coincide
     ok = False
     if len(right_space) == 1 and len(left_space) == 1:
-        stacked = [right_space[0], left_space[0]]
-        ok = rank(P.field, stacked) == 1
+        ok = len(rref([right_space[0], left_space[0]])) == 1
     rep.record("unimodularity", ok, None)
 
     # unit-via-copairing: 1 = t <- phi
@@ -544,23 +545,17 @@ def is_hopf_comultiplication(B: BfaStructure) -> bool:
 
 def primitive_space_dim(P: Presentation, delta: dict) -> int:
     """Dimension of {x : delta(x) = 1 (x) x + x (x) 1}, computed exactly."""
-    basis = P.basis()
     zero = P.zero_vec
-    columns = []
-    keys = set()
-    for v in basis:
+    rows: dict = {}  # tensor key -> {index(v): coefficient of that key in column v}
+    for j, v in enumerate(P.basis()):
         col: dict = {}
         for u, w, c in delta[v]:
             tensor_add_term(col, (u, w), c)
         tensor_add_term(col, (zero, v), -P.field.one)
         tensor_add_term(col, (v, zero), -P.field.one)
-        columns.append(col)
-        keys.update(col)
-    keys = sorted(keys)
-    mat = [[col.get(k, P.field.zero) for col in columns] for k in keys]
-    if not mat:
-        return P.dim
-    return len(kernel_basis(P.field, mat))
+        for key, c in col.items():
+            rows.setdefault(key, {})[j] = c
+    return P.dim - len(rref(rows.values()))
 
 
 def negate_socle_entry(B: BfaStructure, v) -> BfaStructure:

@@ -167,6 +167,72 @@ def rand_compatible_involutive_h(
 
 
 # ---------------------------------------------------------------------------
+# dense elimination: a reference for the sparse kernel of qci.linalg
+
+
+def dense_eliminate(mat) -> list:
+    """Reduced row echelon form of a list of rows of Scalars, in place.
+
+    Returns the pivot column indices.  This is the straightforward dense
+    Gauss-Jordan elimination qci.linalg once used; the tests compare the
+    sparse kernel against it.
+    """
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if not mat[i][c].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = mat[r][c].inverse()
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(rows):
+            if i != r and not mat[i][c].is_zero():
+                factor = mat[i][c]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots
+
+
+def dense_rank(mat) -> int:
+    return len(dense_eliminate([list(row) for row in mat]))
+
+
+def dense_kernel_basis(field: Field, mat) -> list:
+    if not mat:
+        return []
+    cols = len(mat[0])
+    work = [list(row) for row in mat]
+    pivots = dense_eliminate(work)
+    basis = []
+    for fc in [c for c in range(cols) if c not in pivots]:
+        vec = [field.zero] * cols
+        vec[fc] = field.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -work[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def dense_solve_matrix(a, b):
+    """Solution of A X = B for square A, or None when A is singular."""
+    n = len(a)
+    work = [list(a[i]) + list(b[i]) for i in range(n)]
+    if dense_eliminate(work) != list(range(n)):
+        return None
+    return [row[n:] for row in work]
+
+
+# ---------------------------------------------------------------------------
 # identity suites
 
 

@@ -12,6 +12,7 @@ from qci.algebra import (
 from qci.demos import example_presentation
 from qci.errors import (
     BadDiagonalError,
+    BadDimLimitError,
     BadExponentError,
     BadReciprocalError,
     NotFrobeniusError,
@@ -64,6 +65,16 @@ class TestValidation:
         assert dim_limit() == 8000
         P = two_gen(Q, 65, 64, "1")
         assert P.dim == 4160
+
+    @pytest.mark.parametrize("raw", ["abc", "-1", "0", "", "4096.5"])
+    def test_bad_dimension_cap_is_an_error(self, monkeypatch, raw):
+        monkeypatch.setenv("QCI_DIM_LIMIT", raw)
+        with pytest.raises(BadDimLimitError) as info:
+            dim_limit()
+        assert "QCI_DIM_LIMIT" in str(info.value)
+        assert repr(raw) in str(info.value)
+        with pytest.raises(BadDimLimitError):
+            two_gen(Q, 2, 2, "1")
 
     def test_shape_mismatch(self):
         with pytest.raises(BadReciprocalError):

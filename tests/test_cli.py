@@ -106,6 +106,14 @@ class TestValidate:
         monkeypatch.setenv("QCI_DIM_LIMIT", "6000")
         assert run(["validate", str(big)]) == 0
 
+    @pytest.mark.parametrize("raw", ["abc", "-1", "0"])
+    def test_bad_dimension_cap_env(self, p69, monkeypatch, capsys, raw):
+        monkeypatch.setenv("QCI_DIM_LIMIT", raw)
+        assert run(["validate", p69]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"QCI_DIM_LIMIT={raw!r}" in err
+
 
 class TestAnalyze:
     def test_symmetric_example(self, p69, capsys):
@@ -389,6 +397,11 @@ def assert_script_contract(command, env=None):
 
 def test_console_script_installed():
     assert_script_contract(*declared_script_command())
+
+
+def test_python_dash_m():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    assert_script_contract([sys.executable, "-m", "qci"], env)
 
 
 @pytest.mark.skipif(shutil.which("qci") is None, reason="no qci script on PATH")

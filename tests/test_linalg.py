@@ -3,9 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import dense_kernel_basis, dense_rank, dense_solve_matrix
 from qci.errors import SingularMatrixError
-from qci.linalg import invert, is_generalized_permutation, kernel_basis, rank, solve_matrix
+from qci.linalg import (
+    invert,
+    is_generalized_permutation,
+    kernel_basis,
+    rank,
+    rref,
+    solve_matrix,
+)
 from qci.scalars import make_field
 
 Q = make_field("rational")
@@ -75,3 +85,96 @@ def test_generalized_permutation():
     assert not is_generalized_permutation(Q, mat(Q, [[1, 1], [0, 1]]))
     assert not is_generalized_permutation(Q, mat(Q, [[0, 1], [0, 1]]))
     assert not is_generalized_permutation(Q, mat(Q, [[0, 0], [1, 0]]))
+
+
+# -- the sparse kernel against the dense reference elimination ---------------
+
+FIELDS = {"GF(7)": F7, "Q": Q, "Q(zeta_4)": C4}
+
+
+@st.composite
+def matrices(draw, square=False):
+    """(field, matrix): empty, all-zero, wide, tall or rank-deficient, mostly sparse."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    nrows = draw(st.integers(1 if square else 0, 6))
+    ncols = nrows if square else draw(st.integers(0, 6))
+    if field is C4:
+        nonzero = st.sampled_from([C4.one, -C4.one, C4.zeta, -C4.zeta, C4.parse("1+z"),
+                                   C4.parse("2-3*z"), C4.parse("1/2")])
+    elif field is Q:
+        nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool).map(
+            lambda x: Q.parse(str(x)))
+    else:
+        nonzero = st.integers(1, 6).map(F7.from_int)
+    entry = st.one_of(st.just(field.zero), st.just(field.zero), nonzero)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if rows and draw(st.booleans()):
+        # a dependent row: a combination of two drawn rows
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        x, y = draw(nonzero), draw(nonzero)
+        rows[draw(st.integers(0, nrows - 1))] = [x * a + y * b for a, b in zip(rows[i], rows[j])]
+    return field, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rank_and_kernel_match_dense_reference(drawn):
+    field, rows = drawn
+    assert rank(field, rows) == dense_rank(rows)
+    assert kernel_basis(field, rows) == dense_kernel_basis(field, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(square=True), st.integers(1, 3), st.data())
+def test_solve_matches_dense_reference(drawn, width, data):
+    field, a = drawn
+    n = len(a)
+    b = [[field.from_int(data.draw(st.integers(-3, 3))) for _ in range(width)] for _ in range(n)]
+    expected = dense_solve_matrix(a, b)
+    if expected is None:
+        with pytest.raises(SingularMatrixError):
+            solve_matrix(field, a, b)
+    else:
+        assert solve_matrix(field, a, b) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_rref_does_not_depend_on_row_order(drawn, rnd):
+    field, rows = drawn
+    sparse = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in rows]
+    shuffled = list(sparse)
+    rnd.shuffle(shuffled)
+    assert rref(shuffled) == rref(sparse)
+    assert sparse == [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in rows]
+
+
+def named_shapes(field):
+    z, o, t = field.zero, field.one, field.from_int(2)
+    return {
+        "empty": [],
+        "no-columns": [[], []],
+        "all-zero": [[z, z, z], [z, z, z]],
+        "wide": [[o, z, t, z, o], [z, z, o, t, z]],
+        "tall": [[o, t], [z, o], [t, z], [z, z], [o, o]],
+        "rank-deficient": [[o, t, z], [t, t * t, z], [z, o, o]],
+        "monomial": [[z, t, z], [z, z, -o], [o, z, z]],
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(named_shapes(Q)))
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_named_shapes_match_dense_reference(name, shape):
+    field = FIELDS[name]
+    rows = named_shapes(field)[shape]
+    assert rank(field, rows) == dense_rank(rows)
+    assert kernel_basis(field, rows) == dense_kernel_basis(field, rows)
+    if rows and len(rows) == len(rows[0]):
+        b = [[field.one] for _ in rows]
+        expected = dense_solve_matrix(rows, b)
+        if expected is None:
+            with pytest.raises(SingularMatrixError):
+                solve_matrix(field, rows, b)
+        else:
+            assert solve_matrix(field, rows, b) == expected

@@ -147,6 +147,26 @@ class TestPrimitives:
             assert primitive_space_dim(P, B.delta) == P.dim - 2
 
 
+def first_antihomomorphism_failure(P, s_map):
+    """First (u, v) with S(x_u x_v) != S(x_v) S(x_u), from whole-element products."""
+
+    def S(x):
+        out = {}
+        for w, c in x.items():
+            img, coeff = s_map[w]
+            out = P.add(out, P.monomial(img, c * coeff))
+        return out
+
+    if S(P.one_elem) != P.one_elem:
+        return {"at": "S(1)"}
+    for u in P.basis():
+        for v in P.basis():
+            xu, xv = P.monomial(u), P.monomial(v)
+            if S(P.mul(xu, xv)) != P.mul(S(xv), S(xu)):
+                return {"u": list(u), "v": list(v)}
+    return None
+
+
 class TestSensitivity:
     def test_negated_entry_fails_at_exactly_v(self):
         B = example_structure("6.9", C8)
@@ -185,3 +205,28 @@ class TestSensitivity:
         rep = verify_axioms(tampered)
         names = {c.name for c in rep.failing()}
         assert "antipode-antihomomorphism" in names or "antipode-definition" in names
+
+    @pytest.mark.parametrize(
+        "B",
+        [
+            example_structure("6.9", C8),
+            example_structure("6.10", C8),
+            example_structure("6.9", F7, b="2"),
+        ],
+        ids=lambda B: repr(B.presentation),
+    )
+    def test_every_negated_antipode_coefficient_detected(self, B):
+        from qci.builder import BfaStructure
+
+        P = B.presentation
+        assert P.a == (2, 2, 2)
+        for v in P.basis():
+            s_map = dict(B.s_map)
+            img, coeff = s_map[v]
+            s_map[v] = (img, -coeff)
+            rep = verify_axioms(BfaStructure(P, B.witness, B.g, B.delta, s_map))
+            failing = {c.name: c.detail for c in rep.failing()}
+            assert failing["antipode-antihomomorphism"] == first_antihomomorphism_failure(
+                P, s_map
+            ), v
+            assert failing["antipode-definition"]["v"] == list(v)
