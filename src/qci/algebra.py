@@ -298,20 +298,9 @@ class Presentation:
         return rows
 
     def pairing_matrix(self, phi: dict) -> list:
-        """Matrix (u, v) |-> phi(x_u x_v) over the basis ordering."""
-        basis = self.basis()
-        mat = []
-        for u in basis:
-            row = []
-            for v in basis:
-                w, c = self.mul_basis(u, v)
-                if w is None:
-                    row.append(self.field.zero)
-                else:
-                    fv = phi.get(w)
-                    row.append(self.field.zero if fv is None else fv * c)
-            mat.append(row)
-        return mat
+        """Matrix (u, v) |-> phi(x_u x_v) over the basis ordering (dense rows)."""
+        zero = self.field.zero
+        return [[row.get(j, zero) for j in range(self.dim)] for row in self.pairing_rows(phi)]
 
     def nakayama_wrt(self, phi: dict) -> list:
         """Images N(x_v) for the automorphism with phi(xy) = phi(y N(x)).

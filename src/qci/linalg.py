@@ -37,7 +37,6 @@ def rref(rows) -> dict:
     the order of the rows.  The input rows are not modified.
     """
     pivots: dict = {}
-    holders: dict = {}  # non-pivot column -> pivot columns whose row has it
     for given in rows:
         row = dict(given)
         for col in [c for c in row if c in pivots]:
@@ -47,20 +46,10 @@ def rref(rows) -> dict:
         lead = min(row)
         inv = row[lead].inverse()
         row = {col: x * inv for col, x in row.items()}
-        for p in holders.pop(lead, ()):
-            older = pivots[p]
-            _add_multiple(older, -older[lead], row)
-            for col in row:
-                if col == lead:
-                    continue
-                if col in older:
-                    holders.setdefault(col, set()).add(p)
-                else:
-                    holders.get(col, set()).discard(p)
+        for older in pivots.values():
+            if lead in older:
+                _add_multiple(older, -older[lead], row)
         pivots[lead] = row
-        for col in row:
-            if col != lead:
-                holders.setdefault(col, set()).add(lead)
     return pivots
 
 

@@ -208,6 +208,21 @@ class TestFunctionals:
         mat = P.pairing_matrix(P.dual_functional(P.top))
         assert is_generalized_permutation(Q, mat)
 
+    def test_pairing_against_products(self):
+        from qci.linalg import rank
+
+        P = two_gen(Q, 3, 3, "2")
+        # A functional with several support monomials, one of them (0, 0).
+        phi = {(0, 0): Q.parse("3"), (1, 2): Q.parse("-1/2"), (2, 2): Q.one}
+        mat = P.pairing_matrix(phi)
+        for i, u in enumerate(P.basis()):
+            for j, v in enumerate(P.basis()):
+                prod = P.mul(P.monomial(u), P.monomial(v))
+                assert mat[i][j] == P.apply_functional(phi, prod)
+        # phi picks only the unit's coefficient: the pairing has rank 1.
+        unit_only = P.pairing_matrix(P.dual_functional(P.zero_vec))
+        assert rank(Q, unit_only) == 1 < P.dim
+
 
 class TestNames:
     def test_monomial_name(self):
