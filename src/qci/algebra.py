@@ -11,6 +11,7 @@ coefficients are never stored.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 
 from .errors import (
@@ -121,7 +122,7 @@ class Presentation:
         return self._index[tuple(v)]
 
     def in_basis(self, v) -> bool:
-        return all(0 <= vi <= ai - 1 for vi, ai in zip(v, self.a))
+        return min(v) >= 0 and all(map(operator.lt, v, self.a))
 
     def unit_vec(self, i: int) -> tuple:
         """Exponent vector of the generator x_i (1-based i)."""
@@ -131,7 +132,7 @@ class Presentation:
 
     def bracket(self, u, v) -> Scalar:
         """The scalar prod_{i<j} q_ij^{u_j v_i} on arbitrary integer vectors."""
-        out = self.field.one
+        out = None
         powers = self._powers
         for i in range(self.n):
             for j in range(i + 1, self.n):
@@ -140,12 +141,12 @@ class Presentation:
                     power = powers.get((i, j, e))
                     if power is None:
                         power = powers[(i, j, e)] = self.q[i][j] ** e
-                    out = out * power
-        return out
+                    out = power if out is None else out * power
+        return self.field.one if out is None else out
 
     def mul_basis(self, u, v):
         """Product of two basis monomials: (w, coeff) or (None, 0)."""
-        w = tuple(ui + vi for ui, vi in zip(u, v))
+        w = tuple(map(operator.add, u, v))
         if not self.in_basis(w):
             return None, self.field.zero
         return w, self.bracket(u, v)

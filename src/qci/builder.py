@@ -538,32 +538,3 @@ def build_structure(P: Presentation, w: Witness) -> BfaStructure:
         s_map[v] = (w.pi.act(v), g[v] * P.bracket(comp, v))
     return BfaStructure(P, w, g, delta, s_map)
 
-
-def build_general_coalgebra(P: Presentation, middle: dict) -> dict:
-    """A coassociative delta table from arbitrary middle coefficients.
-
-    middle maps pairs (u, v) of middle basis vectors (neither 0 nor a-1) to
-    scalars; they become the coefficients of x_u (x) x_v in delta of the
-    socle monomial, alongside the two boundary terms.  All middle basis
-    vectors stay primitive.
-    """
-    one = P.field.one
-    top = P.top
-    zero = P.zero_vec
-    delta: dict = {}
-    socle = [(zero, top, one), (top, zero, one)]
-    for (u, v), coeff in middle.items():
-        u, v = tuple(u), tuple(v)
-        for vec in (u, v):
-            if not P.in_basis(vec) or vec in (zero, top):
-                raise WitnessInvalidError(f"{vec} is not a middle basis vector")
-        if not coeff.is_zero():
-            socle.append((u, v, coeff))
-    for v in P.basis():
-        if v == zero:
-            delta[v] = [(zero, zero, one)]
-        elif v == top:
-            delta[v] = socle
-        else:
-            delta[v] = [(zero, v, one), (v, zero, one)]
-    return delta

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DivisionByZeroError,
@@ -127,7 +128,10 @@ class Scalar:
     """An element of one of the supported fields.
 
     Arithmetic is exact and closed in the owning field.  Integers coerce on
-    either side of an operator.
+    either side of an arithmetic operator, but a scalar never equals an int:
+    equality would have to identify from_int(8) with 1 over GF(7), and no
+    hash could agree with that.  Scalars are immutable, so the cached
+    constants Field.zero and Field.one are shared freely.
     """
 
     __slots__ = ("field", "value")
@@ -144,7 +148,7 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise TypeError("scalars from different fields")
             return other
         if isinstance(other, int):
@@ -215,11 +219,10 @@ class Scalar:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.field == other.field and self.value == other.value
+        same = self.field is other.field or self.field == other.field
+        return same and self.value == other.value
 
     def __hash__(self):
         return hash((self.field, self.value))
@@ -242,11 +245,11 @@ class Field:
     def from_int(self, k: int) -> Scalar:
         raise NotImplementedError
 
-    @property
+    @cached_property
     def zero(self) -> Scalar:
         return self.from_int(0)
 
-    @property
+    @cached_property
     def one(self) -> Scalar:
         return self.from_int(1)
 

@@ -14,6 +14,7 @@ from qci.algebra import Presentation
 from qci.builder import build_structure, decide, g_table
 from qci.permutations import Permutation, partition, q_pi
 from qci.scalars import Field, make_field
+from qci.verify import tensor_add_term
 
 # one PASS/FAIL line per acceptance criterion, echoed by the conftest
 # terminal-summary hook so the lines survive pytest's output capture
@@ -230,6 +231,88 @@ def dense_solve_matrix(a, b):
     if dense_eliminate(work) != list(range(n)):
         return None
     return [row[n:] for row in work]
+
+
+# ---------------------------------------------------------------------------
+# exhaustive pair loops: a reference for the axiom checks of qci.verify
+
+
+def reference_pair_checks(B) -> dict:
+    """The three pair checks of verify_axioms, evaluated on all dim^2 pairs.
+
+    These are the loops qci.verify once ran: every (u, v) in basis order,
+    with no use of the supports of the tables.  Returns {name: entry} with
+    entries shaped like CheckResult.to_json(), so the tests compare the
+    verdict and the detail of the support-driven loops against them.
+    """
+    P = B.presentation
+    one = P.field.one
+    basis = P.basis()
+    out = {}
+
+    def record(name, ok, detail):
+        out[name] = {"name": name, "passed": ok, "detail": detail}
+
+    def single(w, c):
+        return None if c.is_zero() else (w, c)
+
+    ok, detail = True, None
+    if B.epsilon(P.one_elem) != one:
+        ok, detail = False, {"at": "epsilon(1)"}
+    else:
+        zero = P.field.zero
+        eps = [B.epsilon(P.monomial(u)) for u in basis]
+        for i, u in enumerate(basis):
+            for j, v in enumerate(basis):
+                w, c = P.mul_basis(u, v)
+                lhs = zero if w is None else B.epsilon({w: c})
+                if lhs != eps[i] * eps[j]:
+                    ok, detail = False, {"u": list(u), "v": list(v)}
+                    break
+            if not ok:
+                break
+    record("counit-algebra-map", ok, detail)
+
+    ok, detail = True, None
+    if B.s_elem(P.one_elem) != P.one_elem:
+        ok, detail = False, {"at": "S(1)"}
+    else:
+        for u in basis:
+            iu, cu = B.s_map[u]
+            for v in basis:
+                w, c = P.mul_basis(u, v)
+                lhs = None if w is None else single(B.s_map[w][0], c * B.s_map[w][1])
+                iv, cv = B.s_map[v]
+                w, c = P.mul_basis(iv, iu)
+                rhs = None if w is None else single(w, cv * cu * c)
+                if lhs != rhs:
+                    ok, detail = False, {"u": list(u), "v": list(v)}
+                    break
+            if not ok:
+                break
+    record("antipode-antihomomorphism", ok, detail)
+
+    ok, detail = True, None
+    phi = B.phi()
+    for v in basis:
+        acc: dict = {}
+        for u, w, c in B.delta[B.t_vec]:
+            uv, cuv = P.mul_basis(u, v)
+            fuv = None if uv is None else phi.get(uv)
+            if fuv is None:
+                continue
+            val = fuv * cuv
+            if not val.is_zero():
+                tensor_add_term(acc, w, val * c)
+        if acc != B.s_elem(P.monomial(v)):
+            ok, detail = False, {
+                "v": list(v),
+                "expected": P.element_to_string(B.s_elem(P.monomial(v))),
+                "actual": P.element_to_string(acc),
+            }
+            break
+    record("antipode-definition", ok, detail)
+    return out
 
 
 # ---------------------------------------------------------------------------

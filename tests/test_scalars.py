@@ -223,3 +223,63 @@ def test_cyclotomic_mul_matches_polynomials(cs, ds):
         for l, d in enumerate(ds):
             acc = acc + C8.from_int(c * d) * C8.zeta_power(k + l)
     assert x * y == acc
+
+
+class TestConstants:
+    @pytest.mark.parametrize("field", [Q, F7, C8], ids=lambda F: F.describe())
+    def test_cached_once_per_field(self, field):
+        assert field.one is field.one
+        assert field.zero is field.zero
+        assert field.one == field.from_int(1)
+        assert field.zero == field.from_int(0)
+
+    @pytest.mark.parametrize("field", [Q, F7, C8], ids=lambda F: F.describe())
+    def test_shared_constants_stay_neutral(self, field):
+        x = field.from_int(5)
+        for _ in range(3):
+            assert field.zero + x == x
+            assert field.one * x == x
+            assert -field.one + field.one == field.zero
+        assert field.one == field.from_int(1)
+        assert field.zero == field.from_int(0)
+
+
+class TestHashContract:
+    @pytest.mark.parametrize("field", [Q, F7, C8], ids=lambda F: F.describe())
+    def test_no_int_equality(self, field):
+        assert field.one != 1
+        assert not (field.one == 1)
+        assert field.zero != 0
+        assert len({field.one, field.from_int(1)}) == 1
+        assert len({field.one, 1}) == 2
+
+    def test_int_coercion_in_arithmetic_stays(self):
+        assert F7.one + 1 == F7.from_int(2)
+        assert 3 * F7.from_int(5) == F7.one
+        assert 1 - Q.one == Q.zero
+
+    def test_wrapping_residues_are_not_ints(self):
+        # over GF(7) from_int(8) is 1, so no hash could agree with int equality
+        assert F7.from_int(8) == F7.one
+        assert F7.from_int(8) != 8 and F7.from_int(8) != 1
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(Q.from_fraction)
+small_residues = st.integers(min_value=-20, max_value=20).map(F7.from_int)
+small_cyclos = st.lists(
+    st.integers(min_value=-1, max_value=1), min_size=4, max_size=4
+).map(lambda cs: sum((C8.from_int(c) * C8.zeta_power(k) for k, c in enumerate(cs)), C8.zero))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_equal_scalars_hash_equal(data):
+    strategy = data.draw(st.sampled_from([small_rationals, small_residues, small_cyclos]))
+    x = data.draw(strategy)
+    y = data.draw(strategy)
+    if x == y:
+        assert hash(x) == hash(y)
+        assert len({x, y}) == 1
+    # a value rebuilt through arithmetic is the same dict key
+    rebuilt = (x + x.field.one) - x.field.one
+    assert rebuilt == x and hash(rebuilt) == hash(x)

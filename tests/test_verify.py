@@ -1,9 +1,13 @@
 """Exhaustive axiom and consequence checks on constructed structures."""
 
+import collections
+from pathlib import Path
+
 import pytest
+from helpers import reference_pair_checks
 
 from qci.algebra import Presentation
-from qci.builder import build_structure, decide
+from qci.builder import BfaStructure, build_structure, decide
 from qci.demos import example_presentation, example_structure, example_witness
 from qci.errors import NotInvertibleError
 from qci.verify import (
@@ -21,6 +25,7 @@ from qci.verify import (
     verify_derived,
 )
 from qci.scalars import make_field
+from qci.structio import load_structure
 
 C4 = make_field("cyclotomic", 4)
 C8 = make_field("cyclotomic", 8)
@@ -230,3 +235,116 @@ class TestSensitivity:
                 P, s_map
             ), v
             assert failing["antipode-definition"]["v"] == list(v)
+
+
+def with_s_map(B, s_map, delta=None):
+    return BfaStructure(
+        B.presentation, B.witness, B.g, B.delta if delta is None else delta, s_map
+    )
+
+
+def negated_coefficient(B, v):
+    s_map = dict(B.s_map)
+    img, coeff = s_map[v]
+    s_map[v] = (img, -coeff)
+    return with_s_map(B, s_map)
+
+
+def swapped_images(B, v1, v2):
+    s_map = dict(B.s_map)
+    (img1, c1), (img2, c2) = s_map[v1], s_map[v2]
+    s_map[v1], s_map[v2] = (img2, c1), (img1, c2)
+    return with_s_map(B, s_map)
+
+
+def replaced_image(B, v, w):
+    s_map = dict(B.s_map)
+    s_map[v] = (w, s_map[v][1])
+    return with_s_map(B, s_map)
+
+
+def moved_image(B, v, shift):
+    """s(v)'s image with its first coordinate moved by shift, off the basis.
+
+    antipode-coalgebra-antihomomorphism expands delta at S's images, so the
+    copy's delta reads as empty off the basis instead of raising KeyError.
+    """
+    s_map = dict(B.s_map)
+    img, coeff = s_map[v]
+    s_map[v] = ((img[0] + shift,) + img[1:], coeff)
+    return with_s_map(B, s_map, collections.defaultdict(list, B.delta))
+
+
+def tamperings(B):
+    """(label, structure) for each in-memory perturbation of s_map and delta."""
+    P = B.presentation
+    basis = P.basis()
+    for v in basis:
+        yield f"negate S coefficient at {v}", negated_coefficient(B, v)
+    for i, v1 in enumerate(basis):
+        for v2 in basis[i + 1:]:
+            yield f"swap S images of {v1}, {v2}", swapped_images(B, v1, v2)
+    for v in basis:
+        for w in basis:
+            if w != B.s_map[v][0]:
+                yield f"replace S image of {v} by {w}", replaced_image(B, v, w)
+    for v in basis:
+        for shift in (-P.a[0], P.a[0]):
+            yield f"move S image of {v} by {shift}", moved_image(B, v, shift)
+    for v in basis:
+        yield f"negate socle entry {v}", negate_socle_entry(B, v)
+
+
+REFERENCE_STRUCTURES = [
+    built(presentation(F7, (2, 2, 2), {(2, 3): "-1"})),
+    built(presentation(F7, (3, 3), {(1, 2): "-1"})),
+    built(presentation(Q, (2, 2, 2), {(1, 3): "-1"})),
+    built(presentation(Q, (3, 3), {(1, 2): "-1"})),
+    built(presentation(C8, (2, 2, 2), {(1, 2): "z", (1, 3): "-z^3", (2, 3): "z"})),
+    built(presentation(C8, (3, 3), {(1, 2): "z^2"})),
+]
+
+
+class TestPairChecksAgainstReference:
+    """The support-driven pair loops decide every pair as the exhaustive ones."""
+
+    @pytest.mark.parametrize("B", REFERENCE_STRUCTURES, ids=lambda B: repr(B.presentation))
+    def test_same_verdict_and_detail_under_every_tampering(self, B):
+        cases = [("untampered", B)] + list(tamperings(B))
+        failures = 0
+        for label, T in cases:
+            expected = reference_pair_checks(T)
+            got = {c["name"]: c for c in verify_axioms(T).to_json()["checks"]}
+            for name, entry in expected.items():
+                assert got[name] == entry, (label, name)
+            failures += not all(e["passed"] for e in expected.values())
+        # the tamperings do break the pair checks, so the comparison has teeth
+        assert failures >= len(cases) // 2
+
+    def test_structures_cover_nontrivial_involutions(self):
+        moved = [
+            B for B in REFERENCE_STRUCTURES
+            if B.witness.pi.images != tuple(sorted(B.witness.pi.images))
+        ]
+        assert len(moved) >= 3
+
+
+def test_pair_checks_evaluate_subquadratically_many_products(monkeypatch):
+    """verify_axioms calls mul_basis O(prod a_k(a_k+1)/2 + dim) times, not dim^2."""
+    golden = Path(__file__).resolve().parent / "data" / "golden"
+    B = load_structure(str(golden / "d64-gf7.structure.json"))
+    P = B.presentation
+    assert P.a == (4, 4, 4)
+    calls = []
+    original = Presentation.mul_basis
+
+    def counted(self, u, v):
+        calls.append(1)
+        return original(self, u, v)
+
+    monkeypatch.setattr(Presentation, "mul_basis", counted)
+    assert verify_axioms(B).all_passed
+    boxes = 1
+    for ak in P.a:
+        boxes *= ak * (ak + 1) // 2
+    assert 0 < len(calls) <= 2 * boxes + 4 * P.dim
