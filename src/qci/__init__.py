@@ -19,7 +19,6 @@ from .builder import (
     closed_form_c,
     decide,
     g_table,
-    intrinsic_predicate,
     solve_c,
 )
 from .demos import example_presentation, example_structure, example_witness
@@ -94,7 +93,6 @@ __all__ = [
     "example_structure",
     "example_witness",
     "g_table",
-    "intrinsic_predicate",
     "is_compatible",
     "is_hopf_comultiplication",
     "load_presentation",

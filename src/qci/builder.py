@@ -10,7 +10,10 @@ c_1..c_n satisfying
 Every witness yields a comultiplication with counit x |-> coefficient of 1,
 primitive on all middle basis vectors, whose induced antipode is the monomial
 map S(x_v) = (coefficient) x_{pi(v)}.  decide() settles existence by two
-independent routes and insists they agree.
+independent routes and insists they agree: route one asks which closed-form
+regime applies to each compatible involution (applicable_regime, the one
+statement of the existence rule), route two searches the signs of the
+scalars directly (solve_c).
 """
 
 from __future__ import annotations
@@ -86,10 +89,10 @@ def solve_c(P: Presentation, pi: Permutation):
         raise NotInvolutionError(f"{pi} is not an involution")
     if not is_compatible(P, pi):
         raise NotCompatibleError(f"{pi} does not preserve the presentation")
+    if not P.nakayama_is_involution():
+        return None
     one = P.field.one
     h = P.h_generators()
-    if any(hi * hi != one for hi in h):
-        return None
     n = P.n
     c = [None] * (n + 1)  # 1-based
     for i in range(1, n + 1):
@@ -119,7 +122,7 @@ def solve_c(P: Presentation, pi: Permutation):
 
 
 class Regime(Enum):
-    """Closed-form recipes for the scalars c, named by their hypotheses.
+    """Closed-form recipes for the scalars c; applicable_regime picks one.
 
     SYMMETRIC           all h_{e_i} = 1; any compatible involution works.
     CHAR_TWO            characteristic 2 with involutive Nakayama map.
@@ -143,115 +146,22 @@ class Regime(Enum):
     REAL_NO_ANCHOR = "real-no-anchor"
 
 
-def _require(cond: bool, why: str) -> None:
-    if not cond:
-        raise RegimeHypothesisError(why)
-
-
-def closed_form_c(P: Presentation, pi: Permutation, regime: Regime):
-    """The literal closed-form c for the given regime; hypotheses are checked.
-
-    The result always satisfies the witness equations (this is asserted).
-    """
-    one = P.field.one
-    h = P.h_generators()
-    n = P.n
-    if regime == Regime.CHAR_TWO:
-        _require(P.field.characteristic() == 2, "characteristic must be 2")
-        _require(pi.is_involution() and is_compatible(P, pi), "need a compatible involution")
-        _require(all(hi == one for hi in h), "Nakayama map must be involutive")
-        c = tuple(one for _ in range(n))
-        check_witness(P, Witness(pi, c))
-        return c
-    if regime == Regime.SYMMETRIC:
-        _require(P.is_symmetric(), "all h_{e_i} must equal 1")
-        _require(pi.is_involution() and is_compatible(P, pi), "need a compatible involution")
-        fixed = set(pi.fixed_points())
-        c = []
-        for i in range(1, n + 1):
-            if i in fixed:
-                acc = one
-                for j in range(i, n + 1):
-                    if j in fixed:
-                        acc = acc * P.q[i - 1][j - 1] ** (P.a[j - 1] - 1)
-                c.append(acc)
-            else:
-                c.append(one)
-        c = tuple(c)
-        check_witness(P, Witness(pi, c))
-        return c
-
-    _require(P.field.characteristic() != 2, "sign regimes need characteristic != 2")
-    _require(all(hi * hi == one for hi in h), "Nakayama map must be involutive")
-    rep = partition(P, pi)
-    root = P.field.sqrt_minus_one()
-    qp = rep.q_pi
-
-    def moved_value(i: int) -> Scalar:
-        return one if i < pi(i) else h[i - 1]
-
-    if regime in (Regime.IMAG_ANCHOR_H_PLUS, Regime.REAL_ANCHOR):
-        if regime == Regime.IMAG_ANCHOR_H_PLUS:
-            _require(root is not None, "need sqrt(-1) in the field")
-        else:
-            _require(root is None, "regime applies when sqrt(-1) is absent")
-            _require(not rep.i3 and not rep.i4, "no fixed index may have h = -1")
-        _require(bool(rep.i1), "need a fixed index with h = 1 and even exponent")
-        anchor = min(rep.i1)
-        c = [None] * (n + 1)
-        for i in rep.i1 + rep.i2:
-            c[i] = one
-        for i in rep.i3 + rep.i4:
-            c[i] = root
-        for i in rep.moved:
-            c[i] = moved_value(i)
-        rest = one
-        for i in range(1, n + 1):
-            if i != anchor:
-                rest = rest * c[i] ** (P.a[i - 1] - 1)
-        c[anchor] = qp * rest
-    elif regime == Regime.IMAG_ANCHOR_H_MINUS:
-        _require(root is not None, "need sqrt(-1) in the field")
-        _require(bool(rep.i3), "need a fixed index with h = -1 and even exponent")
-        anchor = min(rep.i3)
-        c = [None] * (n + 1)
-        for i in rep.i1 + rep.i2:
-            c[i] = one
-        for i in rep.i3 + rep.i4:
-            c[i] = root
-        for i in rep.moved:
-            c[i] = moved_value(i)
-        rest = one
-        for i in range(1, n + 1):
-            if i != anchor:
-                rest = rest * c[i] ** (P.a[i - 1] - 1)
-        sign = one if (P.a[anchor - 1] // 2) % 2 == 0 else -one
-        c[anchor] = sign * qp * rest
-    elif regime in (Regime.IMAG_NO_ANCHOR, Regime.REAL_NO_ANCHOR):
-        if regime == Regime.IMAG_NO_ANCHOR:
-            _require(root is not None, "need sqrt(-1) in the field")
-        else:
-            _require(root is None, "regime applies when sqrt(-1) is absent")
-        _require(not rep.i1 and not rep.i3, "no even-exponent fixed index allowed")
-        _require(not rep.i4, "fixed indices with h = -1 cannot occur here")
-        _require(len(rep.j3) % 4 == 0, "moved h = -1 even-exponent pairs must pair up evenly")
-        c = [None] * (n + 1)
-        for i in rep.fixed:
-            c[i] = one
-        for i in rep.moved:
-            c[i] = moved_value(i)
-    else:
-        raise RegimeHypothesisError(f"unknown regime {regime!r}")
-    c = tuple(c[1:])
-    check_witness(P, Witness(pi, c))
-    return c
-
-
 def applicable_regime(P: Presentation, pi: Permutation):
-    """The regime whose closed form applies to this involution, or None."""
-    one = P.field.one
-    h = P.h_generators()
-    if any(hi * hi != one for hi in h):
+    """The regime whose closed form applies to this involution, or None.
+
+    This is the existence rule: scalars c completing pi to a witness exist
+    exactly when a regime applies.  decide() checks it against solve_c.
+
+    The "no i4" clause never rejects an involution that i1 or i3 would not
+    already accept, because i4 nonempty forces i1 u i3 nonempty.  For fixed
+    i, h_{e_i} = prod_j q_ij^{a_j - 1}.  A moved pair {j, pi(j)} contributes
+    q_ij^{a_j - 1} q_{i pi(j)}^{a_j - 1} = 1, since compatibility gives
+    q_{i pi(j)} = q_ji = q_ij^{-1} and a_{pi(j)} = a_j.  A fixed j has
+    q_ij = q_ji, so q_ij = +-1 and contributes -1 only when q_ij = -1 and
+    a_j is even.  Hence h_{e_i} = -1 needs a fixed j with a_j even: j lies
+    in i1 or i3.
+    """
+    if not P.nakayama_is_involution():
         return None
     if not pi.is_involution() or not is_compatible(P, pi):
         return None
@@ -278,23 +188,58 @@ def applicable_regime(P: Presentation, pi: Permutation):
     return None
 
 
-def intrinsic_predicate(P: Presentation, pi: Permutation) -> bool:
-    """Existence condition for scalars c over the given compatible involution.
+def closed_form_c(P: Presentation, pi: Permutation, regime: Regime):
+    """The literal closed-form c of the given regime.
 
-    Assumes the global h^2 = 1 gate already passed.  In characteristic 2 and
-    in the symmetric case every compatible involution qualifies.  Otherwise
-    the partition counts decide: with sqrt(-1) in the field the condition is
-    |i1| + |i3| != 0 or |j3|/2 even; without it, additionally no fixed index
-    may carry h = -1.
+    Raises RegimeHypothesisError unless regime is applicable_regime(P, pi).
+    The result always satisfies the witness equations (this is asserted).
     """
-    if P.field.characteristic() == 2 or P.is_symmetric():
-        return True
-    rep = partition(P, pi)
-    if P.field.sqrt_minus_one() is not None:
-        return bool(rep.i1 or rep.i3) or len(rep.j3) % 4 == 0
-    if rep.i3 or rep.i4:
-        return False
-    return bool(rep.i1) or len(rep.j3) % 4 == 0
+    applicable = applicable_regime(P, pi)
+    if applicable != regime:
+        raise RegimeHypothesisError(
+            f"{regime} does not apply to pi = {pi}; the applicable regime is {applicable}"
+        )
+    one = P.field.one
+    n = P.n
+    if regime == Regime.CHAR_TWO:
+        c = (one,) * n
+    elif regime == Regime.SYMMETRIC:
+        fixed = set(pi.fixed_points())
+        c = []
+        for i in range(1, n + 1):
+            acc = one
+            if i in fixed:
+                for j in range(i, n + 1):
+                    if j in fixed:
+                        acc = acc * P.q[i - 1][j - 1] ** (P.a[j - 1] - 1)
+            c.append(acc)
+        c = tuple(c)
+    else:
+        # the sign regimes: c = 1 on i1, i2 and sqrt(-1) on i3, i4; moved
+        # pairs normalized to c_i = 1, c_{pi(i)} = h_{e_i} for i < pi(i)
+        h = P.h_generators()
+        rep = partition(P, pi)
+        root = P.field.sqrt_minus_one()
+        c = [None] * (n + 1)
+        for i in rep.i1 + rep.i2:
+            c[i] = one
+        for i in rep.i3 + rep.i4:
+            c[i] = root
+        for i in rep.moved:
+            c[i] = one if i < pi(i) else h[i - 1]
+        minus = regime == Regime.IMAG_ANCHOR_H_MINUS
+        if minus or regime in (Regime.IMAG_ANCHOR_H_PLUS, Regime.REAL_ANCHOR):
+            anchor = min(rep.i3 if minus else rep.i1)
+            rest = rep.q_pi
+            for i in range(1, n + 1):
+                if i != anchor:
+                    rest = rest * c[i] ** (P.a[i - 1] - 1)
+            if minus and (P.a[anchor - 1] // 2) % 2:
+                rest = -rest
+            c[anchor] = rest
+        c = tuple(c[1:])
+    check_witness(P, Witness(pi, c))
+    return c
 
 
 @dataclass
@@ -353,14 +298,13 @@ def regime_family(P: Presentation) -> str:
 def decide(P: Presentation) -> DecisionReport:
     """Decide existence of a witness, cross-checking two routes per involution.
 
-    Route one evaluates the intrinsic partition condition; route two runs the
-    sign search solve_c.  Disagreement raises CrossCheckError.  The returned
-    witness (when any) belongs to the first qualifying involution in
-    enumeration order, with solve_c's scalars.
+    Route one asks whether a closed-form regime applies (applicable_regime);
+    route two runs the sign search solve_c.  Disagreement raises
+    CrossCheckError.  The returned witness (when any) belongs to the first
+    qualifying involution in enumeration order, with solve_c's scalars.
     """
     family = regime_family(P)
-    one = P.field.one
-    if any(h * h != one for h in P.h_generators()):
+    if not P.nakayama_is_involution():
         return DecisionReport(
             exists=False,
             reason="nakayama-not-involutive",
@@ -380,7 +324,7 @@ def decide(P: Presentation) -> DecisionReport:
         report.reason = "no-compatible-involution"
         return report
     for pi in candidates:
-        intrinsic = intrinsic_predicate(P, pi)
+        intrinsic = applicable_regime(P, pi) is not None
         c = solve_c(P, pi)
         found = c is not None
         report.involutions.append(InvolutionRecord(pi, intrinsic, found))

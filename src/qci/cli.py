@@ -208,8 +208,7 @@ def _witness_from_args(P: Presentation, args):
         raise UsageError("--c requires --pi")
     pi = Permutation.parse(args.pi)
     if args.c is None:
-        one = P.field.one
-        if any(h * h != one for h in P.h_generators()):
+        if not P.nakayama_is_involution():
             return None, "nakayama-not-involutive"
         c = solve_c(P, pi)
         if c is None:
@@ -357,7 +356,7 @@ def _cmd_enumerate(args) -> int:
         row = [str(val) for val in choice]
         row += [str(h) for h in hs]
         row += [
-            "yes" if all(h * h == one for h in hs) else "no",
+            "yes" if report.nakayama_involutive else "no",
             str(n_inv),
             "yes" if report.exists else "no",
             str(report.witness.pi) if report.witness is not None else "",

@@ -61,10 +61,6 @@ class NotInvolutionError(QciError):
     """The permutation is not self-inverse."""
 
 
-class CharTwoError(QciError):
-    """A sign-based classification was requested in characteristic 2."""
-
-
 class NakayamaOrderError(QciError):
     """Some h_{e_i} is not +-1, so a sign classification is undefined."""
 

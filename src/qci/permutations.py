@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    CharTwoError,
     NakayamaOrderError,
     NotCompatibleError,
     NotInvolutionError,
@@ -191,14 +190,12 @@ class PartitionReport:
     """Index classification for a compatible involution.
 
     fixed/moved split {1..n} by whether pi(i) = i.  Away from characteristic
-    2 the classes refine by the sign of h_{e_i} and the parity of a_i:
-      i1: fixed, h = 1,  a_i even      j1: moved, h = 1,  a_i even
-      i2: fixed, h = 1,  a_i odd       j2: moved, h = 1,  a_i odd
-      i3: fixed, h = -1, a_i even      j3: moved, h = -1, a_i even
-      i4: fixed, h = -1, a_i odd       j4: moved, h = -1, a_i odd
-    i4 further splits by the parity of (a_i - 1)/2 into i4_half_odd and
-    i4_half_even.  In characteristic 2 the sign refinement is meaningless;
-    only fixed/moved are reported and char_two is set.
+    2 the fixed indices refine by the sign of h_{e_i} and the parity of a_i,
+    and j3 collects the moved indices with h = -1 and a_i even:
+      i1: fixed, h = 1,  a_i even      i3: fixed, h = -1, a_i even
+      i2: fixed, h = 1,  a_i odd       i4: fixed, h = -1, a_i odd
+    In characteristic 2 the sign refinement is meaningless; only fixed/moved
+    are reported and char_two is set.
     """
 
     pi: Permutation
@@ -208,12 +205,7 @@ class PartitionReport:
     i2: tuple
     i3: tuple
     i4: tuple
-    j1: tuple
-    j2: tuple
     j3: tuple
-    j4: tuple
-    i4_half_odd: tuple
-    i4_half_even: tuple
     q_pi: Scalar
     char_two: bool
 
@@ -228,52 +220,25 @@ def partition(P: Presentation, pi: Permutation) -> PartitionReport:
     moved = pi.moved_points()
     qp = q_pi(P, pi)
     if P.field.characteristic() == 2:
-        empty = ()
-        return PartitionReport(
-            pi, fixed, moved, empty, empty, empty, empty, empty, empty, empty,
-            empty, empty, empty, qp, True,
-        )
+        return PartitionReport(pi, fixed, moved, (), (), (), (), (), qp, True)
     one = P.field.one
     minus_one = -one
     h = P.h_generators()
-    classes: dict = {k: [] for k in ("i1", "i2", "i3", "i4", "j1", "j2", "j3", "j4")}
+    i1, i2, i3, i4, j3 = [], [], [], [], []
     for i in range(1, P.n + 1):
-        hi = h[i - 1]
-        if hi == one:
-            sign = "1"
-        elif hi == minus_one:
-            sign = "3"
-        else:
+        plus = h[i - 1] == one
+        if not plus and h[i - 1] != minus_one:
             raise NakayamaOrderError(
                 f"h_e{i} is neither 1 nor -1; sign classification undefined"
             )
         even = P.a[i - 1] % 2 == 0
-        offset = 0 if even else 1
-        key = ("i" if pi(i) == i else "j") + str(int(sign) + offset)
-        classes[key].append(i)
-    i4 = tuple(classes["i4"])
-    half_odd = tuple(i for i in i4 if ((P.a[i - 1] - 1) // 2) % 2 == 1)
-    half_even = tuple(i for i in i4 if ((P.a[i - 1] - 1) // 2) % 2 == 0)
+        if pi(i) != i:
+            if even and not plus:
+                j3.append(i)
+        elif plus:
+            (i1 if even else i2).append(i)
+        else:
+            (i3 if even else i4).append(i)
     return PartitionReport(
-        pi,
-        fixed,
-        moved,
-        tuple(classes["i1"]),
-        tuple(classes["i2"]),
-        tuple(classes["i3"]),
-        tuple(classes["i4"]),
-        tuple(classes["j1"]),
-        tuple(classes["j2"]),
-        tuple(classes["j3"]),
-        tuple(classes["j4"]),
-        half_odd,
-        half_even,
-        qp,
-        False,
+        pi, fixed, moved, tuple(i1), tuple(i2), tuple(i3), tuple(i4), tuple(j3), qp, False
     )
-
-
-def fourfold_or_char_two_error(report: PartitionReport) -> None:
-    """Guard for callers that need the sign refinement."""
-    if report.char_two:
-        raise CharTwoError("sign classification unavailable in characteristic 2")

@@ -159,10 +159,9 @@ def rand_compatible_involutive_h(
     rng: random.Random, field: Field, n: int | None = None, a_hi: int = 4
 ):
     """Like rand_compatible but retries until every h_{e_i}^2 = 1."""
-    one = field.one
     for _ in range(500):
         P, pi = rand_compatible(rng, field, n, a_hi, pool=root_pool(field))
-        if all(h * h == one for h in P.h_generators()):
+        if P.nakayama_is_involution():
             return P, pi
     raise AssertionError("could not sample an h-involutive presentation")
 

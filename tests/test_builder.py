@@ -1,5 +1,7 @@
 """Witness equations, closed forms, the decision procedure, and g tables."""
 
+import itertools
+
 import pytest
 
 from qci.algebra import Presentation
@@ -13,7 +15,6 @@ from qci.builder import (
     closed_form_c,
     decide,
     g_table,
-    intrinsic_predicate,
     regime_family,
     solve_c,
 )
@@ -24,7 +25,7 @@ from qci.errors import (
     RegimeHypothesisError,
     WitnessInvalidError,
 )
-from qci.permutations import Permutation
+from qci.permutations import Permutation, enumerate_compatible, partition
 from qci.scalars import make_field
 
 Q = make_field("rational")
@@ -176,19 +177,25 @@ class TestRegimes:
         assert applicable_regime(example_presentation("6.9", C8), Permutation.identity(3)) is None
 
     def test_closed_forms_satisfy_witness_equations(self):
+        # moved pairs normalize to c_i = 1, c_{pi(i)} = h_{e_i} for i < pi(i)
         cases = [
-            (example_presentation("6.9", C8), Permutation((1, 3, 2))),
-            (example_presentation("6.10", C8), Permutation((1, 3, 2))),
-            (example_presentation("6.10", make_field("rational"), b="2"), Permutation((1, 3, 2))),
-            (presentation(F2, (2, 2), {(1, 2): "1"}), Permutation.identity(2)),
-            (minus_pair(F5), Permutation.identity(2)),
-            (double_swap(F5), Permutation((2, 1, 4, 3))),
-            (double_swap(Q), Permutation((2, 1, 4, 3))),
+            (example_presentation("6.9", C8), Permutation((1, 3, 2)), "1,1,1"),
+            (example_presentation("6.10", C8), Permutation((1, 3, 2)), "-1,1,-1"),
+            (
+                example_presentation("6.10", make_field("rational"), b="2"),
+                Permutation((1, 3, 2)),
+                "-1,1,-1",
+            ),
+            (presentation(F2, (2, 2), {(1, 2): "1"}), Permutation.identity(2), "1,1"),
+            (minus_pair(F5), Permutation.identity(2), "2,2"),
+            (double_swap(F5), Permutation((2, 1, 4, 3)), "1,4,1,4"),
+            (double_swap(Q), Permutation((2, 1, 4, 3)), "1,-1,1,-1"),
         ]
-        for P, pi in cases:
+        for P, pi, expected in cases:
             regime = applicable_regime(P, pi)
             assert regime is not None
             c = closed_form_c(P, pi, regime)
+            assert ",".join(str(x) for x in c) == expected, regime
             check_witness(P, Witness(pi, c))
             assert solve_c(P, pi) is not None
 
@@ -214,6 +221,62 @@ class TestRegimes:
             closed_form_c(minus_pair(F5), Permutation.identity(2), Regime.IMAG_ANCHOR_H_PLUS)
         with pytest.raises(RegimeHypothesisError):
             closed_form_c(double_swap(Q), Permutation((2, 1, 4, 3)), Regime.IMAG_NO_ANCHOR)
+        # the symmetric recipe would work in characteristic 2, and the h = 1
+        # anchor on a symmetric presentation, but neither is the applicable regime
+        with pytest.raises(RegimeHypothesisError):
+            closed_form_c(
+                presentation(F2, (2, 2), {(1, 2): "1"}), Permutation.identity(2), Regime.SYMMETRIC
+            )
+        with pytest.raises(RegimeHypothesisError):
+            closed_form_c(P9, pi, Regime.IMAG_ANCHOR_H_PLUS)
+
+    def test_regime_rule_matches_solver_on_grid(self):
+        """The existence rule against the sign search, over fields with and
+        without sqrt(-1): every compatible involution of n = 3 with
+        a in {2,3}^3 and of (2,2,2,2) with q = +-1, plus six named cases."""
+        units = {
+            F2: ("1",),
+            make_field("prime", 3): ("1", "2"),
+            F5: ("1", "2", "3", "4"),
+            make_field("prime", 7): ("1", "2", "3", "4", "5", "6"),
+            Q: ("1", "-1", "2"),
+        }
+        cases = [
+            example_presentation("6.9", C8),
+            example_presentation("6.10", C8),
+            minus_pair(Q),
+            minus_pair(F5),
+            double_swap(Q),
+            double_swap(F5),
+        ]
+        pairs3 = [(1, 2), (1, 3), (2, 3)]
+        pairs4 = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+        for F, lits in units.items():
+            for a in itertools.product((2, 3), repeat=3):
+                for choice in itertools.product(lits, repeat=3):
+                    cases.append(presentation(F, a, dict(zip(pairs3, choice))))
+            signs = ("1",) if F.characteristic() == 2 else ("1", "-1")
+            for choice in itertools.product(signs, repeat=6):
+                cases.append(presentation(F, (2, 2, 2, 2), dict(zip(pairs4, choice))))
+        seen = set()
+        involutions = i4_cases = 0
+        for P in cases:
+            for pi in enumerate_compatible(P):
+                involutions += 1
+                regime = applicable_regime(P, pi)
+                seen.add(regime)
+                where = f"a = {P.a}, q = {P.q}, pi = {pi}"
+                assert (regime is not None) == (solve_c(P, pi) is not None), where
+                if regime is not None:
+                    check_witness(P, Witness(pi, closed_form_c(P, pi, regime)))
+                if P.field.characteristic() != 2 and P.nakayama_is_involution():
+                    rep = partition(P, pi)
+                    if rep.i4:
+                        i4_cases += 1
+                        assert rep.i1 or rep.i3, where
+        assert seen == set(Regime) | {None}
+        # pinned so that a shrunken grid or enumeration shows
+        assert (involutions, i4_cases) == (1894, 120)
 
 
 class TestDecide:
@@ -273,20 +336,6 @@ class TestDecide:
             set(rec) == {"pi", "intrinsic_condition", "solver_found_c"}
             for rec in data["involutions"]
         )
-
-    def test_intrinsic_matches_solver_on_examples(self):
-        for P in (
-            example_presentation("6.9", C8),
-            example_presentation("6.10", C8),
-            minus_pair(Q),
-            minus_pair(F5),
-            double_swap(Q),
-            double_swap(F5),
-        ):
-            from qci.permutations import enumerate_compatible
-
-            for pi in enumerate_compatible(P):
-                assert intrinsic_predicate(P, pi) == (solve_c(P, pi) is not None)
 
 
 class TestGTable:

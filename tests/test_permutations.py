@@ -5,7 +5,6 @@ import pytest
 from qci.algebra import Presentation
 from qci.demos import example_presentation
 from qci.errors import (
-    CharTwoError,
     NakayamaOrderError,
     NotCompatibleError,
     NotInvolutionError,
@@ -14,7 +13,6 @@ from qci.errors import (
 from qci.permutations import (
     Permutation,
     enumerate_compatible,
-    fourfold_or_char_two_error,
     is_compatible,
     partition,
     q_pi,
@@ -121,7 +119,6 @@ class TestPartition:
         assert rep.i1 == (1,)
         assert rep.j3 == (2, 3)
         assert rep.i2 == rep.i3 == rep.i4 == ()
-        assert rep.j1 == rep.j2 == rep.j4 == ()
         assert rep.q_pi == C8.one
         assert not rep.char_two
 
@@ -130,8 +127,6 @@ class TestPartition:
         rep = partition(P, Permutation.identity(3))
         assert rep.i4 == (1,)
         assert rep.i1 == (2, 3)
-        assert rep.i4_half_odd == (1,)
-        assert rep.i4_half_even == ()
 
     def test_requires_involution_and_compatibility(self):
         P = example_presentation("6.9", C8)
@@ -153,5 +148,3 @@ class TestPartition:
         assert rep.char_two
         assert rep.fixed == (1, 2)
         assert rep.i1 == ()
-        with pytest.raises(CharTwoError):
-            fourfold_or_char_two_error(rep)
