@@ -24,7 +24,7 @@ from .errors import (
     SingularMatrixError,
     TooLargeError,
 )
-from .linalg import solve_matrix, solve_sparse
+from .linalg import add_term, solve_matrix, solve_sparse
 from .scalars import Field, Scalar
 
 DEFAULT_DIM_LIMIT = 4096
@@ -166,38 +166,20 @@ class Presentation:
         for u, cu in x.items():
             for v, cv in y.items():
                 w = tuple(ui + vi for ui, vi in zip(u, v))
-                if not self.in_basis(w):
-                    continue
-                term = cu * cv * self.bracket(u, v)
-                acc = out.get(w)
-                acc = term if acc is None else acc + term
-                if acc.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = acc
+                if self.in_basis(w):
+                    add_term(out, w, cu * cv * self.bracket(u, v))
         return out
 
     def add(self, x: dict, y: dict) -> dict:
         out = dict(x)
         for v, c in y.items():
-            acc = out.get(v)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(v, None)
-            else:
-                out[v] = acc
+            add_term(out, v, c)
         return out
 
     def scale(self, c: Scalar, x: dict) -> dict:
         if c.is_zero():
             return {}
         return {v: c * cv for v, cv in x.items()}
-
-    def power(self, x: dict, k: int) -> dict:
-        out = self.one_elem
-        for _ in range(k):
-            out = self.mul(out, x)
-        return out
 
     def invert_element(self, x: dict) -> dict:
         """Two-sided inverse of x, via an exact solve; raises when absent.
@@ -272,15 +254,6 @@ class Presentation:
                 out[v] = val
         return out
 
-    def functional_right_hit(self, f: dict, b_elem: dict) -> dict:
-        """The functional x |-> f(b * x)."""
-        out: dict = {}
-        for v in self.basis():
-            val = self.apply_functional(f, self.mul(b_elem, self.monomial(v)))
-            if not val.is_zero():
-                out[v] = val
-        return out
-
     def pairing_rows(self, phi: dict) -> list:
         """Sparse rows of the pairing matrix: row u is {index(v): phi(x_u x_v)}.
 
@@ -329,7 +302,8 @@ class Presentation:
     def apply_linear(self, images: list, x: dict) -> dict:
         out: dict = {}
         for v, c in x.items():
-            out = self.add(out, self.scale(c, images[self.index(v)]))
+            for w, cw in images[self.index(v)].items():
+                add_term(out, w, c * cw)
         return out
 
     def element_to_string(self, x: dict) -> str:

@@ -30,6 +30,7 @@ from .errors import (
     RegimeHypothesisError,
     WitnessInvalidError,
 )
+from .linalg import add_term
 from .permutations import (
     PartitionReport,
     Permutation,
@@ -258,6 +259,7 @@ class DecisionReport:
     witness: Witness | None
     regime: str
     nakayama_involutive: bool
+    n_involutions: int
     involutions: list = dc_field(default_factory=list)
     cross_check_ok: bool = True
 
@@ -273,6 +275,7 @@ class DecisionReport:
             },
             "regime": self.regime,
             "nakayama_involutive": self.nakayama_involutive,
+            "n_involutions": self.n_involutions,
             "involutions": [
                 {
                     "pi": str(rec.pi),
@@ -302,24 +305,21 @@ def decide(P: Presentation) -> DecisionReport:
     route two runs the sign search solve_c.  Disagreement raises
     CrossCheckError.  The returned witness (when any) belongs to the first
     qualifying involution in enumeration order, with solve_c's scalars.
+    The compatible involutions are counted before the Nakayama gate, so
+    n_involutions is set whether or not the gate passes.
     """
-    family = regime_family(P)
-    if not P.nakayama_is_involution():
-        return DecisionReport(
-            exists=False,
-            reason="nakayama-not-involutive",
-            witness=None,
-            regime=family,
-            nakayama_involutive=False,
-        )
+    candidates = enumerate_compatible(P, involutions_only=True)
     report = DecisionReport(
         exists=False,
         reason=None,
         witness=None,
-        regime=family,
-        nakayama_involutive=True,
+        regime=regime_family(P),
+        nakayama_involutive=P.nakayama_is_involution(),
+        n_involutions=len(candidates),
     )
-    candidates = enumerate_compatible(P, involutions_only=True)
+    if not report.nakayama_involutive:
+        report.reason = "nakayama-not-involutive"
+        return report
     if not candidates:
         report.reason = "no-compatible-involution"
         return report
@@ -430,32 +430,17 @@ class BfaStructure:
 
     def delta_elem(self, x: dict) -> dict:
         """Tensor expansion of x as a dict keyed by vector pairs."""
-        P = self.presentation
         out: dict = {}
         for v, c in x.items():
-            for u, wv, coeff in self.delta[v]:
-                key = (u, wv)
-                term = c * coeff
-                acc = out.get(key)
-                acc = term if acc is None else acc + term
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+            for u, w, coeff in self.delta[v]:
+                add_term(out, (u, w), c * coeff)
         return out
 
     def s_elem(self, x: dict) -> dict:
-        P = self.presentation
         out: dict = {}
         for v, c in x.items():
             img, coeff = self.s_map[v]
-            term = c * coeff
-            acc = out.get(img)
-            acc = term if acc is None else acc + term
-            if acc.is_zero():
-                out.pop(img, None)
-            else:
-                out[img] = acc
+            add_term(out, img, c * coeff)
         return out
 
 

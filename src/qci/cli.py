@@ -351,13 +351,12 @@ def _cmd_enumerate(args) -> int:
             q[j][i] = val.inverse()
         P = Presentation(field, a, q)
         report = decide(P)
-        n_inv = len(enumerate_compatible(P, involutions_only=True))
         hs = P.h_generators()
         row = [str(val) for val in choice]
         row += [str(h) for h in hs]
         row += [
             "yes" if report.nakayama_involutive else "no",
-            str(n_inv),
+            str(report.n_involutions),
             "yes" if report.exists else "no",
             str(report.witness.pi) if report.witness is not None else "",
             report.regime,

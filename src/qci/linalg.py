@@ -1,5 +1,9 @@
 """Exact linear algebra over a coefficient field.
 
+Sparse vectors throughout the package are dicts mapping a key to a nonzero
+Scalar; a zero coefficient is never stored.  `add_term` is the one place
+that adds into such a dict: it drops an entry as soon as it cancels.
+
 The one elimination routine is `rref`, which works on sparse rows: dicts
 mapping a column index to a nonzero Scalar.  Elimination divides by exact
 pivots, so every result is exact; there are no thresholds anywhere.  The
@@ -15,16 +19,20 @@ from .errors import SingularMatrixError
 from .scalars import Field, Scalar
 
 
+def add_term(out: dict, key, term: Scalar) -> None:
+    """out[key] += term, in place, dropping the entry when it cancels."""
+    acc = out.get(key)
+    acc = term if acc is None else acc + term
+    if acc.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = acc
+
+
 def _add_multiple(row: dict, factor: Scalar, other: dict) -> None:
     """row += factor * other, in place, dropping entries that cancel."""
     for col, x in other.items():
-        term = factor * x
-        acc = row.get(col)
-        acc = term if acc is None else acc + term
-        if acc.is_zero():
-            row.pop(col, None)
-        else:
-            row[col] = acc
+        add_term(row, col, factor * x)
 
 
 def rref(rows) -> dict:

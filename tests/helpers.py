@@ -12,9 +12,9 @@ import random
 
 from qci.algebra import Presentation
 from qci.builder import build_structure, decide, g_table
+from qci.linalg import add_term
 from qci.permutations import Permutation, partition, q_pi
 from qci.scalars import Field, make_field
-from qci.verify import tensor_add_term
 
 # one PASS/FAIL line per acceptance criterion, echoed by the conftest
 # terminal-summary hook so the lines survive pytest's output capture
@@ -302,7 +302,7 @@ def reference_pair_checks(B) -> dict:
                 continue
             val = fuv * cuv
             if not val.is_zero():
-                tensor_add_term(acc, w, val * c)
+                add_term(acc, w, val * c)
         if acc != B.s_elem(P.monomial(v)):
             ok, detail = False, {
                 "v": list(v),

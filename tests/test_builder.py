@@ -23,6 +23,7 @@ from qci.errors import (
     NotCompatibleError,
     NotInvolutionError,
     RegimeHypothesisError,
+    TooManyGeneratorsError,
     WitnessInvalidError,
 )
 from qci.permutations import Permutation, enumerate_compatible, partition
@@ -287,6 +288,26 @@ class TestDecide:
         assert report.reason == "nakayama-not-involutive"
         assert not report.nakayama_involutive
         assert report.witness is None
+
+    def test_involutions_counted_when_gate_fails(self):
+        P = presentation(F5, (2, 2), {(1, 2): "2"})
+        report = decide(P)
+        assert not report.nakayama_involutive
+        assert report.n_involutions == len(enumerate_compatible(P)) == 1
+        assert report.to_json()["n_involutions"] == 1
+
+    def test_involution_count_matches_enumeration(self):
+        for P in (minus_pair(Q), double_swap(Q), example_presentation("6.9", C8)):
+            report = decide(P)
+            assert report.nakayama_involutive
+            assert report.n_involutions == len(enumerate_compatible(P)) == len(report.involutions)
+
+    def test_enumeration_bound_applies_before_gate(self):
+        # counting the involutions needs the enumeration, whatever the gate says
+        P = presentation(F5, (2,) * 11, {(1, 2): "2"})
+        assert not P.nakayama_is_involution()
+        with pytest.raises(TooManyGeneratorsError):
+            decide(P)
 
     def test_no_compatible_involution(self):
         # distinct exponents force pi = id, which needs a symmetric q matrix

@@ -183,6 +183,7 @@ class TestDecide:
         assert data["exists"] is False
         assert data["reason"] == "no-involution-admits-scalars"
         assert len(data["involutions"]) == 2
+        assert data["n_involutions"] == 2
 
 
 class TestConstruct:
@@ -333,6 +334,26 @@ class TestEnumerate:
         assert by_q["2"][5] == "no"
         assert by_q["3"][5] == "no"
         assert by_q["2"][3] == "no"  # Nakayama square is not the identity
+        assert by_q["2"][4] == "1"  # the identity only, counted past the gate
+        assert by_q["1"][4] == "2"
+
+    def test_one_enumeration_per_row(self, monkeypatch, capsys):
+        import qci.builder
+        import qci.cli
+        import qci.permutations
+
+        calls = []
+        original = qci.permutations.enumerate_compatible
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (qci.permutations, qci.builder, qci.cli):
+            monkeypatch.setattr(module, "enumerate_compatible", counted)
+        assert run(["enumerate", "--field", "prime:5", "--n", "2", "--a", "2,2"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(calls) == len(rows) - 1 == 4
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_kernel_basis, dense_rank, dense_solve_matrix
+from qci.algebra import Presentation
 from qci.errors import SingularMatrixError
 from qci.linalg import (
+    add_term,
     invert,
     is_generalized_permutation,
     kernel_basis,
@@ -21,6 +23,7 @@ from qci.scalars import make_field
 Q = make_field("rational")
 F7 = make_field("prime", 7)
 C4 = make_field("cyclotomic", 4)
+C8 = make_field("cyclotomic", 8)
 
 
 def mat(field, rows):
@@ -178,3 +181,57 @@ def test_named_shapes_match_dense_reference(name, shape):
                 solve_matrix(field, rows, b)
         else:
             assert solve_matrix(field, rows, b) == expected
+
+
+# -- the sparse accumulator ----------------------------------------------------
+
+SUMMAND_FIELDS = {"GF(7)": F7, "Q": Q, "Q(zeta_8)": C8}
+
+
+def summands(field):
+    """Scalars of the field, zero included."""
+    if field is F7:
+        return st.integers(0, 6).map(F7.from_int)
+    if field is Q:
+        return st.fractions(min_value=-5, max_value=5, max_denominator=4).map(
+            lambda x: Q.parse(str(x)))
+    coeffs = st.lists(st.integers(-2, 2), min_size=4, max_size=4)
+    return coeffs.map(lambda cs: sum(
+        (C8.from_int(c) * C8.zeta_power(k) for k, c in enumerate(cs)), C8.zero))
+
+
+@st.composite
+def term_sequences(draw):
+    """(field, [(key, scalar)]) where some terms exactly cancel earlier ones."""
+    field = SUMMAND_FIELDS[draw(st.sampled_from(sorted(SUMMAND_FIELDS)))]
+    terms = draw(st.lists(st.tuples(st.integers(0, 4), summands(field)), max_size=12))
+    if terms:
+        for i in draw(st.lists(st.integers(0, len(terms) - 1), max_size=len(terms))):
+            key, x = terms[i]
+            terms.append((key, -x))
+    return field, draw(st.permutations(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_sequences())
+def test_add_term_is_the_dense_sum_without_zeros(drawn):
+    field, terms = drawn
+    out: dict = {}
+    dense = [field.zero] * 5
+    for key, x in terms:
+        add_term(out, key, x)
+        dense[key] = dense[key] + x
+        assert not any(c.is_zero() for c in out.values())
+    assert out == {key: c for key, c in enumerate(dense) if not c.is_zero()}
+
+
+@pytest.mark.parametrize("name", sorted(SUMMAND_FIELDS))
+def test_mul_drops_products_that_cancel(name):
+    """(x1 + x2)(x2 - q^-1 x1) = x2^2 in x2 x1 = q x1 x2 with x1^2 = 0."""
+    field = SUMMAND_FIELDS[name]
+    q12 = C8.zeta if field is C8 else field.from_int(2)
+    one = field.one
+    P = Presentation(field, (2, 3), [[one, q12], [q12.inverse(), one]])
+    x = P.add(P.monomial((1, 0)), P.monomial((0, 1)))
+    y = P.add(P.monomial((0, 1)), P.monomial((1, 0), -q12.inverse()))
+    assert P.mul(x, y) == {(0, 2): one}

@@ -1,6 +1,5 @@
 """Exhaustive axiom and consequence checks on constructed structures."""
 
-import collections
 from pathlib import Path
 
 import pytest
@@ -264,15 +263,11 @@ def replaced_image(B, v, w):
 
 
 def moved_image(B, v, shift):
-    """s(v)'s image with its first coordinate moved by shift, off the basis.
-
-    antipode-coalgebra-antihomomorphism expands delta at S's images, so the
-    copy's delta reads as empty off the basis instead of raising KeyError.
-    """
+    """s(v)'s image with its first coordinate moved by shift, off the basis."""
     s_map = dict(B.s_map)
     img, coeff = s_map[v]
     s_map[v] = ((img[0] + shift,) + img[1:], coeff)
-    return with_s_map(B, s_map, collections.defaultdict(list, B.delta))
+    return with_s_map(B, s_map)
 
 
 def tamperings(B):
@@ -327,6 +322,31 @@ class TestPairChecksAgainstReference:
             if B.witness.pi.images != tuple(sorted(B.witness.pi.images))
         ]
         assert len(moved) >= 3
+
+
+class TestImagesOffBasis:
+    """An S image off the basis is no element of A: the checks fail, not raise."""
+
+    def test_example_6_9_moved_image_fails_at_delta(self):
+        B = example_structure("6.9")
+        x2 = B.presentation.unit_vec(2)
+        T = moved_image(B, x2, B.presentation.a[0])
+        assert T.s_map[x2][0] == (2, 0, 1)
+        failing = {c.name: c.detail for c in verify_axioms(T).failing()}
+        assert failing["antipode-coalgebra-antihomomorphism"] == {"v": [0, 1, 0], "at": "delta"}
+
+    @pytest.mark.parametrize("B", REFERENCE_STRUCTURES, ids=lambda B: repr(B.presentation))
+    def test_every_moved_image_fails_coalgebra_antihomomorphism(self, B):
+        P = B.presentation
+        for v in P.basis():
+            for shift in (-P.a[0], P.a[0]):
+                rep = verify_axioms(moved_image(B, v, shift))
+                detail = {c.name: c.detail for c in rep.failing()}[
+                    "antipode-coalgebra-antihomomorphism"
+                ]
+                # S(1) off the basis already fails the counit half at v = 0
+                at = "epsilon" if v == P.zero_vec else "delta"
+                assert detail == {"v": list(v), "at": at}, (v, shift)
 
 
 def test_pair_checks_evaluate_subquadratically_many_products(monkeypatch):
