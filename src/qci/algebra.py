@@ -170,12 +170,6 @@ class Presentation:
                     add_term(out, w, cu * cv * self.bracket(u, v))
         return out
 
-    def add(self, x: dict, y: dict) -> dict:
-        out = dict(x)
-        for v, c in y.items():
-            add_term(out, v, c)
-        return out
-
     def scale(self, c: Scalar, x: dict) -> dict:
         if c.is_zero():
             return {}
@@ -298,13 +292,6 @@ class Presentation:
                     img[w] = c
             images.append(img)
         return images
-
-    def apply_linear(self, images: list, x: dict) -> dict:
-        out: dict = {}
-        for v, c in x.items():
-            for w, cw in images[self.index(v)].items():
-                add_term(out, w, c * cw)
-        return out
 
     def element_to_string(self, x: dict) -> str:
         if not x:

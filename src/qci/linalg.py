@@ -5,9 +5,12 @@ Scalar; a zero coefficient is never stored.  `add_term` is the one place
 that adds into such a dict: it drops an entry as soon as it cancels.
 
 The one elimination routine is `rref`, which works on sparse rows: dicts
-mapping a column index to a nonzero Scalar.  Elimination divides by exact
-pivots, so every result is exact; there are no thresholds anywhere.  The
-matrices the verifier meets are monomial or close to it, so rows stay short.
+mapping a column index to a nonzero Scalar.  It brings each row to echelon
+form as it arrives and back-substitutes once at the end, in decreasing pivot
+order, so its cost follows the nonzeros it touches rather than the square
+of the rank.  Elimination divides by exact pivots, so every result is exact;
+there are no thresholds anywhere.  The matrices the verifier meets are
+monomial or close to it, so rows stay short.
 
 `rank`, `kernel_basis`, `solve_matrix` and `invert` keep the dense interface
 (lists of rows of Scalars) as thin adapters over `rref`.
@@ -38,26 +41,33 @@ def _add_multiple(row: dict, factor: Scalar, other: dict) -> None:
 def rref(rows) -> dict:
     """Reduced row echelon form of sparse rows, as {pivot column: row}.
 
-    Rows are taken in order.  Each is reduced against the pivots found so
-    far; its leftmost remaining column becomes a new pivot (scaled to 1),
-    and the older pivot rows are cleared in that column.  The result is the
-    unique reduced echelon form of the row space, so it does not depend on
-    the order of the rows.  The input rows are not modified.
+    Rows are taken in order.  Each is brought to echelon form against the
+    pivots found so far: while its leftmost column is a pivot column, that
+    pivot row is subtracted (which may bring in further pivot columns, all
+    to the right).  Its leftmost column then becomes a new pivot, scaled to
+    1.  One back-substitution at the end, in decreasing pivot order, clears
+    every pivot row in the other pivot columns; each row is cleared against
+    rows that are already reduced, so the cost follows the nonzeros touched
+    rather than rank^2.  The result is the unique reduced echelon form of
+    the row space, so it does not depend on the order of the rows.  The
+    input rows are not modified.
     """
     pivots: dict = {}
     for given in rows:
         row = dict(given)
-        for col in [c for c in row if c in pivots]:
-            _add_multiple(row, -row[col], pivots[col])
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                break
+            _add_multiple(row, -row[lead], pivots[lead])
         if not row:
             continue
-        lead = min(row)
         inv = row[lead].inverse()
-        row = {col: x * inv for col, x in row.items()}
-        for older in pivots.values():
-            if lead in older:
-                _add_multiple(older, -older[lead], row)
-        pivots[lead] = row
+        pivots[lead] = {col: x * inv for col, x in row.items()}
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for col in [c for c in row if c != lead and c in pivots]:
+            _add_multiple(row, -row[col], pivots[col])
     return pivots
 
 

@@ -167,6 +167,27 @@ def rand_compatible_involutive_h(
 
 
 # ---------------------------------------------------------------------------
+# element arithmetic the package itself does not need
+
+
+def add(x: dict, y: dict) -> dict:
+    """x + y of sparse elements, dropping terms that cancel."""
+    out = dict(x)
+    for v, c in y.items():
+        add_term(out, v, c)
+    return out
+
+
+def apply_linear(P: Presentation, images: list, x: dict) -> dict:
+    """The linear map with x_v |-> images[P.index(v)], applied to x."""
+    out: dict = {}
+    for v, c in x.items():
+        for w, cw in images[P.index(v)].items():
+            add_term(out, w, c * cw)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # dense elimination: a reference for the sparse kernel of qci.linalg
 
 

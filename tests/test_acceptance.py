@@ -160,11 +160,11 @@ def test_criterion_2_twisted_example():
 
         # phi = (1 + x1) -> socle dual; the solved automorphism does not square
         # to the identity although the canonical one does
-        shift = P.add(P.one_elem, P.monomial((1, 0, 0)))
+        shift = helpers.add(P.one_elem, P.monomial((1, 0, 0)))
         phi = P.functional_left_hit(shift, P.dual_functional(P.top))
         images = P.nakayama_wrt(phi)
         x2 = (0, 1, 0)
-        n2_x2 = P.apply_linear(images, images[P.index(x2)])
+        n2_x2 = helpers.apply_linear(P, images, images[P.index(x2)])
         two = C8.from_int(2)
         assert n2_x2 == {x2: one, (1, 1, 0): two * (one - b)}
         assert n2_x2 != P.monomial(x2)

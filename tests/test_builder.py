@@ -309,6 +309,39 @@ class TestDecide:
         with pytest.raises(TooManyGeneratorsError):
             decide(P)
 
+    def test_symmetric_corollary_on_grid(self):
+        """The paper's corollary: when A is symmetric (every h_{e_i} = 1), a
+        structure exists iff some compatible permutation is an involution."""
+        units = {
+            F2: ("1",),
+            make_field("prime", 3): ("1", "2"),
+            F5: ("1", "2", "4"),
+            make_field("prime", 7): ("1", "2", "6"),
+            F13: ("1", "3", "5", "12"),
+            Q: ("1", "-1", "2"),
+            C8: ("1", "-1", "z", "z^2"),
+        }
+        shapes = {
+            2: list(itertools.product((2, 3, 4, 5), repeat=2)),
+            3: list(itertools.permutations((2, 3, 4))) + [(2, 2, 2), (3, 3, 3), (4, 4, 4)],
+        }
+        symmetric = absent = 0
+        for F, lits in units.items():
+            for n, shape_list in shapes.items():
+                pairs = list(itertools.combinations(range(1, n + 1), 2))
+                for a in shape_list:
+                    for choice in itertools.product(lits, repeat=len(pairs)):
+                        P = presentation(F, a, dict(zip(pairs, choice)))
+                        if not P.is_symmetric():
+                            continue
+                        symmetric += 1
+                        exists = decide(P).exists
+                        involutions = enumerate_compatible(P, involutions_only=True)
+                        assert exists == bool(involutions), (F.describe(), a, choice)
+                        absent += not exists
+        # pinned so that a shrunken grid shows; both answers occur
+        assert (symmetric, absent) == (331, 24)
+
     def test_no_compatible_involution(self):
         # distinct exponents force pi = id, which needs a symmetric q matrix
         P = presentation(F5, (2, 3, 4), {(1, 2): "2", (1, 3): "1", (2, 3): "2"})

@@ -252,6 +252,21 @@ class TestVerify:
         names = [c["name"] for c in data["axioms"]["checks"]]
         assert "coassociativity" in names
 
+    def test_dim_1024_structure(self, tmp_path, capsys):
+        """A GF(7) (32,32) structure, sixteen times the golden d64, passes every check."""
+        F7 = make_field("prime", 7)
+        p_path, s_path = tmp_path / "p.json", tmp_path / "s.json"
+        save_presentation(presentation(F7, (32, 32), {(1, 2): "1"}), str(p_path))
+        assert run(["construct", str(p_path), "--out", str(s_path)]) == 0
+        capsys.readouterr()
+        assert run(["verify", str(s_path), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["all_passed"] is True
+        checks = data["axioms"]["checks"] + data["derived"]["checks"]
+        assert len(checks) == 26
+        assert all(c["passed"] for c in checks)
+        assert data["primitive_dim"] == 1022
+
     def test_perturbed_structure_exits_two(self, p69, tmp_path, capsys):
         s_path = tmp_path / "s.json"
         run(["construct", p69, "--out", str(s_path)])

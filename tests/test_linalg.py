@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_kernel_basis, dense_rank, dense_solve_matrix
+from helpers import add, dense_eliminate, dense_kernel_basis, dense_rank, dense_solve_matrix
 from qci.algebra import Presentation
 from qci.errors import SingularMatrixError
 from qci.linalg import (
@@ -153,6 +153,75 @@ def test_rref_does_not_depend_on_row_order(drawn, rnd):
     assert sparse == [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in rows]
 
 
+CHAIN_FIELDS = {"GF(7)": F7, "Q": Q, "Q(zeta_8)": C8}
+
+
+def chain_nonzero(field):
+    if field is C8:
+        return st.sampled_from([C8.one, -C8.one, C8.zeta, C8.zeta_power(3),
+                                C8.parse("1+z"), C8.parse("2-z^2"), C8.parse("1/2")])
+    if field is Q:
+        return st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool).map(
+            lambda x: Q.parse(str(x)))
+    return st.integers(1, 6).map(F7.from_int)
+
+
+@st.composite
+def chained_systems(draw):
+    """(field, rows): an upper triangular or bidiagonal block, with extra
+    columns, rows made rank-deficient or appended (tall), under a random
+    row and column permutation.
+
+    Each pivot row of the block holds the next pivot column, so the reduced
+    form comes only from back-substitution along the whole chain.
+    """
+    field = CHAIN_FIELDS[draw(st.sampled_from(sorted(CHAIN_FIELDS)))]
+    nonzero = chain_nonzero(field)
+    entry = st.one_of(st.just(field.zero), nonzero)
+    m = draw(st.integers(1, 7))
+    extra = draw(st.integers(0, 2))
+    bidiagonal = draw(st.booleans())
+    rows = []
+    for i in range(m):
+        row = [field.zero] * (m + extra)
+        row[i] = draw(nonzero)
+        for j in range(i + 1, m):
+            if j == i + 1:
+                row[j] = draw(nonzero)
+            elif not bidiagonal:
+                row[j] = draw(entry)
+        for j in range(m, m + extra):
+            row[j] = draw(entry)
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 2))):
+        # a rank-deficient block: a row replaced by a combination of two others
+        i, j, k = (draw(st.integers(0, m - 1)) for _ in range(3))
+        x, y = draw(nonzero), draw(nonzero)
+        rows[k] = [x * a + y * b for a, b in zip(rows[i], rows[j])]
+    for _ in range(draw(st.integers(0, 2))):
+        # a tall system: an appended combination of two rows
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        x, y = draw(nonzero), draw(nonzero)
+        rows.append([x * a + y * b for a, b in zip(rows[i], rows[j])])
+    order = draw(st.permutations(range(m + extra)))
+    rows = [[row[c] for c in order] for row in draw(st.permutations(rows))]
+    return field, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(chained_systems())
+def test_rref_back_substitutes_chains_like_dense_reference(drawn):
+    field, rows = drawn
+    sparse = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in rows]
+    work = [list(row) for row in rows]
+    pivots = dense_eliminate(work)
+    reduced = rref(sparse)
+    assert sorted(reduced) == pivots
+    for r, pc in enumerate(pivots):
+        assert reduced[pc] == {j: x for j, x in enumerate(work[r]) if not x.is_zero()}
+    assert sparse == [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in rows]
+
+
 def named_shapes(field):
     z, o, t = field.zero, field.one, field.from_int(2)
     return {
@@ -232,6 +301,6 @@ def test_mul_drops_products_that_cancel(name):
     q12 = C8.zeta if field is C8 else field.from_int(2)
     one = field.one
     P = Presentation(field, (2, 3), [[one, q12], [q12.inverse(), one]])
-    x = P.add(P.monomial((1, 0)), P.monomial((0, 1)))
-    y = P.add(P.monomial((0, 1)), P.monomial((1, 0), -q12.inverse()))
+    x = add(P.monomial((1, 0)), P.monomial((0, 1)))
+    y = add(P.monomial((0, 1)), P.monomial((1, 0), -q12.inverse()))
     assert P.mul(x, y) == {(0, 2): one}
