@@ -61,6 +61,7 @@ class Presentation:
         self._index = None
         self._h_gen = None
         self._powers = {}  # (i, j, e) -> q_ij ** e, filled by bracket
+        self._h_powers = {}  # (i, e) -> h_{e_i} ** e, filled by h_of
 
     def _validate(self) -> None:
         if self.n < 2:
@@ -197,9 +198,21 @@ class Presentation:
     # -- the distinguished automorphism data ------------------------------------
 
     def h_of(self, v) -> Scalar:
-        """bracket(a-1-v, v) / bracket(v, a-1-v) on any integer vector v."""
-        comp = tuple(ai - 1 - vi for ai, vi in zip(self.a, v))
-        return self.bracket(comp, v) / self.bracket(v, comp)
+        """h_v = bracket(a-1-v, v) / bracket(v, a-1-v) on any integer vector v.
+
+        Computed as prod_i h_{e_i}^{v_i}: with q_ii = 1 and q_ji = q_ij^{-1}
+        the v_i v_j factors of the two brackets cancel.
+        """
+        hs = self.h_generators()
+        powers = self._h_powers
+        out = None
+        for i, e in enumerate(v):
+            if e:
+                power = powers.get((i, e))
+                if power is None:
+                    power = powers[(i, e)] = hs[i] ** e
+                out = power if out is None else out * power
+        return self.field.one if out is None else out
 
     def h_generators(self) -> list:
         """The values h_{e_i} = prod_j q_ij^{a_j - 1}."""

@@ -2,8 +2,9 @@
 
 Three field kinds exist: the rationals, prime fields GF(p), and cyclotomic
 fields Q(zeta_m).  Every element carries a canonical representation (Fraction,
-least nonnegative residue, or reduced polynomial in zeta), so equality is
-structural and nothing is ever rounded.
+least nonnegative residue, or the integer coefficient vector of its reduced
+polynomial in zeta over one positive common denominator, gcd-normalised), so
+equality is structural and nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .errors import (
     DivisionByZeroError,
@@ -36,7 +38,8 @@ def is_prime(p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over Q, coefficients listed from degree 0 upward
+# dense polynomial helpers over Q for cyclotomic_polynomial, coefficients
+# listed from degree 0 upward
 
 
 def _trim(coeffs):
@@ -99,26 +102,6 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
     result = tuple(quot)
     _cyclotomic_cache[m] = result
     return result
-
-
-def _poly_xgcd(f, g):
-    """Extended gcd over Q: returns (gcd, s, t) with s*f + t*g = gcd."""
-    r0, r1 = list(f), list(g)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while _trim(r1):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _trim([a - b for a, b in _zipcoef(s0, _poly_mul(q, s1))])
-        t0, t1 = t1, _trim([a - b for a, b in _zipcoef(t0, _poly_mul(q, t1))])
-    return r0, s0, t0
-
-
-def _zipcoef(f, g):
-    n = max(len(f), len(g))
-    f = list(f) + [Fraction(0)] * (n - len(f))
-    g = list(g) + [Fraction(0)] * (n - len(g))
-    return zip(f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +368,14 @@ class PrimeField(Field):
 class CyclotomicField(Field):
     """Q(zeta_m): payloads are residues mod the m-th cyclotomic polynomial.
 
-    A payload is a tuple of Fractions of length deg(Phi_m) listing the
-    coefficients of 1, z, z^2, ... where z denotes zeta_m.
+    A payload is a pair (num, den): num is a tuple of deg(Phi_m) integers, the
+    numerators of the coefficients of 1, z, z^2, ... where z denotes zeta_m,
+    and den > 0 is their common denominator with gcd(den, *num) = 1, so equal
+    elements have equal payloads.  Phi_m is monic with integer coefficients:
+    a product is an integer convolution folded back through a table of
+    z^k mod Phi_m (deg <= k <= 2 deg - 2), and an inverse comes from an
+    integer pseudo-remainder Euclid against Phi_m, so no step divides
+    polynomials over Q.
     """
 
     kind = "cyclotomic"
@@ -395,22 +384,31 @@ class CyclotomicField(Field):
         if not isinstance(m, int) or m < 1:
             raise InvalidOrderError(f"cyclotomic order {m!r} must be a positive integer")
         self.m = m
-        self.modulus = cyclotomic_polynomial(m)
-        self.degree = len(self.modulus) - 1
+        self.modulus = tuple(int(c) for c in cyclotomic_polynomial(m))
+        self.degree = d = len(self.modulus) - 1
+        self._tail = (0,) * (d - 1)
+        # row k - d is z^k mod Phi_m as its nonzero (index, coefficient) pairs;
+        # z^d = z^d - Phi_m, and each next row shifts by z and folds z^d back
+        power = [-c for c in self.modulus[:-1]]
+        rows = [power]
+        for _ in range(d + 1, 2 * d - 1):
+            lead = power[-1]
+            power = [0] + power[:-1]
+            if lead:
+                for i, t in enumerate(rows[0]):
+                    power[i] += lead * t
+            rows.append(power)
+        self._table = [tuple((i, t) for i, t in enumerate(row) if t) for row in rows]
 
     def characteristic(self) -> int:
         return 0
 
-    def _pack(self, coeffs) -> tuple:
-        coeffs = list(coeffs)[: self.degree]
-        coeffs += [Fraction(0)] * (self.degree - len(coeffs))
-        return tuple(coeffs)
-
     def from_int(self, k: int) -> Scalar:
-        return Scalar(self, self._pack([Fraction(k)]))
+        return Scalar(self, ((k,) + self._tail, 1))
 
     def from_fraction(self, fr: Fraction) -> Scalar:
-        return Scalar(self, self._pack([Fraction(fr)]))
+        fr = Fraction(fr)
+        return Scalar(self, ((fr.numerator,) + self._tail, fr.denominator))
 
     @property
     def zeta(self) -> Scalar:
@@ -418,11 +416,19 @@ class CyclotomicField(Field):
         return self.zeta_power(1)
 
     def zeta_power(self, k: int) -> Scalar:
+        """z^k for any integer k: shifts of at most deg - 1, each folded once."""
         k %= self.m
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[k] = Fraction(1)
-        _, rem = _poly_divmod(coeffs, list(self.modulus))
-        return Scalar(self, self._pack(rem))
+        d = self.degree
+        start = min(k, d - 1)
+        num = [0] * d
+        num[start] = 1
+        k -= start
+        step = max(d - 1, 1)
+        while k:
+            s = min(k, step)
+            num = self._fold([0] * s + num)
+            k -= s
+        return Scalar(self, (tuple(num), 1))
 
     def sqrt_minus_one(self):
         if self.m % 4 == 0:
@@ -433,12 +439,13 @@ class CyclotomicField(Field):
         return f"cyclotomic:{self.m}"
 
     def format(self, s: Scalar) -> str:
+        num, den = s.value
         parts = []
         for k in range(self.degree - 1, -1, -1):
-            c = s.value[k]
+            c = num[k]
             if c == 0:
                 continue
-            mag = abs(c)
+            mag = Fraction(abs(c), den)
             if k == 0:
                 body = str(mag)
             elif k == 1:
@@ -451,27 +458,85 @@ class CyclotomicField(Field):
                 parts.append((" + " if c > 0 else " - ") + body)
         return "".join(parts) if parts else "0"
 
+    def _fold(self, coeffs: list) -> list:
+        """Reduce integer coefficients of degree < 2 deg - 1 mod Phi_m."""
+        d = self.degree
+        for k in range(d, len(coeffs)):
+            c = coeffs[k]
+            if c:
+                for i, t in self._table[k - d]:
+                    coeffs[i] += c * t
+        return coeffs[:d]
+
+    @staticmethod
+    def _normal(num: list, den: int) -> tuple:
+        """The payload num/den (den > 0) with the common content divided out."""
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
+        return tuple(num), den
+
     def _add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        an, ad = a
+        bn, bd = b
+        if ad == bd:
+            return self._normal([x + y for x, y in zip(an, bn)], ad)
+        return self._normal([x * bd + y * ad for x, y in zip(an, bn)], ad * bd)
 
     def _neg(self, a):
-        return tuple(-x for x in a)
+        return tuple(-x for x in a[0]), a[1]
 
     def _mul(self, a, b):
-        prod = _poly_mul(_trim(list(a)), _trim(list(b)))
-        _, rem = _poly_divmod(prod, list(self.modulus))
-        return self._pack(rem)
+        an, ad = a
+        bn, bd = b
+        prod = [0] * (2 * self.degree - 1)
+        for i, x in enumerate(an):
+            if x:
+                j = i
+                for y in bn:
+                    if y:
+                        prod[j] += x * y
+                    j += 1
+        return self._normal(self._fold(prod), ad * bd)
 
     def _inv(self, a):
-        g, s, _ = _poly_xgcd(_trim(list(a)), list(self.modulus))
-        # Phi_m is irreducible over Q, so the gcd is a nonzero constant.
-        assert len(g) == 1 and g[0] != 0
-        scaled = [x / g[0] for x in s]
-        _, rem = _poly_divmod(scaled, list(self.modulus))
-        return self._pack(rem)
+        """den * t / c, where num * t = c mod Phi_m for an integer constant c.
+
+        Each pseudo-remainder step r0 <- lc(r1) r0 - lc(r0) z^s r1 keeps
+        r0 = t0 num (mod Phi_m) when t0 takes the same step; dividing r0 and
+        t0 by their joint content keeps the integers small.  Phi_m is
+        irreducible and deg num < deg Phi_m, so the remainders end at a
+        nonzero constant.
+        """
+        num, den = a
+        r0, t0 = list(self.modulus), []
+        r1, t1 = _trim(list(num)), [1]
+        while len(r1) > 1:
+            lead = r1[-1]
+            while len(r0) >= len(r1):
+                c, s = r0[-1], len(r0) - len(r1)
+                r0 = [lead * x for x in r0]
+                for i, y in enumerate(r1):
+                    r0[s + i] -= c * y
+                t0 = [lead * x for x in t0] + [0] * (s + len(t1) - len(t0))
+                for i, y in enumerate(t1):
+                    t0[s + i] -= c * y
+                r0, t0 = _trim(r0), _trim(t0)
+                g = gcd(*r0, *t0)
+                if g != 1:
+                    r0 = [x // g for x in r0]
+                    t0 = [x // g for x in t0]
+            r0, r1, t0, t1 = r1, r0, t1, t0
+        c = r1[0]
+        if c < 0:
+            c, den = -c, -den
+        out = [den * x for x in t1] + [0] * (self.degree - len(t1))
+        return self._normal(out, c)
 
     def _is_zero(self, a) -> bool:
-        return all(x == 0 for x in a)
+        return not any(a[0])
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.m == self.m
@@ -583,9 +648,7 @@ class _Parser:
             raise NotInFieldError(
                 f"the root symbol z has no meaning in the {self.field.describe()} field"
             )
-        if k >= 0:
-            return self.field.zeta_power(k)
-        return self.field.zeta_power(-k).inverse()
+        return self.field.zeta_power(k)
 
     def parse_term(self, negate: bool) -> Scalar:
         if self.peek() == "z":

@@ -111,6 +111,16 @@ class TestStructureRoundTrip:
             )
         assert verify_axioms(loaded).all_passed
 
+    def test_cyclotomic_resave_is_byte_identical(self, tmp_path):
+        # b = z/2 - 3 is no root of unity, so q, g and the antipode carry
+        # fractional coefficients and inverses through the literal grammar
+        B = example_structure("6.10", C8, b="1/2*z - 3")
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_structure(B, str(first))
+        save_structure(load_structure(str(first)), str(second))
+        assert second.read_bytes() == first.read_bytes()
+        assert "/" in first.read_text()
+
     def test_truncated_file(self, tmp_path, structure):
         path = tmp_path / "s.json"
         save_structure(structure, str(path))

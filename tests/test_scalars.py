@@ -1,11 +1,14 @@
 """Field arithmetic, parsing, and root-of-unity bookkeeping."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import cyclo_coefficients, reference_cyclo_inverse, reference_cyclo_mul
 from qci.errors import (
     DivisionByZeroError,
     NotInFieldError,
@@ -283,3 +286,97 @@ def test_equal_scalars_hash_equal(data):
     # a value rebuilt through arithmetic is the same dict key
     rebuilt = (x + x.field.one) - x.field.one
     assert rebuilt == x and hash(rebuilt) == hash(x)
+
+
+# -- Q(zeta_m) against the Fraction-polynomial reference --------------------------
+
+CYCLO_ORDERS = (1, 2, 3, 5, 7, 8, 9, 12, 15)
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def from_coefficients(field, coeffs):
+    return sum(
+        (field.from_fraction(c) * field.zeta_power(k) for k, c in enumerate(coeffs)),
+        field.zero,
+    )
+
+
+def draw_cyclo(data):
+    """A field Q(zeta_m), m drawn from CYCLO_ORDERS, and two coefficient lists."""
+    field = make_field("cyclotomic", data.draw(st.sampled_from(CYCLO_ORDERS)))
+    coeffs = st.lists(coefficients, min_size=field.degree, max_size=field.degree)
+    return field, data.draw(coeffs), data.draw(coeffs)
+
+
+class TestCyclotomicAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_ring_operations(self, data):
+        field, fs, gs = draw_cyclo(data)
+        x, y = from_coefficients(field, fs), from_coefficients(field, gs)
+        assert cyclo_coefficients(x) == fs
+        assert cyclo_coefficients(x + y) == [a + b for a, b in zip(fs, gs)]
+        assert cyclo_coefficients(x - y) == [a - b for a, b in zip(fs, gs)]
+        assert cyclo_coefficients(-x) == [-a for a in fs]
+        assert cyclo_coefficients(x * y) == reference_cyclo_mul(field.m, fs, gs)
+        if not x.is_zero():
+            assert cyclo_coefficients(x.inverse()) == reference_cyclo_inverse(field.m, fs)
+
+    @pytest.mark.parametrize("m", CYCLO_ORDERS)
+    def test_zeta_powers(self, m):
+        field = make_field("cyclotomic", m)
+        one = [Fraction(1)]
+        for k in range(-2 * m, 3 * m):
+            monomial = [Fraction(0)] * (k % m) + one
+            expected = reference_cyclo_mul(m, monomial, one)
+            assert cyclo_coefficients(field.zeta_power(k)) == expected
+            assert field.parse(f"z^{k}") == field.zeta_power(k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_payload_is_canonical(self, data):
+        field, fs, gs = draw_cyclo(data)
+        x, y = from_coefficients(field, fs), from_coefficients(field, gs)
+        routes = [field.parse(str(x)), (x + y) - y]
+        if not y.is_zero():
+            routes.append((x * y) * y.inverse())
+        for other in routes:
+            assert other == x
+            assert other.value == x.value and hash(other) == hash(x)
+        num, den = x.value
+        assert den > 0 and gcd(den, *num) == 1
+
+    def test_dense_inverse_degree_48(self):
+        field = make_field("cyclotomic", 210)
+        assert field.degree == 48
+        rng = random.Random(210)
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(48)]
+        x = from_coefficients(field, coeffs)
+        assert x * x.inverse() == field.one
+
+
+def cyclo_literal(data, field) -> str:
+    """A literal of signed fractional terms c*z^k, negative k included."""
+    terms = data.draw(
+        st.lists(
+            st.tuples(coefficients, st.integers(min_value=-2 * field.m, max_value=2 * field.m)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return " + ".join(f"{c}*z^{k}" for c, k in terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parse_inverts_str_in_every_field(data):
+    field = data.draw(
+        st.sampled_from([Q, F2, F7, F13] + [make_field("cyclotomic", m) for m in CYCLO_ORDERS])
+    )
+    if field.kind == "rational":
+        x = Q.from_fraction(data.draw(st.fractions(max_denominator=50)))
+    elif field.kind == "prime":
+        x = field.from_int(data.draw(st.integers()))
+    else:
+        x = field.parse(cyclo_literal(data, field))
+    assert field.parse(str(x)) == x
