@@ -359,14 +359,16 @@ def g_table(P: Presentation, w: Witness) -> dict:
     top = P.top
     pe = [pi.act(P.unit_vec(i)) for i in range(1, P.n + 1)]  # images of e_i
 
+    bases = {
+        (j, k): P.bracket(pe[k], pe[j]) for j in range(P.n) for k in range(j + 1, P.n)
+    }
+
     def pair_product(v, negate: bool) -> Scalar:
         acc = one
-        for j in range(P.n):
-            for k in range(j + 1, P.n):
-                e = v[j] * v[k]
-                if e:
-                    base = P.bracket(pe[k], pe[j])
-                    acc = acc * base ** (-e if negate else e)
+        for (j, k), base in bases.items():
+            e = v[j] * v[k]
+            if e:
+                acc = acc * base ** (-e if negate else e)
         return acc
 
     route_one = {}

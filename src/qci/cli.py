@@ -85,11 +85,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--field", help="rational | prime:<p> | cyclotomic:<m>")
     p.add_argument("--out", help="write the structure file here")
 
-    p = sub.add_parser("enumerate", help="scan a q-grid over a prime field")
+    p = sub.add_parser(
+        "enumerate", help="scan a q-grid over a prime field, one CSV row as each is decided"
+    )
     p.add_argument("--field", required=True, help="prime:<p>")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", required=True, help="comma-separated exponents")
-    p.add_argument("--out", help="write CSV here instead of stdout")
+    p.add_argument(
+        "--out",
+        help="write CSV here instead of stdout; if an error stops the scan, "
+        "the rows written so far stay",
+    )
     p.add_argument("--allow-large", action="store_true")
 
     return parser
@@ -334,7 +340,6 @@ def _cmd_enumerate(args) -> int:
     header = [f"q{i + 1}{j + 1}" for i, j in pairs]
     header += [f"h{i + 1}" for i in range(n)]
     header += ["n_squared_is_id", "n_involutions", "decision", "witness_pi", "regime"]
-    rows = [header]
 
     def grid(k):
         if k == len(pairs):
@@ -344,31 +349,36 @@ def _cmd_enumerate(args) -> int:
             for u in units:
                 yield [u] + rest
 
-    for choice in grid(0):
-        q = [[one for _ in range(n)] for _ in range(n)]
-        for (i, j), val in zip(pairs, choice):
-            q[i][j] = val
-            q[j][i] = val.inverse()
-        P = Presentation(field, a, q)
-        report = decide(P)
-        hs = P.h_generators()
-        row = [str(val) for val in choice]
-        row += [str(h) for h in hs]
-        row += [
-            "yes" if report.nakayama_involutive else "no",
-            str(report.n_involutions),
-            "yes" if report.exists else "no",
-            str(report.witness.pi) if report.witness is not None else "",
-            report.regime,
-        ]
-        rows.append(row)
+    def scan(writer) -> int:
+        writer.writerow(header)
+        count = 0
+        for choice in grid(0):
+            q = [[one for _ in range(n)] for _ in range(n)]
+            for (i, j), val in zip(pairs, choice):
+                q[i][j] = val
+                q[j][i] = val.inverse()
+            P = Presentation(field, a, q)
+            report = decide(P)
+            hs = P.h_generators()
+            row = [str(val) for val in choice]
+            row += [str(h) for h in hs]
+            row += [
+                "yes" if report.nakayama_involutive else "no",
+                str(report.n_involutions),
+                "yes" if report.exists else "no",
+                str(report.witness.pi) if report.witness is not None else "",
+                report.regime,
+            ]
+            writer.writerow(row)
+            count += 1
+        return count
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-        print(f"wrote {args.out} ({len(rows) - 1} rows)")
+            count = scan(csv.writer(fh))
+        print(f"wrote {args.out} ({count} rows)")
     else:
-        csv.writer(sys.stdout).writerows(rows)
+        scan(csv.writer(sys.stdout))
     return 0
 
 

@@ -38,8 +38,7 @@ def is_prime(p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over Q for cyclotomic_polynomial, coefficients
-# listed from degree 0 upward
+# integer polynomials as coefficient lists, degree 0 first
 
 
 def _trim(coeffs):
@@ -49,57 +48,43 @@ def _trim(coeffs):
     return coeffs[:i]
 
 
-def _poly_mul(f, g):
-    if not f or not g:
-        return []
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi == 0:
-            continue
-        for j, gj in enumerate(g):
-            out[i + j] += fi * gj
-    return _trim(out)
-
-
-def _poly_divmod(f, g):
-    """Exact quotient and remainder of f by g over Q."""
-    f = list(f)
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    lead = g[-1]
-    while len(f) >= len(g) and _trim(f):
-        f = _trim(f)
-        if len(f) < len(g):
-            break
-        k = len(f) - len(g)
-        c = f[-1] / lead
-        q[k] = c
-        for j, gj in enumerate(g):
-            f[k + j] -= c * gj
-        f = f[:-1]
-    return _trim(q), _trim(f)
-
-
 _cyclotomic_cache: dict[int, tuple[Fraction, ...]] = {}
 
 
 def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
     """Coefficients of the m-th cyclotomic polynomial, degree 0 first.
 
-    Computed by exact division of x^m - 1 by the product of the cyclotomic
-    polynomials of the proper divisors of m.
+    Phi_m is the product of (x^(m/e) - 1)^mu(e) over the squarefree divisors
+    e of m.  In integers: multiply by the binomials with mu(e) = 1, then
+    divide exactly by those with mu(e) = -1; every partial quotient is a
+    polynomial because the full quotient is.
     """
     if m in _cyclotomic_cache:
         return _cyclotomic_cache[m]
-    num = [Fraction(0)] * (m + 1)
-    num[0] = Fraction(-1)
-    num[m] = Fraction(1)
-    den = [Fraction(1)]
-    for d in range(1, m):
-        if m % d == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    quot, rem = _poly_divmod(num, den)
-    assert not rem, "cyclotomic division must be exact"
-    result = tuple(quot)
+    terms = [(m, 1)]  # (m/e, mu(e)) for each squarefree divisor e of m
+    rest, q = m, 2
+    while rest > 1:
+        if q * q > rest:
+            q = rest
+        if rest % q == 0:
+            terms += [(d // q, -mu) for d, mu in terms]
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    coeffs = [1]
+    for d, mu in terms:
+        if mu == 1:  # times x^d - 1
+            out = [-c for c in coeffs] + [0] * d
+            for i, c in enumerate(coeffs):
+                out[i + d] += c
+            coeffs = out
+    for d, mu in terms:
+        if mu == -1:  # exactly divided by x^d - 1, lowest coefficient first
+            out = [0] * (len(coeffs) - d)
+            for i in range(len(out)):
+                out[i] = (out[i - d] if i >= d else 0) - coeffs[i]
+            coeffs = out
+    result = tuple(Fraction(c) for c in coeffs)
     _cyclotomic_cache[m] = result
     return result
 
@@ -189,17 +174,9 @@ class Scalar:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        base = self
-        if k < 0:
-            base = self.inverse()
-            k = -k
-        result = self.field.one
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        if k < 0 and self.is_zero():
+            raise DivisionByZeroError("inverse of zero")
+        return Scalar(self.field, self.field._pow(self.value, k))
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -262,6 +239,19 @@ class Field:
     def _inv(self, a):
         raise NotImplementedError
 
+    def _pow(self, a, k: int):
+        """a^k for a payload a (nonzero when k < 0), by square-and-multiply."""
+        if k < 0:
+            a, k = self._inv(a), -k
+        result = self.one.value
+        while k:
+            if k & 1:
+                result = self._mul(result, a)
+            k >>= 1
+            if k:
+                a = self._mul(a, a)
+        return result
+
     def _is_zero(self, a) -> bool:
         raise NotImplementedError
 
@@ -301,6 +291,9 @@ class RationalField(Field):
     def _inv(self, a):
         return 1 / a
 
+    def _pow(self, a, k: int):
+        return a ** k
+
     def _is_zero(self, a) -> bool:
         return a == 0
 
@@ -328,14 +321,25 @@ class PrimeField(Field):
         return Scalar(self, k % self.p)
 
     def sqrt_minus_one(self):
-        if self.p == 2:
+        return self._sqrt_minus_one
+
+    @cached_property
+    def _sqrt_minus_one(self):
+        """The smaller of the two roots s, p - s of -1, found once per field.
+
+        For the least quadratic non-residue n (Euler's criterion), s =
+        n^((p-1)/4) squares to n^((p-1)/2) = -1.
+        """
+        p = self.p
+        if p == 2:
             return self.one
-        if self.p % 4 != 1:
+        if p % 4 != 1:
             return None
-        for s in range(2, self.p):
-            if s * s % self.p == self.p - 1:
-                return Scalar(self, s)
-        raise AssertionError("unreachable: p = 1 mod 4 always has sqrt(-1)")
+        n = 2
+        while pow(n, (p - 1) // 2, p) != p - 1:
+            n += 1
+        s = pow(n, (p - 1) // 4, p)
+        return Scalar(self, min(s, p - s))
 
     def describe(self) -> str:
         return f"prime:{self.p}"
@@ -354,6 +358,9 @@ class PrimeField(Field):
 
     def _inv(self, a):
         return pow(a, self.p - 2, self.p)
+
+    def _pow(self, a, k: int):
+        return pow(a, k, self.p)
 
     def _is_zero(self, a) -> bool:
         return a == 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 from qci.algebra import Presentation
 from qci.builder import build_structure, decide, g_table
@@ -341,8 +342,8 @@ def reference_pair_checks(B) -> dict:
 
 
 # -- reference cyclotomic arithmetic: Fraction polynomials mod Phi_m ----------
-# The dense Q[z] routines CyclotomicField used before its integer payloads;
-# coefficient lists run from degree 0 upward.
+# The dense Q[z] routines CyclotomicField and cyclotomic_polynomial used before
+# their integer arithmetic; coefficient lists run from degree 0 upward.
 
 
 def _trim(coeffs):
@@ -380,6 +381,19 @@ def _poly_divmod(f, g):
             f[k + j] -= c * gj
         f = f[:-1]
     return _trim(q), _trim(f)
+
+
+@cache
+def reference_cyclotomic_polynomial(m: int) -> tuple:
+    """Phi_m by Fraction division of x^m - 1 by the Phi_d of the proper divisors d."""
+    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    den = [Fraction(1)]
+    for d in range(1, m):
+        if m % d == 0:
+            den = _poly_mul(den, list(reference_cyclotomic_polynomial(d)))
+    quot, rem = _poly_divmod(num, den)
+    assert not rem, "cyclotomic division must be exact"
+    return tuple(quot)
 
 
 def _poly_xgcd(f, g):
@@ -426,6 +440,49 @@ def reference_cyclo_inverse(m: int, f) -> list:
     assert len(g) == 1 and g[0] != 0
     _, rem = _poly_divmod([x / g[0] for x in s], phi)
     return _pad(rem, len(phi) - 1)
+
+
+# -- reference powers and roots: the loops Scalar.__pow__ and
+# PrimeField.sqrt_minus_one ran before their closed forms
+
+
+def reference_power(x: Scalar, k: int) -> Scalar:
+    """x^k as |k| repeated products, of x^-1 when k < 0."""
+    base = x.inverse() if k < 0 else x
+    acc = x.field.one
+    for _ in range(abs(k)):
+        acc = acc * base
+    return acc
+
+
+def reference_sqrt_minus_one(field: Field):
+    """The least s in 2..p-1 with s^2 = -1 over GF(p) by a linear scan; one when p = 2."""
+    p = field.p
+    if p == 2:
+        return field.one
+    for s in range(2, p):
+        if s * s % p == p - 1:
+            return field.from_int(s)
+    return None
+
+
+def reference_g_table(P: Presentation, w) -> dict:
+    """Route one of g_table with every power taken by reference_power.
+
+    g[v] = bracket(top - v, v)^-1 prod_i c_i^{v_i}
+    prod_{j<k} bracket(pi e_k, pi e_j)^{v_j v_k}.
+    """
+    out = {}
+    pe = [w.pi.act(P.unit_vec(i)) for i in range(1, P.n + 1)]
+    for v in P.basis():
+        comp = tuple(t - x for t, x in zip(P.top, v))
+        coeff = reference_power(P.bracket(comp, v), -1)
+        for j in range(P.n):
+            coeff = coeff * reference_power(w.c[j], v[j])
+            for k in range(j + 1, P.n):
+                coeff = coeff * reference_power(P.bracket(pe[k], pe[j]), v[j] * v[k])
+        out[v] = coeff
+    return out
 
 
 def suite_bracket_on_generators(rng: random.Random, trials: int) -> int:

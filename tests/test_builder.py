@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from helpers import reference_g_table
 from qci.algebra import Presentation
 from qci.builder import (
     BfaStructure,
@@ -32,6 +33,7 @@ from qci.scalars import make_field
 Q = make_field("rational")
 F2 = make_field("prime", 2)
 F5 = make_field("prime", 5)
+F7 = make_field("prime", 7)
 F13 = make_field("prime", 13)
 C4 = make_field("cyclotomic", 4)
 C8 = make_field("cyclotomic", 8)
@@ -436,6 +438,16 @@ class TestGTable:
         P = example_presentation("6.9", C8)
         with pytest.raises(WitnessInvalidError):
             g_table(P, Witness(Permutation((1, 3, 2)), (-C8.one, C8.one, C8.one)))
+
+    @pytest.mark.parametrize(
+        "field, q12, pi", [(F7, "2", (2, 1)), (C8, "-1", (1, 2))], ids=["prime:7", "cyclotomic:8"]
+    )
+    def test_exponents_beyond_one_hundred(self, field, q12, pi):
+        # on (16,16) the pair exponents v_1 v_2 reach 15 * 15 = 225
+        P = presentation(field, (16, 16), {(1, 2): q12})
+        w = decide(P).witness
+        assert w.pi == Permutation(pi)
+        assert g_table(P, w) == reference_g_table(P, w)
 
 
 class TestBuildStructure:

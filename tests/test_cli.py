@@ -14,6 +14,7 @@ import pytest
 from qci.algebra import Presentation
 from qci.cli import run
 from qci.demos import example_presentation
+from qci.errors import CrossCheckError
 from qci.scalars import make_field
 from qci.structio import load_structure, save_presentation
 
@@ -378,6 +379,27 @@ class TestEnumerate:
         assert code == 0
         rows = list(csv.reader(out.open()))
         assert len(rows) == 3
+        assert capsys.readouterr().out == f"wrote {out} (2 rows)\n"
+
+    def test_rows_decided_before_an_error_stay(self, tmp_path, monkeypatch, capsys):
+        import qci.cli
+
+        decided = []
+
+        def failing_third(P):
+            if len(decided) == 2:
+                raise CrossCheckError("stop")
+            decided.append(P)
+            return original(P)
+
+        original = qci.cli.decide
+        monkeypatch.setattr(qci.cli, "decide", failing_third)
+        out = tmp_path / "grid.csv"
+        code = run(["enumerate", "--field", "prime:5", "--n", "2", "--a", "2,2", "--out", str(out)])
+        assert code == 3
+        rows = list(csv.reader(out.open()))
+        assert rows[0][0] == "q12" and [row[0] for row in rows[1:]] == ["1", "2"]
+        assert "wrote" not in capsys.readouterr().out
 
     def test_prime_cap(self, capsys):
         assert run(["enumerate", "--field", "prime:17", "--n", "2", "--a", "2,2"]) == 1

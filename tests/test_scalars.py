@@ -5,10 +5,17 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import cyclo_coefficients, reference_cyclo_inverse, reference_cyclo_mul
+from helpers import (
+    cyclo_coefficients,
+    reference_cyclo_inverse,
+    reference_cyclo_mul,
+    reference_cyclotomic_polynomial,
+    reference_power,
+    reference_sqrt_minus_one,
+)
 from qci.errors import (
     DivisionByZeroError,
     NotInFieldError,
@@ -19,7 +26,9 @@ from qci.scalars import (
     CyclotomicField,
     PrimeField,
     RationalField,
+    Scalar,
     cyclotomic_polynomial,
+    is_prime,
     make_field,
     multiplicative_order,
     parse_field_descriptor,
@@ -60,6 +69,26 @@ class TestCyclotomicPolynomial:
         phis = {5: 4, 7: 6, 9: 6, 10: 4, 15: 8}
         for m, d in phis.items():
             assert len(cyclotomic_polynomial(m)) == d + 1
+
+    def test_matches_fraction_division(self):
+        for m in range(1, 151):
+            assert cyclotomic_polynomial(m) == reference_cyclotomic_polynomial(m)
+
+    @pytest.mark.parametrize("m", [720, 1000, 2310])
+    def test_product_over_divisors_is_x_to_the_m_minus_one(self, m):
+        product = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                phi = cyclotomic_polynomial(d)
+                assert all(c.denominator == 1 for c in phi)
+                out = [0] * (len(product) + len(phi) - 1)
+                for i, c in enumerate(product):
+                    if c:
+                        for j, t in enumerate(phi):
+                            if t:
+                                out[i + j] += c * t.numerator
+                product = out
+        assert product == [-1] + [0] * (m - 1) + [1]
 
 
 class TestFieldConstruction:
@@ -169,6 +198,18 @@ class TestSqrtMinusOne:
         for field in (F2, F5, F13, C4, C8):
             s = field.sqrt_minus_one()
             assert s * s == -field.one
+
+    def test_prime_fields_match_linear_scan(self):
+        for p in filter(is_prime, range(2, 2000)):
+            field = PrimeField(p)
+            root = field.sqrt_minus_one()
+            assert root == reference_sqrt_minus_one(field)
+            assert (root is None) == (p % 4 == 3)
+
+    def test_large_prime_once_per_field(self):
+        field = make_field("prime", 100_000_037)
+        assert field.sqrt_minus_one() == field.from_int(44_612_474)
+        assert field.sqrt_minus_one() is field.sqrt_minus_one()
 
 
 class TestMultiplicativeOrder:
@@ -380,3 +421,54 @@ def test_parse_inverts_str_in_every_field(data):
     else:
         x = field.parse(cyclo_literal(data, field))
     assert field.parse(str(x)) == x
+
+
+# -- powers against repeated products ---------------------------------------
+
+POWER_FIELDS = [F2, F7, make_field("prime", 100_000_037), Q] + [
+    make_field("cyclotomic", m) for m in (1, 4, 8, 12)
+]
+
+
+class TestPower:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_repeated_products(self, data):
+        field = data.draw(st.sampled_from(POWER_FIELDS))
+        if field.kind == "prime":
+            x = field.from_int(data.draw(st.integers()))
+        elif field.kind == "rational":
+            x = Q.from_fraction(data.draw(coefficients))
+        else:
+            coeffs = st.lists(coefficients, min_size=field.degree, max_size=field.degree)
+            x = from_coefficients(field, data.draw(coeffs))
+        k = data.draw(st.integers(min_value=-40, max_value=40))
+        assume(k >= 0 or not x.is_zero())
+        assert x**k == reference_power(x, k)
+
+    @pytest.mark.parametrize("field", [Q, F7, C8], ids=lambda F: F.describe())
+    def test_zero_and_non_integer_exponents(self, field):
+        assert field.zero**0 == field.one
+        with pytest.raises(DivisionByZeroError):
+            field.zero**-1
+        with pytest.raises(TypeError):
+            field.from_int(2) ** 1.5
+
+    @pytest.mark.parametrize("field", [Q, F7, C8], ids=lambda F: F.describe())
+    def test_one_payload_operation(self, field, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(Scalar, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        for name in ("__mul__", "__rmul__", "inverse"):
+            monkeypatch.setattr(Scalar, name, counted(name))
+        x = field.from_int(3)
+        assert x**37 != x**-37
+        assert calls == []
