@@ -55,6 +55,7 @@ class Presentation:
         self.field = field
         self.a = tuple(int(x) for x in a)
         self.n = len(self.a)
+        self.top = tuple(ai - 1 for ai in self.a)  # exponents of the socle monomial
         self.q = tuple(tuple(row) for row in q)
         self._validate()
         self._basis = None
@@ -102,10 +103,9 @@ class Presentation:
             d *= ai
         return d
 
-    @property
-    def top(self) -> tuple:
-        """The exponent vector a - 1 of the socle monomial."""
-        return tuple(ai - 1 for ai in self.a)
+    def complement(self, v) -> tuple:
+        """The exponent vector a - 1 - v, whose monomial pairs x_v onto the socle."""
+        return tuple(map(operator.sub, self.top, v))
 
     @property
     def zero_vec(self) -> tuple:

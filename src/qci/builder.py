@@ -356,7 +356,6 @@ def g_table(P: Presentation, w: Witness) -> dict:
     check_witness(P, w)
     pi = w.pi
     one = P.field.one
-    top = P.top
     pe = [pi.act(P.unit_vec(i)) for i in range(1, P.n + 1)]  # images of e_i
 
     bases = {
@@ -373,8 +372,7 @@ def g_table(P: Presentation, w: Witness) -> dict:
 
     route_one = {}
     for v in P.basis():
-        comp = tuple(t - x for t, x in zip(top, v))
-        coeff = P.bracket(comp, v).inverse()
+        coeff = P.bracket(P.complement(v), v).inverse()
         for i in range(P.n):
             if v[i]:
                 coeff = coeff * w.c[i] ** v[i]
@@ -383,8 +381,7 @@ def g_table(P: Presentation, w: Witness) -> dict:
     route_two = {}
     for v in P.basis():
         pv = pi.act(v)
-        comp = tuple(t - x for t, x in zip(top, pv))
-        coeff = P.bracket(comp, pv).inverse()
+        coeff = P.bracket(P.complement(pv), pv).inverse()
         for i in range(P.n):
             if v[i]:
                 coeff = coeff * w.c[pi(i + 1) - 1] ** v[i]
@@ -396,7 +393,7 @@ def g_table(P: Presentation, w: Witness) -> dict:
                 f"socle coefficient routes disagree at v = {v}: "
                 f"{route_one[v]} vs {route_two[v]}"
             )
-    if route_one[P.zero_vec] != one or route_one[top] != one:
+    if route_one[P.zero_vec] != one or route_one[P.top] != one:
         raise CrossCheckError("boundary socle coefficients must be 1")
     return route_one
 
@@ -446,26 +443,26 @@ class BfaStructure:
         return out
 
 
+def comultiplication(P: Presentation, pi: Permutation, g: dict) -> dict:
+    """The delta table of the construction, keyed by v in basis order.
+
+    delta(1) = 1 (x) 1, every middle monomial is primitive, and
+    delta(t) = sum_u g_u x_{a-1-u} (x) x_{pi(u)}.  Each row is a list of
+    (u, w, coeff) tensor terms.
+    """
+    one = P.field.one
+    zero = P.zero_vec
+    delta = {v: [(zero, v, one), (v, zero, one)] for v in P.basis()}
+    delta[zero] = [(zero, zero, one)]
+    delta[P.top] = [(P.complement(u), pi.act(u), g[u]) for u in P.basis()]
+    return delta
+
+
 def build_structure(P: Presentation, w: Witness) -> BfaStructure:
     """Assemble the comultiplication and antipode tables from a witness."""
     g = g_table(P, w)
-    one = P.field.one
-    top = P.top
-    zero = P.zero_vec
-    delta: dict = {}
-    for v in P.basis():
-        if v == zero:
-            delta[v] = [(zero, zero, one)]
-        elif v == top:
-            delta[v] = [
-                (tuple(t - x for t, x in zip(top, u)), w.pi.act(u), g[u])
-                for u in P.basis()
-            ]
-        else:
-            delta[v] = [(zero, v, one), (v, zero, one)]
-    s_map = {}
-    for v in P.basis():
-        comp = tuple(t - x for t, x in zip(top, v))
-        s_map[v] = (w.pi.act(v), g[v] * P.bracket(comp, v))
-    return BfaStructure(P, w, g, delta, s_map)
+    s_map = {
+        v: (w.pi.act(v), g[v] * P.bracket(P.complement(v), v)) for v in P.basis()
+    }
+    return BfaStructure(P, w, g, comultiplication(P, w.pi, g), s_map)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     DivisionByZeroError,
@@ -51,6 +51,20 @@ def _trim(coeffs):
 _cyclotomic_cache: dict[int, tuple[Fraction, ...]] = {}
 
 
+def _prime_factors(m: int) -> list:
+    """The distinct primes dividing m, in increasing order, by trial division."""
+    primes, q = [], 2
+    while m > 1:
+        if q * q > m:
+            q = m
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    return primes
+
+
 def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
     """Coefficients of the m-th cyclotomic polynomial, degree 0 first.
 
@@ -62,15 +76,8 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
     if m in _cyclotomic_cache:
         return _cyclotomic_cache[m]
     terms = [(m, 1)]  # (m/e, mu(e)) for each squarefree divisor e of m
-    rest, q = m, 2
-    while rest > 1:
-        if q * q > rest:
-            q = rest
-        if rest % q == 0:
-            terms += [(d // q, -mu) for d, mu in terms]
-            while rest % q == 0:
-                rest //= q
-        q += 1
+    for q in _prime_factors(m):
+        terms += [(d // q, -mu) for d, mu in terms]
     coeffs = [1]
     for d, mu in terms:
         if mu == 1:  # times x^d - 1
@@ -705,8 +712,9 @@ def _parse_scalar(field: Field, text: str) -> Scalar:
 def multiplicative_order(s: Scalar):
     """Order of s in the unit group, or None when s is not a root of unity.
 
-    The bound on candidate orders is exact per field kind: 2 over Q, p - 1
-    over GF(p), lcm(2, m) over Q(zeta_m).
+    The roots of unity form a cyclic group of order cap: 2 over Q, p - 1
+    over GF(p), lcm(2, m) over Q(zeta_m).  The order of a root s is cap
+    divided by each prime factor r of cap while s^(order/r) = 1.
     """
     if s.is_zero():
         return None
@@ -716,11 +724,11 @@ def multiplicative_order(s: Scalar):
     elif isinstance(field, PrimeField):
         cap = field.p - 1
     else:
-        m = field.m
-        cap = m if m % 2 == 0 else 2 * m
-    acc = field.one
-    for k in range(1, cap + 1):
-        acc = acc * s
-        if acc == field.one:
-            return k
-    return None
+        cap = lcm(2, field.m)
+    if s ** cap != field.one:
+        return None
+    order = cap
+    for r in _prime_factors(cap):
+        while order % r == 0 and s ** (order // r) == field.one:
+            order //= r
+    return order

@@ -7,9 +7,10 @@ Two layers of validation on load:
     equations, boundary coefficients of g, non-monomial antipode rows, ...)
     raise FileSemanticError.
 
-Loading does not re-derive the coefficient tables from the witness: a file
-whose g, delta and s entries were perturbed consistently is accepted here
-and left for the verifier to reject.
+Loading does not re-derive the coefficient tables from the witness.  The
+delta rows are compared with builder.comultiplication of the file's own pi
+and g, so a file whose g, delta and s entries were perturbed consistently
+is accepted here and left for the verifier to reject.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 
 from .algebra import Presentation, parse_vector_key, vector_key
-from .builder import BfaStructure, Witness, check_witness
+from .builder import BfaStructure, Witness, check_witness, comultiplication
 from .errors import (
     FileSemanticError,
     FileSyntaxError,
@@ -28,6 +29,20 @@ from .permutations import Permutation
 from .scalars import Field, make_field
 
 FORMAT_VERSION = 1
+
+
+def _int(value, where: str) -> int:
+    """value when it is a JSON integer; bools, floats and strings are rejected."""
+    if type(value) is not int:
+        raise FileSyntaxError(f"bad {where}: expected a JSON integer, got {value!r}")
+    return value
+
+
+def _scalar(field: Field, text, where: str):
+    try:
+        return field.parse(str(text))
+    except QciError as exc:
+        raise FileSyntaxError(f"bad {where}: {exc}") from None
 
 
 def field_to_json(field: Field) -> dict:
@@ -48,9 +63,11 @@ def field_from_json(obj) -> Field:
         if kind == "rational":
             return make_field("rational")
         if kind == "prime":
-            return make_field("prime", int(obj["p"]))
+            return make_field("prime", _int(obj["p"], "p"))
         if kind == "cyclotomic":
-            return make_field("cyclotomic", int(obj["m"]))
+            return make_field("cyclotomic", _int(obj["m"], "m"))
+    except FileSyntaxError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FileSyntaxError(f"bad field parameters: {exc}") from None
     except QciError as exc:
@@ -75,8 +92,8 @@ def presentation_from_json(obj) -> Presentation:
             raise FileSyntaxError(f"presentation is missing {key!r}")
     field = field_from_json(obj["field"])
     try:
-        n = int(obj["n"])
-        a = [int(x) for x in obj["a"]]
+        n = _int(obj["n"], "n")
+        a = [_int(x, "a entry") for x in obj["a"]]
         rows = obj["q"]
         if not isinstance(rows, list) or len(rows) != n:
             raise FileSyntaxError("q must be an n-by-n array of scalar strings")
@@ -86,13 +103,9 @@ def presentation_from_json(obj) -> Presentation:
         for row in rows:
             if not isinstance(row, list) or len(row) != n:
                 raise FileSyntaxError("q must be an n-by-n array of scalar strings")
-            q.append([field.parse(str(entry)) for entry in row])
-    except FileSyntaxError:
-        raise
+            q.append([_scalar(field, entry, "scalar in presentation") for entry in row])
     except (TypeError, ValueError) as exc:
         raise FileSyntaxError(f"bad presentation data: {exc}") from None
-    except QciError as exc:
-        raise FileSyntaxError(f"bad scalar in presentation: {exc}") from None
     try:
         return Presentation(field, a, q)
     except QciError as exc:
@@ -154,6 +167,22 @@ def _parse_key(text, n: int) -> tuple:
         raise FileSyntaxError(str(exc)) from None
 
 
+def _basis_table(obj, name: str, P: Presentation, entry) -> dict:
+    """A table keyed by every basis vector; entry(key, value) reads one value."""
+    if not isinstance(obj, dict):
+        raise FileSyntaxError(f"{name} must be an object keyed by exponent vectors")
+    table = {}
+    for key, value in obj.items():
+        v = _parse_key(key, P.n)
+        if not P.in_basis(v):
+            raise FileSemanticError(f"{name} key {key!r} is outside the basis")
+        table[v] = entry(key, value)
+    for v in P.basis():
+        if v not in table:
+            raise FileSemanticError(f"{name} is missing {vector_key(v)}")
+    return table
+
+
 def structure_from_json(obj) -> BfaStructure:
     if not isinstance(obj, dict):
         raise FileSyntaxError("structure must be an object")
@@ -163,20 +192,18 @@ def structure_from_json(obj) -> BfaStructure:
     P = presentation_from_json(obj["presentation"])
     field = P.field
     n = P.n
+    one = field.one
 
     try:
-        pi = Permutation(tuple(int(x) for x in obj["pi"]))
+        pi = Permutation(tuple(_int(x, "pi entry") for x in obj["pi"]))
     except (TypeError, ValueError) as exc:
         raise FileSyntaxError(f"bad pi: {exc}") from None
-    except QciError as exc:
-        raise FileSemanticError(f"bad pi: {exc}") from None
     if pi.n != n:
         raise FileSemanticError("pi must permute exactly the generators")
 
-    try:
-        c = tuple(field.parse(str(entry)) for entry in obj["c"])
-    except QciError as exc:
-        raise FileSyntaxError(f"bad c entry: {exc}") from None
+    if not isinstance(obj["c"], list):
+        raise FileSyntaxError("c must be a list of scalar strings")
+    c = tuple(_scalar(field, entry, "c entry") for entry in obj["c"])
     if len(c) != n:
         raise FileSemanticError("c must have one entry per generator")
 
@@ -186,38 +213,16 @@ def structure_from_json(obj) -> BfaStructure:
     except WitnessInvalidError as exc:
         raise FileSemanticError(str(exc)) from None
 
-    basis = P.basis()
-
-    g_obj = obj["g"]
-    if not isinstance(g_obj, dict):
-        raise FileSyntaxError("g must be an object keyed by exponent vectors")
-    g = {}
-    for key, val in g_obj.items():
-        v = _parse_key(key, n)
-        if not P.in_basis(v):
-            raise FileSemanticError(f"g key {key!r} is outside the basis")
-        try:
-            g[v] = field.parse(str(val))
-        except QciError as exc:
-            raise FileSyntaxError(f"bad g[{key}]: {exc}") from None
-    missing = [v for v in basis if v not in g]
-    if missing:
-        raise FileSemanticError(f"g is missing {vector_key(missing[0])}")
-    one = field.one
-    for v in basis:
+    g = _basis_table(
+        obj["g"], "g", P, lambda key, text: _scalar(field, text, f"g[{key}]")
+    )
+    for v in P.basis():
         if g[v].is_zero():
             raise FileSemanticError(f"g[{vector_key(v)}] must be nonzero")
     if g[P.zero_vec] != one or g[P.top] != one:
         raise FileSemanticError("g must be 1 at the zero and top vectors")
 
-    delta_obj = obj["delta"]
-    if not isinstance(delta_obj, dict):
-        raise FileSyntaxError("delta must be an object keyed by exponent vectors")
-    delta = {}
-    for key, rows in delta_obj.items():
-        v = _parse_key(key, n)
-        if not P.in_basis(v):
-            raise FileSemanticError(f"delta key {key!r} is outside the basis")
+    def delta_row(key, rows):
         if not isinstance(rows, list):
             raise FileSyntaxError(f"delta[{key}] must be a list of terms")
         terms = []
@@ -228,70 +233,46 @@ def structure_from_json(obj) -> BfaStructure:
             w = _parse_key(row[1], n)
             if not P.in_basis(u) or not P.in_basis(w):
                 raise FileSemanticError(f"delta[{key}] has a term outside the basis")
-            try:
-                coeff = field.parse(str(row[2]))
-            except QciError as exc:
-                raise FileSyntaxError(f"bad coefficient in delta[{key}]: {exc}") from None
+            coeff = _scalar(field, row[2], f"coefficient in delta[{key}]")
             if coeff.is_zero():
                 raise FileSemanticError(f"delta[{key}] has a zero coefficient")
             terms.append((u, w, coeff))
-        delta[v] = terms
-    missing = [v for v in basis if v not in delta]
-    if missing:
-        raise FileSemanticError(f"delta is missing {vector_key(missing[0])}")
+        return terms
 
-    zero = P.zero_vec
-    top = P.top
-    if sorted(delta[zero]) != [(zero, zero, one)]:
-        raise FileSemanticError("delta at the zero vector must be 1 (x) 1")
-    for v in basis:
-        if v == zero or v == top:
-            continue
-        expected = sorted([(zero, v, one), (v, zero, one)])
-        if sorted(delta[v]) != expected:
+    delta = _basis_table(obj["delta"], "delta", P, delta_row)
+    wrong_row = {
+        P.zero_vec: "delta at the zero vector must be 1 (x) 1",
+        P.top: "delta at the top vector disagrees with g",
+    }
+    # in basis order: the zero row first, the top row last
+    for v, expected in comultiplication(P, pi, g).items():
+        row = {}
+        for u, w, coeff in delta[v]:
+            if (u, w) in row:
+                raise FileSemanticError(f"delta[{vector_key(v)}] repeats a tensor term")
+            row[(u, w)] = coeff
+        if row != {(u, w): coeff for u, w, coeff in expected}:
             raise FileSemanticError(
-                f"delta[{vector_key(v)}] must be primitive below the top vector"
+                wrong_row.get(v)
+                or f"delta[{vector_key(v)}] must be primitive below the top vector"
             )
-    expected_top = {}
-    for u in basis:
-        comp = tuple(t - x for t, x in zip(top, u))
-        expected_top[(comp, pi.act(u))] = g[u]
-    actual_top = {}
-    for u, w, coeff in delta[top]:
-        if (u, w) in actual_top:
-            raise FileSemanticError("delta at the top vector repeats a tensor term")
-        actual_top[(u, w)] = coeff
-    if actual_top != expected_top:
-        raise FileSemanticError("delta at the top vector disagrees with g")
 
-    s_obj = obj["s"]
-    if not isinstance(s_obj, dict):
-        raise FileSyntaxError("s must be an object keyed by exponent vectors")
-    s_map = {}
-    for key, row in s_obj.items():
-        v = _parse_key(key, n)
-        if not P.in_basis(v):
-            raise FileSemanticError(f"s key {key!r} is outside the basis")
+    def s_row(key, row):
         if not isinstance(row, list) or len(row) != 2:
             raise FileSyntaxError(f"s[{key}] must be [image, coeff]")
         img = _parse_key(row[0], n)
         if not P.in_basis(img):
             raise FileSemanticError(f"s[{key}] image is outside the basis")
-        try:
-            coeff = field.parse(str(row[1]))
-        except QciError as exc:
-            raise FileSyntaxError(f"bad coefficient in s[{key}]: {exc}") from None
-        s_map[v] = (img, coeff)
-    missing = [v for v in basis if v not in s_map]
-    if missing:
-        raise FileSemanticError(f"s is missing {vector_key(missing[0])}")
-    for v in basis:
+        return img, _scalar(field, row[1], f"coefficient in s[{key}]")
+
+    s_map = _basis_table(obj["s"], "s", P, s_row)
+    for v in P.basis():
         img, coeff = s_map[v]
         if coeff.is_zero():
             raise FileSemanticError(f"s[{vector_key(v)}] has a zero coefficient")
         if img != pi.act(v):
             raise FileSemanticError(f"s[{vector_key(v)}] must land on the pi-image")
-    if s_map[top] != (top, one):
+    if s_map[P.top] != (P.top, one):
         raise FileSemanticError("s must fix the top monomial with coefficient 1")
 
     return BfaStructure(P, witness, g, delta, s_map)

@@ -622,12 +622,7 @@ def negate_socle_entry(B: BfaStructure, v) -> BfaStructure:
     g = dict(B.g)
     g[v] = -g[v]
     delta = {key: list(rows) for key, rows in B.delta.items()}
-    top_rows = []
-    for u, w, c in delta[B.t_vec]:
-        comp = tuple(t - x for t, x in zip(P.top, u))
-        if comp == v:
-            top_rows.append((u, w, -c))
-        else:
-            top_rows.append((u, w, c))
-    delta[B.t_vec] = top_rows
+    delta[P.top] = [
+        (u, w, -c if P.complement(u) == v else c) for u, w, c in delta[P.top]
+    ]
     return BfaStructure(P, B.witness, g, delta, dict(B.s_map))

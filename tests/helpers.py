@@ -466,6 +466,28 @@ def reference_sqrt_minus_one(field: Field):
     return None
 
 
+def reference_multiplicative_order(s: Scalar):
+    """The least k in 1..cap with s^k = 1 by repeated products, else None.
+
+    cap is 2 over Q, p - 1 over GF(p) and lcm(2, m) over Q(zeta_m).
+    """
+    if s.is_zero():
+        return None
+    field = s.field
+    if field.kind == "rational":
+        cap = 2
+    elif field.kind == "prime":
+        cap = field.p - 1
+    else:
+        cap = field.m if field.m % 2 == 0 else 2 * field.m
+    acc = field.one
+    for k in range(1, cap + 1):
+        acc = acc * s
+        if acc == field.one:
+            return k
+    return None
+
+
 def reference_g_table(P: Presentation, w) -> dict:
     """Route one of g_table with every power taken by reference_power.
 

@@ -291,6 +291,23 @@ class TestVerify:
         s_path.write_text(json.dumps(obj))
         assert run(["verify", str(s_path)]) == 1
 
+    @pytest.mark.parametrize("key", ["0,1,0", "0,0,0"])
+    def test_repeated_delta_term_is_an_input_error(self, p69, tmp_path, key):
+        s_path = tmp_path / "s.json"
+        run(["construct", p69, "--out", str(s_path)])
+        obj = json.loads(s_path.read_text())
+        obj["delta"][key] = [["0,0,0", key, "1"], ["0,0,0", key, "2"]]
+        s_path.write_text(json.dumps(obj))
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        script = subprocess.run(
+            [sys.executable, "-m", "qci", "verify", str(s_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert script.returncode == 1, script.stderr
+        assert script.stderr == f"error: delta[{key}] repeats a tensor term\n"
+
 
 class TestExample:
     def test_default_symmetric(self, capsys):

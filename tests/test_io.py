@@ -2,9 +2,14 @@
 
 import copy
 import json
+import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from helpers import rand_compatible_involutive_h
+from qci.builder import build_structure, decide
 from qci.demos import example_presentation, example_structure
 from qci.errors import FileSemanticError, FileSyntaxError
 from qci.scalars import make_field
@@ -22,6 +27,7 @@ from qci.structio import (
 from qci.verify import verify_axioms
 
 C8 = make_field("cyclotomic", 8)
+Q = make_field("rational")
 
 
 @pytest.fixture
@@ -219,3 +225,269 @@ class TestStructureSemantics:
         rep = verify_axioms(loaded)
         assert not rep.all_passed
         assert any(c.name == "antipode-definition" for c in rep.failing())
+
+
+# -- every message of structure_from_json ------------------------------------
+
+
+def _put(*path_and_value):
+    """A tampering that sets obj[path[0]]...[path[-1]] = value."""
+    *path, value = path_and_value
+
+    def tamper(obj):
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return obj
+
+    return tamper
+
+
+def _drop(*path):
+    """A tampering that deletes obj[path[0]]...[path[-1]]."""
+
+    def tamper(obj):
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return obj
+
+    return tamper
+
+
+def _repeat_first_top_term(obj):
+    top = obj["delta"]["1,1,1"]
+    top.append(list(top[0]))
+    return obj
+
+
+S, M = FileSyntaxError, FileSemanticError
+
+# each case reaches exactly one raise; the rows follow the order of the checks
+LOADER_MESSAGES = [
+    ("not-object", lambda obj: [obj], S, "structure must be an object"),
+    ("missing-section", _drop("s"), S, "structure is missing 's'"),
+    ("pi-entry", _put("pi", [1, "x", 2]), S, "bad pi"),
+    ("pi-not-permutation", _put("pi", [1, 1, 3]), S, "is not a permutation of 1..3"),
+    ("pi-size", _put("pi", [1, 2]), M, "pi must permute exactly the generators"),
+    ("c-scalar", _put("c", 0, "z+"), S, "bad c entry"),
+    ("c-length", _put("c", ["1", "1"]), M, "c must have one entry per generator"),
+    ("witness", _put("c", ["-1", "1", "1"]), M, "q_pi * prod c_i^(a_i - 1) != 1"),
+    ("g-object", _put("g", []), S, "g must be an object keyed by exponent vectors"),
+    ("g-key-syntax", _put("g", "0,1", "1"), S, "expected 3 comma-separated entries"),
+    ("g-key-outside", _put("g", "0,2,0", "1"), M, "g key '0,2,0' is outside the basis"),
+    ("g-scalar", _put("g", "0,1,0", "z+"), S, "bad g[0,1,0]"),
+    ("g-missing", _drop("g", "0,1,0"), M, "g is missing 0,1,0"),
+    ("g-zero", _put("g", "0,1,0", "0"), M, "g[0,1,0] must be nonzero"),
+    (
+        "g-boundary",
+        _put("g", "1,1,1", "2"),
+        M,
+        "g must be 1 at the zero and top vectors",
+    ),
+    (
+        "delta-object",
+        _put("delta", "x"),
+        S,
+        "delta must be an object keyed by exponent vectors",
+    ),
+    (
+        "delta-key-outside",
+        _put("delta", "0,2,0", []),
+        M,
+        "delta key '0,2,0' is outside the basis",
+    ),
+    (
+        "delta-row",
+        _put("delta", "0,1,0", "x"),
+        S,
+        "delta[0,1,0] must be a list of terms",
+    ),
+    (
+        "delta-term",
+        _put("delta", "0,1,0", [["0,0,0", "0,1,0"]]),
+        S,
+        "delta[0,1,0] terms must be [u, w, coeff]",
+    ),
+    (
+        "delta-term-key",
+        _put("delta", "0,1,0", [["0,0", "0,1,0", "1"]]),
+        S,
+        "expected 3 comma-separated entries",
+    ),
+    (
+        "delta-term-outside",
+        _put("delta", "0,1,0", [["0,0,0", "0,2,0", "1"]]),
+        M,
+        "delta[0,1,0] has a term outside the basis",
+    ),
+    (
+        "delta-scalar",
+        _put("delta", "0,1,0", [["0,0,0", "0,1,0", "z+"]]),
+        S,
+        "bad coefficient in delta[0,1,0]",
+    ),
+    (
+        "delta-zero",
+        _put("delta", "0,1,0", [["0,0,0", "0,1,0", "0"]]),
+        M,
+        "delta[0,1,0] has a zero coefficient",
+    ),
+    ("delta-missing", _drop("delta", "0,1,0"), M, "delta is missing 0,1,0"),
+    (
+        "delta-zero-row",
+        _put("delta", "0,0,0", [["0,0,0", "0,0,0", "2"]]),
+        M,
+        "delta at the zero vector must be 1 (x) 1",
+    ),
+    (
+        "delta-primitive",
+        _put("delta", "0,1,0", [["0,0,0", "0,1,0", "1"]]),
+        M,
+        "delta[0,1,0] must be primitive below the top vector",
+    ),
+    ("delta-top-repeat", _repeat_first_top_term, M, "repeats a tensor term"),
+    (
+        "delta-top",
+        _put("delta", "1,1,1", 0, 2, "2"),
+        M,
+        "delta at the top vector disagrees with g",
+    ),
+    ("s-object", _put("s", None), S, "s must be an object keyed by exponent vectors"),
+    (
+        "s-key-outside",
+        _put("s", "0,2,0", ["0,2,0", "1"]),
+        M,
+        "s key '0,2,0' is outside the basis",
+    ),
+    ("s-row", _put("s", "0,1,0", ["0,0,1"]), S, "s[0,1,0] must be [image, coeff]"),
+    (
+        "s-image-key",
+        _put("s", "0,1,0", ["0,0", "1"]),
+        S,
+        "expected 3 comma-separated entries",
+    ),
+    (
+        "s-image-outside",
+        _put("s", "0,1,0", ["0,2,0", "1"]),
+        M,
+        "s[0,1,0] image is outside the basis",
+    ),
+    ("s-scalar", _put("s", "0,1,0", ["0,0,1", "z+"]), S, "bad coefficient in s[0,1,0]"),
+    ("s-missing", _drop("s", "0,1,0"), M, "s is missing 0,1,0"),
+    (
+        "s-zero",
+        _put("s", "0,1,0", ["0,0,1", "0"]),
+        M,
+        "s[0,1,0] has a zero coefficient",
+    ),
+    (
+        "s-pi-image",
+        _put("s", "0,1,0", ["0,1,0", "1"]),
+        M,
+        "s[0,1,0] must land on the pi-image",
+    ),
+    (
+        "s-top",
+        _put("s", "1,1,1", ["1,1,1", "-1"]),
+        M,
+        "s must fix the top monomial with coefficient 1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "tamper, exc, fragment",
+    [case[1:] for case in LOADER_MESSAGES],
+    ids=[case[0] for case in LOADER_MESSAGES],
+)
+def test_loader_message(blob, tamper, exc, fragment):
+    obj = tamper(copy.deepcopy(blob))
+    with pytest.raises(exc, match=re.escape(fragment)):
+        structure_from_json(obj)
+
+
+@pytest.mark.parametrize("key", ["0,1,0", "0,0,0"])
+def test_repeated_delta_term(blob, key):
+    obj = copy.deepcopy(blob)
+    obj["delta"][key] = [["0,0,0", key, "1"], ["0,0,0", key, "2"]]
+    with pytest.raises(FileSemanticError, match=re.escape(f"delta[{key}] repeats")):
+        structure_from_json(obj)
+
+
+def test_c_must_be_a_list(blob):
+    obj = copy.deepcopy(blob)
+    obj["c"] = 1
+    with pytest.raises(FileSyntaxError, match="c must be a list"):
+        structure_from_json(obj)
+
+
+# integers are taken only as JSON integers: no bool, float or string
+NOT_INTEGERS = [True, 2.0, 2.9, "2"]
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS)
+@pytest.mark.parametrize("kind, key", [("prime", "p"), ("cyclotomic", "m")])
+def test_field_parameter_must_be_an_integer(kind, key, value):
+    with pytest.raises(FileSyntaxError, match=f"bad {key}"):
+        field_from_json({"kind": kind, key: value})
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS)
+def test_n_must_be_an_integer(blob, value):
+    obj = copy.deepcopy(blob)
+    obj["presentation"]["n"] = value
+    with pytest.raises(FileSyntaxError, match="bad n"):
+        structure_from_json(obj)
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS)
+def test_exponents_must_be_integers(blob, value):
+    obj = copy.deepcopy(blob)
+    obj["presentation"]["a"][0] = value
+    with pytest.raises(FileSyntaxError, match="bad a entry"):
+        structure_from_json(obj)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, 1.9, "1"])
+def test_pi_entries_must_be_integers(blob, value):
+    obj = copy.deepcopy(blob)
+    obj["pi"][0] = value
+    with pytest.raises(FileSyntaxError, match="bad pi entry"):
+        structure_from_json(obj)
+
+
+# -- round trips on random yes-presentations ----------------------------------
+
+
+@st.composite
+def yes_presentations(draw):
+    """(P, witness): n in {2, 3}, exponents at most 3, and decide() says Yes."""
+    field = draw(
+        st.sampled_from([make_field("prime", 7), make_field("prime", 13), Q, C8])
+    )
+    n = draw(st.sampled_from([2, 3]))
+    P, _ = rand_compatible_involutive_h(draw(st.randoms()), field, n, a_hi=3)
+    report = decide(P)
+    assume(report.exists)
+    return P, report.witness
+
+
+def _through_text(obj):
+    return json.loads(json.dumps(obj))
+
+
+@settings(max_examples=60, deadline=None)
+@given(yes_presentations())
+def test_presentation_round_trip(drawn):
+    P, _ = drawn
+    assert presentation_from_json(_through_text(presentation_to_json(P))) == P
+
+
+@settings(max_examples=60, deadline=None)
+@given(yes_presentations())
+def test_structure_round_trip(drawn):
+    blob = structure_to_json(build_structure(*drawn))
+    assert structure_to_json(structure_from_json(_through_text(blob))) == blob

@@ -13,6 +13,7 @@ from helpers import (
     reference_cyclo_inverse,
     reference_cyclo_mul,
     reference_cyclotomic_polynomial,
+    reference_multiplicative_order,
     reference_power,
     reference_sqrt_minus_one,
 )
@@ -225,6 +226,29 @@ class TestMultiplicativeOrder:
         assert multiplicative_order(C8.zeta_power(2)) == 4
         assert multiplicative_order(C8.one + C8.zeta) is None
         assert multiplicative_order(-C3.zeta) == 6
+
+    def test_prime_fields_match_linear_scan(self):
+        for p in filter(is_prime, range(2, 200)):
+            field = PrimeField(p)
+            for k in range(p):
+                x = field.from_int(k)
+                assert multiplicative_order(x) == reference_multiplicative_order(x)
+
+    def test_cyclotomic_and_rational_match_linear_scan(self):
+        for m in (1, 2, 3, 4, 5, 8, 9, 12, 15):
+            field = make_field("cyclotomic", m)
+            for k in range(2 * m):
+                z = field.zeta_power(k)
+                for x in (z, -z, z + field.one, field.zero):
+                    assert multiplicative_order(x) == reference_multiplicative_order(x)
+        for text in ("0", "1", "-1", "2", "-1/2"):
+            x = Q.parse(text)
+            assert multiplicative_order(x) == reference_multiplicative_order(x)
+
+    def test_large_order_is_logarithmic(self):
+        # the linear scan takes about a second here
+        assert multiplicative_order(PrimeField(1_000_003).from_int(2)) == 1_000_002
+        assert multiplicative_order(PrimeField(100_000_037).from_int(-1)) == 2
 
 
 rationals = st.fractions(
