@@ -212,7 +212,10 @@ def _witness_from_args(P: Presentation, args):
         return report.witness, None
     if args.pi is None:
         raise UsageError("--c requires --pi")
-    pi = Permutation.parse(args.pi)
+    try:
+        pi = Permutation.parse(args.pi)
+    except ValueError as exc:
+        raise UsageError(f"bad --pi: {exc}") from None
     if args.c is None:
         if not P.nakayama_is_involution():
             return None, "nakayama-not-involutive"

@@ -11,6 +11,12 @@ Loading does not re-derive the coefficient tables from the witness.  The
 delta rows are compared with builder.comultiplication of the file's own pi
 and g, so a file whose g, delta and s entries were perturbed consistently
 is accepted here and left for the verifier to reject.
+
+A structure file repeats a few literals and the dim basis keys many times
+over (every middle delta row is 1 (x) x_v + x_v (x) 1).  One load therefore
+resolves each key through a dict of the canonical basis keys and parses each
+distinct literal once; both memos live only for the call that builds them.
+Saving likewise spells each basis key and formats each distinct scalar once.
 """
 
 from __future__ import annotations
@@ -38,11 +44,21 @@ def _int(value, where: str) -> int:
     return value
 
 
-def _scalar(field: Field, text, where: str):
-    try:
-        return field.parse(str(text))
-    except QciError as exc:
-        raise FileSyntaxError(f"bad {where}: {exc}") from None
+def _scalar(field: Field, text, where: str, literals: dict):
+    """The scalar a literal string names.
+
+    literals maps every text that parsed cleanly in this file to its scalar;
+    sharing one Scalar between entries is safe since scalars are immutable.
+    """
+    if not isinstance(text, str):
+        raise FileSyntaxError(f"bad {where}: expected a scalar string, got {text!r}")
+    s = literals.get(text)
+    if s is None:
+        try:
+            s = literals[text] = field.parse(text)
+        except QciError as exc:
+            raise FileSyntaxError(f"bad {where}: {exc}") from None
+    return s
 
 
 def field_to_json(field: Field) -> dict:
@@ -84,7 +100,10 @@ def presentation_to_json(P: Presentation) -> dict:
     }
 
 
-def presentation_from_json(obj) -> Presentation:
+def presentation_from_json(obj, literals: dict | None = None) -> Presentation:
+    """literals: the memo of parsed literals when obj is part of a larger file."""
+    if literals is None:
+        literals = {}
     if not isinstance(obj, dict):
         raise FileSyntaxError("presentation must be an object")
     for key in ("field", "n", "a", "q"):
@@ -103,7 +122,9 @@ def presentation_from_json(obj) -> Presentation:
         for row in rows:
             if not isinstance(row, list) or len(row) != n:
                 raise FileSyntaxError("q must be an n-by-n array of scalar strings")
-            q.append([_scalar(field, entry, "scalar in presentation") for entry in row])
+            q.append(
+                [_scalar(field, e, "scalar in presentation", literals) for e in row]
+            )
     except (TypeError, ValueError) as exc:
         raise FileSyntaxError(f"bad presentation data: {exc}") from None
     try:
@@ -134,24 +155,28 @@ def _read_json(path: str):
 
 def structure_to_json(B: BfaStructure) -> dict:
     P = B.presentation
-    out = {
+    basis = P.basis()
+    key = {v: vector_key(v) for v in basis}
+    literals = {}  # payload -> text; all scalars of B share one field
+
+    def text(s) -> str:
+        out = literals.get(s.value)
+        if out is None:
+            out = literals[s.value] = str(s)
+        return out
+
+    return {
         "format": FORMAT_VERSION,
         "presentation": presentation_to_json(P),
         "pi": list(B.witness.pi.images),
-        "c": [str(c) for c in B.witness.c],
-        "g": {vector_key(v): str(B.g[v]) for v in P.basis()},
+        "c": [text(c) for c in B.witness.c],
+        "g": {key[v]: text(B.g[v]) for v in basis},
         "delta": {
-            vector_key(v): [
-                [vector_key(u), vector_key(w), str(c)] for u, w, c in B.delta[v]
-            ]
-            for v in P.basis()
+            key[v]: [[key[u], key[w], text(c)] for u, w, c in B.delta[v]]
+            for v in basis
         },
-        "s": {
-            vector_key(v): [vector_key(B.s_map[v][0]), str(B.s_map[v][1])]
-            for v in P.basis()
-        },
+        "s": {key[v]: [key[B.s_map[v][0]], text(B.s_map[v][1])] for v in basis},
     }
-    return out
 
 
 def save_structure(B: BfaStructure, path: str) -> None:
@@ -167,15 +192,31 @@ def _parse_key(text, n: int) -> tuple:
         raise FileSyntaxError(str(exc)) from None
 
 
-def _basis_table(obj, name: str, P: Presentation, entry) -> dict:
+def _vector(P: Presentation, vectors: dict, text):
+    """The basis vector text names, or None for a well-formed key off the basis.
+
+    vectors maps each canonical key to its basis vector; only other spellings
+    (" 0,1", "00,1") are parsed and range-checked.
+    """
+    v = vectors.get(text) if isinstance(text, str) else None
+    if v is None:
+        v = _parse_key(text, P.n)
+        if not P.in_basis(v):
+            return None
+    return v
+
+
+def _basis_table(obj, name: str, P: Presentation, vectors: dict, entry) -> dict:
     """A table keyed by every basis vector; entry(key, value) reads one value."""
     if not isinstance(obj, dict):
         raise FileSyntaxError(f"{name} must be an object keyed by exponent vectors")
     table = {}
     for key, value in obj.items():
-        v = _parse_key(key, P.n)
-        if not P.in_basis(v):
+        v = _vector(P, vectors, key)
+        if v is None:
             raise FileSemanticError(f"{name} key {key!r} is outside the basis")
+        if v in table:
+            raise FileSemanticError(f"{name} names {vector_key(v)} twice")
         table[v] = entry(key, value)
     for v in P.basis():
         if v not in table:
@@ -189,10 +230,12 @@ def structure_from_json(obj) -> BfaStructure:
     for key in ("presentation", "pi", "c", "g", "delta", "s"):
         if key not in obj:
             raise FileSyntaxError(f"structure is missing {key!r}")
-    P = presentation_from_json(obj["presentation"])
+    literals = {}
+    P = presentation_from_json(obj["presentation"], literals)
     field = P.field
     n = P.n
     one = field.one
+    vectors = {vector_key(v): v for v in P.basis()}
 
     try:
         pi = Permutation(tuple(_int(x, "pi entry") for x in obj["pi"]))
@@ -203,7 +246,7 @@ def structure_from_json(obj) -> BfaStructure:
 
     if not isinstance(obj["c"], list):
         raise FileSyntaxError("c must be a list of scalar strings")
-    c = tuple(_scalar(field, entry, "c entry") for entry in obj["c"])
+    c = tuple(_scalar(field, entry, "c entry", literals) for entry in obj["c"])
     if len(c) != n:
         raise FileSemanticError("c must have one entry per generator")
 
@@ -214,7 +257,11 @@ def structure_from_json(obj) -> BfaStructure:
         raise FileSemanticError(str(exc)) from None
 
     g = _basis_table(
-        obj["g"], "g", P, lambda key, text: _scalar(field, text, f"g[{key}]")
+        obj["g"],
+        "g",
+        P,
+        vectors,
+        lambda key, text: _scalar(field, text, f"g[{key}]", literals),
     )
     for v in P.basis():
         if g[v].is_zero():
@@ -226,20 +273,21 @@ def structure_from_json(obj) -> BfaStructure:
         if not isinstance(rows, list):
             raise FileSyntaxError(f"delta[{key}] must be a list of terms")
         terms = []
+        where = f"coefficient in delta[{key}]"
         for row in rows:
             if not isinstance(row, list) or len(row) != 3:
                 raise FileSyntaxError(f"delta[{key}] terms must be [u, w, coeff]")
-            u = _parse_key(row[0], n)
-            w = _parse_key(row[1], n)
-            if not P.in_basis(u) or not P.in_basis(w):
+            u = _vector(P, vectors, row[0])
+            w = _vector(P, vectors, row[1])
+            if u is None or w is None:
                 raise FileSemanticError(f"delta[{key}] has a term outside the basis")
-            coeff = _scalar(field, row[2], f"coefficient in delta[{key}]")
+            coeff = _scalar(field, row[2], where, literals)
             if coeff.is_zero():
                 raise FileSemanticError(f"delta[{key}] has a zero coefficient")
             terms.append((u, w, coeff))
         return terms
 
-    delta = _basis_table(obj["delta"], "delta", P, delta_row)
+    delta = _basis_table(obj["delta"], "delta", P, vectors, delta_row)
     wrong_row = {
         P.zero_vec: "delta at the zero vector must be 1 (x) 1",
         P.top: "delta at the top vector disagrees with g",
@@ -260,12 +308,12 @@ def structure_from_json(obj) -> BfaStructure:
     def s_row(key, row):
         if not isinstance(row, list) or len(row) != 2:
             raise FileSyntaxError(f"s[{key}] must be [image, coeff]")
-        img = _parse_key(row[0], n)
-        if not P.in_basis(img):
+        img = _vector(P, vectors, row[0])
+        if img is None:
             raise FileSemanticError(f"s[{key}] image is outside the basis")
-        return img, _scalar(field, row[1], f"coefficient in s[{key}]")
+        return img, _scalar(field, row[1], f"coefficient in s[{key}]", literals)
 
-    s_map = _basis_table(obj["s"], "s", P, s_row)
+    s_map = _basis_table(obj["s"], "s", P, vectors, s_row)
     for v in P.basis():
         img, coeff = s_map[v]
         if coeff.is_zero():

@@ -216,6 +216,26 @@ class TestConstruct:
         assert code == 1
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("text", ["[1,x,3]", "[1,1,2]", ""])
+    def test_bad_pi_text(self, p69, tmp_path, capsys, text):
+        out_path = tmp_path / "s.json"
+        assert run(["construct", p69, "--pi", text, "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad --pi: ")
+        assert not out_path.exists()
+
+    def test_bad_pi_text_is_no_traceback(self, p69, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        argv = ["construct", p69, "--pi", "[1,x,3]", "--out", str(tmp_path / "s.json")]
+        script = subprocess.run(
+            [sys.executable, "-m", "qci", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert script.returncode == 1, script.stderr
+        assert "error: bad --pi" in script.stderr
+        assert "Traceback" not in script.stderr
+
     def test_c_without_pi(self, p69, tmp_path):
         assert run(["construct", p69, "--c", "1,1,1", "--out", str(tmp_path / "s.json")]) == 1
 

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qci.scalars
+import qci.structio
 from helpers import rand_compatible_involutive_h
+from qci.algebra import Presentation
 from qci.builder import build_structure, decide
 from qci.demos import example_presentation, example_structure
 from qci.errors import FileSemanticError, FileSyntaxError
@@ -28,6 +31,28 @@ from qci.verify import verify_axioms
 
 C8 = make_field("cyclotomic", 8)
 Q = make_field("rational")
+F7 = make_field("prime", 7)
+
+
+def gf7_structure(a, upper):
+    """The decided structure on GF(7) with q_ij = upper[(i, j)] for i < j."""
+    q = [[F7.one for _ in a] for _ in a]
+    for (i, j), k in upper.items():
+        q[i - 1][j - 1] = F7.from_int(k)
+        q[j - 1][i - 1] = F7.from_int(k).inverse()
+    P = Presentation(F7, a, q)
+    return build_structure(P, decide(P).witness)
+
+
+def file_literals(obj) -> set:
+    """Every scalar literal of a structure blob: q, c, g, delta and s."""
+    return (
+        {e for row in obj["presentation"]["q"] for e in row}
+        | set(obj["c"])
+        | set(obj["g"].values())
+        | {term[2] for rows in obj["delta"].values() for term in rows}
+        | {coeff for _, coeff in obj["s"].values()}
+    )
 
 
 @pytest.fixture
@@ -126,6 +151,41 @@ class TestStructureRoundTrip:
         save_structure(load_structure(str(first)), str(second))
         assert second.read_bytes() == first.read_bytes()
         assert "/" in first.read_text()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gf7_structure((4, 4, 4), {(1, 2): 5, (1, 3): 3, (2, 3): 2}),
+            lambda: example_structure("6.9", C8),
+        ],
+        ids=["gf7", "cyclotomic-8"],
+    )
+    def test_resave_is_byte_identical(self, tmp_path, build):
+        # the save side memoizes key spellings and scalar texts; the bytes
+        # must equal a plain spelling of every entry
+        B = build()
+        basis = B.presentation.basis()
+
+        def spell(v):
+            return ",".join(str(x) for x in v)
+
+        plain = {
+            "format": 1,
+            "presentation": presentation_to_json(B.presentation),
+            "pi": list(B.witness.pi.images),
+            "c": [str(c) for c in B.witness.c],
+            "g": {spell(v): str(B.g[v]) for v in basis},
+            "delta": {
+                spell(v): [[spell(u), spell(w), str(c)] for u, w, c in B.delta[v]]
+                for v in basis
+            },
+            "s": {spell(v): [spell(B.s_map[v][0]), str(B.s_map[v][1])] for v in basis},
+        }
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_structure(B, str(first))
+        save_structure(load_structure(str(first)), str(second))
+        assert first.read_text() == json.dumps(plain, indent=2) + "\n"
+        assert second.read_bytes() == first.read_bytes()
 
     def test_truncated_file(self, tmp_path, structure):
         path = tmp_path / "s.json"
@@ -278,6 +338,7 @@ LOADER_MESSAGES = [
     ("g-object", _put("g", []), S, "g must be an object keyed by exponent vectors"),
     ("g-key-syntax", _put("g", "0,1", "1"), S, "expected 3 comma-separated entries"),
     ("g-key-outside", _put("g", "0,2,0", "1"), M, "g key '0,2,0' is outside the basis"),
+    ("g-key-twice", _put("g", "00,1,0", "1"), M, "g names 0,1,0 twice"),
     ("g-scalar", _put("g", "0,1,0", "z+"), S, "bad g[0,1,0]"),
     ("g-missing", _drop("g", "0,1,0"), M, "g is missing 0,1,0"),
     ("g-zero", _put("g", "0,1,0", "0"), M, "g[0,1,0] must be nonzero"),
@@ -424,6 +485,82 @@ def test_c_must_be_a_list(blob):
         structure_from_json(obj)
 
 
+@pytest.mark.parametrize("name", ["g", "delta", "s"])
+@pytest.mark.parametrize("alias", ["00,1,0", "0_0,1,0", " 0,1,0", "0, 1,0"])
+@pytest.mark.parametrize("alias_first", [False, True], ids=["last", "first"])
+def test_vector_named_twice(blob, name, alias, alias_first):
+    obj = copy.deepcopy(blob)
+    table = obj[name]
+    entry = table["0,1,0"]
+    obj[name] = {alias: entry, **table} if alias_first else {**table, alias: entry}
+    with pytest.raises(FileSemanticError, match=re.escape(f"{name} names 0,1,0 twice")):
+        structure_from_json(obj)
+
+
+@pytest.mark.parametrize("name", ["g", "delta", "s"])
+def test_two_aliases_without_the_canonical_key(blob, name):
+    obj = copy.deepcopy(blob)
+    entry = obj[name].pop("0,1,0")
+    obj[name]["00,1,0"] = entry
+    obj[name]["0,01,0"] = entry
+    with pytest.raises(FileSemanticError, match=re.escape(f"{name} names 0,1,0 twice")):
+        structure_from_json(obj)
+
+
+def test_one_alias_per_vector_loads(blob):
+    obj = copy.deepcopy(blob)
+    obj["g"]["00,1,0"] = obj["g"].pop("0,1,0")
+    obj["s"]["0,1, 0"] = obj["s"].pop("0,1,0")
+    assert structure_to_json(structure_from_json(obj)) == blob
+
+
+# scalars are taken only as JSON strings: no number, bool or null
+NOT_STRINGS = [1, 1.0, True, None]
+SCALAR_SITES = [
+    (("presentation", "q", 0, 1), "bad scalar in presentation"),
+    (("c", 0), "bad c entry"),
+    (("g", "0,1,0"), "bad g[0,1,0]"),
+    (("delta", "0,1,0", 0, 2), "bad coefficient in delta[0,1,0]"),
+    (("s", "0,1,0", 1), "bad coefficient in s[0,1,0]"),
+]
+
+
+@pytest.mark.parametrize("value", NOT_STRINGS, ids=repr)
+@pytest.mark.parametrize(
+    "path, where", SCALAR_SITES, ids=["q", "c", "g", "delta", "s"]
+)
+def test_scalars_must_be_strings(blob, path, where, value):
+    obj = _put(*path, value)(copy.deepcopy(blob))
+    message = f"{where}: expected a scalar string, got {value!r}"
+    with pytest.raises(FileSyntaxError, match=re.escape(message)):
+        structure_from_json(obj)
+
+
+def test_load_parses_each_distinct_text_once(tmp_path, monkeypatch):
+    B = gf7_structure((8, 8, 8), {(1, 2): 5, (1, 3): 3, (2, 3): 2})
+    path = tmp_path / "s.json"
+    save_structure(B, str(path))
+    blob = json.loads(path.read_text())
+    calls = {"scalar": 0, "key": 0}
+    parse_scalar = qci.scalars._parse_scalar
+    parse_key = qci.structio.parse_vector_key
+
+    def counted_scalar(field, text):
+        calls["scalar"] += 1
+        return parse_scalar(field, text)
+
+    def counted_key(text, n):
+        calls["key"] += 1
+        return parse_key(text, n)
+
+    monkeypatch.setattr(qci.scalars, "_parse_scalar", counted_scalar)
+    monkeypatch.setattr(qci.structio, "parse_vector_key", counted_key)
+    loaded = load_structure(str(path))
+    assert calls == {"scalar": len(file_literals(blob)), "key": 0}
+    assert len(file_literals(blob)) == 6
+    assert structure_to_json(loaded) == blob
+
+
 # integers are taken only as JSON integers: no bool, float or string
 NOT_INTEGERS = [True, 2.0, 2.9, "2"]
 
@@ -491,3 +628,30 @@ def test_presentation_round_trip(drawn):
 def test_structure_round_trip(drawn):
     blob = structure_to_json(build_structure(*drawn))
     assert structure_to_json(structure_from_json(_through_text(blob))) == blob
+
+
+def _respell(rng, key: str) -> str:
+    """key with every entry written non-canonically: leading zeros or a space."""
+    spellings = ["0{}", " {}", "{} ", "0_0{}"]
+    return ",".join(rng.choice(spellings).format(x) for x in key.split(","))
+
+
+@settings(max_examples=40, deadline=None)
+@given(yes_presentations(), st.randoms(use_true_random=False))
+def test_noncanonical_keys_load(drawn, rng):
+    blob = structure_to_json(build_structure(*drawn))
+    obj = {
+        **blob,
+        "g": {_respell(rng, k): text for k, text in blob["g"].items()},
+        "delta": {
+            _respell(rng, k): [
+                [_respell(rng, u), _respell(rng, w), c] for u, w, c in rows
+            ]
+            for k, rows in blob["delta"].items()
+        },
+        "s": {
+            _respell(rng, k): [_respell(rng, img), c]
+            for k, (img, c) in blob["s"].items()
+        },
+    }
+    assert structure_to_json(structure_from_json(_through_text(obj))) == blob
