@@ -10,7 +10,6 @@ axiom exhaustively over exact fields (Q, GF(p), cyclotomics).
 from .algebra import Presentation, monomial_name, parse_vector_key, vector_key
 from .builder import (
     BfaStructure,
-    DecisionReport,
     Regime,
     Witness,
     applicable_regime,
@@ -31,7 +30,6 @@ from .errors import (
     WitnessInvalidError,
 )
 from .permutations import (
-    PartitionReport,
     Permutation,
     enumerate_compatible,
     is_compatible,
@@ -68,12 +66,10 @@ __all__ = [
     "BfaStructure",
     "CrossCheckError",
     "CyclotomicField",
-    "DecisionReport",
     "Field",
     "FileSemanticError",
     "FileSyntaxError",
     "NotFrobeniusError",
-    "PartitionReport",
     "Permutation",
     "Presentation",
     "PrimeField",

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .permutations import Permutation, enumerate_compatible
 from .scalars import multiplicative_order, parse_field_descriptor
-from .structio import load_presentation, load_structure, save_structure
+from .structio import load_presentation, load_structure, open_output, save_structure
 from .verify import (
     is_hopf_comultiplication,
     primitive_space_dim,
@@ -377,7 +377,7 @@ def _cmd_enumerate(args) -> int:
         return count
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with open_output(args.out, newline="") as fh:
             count = scan(csv.writer(fh))
         print(f"wrote {args.out} ({count} rows)")
     else:

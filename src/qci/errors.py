@@ -91,3 +91,7 @@ class FileSyntaxError(QciError):
 
 class FileSemanticError(QciError):
     """A presentation or structure file violates a documented invariant."""
+
+
+class FileWriteError(QciError):
+    """An output file cannot be opened for writing."""

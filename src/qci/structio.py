@@ -7,16 +7,20 @@ Two layers of validation on load:
     equations, boundary coefficients of g, non-monomial antipode rows, ...)
     raise FileSemanticError.
 
-Loading does not re-derive the coefficient tables from the witness.  The
-delta rows are compared with builder.comultiplication of the file's own pi
-and g, so a file whose g, delta and s entries were perturbed consistently
-is accepted here and left for the verifier to reject.
+A structure file stores the presentation, pi, c, g and the antipode table s.
+The comultiplication is fixed by pi and g (builder.comultiplication), so
+format 2, the one written, leaves it out and the loader rebuilds it.  A
+format-1 file also carries a delta block; it still loads, and each of its
+rows must equal the rebuilt one.  Loading never re-derives g or s from the
+witness, so a file whose g and s entries were perturbed consistently is
+accepted here and left for the verifier to reject.
 
 A structure file repeats a few literals and the dim basis keys many times
-over (every middle delta row is 1 (x) x_v + x_v (x) 1).  One load therefore
-resolves each key through a dict of the canonical basis keys and parses each
-distinct literal once; both memos live only for the call that builds them.
-Saving likewise spells each basis key and formats each distinct scalar once.
+over.  One load therefore resolves each key through a dict of the canonical
+basis keys and parses each distinct literal once; both memos live only for
+the call that builds them.  Saving likewise spells each basis key and
+formats each distinct scalar once, and writes the compact text of one
+json.dumps call.
 """
 
 from __future__ import annotations
@@ -28,13 +32,18 @@ from .builder import BfaStructure, Witness, check_witness, comultiplication
 from .errors import (
     FileSemanticError,
     FileSyntaxError,
+    FileWriteError,
     QciError,
     WitnessInvalidError,
 )
 from .permutations import Permutation
 from .scalars import Field, make_field
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+SECTIONS = {
+    1: ("presentation", "pi", "c", "g", "delta", "s"),
+    2: ("presentation", "pi", "c", "g", "s"),
+}
 
 
 def _int(value, where: str) -> int:
@@ -133,10 +142,21 @@ def presentation_from_json(obj, literals: dict | None = None) -> Presentation:
         raise FileSemanticError(str(exc)) from None
 
 
+def open_output(path: str, newline: str | None = None):
+    """path opened for writing UTF-8 text; failing to open is FileWriteError."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise FileWriteError(f"cannot write {path}: {exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    with open_output(path) as fh:
+        fh.write(text)
+
+
 def save_presentation(P: Presentation, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(presentation_to_json(P), fh, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(presentation_to_json(P), indent=2) + "\n")
 
 
 def load_presentation(path: str) -> Presentation:
@@ -149,6 +169,8 @@ def _read_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FileSyntaxError(f"not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FileSyntaxError(f"not valid UTF-8: {exc}") from None
     except OSError as exc:
         raise FileSyntaxError(f"cannot read {path}: {exc}") from None
 
@@ -171,18 +193,12 @@ def structure_to_json(B: BfaStructure) -> dict:
         "pi": list(B.witness.pi.images),
         "c": [text(c) for c in B.witness.c],
         "g": {key[v]: text(B.g[v]) for v in basis},
-        "delta": {
-            key[v]: [[key[u], key[w], text(c)] for u, w, c in B.delta[v]]
-            for v in basis
-        },
         "s": {key[v]: [key[B.s_map[v][0]], text(B.s_map[v][1])] for v in basis},
     }
 
 
 def save_structure(B: BfaStructure, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(structure_to_json(B), fh, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(structure_to_json(B)) + "\n")
 
 
 def _parse_key(text, n: int) -> tuple:
@@ -224,12 +240,64 @@ def _basis_table(obj, name: str, P: Presentation, vectors: dict, entry) -> dict:
     return table
 
 
+def _check_delta_block(block, P: Presentation, vectors: dict, literals: dict, delta):
+    """Check the delta block of a format-1 file against the rebuilt table delta."""
+    field = P.field
+
+    def delta_row(key, rows):
+        if not isinstance(rows, list):
+            raise FileSyntaxError(f"delta[{key}] must be a list of terms")
+        terms = []
+        where = f"coefficient in delta[{key}]"
+        for row in rows:
+            if not isinstance(row, list) or len(row) != 3:
+                raise FileSyntaxError(f"delta[{key}] terms must be [u, w, coeff]")
+            u = _vector(P, vectors, row[0])
+            w = _vector(P, vectors, row[1])
+            if u is None or w is None:
+                raise FileSemanticError(f"delta[{key}] has a term outside the basis")
+            coeff = _scalar(field, row[2], where, literals)
+            if coeff.is_zero():
+                raise FileSemanticError(f"delta[{key}] has a zero coefficient")
+            terms.append((u, w, coeff))
+        return terms
+
+    given = _basis_table(block, "delta", P, vectors, delta_row)
+    wrong_row = {
+        P.zero_vec: "delta at the zero vector must be 1 (x) 1",
+        P.top: "delta at the top vector disagrees with g",
+    }
+    # in basis order: the zero row first, the top row last
+    for v, expected in delta.items():
+        row = {}
+        for u, w, coeff in given[v]:
+            if (u, w) in row:
+                raise FileSemanticError(f"delta[{vector_key(v)}] repeats a tensor term")
+            row[(u, w)] = coeff
+        if row != {(u, w): coeff for u, w, coeff in expected}:
+            raise FileSemanticError(
+                wrong_row.get(v)
+                or f"delta[{vector_key(v)}] must be primitive below the top vector"
+            )
+
+
 def structure_from_json(obj) -> BfaStructure:
     if not isinstance(obj, dict):
         raise FileSyntaxError("structure must be an object")
-    for key in ("presentation", "pi", "c", "g", "delta", "s"):
+    if "format" not in obj:
+        raise FileSyntaxError("structure is missing 'format'")
+    version = _int(obj["format"], "format")
+    if version not in SECTIONS:
+        raise FileSyntaxError(
+            f"unknown structure format {version}: qci reads formats 1 and 2"
+        )
+    for key in SECTIONS[version]:
         if key not in obj:
             raise FileSyntaxError(f"structure is missing {key!r}")
+    if version == 2 and "delta" in obj:
+        raise FileSyntaxError(
+            "a format-2 structure has no 'delta': it follows from pi and g"
+        )
     literals = {}
     P = presentation_from_json(obj["presentation"], literals)
     field = P.field
@@ -269,41 +337,9 @@ def structure_from_json(obj) -> BfaStructure:
     if g[P.zero_vec] != one or g[P.top] != one:
         raise FileSemanticError("g must be 1 at the zero and top vectors")
 
-    def delta_row(key, rows):
-        if not isinstance(rows, list):
-            raise FileSyntaxError(f"delta[{key}] must be a list of terms")
-        terms = []
-        where = f"coefficient in delta[{key}]"
-        for row in rows:
-            if not isinstance(row, list) or len(row) != 3:
-                raise FileSyntaxError(f"delta[{key}] terms must be [u, w, coeff]")
-            u = _vector(P, vectors, row[0])
-            w = _vector(P, vectors, row[1])
-            if u is None or w is None:
-                raise FileSemanticError(f"delta[{key}] has a term outside the basis")
-            coeff = _scalar(field, row[2], where, literals)
-            if coeff.is_zero():
-                raise FileSemanticError(f"delta[{key}] has a zero coefficient")
-            terms.append((u, w, coeff))
-        return terms
-
-    delta = _basis_table(obj["delta"], "delta", P, vectors, delta_row)
-    wrong_row = {
-        P.zero_vec: "delta at the zero vector must be 1 (x) 1",
-        P.top: "delta at the top vector disagrees with g",
-    }
-    # in basis order: the zero row first, the top row last
-    for v, expected in comultiplication(P, pi, g).items():
-        row = {}
-        for u, w, coeff in delta[v]:
-            if (u, w) in row:
-                raise FileSemanticError(f"delta[{vector_key(v)}] repeats a tensor term")
-            row[(u, w)] = coeff
-        if row != {(u, w): coeff for u, w, coeff in expected}:
-            raise FileSemanticError(
-                wrong_row.get(v)
-                or f"delta[{vector_key(v)}] must be primitive below the top vector"
-            )
+    delta = comultiplication(P, pi, g)
+    if version == 1:
+        _check_delta_block(obj["delta"], P, vectors, literals, delta)
 
     def s_row(key, row):
         if not isinstance(row, list) or len(row) != 2:

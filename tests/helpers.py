@@ -12,11 +12,12 @@ import random
 from fractions import Fraction
 from functools import cache
 
-from qci.algebra import Presentation
+from qci.algebra import Presentation, vector_key
 from qci.builder import build_structure, decide, g_table
 from qci.linalg import add_term
 from qci.permutations import Permutation, partition, q_pi
 from qci.scalars import Field, Scalar, cyclotomic_polynomial, make_field
+from qci.structio import structure_to_json
 
 # one PASS/FAIL line per acceptance criterion, echoed by the conftest
 # terminal-summary hook so the lines survive pytest's output capture
@@ -170,6 +171,18 @@ def rand_compatible_involutive_h(
 
 # ---------------------------------------------------------------------------
 # element arithmetic the package itself does not need
+
+
+def format1_blob(B) -> dict:
+    """B as a format-1 structure file: format 2 plus the delta block before s."""
+    obj = {**structure_to_json(B), "format": 1}
+    s_block = obj.pop("s")
+    obj["delta"] = {
+        vector_key(v): [[vector_key(u), vector_key(w), str(c)] for u, w, c in rows]
+        for v, rows in B.delta.items()
+    }
+    obj["s"] = s_block
+    return obj
 
 
 def add(x: dict, y: dict) -> dict:

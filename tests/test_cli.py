@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import format1_blob
 from qci.algebra import Presentation
 from qci.cli import run
 from qci.demos import example_presentation
@@ -38,6 +39,19 @@ def p69(tmp_path):
     path = tmp_path / "p69.json"
     save_presentation(example_presentation("6.9", C8), str(path))
     return str(path)
+
+
+@pytest.fixture
+def not_utf8(tmp_path):
+    path = tmp_path / "bom16.json"
+    path.write_bytes(b'\xff\xfe{\x00}\x00')
+    return str(path)
+
+
+def assert_cannot_write(err: str, path) -> None:
+    """stderr holds one `error: cannot write <path>: ...` line."""
+    assert err.startswith(f"error: cannot write {path}: "), err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.fixture
@@ -74,6 +88,10 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         assert run(["validate", str(bad)]) == 1
+
+    def test_not_utf8(self, not_utf8, capsys):
+        assert run(["validate", not_utf8]) == 1
+        assert capsys.readouterr().err.startswith("error: not valid UTF-8: ")
 
     def test_semantic_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -243,6 +261,11 @@ class TestConstruct:
         code = run(["construct", p69, "--pi", "[1,2,3]", "--out", str(tmp_path / "s.json")])
         assert code == 1
 
+    def test_out_cannot_be_opened(self, p69, tmp_path, capsys):
+        path = tmp_path / "missing" / "s.json"
+        assert run(["construct", p69, "--out", str(path)]) == 1
+        assert_cannot_write(capsys.readouterr().err, path)
+
     def test_no_case(self, p_no, tmp_path, capsys):
         out_path = tmp_path / "s.json"
         assert run(["construct", p_no, "--out", str(out_path)]) == 0
@@ -289,15 +312,13 @@ class TestVerify:
         assert data["primitive_dim"] == 1022
 
     def test_perturbed_structure_exits_two(self, p69, tmp_path, capsys):
+        # delta follows from g on load, so negating one g entry is a
+        # consistent perturbation that only the antipode checks can see
         s_path = tmp_path / "s.json"
         run(["construct", p69, "--out", str(s_path)])
         obj = json.loads(s_path.read_text())
         target = "0,1,0"
         obj["g"][target] = C8.format(-C8.parse(obj["g"][target]))
-        for idx, (u, w, coeff) in enumerate(obj["delta"]["1,1,1"]):
-            comp = [1 - int(x) for x in u.split(",")]
-            if ",".join(str(x) for x in comp) == target:
-                obj["delta"]["1,1,1"][idx] = [u, w, C8.format(-C8.parse(coeff))]
         s_path.write_text(json.dumps(obj))
         capsys.readouterr()
         assert run(["verify", str(s_path)]) == 2
@@ -315,7 +336,7 @@ class TestVerify:
     def test_repeated_delta_term_is_an_input_error(self, p69, tmp_path, key):
         s_path = tmp_path / "s.json"
         run(["construct", p69, "--out", str(s_path)])
-        obj = json.loads(s_path.read_text())
+        obj = format1_blob(load_structure(str(s_path)))
         obj["delta"][key] = [["0,0,0", key, "1"], ["0,0,0", key, "2"]]
         s_path.write_text(json.dumps(obj))
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -327,6 +348,10 @@ class TestVerify:
         )
         assert script.returncode == 1, script.stderr
         assert script.stderr == f"error: delta[{key}] repeats a tensor term\n"
+
+    def test_not_utf8(self, not_utf8, capsys):
+        assert run(["verify", not_utf8]) == 1
+        assert capsys.readouterr().err.startswith("error: not valid UTF-8: ")
 
 
 class TestExample:
@@ -361,6 +386,11 @@ class TestExample:
         assert run(["example", "6.10", "--out", str(s_path)]) == 0
         B = load_structure(str(s_path))
         assert B.presentation.field == C8
+
+    def test_out_cannot_be_opened(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "ex.json"
+        assert run(["example", "6.9", "--out", str(path)]) == 1
+        assert_cannot_write(capsys.readouterr().err, path)
 
     def test_unknown_id(self):
         assert run(["example", "6.11"]) == 1
@@ -417,6 +447,14 @@ class TestEnumerate:
         rows = list(csv.reader(out.open()))
         assert len(rows) == 3
         assert capsys.readouterr().out == f"wrote {out} (2 rows)\n"
+
+    def test_out_cannot_be_opened(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "grid.csv"
+        argv = ["enumerate", "--field", "prime:3", "--n", "2", "--a", "2,3"]
+        assert run([*argv, "--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert_cannot_write(captured.err, path)
+        assert captured.out == ""
 
     def test_rows_decided_before_an_error_stay(self, tmp_path, monkeypatch, capsys):
         import qci.cli

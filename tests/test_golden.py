@@ -2,11 +2,14 @@
 
 The structure file and the expected reports live in tests/data/golden.  The
 reports were captured with the dense elimination kernel; any change to a
-verdict, a counterexample location or a detail string shows up here.
+verdict, a counterexample location or a detail string shows up here.  The
+structure file is in format 1, with its delta block; each case re-saves it
+in format 2 before `qci verify` reads it.
 """
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,20 @@ def verify_report(case: str, workdir: Path) -> str:
 def test_report_is_byte_identical(case, tmp_path):
     expected = (GOLDEN / f"{case}.verify.json").read_text()
     assert verify_report(case, tmp_path) == expected
+
+
+def test_format1_file_resaves_as_format2(tmp_path):
+    first = load_structure(str(STRUCTURE))
+    path = tmp_path / "resaved.json"
+    save_structure(first, str(path))
+    assert json.loads(STRUCTURE.read_text())["format"] == 1
+    assert json.loads(path.read_text())["format"] == 2
+    second = load_structure(str(path))
+    assert second.witness == first.witness
+    assert second.g == first.g
+    assert second.delta == first.delta
+    assert second.s_map == first.s_map
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["verify", str(path), "--json"]) == 0
+    assert out.getvalue() == (GOLDEN / "untampered.verify.json").read_text()

@@ -3,6 +3,7 @@
 import copy
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 
 import qci.scalars
 import qci.structio
-from helpers import rand_compatible_involutive_h
+from helpers import format1_blob, rand_compatible_involutive_h
 from qci.algebra import Presentation
 from qci.builder import build_structure, decide
 from qci.demos import example_presentation, example_structure
-from qci.errors import FileSemanticError, FileSyntaxError
+from qci.errors import FileSemanticError, FileSyntaxError, FileWriteError
 from qci.scalars import make_field
 from qci.structio import (
     field_from_json,
@@ -29,6 +30,9 @@ from qci.structio import (
 )
 from qci.verify import verify_axioms
 
+GOLDEN_STRUCTURE = (
+    Path(__file__).resolve().parent / "data" / "golden" / "d64-gf7.structure.json"
+)
 C8 = make_field("cyclotomic", 8)
 Q = make_field("rational")
 F7 = make_field("prime", 7)
@@ -45,12 +49,12 @@ def gf7_structure(a, upper):
 
 
 def file_literals(obj) -> set:
-    """Every scalar literal of a structure blob: q, c, g, delta and s."""
+    """Every scalar literal of a structure blob: q, c, g, delta (format 1) and s."""
     return (
         {e for row in obj["presentation"]["q"] for e in row}
         | set(obj["c"])
         | set(obj["g"].values())
-        | {term[2] for rows in obj["delta"].values() for term in rows}
+        | {term[2] for rows in obj.get("delta", {}).values() for term in rows}
         | {coeff for _, coeff in obj["s"].values()}
     )
 
@@ -63,6 +67,17 @@ def structure():
 @pytest.fixture
 def blob(structure):
     return structure_to_json(structure)
+
+
+@pytest.fixture
+def blob1(structure):
+    """The same structure as a format-1 file, with its delta block."""
+    return format1_blob(structure)
+
+
+@pytest.fixture
+def blobs(blob, blob1):
+    return {1: blob1, 2: blob}
 
 
 class TestFieldBlock:
@@ -161,8 +176,10 @@ class TestStructureRoundTrip:
         ids=["gf7", "cyclotomic-8"],
     )
     def test_resave_is_byte_identical(self, tmp_path, build):
-        # the save side memoizes key spellings and scalar texts; the bytes
-        # must equal a plain spelling of every entry
+        # format 2 is the one-line text of json.dumps with its default
+        # separators, without delta, and a newline; the save side memoizes
+        # key spellings and scalar texts, so the bytes must equal a plain
+        # spelling of every entry
         B = build()
         basis = B.presentation.basis()
 
@@ -170,21 +187,20 @@ class TestStructureRoundTrip:
             return ",".join(str(x) for x in v)
 
         plain = {
-            "format": 1,
+            "format": 2,
             "presentation": presentation_to_json(B.presentation),
             "pi": list(B.witness.pi.images),
             "c": [str(c) for c in B.witness.c],
             "g": {spell(v): str(B.g[v]) for v in basis},
-            "delta": {
-                spell(v): [[spell(u), spell(w), str(c)] for u, w, c in B.delta[v]]
-                for v in basis
-            },
             "s": {spell(v): [spell(B.s_map[v][0]), str(B.s_map[v][1])] for v in basis},
         }
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         save_structure(B, str(first))
         save_structure(load_structure(str(first)), str(second))
-        assert first.read_text() == json.dumps(plain, indent=2) + "\n"
+        text = first.read_text()
+        assert text == json.dumps(plain) + "\n"
+        assert text.startswith('{"format": 2, "presentation": {"field": {"kind": ')
+        assert text.count("\n") == 1
         assert second.read_bytes() == first.read_bytes()
 
     def test_truncated_file(self, tmp_path, structure):
@@ -195,11 +211,50 @@ class TestStructureRoundTrip:
         with pytest.raises(FileSyntaxError):
             load_structure(str(path))
 
-    def test_missing_section(self, blob):
-        obj = copy.deepcopy(blob)
+    def test_missing_section(self, blob, blob1):
+        obj = copy.deepcopy(blob1)
         del obj["delta"]
         with pytest.raises(FileSyntaxError):
             structure_from_json(obj)
+        obj = copy.deepcopy(blob)
+        del obj["g"]
+        with pytest.raises(FileSyntaxError):
+            structure_from_json(obj)
+
+
+class TestFormat2Files:
+    def test_d4096_file_is_small(self, tmp_path):
+        # GF(7), a = (8,8,8,8): the longest keys at dim 4096; a format-1
+        # file of this structure took 1.2 MB
+        B = gf7_structure(
+            (8, 8, 8, 8),
+            {(1, 2): 4, (1, 3): 5, (1, 4): 6, (2, 3): 3, (2, 4): 6, (3, 4): 1},
+        )
+        assert B.presentation.dim == 4096
+        path = tmp_path / "d4096.json"
+        save_structure(B, str(path))
+        assert "delta" not in json.loads(path.read_text())
+        assert path.stat().st_size < 250_000
+
+    def test_golden_is_format1_blob(self):
+        # format1_blob writes the layout every format-1 file has
+        obj = json.loads(GOLDEN_STRUCTURE.read_text())
+        assert obj["format"] == 1
+        assert format1_blob(load_structure(str(GOLDEN_STRUCTURE))) == obj
+
+    def test_save_into_a_missing_directory(self, tmp_path, structure):
+        path = tmp_path / "missing" / "s.json"
+        with pytest.raises(FileWriteError, match=re.escape(f"cannot write {path}: ")):
+            save_structure(structure, str(path))
+        with pytest.raises(FileWriteError, match=re.escape(f"cannot write {path}: ")):
+            save_presentation(structure.presentation, str(path))
+
+    @pytest.mark.parametrize("load", [load_structure, load_presentation])
+    def test_file_that_is_not_utf8(self, tmp_path, load):
+        path = tmp_path / "s.json"
+        path.write_bytes(b'\xff\xfe{"format": 2}')
+        with pytest.raises(FileSyntaxError, match="not valid UTF-8"):
+            load(str(path))
 
 
 class TestStructureSemantics:
@@ -243,16 +298,16 @@ class TestStructureSemantics:
         with pytest.raises(FileSemanticError):
             structure_from_json(obj)
 
-    def test_top_row_must_match_g(self, blob):
-        obj = copy.deepcopy(blob)
+    def test_top_row_must_match_g(self, blob1):
+        obj = copy.deepcopy(blob1)
         rows = obj["delta"]["1,1,1"]
         u, w, coeff = rows[1]
         rows[1] = [u, w, C8.format(-C8.parse(coeff))]
         with pytest.raises(FileSemanticError, match="disagrees"):
             structure_from_json(obj)
 
-    def test_lower_rows_must_be_primitive(self, blob):
-        obj = copy.deepcopy(blob)
+    def test_lower_rows_must_be_primitive(self, blob1):
+        obj = copy.deepcopy(blob1)
         obj["delta"]["0,1,0"] = [["0,0,0", "0,1,0", "1"]]
         with pytest.raises(FileSemanticError, match="primitive"):
             structure_from_json(obj)
@@ -269,18 +324,20 @@ class TestStructureSemantics:
         with pytest.raises(FileSemanticError, match="top"):
             structure_from_json(obj)
 
-    def test_consistent_perturbation_loads_then_fails_verification(self, blob):
-        # negate g at an interior vector and the matching top tensor term:
-        # the file is self-consistent, so loading succeeds; the antipode
-        # definition check must then fail.
-        obj = copy.deepcopy(blob)
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_consistent_perturbation_loads_then_fails_verification(
+        self, blobs, version
+    ):
+        # negate g at an interior vector (and, in format 1, the matching top
+        # tensor term): the file is self-consistent, so loading succeeds; the
+        # antipode definition check must then fail.
+        obj = copy.deepcopy(blobs[version])
         target = "0,1,0"
         obj["g"][target] = C8.format(-C8.parse(obj["g"][target]))
-        top = obj["delta"]["1,1,1"]
-        for idx, (u, w, coeff) in enumerate(top):
+        for idx, (u, w, coeff) in enumerate(obj.get("delta", {}).get("1,1,1", [])):
             comp = [1 - int(x) for x in u.split(",")]
             if ",".join(str(x) for x in comp) == target:
-                top[idx] = [u, w, C8.format(-C8.parse(coeff))]
+                obj["delta"]["1,1,1"][idx] = [u, w, C8.format(-C8.parse(coeff))]
         loaded = structure_from_json(obj)
         rep = verify_axioms(loaded)
         assert not rep.all_passed
@@ -324,134 +381,225 @@ def _repeat_first_top_term(obj):
 
 
 S, M = FileSyntaxError, FileSemanticError
+BOTH, V1, V2 = (1, 2), (1,), (2,)
 
-# each case reaches exactly one raise; the rows follow the order of the checks
+# each case reaches exactly one raise; the rows follow the order of the
+# checks.  The second entry names the file formats the case is run on.
 LOADER_MESSAGES = [
-    ("not-object", lambda obj: [obj], S, "structure must be an object"),
-    ("missing-section", _drop("s"), S, "structure is missing 's'"),
-    ("pi-entry", _put("pi", [1, "x", 2]), S, "bad pi"),
-    ("pi-not-permutation", _put("pi", [1, 1, 3]), S, "is not a permutation of 1..3"),
-    ("pi-size", _put("pi", [1, 2]), M, "pi must permute exactly the generators"),
-    ("c-scalar", _put("c", 0, "z+"), S, "bad c entry"),
-    ("c-length", _put("c", ["1", "1"]), M, "c must have one entry per generator"),
-    ("witness", _put("c", ["-1", "1", "1"]), M, "q_pi * prod c_i^(a_i - 1) != 1"),
-    ("g-object", _put("g", []), S, "g must be an object keyed by exponent vectors"),
-    ("g-key-syntax", _put("g", "0,1", "1"), S, "expected 3 comma-separated entries"),
-    ("g-key-outside", _put("g", "0,2,0", "1"), M, "g key '0,2,0' is outside the basis"),
-    ("g-key-twice", _put("g", "00,1,0", "1"), M, "g names 0,1,0 twice"),
-    ("g-scalar", _put("g", "0,1,0", "z+"), S, "bad g[0,1,0]"),
-    ("g-missing", _drop("g", "0,1,0"), M, "g is missing 0,1,0"),
-    ("g-zero", _put("g", "0,1,0", "0"), M, "g[0,1,0] must be nonzero"),
+    ("not-object", BOTH, lambda obj: [obj], S, "structure must be an object"),
+    ("missing-format", BOTH, _drop("format"), S, "structure is missing 'format'"),
+    (
+        "format-not-integer",
+        BOTH,
+        _put("format", "2"),
+        S,
+        "bad format: expected a JSON integer, got '2'",
+    ),
+    (
+        "format-unknown",
+        BOTH,
+        _put("format", 3),
+        S,
+        "unknown structure format 3: qci reads formats 1 and 2",
+    ),
+    ("missing-section", BOTH, _drop("s"), S, "structure is missing 's'"),
+    ("v1-without-delta", V1, _drop("delta"), S, "structure is missing 'delta'"),
+    (
+        "v2-with-delta",
+        V2,
+        _put("delta", {}),
+        S,
+        "a format-2 structure has no 'delta': it follows from pi and g",
+    ),
+    ("pi-entry", BOTH, _put("pi", [1, "x", 2]), S, "bad pi"),
+    (
+        "pi-not-permutation",
+        BOTH,
+        _put("pi", [1, 1, 3]),
+        S,
+        "is not a permutation of 1..3",
+    ),
+    ("pi-size", BOTH, _put("pi", [1, 2]), M, "pi must permute exactly the generators"),
+    ("c-scalar", BOTH, _put("c", 0, "z+"), S, "bad c entry"),
+    ("c-length", BOTH, _put("c", ["1", "1"]), M, "c must have one entry per generator"),
+    (
+        "witness",
+        BOTH,
+        _put("c", ["-1", "1", "1"]),
+        M,
+        "q_pi * prod c_i^(a_i - 1) != 1",
+    ),
+    (
+        "g-object",
+        BOTH,
+        _put("g", []),
+        S,
+        "g must be an object keyed by exponent vectors",
+    ),
+    (
+        "g-key-syntax",
+        BOTH,
+        _put("g", "0,1", "1"),
+        S,
+        "expected 3 comma-separated entries",
+    ),
+    (
+        "g-key-outside",
+        BOTH,
+        _put("g", "0,2,0", "1"),
+        M,
+        "g key '0,2,0' is outside the basis",
+    ),
+    ("g-key-twice", BOTH, _put("g", "00,1,0", "1"), M, "g names 0,1,0 twice"),
+    ("g-scalar", BOTH, _put("g", "0,1,0", "z+"), S, "bad g[0,1,0]"),
+    ("g-missing", BOTH, _drop("g", "0,1,0"), M, "g is missing 0,1,0"),
+    ("g-zero", BOTH, _put("g", "0,1,0", "0"), M, "g[0,1,0] must be nonzero"),
     (
         "g-boundary",
+        BOTH,
         _put("g", "1,1,1", "2"),
         M,
         "g must be 1 at the zero and top vectors",
     ),
     (
         "delta-object",
+        V1,
         _put("delta", "x"),
         S,
         "delta must be an object keyed by exponent vectors",
     ),
     (
         "delta-key-outside",
+        V1,
         _put("delta", "0,2,0", []),
         M,
         "delta key '0,2,0' is outside the basis",
     ),
     (
         "delta-row",
+        V1,
         _put("delta", "0,1,0", "x"),
         S,
         "delta[0,1,0] must be a list of terms",
     ),
     (
         "delta-term",
+        V1,
         _put("delta", "0,1,0", [["0,0,0", "0,1,0"]]),
         S,
         "delta[0,1,0] terms must be [u, w, coeff]",
     ),
     (
         "delta-term-key",
+        V1,
         _put("delta", "0,1,0", [["0,0", "0,1,0", "1"]]),
         S,
         "expected 3 comma-separated entries",
     ),
     (
         "delta-term-outside",
+        V1,
         _put("delta", "0,1,0", [["0,0,0", "0,2,0", "1"]]),
         M,
         "delta[0,1,0] has a term outside the basis",
     ),
     (
         "delta-scalar",
+        V1,
         _put("delta", "0,1,0", [["0,0,0", "0,1,0", "z+"]]),
         S,
         "bad coefficient in delta[0,1,0]",
     ),
     (
         "delta-zero",
+        V1,
         _put("delta", "0,1,0", [["0,0,0", "0,1,0", "0"]]),
         M,
         "delta[0,1,0] has a zero coefficient",
     ),
-    ("delta-missing", _drop("delta", "0,1,0"), M, "delta is missing 0,1,0"),
+    ("delta-missing", V1, _drop("delta", "0,1,0"), M, "delta is missing 0,1,0"),
     (
         "delta-zero-row",
+        V1,
         _put("delta", "0,0,0", [["0,0,0", "0,0,0", "2"]]),
         M,
         "delta at the zero vector must be 1 (x) 1",
     ),
     (
         "delta-primitive",
+        V1,
         _put("delta", "0,1,0", [["0,0,0", "0,1,0", "1"]]),
         M,
         "delta[0,1,0] must be primitive below the top vector",
     ),
-    ("delta-top-repeat", _repeat_first_top_term, M, "repeats a tensor term"),
+    ("delta-top-repeat", V1, _repeat_first_top_term, M, "repeats a tensor term"),
     (
         "delta-top",
+        V1,
         _put("delta", "1,1,1", 0, 2, "2"),
         M,
         "delta at the top vector disagrees with g",
     ),
-    ("s-object", _put("s", None), S, "s must be an object keyed by exponent vectors"),
+    (
+        "s-object",
+        BOTH,
+        _put("s", None),
+        S,
+        "s must be an object keyed by exponent vectors",
+    ),
     (
         "s-key-outside",
+        BOTH,
         _put("s", "0,2,0", ["0,2,0", "1"]),
         M,
         "s key '0,2,0' is outside the basis",
     ),
-    ("s-row", _put("s", "0,1,0", ["0,0,1"]), S, "s[0,1,0] must be [image, coeff]"),
+    (
+        "s-row",
+        BOTH,
+        _put("s", "0,1,0", ["0,0,1"]),
+        S,
+        "s[0,1,0] must be [image, coeff]",
+    ),
     (
         "s-image-key",
+        BOTH,
         _put("s", "0,1,0", ["0,0", "1"]),
         S,
         "expected 3 comma-separated entries",
     ),
     (
         "s-image-outside",
+        BOTH,
         _put("s", "0,1,0", ["0,2,0", "1"]),
         M,
         "s[0,1,0] image is outside the basis",
     ),
-    ("s-scalar", _put("s", "0,1,0", ["0,0,1", "z+"]), S, "bad coefficient in s[0,1,0]"),
-    ("s-missing", _drop("s", "0,1,0"), M, "s is missing 0,1,0"),
+    (
+        "s-scalar",
+        BOTH,
+        _put("s", "0,1,0", ["0,0,1", "z+"]),
+        S,
+        "bad coefficient in s[0,1,0]",
+    ),
+    ("s-missing", BOTH, _drop("s", "0,1,0"), M, "s is missing 0,1,0"),
     (
         "s-zero",
+        BOTH,
         _put("s", "0,1,0", ["0,0,1", "0"]),
         M,
         "s[0,1,0] has a zero coefficient",
     ),
     (
         "s-pi-image",
+        BOTH,
         _put("s", "0,1,0", ["0,1,0", "1"]),
         M,
         "s[0,1,0] must land on the pi-image",
     ),
     (
         "s-top",
+        BOTH,
         _put("s", "1,1,1", ["1,1,1", "-1"]),
         M,
         "s must fix the top monomial with coefficient 1",
@@ -459,20 +607,33 @@ LOADER_MESSAGES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "tamper, exc, fragment",
-    [case[1:] for case in LOADER_MESSAGES],
-    ids=[case[0] for case in LOADER_MESSAGES],
-)
-def test_loader_message(blob, tamper, exc, fragment):
-    obj = tamper(copy.deepcopy(blob))
+def _by_format(cases):
+    """pytest params of (version, *rest) per (id, versions, *rest) case.
+
+    A case run on format 1 keeps its bare id; a format-2 run of a case that
+    also runs on format 1 gets the suffix -v2.
+    """
+    return [
+        pytest.param(
+            version,
+            *rest,
+            id=name if version == 1 or versions == V2 else f"{name}-v2",
+        )
+        for name, versions, *rest in cases
+        for version in versions
+    ]
+
+
+@pytest.mark.parametrize("version, tamper, exc, fragment", _by_format(LOADER_MESSAGES))
+def test_loader_message(blobs, version, tamper, exc, fragment):
+    obj = tamper(copy.deepcopy(blobs[version]))
     with pytest.raises(exc, match=re.escape(fragment)):
         structure_from_json(obj)
 
 
 @pytest.mark.parametrize("key", ["0,1,0", "0,0,0"])
-def test_repeated_delta_term(blob, key):
-    obj = copy.deepcopy(blob)
+def test_repeated_delta_term(blob1, key):
+    obj = copy.deepcopy(blob1)
     obj["delta"][key] = [["0,0,0", key, "1"], ["0,0,0", key, "2"]]
     with pytest.raises(FileSemanticError, match=re.escape(f"delta[{key}] repeats")):
         structure_from_json(obj)
@@ -485,11 +646,19 @@ def test_c_must_be_a_list(blob):
         structure_from_json(obj)
 
 
-@pytest.mark.parametrize("name", ["g", "delta", "s"])
+# (table, formats): delta is a table of format-1 files only
+TABLES = [("g", BOTH), ("delta", V1), ("s", BOTH)]
+
+
+def _tables():
+    return _by_format((name, versions, name) for name, versions in TABLES)
+
+
+@pytest.mark.parametrize("version, name", _tables())
 @pytest.mark.parametrize("alias", ["00,1,0", "0_0,1,0", " 0,1,0", "0, 1,0"])
 @pytest.mark.parametrize("alias_first", [False, True], ids=["last", "first"])
-def test_vector_named_twice(blob, name, alias, alias_first):
-    obj = copy.deepcopy(blob)
+def test_vector_named_twice(blobs, version, name, alias, alias_first):
+    obj = copy.deepcopy(blobs[version])
     table = obj[name]
     entry = table["0,1,0"]
     obj[name] = {alias: entry, **table} if alias_first else {**table, alias: entry}
@@ -497,9 +666,9 @@ def test_vector_named_twice(blob, name, alias, alias_first):
         structure_from_json(obj)
 
 
-@pytest.mark.parametrize("name", ["g", "delta", "s"])
-def test_two_aliases_without_the_canonical_key(blob, name):
-    obj = copy.deepcopy(blob)
+@pytest.mark.parametrize("version, name", _tables())
+def test_two_aliases_without_the_canonical_key(blobs, version, name):
+    obj = copy.deepcopy(blobs[version])
     entry = obj[name].pop("0,1,0")
     obj[name]["00,1,0"] = entry
     obj[name]["0,01,0"] = entry
@@ -517,29 +686,31 @@ def test_one_alias_per_vector_loads(blob):
 # scalars are taken only as JSON strings: no number, bool or null
 NOT_STRINGS = [1, 1.0, True, None]
 SCALAR_SITES = [
-    (("presentation", "q", 0, 1), "bad scalar in presentation"),
-    (("c", 0), "bad c entry"),
-    (("g", "0,1,0"), "bad g[0,1,0]"),
-    (("delta", "0,1,0", 0, 2), "bad coefficient in delta[0,1,0]"),
-    (("s", "0,1,0", 1), "bad coefficient in s[0,1,0]"),
+    ("q", BOTH, ("presentation", "q", 0, 1), "bad scalar in presentation"),
+    ("c", BOTH, ("c", 0), "bad c entry"),
+    ("g", BOTH, ("g", "0,1,0"), "bad g[0,1,0]"),
+    ("delta", V1, ("delta", "0,1,0", 0, 2), "bad coefficient in delta[0,1,0]"),
+    ("s", BOTH, ("s", "0,1,0", 1), "bad coefficient in s[0,1,0]"),
 ]
 
 
 @pytest.mark.parametrize("value", NOT_STRINGS, ids=repr)
-@pytest.mark.parametrize(
-    "path, where", SCALAR_SITES, ids=["q", "c", "g", "delta", "s"]
-)
-def test_scalars_must_be_strings(blob, path, where, value):
-    obj = _put(*path, value)(copy.deepcopy(blob))
+@pytest.mark.parametrize("version, path, where", _by_format(SCALAR_SITES))
+def test_scalars_must_be_strings(blobs, version, path, where, value):
+    obj = _put(*path, value)(copy.deepcopy(blobs[version]))
     message = f"{where}: expected a scalar string, got {value!r}"
     with pytest.raises(FileSyntaxError, match=re.escape(message)):
         structure_from_json(obj)
 
 
-def test_load_parses_each_distinct_text_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_parses_each_distinct_text_once(tmp_path, monkeypatch, version):
     B = gf7_structure((8, 8, 8), {(1, 2): 5, (1, 3): 3, (2, 3): 2})
     path = tmp_path / "s.json"
-    save_structure(B, str(path))
+    if version == 1:
+        path.write_text(json.dumps(format1_blob(B)))
+    else:
+        save_structure(B, str(path))
     blob = json.loads(path.read_text())
     calls = {"scalar": 0, "key": 0}
     parse_scalar = qci.scalars._parse_scalar
@@ -558,7 +729,7 @@ def test_load_parses_each_distinct_text_once(tmp_path, monkeypatch):
     loaded = load_structure(str(path))
     assert calls == {"scalar": len(file_literals(blob)), "key": 0}
     assert len(file_literals(blob)) == 6
-    assert structure_to_json(loaded) == blob
+    assert structure_to_json(loaded) == structure_to_json(B)
 
 
 # integers are taken only as JSON integers: no bool, float or string
@@ -626,8 +797,23 @@ def test_presentation_round_trip(drawn):
 @settings(max_examples=60, deadline=None)
 @given(yes_presentations())
 def test_structure_round_trip(drawn):
-    blob = structure_to_json(build_structure(*drawn))
-    assert structure_to_json(structure_from_json(_through_text(blob))) == blob
+    B = build_structure(*drawn)
+    blob = structure_to_json(B)
+    assert "delta" not in blob
+    loaded = structure_from_json(_through_text(blob))
+    assert structure_to_json(loaded) == blob
+    assert loaded.delta == B.delta
+
+
+@settings(max_examples=60, deadline=None)
+@given(yes_presentations())
+def test_format1_round_trip(drawn):
+    # a format-1 file loads to the same structure, and saves as format 2
+    B = build_structure(*drawn)
+    loaded = structure_from_json(_through_text(format1_blob(B)))
+    assert structure_to_json(loaded) == structure_to_json(B)
+    assert loaded.delta == B.delta
+    assert format1_blob(loaded) == format1_blob(B)
 
 
 def _respell(rng, key: str) -> str:
@@ -637,21 +823,23 @@ def _respell(rng, key: str) -> str:
 
 
 @settings(max_examples=40, deadline=None)
-@given(yes_presentations(), st.randoms(use_true_random=False))
-def test_noncanonical_keys_load(drawn, rng):
-    blob = structure_to_json(build_structure(*drawn))
+@given(yes_presentations(), st.randoms(use_true_random=False), st.sampled_from([1, 2]))
+def test_noncanonical_keys_load(drawn, rng, version):
+    B = build_structure(*drawn)
+    blob = structure_to_json(B)
     obj = {
-        **blob,
+        **(format1_blob(B) if version == 1 else blob),
         "g": {_respell(rng, k): text for k, text in blob["g"].items()},
-        "delta": {
-            _respell(rng, k): [
-                [_respell(rng, u), _respell(rng, w), c] for u, w, c in rows
-            ]
-            for k, rows in blob["delta"].items()
-        },
         "s": {
             _respell(rng, k): [_respell(rng, img), c]
             for k, (img, c) in blob["s"].items()
         },
     }
+    if version == 1:
+        obj["delta"] = {
+            _respell(rng, k): [
+                [_respell(rng, u), _respell(rng, w), c] for u, w, c in rows
+            ]
+            for k, rows in obj["delta"].items()
+        }
     assert structure_to_json(structure_from_json(_through_text(obj))) == blob
