@@ -49,41 +49,59 @@ def dim_limit() -> int:
 
 
 class Presentation:
-    """Validated presentation data plus exact structure-constant arithmetic."""
+    """Validated presentation data plus exact structure-constant arithmetic.
+
+    After validation, q_values holds q as a read-only matrix of field
+    payloads.  Payloads are canonical per field kind, so == on them is
+    scalar equality; brackets, h values and the compatibility tests work on
+    payloads and build one Scalar per result.
+    """
 
     def __init__(self, field: Field, a, q):
         self.field = field
-        self.a = tuple(int(x) for x in a)
+        a = tuple(a)
+        try:
+            self.a = tuple(map(operator.index, a))
+        except TypeError:
+            raise BadExponentError(f"every exponent must be an integer, got {a!r}") from None
         self.n = len(self.a)
         self.top = tuple(ai - 1 for ai in self.a)  # exponents of the socle monomial
         self.q = tuple(tuple(row) for row in q)
-        self._validate()
+        self.q_values = self._validate()
         self._basis = None
         self._index = None
+        self._h_values = None
         self._h_gen = None
-        self._powers = {}  # (i, j, e) -> q_ij ** e, filled by bracket
-        self._h_powers = {}  # (i, e) -> h_{e_i} ** e, filled by h_of
+        self._powers = {}  # (i, j, e) -> payload of q_ij ** e, filled by bracket
+        self._h_powers = {}  # (i, e) -> payload of h_{e_i} ** e, filled by h_of
 
-    def _validate(self) -> None:
+    def _validate(self) -> tuple:
+        """Check the presentation; return the payload matrix of q."""
         if self.n < 2:
             raise BadExponentError(f"need at least 2 generators, got {self.n}")
         if any(ai < 2 for ai in self.a):
             raise BadExponentError(f"every exponent must be >= 2, got {self.a}")
         if len(self.q) != self.n or any(len(row) != self.n for row in self.q):
             raise BadReciprocalError(f"q must be a {self.n}x{self.n} matrix")
-        one = self.field.one
-        for i in range(self.n):
-            for j in range(self.n):
-                entry = self.q[i][j]
-                if not isinstance(entry, Scalar) or entry.field != self.field:
+        field = self.field
+        is_zero, mul, one = field._is_zero, field._mul, field.one.value
+        values = []
+        for i, row in enumerate(self.q):
+            row_values = []
+            for j, entry in enumerate(row):
+                if not isinstance(entry, Scalar) or (
+                    entry.field is not field and entry.field != field
+                ):
                     raise BadReciprocalError(f"q[{i+1}][{j+1}] is not a field scalar")
-                if entry.is_zero():
+                if is_zero(entry.value):
                     raise BadReciprocalError(f"q[{i+1}][{j+1}] is zero")
-            if self.q[i][i] != one:
+                row_values.append(entry.value)
+            if row_values[i] != one:
                 raise BadDiagonalError(f"q[{i+1}][{i+1}] must be 1")
+            values.append(tuple(row_values))
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                if self.q[i][j] * self.q[j][i] != one:
+                if mul(values[i][j], values[j][i]) != one:
                     raise BadReciprocalError(
                         f"q[{i+1}][{j+1}] * q[{j+1}][{i+1}] must be 1"
                     )
@@ -93,6 +111,7 @@ class Presentation:
         limit = dim_limit()
         if dim > limit:
             raise TooLargeError(f"dimension {dim} exceeds the cap {limit}")
+        return tuple(values)
 
     # -- basis bookkeeping ---------------------------------------------------
 
@@ -132,18 +151,26 @@ class Presentation:
     # -- structure constants ---------------------------------------------------
 
     def bracket(self, u, v) -> Scalar:
-        """The scalar prod_{i<j} q_ij^{u_j v_i} on arbitrary integer vectors."""
-        out = None
+        """The scalar prod_{i<j} q_ij^{u_j v_i} on arbitrary integer vectors.
+
+        The payload of each power q_ij^e is cached; terms with v_i = 0 are
+        skipped.
+        """
+        field = self.field
         powers = self._powers
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                e = u[j] * v[i]
-                if e:
-                    power = powers.get((i, j, e))
-                    if power is None:
-                        power = powers[(i, j, e)] = self.q[i][j] ** e
-                    out = power if out is None else out * power
-        return self.field.one if out is None else out
+        n = self.n
+        out = None
+        for i in range(n - 1):
+            vi = v[i]
+            if vi:
+                for j in range(i + 1, n):
+                    e = u[j] * vi
+                    if e:
+                        power = powers.get((i, j, e))
+                        if power is None:
+                            power = powers[(i, j, e)] = field._pow(self.q_values[i][j], e)
+                        out = power if out is None else field._mul(out, power)
+        return field.one if out is None else Scalar(field, out)
 
     def mul_basis(self, u, v):
         """Product of two basis monomials: (w, coeff) or (None, 0)."""
@@ -203,36 +230,47 @@ class Presentation:
         Computed as prod_i h_{e_i}^{v_i}: with q_ii = 1 and q_ji = q_ij^{-1}
         the v_i v_j factors of the two brackets cancel.
         """
-        hs = self.h_generators()
+        field = self.field
+        hs = self.h_values()
         powers = self._h_powers
         out = None
         for i, e in enumerate(v):
             if e:
                 power = powers.get((i, e))
                 if power is None:
-                    power = powers[(i, e)] = hs[i] ** e
-                out = power if out is None else out * power
-        return self.field.one if out is None else out
+                    power = powers[(i, e)] = field._pow(hs[i], e)
+                out = power if out is None else field._mul(out, power)
+        return field.one if out is None else Scalar(field, out)
+
+    def h_values(self) -> tuple:
+        """The payloads of h_{e_i} = prod_j q_ij^{a_j - 1} (q_ii = 1 is skipped)."""
+        if self._h_values is None:
+            field = self.field
+            exps = self.top
+            out = []
+            for i, row in enumerate(self.q_values):
+                acc = None
+                for j, x in enumerate(row):
+                    if j != i:
+                        power = field._pow(x, exps[j])
+                        acc = power if acc is None else field._mul(acc, power)
+                out.append(acc)
+            self._h_values = tuple(out)
+        return self._h_values
 
     def h_generators(self) -> list:
         """The values h_{e_i} = prod_j q_ij^{a_j - 1}."""
         if self._h_gen is None:
-            out = []
-            for i in range(self.n):
-                acc = self.field.one
-                for j in range(self.n):
-                    acc = acc * self.q[i][j] ** (self.a[j] - 1)
-                out.append(acc)
-            self._h_gen = out
+            self._h_gen = [Scalar(self.field, h) for h in self.h_values()]
         return self._h_gen
 
     def is_symmetric(self) -> bool:
-        one = self.field.one
-        return all(h == one for h in self.h_generators())
+        one = self.field.one.value
+        return all(h == one for h in self.h_values())
 
     def nakayama_is_involution(self) -> bool:
-        one = self.field.one
-        return all(h * h == one for h in self.h_generators())
+        mul, one = self.field._mul, self.field.one.value
+        return all(mul(h, h) == one for h in self.h_values())
 
     def nakayama(self, x: dict) -> dict:
         """The closed-form automorphism scaling each x_v by h_v."""
@@ -323,11 +361,11 @@ class Presentation:
             isinstance(other, Presentation)
             and other.field == self.field
             and other.a == self.a
-            and other.q == self.q
+            and other.q_values == self.q_values
         )
 
     def __hash__(self):
-        return hash((self.field, self.a, self.q))
+        return hash((self.field, self.a, self.q_values))
 
     def __repr__(self):
         return f"Presentation(n={self.n}, a={self.a}, field={self.field.describe()})"

@@ -336,7 +336,8 @@ def _cmd_enumerate(args) -> int:
     if len(a) != n or any(x < 2 for x in a):
         raise UsageError("--a needs one exponent >= 2 per generator")
 
-    units = [field.from_int(k) for k in range(1, field.p)]
+    # each unit with its inverse and its text, computed once for the whole grid
+    units = [(u, u.inverse(), str(u)) for u in map(field.from_int, range(1, field.p))]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     one = field.one
 
@@ -357,13 +358,13 @@ def _cmd_enumerate(args) -> int:
         count = 0
         for choice in grid(0):
             q = [[one for _ in range(n)] for _ in range(n)]
-            for (i, j), val in zip(pairs, choice):
+            for (i, j), (val, inverse, _) in zip(pairs, choice):
                 q[i][j] = val
-                q[j][i] = val.inverse()
+                q[j][i] = inverse
             P = Presentation(field, a, q)
             report = decide(P)
             hs = P.h_generators()
-            row = [str(val) for val in choice]
+            row = [text for _, _, text in choice]
             row += [str(h) for h in hs]
             row += [
                 "yes" if report.nakayama_involutive else "no",

@@ -93,17 +93,22 @@ class Permutation:
 
 
 def is_compatible(P: Presentation, pi: Permutation) -> bool:
-    """Whether pi preserves the exponents and the q matrix."""
-    if pi.n != P.n:
+    """Whether pi preserves the exponents and the q matrix.
+
+    The q condition is checked on payloads for i < j only: it holds on the
+    diagonal, where both sides are 1, and the condition for (j, i) is the
+    inverse of the one for (i, j), since q_ij q_ji = 1.
+    """
+    n = P.n
+    if pi.n != n:
         return False
-    for i in range(1, P.n + 1):
-        if P.a[pi(i) - 1] != P.a[i - 1]:
-            return False
-    for i in range(1, P.n + 1):
-        for j in range(1, P.n + 1):
-            if P.q[pi(i) - 1][pi(j) - 1] != P.q[j - 1][i - 1]:
-                return False
-    return True
+    images = [k - 1 for k in pi.images]
+    a, q = P.a, P.q_values
+    if any(a[images[i]] != a[i] for i in range(n)):
+        return False
+    return all(
+        q[images[i]][images[j]] == q[j][i] for i in range(n) for j in range(i + 1, n)
+    )
 
 
 def enumerate_compatible(
@@ -121,15 +126,16 @@ def enumerate_compatible(
     results = []
     images = [0] * (n + 1)  # 1-based
     used = [False] * (n + 1)
+    # q payloads padded to 1-based indices; row and column 0 are never read
+    q = [None] + [(None,) + row for row in P.q_values]
 
     def q_ok(i: int) -> bool:
-        # check all q conditions that involve position i and assigned positions
+        # the q conditions between position i and the assigned positions; as
+        # in is_compatible, (j, i) follows from (i, j) by reciprocity
+        qi = q[images[i]]
         for j in range(1, n + 1):
-            if images[j] == 0:
-                continue
-            if P.q[images[i] - 1][images[j] - 1] != P.q[j - 1][i - 1]:
-                return False
-            if P.q[images[j] - 1][images[i] - 1] != P.q[i - 1][j - 1]:
+            img = images[j]
+            if img and qi[img] != q[j][i]:
                 return False
         return True
 

@@ -8,6 +8,7 @@ for a fixed seed.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from functools import cache
@@ -518,6 +519,57 @@ def reference_g_table(P: Presentation, w) -> dict:
                 coeff = coeff * reference_power(P.bracket(pe[k], pe[j]), v[j] * v[k])
         out[v] = coeff
     return out
+
+
+# -- Scalar-level references for the payload arithmetic of Presentation and
+# the compatibility tests: every step is a Scalar operation on P.q
+
+
+def reference_bracket(P: Presentation, u, v) -> Scalar:
+    """prod_{i<j} q_ij^{u_j v_i}, each power by reference_power."""
+    acc = P.field.one
+    for i in range(P.n):
+        for j in range(i + 1, P.n):
+            acc = acc * reference_power(P.q[i][j], u[j] * v[i])
+    return acc
+
+
+def reference_h_generators(P: Presentation) -> list:
+    """h_{e_i} = prod_j q_ij^{a_j - 1}, the diagonal included."""
+    out = []
+    for i in range(P.n):
+        acc = P.field.one
+        for j in range(P.n):
+            acc = acc * reference_power(P.q[i][j], P.a[j] - 1)
+        out.append(acc)
+    return out
+
+
+def reference_h_of(P: Presentation, v) -> Scalar:
+    """h_v = prod_i h_{e_i}^{v_i}."""
+    acc = P.field.one
+    for h, e in zip(reference_h_generators(P), v):
+        acc = acc * reference_power(h, e)
+    return acc
+
+
+def reference_is_compatible(P: Presentation, pi: Permutation) -> bool:
+    """a_{pi(i)} = a_i and q_{pi(i) pi(j)} = q_ji for all i, j, as Scalars."""
+    return pi.n == P.n and all(
+        P.a[pi(i) - 1] == P.a[i - 1]
+        and all(P.q[pi(i) - 1][pi(j) - 1] == P.q[j - 1][i - 1] for j in range(1, P.n + 1))
+        for i in range(1, P.n + 1)
+    )
+
+
+def reference_enumerate_compatible(P: Presentation, involutions_only: bool = True) -> list:
+    """Every compatible permutation by brute force over S_n, in image order."""
+    perms = map(Permutation, itertools.permutations(range(1, P.n + 1)))
+    return [
+        pi
+        for pi in perms
+        if (pi.is_involution() or not involutions_only) and reference_is_compatible(P, pi)
+    ]
 
 
 def suite_bracket_on_generators(rng: random.Random, trials: int) -> int:

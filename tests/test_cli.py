@@ -1,6 +1,7 @@
 """Exit codes and output contracts of the command-line front end."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -419,6 +420,27 @@ class TestEnumerate:
         assert by_q["2"][3] == "no"  # Nakayama square is not the identity
         assert by_q["2"][4] == "1"  # the identity only, counted past the gate
         assert by_q["1"][4] == "2"
+
+    # sha256 of the CSV written with --out: a change to any byte of the scan
+    # output, row order included, changes the digest
+    @pytest.mark.parametrize(
+        "field, n, a, rows, yes, digest",
+        [
+            ("prime:13", "3", "3,3,3", 1728, 120,
+             "b9b8b79a24379d1376305a788d01b6bda6ad2662c3005e2d4c21d5898e4908e6"),
+            ("prime:5", "2", "2,2", 4, 2,
+             "0e60b28a65afb91a09d01fc3006cd3efee2383a76b54e80faf991eb00e3f628d"),
+        ],
+        ids=["p13-333", "p5-22"],
+    )
+    def test_grid_csv_is_pinned(self, tmp_path, capsys, field, n, a, rows, yes, digest):
+        out = tmp_path / "grid.csv"
+        assert run(["enumerate", "--field", field, "--n", n, "--a", a, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out} ({rows} rows)\n"
+        table = list(csv.reader(out.open(newline="")))
+        column = table[0].index("decision")
+        assert sum(row[column] == "yes" for row in table[1:]) == yes
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_one_enumeration_per_row(self, monkeypatch, capsys):
         import qci.builder
