@@ -345,15 +345,16 @@ class Presentation:
         return images
 
     def element_to_string(self, x: dict) -> str:
+        """Terms in lexicographic order of their vectors, which is basis order.
+
+        Vectors off the basis print too, so a detail can name such a term.
+        """
         if not x:
             return "0"
         parts = []
-        for v in self.basis():
-            c = x.get(v)
-            if c is None:
-                continue
+        for v in sorted(x):
             mono = monomial_name(v)
-            parts.append(f"({c})*{mono}" if mono != "1" else f"({c})")
+            parts.append(f"({x[v]})*{mono}" if mono != "1" else f"({x[v]})")
         return " + ".join(parts)
 
     def __eq__(self, other):
@@ -372,12 +373,12 @@ class Presentation:
 
 
 def monomial_name(v) -> str:
-    """Readable name like x1*x3^2 for an exponent vector."""
+    """Readable name like x1*x3^2 for an exponent vector (x1^-1 off the basis)."""
     parts = []
     for i, e in enumerate(v, start=1):
         if e == 1:
             parts.append(f"x{i}")
-        elif e > 1:
+        elif e != 0:
             parts.append(f"x{i}^{e}")
     return "*".join(parts) if parts else "1"
 

@@ -8,50 +8,24 @@ decided on the n dim pairs (x_u, x_k) with x_k a generator, which imply
 every pair by induction on word length; only when that certificate fails
 (or an image of S lies off the basis) are the other pairs scanned, to name
 the first failing one.  Failures carry a replayable counterexample.
-Checks run in the fixed order listed in AXIOM_CHECKS and DERIVED_CHECKS.
+
+Each check is one private function returning (passed, detail).  It stops at
+its first failure, in basis order (pairs row by row), and the detail names
+that failure, or is None when the check passed.  The checks are listed
+once, in report order, in the tables _AXIOMS and _DERIVED; AXIOM_CHECKS and
+DERIVED_CHECKS are their names.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from types import SimpleNamespace
 
 from .algebra import Presentation, monomial_name
 from .builder import BfaStructure
 from .errors import NotInvertibleError, SingularMatrixError
 from .linalg import add_term, null_space, rref, solve_sparse
-
-AXIOM_CHECKS = (
-    "counit-algebra-map",
-    "unit-comultiplication",
-    "coassociativity",
-    "counit-law",
-    "frobenius-pairing",
-    "frobenius-copairing",
-    "antipode-antihomomorphism",
-    "antipode-coalgebra-antihomomorphism",
-    "antipode-definition",
-)
-
-DERIVED_CHECKS = (
-    "counit-via-integral",
-    "socle-pairing-normalized",
-    "right-integral",
-    "integral-space-dimension",
-    "unimodularity",
-    "unit-via-copairing",
-    "left-modular-functional",
-    "modular-element",
-    "antipode-of-modular-element",
-    "nakayama-via-antipode",
-    "fourth-power-formula",
-    "antipode-graded",
-    "antipode-square-is-nakayama",
-    "antipode-fourth-power-identity",
-    "antipode-fixes-integral",
-    "nakayama-involutive",
-    "antipode-monomial",
-)
 
 
 @dataclass
@@ -74,9 +48,6 @@ class VerificationReport:
 
     def failing(self) -> list:
         return [c for c in self.checks if not c.passed]
-
-    def record(self, name: str, passed: bool, detail: dict | None = None) -> None:
-        self.checks.append(CheckResult(name, passed, detail))
 
     def to_json(self) -> dict:
         return {
@@ -173,7 +144,48 @@ def convolution_inverse(B: BfaStructure, f: dict) -> dict:
     return {basis[i]: c for i, c in sol.items()}
 
 
-# -- axiom checks --------------------------------------------------------------
+# -- check helpers -------------------------------------------------------------
+
+
+def _first(vectors, fails) -> tuple:
+    """(passed, detail) for "fails(v) is false for every v", v in the order given.
+
+    The detail names the first failing v as {"v": v}, followed by the entries
+    of fails(v) when that is a dict.
+    """
+    for v in vectors:
+        why = fails(v)
+        if why:
+            return False, {"v": list(v), **(why if isinstance(why, dict) else {})}
+    return True, None
+
+
+def _verdict(passed: bool, detail: dict) -> tuple:
+    """(passed, detail), with the detail dropped when the check passed."""
+    return passed, None if passed else detail
+
+
+def _off_basis(B: BfaStructure) -> set:
+    """The basis vectors whose S image is nonzero and lies off the basis.
+
+    Such an image is no element of A; both antipode (anti)homomorphism
+    checks read this set.
+    """
+    P = B.presentation
+    return {
+        v for v in P.basis()
+        if not P.in_basis(B.s_map[v][0]) and not B.s_map[v][1].is_zero()
+    }
+
+
+def _s_power(B: BfaStructure, x: dict, k: int):
+    """S^k(x), or None once an image leaves the basis: S is not defined there."""
+    in_basis = B.presentation.in_basis
+    for _ in range(k):
+        x = B.s_elem(x)
+        if not all(map(in_basis, x)):
+            return None
+    return x
 
 
 def _single(w, c):
@@ -186,6 +198,198 @@ def _box(P: Presentation, u):
     return itertools.product(*(range(ak - uk) for ak, uk in zip(P.a, u)))
 
 
+# -- axiom checks ----------------------------------------------------------------
+
+
+def _counit_algebra_map(B: BfaStructure) -> tuple:
+    """With E the support of epsilon on the basis, the right side
+    eps(x_u) eps(x_v) vanishes unless u and v lie in E, and the left side
+    eps(x_u x_v) unless u + v does; every other pair is 0 = 0."""
+    P = B.presentation
+    if B.epsilon(P.one_elem) != P.field.one:
+        return False, {"at": "epsilon(1)"}
+    basis = P.basis()
+    eps = [B.epsilon(P.monomial(u)) for u in basis]
+    support = [i for i, e in enumerate(eps) if not e.is_zero()]
+    for i, u in enumerate(basis):
+        candidates = set(support) if i in support else set()
+        for k in support:
+            v = tuple(wk - uk for wk, uk in zip(basis[k], u))
+            if P.in_basis(v):
+                candidates.add(P.index(v))
+        for j in sorted(candidates):
+            w, c = P.mul_basis(u, basis[j])
+            lhs = P.field.zero if w is None else B.epsilon({w: c})
+            if lhs != eps[i] * eps[j]:
+                return False, {"u": list(u), "v": list(basis[j])}
+    return True, None
+
+
+def _unit_comultiplication(B: BfaStructure) -> tuple:
+    P = B.presentation
+    actual = B.delta_elem(P.one_elem)
+    expected = {(P.zero_vec, P.zero_vec): P.field.one}
+    return _verdict(actual == expected, {"delta(1)": _tensor_str(P, actual)})
+
+
+def _coassociativity(B: BfaStructure) -> tuple:
+    def fails(v):
+        left, right = {}, {}
+        for u, w, c in B.delta[v]:
+            for p, q, c2 in B.delta[u]:
+                add_term(left, (p, q, w), c * c2)
+            for p, q, c2 in B.delta[w]:
+                add_term(right, (u, p, q), c * c2)
+        return left != right
+
+    return _first(B.presentation.basis(), fails)
+
+
+def _counit_law(B: BfaStructure) -> tuple:
+    P = B.presentation
+    eps = {P.zero_vec: P.field.one}
+
+    def fails(v):
+        mono = P.monomial(v)
+        return right_coaction(B, mono, eps) != mono or left_coaction(B, eps, mono) != mono
+
+    return _first(P.basis(), fails)
+
+
+def _frobenius_pairing(B: BfaStructure) -> tuple:
+    P = B.presentation
+    r = len(rref(P.pairing_rows(B.phi())))
+    return _verdict(r == P.dim, {"rank": r})
+
+
+def _frobenius_copairing(B: BfaStructure) -> tuple:
+    """Rank of w |-> t <- x_w^*, one row per w."""
+    P = B.presentation
+    rows = [{} for _ in range(P.dim)]
+    for u, w, c in B.delta[B.t_vec]:
+        add_term(rows[P.index(u)], P.index(w), c)
+    r = len(rref(rows))
+    return _verdict(r == P.dim, {"rank": r})
+
+
+def _antipode_antihomomorphism(B: BfaStructure) -> tuple:
+    """S(x_u x_v) = S(x_v) S(x_u).
+
+    Generator certificate.  Let S(1) = 1 and every image lie in the basis,
+    and let the pair (u, e_k) pass for every basis u and generator x_k.
+    Then every pair passes, by induction on |v|; |v| = 0 is S(1) = 1.  For
+    |v| > 0 let k be the last index with v_k > 0 and v' = v - e_k, so that
+    x_v = x_{v'} x_k exactly.  With x_u x_{v'} = c x_w (c = 0 allowed):
+      S(x_u x_v) = c S(x_w x_k) = c S(x_k) S(x_w)              pair (w, e_k)
+                 = S(x_k) S(x_u x_{v'}) = S(x_k) S(x_{v'}) S(x_u)   induction
+                 = S(x_{v'} x_k) S(x_u) = S(x_v) S(x_u)        pair (v', e_k)
+    The middle steps multiply images as elements of A, which is why every
+    image must lie in the basis.  The generator pairs are pairs of the
+    grid, so the certificate fails exactly when some pair fails.
+
+    Only then, or when an image lies off the basis, the scan below names
+    the first failing pair.  The left side vanishes unless v lies in
+    box(u), the right side unless s(v) + s(u) lies in the basis; those v
+    are found by probing the image vectors w with s(u) + w in the basis,
+    within the bounding box of all images (images outside the basis
+    included).  Each row visits the union in basis order.
+    """
+    P = B.presentation
+    basis = P.basis()
+
+    def antihomomorphic(u, v):
+        w, c = P.mul_basis(u, v)
+        lhs = None if w is None else _single(B.s_map[w][0], c * B.s_map[w][1])
+        (iu, cu), (iv, cv) = B.s_map[u], B.s_map[v]
+        w, c = P.mul_basis(iv, iu)
+        rhs = None if w is None else _single(w, cv * cu * c)
+        return lhs == rhs
+
+    if B.s_elem(P.one_elem) != P.one_elem:
+        return False, {"at": "S(1)"}
+    generators = [P.unit_vec(k) for k in range(1, P.n + 1)]
+    if not _off_basis(B) and all(antihomomorphic(u, e) for u in basis for e in generators):
+        return True, None
+    preimages: dict = {}  # image vector -> basis indices of its preimages
+    for j, v in enumerate(basis):
+        preimages.setdefault(B.s_map[v][0], []).append(j)
+    lo = [min(img[k] for img in preimages) for k in range(P.n)]
+    hi = [max(img[k] for img in preimages) for k in range(P.n)]
+    for u in basis:
+        iu = B.s_map[u][0]
+        candidates = {P.index(v) for v in _box(P, u)}
+        probe = (
+            range(max(lo[k], -iu[k]), min(hi[k], P.a[k] - 1 - iu[k]) + 1)
+            for k in range(P.n)
+        )
+        for w in itertools.product(*probe):
+            candidates.update(preimages.get(w, ()))
+        for j in sorted(candidates):
+            if not antihomomorphic(u, basis[j]):
+                return False, {"u": list(u), "v": list(basis[j])}
+    return True, None
+
+
+def _antipode_coalgebra_antihomomorphism(B: BfaStructure) -> tuple:
+    """An image off the basis has no delta, so the check fails there."""
+    P = B.presentation
+    off_basis = _off_basis(B)
+
+    def fails(v):
+        image = B.s_elem(P.monomial(v))
+        if B.epsilon(image) != B.epsilon(P.monomial(v)):
+            return {"at": "epsilon"}
+        rhs: dict = {}
+        for u, w, c in B.delta[v]:
+            (iu, cu), (iw, cw) = B.s_map[u], B.s_map[w]
+            add_term(rhs, (iw, iu), c * cu * cw)
+        if v in off_basis or B.delta_elem(image) != rhs:
+            return {"at": "delta"}
+        return None
+
+    return _first(P.basis(), fails)
+
+
+def _antipode_definition(B: BfaStructure) -> tuple:
+    """S(x) = sum phi(t_1 x) t_2.  phi(x_u x_v) vanishes unless u + v lies in
+    the support of phi, so for each v only the terms of delta(t) with left
+    factor s - v, s in that support, contribute."""
+    P = B.presentation
+    phi_support = [(s, fs) for s, fs in B.phi().items() if P.in_basis(s)]
+    by_left: dict = {}  # left factor u -> [(w, c)] over the terms of delta(t)
+    for u, w, c in B.delta[B.t_vec]:
+        by_left.setdefault(u, []).append((w, c))
+
+    def fails(v):
+        acc: dict = {}
+        for s, fs in phi_support:
+            u = tuple(si - vi for si, vi in zip(s, v))
+            for w, c in by_left.get(u, ()):
+                _, cuv = P.mul_basis(u, v)
+                add_term(acc, w, fs * cuv * c)
+        expected = B.s_elem(P.monomial(v))
+        if acc == expected:
+            return None
+        return {"expected": P.element_to_string(expected), "actual": P.element_to_string(acc)}
+
+    return _first(P.basis(), fails)
+
+
+_AXIOMS = {
+    "counit-algebra-map": _counit_algebra_map,
+    "unit-comultiplication": _unit_comultiplication,
+    "coassociativity": _coassociativity,
+    "counit-law": _counit_law,
+    "frobenius-pairing": _frobenius_pairing,
+    "frobenius-copairing": _frobenius_copairing,
+    "antipode-antihomomorphism": _antipode_antihomomorphism,
+    "antipode-coalgebra-antihomomorphism": _antipode_coalgebra_antihomomorphism,
+    "antipode-definition": _antipode_definition,
+}
+
+AXIOM_CHECKS = tuple(_AXIOMS)
+
+
 def verify_axioms(B: BfaStructure) -> VerificationReport:
     """The defining axioms, every basis pair decided exactly.
 
@@ -196,197 +400,10 @@ def verify_axioms(B: BfaStructure) -> VerificationReport:
     basis order, row u before row u', so a failure names the first failing
     pair of the whole dim x dim grid.
     """
-    P = B.presentation
-    rep = VerificationReport()
-    one = P.field.one
-    zero_vec = P.zero_vec
-    basis = P.basis()
-    position = {v: i for i, v in enumerate(basis)}
-
-    # counit-algebra-map.  With E the support of epsilon on the basis, the
-    # right side eps(x_u) eps(x_v) vanishes unless u and v lie in E, and the
-    # left side eps(x_u x_v) unless u + v does; every other pair is 0 = 0.
-    ok, detail = True, None
-    if B.epsilon(P.one_elem) != one:
-        ok, detail = False, {"at": "epsilon(1)"}
-    else:
-        zero = P.field.zero
-        eps = [B.epsilon(P.monomial(u)) for u in basis]
-        support = [i for i, e in enumerate(eps) if not e.is_zero()]
-        for i, u in enumerate(basis):
-            candidates = set(support) if i in support else set()
-            for k in support:
-                v = tuple(wk - uk for wk, uk in zip(basis[k], u))
-                if P.in_basis(v):
-                    candidates.add(position[v])
-            for j in sorted(candidates):
-                v = basis[j]
-                w, c = P.mul_basis(u, v)
-                lhs = zero if w is None else B.epsilon({w: c})
-                rhs = eps[i] * eps[j]
-                if lhs != rhs:
-                    ok, detail = False, {"u": list(u), "v": list(v)}
-                    break
-            if not ok:
-                break
-    rep.record("counit-algebra-map", ok, detail)
-
-    # unit-comultiplication
-    expected = {(zero_vec, zero_vec): one}
-    actual = B.delta_elem(P.one_elem)
-    rep.record(
-        "unit-comultiplication",
-        actual == expected,
-        None if actual == expected else {"delta(1)": _tensor_str(P, actual)},
-    )
-
-    # coassociativity
-    ok, detail = True, None
-    for v in basis:
-        left: dict = {}
-        right: dict = {}
-        for u, w, c in B.delta[v]:
-            for p, q, c2 in B.delta[u]:
-                add_term(left, (p, q, w), c * c2)
-            for p, q, c2 in B.delta[w]:
-                add_term(right, (u, p, q), c * c2)
-        if left != right:
-            ok, detail = False, {"v": list(v)}
-            break
-    rep.record("coassociativity", ok, detail)
-
-    # counit-law
-    ok, detail = True, None
-    for v in basis:
-        mono = P.monomial(v)
-        lhs = right_coaction(B, mono, {zero_vec: one})
-        rhs = left_coaction(B, {zero_vec: one}, mono)
-        if lhs != mono or rhs != mono:
-            ok, detail = False, {"v": list(v)}
-            break
-    rep.record("counit-law", ok, detail)
-
-    # frobenius-pairing
-    r = len(rref(P.pairing_rows(B.phi())))
-    rep.record("frobenius-pairing", r == P.dim, None if r == P.dim else {"rank": r})
-
-    # frobenius-copairing: rank of w |-> t <- x_w^*, one row per w
-    rows = [{} for _ in basis]
-    for u, w, c in B.delta[B.t_vec]:
-        add_term(rows[P.index(u)], P.index(w), c)
-    r = len(rref(rows))
-    rep.record("frobenius-copairing", r == P.dim, None if r == P.dim else {"rank": r})
-
-    # The basis vectors whose S image is nonzero and lies off the basis.  Such
-    # an image is no element of A; both antipode checks below read this set.
-    off_basis = {
-        v for v in basis
-        if not P.in_basis(B.s_map[v][0]) and not B.s_map[v][1].is_zero()
-    }
-
-    # antipode-antihomomorphism: S(x_u x_v) = S(x_v) S(x_u).
-    #
-    # Generator certificate.  Let S(1) = 1 and every image lie in the basis,
-    # and let the pair (u, e_k) pass for every basis u and generator x_k.
-    # Then every pair passes, by induction on |v|; |v| = 0 is S(1) = 1.  For
-    # |v| > 0 let k be the last index with v_k > 0 and v' = v - e_k, so that
-    # x_v = x_{v'} x_k exactly.  With x_u x_{v'} = c x_w (c = 0 allowed):
-    #   S(x_u x_v) = c S(x_w x_k) = c S(x_k) S(x_w)              pair (w, e_k)
-    #              = S(x_k) S(x_u x_{v'}) = S(x_k) S(x_{v'}) S(x_u)   induction
-    #              = S(x_{v'} x_k) S(x_u) = S(x_v) S(x_u)        pair (v', e_k)
-    # The middle steps multiply images as elements of A, which is why every
-    # image must lie in the basis.  The generator pairs are pairs of the
-    # grid, so the certificate fails exactly when some pair fails.
-    #
-    # Only then, or when an image lies off the basis, the scan below names
-    # the first failing pair.  The left side vanishes unless v lies in
-    # box(u), the right side unless s(v) + s(u) lies in the basis; those v
-    # are found by probing the image vectors w with s(u) + w in the basis,
-    # within the bounding box of all images (images outside the basis
-    # included).  Each row visits the union in basis order.
-    def antihomomorphic(u, v):
-        w, c = P.mul_basis(u, v)
-        lhs = None if w is None else _single(B.s_map[w][0], c * B.s_map[w][1])
-        (iu, cu), (iv, cv) = B.s_map[u], B.s_map[v]
-        w, c = P.mul_basis(iv, iu)
-        rhs = None if w is None else _single(w, cv * cu * c)
-        return lhs == rhs
-
-    generators = [P.unit_vec(k) for k in range(1, P.n + 1)]
-    ok, detail = True, None
-    if B.s_elem(P.one_elem) != P.one_elem:
-        ok, detail = False, {"at": "S(1)"}
-    elif off_basis or not all(antihomomorphic(u, e) for u in basis for e in generators):
-        preimages: dict = {}  # image vector -> basis indices of its preimages
-        for j, v in enumerate(basis):
-            preimages.setdefault(B.s_map[v][0], []).append(j)
-        lo = [min(img[k] for img in preimages) for k in range(P.n)]
-        hi = [max(img[k] for img in preimages) for k in range(P.n)]
-        for u in basis:
-            iu = B.s_map[u][0]
-            candidates = {position[v] for v in _box(P, u)}
-            probe = (
-                range(max(lo[k], -iu[k]), min(hi[k], P.a[k] - 1 - iu[k]) + 1)
-                for k in range(P.n)
-            )
-            for w in itertools.product(*probe):
-                candidates.update(preimages.get(w, ()))
-            for j in sorted(candidates):
-                if not antihomomorphic(u, basis[j]):
-                    ok, detail = False, {"u": list(u), "v": list(basis[j])}
-                    break
-            if not ok:
-                break
-    rep.record("antipode-antihomomorphism", ok, detail)
-
-    # antipode-coalgebra-antihomomorphism.  An image off the basis has no
-    # delta, so the check fails there (lhs None).
-    ok, detail = True, None
-    for v in basis:
-        image = B.s_elem(P.monomial(v))
-        if B.epsilon(image) != B.epsilon(P.monomial(v)):
-            ok, detail = False, {"v": list(v), "at": "epsilon"}
-            break
-        lhs = None if v in off_basis else B.delta_elem(image)
-        rhs: dict = {}
-        for u, w, c in B.delta[v]:
-            iu, cu = B.s_map[u]
-            iw, cw = B.s_map[w]
-            add_term(rhs, (iw, iu), c * cu * cw)
-        if lhs != rhs:
-            ok, detail = False, {"v": list(v), "at": "delta"}
-            break
-    rep.record("antipode-coalgebra-antihomomorphism", ok, detail)
-
-    # antipode-definition: S(x) = sum phi(t_1 x) t_2.  phi(x_u x_v) vanishes
-    # unless u + v lies in the support of phi, so for each v only the terms
-    # of delta(t) with left factor s - v, s in that support, contribute.
-    ok, detail = True, None
-    phi = B.phi()
-    phi_support = [(s, fs) for s, fs in phi.items() if P.in_basis(s)]
-    by_left: dict = {}  # left factor u -> [(w, c)] over the terms of delta(t)
-    for u, w, c in B.delta[B.t_vec]:
-        by_left.setdefault(u, []).append((w, c))
-    for v in basis:
-        acc: dict = {}
-        for s, fs in phi_support:
-            u = tuple(si - vi for si, vi in zip(s, v))
-            for w, c in by_left.get(u, ()):
-                _, cuv = P.mul_basis(u, v)
-                add_term(acc, w, fs * cuv * c)
-        if acc != B.s_elem(P.monomial(v)):
-            ok, detail = False, {
-                "v": list(v),
-                "expected": P.element_to_string(B.s_elem(P.monomial(v))),
-                "actual": P.element_to_string(acc),
-            }
-            break
-    rep.record("antipode-definition", ok, detail)
-
-    return rep
+    return VerificationReport([CheckResult(name, *check(B)) for name, check in _AXIOMS.items()])
 
 
-# -- derived checks -------------------------------------------------------------
+# -- derived checks ---------------------------------------------------------------
 
 
 def _integral_space(P: Presentation, side: str) -> list:
@@ -407,178 +424,189 @@ def _integral_space(P: Presentation, side: str) -> list:
     return null_space(P.field, rows, P.dim)
 
 
-def verify_derived(B: BfaStructure) -> VerificationReport:
+def _counit_via_integral(B: BfaStructure, d) -> tuple:
+    """epsilon(x) = phi(t x)."""
     P = B.presentation
-    rep = VerificationReport()
-    one = P.field.one
+    return _first(
+        P.basis(),
+        lambda v: P.apply_functional(d.phi, P.mul(d.t, P.monomial(v))) != B.epsilon(P.monomial(v)),
+    )
+
+
+def _socle_pairing_normalized(B: BfaStructure, d) -> tuple:
+    """phi(t) = 1."""
+    val = B.presentation.apply_functional(d.phi, d.t)
+    return _verdict(val == B.presentation.field.one, {"phi(t)": str(val)})
+
+
+def _right_integral(B: BfaStructure, d) -> tuple:
+    """t x = epsilon(x) t."""
+    P = B.presentation
+    return _first(
+        P.basis(),
+        lambda v: P.mul(d.t, P.monomial(v)) != P.scale(B.epsilon(P.monomial(v)), d.t),
+    )
+
+
+def _integral_space_dimension(B: BfaStructure, d) -> tuple:
+    """Both integral spaces are one-dimensional."""
+    right, left = len(d.right_space), len(d.left_space)
+    return _verdict(right == left == 1, {"right_dim": right, "left_dim": left})
+
+
+def _unimodularity(B: BfaStructure, d) -> tuple:
+    """The two integral spaces coincide."""
+    one_each = len(d.right_space) == len(d.left_space) == 1
+    return one_each and len(rref([d.right_space[0], d.left_space[0]])) == 1, None
+
+
+def _unit_via_copairing(B: BfaStructure, d) -> tuple:
+    """1 = t <- phi."""
+    P = B.presentation
+    recovered = right_coaction(B, d.t, d.phi)
+    return _verdict(recovered == P.one_elem, {"value": P.element_to_string(recovered)})
+
+
+def _left_modular_functional(B: BfaStructure, d) -> tuple:
+    """alpha = t -> phi equals the counit."""
+    return d.alpha == B.presentation.dual_functional(B.presentation.zero_vec), None
+
+
+def _modular_element(B: BfaStructure, d) -> tuple:
+    """m = phi -> t is group-like (and 1 in characteristic 0)."""
+    P, m = B.presentation, d.modular
+    if B.epsilon(m) != P.field.one:
+        return False, {"at": "epsilon"}
+    if B.delta_elem(m) != tensor_product(P, m, m):
+        return False, {"at": "grouplike"}
+    if P.field.characteristic() == 0 and m != P.one_elem:
+        return False, {"at": "char-zero-unit"}
+    return True, None
+
+
+def _antipode_of_modular_element(B: BfaStructure, d) -> tuple:
+    """S(m) = m^{-1}."""
+    return d.inv is not None and B.s_elem(d.modular) == d.inv, None
+
+
+def _nakayama_via_antipode(B: BfaStructure, d) -> tuple:
+    """N(x) = m^{-1} S^2(alpha -> x) m."""
+    P = B.presentation
+    if d.inv is None:
+        return False, {"at": "modular-inverse"}
+
+    def fails(v):
+        s2 = _s_power(B, left_coaction(B, d.alpha, P.monomial(v)), 2)
+        return s2 is None or P.mul(P.mul(d.inv, s2), d.modular) != P.nakayama(P.monomial(v))
+
+    return _first(P.basis(), fails)
+
+
+def _fourth_power_formula(B: BfaStructure, d) -> tuple:
+    """S^4(x) = m (alpha^{-1} -> x <- alpha) m^{-1}."""
+    P = B.presentation
+    if d.inv is None:
+        return False, {"at": "modular-inverse"}
+    try:
+        alpha_inv = convolution_inverse(B, d.alpha)
+    except NotInvertibleError:
+        return False, {"at": "alpha-inverse"}
+
+    def fails(v):
+        x = P.monomial(v)
+        moved = left_coaction(B, alpha_inv, right_coaction(B, x, d.alpha))
+        return _s_power(B, x, 4) != P.mul(P.mul(d.modular, moved), d.inv)
+
+    return _first(P.basis(), fails)
+
+
+def _antipode_graded(B: BfaStructure, d) -> tuple:
+    """S preserves total degree."""
+    P = B.presentation
+    return _first(P.basis(), lambda v: B.s_map[v][1].is_zero() or sum(B.s_map[v][0]) != sum(v))
+
+
+def _antipode_square_is_nakayama(B: BfaStructure, d) -> tuple:
+    P = B.presentation
+    return _first(P.basis(), lambda v: _s_power(B, P.monomial(v), 2) != P.nakayama(P.monomial(v)))
+
+
+def _antipode_fourth_power_identity(B: BfaStructure, d) -> tuple:
+    P = B.presentation
+    return _first(P.basis(), lambda v: _s_power(B, P.monomial(v), 4) != P.monomial(v))
+
+
+def _antipode_fixes_integral(B: BfaStructure, d) -> tuple:
+    return B.s_elem(d.t) == d.t, None
+
+
+def _nakayama_involutive(B: BfaStructure, d) -> tuple:
+    P = B.presentation
+
+    def fails(v):
+        hv = P.h_of(v)
+        return None if hv * hv == P.field.one else {"h": str(hv)}
+
+    return _first(P.basis(), fails)
+
+
+def _antipode_monomial(B: BfaStructure, d) -> tuple:
+    """The image map is an involution of the basis fixing top."""
+    P = B.presentation
     basis = P.basis()
-    phi = B.phi()
-    t = B.t_elem()
+    found = _first(basis, lambda v: B.s_map[v][1].is_zero() or not P.in_basis(B.s_map[v][0]))
+    if not found[0]:
+        return found
+    images = {v: B.s_map[v][0] for v in basis}
+    if sorted(images.values()) != basis:
+        return False, {"at": "not-a-bijection"}
+    if any(images[images[v]] != v for v in basis):
+        return False, {"at": "not-an-involution"}
+    if images[P.top] != P.top:
+        return False, {"at": "top-not-fixed"}
+    return True, None
 
-    # counit-via-integral: epsilon(x) = phi(t x)
-    ok, detail = True, None
-    for v in basis:
-        if P.apply_functional(phi, P.mul(t, P.monomial(v))) != B.epsilon(P.monomial(v)):
-            ok, detail = False, {"v": list(v)}
-            break
-    rep.record("counit-via-integral", ok, detail)
 
-    # socle-pairing-normalized: phi(t) = 1
-    val = P.apply_functional(phi, t)
-    rep.record("socle-pairing-normalized", val == one, None if val == one else {"phi(t)": str(val)})
+_DERIVED = {
+    "counit-via-integral": _counit_via_integral,
+    "socle-pairing-normalized": _socle_pairing_normalized,
+    "right-integral": _right_integral,
+    "integral-space-dimension": _integral_space_dimension,
+    "unimodularity": _unimodularity,
+    "unit-via-copairing": _unit_via_copairing,
+    "left-modular-functional": _left_modular_functional,
+    "modular-element": _modular_element,
+    "antipode-of-modular-element": _antipode_of_modular_element,
+    "nakayama-via-antipode": _nakayama_via_antipode,
+    "fourth-power-formula": _fourth_power_formula,
+    "antipode-graded": _antipode_graded,
+    "antipode-square-is-nakayama": _antipode_square_is_nakayama,
+    "antipode-fourth-power-identity": _antipode_fourth_power_identity,
+    "antipode-fixes-integral": _antipode_fixes_integral,
+    "nakayama-involutive": _nakayama_involutive,
+    "antipode-monomial": _antipode_monomial,
+}
 
-    # right-integral: t x = epsilon(x) t
-    ok, detail = True, None
-    for v in basis:
-        lhs = P.mul(t, P.monomial(v))
-        rhs = P.scale(B.epsilon(P.monomial(v)), t)
-        if lhs != rhs:
-            ok, detail = False, {"v": list(v)}
-            break
-    rep.record("right-integral", ok, detail)
+DERIVED_CHECKS = tuple(_DERIVED)
 
-    # integral-space-dimension: both one-dimensional
-    right_space = _integral_space(P, "right")
-    left_space = _integral_space(P, "left")
-    ok = len(right_space) == 1 and len(left_space) == 1
-    rep.record(
-        "integral-space-dimension",
-        ok,
-        None if ok else {"right_dim": len(right_space), "left_dim": len(left_space)},
-    )
 
-    # unimodularity: the two spaces coincide
-    ok = False
-    if len(right_space) == 1 and len(left_space) == 1:
-        ok = len(rref([right_space[0], left_space[0]])) == 1
-    rep.record("unimodularity", ok, None)
-
-    # unit-via-copairing: 1 = t <- phi
-    recovered = right_coaction(B, t, phi)
-    rep.record(
-        "unit-via-copairing",
-        recovered == P.one_elem,
-        None if recovered == P.one_elem else {"value": P.element_to_string(recovered)},
-    )
-
-    # left-modular-functional: alpha = t -> phi equals the counit
-    alpha = P.functional_left_hit(t, phi)
-    eps_fun = P.dual_functional(P.zero_vec)
-    rep.record("left-modular-functional", alpha == eps_fun, None)
-
-    # modular-element: m = phi -> t is group-like (and 1 in characteristic 0)
+def verify_derived(B: BfaStructure) -> VerificationReport:
+    """The derived identities.  The checks share phi, t, both integral spaces,
+    the modular element m = phi -> t, m^{-1} (None when m is not invertible)
+    and alpha = t -> phi, computed once here."""
+    P = B.presentation
+    phi, t = B.phi(), B.t_elem()
     modular = left_coaction(B, phi, t)
-    ok, detail = True, None
-    if B.epsilon(modular) != one:
-        ok, detail = False, {"at": "epsilon"}
-    elif B.delta_elem(modular) != tensor_product(P, modular, modular):
-        ok, detail = False, {"at": "grouplike"}
-    elif P.field.characteristic() == 0 and modular != P.one_elem:
-        ok, detail = False, {"at": "char-zero-unit"}
-    rep.record("modular-element", ok, detail)
-
-    # antipode-of-modular-element: S(m) = m^{-1}
-    ok = True
     try:
         inv = P.invert_element(modular)
     except NotInvertibleError:
-        ok, inv = False, None
-    if ok:
-        ok = B.s_elem(modular) == inv
-    rep.record("antipode-of-modular-element", ok, None)
-
-    # nakayama-via-antipode: N(x) = m^{-1} S^2(alpha -> x) m
-    ok, detail = True, None
-    if inv is None:
-        ok, detail = False, {"at": "modular-inverse"}
-    else:
-        for v in basis:
-            hit = left_coaction(B, alpha, P.monomial(v))
-            conj = P.mul(P.mul(inv, B.s_elem(B.s_elem(hit))), modular)
-            if conj != P.nakayama(P.monomial(v)):
-                ok, detail = False, {"v": list(v)}
-                break
-    rep.record("nakayama-via-antipode", ok, detail)
-
-    # fourth-power-formula: S^4(x) = m (alpha^{-1} -> x <- alpha) m^{-1}
-    ok, detail = True, None
-    if inv is None:
-        ok, detail = False, {"at": "modular-inverse"}
-    else:
-        try:
-            alpha_inv = convolution_inverse(B, alpha)
-        except NotInvertibleError:
-            alpha_inv = None
-            ok, detail = False, {"at": "alpha-inverse"}
-        if alpha_inv is not None:
-            for v in basis:
-                x = P.monomial(v)
-                s4 = B.s_elem(B.s_elem(B.s_elem(B.s_elem(x))))
-                moved = left_coaction(B, alpha_inv, right_coaction(B, x, alpha))
-                rhs = P.mul(P.mul(modular, moved), inv)
-                if s4 != rhs:
-                    ok, detail = False, {"v": list(v)}
-                    break
-    rep.record("fourth-power-formula", ok, detail)
-
-    # antipode-graded: S preserves total degree
-    ok, detail = True, None
-    for v in basis:
-        img, coeff = B.s_map[v]
-        if coeff.is_zero() or sum(img) != sum(v):
-            ok, detail = False, {"v": list(v)}
-            break
-    rep.record("antipode-graded", ok, detail)
-
-    # antipode-square-is-nakayama
-    ok, detail = True, None
-    for v in basis:
-        if B.s_elem(B.s_elem(P.monomial(v))) != P.nakayama(P.monomial(v)):
-            ok, detail = False, {"v": list(v)}
-            break
-    rep.record("antipode-square-is-nakayama", ok, detail)
-
-    # antipode-fourth-power-identity
-    ok, detail = True, None
-    for v in basis:
-        x = P.monomial(v)
-        if B.s_elem(B.s_elem(B.s_elem(B.s_elem(x)))) != x:
-            ok, detail = False, {"v": list(v)}
-            break
-    rep.record("antipode-fourth-power-identity", ok, detail)
-
-    # antipode-fixes-integral
-    fixed = B.s_elem(t) == t
-    rep.record("antipode-fixes-integral", fixed, None)
-
-    # nakayama-involutive
-    ok, detail = True, None
-    for v in basis:
-        hv = P.h_of(v)
-        if hv * hv != one:
-            ok, detail = False, {"v": list(v), "h": str(hv)}
-            break
-    rep.record("nakayama-involutive", ok, detail)
-
-    # antipode-monomial: the image map is an involution of the basis fixing top
-    ok, detail = True, None
-    images = {}
-    for v in basis:
-        img, coeff = B.s_map[v]
-        if coeff.is_zero() or not P.in_basis(img):
-            ok, detail = False, {"v": list(v)}
-            break
-        images[v] = img
-    if ok:
-        if sorted(images.values()) != sorted(basis):
-            ok, detail = False, {"at": "not-a-bijection"}
-        elif any(images[images[v]] != v for v in basis):
-            ok, detail = False, {"at": "not-an-involution"}
-        elif images[P.top] != P.top:
-            ok, detail = False, {"at": "top-not-fixed"}
-    rep.record("antipode-monomial", ok, detail)
-
-    return rep
+        inv = None
+    shared = SimpleNamespace(
+        phi=phi, t=t, modular=modular, inv=inv, alpha=P.functional_left_hit(t, phi),
+        right_space=_integral_space(P, "right"), left_space=_integral_space(P, "left"),
+    )
+    checks = [CheckResult(name, *check(B, shared)) for name, check in _DERIVED.items()]
+    return VerificationReport(checks)
 
 
 def is_hopf_comultiplication(B: BfaStructure) -> bool:

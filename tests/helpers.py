@@ -194,6 +194,22 @@ def add(x: dict, y: dict) -> dict:
     return out
 
 
+def reference_element_to_string(P: Presentation, x: dict) -> str:
+    """An element of A as text, walking the basis: the rendering before
+    Presentation.element_to_string sorted the terms of x itself."""
+    if not x:
+        return "0"
+    parts = []
+    for v in P.basis():
+        c = x.get(v)
+        if c is not None:
+            mono = "*".join(
+                f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(v, start=1) if e
+            )
+            parts.append(f"({c})*{mono}" if mono else f"({c})")
+    return " + ".join(parts)
+
+
 def apply_linear(P: Presentation, images: list, x: dict) -> dict:
     """The linear map with x_v |-> images[P.index(v)], applied to x."""
     out: dict = {}

@@ -1,7 +1,15 @@
 """Presentation validation, monomial arithmetic, and the two Nakayama maps."""
 
+import random
+
 import pytest
-from helpers import add
+from helpers import (
+    add,
+    field_pool,
+    rand_presentation,
+    reference_element_to_string,
+    unit_pool,
+)
 
 from qci.algebra import (
     Presentation,
@@ -226,6 +234,10 @@ class TestNames:
         assert monomial_name((0, 0, 0)) == "1"
         assert monomial_name((1, 0, 2)) == "x1*x3^2"
 
+    def test_monomial_name_off_the_basis(self):
+        assert monomial_name((3, 0, 0)) == "x1^3"
+        assert monomial_name((-1, 1, -2)) == "x1^-1*x2*x3^-2"
+
     def test_vector_key_round_trip(self):
         assert vector_key((1, 0, 2)) == "1,0,2"
         assert parse_vector_key("1,0,2", 3) == (1, 0, 2)
@@ -239,3 +251,17 @@ class TestNames:
         assert P.element_to_string({}) == "0"
         x = add(P.one_elem, P.monomial((1, 1), Q.parse("-2")))
         assert P.element_to_string(x) == "(1) + (-2)*x1*x2"
+
+    def test_element_to_string_off_the_basis(self):
+        P = two_gen(Q, 2, 3, "2")
+        x = {(2, 0): Q.parse("3"), (0, 0): Q.one, (-1, 2): Q.parse("-1")}
+        assert P.element_to_string(x) == "(-1)*x1^-1*x2^2 + (1) + (3)*x1^2"
+
+    def test_element_to_string_matches_basis_walk(self):
+        rng = random.Random(14)
+        for trial in range(300):
+            P = rand_presentation(rng, rng.choice(field_pool()), a_hi=3)
+            pool = unit_pool(P.field)
+            support = rng.sample(P.basis(), rng.randint(0, min(6, P.dim)))
+            x = {v: rng.choice(pool) for v in support}  # insertion order is random
+            assert P.element_to_string(x) == reference_element_to_string(P, x), trial

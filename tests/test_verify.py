@@ -338,6 +338,14 @@ class TestPairChecksAgainstReference:
         assert len(moved) >= 3
 
 
+COMPOSING_S = (
+    "nakayama-via-antipode",
+    "fourth-power-formula",
+    "antipode-square-is-nakayama",
+    "antipode-fourth-power-identity",
+)
+
+
 class TestImagesOffBasis:
     """An S image off the basis is no element of A: the checks fail, not raise."""
 
@@ -361,6 +369,35 @@ class TestImagesOffBasis:
                 # S(1) off the basis already fails the counit half at v = 0
                 at = "epsilon" if v == P.zero_vec else "delta"
                 assert detail == {"v": list(v), "at": at}, (v, shift)
+
+    @pytest.mark.parametrize("B", REFERENCE_STRUCTURES, ids=lambda B: repr(B.presentation))
+    def test_every_moved_image_fails_the_powers_of_s(self, B):
+        """S^2 and S^4 are undefined on x_v and on x_w, w the image of v before
+        the move (S sends x_w to x_v); each check that composes S fails at
+        the first of the two in basis order."""
+        P = B.presentation
+        for v in P.basis():
+            first = list(min(v, B.s_map[v][0]))
+            for shift in (-P.a[0], P.a[0]):
+                rep = verify_derived(moved_image(B, v, shift))
+                assert [c.name for c in rep.checks] == list(DERIVED_CHECKS)
+                failing = {c.name: c.detail for c in rep.failing()}
+                for name in COMPOSING_S:
+                    assert failing[name] == {"v": first}, (v, shift, name)
+
+    def test_example_6_9_details_name_the_moved_image(self):
+        B = example_structure("6.9")
+        x1 = B.presentation.unit_vec(1)
+        for shift, name in ((2, "x1^3"), (-2, "x1^-1")):
+            T = moved_image(B, x1, shift)
+            failing = {c.name: c.detail for c in verify_axioms(T).failing()}
+            assert failing["antipode-definition"] == {
+                "v": [1, 0, 0], "expected": f"(1)*{name}", "actual": "(1)*x1"
+            }
+            failing = {c.name: c.detail for c in verify_derived(T).failing()}
+            assert {name: failing[name] for name in COMPOSING_S} == {
+                name: {"v": [1, 0, 0]} for name in COMPOSING_S
+            }
 
 
 def test_pair_checks_evaluate_subquadratically_many_products(monkeypatch):
