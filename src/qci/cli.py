@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from math import lcm
@@ -139,6 +140,17 @@ def _print_presentation(P: Presentation) -> None:
     print("q: [" + ", ".join(rows) + "]")
 
 
+def _print_permutations(perms, indent: str = "") -> None:
+    for pi in perms:
+        flag = "  (involution)" if pi.is_involution() else ""
+        print(f"{indent}{pi}{flag}")
+
+
+def _print_witness(w: Witness) -> None:
+    print(f"witness pi: {w.pi}")
+    print(f"witness c: ({', '.join(str(x) for x in w.c)})")
+
+
 def _cmd_validate(args) -> int:
     P = load_presentation(args.file)
     _print_presentation(P)
@@ -160,9 +172,7 @@ def _cmd_analyze(args) -> int:
         print(f"nakayama order: {lcm(*orders) if orders else 1}")
     perms = enumerate_compatible(P, involutions_only=False)
     print(f"compatible permutations: {len(perms)}")
-    for pi in perms:
-        flag = "  (involution)" if pi.is_involution() else ""
-        print(f"  {pi}{flag}")
+    _print_permutations(perms, indent="  ")
     return 0
 
 
@@ -170,9 +180,7 @@ def _cmd_search(args) -> int:
     P = load_presentation(args.file)
     if args.all_permutations:
         perms = enumerate_compatible(P, involutions_only=False)
-        for pi in perms:
-            flag = "  (involution)" if pi.is_involution() else ""
-            print(f"{pi}{flag}")
+        _print_permutations(perms)
     else:
         perms = enumerate_compatible(P, involutions_only=True)
         for pi in perms:
@@ -198,9 +206,7 @@ def _cmd_decide(args) -> int:
             f"scalars {'found' if rec.solver_found else 'none'}"
         )
     if report.witness is not None:
-        w = report.witness
-        print(f"witness pi: {w.pi}")
-        print(f"witness c: ({', '.join(str(x) for x in w.c)})")
+        _print_witness(report.witness)
     return 0
 
 
@@ -241,8 +247,7 @@ def _cmd_construct(args) -> int:
         return 0
     B = build_structure(P, witness)
     save_structure(B, args.out)
-    print(f"witness pi: {witness.pi}")
-    print(f"witness c: ({', '.join(str(x) for x in witness.c)})")
+    _print_witness(witness)
     print(f"wrote {args.out}")
     return 0
 
@@ -305,8 +310,7 @@ def _cmd_example(args) -> int:
     witness = example_witness(args.id, P)
     B = build_structure(P, witness)
     print(f"example {args.id} over {field.describe()}")
-    print(f"witness pi: {witness.pi}")
-    print(f"witness c: ({', '.join(str(x) for x in witness.c)})")
+    _print_witness(witness)
     print(_structure_tables(B))
     if args.out:
         save_structure(B, args.out)
@@ -345,18 +349,11 @@ def _cmd_enumerate(args) -> int:
     header += [f"h{i + 1}" for i in range(n)]
     header += ["n_squared_is_id", "n_involutions", "decision", "witness_pi", "regime"]
 
-    def grid(k):
-        if k == len(pairs):
-            yield []
-            return
-        for rest in grid(k + 1):
-            for u in units:
-                yield [u] + rest
-
     def scan(writer) -> int:
         writer.writerow(header)
         count = 0
-        for choice in grid(0):
+        for choice in itertools.product(units, repeat=len(pairs)):
+            choice = choice[::-1]  # the first pair varies fastest
             q = [[one for _ in range(n)] for _ in range(n)]
             for (i, j), (val, inverse, _) in zip(pairs, choice):
                 q[i][j] = val

@@ -8,6 +8,7 @@ q_{pi(i) pi(j)} = q_ji for all i, j.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -28,7 +29,11 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(x) for x in images)
+        images = tuple(images)
+        try:
+            images = tuple(map(operator.index, images))
+        except TypeError:
+            raise ValueError(f"every image must be an integer, got {images!r}") from None
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"{images!r} is not a permutation of 1..{n}")
@@ -117,66 +122,45 @@ def enumerate_compatible(
     """All compatible permutations (involutions by default), in lexicographic
     order of their image tuples.
 
-    Backtracking assigns images position by position, pruning on exponent
-    multisets, the self-inverse requirement, and partial q checks.
+    One recursion fills the least unfilled position i, trying images in
+    increasing order, so the results come out sorted.  In general i takes an
+    unused image of equal exponent whose q entries agree with every filled
+    position.  For involutions i takes itself or a later unfilled position
+    j, which then takes i back.
     """
     n = P.n
     if n > bound:
         raise TooManyGeneratorsError(f"n = {n} exceeds the enumeration bound {bound}")
+    a, q = P.a, P.q_values
+    images = [None] * n  # 0-based: images[i] = pi(i + 1) - 1 once filled
     results = []
-    images = [0] * (n + 1)  # 1-based
-    used = [False] * (n + 1)
-    # q payloads padded to 1-based indices; row and column 0 are never read
-    q = [None] + [(None,) + row for row in P.q_values]
 
-    def q_ok(i: int) -> bool:
-        # the q conditions between position i and the assigned positions; as
-        # in is_compatible, (j, i) follows from (i, j) by reciprocity
-        qi = q[images[i]]
-        for j in range(1, n + 1):
-            img = images[j]
-            if img and qi[img] != q[j][i]:
-                return False
-        return True
+    def agrees(i: int, img: int) -> bool:
+        # equal exponents, and the q conditions between i and the filled
+        # positions; as in is_compatible, (j, i) follows from (i, j)
+        return a[img] == a[i] and all(
+            k is None or q[img][k] == q[j][i] for j, k in enumerate(images)
+        )
 
-    def assign(i: int, img: int) -> bool:
-        if used[img] or P.a[img - 1] != P.a[i - 1]:
-            return False
-        images[i] = img
-        used[img] = True
-        if not q_ok(i):
-            images[i] = 0
-            used[img] = False
-            return False
-        return True
+    def fill(i: int) -> None:
+        if i == n:
+            results.append(Permutation([k + 1 for k in images]))
+        elif images[i] is not None:  # taken back by an earlier position
+            fill(i + 1)
+        else:
+            for img in range(i if involutions_only else 0, n):
+                if img in images or not agrees(i, img):
+                    continue
+                images[i] = img
+                if not involutions_only or img == i:
+                    fill(i + 1)
+                elif agrees(img, i):
+                    images[img] = i
+                    fill(i + 1)
+                    images[img] = None
+                images[i] = None
 
-    def unassign(i: int) -> None:
-        used[images[i]] = False
-        images[i] = 0
-
-    def extend(i: int) -> None:
-        if i > n:
-            results.append(Permutation(images[1:]))
-            return
-        if images[i] != 0:
-            # image forced earlier by the involution constraint
-            extend(i + 1)
-            return
-        for img in range(1, n + 1):
-            if involutions_only and img < i:
-                continue  # pairing with an earlier position was already settled
-            if not assign(i, img):
-                continue
-            if involutions_only and img != i:
-                if assign(img, i):
-                    extend(i + 1)
-                    unassign(img)
-            else:
-                extend(i + 1)
-            unassign(i)
-
-    extend(1)
-    results.sort(key=lambda p: p.images)
+    fill(0)
     return results
 
 

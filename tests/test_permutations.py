@@ -50,6 +50,27 @@ class TestPermutationBasics:
         with pytest.raises(ValueError):
             Permutation.parse("[2,2,3]")
 
+    @pytest.mark.parametrize(
+        "images, message",
+        [
+            ([1.9, 2], "every image must be an integer, got (1.9, 2)"),
+            (["2", "1"], "every image must be an integer, got ('2', '1')"),
+            ([1, None], "every image must be an integer, got (1, None)"),
+            ([2.0, 1.0], "every image must be an integer, got (2.0, 1.0)"),
+            ([1, 1], "(1, 1) is not a permutation of 1..2"),
+            ([0, 1], "(0, 1) is not a permutation of 1..2"),
+        ],
+    )
+    def test_images_are_not_coerced(self, images, message):
+        with pytest.raises(ValueError) as info:
+            Permutation(images)
+        assert str(info.value) == message
+
+    def test_parse_still_reads_text(self):
+        assert Permutation.parse(" [3, 1,2] ") == Permutation((3, 1, 2))
+        with pytest.raises(ValueError):
+            Permutation.parse("[1,2.5]")
+
     def test_involution_and_points(self):
         swap = Permutation((1, 3, 2))
         assert swap.is_involution()
