@@ -195,8 +195,8 @@ def add(x: dict, y: dict) -> dict:
 
 
 def reference_element_to_string(P: Presentation, x: dict) -> str:
-    """An element of A as text, walking the basis: the rendering before
-    Presentation.element_to_string sorted the terms of x itself."""
+    """An element of A as text, one term per basis vector in x, walked in
+    basis order: the reference for Presentation.element_to_string on A."""
     if not x:
         return "0"
     parts = []
