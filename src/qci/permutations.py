@@ -123,10 +123,12 @@ def enumerate_compatible(
     order of their image tuples.
 
     One recursion fills the least unfilled position i, trying images in
-    increasing order, so the results come out sorted.  In general i takes an
-    unused image of equal exponent whose q entries agree with every filled
-    position.  For involutions i takes itself or a later unfilled position
-    j, which then takes i back.
+    increasing order, so the results come out sorted.  i takes an unused
+    image j of equal exponent whose q entries agree with every filled
+    position.  For involutions j then takes i back; every earlier position
+    is used by then, so j is i or a later position.  j -> i agrees as well:
+    its condition with a filled position k is that of i -> j with pi(k),
+    by reciprocity.
     """
     n = P.n
     if n > bound:
@@ -148,17 +150,16 @@ def enumerate_compatible(
         elif images[i] is not None:  # taken back by an earlier position
             fill(i + 1)
         else:
-            for img in range(i if involutions_only else 0, n):
+            for img in range(n):
                 if img in images or not agrees(i, img):
                     continue
                 images[i] = img
-                if not involutions_only or img == i:
-                    fill(i + 1)
-                elif agrees(img, i):
+                if involutions_only:
                     images[img] = i
-                    fill(i + 1)
-                    images[img] = None
+                fill(i + 1)
                 images[i] = None
+                if involutions_only:
+                    images[img] = None
 
     fill(0)
     return results
