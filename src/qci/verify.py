@@ -213,6 +213,7 @@ def _counit_algebra_map(B: BfaStructure) -> tuple:
 
 
 def _unit_comultiplication(B: BfaStructure) -> tuple:
+    """delta(1) = 1 (x) 1."""
     P = B.presentation
     actual = B.delta_elem(P.one_elem)
     expected = {(P.zero_vec, P.zero_vec): P.field.one}
@@ -220,6 +221,8 @@ def _unit_comultiplication(B: BfaStructure) -> tuple:
 
 
 def _coassociativity(B: BfaStructure) -> tuple:
+    """(delta (x) id) delta = (id (x) delta) delta."""
+
     def fails(v):
         left, right = {}, {}
         for u, w, c in B.delta[v]:
@@ -233,6 +236,7 @@ def _coassociativity(B: BfaStructure) -> tuple:
 
 
 def _counit_law(B: BfaStructure) -> tuple:
+    """(epsilon (x) id) delta = id = (id (x) epsilon) delta."""
     P = B.presentation
     eps = {P.zero_vec: P.field.one}
 
@@ -244,6 +248,7 @@ def _counit_law(B: BfaStructure) -> tuple:
 
 
 def _frobenius_pairing(B: BfaStructure) -> tuple:
+    """(x, y) |-> phi(x y) is nondegenerate."""
     P = B.presentation
     r = len(rref(P.pairing_rows(B.phi())))
     return _verdict(r == P.dim, {"rank": r})
@@ -411,7 +416,7 @@ def _integral_space(P: Presentation, side: str) -> list:
     return null_space(P.field, rows, P.dim)
 
 
-def _counit_via_integral(B: BfaStructure, d) -> tuple:
+def _counit_via_integral(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """epsilon(x) = phi(t x)."""
     P = B.presentation
     return _first(
@@ -420,13 +425,13 @@ def _counit_via_integral(B: BfaStructure, d) -> tuple:
     )
 
 
-def _socle_pairing_normalized(B: BfaStructure, d) -> tuple:
+def _socle_pairing_normalized(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """phi(t) = 1."""
     val = B.presentation.apply_functional(d.phi, d.t)
     return _verdict(val == B.presentation.field.one, {"phi(t)": str(val)})
 
 
-def _right_integral(B: BfaStructure, d) -> tuple:
+def _right_integral(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """t x = epsilon(x) t."""
     P = B.presentation
     return _first(
@@ -435,31 +440,31 @@ def _right_integral(B: BfaStructure, d) -> tuple:
     )
 
 
-def _integral_space_dimension(B: BfaStructure, d) -> tuple:
+def _integral_space_dimension(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """Both integral spaces are one-dimensional."""
     right, left = len(d.right_space), len(d.left_space)
     return _verdict(right == left == 1, {"right_dim": right, "left_dim": left})
 
 
-def _unimodularity(B: BfaStructure, d) -> tuple:
+def _unimodularity(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """The two integral spaces coincide."""
     one_each = len(d.right_space) == len(d.left_space) == 1
     return one_each and len(rref([d.right_space[0], d.left_space[0]])) == 1, None
 
 
-def _unit_via_copairing(B: BfaStructure, d) -> tuple:
+def _unit_via_copairing(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """1 = t <- phi."""
     P = B.presentation
     recovered = right_coaction(B, d.t, d.phi)
     return _verdict(recovered == P.one_elem, {"value": P.element_to_string(recovered)})
 
 
-def _left_modular_functional(B: BfaStructure, d) -> tuple:
+def _left_modular_functional(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """alpha = t -> phi equals the counit."""
     return d.alpha == B.presentation.dual_functional(B.presentation.zero_vec), None
 
 
-def _modular_element(B: BfaStructure, d) -> tuple:
+def _modular_element(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """m = phi -> t is group-like (and 1 in characteristic 0)."""
     P, m = B.presentation, d.modular
     if B.epsilon(m) != P.field.one:
@@ -471,12 +476,12 @@ def _modular_element(B: BfaStructure, d) -> tuple:
     return True, None
 
 
-def _antipode_of_modular_element(B: BfaStructure, d) -> tuple:
+def _antipode_of_modular_element(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """S(m) = m^{-1}."""
     return d.inv is not None and B.s_elem(d.modular) == d.inv, None
 
 
-def _nakayama_via_antipode(B: BfaStructure, d) -> tuple:
+def _nakayama_via_antipode(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """N(x) = m^{-1} S^2(alpha -> x) m."""
     P = B.presentation
     if d.inv is None:
@@ -489,7 +494,7 @@ def _nakayama_via_antipode(B: BfaStructure, d) -> tuple:
     return _first(P.basis(), fails)
 
 
-def _fourth_power_formula(B: BfaStructure, d) -> tuple:
+def _fourth_power_formula(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """S^4(x) = m (alpha^{-1} -> x <- alpha) m^{-1}."""
     P = B.presentation
     if d.inv is None:
@@ -507,27 +512,31 @@ def _fourth_power_formula(B: BfaStructure, d) -> tuple:
     return _first(P.basis(), fails)
 
 
-def _antipode_graded(B: BfaStructure, d) -> tuple:
+def _antipode_graded(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """S preserves total degree."""
     P = B.presentation
     return _first(P.basis(), lambda v: B.s_map[v][1].is_zero() or sum(B.s_map[v][0]) != sum(v))
 
 
-def _antipode_square_is_nakayama(B: BfaStructure, d) -> tuple:
+def _antipode_square_is_nakayama(B: BfaStructure, d: SimpleNamespace) -> tuple:
+    """S^2 = N, the Nakayama automorphism in closed form."""
     P = B.presentation
     return _first(P.basis(), lambda v: _s_power(B, P.monomial(v), 2) != P.nakayama(P.monomial(v)))
 
 
-def _antipode_fourth_power_identity(B: BfaStructure, d) -> tuple:
+def _antipode_fourth_power_identity(B: BfaStructure, d: SimpleNamespace) -> tuple:
+    """S^4 = id."""
     P = B.presentation
     return _first(P.basis(), lambda v: _s_power(B, P.monomial(v), 4) != P.monomial(v))
 
 
-def _antipode_fixes_integral(B: BfaStructure, d) -> tuple:
+def _antipode_fixes_integral(B: BfaStructure, d: SimpleNamespace) -> tuple:
+    """S(t) = t."""
     return B.s_elem(d.t) == d.t, None
 
 
-def _nakayama_involutive(B: BfaStructure, d) -> tuple:
+def _nakayama_involutive(B: BfaStructure, d: SimpleNamespace) -> tuple:
+    """h_v^2 = 1 for every v, so N is an involution."""
     P = B.presentation
 
     def fails(v):
@@ -537,7 +546,7 @@ def _nakayama_involutive(B: BfaStructure, d) -> tuple:
     return _first(P.basis(), fails)
 
 
-def _antipode_monomial(B: BfaStructure, d) -> tuple:
+def _antipode_monomial(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """The image map is an involution of the basis fixing top."""
     P = B.presentation
     basis = P.basis()
