@@ -388,11 +388,11 @@ class TestImagesOffBasis:
     def test_example_6_9_details_name_the_moved_image(self):
         B = example_structure("6.9")
         x1 = B.presentation.unit_vec(1)
-        for shift, name in ((2, "x1^3"), (-2, "x1^-1")):
+        for shift, image in ((2, "x1^3"), (-2, "x1^-1")):
             T = moved_image(B, x1, shift)
             failing = {c.name: c.detail for c in verify_axioms(T).failing()}
             assert failing["antipode-definition"] == {
-                "v": [1, 0, 0], "expected": f"(1)*{name}", "actual": "(1)*x1"
+                "v": [1, 0, 0], "expected": f"(1)*{image}", "actual": "(1)*x1"
             }
             failing = {c.name: c.detail for c in verify_derived(T).failing()}
             assert {name: failing[name] for name in COMPOSING_S} == {
