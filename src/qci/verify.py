@@ -6,8 +6,10 @@ pairs on which one of its sides can be nonzero; on the rest both sides
 vanish by the supports of the tables.  The antipode anti-homomorphism is
 decided on the n dim pairs (x_u, x_k) with x_k a generator, which imply
 every pair by induction on word length; only when that certificate fails
-(or an image of S lies off the basis) are the other pairs scanned, to name
-the first failing one.  Failures carry a replayable counterexample.
+are the other pairs scanned, to name the first failing one.  The Hopf flag
+is decided the same way, on the pairs (x_u, 1) and (x_u, x_k).  Both
+integral spaces are read off the supports of the generator products, with
+no elimination.  Failures carry a replayable counterexample.
 
 Each check is one private function returning (passed, detail).  It stops at
 its first failure, in basis order (pairs row by row), and the detail names
@@ -25,7 +27,7 @@ from types import SimpleNamespace
 from .algebra import Presentation, monomial_name
 from .builder import BfaStructure
 from .errors import NotInvertibleError, SingularMatrixError
-from .linalg import add_term, null_space, rref, solve_sparse
+from .linalg import add_term, rref, solve_sparse
 
 
 @dataclass
@@ -267,24 +269,27 @@ def _frobenius_copairing(B: BfaStructure) -> tuple:
 def _antipode_antihomomorphism(B: BfaStructure) -> tuple:
     """S(x_u x_v) = S(x_v) S(x_u).
 
-    Generator certificate.  Let S(1) = 1 and every image lie in the basis,
-    and let the pair (u, e_k) pass for every basis u and generator x_k.
-    Then every pair passes, by induction on |v|; |v| = 0 is S(1) = 1.  For
-    |v| > 0 let k be the last index with v_k > 0 and v' = v - e_k, so that
-    x_v = x_{v'} x_k exactly.  With x_u x_{v'} = c x_w (c = 0 allowed):
+    Generator certificate.  Let S(1) = 1, and let the pair (u, e_k) pass
+    for every basis u and generator x_k.  Then every nonzero image S(x_v),
+    v != 0, lies in the basis: otherwise the pair (v - e_k, e_k) fails, its
+    left side sitting on the off-basis vector and its right side in the
+    basis or zero.  Every pair passes, by induction on |v|; |v| = 0 is
+    S(1) = 1.  For |v| > 0 let k be the last index with v_k > 0 and
+    v' = v - e_k, so that x_v = x_{v'} x_k exactly.  With
+    x_u x_{v'} = c x_w (c = 0 allowed):
       S(x_u x_v) = c S(x_w x_k) = c S(x_k) S(x_w)              pair (w, e_k)
                  = S(x_k) S(x_u x_{v'}) = S(x_k) S(x_{v'}) S(x_u)   induction
                  = S(x_{v'} x_k) S(x_u) = S(x_v) S(x_u)        pair (v', e_k)
-    The middle steps multiply images as elements of A, which is why every
-    image must lie in the basis.  The generator pairs are pairs of the
-    grid, so the certificate fails exactly when some pair fails.
+    The middle steps multiply images as elements of A, which is why the
+    nonzero images must lie in the basis.  The generator pairs are pairs
+    of the grid, so the certificate fails exactly when some pair fails.
 
-    Only then, or when an image lies off the basis, the scan below names
-    the first failing pair.  The left side vanishes unless v lies in
-    box(u), the right side unless s(v) + s(u) lies in the basis; those v
-    are found by probing the image vectors w with s(u) + w in the basis,
-    within the bounding box of all images (images outside the basis
-    included).  Each row visits the union in basis order.
+    Only then does the scan below name the first failing pair.  The left
+    side vanishes unless v lies in box(u), the right side unless
+    s(v) + s(u) lies in the basis; those v are found by probing the image
+    vectors w with s(u) + w in the basis, within the bounding box of all
+    images (images outside the basis included).  Each row visits the union
+    in basis order.
     """
     P = B.presentation
     basis = P.basis()
@@ -300,8 +305,7 @@ def _antipode_antihomomorphism(B: BfaStructure) -> tuple:
     if B.s_elem(P.one_elem) != P.one_elem:
         return False, {"at": "S(1)"}
     generators = [P.unit_vec(k) for k in range(1, P.n + 1)]
-    in_a = all(P.in_basis(img) or c.is_zero() for img, c in B.s_map.values())
-    if in_a and all(antihomomorphic(u, e) for u in basis for e in generators):
+    if all(antihomomorphic(u, e) for u in basis for e in generators):
         return True, None
     preimages: dict = {}  # image vector -> basis indices of its preimages
     for j, v in enumerate(basis):
@@ -398,22 +402,21 @@ def verify_axioms(B: BfaStructure) -> VerificationReport:
 # -- derived checks ---------------------------------------------------------------
 
 
-def _integral_space(P: Presentation, side: str) -> list:
-    """Kernel basis of y -> (y x_i)_i or (x_i y)_i over all generators.
+def _integral_space(P: Presentation) -> list:
+    """Kernel basis of y -> (y x_i)_i over all generators, and of
+    y -> (x_i y)_i, which is the same list.
 
-    The product of x_w with a generator is a single monomial (or zero), so
-    every row of the system has one entry: row (i, target) holds the
-    coefficient of x_target in x_w x_i (or x_i x_w) at column index(w).
-    Kernel vectors are sparse dicts keyed by basis index.
+    Every row of either system has one entry: x_w x_i is a nonzero multiple
+    of x_{w+e_i} when w + e_i lies in the basis, and 0 otherwise (the
+    multiple is a bracket, a product of powers of nonzero q entries).  So
+    the kernel is spanned by the unit vectors {j: 1} of the columns j that
+    no row hits, in increasing order, which is what null_space returns for
+    such rows; and x_i x_w has the same support as x_w x_i, so the left
+    system has the same kernel as the right one.  A column index(w) is
+    missed by every row exactly when w_i = a_i - 1 for every i, that is
+    when w is top.
     """
-    rows = []
-    for i in range(1, P.n + 1):
-        gen = P.unit_vec(i)
-        for j, w in enumerate(P.basis()):
-            target, c = P.mul_basis(w, gen) if side == "right" else P.mul_basis(gen, w)
-            if target is not None:
-                rows.append({j: c})
-    return null_space(P.field, rows, P.dim)
+    return [{P.index(P.top): P.field.one}]
 
 
 def _counit_via_integral(B: BfaStructure, d: SimpleNamespace) -> tuple:
@@ -597,25 +600,42 @@ def verify_derived(B: BfaStructure) -> VerificationReport:
         inv = P.invert_element(modular)
     except NotInvertibleError:
         inv = None
+    space = _integral_space(P)
     shared = SimpleNamespace(
         phi=phi, t=t, modular=modular, inv=inv, alpha=P.functional_left_hit(t, phi),
-        right_space=_integral_space(P, "right"), left_space=_integral_space(P, "left"),
+        right_space=space, left_space=space,
     )
     checks = [CheckResult(name, *check(B, shared)) for name, check in _DERIVED.items()]
     return VerificationReport(checks)
 
 
 def is_hopf_comultiplication(B: BfaStructure) -> bool:
-    """Whether delta is multiplicative for the componentwise tensor product."""
+    """Whether delta is multiplicative for the componentwise tensor product.
+
+    Decided on the pairs (u, v) with v in {0, e_1, ..., e_n}, u in basis
+    order, stopping at the first failing pair.  These imply every pair by
+    induction on |v|; |v| = 0 is the pair (u, 0).  For |v| > 0 let k be the
+    last index with v_k > 0 and v' = v - e_k, so that x_v = x_{v'} x_k
+    exactly.  With x_u x_{v'} = c x_w (c = 0 allowed):
+      delta(x_u x_v) = c delta(x_w x_k) = c delta(x_w) delta(x_k)   pair (w, e_k)
+                     = delta(x_u x_{v'}) delta(x_k)
+                     = delta(x_u) delta(x_{v'}) delta(x_k)          induction
+                     = delta(x_u) delta(x_v)                        pair (v', e_k)
+    which uses only that A (x) A is associative.  So no premise
+    delta(1) = 1 (x) 1 is needed and the claim holds for any linear map
+    delta: A -> A (x) A.
+    The certificate pairs are pairs of the grid, so the flag is the one of
+    the exhaustive dim x dim scan, from at most (n + 1) dim pairs.
+    """
     P = B.presentation
-    basis = P.basis()
-    for u in basis:
+    factors = [P.zero_vec] + [P.unit_vec(k) for k in range(1, P.n + 1)]
+    deltas = [(v, B.delta_elem(P.monomial(v))) for v in factors]
+    for u in P.basis():
         du = B.delta_elem(P.monomial(u))
-        for v in basis:
-            prod = P.mul(P.monomial(u), P.monomial(v))
-            lhs = B.delta_elem(prod)
-            rhs = tensor_mul(P, du, B.delta_elem(P.monomial(v)))
-            if lhs != rhs:
+        for v, dv in deltas:
+            w, c = P.mul_basis(u, v)
+            lhs = {} if w is None else B.delta_elem({w: c})
+            if lhs != tensor_mul(P, du, dv):
                 return False
     return True
 

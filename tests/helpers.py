@@ -15,10 +15,11 @@ from functools import cache
 
 from qci.algebra import Presentation, vector_key
 from qci.builder import build_structure, decide, g_table
-from qci.linalg import add_term
+from qci.linalg import add_term, null_space
 from qci.permutations import Permutation, partition, q_pi
 from qci.scalars import Field, Scalar, cyclotomic_polynomial, make_field
 from qci.structio import structure_to_json
+from qci.verify import tensor_mul
 
 # one PASS/FAIL line per acceptance criterion, echoed by the conftest
 # terminal-summary hook so the lines survive pytest's output capture
@@ -365,6 +366,40 @@ def reference_pair_checks(B) -> dict:
             break
     record("antipode-definition", ok, detail)
     return out
+
+
+def reference_is_hopf(B) -> bool:
+    """Whether delta is multiplicative, decided on all dim^2 pairs.
+
+    This is the loop qci.verify.is_hopf_comultiplication once ran: every
+    (u, v) in basis order, with delta applied to the whole product x_u x_v.
+    """
+    P = B.presentation
+    basis = P.basis()
+    for u in basis:
+        du = B.delta_elem(P.monomial(u))
+        for v in basis:
+            lhs = B.delta_elem(P.mul(P.monomial(u), P.monomial(v)))
+            if lhs != tensor_mul(P, du, B.delta_elem(P.monomial(v))):
+                return False
+    return True
+
+
+def reference_integral_space(P: Presentation, side: str) -> list:
+    """Kernel basis of y -> (y x_i)_i ("right") or (x_i y)_i ("left").
+
+    The literal system: one row per generator x_i and basis vector w with
+    x_w x_i (or x_i x_w) nonzero, holding its coefficient at column
+    index(w), solved by elimination.
+    """
+    rows = []
+    for i in range(1, P.n + 1):
+        gen = P.unit_vec(i)
+        for j, w in enumerate(P.basis()):
+            target, c = P.mul_basis(w, gen) if side == "right" else P.mul_basis(gen, w)
+            if target is not None:
+                rows.append({j: c})
+    return null_space(P.field, rows, P.dim)
 
 
 # ---------------------------------------------------------------------------

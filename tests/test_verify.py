@@ -1,10 +1,22 @@
 """Exhaustive axiom and consequence checks on constructed structures."""
 
+import random
+from functools import cache
 from pathlib import Path
 
 import pytest
-from helpers import add, reference_pair_checks
+from helpers import (
+    add,
+    rand_compatible_involutive_h,
+    rand_presentation,
+    reference_integral_space,
+    reference_is_hopf,
+    reference_pair_checks,
+)
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from qci import verify
 from qci.algebra import Presentation
 from qci.builder import BfaStructure, build_structure, decide
 from qci.demos import example_presentation, example_structure, example_witness
@@ -12,6 +24,7 @@ from qci.errors import NotInvertibleError
 from qci.verify import (
     AXIOM_CHECKS,
     DERIVED_CHECKS,
+    _integral_space,
     convolution_inverse,
     is_hopf_comultiplication,
     left_coaction,
@@ -23,7 +36,7 @@ from qci.verify import (
     verify_axioms,
     verify_derived,
 )
-from qci.scalars import make_field
+from qci.scalars import Scalar, make_field
 from qci.structio import load_structure
 
 C4 = make_field("cyclotomic", 4)
@@ -50,6 +63,8 @@ def built(P):
     return build_structure(P, report.witness)
 
 
+CHAR_TWO_GROUP_ALGEBRA = built(presentation(F2, (2, 2), {(1, 2): "1"}))
+
 STRUCTURES = [
     example_structure("6.9", C8),
     example_structure("6.10", C8),
@@ -57,7 +72,7 @@ STRUCTURES = [
     example_structure("6.9", F7, b="2"),
     built(example_presentation("6.10", Q, b="2")),
     built(presentation(C4, (2, 2), {(1, 2): "-1"})),
-    built(presentation(F2, (2, 2), {(1, 2): "1"})),
+    CHAR_TWO_GROUP_ALGEBRA,
     built(presentation(Q, (2, 3), {(1, 2): "1"})),
 ]
 
@@ -140,8 +155,8 @@ class TestHopfFlag:
         assert not is_hopf_comultiplication(STRUCTURES[1])
 
     def test_char_two_group_algebra_is_hopf(self):
-        B = built(presentation(F2, (2, 2), {(1, 2): "1"}))
-        assert is_hopf_comultiplication(B)
+        assert is_hopf_comultiplication(CHAR_TWO_GROUP_ALGEBRA)
+        assert reference_is_hopf(CHAR_TWO_GROUP_ALGEBRA)
 
 
 class TestPrimitives:
@@ -338,6 +353,74 @@ class TestPairChecksAgainstReference:
         assert len(moved) >= 3
 
 
+def delta_perturbations(B):
+    """(label, structure) for each single-entry change of a delta row: every
+    term's coefficient set to 0 and raised by 1, and its factors swapped."""
+    one, zero = B.presentation.field.one, B.presentation.field.zero
+    for v, row in B.delta.items():
+        for j, (u, w, c) in enumerate(row):
+            for label, term in (
+                ("zero", (u, w, zero)), ("plus one", (u, w, c + one)), ("swap", (w, u, c))
+            ):
+                delta = dict(B.delta)
+                delta[v] = row[:j] + [term] + row[j + 1:]
+                yield f"{label} term {j} of delta{v}", with_s_map(B, B.s_map, delta)
+
+
+class TestHopfCertificateAgainstReference:
+    """The generator certificate gives the flag of the exhaustive scan."""
+
+    @pytest.mark.parametrize("B", REFERENCE_STRUCTURES, ids=lambda B: repr(B.presentation))
+    def test_reference_structures(self, B):
+        assert is_hopf_comultiplication(B) == reference_is_hopf(B) is False
+
+    @pytest.mark.parametrize(
+        "B", [CHAR_TWO_GROUP_ALGEBRA, REFERENCE_STRUCTURES[0]], ids=lambda B: repr(B.presentation)
+    )
+    def test_every_delta_perturbation(self, B):
+        flags = {}
+        for label, T in delta_perturbations(B):
+            flags[label] = reference_is_hopf(T)
+            assert is_hopf_comultiplication(T) == flags[label], label
+        # the perturbations of delta(1) are among them, and break its unit 1 (x) 1
+        unit = [f for label, f in flags.items() if label.endswith(f"delta{B.presentation.zero_vec}")]
+        assert unit and False in unit
+        assert False in flags.values()
+        assert (True in flags.values()) == (B is CHAR_TWO_GROUP_ALGEBRA)
+
+    @pytest.mark.parametrize("B", [CHAR_TWO_GROUP_ALGEBRA] + REFERENCE_STRUCTURES[:2],
+                             ids=lambda B: repr(B.presentation))
+    def test_zero_comultiplication_is_multiplicative(self, B):
+        T = with_s_map(B, B.s_map, {v: [] for v in B.delta})
+        assert is_hopf_comultiplication(T) and reference_is_hopf(T)
+
+    @pytest.mark.parametrize("c, hopf", [(0, True), (1, True), (2, False)])
+    def test_delta_of_the_unit_alone(self, c, hopf):
+        """delta(1) = c 1 (x) 1 and 0 elsewhere is multiplicative exactly when
+        c^2 = c, which only the pair (0, 0) tells."""
+        B = REFERENCE_STRUCTURES[0]
+        P = B.presentation
+        delta = {v: [] for v in B.delta}
+        delta[P.zero_vec] = [(P.zero_vec, P.zero_vec, P.field.from_int(c))]
+        T = with_s_map(B, B.s_map, delta)
+        assert is_hopf_comultiplication(T) == reference_is_hopf(T) == hopf
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([F2, make_field("prime", 3), F7, C8]),
+        st.sampled_from([2, 3]),
+        st.randoms(use_true_random=False),
+    )
+    def test_built_structures_and_a_perturbation(self, field, n, rng):
+        P, _ = rand_compatible_involutive_h(rng, field, n, a_hi=3)
+        report = decide(P)
+        assume(report.exists)
+        B = build_structure(P, report.witness)
+        T = rng.choice([T for _, T in delta_perturbations(B)])
+        for S in (B, T):
+            assert is_hopf_comultiplication(S) == reference_is_hopf(S)
+
+
 COMPOSING_S = (
     "nakayama-via-antipode",
     "fourth-power-formula",
@@ -420,3 +503,96 @@ def test_pair_checks_evaluate_subquadratically_many_products(monkeypatch):
     monkeypatch.setattr(Presentation, "mul_basis", counted)
     assert verify_axioms(B).all_passed
     assert 0 < len(calls) <= 2 * P.n * P.dim + 4 * P.dim
+
+
+# -- the integral spaces against elimination ------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([F2, make_field("prime", 5), F7, Q, C8]),
+    st.integers(min_value=2, max_value=4),
+    st.randoms(use_true_random=False),
+)
+def test_integral_spaces_match_elimination(field, n, rng):
+    P = rand_presentation(rng, field, n)
+    space = _integral_space(P)
+    assert space == [{P.index(P.top): field.one}]
+    for side in ("right", "left"):
+        assert reference_integral_space(P, side) == space, side
+
+
+# -- count gates on one seeded d256 structure -------------------------------------
+
+
+@cache
+def seeded_d256():
+    """GF(7), a = (4, 4, 4, 4), q_ij (i < j) drawn from 1..6 by Random(1)
+    until decide says Yes (the 14th draw)."""
+    rng = random.Random(1)
+    one = F7.one
+    while True:
+        q = [[one] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                q[i][j] = F7.from_int(rng.randint(1, 6))
+                q[j][i] = q[i][j].inverse()
+        P = Presentation(F7, (4, 4, 4, 4), q)
+        report = decide(P)
+        if report.exists:
+            return build_structure(P, report.witness)
+
+
+def count_scalars(monkeypatch, field) -> dict:
+    """Count Scalar constructions from now on, in the returned dict.
+
+    The field's cached constants are built first, so that the count does
+    not depend on which test touched them before.
+    """
+    _ = field.zero, field.one
+    calls = {"scalar": 0}
+    init = Scalar.__init__
+
+    def counted(self, *args):
+        calls["scalar"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "zero_delta, pairs, scalars",
+    [(False, 7, 73), (True, 1280, 513)],
+    ids=["built", "zero-delta"],
+)
+def test_hopf_flag_evaluates_few_pairs(monkeypatch, zero_delta, pairs, scalars):
+    """At most (n + 1) dim pairs, each one tensor_mul call; the built
+    structure fails at its seventh pair, and the zero delta, which is
+    multiplicative, evaluates every certificate pair."""
+    B = seeded_d256()
+    P = B.presentation
+    if zero_delta:
+        B = with_s_map(B, B.s_map, {v: [] for v in B.delta})
+    calls = count_scalars(monkeypatch, B.presentation.field)
+    calls["tensor_mul"] = 0
+    original = verify.tensor_mul
+
+    def counted(*args):
+        calls["tensor_mul"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(verify, "tensor_mul", counted)
+    assert is_hopf_comultiplication(B) is zero_delta
+    assert calls == {"scalar": scalars, "tensor_mul": pairs}
+    assert pairs <= (P.n + 1) * P.dim
+
+
+def test_shared_values_build_few_scalars(monkeypatch):
+    """The values verify_derived computes before its checks: phi, t, m,
+    m^-1, alpha and the integral spaces, which build no scalar."""
+    B = seeded_d256()
+    monkeypatch.setattr(verify, "_DERIVED", {})
+    calls = count_scalars(monkeypatch, B.presentation.field)
+    assert verify_derived(B).checks == []
+    assert calls == {"scalar": 1031}
