@@ -15,7 +15,6 @@ from .builder import (
     applicable_regime,
     build_structure,
     check_witness,
-    closed_form_c,
     decide,
     g_table,
     solve_c,
@@ -82,7 +81,6 @@ __all__ = [
     "applicable_regime",
     "build_structure",
     "check_witness",
-    "closed_form_c",
     "decide",
     "enumerate_compatible",
     "example_presentation",

@@ -290,15 +290,6 @@ class Presentation:
                 out = out + fv * c
         return out
 
-    def functional_left_hit(self, a_elem: dict, f: dict) -> dict:
-        """The functional x |-> f(x * a)."""
-        out: dict = {}
-        for v in self.basis():
-            val = self.apply_functional(f, self.mul(self.monomial(v), a_elem))
-            if not val.is_zero():
-                out[v] = val
-        return out
-
     def pairing_rows(self, phi: dict) -> list:
         """Sparse rows of the pairing matrix: row u is {index(v): phi(x_u x_v)}.
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import cache
 
 from qci.algebra import Presentation, vector_key
-from qci.builder import build_structure, decide, g_table
-from qci.linalg import add_term, null_space
+from qci.builder import BfaStructure, build_structure, comultiplication, decide, g_table
+from qci.linalg import add_term, null_space, rref
 from qci.permutations import Permutation, partition, q_pi
 from qci.scalars import Field, Scalar, cyclotomic_polynomial, make_field
 from qci.structio import structure_to_json
@@ -299,7 +299,6 @@ def reference_pair_checks(B) -> dict:
     verdict and the detail of the support-driven loops against them.
     """
     P = B.presentation
-    one = P.field.one
     basis = P.basis()
     out = {}
 
@@ -309,22 +308,7 @@ def reference_pair_checks(B) -> dict:
     def single(w, c):
         return None if c.is_zero() else (w, c)
 
-    ok, detail = True, None
-    if B.epsilon(P.one_elem) != one:
-        ok, detail = False, {"at": "epsilon(1)"}
-    else:
-        zero = P.field.zero
-        eps = [B.epsilon(P.monomial(u)) for u in basis]
-        for i, u in enumerate(basis):
-            for j, v in enumerate(basis):
-                w, c = P.mul_basis(u, v)
-                lhs = zero if w is None else B.epsilon({w: c})
-                if lhs != eps[i] * eps[j]:
-                    ok, detail = False, {"u": list(u), "v": list(v)}
-                    break
-            if not ok:
-                break
-    record("counit-algebra-map", ok, detail)
+    record("counit-algebra-map", *reference_counit_algebra_map(B))
 
     ok, detail = True, None
     if B.s_elem(P.one_elem) != P.one_elem:
@@ -368,6 +352,22 @@ def reference_pair_checks(B) -> dict:
     return out
 
 
+def reference_counit_algebra_map(B) -> tuple:
+    """(passed, detail) of counit-algebra-map from all dim^2 pairs."""
+    P = B.presentation
+    if B.epsilon(P.one_elem) != P.field.one:
+        return False, {"at": "epsilon(1)"}
+    basis = P.basis()
+    eps = [B.epsilon(P.monomial(u)) for u in basis]
+    for i, u in enumerate(basis):
+        for j, v in enumerate(basis):
+            w, c = P.mul_basis(u, v)
+            lhs = P.field.zero if w is None else B.epsilon({w: c})
+            if lhs != eps[i] * eps[j]:
+                return False, {"u": list(u), "v": list(v)}
+    return True, None
+
+
 def reference_is_hopf(B) -> bool:
     """Whether delta is multiplicative, decided on all dim^2 pairs.
 
@@ -400,6 +400,103 @@ def reference_integral_space(P: Presentation, side: str) -> list:
             if target is not None:
                 rows.append({j: c})
     return null_space(P.field, rows, P.dim)
+
+
+def reference_functional_left_hit(P: Presentation, a_elem: dict, f: dict) -> dict:
+    """The functional x |-> f(x a), evaluated on every basis monomial."""
+    out: dict = {}
+    for v in P.basis():
+        val = P.apply_functional(f, P.mul(P.monomial(v), a_elem))
+        if not val.is_zero():
+            out[v] = val
+    return out
+
+
+def bare_structure(P: Presentation) -> BfaStructure:
+    """P with identity tables: pi = id, every g_v = 1 and S = id.
+
+    Such tables need not satisfy any axiom, and P need not admit a
+    structure at all; the checks that read only P and the counit still run
+    on it through verify_axioms and verify_derived.
+    """
+    one = P.field.one
+    g = {v: one for v in P.basis()}
+    delta = comultiplication(P, Permutation.identity(P.n), g)
+    return BfaStructure(P, None, g, delta, {v: (v, one) for v in P.basis()})
+
+
+PRESENTATION_CHECKS = (
+    "counit-algebra-map",
+    "frobenius-pairing",
+    "counit-via-integral",
+    "socle-pairing-normalized",
+    "right-integral",
+    "integral-space-dimension",
+    "unimodularity",
+    "left-modular-functional",
+    "nakayama-involutive",
+)
+
+
+def reference_presentation_checks(B) -> dict:
+    """The nine checks that read only the presentation and the counit, each
+    decided on the whole basis with no use of supports.
+
+    These are the loops qci.verify once ran, some made more literal: every
+    basis vector (every pair for the counit), the pairing rank from the
+    products x_u x_v, both integral spaces by elimination, unimodularity by
+    rref, alpha evaluated on every monomial, and h_v by its bracket
+    definition.  Returns {name: entry} with entries shaped like
+    CheckResult.to_json().
+    """
+    P = B.presentation
+    one = P.field.one
+    basis = P.basis()
+    phi, t = B.phi(), B.t_elem()
+    out = {}
+
+    def record(name, ok, detail):
+        out[name] = {"name": name, "passed": ok, "detail": None if ok else detail}
+
+    def first(fails):
+        for v in basis:
+            why = fails(v)
+            if why:
+                return False, {"v": list(v), **(why if isinstance(why, dict) else {})}
+        return True, None
+
+    record("counit-algebra-map", *reference_counit_algebra_map(B))
+    rows = []
+    for u in basis:
+        row = {}
+        for j, v in enumerate(basis):
+            val = P.apply_functional(phi, P.mul(P.monomial(u), P.monomial(v)))
+            if not val.is_zero():
+                row[j] = val
+        rows.append(row)
+    r = len(rref(rows))
+    record("frobenius-pairing", r == P.dim, {"rank": r})
+    record("counit-via-integral", *first(
+        lambda v: P.apply_functional(phi, P.mul(t, P.monomial(v))) != B.epsilon(P.monomial(v))
+    ))
+    val = P.apply_functional(phi, t)
+    record("socle-pairing-normalized", val == one, {"phi(t)": str(val)})
+    record("right-integral", *first(
+        lambda v: P.mul(t, P.monomial(v)) != P.scale(B.epsilon(P.monomial(v)), t)
+    ))
+    right, left = reference_integral_space(P, "right"), reference_integral_space(P, "left")
+    one_each = len(right) == len(left) == 1
+    record("integral-space-dimension", one_each, {"right_dim": len(right), "left_dim": len(left)})
+    record("unimodularity", one_each and len(rref([right[0], left[0]])) == 1, None)
+    alpha = reference_functional_left_hit(P, t, phi)
+    record("left-modular-functional", alpha == P.dual_functional(P.zero_vec), None)
+
+    def not_involutive(v):
+        hv = h_by_brackets(P, v)
+        return None if hv * hv == one else {"h": str(hv)}
+
+    record("nakayama-involutive", *first(not_involutive))
+    return out
 
 
 # ---------------------------------------------------------------------------

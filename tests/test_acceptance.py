@@ -161,7 +161,7 @@ def test_criterion_2_twisted_example():
         # phi = (1 + x1) -> socle dual; the solved automorphism does not square
         # to the identity although the canonical one does
         shift = helpers.add(P.one_elem, P.monomial((1, 0, 0)))
-        phi = P.functional_left_hit(shift, P.dual_functional(P.top))
+        phi = helpers.reference_functional_left_hit(P, shift, P.dual_functional(P.top))
         images = P.nakayama_wrt(phi)
         x2 = (0, 1, 0)
         n2_x2 = helpers.apply_linear(P, images, images[P.index(x2)])

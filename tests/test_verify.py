@@ -6,12 +6,16 @@ from pathlib import Path
 
 import pytest
 from helpers import (
+    PRESENTATION_CHECKS,
     add,
+    bare_structure,
     rand_compatible_involutive_h,
     rand_presentation,
+    reference_functional_left_hit,
     reference_integral_space,
     reference_is_hopf,
     reference_pair_checks,
+    reference_presentation_checks,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,7 +28,6 @@ from qci.errors import NotInvertibleError
 from qci.verify import (
     AXIOM_CHECKS,
     DERIVED_CHECKS,
-    _integral_space,
     convolution_inverse,
     is_hopf_comultiplication,
     left_coaction,
@@ -136,7 +139,7 @@ class TestConvolution:
     def test_inverse_property(self):
         B = STRUCTURES[1]
         P = B.presentation
-        alpha = P.functional_left_hit(B.t_elem(), B.phi())
+        alpha = reference_functional_left_hit(P, B.t_elem(), B.phi())
         inv = convolution_inverse(B, alpha)
         # (alpha * inv)(x_v) = delta_{v,0}
         for v in P.basis():
@@ -515,11 +518,87 @@ def test_pair_checks_evaluate_subquadratically_many_products(monkeypatch):
     st.randoms(use_true_random=False),
 )
 def test_integral_spaces_match_elimination(field, n, rng):
+    """Both integral spaces are the line of x_top, the certificate that
+    integral-space-dimension and unimodularity pass by."""
     P = rand_presentation(rng, field, n)
-    space = _integral_space(P)
-    assert space == [{P.index(P.top): field.one}]
+    space = [{P.index(P.top): field.one}]
     for side in ("right", "left"):
         assert reference_integral_space(P, side) == space, side
+
+
+# -- the presentation-only checks against their exhaustive loops -----------------
+
+
+def presentation_entries(B) -> dict:
+    """The report entries of the nine checks that read only P and the counit."""
+    entries = verify_axioms(B).to_json()["checks"] + verify_derived(B).to_json()["checks"]
+    return {e["name"]: e for e in entries if e["name"] in PRESENTATION_CHECKS}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([F2, make_field("prime", 5), F7, Q, C8]),
+    st.integers(min_value=2, max_value=4),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_presentation_checks_match_reference(field, n, build, rng):
+    """Each certificate gives the verdict and detail of the whole-basis loop,
+    on built structures and on bare presentations with identity tables,
+    whose Nakayama map is often not involutive."""
+    if build:
+        P, _ = rand_compatible_involutive_h(rng, field, n, a_hi=3)
+        report = decide(P)
+        assume(report.exists)
+        B = build_structure(P, report.witness)
+    else:
+        B = bare_structure(rand_presentation(rng, field, n, a_hi=3))
+    assert presentation_entries(B) == reference_presentation_checks(B)
+
+
+class OtherPhi(BfaStructure):
+    """A structure whose Frobenius functional is replaced by a given one."""
+
+    def __init__(self, B, phi):
+        super().__init__(B.presentation, B.witness, B.g, B.delta, B.s_map)
+        self.other_phi = phi
+
+    def phi(self):
+        return self.other_phi
+
+
+@pytest.mark.parametrize(
+    "terms, passed",
+    [
+        ({(0, 0, 0): "1"}, False),
+        ({(1, 1, 1): "2"}, True),
+        ({(1, 1, 1): "0"}, False),
+        ({(1, 1, 1): "1", (0, 1, 1): "3"}, True),
+        ({(1, 1, 0): "1"}, False),
+        ({(1, 1, 1): "1", (2, 1, 1): "1"}, True),
+    ],
+    ids=["unit", "scaled-top", "stored-zero-top", "top-and-below", "below-top", "top-and-off-basis"],
+)
+def test_frobenius_pairing_beyond_its_certificate(terms, passed):
+    """phi replaced: a nonzero multiple of x_top^* passes by the certificate,
+    any other phi has its pairing rows reduced, and every check still gives
+    the whole-basis verdict and detail."""
+    B = example_structure("6.9", F7, b="2")
+    T = OtherPhi(B, {v: F7.parse(c) for v, c in terms.items()})
+    expected = reference_presentation_checks(T)
+    assert expected["frobenius-pairing"]["passed"] is passed
+    assert presentation_entries(T) == expected
+
+
+def test_first_non_involutive_generator_is_the_last_one():
+    """h_{e_1} = 1/4 and h_{e_2} = 2 fail, h_{e_3} = 1 does not: the first
+    failing v in basis order is e_2, before e_1."""
+    B = bare_structure(presentation(Q, (2, 3, 3), {(1, 2): "1/2"}))
+    expected = reference_presentation_checks(B)
+    assert expected["nakayama-involutive"]["detail"] == {"v": [0, 1, 0], "h": "2"}
+    assert presentation_entries(B) == expected
+    failing = [name for name, e in expected.items() if not e["passed"]]
+    assert failing == ["nakayama-involutive"]
 
 
 # -- count gates on one seeded d256 structure -------------------------------------
@@ -588,11 +667,35 @@ def test_hopf_flag_evaluates_few_pairs(monkeypatch, zero_delta, pairs, scalars):
     assert pairs <= (P.n + 1) * P.dim
 
 
+# phi, t, m, m^-1 and alpha on seeded_d256; 1031 while alpha was evaluated
+# on every basis monomial
+SHARED_SCALARS = 1029
+
+
 def test_shared_values_build_few_scalars(monkeypatch):
     """The values verify_derived computes before its checks: phi, t, m,
-    m^-1, alpha and the integral spaces, which build no scalar."""
+    m^-1 and alpha, which is one term."""
     B = seeded_d256()
     monkeypatch.setattr(verify, "_DERIVED", {})
     calls = count_scalars(monkeypatch, B.presentation.field)
     assert verify_derived(B).checks == []
-    assert calls == {"scalar": 1031}
+    assert calls == {"scalar": SHARED_SCALARS}
+
+
+def test_presentation_checks_build_few_scalars(monkeypatch):
+    """The nine checks that read only P and the counit build O(n) scalars
+    on top of the shared values: 11 plus one square per generator.  The
+    whole-basis loops built 1537."""
+    B = seeded_d256()
+    P = B.presentation
+    P.h_generators()  # cached per presentation, as after decide
+    for table in ("_AXIOMS", "_DERIVED"):
+        checks = getattr(verify, table)
+        monkeypatch.setattr(
+            verify, table, {k: f for k, f in checks.items() if k in PRESENTATION_CHECKS}
+        )
+    calls = count_scalars(monkeypatch, P.field)
+    entries = verify_axioms(B).checks + verify_derived(B).checks
+    assert [c.name for c in entries] == list(PRESENTATION_CHECKS)
+    assert all(c.passed for c in entries)
+    assert calls["scalar"] - SHARED_SCALARS == 11 + P.n
