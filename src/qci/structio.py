@@ -25,7 +25,6 @@ json.dumps call.
 
 from __future__ import annotations
 
-import gc
 import json
 
 from .algebra import Presentation, parse_vector_key, vector_key
@@ -364,17 +363,4 @@ def structure_from_json(obj) -> BfaStructure:
 
 
 def load_structure(path: str) -> BfaStructure:
-    """The structure in a file, read with the cyclic garbage collector paused.
-
-    One load makes tens of thousands of tuples and lists, all of which it
-    keeps, so the collections they trigger reclaim nothing; they took about
-    a quarter of a d4096 load.  The caller's setting is restored on every
-    exit, errors included.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return structure_from_json(_read_json(path))
-    finally:
-        if enabled:
-            gc.enable()
+    return structure_from_json(_read_json(path))

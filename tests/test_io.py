@@ -1,7 +1,6 @@
 """Save/load round trips and the two-layer file validation."""
 
 import copy
-import gc
 import json
 import re
 from pathlib import Path
@@ -731,38 +730,6 @@ def test_load_parses_each_distinct_text_once(tmp_path, monkeypatch, version):
     assert calls == {"scalar": len(file_literals(blob)), "key": 0}
     assert len(file_literals(blob)) == 6
     assert structure_to_json(loaded) == structure_to_json(B)
-
-
-@pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc-on", "gc-off"])
-@pytest.mark.parametrize("good", [True, False], ids=["loads", "semantic-error"])
-def test_load_pauses_the_collector(tmp_path, monkeypatch, blob, caller_enabled, good):
-    """The cyclic collector is off while a structure file is read and
-    checked, and afterwards back in the caller's setting, also when the
-    load raises."""
-    if not good:
-        blob["g"]["0,1,0"] = "0"
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps(blob))
-    during = []
-    parse = qci.structio.structure_from_json
-
-    def watched(obj):
-        during.append(gc.isenabled())
-        return parse(obj)
-
-    monkeypatch.setattr(qci.structio, "structure_from_json", watched)
-    before = gc.isenabled()
-    (gc.enable if caller_enabled else gc.disable)()
-    try:
-        if good:
-            assert structure_to_json(load_structure(str(path))) == blob
-        else:
-            with pytest.raises(FileSemanticError, match="nonzero"):
-                load_structure(str(path))
-        assert gc.isenabled() is caller_enabled
-    finally:
-        (gc.enable if before else gc.disable)()
-    assert during == [False]
 
 
 # integers are taken only as JSON integers: no bool, float or string
