@@ -24,7 +24,6 @@ from .errors import (
     CrossCheckError,
     FileSemanticError,
     FileSyntaxError,
-    NotFrobeniusError,
     QciError,
     WitnessInvalidError,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "Field",
     "FileSemanticError",
     "FileSyntaxError",
-    "NotFrobeniusError",
     "Permutation",
     "Presentation",
     "PrimeField",

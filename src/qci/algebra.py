@@ -19,12 +19,10 @@ from .errors import (
     BadDimLimitError,
     BadExponentError,
     BadReciprocalError,
-    NotFrobeniusError,
     NotInvertibleError,
-    SingularMatrixError,
     TooLargeError,
 )
-from .linalg import add_term, solve_matrix, solve_sparse
+from .linalg import add_term
 from .scalars import Field, Scalar
 
 DEFAULT_DIM_LIMIT = 4096
@@ -204,23 +202,30 @@ class Presentation:
         return {v: c * cv for v, cv in x.items()}
 
     def invert_element(self, x: dict) -> dict:
-        """Two-sided inverse of x, via an exact solve; raises when absent.
+        """Two-sided inverse of x = c (1 + n), as c^{-1} sum_k (-n)^k.
 
-        Solves x * y = 1 with one sparse row per basis vector: column j
-        holds the coefficients of x * x_j, column dim the right-hand side.
+        Here c is the coefficient of 1 and n = x / c - 1 has no constant
+        term.  Every term of n is a basis monomial of degree at least 1, so
+        a product of |top| + 1 of them has degree above |top| = sum (a_i - 1)
+        and leaves the basis: n^{|top|+1} = 0.  The sum therefore stops by
+        itself, and (1 + n) sum_k (-n)^k = 1 - (-n)^{|top|+1} = 1 on both
+        sides, since the powers of n commute with n.  A is local: an x with
+        no constant term is nilpotent in the same way, so it is no unit.
+        Neither is an x with a key off the basis, which is no element of A.
         """
-        basis = self.basis()
-        dim = len(basis)
-        rows = [{} for _ in basis]
-        for j, w in enumerate(basis):
-            for v, c in self.mul(x, self.monomial(w)).items():
-                rows[self.index(v)][j] = c
-        rows[self.index(self.zero_vec)][dim] = self.field.one
-        try:
-            sol = solve_sparse(rows, dim)
-        except SingularMatrixError:
-            raise NotInvertibleError("element is not invertible") from None
-        return {basis[j]: c for j, c in sol.items()}
+        zero = self.zero_vec
+        c = x.get(zero)
+        if c is None or not all(map(self.in_basis, x)):
+            raise NotInvertibleError("element is not invertible")
+        c_inv = c.inverse()
+        minus = -c_inv
+        step = {v: cv * minus for v, cv in x.items() if v != zero}  # -n
+        out, term = {zero: c_inv}, {zero: c_inv}
+        while term:
+            term = self.mul(term, step)
+            for v, cv in term.items():
+                add_term(out, v, cv)
+        return out
 
     # -- the distinguished automorphism data ------------------------------------
 
@@ -290,50 +295,23 @@ class Presentation:
                 out = out + fv * c
         return out
 
-    def pairing_rows(self, phi: dict) -> list:
-        """Sparse rows of the pairing matrix: row u is {index(v): phi(x_u x_v)}.
+    def pairing_matrix(self, phi: dict) -> list:
+        """Matrix (u, v) |-> phi(x_u x_v) over the basis ordering (dense rows).
 
         Only the v with u + v in the support of phi can pair nonzero, so the
-        cost is O(|phi| dim) rather than dim^2.
+        scalar work is O(|phi| dim) rather than dim^2.
         """
+        zero, dim = self.field.zero, self.dim
         support = [(w, fw) for w, fw in phi.items() if self.in_basis(w) and not fw.is_zero()]
         rows = []
         for u in self.basis():
-            row = {}
+            row = [zero] * dim
             for w, fw in support:
-                v = tuple(wi - ui for wi, ui in zip(w, u))
+                v = tuple(map(operator.sub, w, u))
                 if self.in_basis(v):
                     row[self.index(v)] = fw * self.bracket(u, v)
             rows.append(row)
         return rows
-
-    def pairing_matrix(self, phi: dict) -> list:
-        """Matrix (u, v) |-> phi(x_u x_v) over the basis ordering (dense rows)."""
-        zero = self.field.zero
-        return [[row.get(j, zero) for j in range(self.dim)] for row in self.pairing_rows(phi)]
-
-    def nakayama_wrt(self, phi: dict) -> list:
-        """Images N(x_v) for the automorphism with phi(xy) = phi(y N(x)).
-
-        Returns a list of sparse elements indexed like the basis.  Raises
-        when the pairing of phi is degenerate.
-        """
-        basis = self.basis()
-        mat = self.pairing_matrix(phi)
-        transposed = [[mat[j][i] for j in range(len(basis))] for i in range(len(basis))]
-        try:
-            sol = solve_matrix(self.field, mat, transposed)
-        except SingularMatrixError:
-            raise NotFrobeniusError("functional pairing is degenerate") from None
-        images = []
-        for j in range(len(basis)):
-            img = {}
-            for i, w in enumerate(basis):
-                c = sol[i][j]
-                if not c.is_zero():
-                    img[w] = c
-            images.append(img)
-        return images
 
     def element_to_string(self, x: dict) -> str:
         """Terms in lexicographic order of their vectors, which is basis order.

@@ -45,10 +45,6 @@ class BadDimLimitError(QciError):
     """The QCI_DIM_LIMIT environment variable is not an integer of at least 1."""
 
 
-class NotFrobeniusError(QciError):
-    """The bilinear pairing of the given functional is degenerate."""
-
-
 class TooManyGeneratorsError(QciError):
     """Permutation enumeration refused: n exceeds the search bound."""
 

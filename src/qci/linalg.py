@@ -13,7 +13,10 @@ there are no thresholds anywhere.  The matrices the verifier meets are
 monomial or close to it, so rows stay short.
 
 `rank`, `kernel_basis`, `solve_matrix` and `invert` keep the dense interface
-(lists of rows of Scalars) as thin adapters over `rref`.
+(lists of rows of Scalars) as thin adapters over `rref`.  None of them has
+a caller in the package, and neither has `is_generalized_permutation`; the
+element inverse is a series and needs no solve.  They stay only because the
+benchmark tracer in perfbench/layers.py wraps them by name.
 """
 
 from __future__ import annotations

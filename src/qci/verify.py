@@ -554,7 +554,9 @@ def verify_derived(B: BfaStructure) -> VerificationReport:
     """The derived identities.  The checks share phi, t, the modular element
     m = phi -> t, m^{-1} (None when m is not invertible) and
     alpha = t -> phi, computed once here; alpha is the counit for every
-    presentation (_fixed_by_presentation, left-modular-functional)."""
+    presentation (_fixed_by_presentation, left-modular-functional), and
+    m^{-1} is the nilpotent series of Presentation.invert_element, with no
+    linear solve."""
     P = B.presentation
     phi, t = B.phi(), B.t_elem()
     modular = left_coaction(B, phi, t)

@@ -15,7 +15,8 @@ from functools import cache
 
 from qci.algebra import Presentation, vector_key
 from qci.builder import BfaStructure, build_structure, comultiplication, decide, g_table
-from qci.linalg import add_term, null_space, rref
+from qci.errors import NotInvertibleError, SingularMatrixError
+from qci.linalg import add_term, null_space, rref, solve_sparse
 from qci.permutations import Permutation, partition, q_pi
 from qci.scalars import Field, Scalar, cyclotomic_polynomial, make_field
 from qci.structio import structure_to_json
@@ -218,6 +219,52 @@ def apply_linear(P: Presentation, images: list, x: dict) -> dict:
         for w, cw in images[P.index(v)].items():
             add_term(out, w, c * cw)
     return out
+
+
+def reference_invert_element(P: Presentation, x: dict) -> dict:
+    """Two-sided inverse of x, via an exact solve; raises when absent.
+
+    Solves x * y = 1 with one sparse row per basis vector: column j
+    holds the coefficients of x * x_j, column dim the right-hand side.
+    The reference for the nilpotent series of Presentation.invert_element.
+    """
+    basis = P.basis()
+    dim = len(basis)
+    rows = [{} for _ in basis]
+    for j, w in enumerate(basis):
+        for v, c in P.mul(x, P.monomial(w)).items():
+            rows[P.index(v)][j] = c
+    rows[P.index(P.zero_vec)][dim] = P.field.one
+    try:
+        sol = solve_sparse(rows, dim)
+    except SingularMatrixError:
+        raise NotInvertibleError("element is not invertible") from None
+    return {basis[j]: c for j, c in sol.items()}
+
+
+def reference_nakayama_wrt(P: Presentation, phi: dict) -> list:
+    """Images N(x_v), indexed like the basis, of the automorphism with
+    phi(xy) = phi(y N(x)).
+
+    With M the pairing matrix of phi, N(x_u) = sum_i X[i][u] x_i solves
+    M X = M^T; one rref of the rows [M | M^T] gives X.  Raises
+    SingularMatrixError when the pairing of phi is degenerate.
+    """
+    basis = P.basis()
+    dim = len(basis)
+    mat = P.pairing_matrix(phi)
+    rows = []
+    for i in range(dim):
+        row = {j: x for j, x in enumerate(mat[i]) if not x.is_zero()}
+        row.update({dim + k: mat[k][i] for k in range(dim) if not mat[k][i].is_zero()})
+        rows.append(row)
+    reduced = rref(rows)
+    if sorted(reduced) != list(range(dim)):
+        raise SingularMatrixError("functional pairing is degenerate")
+    return [
+        {basis[i]: row[dim + k] for i, row in reduced.items() if dim + k in row}
+        for k in range(dim)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def test_criterion_2_twisted_example():
         # to the identity although the canonical one does
         shift = helpers.add(P.one_elem, P.monomial((1, 0, 0)))
         phi = helpers.reference_functional_left_hit(P, shift, P.dual_functional(P.top))
-        images = P.nakayama_wrt(phi)
+        images = helpers.reference_nakayama_wrt(P, phi)
         x2 = (0, 1, 0)
         n2_x2 = helpers.apply_linear(P, images, images[P.index(x2)])
         two = C8.from_int(2)
