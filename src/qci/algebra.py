@@ -71,7 +71,7 @@ class Presentation:
         self._h_values = None
         self._h_gen = None
         self._powers = {}  # (i, j, e) -> payload of q_ij ** e, filled by bracket
-        self._h_powers = {}  # (i, e) -> payload of h_{e_i} ** e, filled by h_of
+        self._h_powers = {}  # (i, e) -> payload of h_{e_i} ** e, filled by h_value
 
     def _validate(self) -> tuple:
         """Check the presentation; return the payload matrix of q."""
@@ -235,6 +235,10 @@ class Presentation:
         Computed as prod_i h_{e_i}^{v_i}: with q_ii = 1 and q_ji = q_ij^{-1}
         the v_i v_j factors of the two brackets cancel.
         """
+        return Scalar(self.field, self.h_value(v))
+
+    def h_value(self, v):
+        """The payload of h_of(v)."""
         field = self.field
         hs = self.h_values()
         powers = self._h_powers
@@ -245,7 +249,7 @@ class Presentation:
                 if power is None:
                     power = powers[(i, e)] = field._pow(hs[i], e)
                 out = power if out is None else field._mul(out, power)
-        return field.one if out is None else Scalar(field, out)
+        return field.one.value if out is None else out
 
     def h_values(self) -> tuple:
         """The payloads of h_{e_i} = prod_j q_ij^{a_j - 1} (q_ii = 1 is skipped)."""

@@ -11,6 +11,14 @@ other pairs scanned, to name the first failing one.  The Hopf flag is
 decided the same way, on the pairs (x_u, 1) and (x_u, x_k).  Failures
 carry a replayable counterexample.
 
+The four checks that compose the antipode (antipode-square-is-nakayama,
+antipode-fourth-power-identity, nakayama-via-antipode and
+fourth-power-formula) read S, S^2, S^4 and h_v from payload tables composed
+once per structure (_powers), since S sends each monomial to a multiple of
+one monomial; conjugation by the modular element m = g_top 1, a constant on
+every structure a file can hold, is a scaling of the basis part
+(_conjugation).
+
 Nine checks read only the presentation and the functionals it fixes: the
 counit epsilon = x_0^*, phi = x_top^* and the integral t = x_top.  Eight
 of them hold for every presentation and pass by the proofs in
@@ -37,6 +45,7 @@ from .algebra import Presentation, monomial_name
 from .builder import BfaStructure
 from .errors import NotInvertibleError, SingularMatrixError
 from .linalg import add_term, rref, solve_sparse
+from .scalars import Scalar
 
 
 @dataclass
@@ -174,16 +183,6 @@ def _first(vectors, fails) -> tuple:
 def _verdict(passed: bool, detail: dict) -> tuple:
     """(passed, detail), with the detail dropped when the check passed."""
     return passed, None if passed else detail
-
-
-def _s_power(B: BfaStructure, x: dict, k: int):
-    """S^k(x), or None when S meets a vector off the basis, where it is not defined."""
-    try:
-        for _ in range(k):
-            x = B.s_elem(x)
-    except KeyError:  # s_map is keyed by the basis
-        return None
-    return x
 
 
 def _single(w, c):
@@ -402,14 +401,109 @@ def verify_axioms(B: BfaStructure) -> VerificationReport:
     """The defining axioms, every basis pair decided exactly.
 
     counit-algebra-map and frobenius-pairing hold for every presentation
-    (_fixed_by_presentation).  The other pair checks evaluate only the pairs where a side can be nonzero
-    given the supports of the tables; on every other pair both sides are
-    zero.  The anti-homomorphism check passes on its generator pairs alone
-    and scans the rest only to locate a failure.  Pairs are visited in
-    basis order, row u before row u', so a failure names the first failing
-    pair of the whole dim x dim grid.
+    (_fixed_by_presentation).  The other pair checks evaluate only the pairs
+    where a side can be nonzero given the supports of the tables; on every
+    other pair both sides are zero.  The anti-homomorphism check passes on
+    its generator pairs alone and scans the rest only to locate a failure.
+    Pairs are visited in basis order, row u before row u', so a failure
+    names the first failing pair of the whole dim x dim grid.
     """
     return VerificationReport([CheckResult(name, *check(B)) for name, check in _AXIOMS.items()])
+
+
+# -- antipode powers on payloads ---------------------------------------------------
+
+
+def _add_value(field, out: dict, key, term) -> None:
+    """out[key] += term on payloads, dropping the entry when it cancels, as add_term."""
+    acc = out.get(key)
+    acc = term if acc is None else field._add(acc, term)
+    if field._is_zero(acc):
+        out.pop(key, None)
+    else:
+        out[key] = acc
+
+
+def _hit(B: BfaStructure, f: dict, x: dict, left: bool) -> dict:
+    """f -> x = sum x_1 f(x_2) when left, else x <- f = sum f(x_1) x_2, with
+    f and x payload dicts, as left_coaction and right_coaction."""
+    field = B.presentation.field
+    mul = field._mul
+    out: dict = {}
+    for v, c in x.items():
+        for u, w, coeff in B.delta[v]:
+            key, arg = (u, w) if left else (w, u)
+            fv = f.get(arg)
+            if fv is not None:
+                _add_value(field, out, key, mul(mul(c, coeff.value), fv))
+    return out
+
+
+def _powers(B: BfaStructure, d: SimpleNamespace) -> SimpleNamespace:
+    """S, S^2 and S^4 as payload tables, with h_v on the basis and alpha as
+    a payload dict; composed by the first check that reads them and kept in d.
+
+    A table maps each key v of s_map to (w, c) when the power sends x_v to
+    c x_w, c a nonzero payload, and to () when it sends x_v to 0, as it does
+    from the first zero coefficient on.  v has no entry where the power is
+    undefined: S met a vector that is no key of s_map, such as an image off
+    the basis.  S(x_v) is one term, so S^4 = S^2 S^2 entry by entry.
+    """
+    if hasattr(d, "powers"):
+        return d.powers
+    P = B.presentation
+    mul = P.field._mul
+    s1 = {v: () if c.is_zero() else (w, c.value) for v, (w, c) in B.s_map.items()}
+
+    def then(first: dict, second: dict) -> dict:
+        out = {}
+        for v, term in first.items():
+            if not term:
+                out[v] = term
+            elif (image := second.get(term[0])) is not None:
+                out[v] = (image[0], mul(term[1], image[1])) if image else ()
+        return out
+
+    s2 = then(s1, s1)
+    h = {v: P.h_value(v) for v in P.basis()}
+    alpha = {v: c.value for v, c in d.alpha.items()}
+    d.powers = SimpleNamespace(s1=s1, s2=s2, s4=then(s2, s2), h=h, alpha=alpha)
+    return d.powers
+
+
+def _apply(field, table: dict, x: dict):
+    """The power of S in table applied to the payload element x, terms that
+    cancel dropped, or None when it is undefined on a key of x."""
+    out: dict = {}
+    for v, c in x.items():
+        term = table.get(v)
+        if term is None:
+            return None
+        if term:
+            _add_value(field, out, term[0], field._mul(c, term[1]))
+    return out
+
+
+def _conjugation(P: Presentation, left: dict, right: dict):
+    """x |-> left x right on payload elements x, whose keys may lie off the basis.
+
+    When left and right are constants l 1 and r 1, every bracket with the
+    zero vector is 1, so the map is x restricted to the basis, times l r.
+    That is the case for m and m^{-1} on every structure a file can hold:
+    the loader rebuilds delta from pi and g, and the one term of delta(t)
+    with right factor x_top is g_top 1 (x) x_top, so m = g_top 1.  Other
+    elements are multiplied in by Presentation.mul.
+    """
+    zero, field = P.zero_vec, P.field
+    if left.keys() == {zero} == right.keys():
+        c = field._mul(left[zero].value, right[zero].value)
+        return lambda x: {w: field._mul(cw, c) for w, cw in x.items() if P.in_basis(w)}
+
+    def product(x: dict) -> dict:
+        y = {w: Scalar(field, cw) for w, cw in x.items()}
+        return {w: cw.value for w, cw in P.mul(P.mul(left, y), right).items()}
+
+    return product
 
 
 # -- derived checks ---------------------------------------------------------------
@@ -440,14 +534,22 @@ def _antipode_of_modular_element(B: BfaStructure, d: SimpleNamespace) -> tuple:
 
 
 def _nakayama_via_antipode(B: BfaStructure, d: SimpleNamespace) -> tuple:
-    """N(x) = m^{-1} S^2(alpha -> x) m."""
+    """N(x) = m^{-1} S^2(alpha -> x) m.
+
+    alpha -> x_v is read from the delta row of v, and S is applied to it
+    twice, since its terms can cancel in between.
+    """
     P = B.presentation
     if d.inv is None:
         return False, {"at": "modular-inverse"}
+    field, powers = P.field, _powers(B, d)
+    one = field.one.value
+    conjugate = _conjugation(P, d.inv, d.modular)
 
     def fails(v):
-        s2 = _s_power(B, left_coaction(B, d.alpha, P.monomial(v)), 2)
-        return s2 is None or P.mul(P.mul(d.inv, s2), d.modular) != P.nakayama(P.monomial(v))
+        s1 = _apply(field, powers.s1, _hit(B, powers.alpha, {v: one}, left=True))
+        s2 = None if s1 is None else _apply(field, powers.s1, s1)
+        return s2 is None or conjugate(s2) != {v: powers.h[v]}
 
     return _first(P.basis(), fails)
 
@@ -458,14 +560,16 @@ def _fourth_power_formula(B: BfaStructure, d: SimpleNamespace) -> tuple:
     if d.inv is None:
         return False, {"at": "modular-inverse"}
     try:
-        alpha_inv = convolution_inverse(B, d.alpha)
+        alpha_inv = {v: c.value for v, c in convolution_inverse(B, d.alpha).items()}
     except NotInvertibleError:
         return False, {"at": "alpha-inverse"}
+    powers, one = _powers(B, d), P.field.one.value
+    conjugate = _conjugation(P, d.modular, d.inv)
 
     def fails(v):
-        x = P.monomial(v)
-        moved = left_coaction(B, alpha_inv, right_coaction(B, x, d.alpha))
-        return _s_power(B, x, 4) != P.mul(P.mul(d.modular, moved), d.inv)
+        hit = _hit(B, alpha_inv, _hit(B, powers.alpha, {v: one}, left=False), left=True)
+        s4 = powers.s4.get(v)
+        return s4 is None or conjugate(hit) != ({s4[0]: s4[1]} if s4 else {})
 
     return _first(P.basis(), fails)
 
@@ -477,15 +581,15 @@ def _antipode_graded(B: BfaStructure, d: SimpleNamespace) -> tuple:
 
 
 def _antipode_square_is_nakayama(B: BfaStructure, d: SimpleNamespace) -> tuple:
-    """S^2 = N, the Nakayama automorphism in closed form."""
-    P = B.presentation
-    return _first(P.basis(), lambda v: _s_power(B, P.monomial(v), 2) != P.nakayama(P.monomial(v)))
+    """S^2 = N, the Nakayama automorphism in closed form: x_v |-> h_v x_v."""
+    powers = _powers(B, d)
+    return _first(B.presentation.basis(), lambda v: powers.s2.get(v) != (v, powers.h[v]))
 
 
 def _antipode_fourth_power_identity(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """S^4 = id."""
-    P = B.presentation
-    return _first(P.basis(), lambda v: _s_power(B, P.monomial(v), 4) != P.monomial(v))
+    powers, one = _powers(B, d), B.presentation.field.one.value
+    return _first(B.presentation.basis(), lambda v: powers.s4.get(v) != (v, one))
 
 
 def _antipode_fixes_integral(B: BfaStructure, d: SimpleNamespace) -> tuple:

@@ -20,7 +20,7 @@ from qci.linalg import add_term, null_space, rref, solve_sparse
 from qci.permutations import Permutation, partition, q_pi
 from qci.scalars import Field, Scalar, cyclotomic_polynomial, make_field
 from qci.structio import structure_to_json
-from qci.verify import tensor_mul
+from qci.verify import convolution_inverse, left_coaction, right_coaction, tensor_mul
 
 # one PASS/FAIL line per acceptance criterion, echoed by the conftest
 # terminal-summary hook so the lines survive pytest's output capture
@@ -544,6 +544,77 @@ def reference_presentation_checks(B) -> dict:
 
     record("nakayama-involutive", *first(not_involutive))
     return out
+
+
+def s_power(B, x: dict, k: int):
+    """S^k(x), or None when S meets a vector that is no key of s_map."""
+    try:
+        for _ in range(k):
+            x = B.s_elem(x)
+    except KeyError:
+        return None
+    return x
+
+
+def reference_antipode_power_checks(B) -> dict:
+    """(passed, detail) of the four checks that compose S, by name.
+
+    These are the bodies qci.verify once ran: S applied k times to the
+    Scalar element of each x_v, alpha -> x_v and alpha^{-1} -> x <- alpha
+    on Scalars, and m, m^{-1} multiplied in with Presentation.mul.  The
+    shared values are computed as verify_derived computes them.
+    """
+    P = B.presentation
+    basis = P.basis()
+    phi, t = B.phi(), B.t_elem()
+    modular = left_coaction(B, phi, t)
+    try:
+        inv = P.invert_element(modular)
+    except NotInvertibleError:
+        inv = None
+    alpha = P.dual_functional(P.zero_vec)
+
+    def first(fails):
+        for v in basis:
+            if fails(v):
+                return False, {"v": list(v)}
+        return True, None
+
+    def nakayama_via_antipode():
+        if inv is None:
+            return False, {"at": "modular-inverse"}
+
+        def fails(v):
+            s2 = s_power(B, left_coaction(B, alpha, P.monomial(v)), 2)
+            return s2 is None or P.mul(P.mul(inv, s2), modular) != P.nakayama(P.monomial(v))
+
+        return first(fails)
+
+    def fourth_power_formula():
+        if inv is None:
+            return False, {"at": "modular-inverse"}
+        try:
+            alpha_inv = convolution_inverse(B, alpha)
+        except NotInvertibleError:
+            return False, {"at": "alpha-inverse"}
+
+        def fails(v):
+            x = P.monomial(v)
+            moved = left_coaction(B, alpha_inv, right_coaction(B, x, alpha))
+            return s_power(B, x, 4) != P.mul(P.mul(modular, moved), inv)
+
+        return first(fails)
+
+    return {
+        "nakayama-via-antipode": nakayama_via_antipode(),
+        "fourth-power-formula": fourth_power_formula(),
+        "antipode-square-is-nakayama": first(
+            lambda v: s_power(B, P.monomial(v), 2) != P.nakayama(P.monomial(v))
+        ),
+        "antipode-fourth-power-identity": first(
+            lambda v: s_power(B, P.monomial(v), 4) != P.monomial(v)
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------

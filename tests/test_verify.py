@@ -11,6 +11,7 @@ from helpers import (
     bare_structure,
     rand_compatible_involutive_h,
     rand_presentation,
+    reference_antipode_power_checks,
     reference_functional_left_hit,
     reference_integral_space,
     reference_invert_element,
@@ -487,6 +488,79 @@ class TestImagesOffBasis:
             }
 
 
+POWER_PERTURBATIONS = (
+    "S coefficient zeroed or scaled",
+    "S image moved off the basis",
+    "two S images swapped",
+    "delta(t) gains x1 (x) t",
+    "middle delta row gains a (u, 0) term",
+)
+
+
+def power_perturbation(B, kind, rng):
+    """B with one change of the kind named, its place drawn by rng.
+
+    delta(t) gaining x_1 (x) t makes m = g_top 1 + x_1, which is not a
+    constant; a middle row v gaining (u, 0) with u != v gives alpha -> x_v
+    the two terms x_v and c x_u.
+    """
+    P = B.presentation
+    field, basis = P.field, P.basis()
+    v = rng.choice(basis)
+    if kind == "S coefficient zeroed or scaled":
+        img, coeff = B.s_map[v]
+        factor = field.from_int(rng.choice([0, 2, 3]))
+        return with_s_map(B, {**B.s_map, v: (img, coeff * factor)})
+    if kind == "S image moved off the basis":
+        return moved_image(B, v, rng.choice((-P.a[0], P.a[0])))
+    if kind == "two S images swapped":
+        return swapped_images(B, *rng.sample(basis, 2))
+    if kind == "delta(t) gains x1 (x) t":
+        row = (P.unit_vec(1), P.top, field.one)
+        return with_s_map(B, B.s_map, {**B.delta, P.top: B.delta[P.top] + [row]})
+    v = rng.choice(basis[1:-1])
+    u = rng.choice([w for w in basis if w != v])
+    row = (u, P.zero_vec, field.from_int(rng.choice([1, -1, 2])))
+    return with_s_map(B, B.s_map, {**B.delta, v: B.delta[v] + [row]})
+
+
+def power_entries(B) -> dict:
+    return {c.name: (c.passed, c.detail) for c in verify_derived(B).checks if c.name in COMPOSING_S}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([F2, F7, Q, C8]),
+    st.sampled_from([2, 3]),
+    st.sampled_from(POWER_PERTURBATIONS),
+    st.randoms(use_true_random=False),
+)
+def test_antipode_power_checks_match_reference(field, n, kind, rng):
+    """The payload tables of S^2, S^4 and h, and the constant-m conjugation,
+    give the verdict and detail of composing S on Scalar elements per v."""
+    P, _ = rand_compatible_involutive_h(rng, field, n, a_hi=3)
+    report = decide(P)
+    assume(report.exists)
+    B = build_structure(P, report.witness)
+    for S in (B, power_perturbation(B, kind, rng)):
+        assert power_entries(S) == reference_antipode_power_checks(S), kind
+
+
+@pytest.mark.parametrize("kind", POWER_PERTURBATIONS)
+def test_every_power_perturbation_reaches_the_checks(kind):
+    """Each kind of perturbation fails some check that composes S on the
+    reference structures, so the comparison above has teeth there."""
+    rng = random.Random(0)
+    failed = 0
+    for B in REFERENCE_STRUCTURES:
+        for _ in range(6):
+            T = power_perturbation(B, kind, rng)
+            expected = reference_antipode_power_checks(T)
+            assert power_entries(T) == expected, kind
+            failed += not all(passed for passed, _ in expected.values())
+    assert failed > 0
+
+
 def test_pair_checks_evaluate_subquadratically_many_products(monkeypatch):
     """verify_axioms calls mul_basis O(n dim) times, not dim^2.
 
@@ -666,6 +740,23 @@ def test_presentation_checks_build_few_scalars(monkeypatch):
     assert [c.name for c in entries] == list(PRESENTATION_CHECKS)
     assert all(c.passed for c in entries)
     assert calls["scalar"] - SHARED_SCALARS <= P.n
+
+
+def test_antipode_power_checks_build_few_scalars(monkeypatch):
+    """The four checks that compose S read payload tables of S^2, S^4 and h,
+    composed once, and conjugate by the constant m on payloads: what they
+    build beyond the shared values is the convolution inverse of alpha in
+    fourth-power-formula.  Composing S on Scalar elements for each v built
+    8447."""
+    B = seeded_d256()
+    monkeypatch.setattr(
+        verify, "_DERIVED", {k: f for k, f in verify._DERIVED.items() if k in COMPOSING_S}
+    )
+    calls = count_scalars(monkeypatch, B.presentation.field)
+    report = verify_derived(B)
+    assert [c.name for c in report.checks] == list(COMPOSING_S)
+    assert report.all_passed
+    assert calls["scalar"] - SHARED_SCALARS == 769
 
 
 def test_units_invert_without_elimination(monkeypatch):
