@@ -134,10 +134,14 @@ class Presentation:
             self._basis = list(itertools.product(*[range(ai) for ai in self.a]))
         return self._basis
 
-    def index(self, v) -> int:
+    def positions(self) -> dict:
+        """Each basis vector mapped to its index in basis(), built once."""
         if self._index is None:
             self._index = {v: i for i, v in enumerate(self.basis())}
-        return self._index[tuple(v)]
+        return self._index
+
+    def index(self, v) -> int:
+        return self.positions()[tuple(v)]
 
     def in_basis(self, v) -> bool:
         return min(v) >= 0 and all(map(operator.lt, v, self.a))
@@ -149,7 +153,18 @@ class Presentation:
     # -- structure constants ---------------------------------------------------
 
     def bracket(self, u, v) -> Scalar:
-        """The scalar prod_{i<j} q_ij^{u_j v_i} on arbitrary integer vectors.
+        """The scalar prod_{i<j} q_ij^{u_j v_i} on arbitrary integer vectors:
+        bracket_value(u, v) as a Scalar, field.one for the empty product."""
+        out = self._bracket_product(u, v)
+        return self.field.one if out is None else Scalar(self.field, out)
+
+    def bracket_value(self, u, v):
+        """The payload of bracket(u, v)."""
+        out = self._bracket_product(u, v)
+        return self.field.one.value if out is None else out
+
+    def _bracket_product(self, u, v):
+        """The payload of bracket(u, v), or None for the empty product.
 
         The payload of each power q_ij^e is cached; terms with v_i = 0 are
         skipped.
@@ -168,7 +183,7 @@ class Presentation:
                         if power is None:
                             power = powers[(i, j, e)] = field._pow(self.q_values[i][j], e)
                         out = power if out is None else field._mul(out, power)
-        return field.one if out is None else Scalar(field, out)
+        return out
 
     def mul_basis(self, u, v):
         """Product of two basis monomials: (w, coeff) or (None, 0)."""

@@ -7,17 +7,20 @@ from pathlib import Path
 import pytest
 from helpers import (
     PRESENTATION_CHECKS,
+    VIEW_CHECKS,
     add,
     bare_structure,
     rand_compatible_involutive_h,
     rand_presentation,
     reference_antipode_power_checks,
+    reference_coaction,
     reference_functional_left_hit,
     reference_integral_space,
     reference_invert_element,
     reference_is_hopf,
     reference_pair_checks,
     reference_presentation_checks,
+    reference_view_checks,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -44,6 +47,7 @@ from qci.verify import (
 from qci.scalars import Scalar, make_field
 from qci.structio import load_structure
 
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 C4 = make_field("cyclotomic", 4)
 C8 = make_field("cyclotomic", 8)
 Q = make_field("rational")
@@ -488,6 +492,53 @@ class TestImagesOffBasis:
             }
 
 
+class TestDeltaFactorsOffBasis:
+    """A delta factor off the basis is no element of A: the checks that expand
+    it fail at "off-basis", not raise, at the first row that holds it."""
+
+    def test_golden_d64_socle_factor_shifted(self):
+        """delta(t)'s left factor x1^3 x2^3 moved to x1^13 x2^13 x3^10."""
+        B = load_structure(str(GOLDEN / "d64-gf7.structure.json"))
+        P = B.presentation
+        row = list(B.delta[P.top])
+        k = [u for u, _, _ in row].index((3, 3, 0))
+        u, w, c = row[k]
+        row[k] = (tuple(x + 10 for x in u), w, c)
+        T = with_s_map(B, B.s_map, {**B.delta, P.top: row})
+        entries = {c["name"]: c for c in verify_axioms(T).to_json()["checks"]}
+        off = {"v": [3, 3, 3], "at": "off-basis"}
+        for name in ("coassociativity", "frobenius-copairing",
+                     "antipode-coalgebra-antihomomorphism"):
+            assert entries[name] == {"name": name, "passed": False, "detail": off}
+        assert entries["counit-law"]["passed"]
+        assert entries["antipode-definition"]["detail"]["v"] == [0, 0, 3]
+        assert [c.name for c in verify_derived(T).checks] == list(DERIVED_CHECKS)
+
+    @pytest.mark.parametrize("B", REFERENCE_STRUCTURES, ids=lambda B: repr(B.presentation))
+    def test_every_row_gaining_a_factor_off_the_basis(self, B):
+        """Row v gains x_{v+a} (x) 1.  coassociativity and counit-law fail at v;
+        antipode-coalgebra-antihomomorphism fails at v, or with "delta" at the
+        preimage u of v under S when u comes first, since delta(S(x_u))
+        reads row v."""
+        P = B.presentation
+        preimage = {img: u for u, (img, _) in B.s_map.items()}
+        for v in P.basis():
+            off = tuple(map(sum, zip(v, P.a)))
+            row = B.delta[v] + [(off, P.zero_vec, P.field.one)]
+            failing = {
+                c.name: c.detail
+                for c in verify_axioms(with_s_map(B, B.s_map, {**B.delta, v: row})).failing()
+            }
+            assert failing["coassociativity"] == {"v": list(v), "at": "off-basis"}
+            assert failing["counit-law"] == {"v": list(v)}
+            u = preimage[v]
+            assert failing["antipode-coalgebra-antihomomorphism"] == (
+                {"v": list(u), "at": "delta"} if u < v else {"v": list(v), "at": "off-basis"}
+            )
+            expected = {"v": list(P.top), "at": "off-basis"} if v == P.top else None
+            assert failing.get("frobenius-copairing") == expected, v
+
+
 POWER_PERTURBATIONS = (
     "S coefficient zeroed or scaled",
     "S image moved off the basis",
@@ -561,24 +612,119 @@ def test_every_power_perturbation_reaches_the_checks(kind):
     assert failed > 0
 
 
+# -- the five checks on the view against their tuple-keyed bodies ------------------
+
+
+VIEW_PERTURBATIONS = (
+    "delta coefficient scaled or zeroed",
+    "delta term dropped",
+    "delta term added",
+    "S coefficient zeroed",
+    "S image moved off the basis",
+    "two S images swapped",
+)
+
+
+def view_perturbation(B, kind, rng):
+    """B with one change of the kind named, its place drawn by rng.  An added
+    delta term has both factors in the basis."""
+    P = B.presentation
+    field, basis = P.field, P.basis()
+    v = rng.choice(basis)
+    row = B.delta[v]
+    j = rng.randrange(len(row))
+    if kind == "delta coefficient scaled or zeroed":
+        u, w, c = row[j]
+        term = (u, w, c * field.from_int(rng.choice([0, 2, 3])))
+        return with_s_map(B, B.s_map, {**B.delta, v: row[:j] + [term] + row[j + 1:]})
+    if kind == "delta term dropped":
+        return with_s_map(B, B.s_map, {**B.delta, v: row[:j] + row[j + 1:]})
+    if kind == "delta term added":
+        term = (rng.choice(basis), rng.choice(basis), field.from_int(rng.choice([1, -1, 2])))
+        return with_s_map(B, B.s_map, {**B.delta, v: row + [term]})
+    if kind == "S coefficient zeroed":
+        return with_s_map(B, {**B.s_map, v: (B.s_map[v][0], field.zero)})
+    if kind == "S image moved off the basis":
+        return moved_image(B, v, rng.choice((-P.a[0], P.a[0])))
+    return swapped_images(B, *rng.sample(basis, 2))
+
+
+def view_entries(B) -> dict:
+    return {c.name: (c.passed, c.detail) for c in verify_axioms(B).checks if c.name in VIEW_CHECKS}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([F2, F7, Q, C8]),
+    st.sampled_from([2, 3]),
+    st.sampled_from(VIEW_PERTURBATIONS),
+    st.randoms(use_true_random=False),
+)
+def test_view_checks_match_reference(field, n, kind, rng):
+    """The five checks that read delta and S on index keys and payloads give
+    the verdict and detail of their bodies on tuple keys and Scalars."""
+    P, _ = rand_compatible_involutive_h(rng, field, n, a_hi=3)
+    report = decide(P)
+    assume(report.exists)
+    B = build_structure(P, report.witness)
+    for S in (B, view_perturbation(B, kind, rng)):
+        assert view_entries(S) == reference_view_checks(S), kind
+
+
+def test_every_view_perturbation_reaches_the_checks():
+    """On the reference structures each kind of perturbation fails some of
+    the five checks, and each check fails under some kind, so the comparison
+    above has teeth."""
+    rng = random.Random(0)
+    failed = {}
+    for kind in VIEW_PERTURBATIONS:
+        for B in REFERENCE_STRUCTURES:
+            for _ in range(6):
+                T = view_perturbation(B, kind, rng)
+                expected = reference_view_checks(T)
+                assert view_entries(T) == expected, kind
+                for name, (passed, _) in expected.items():
+                    if not passed:
+                        failed.setdefault(kind, set()).add(name)
+    assert set(failed) == set(VIEW_PERTURBATIONS)
+    assert set().union(*failed.values()) == set(VIEW_CHECKS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F2, F7, Q, C8]), st.sampled_from([2, 3]), st.randoms(use_true_random=False))
+def test_coactions_match_reference(field, n, rng):
+    """left_coaction and right_coaction, the Scalar edge of _hit, give the
+    Scalar loops' f -> x and x <- f, on delta rows with one perturbation."""
+    P, _ = rand_compatible_involutive_h(rng, field, n, a_hi=3)
+    report = decide(P)
+    assume(report.exists)
+    B = build_structure(P, report.witness)
+    B = view_perturbation(B, rng.choice(VIEW_PERTURBATIONS[:3]), rng)
+    basis = P.basis()
+    f, x = ({v: field.from_int(rng.choice([1, -1, 3])) for v in rng.sample(basis, 3)}
+            for _ in range(2))
+    assert left_coaction(B, f, x) == reference_coaction(B, f, x, left=True)
+    assert right_coaction(B, x, f) == reference_coaction(B, f, x, left=False)
+
+
 def test_pair_checks_evaluate_subquadratically_many_products(monkeypatch):
-    """verify_axioms calls mul_basis O(n dim) times, not dim^2.
+    """verify_axioms evaluates O(n dim) brackets, not dim^2.
 
     A passing structure is decided by the generator certificate of
-    antipode-antihomomorphism, two products for each of its n dim pairs.
+    antipode-antihomomorphism, at most two brackets for each of its n dim
+    pairs, and antipode-definition reads one bracket per basis vector.
     """
-    golden = Path(__file__).resolve().parent / "data" / "golden"
-    B = load_structure(str(golden / "d64-gf7.structure.json"))
+    B = load_structure(str(GOLDEN / "d64-gf7.structure.json"))
     P = B.presentation
     assert P.a == (4, 4, 4)
     calls = []
-    original = Presentation.mul_basis
+    original = Presentation.bracket_value
 
     def counted(self, u, v):
         calls.append(1)
         return original(self, u, v)
 
-    monkeypatch.setattr(Presentation, "mul_basis", counted)
+    monkeypatch.setattr(Presentation, "bracket_value", counted)
     assert verify_axioms(B).all_passed
     assert 0 < len(calls) <= 2 * P.n * P.dim + 4 * P.dim
 
@@ -708,8 +854,8 @@ def test_hopf_flag_evaluates_few_pairs(monkeypatch, zero_delta, pairs, scalars):
     assert pairs <= (P.n + 1) * P.dim
 
 
-# phi, t, m, m^-1 and alpha on seeded_d256
-SHARED_SCALARS = 4
+# phi, t, m, m^-1 and alpha on seeded_d256: one Scalar for m, two for m^-1
+SHARED_SCALARS = 3
 
 
 def test_shared_values_build_few_scalars(monkeypatch):
@@ -757,6 +903,21 @@ def test_antipode_power_checks_build_few_scalars(monkeypatch):
     assert [c.name for c in report.checks] == list(COMPOSING_S)
     assert report.all_passed
     assert calls["scalar"] - SHARED_SCALARS == 769
+
+
+def test_axiom_checks_build_few_scalars(monkeypatch):
+    """The five checks that read delta and S compare payloads on the view of
+    the tables and build no Scalar on a passing structure.  On tuple keys
+    and Scalars they built 10 973."""
+    B = seeded_d256()
+    monkeypatch.setattr(
+        verify, "_AXIOMS", {k: f for k, f in verify._AXIOMS.items() if k in VIEW_CHECKS}
+    )
+    calls = count_scalars(monkeypatch, B.presentation.field)
+    report = verify_axioms(B)
+    assert [c.name for c in report.checks] == list(VIEW_CHECKS)
+    assert report.all_passed
+    assert calls["scalar"] == 0
 
 
 def test_units_invert_without_elimination(monkeypatch):
