@@ -11,24 +11,18 @@ other pairs scanned, to name the first failing one.  The Hopf flag is
 decided the same way, on the pairs (x_u, 1) and (x_u, x_k).  Failures
 carry a replayable counterexample.
 
-The four checks that compose the antipode (antipode-square-is-nakayama,
-antipode-fourth-power-identity, nakayama-via-antipode and
-fourth-power-formula) read S, S^2, S^4 and h_v from payload tables composed
-once per structure (_powers), since S sends each monomial to a multiple of
-one monomial; conjugation by the modular element m = g_top 1, a constant on
-every structure a file can hold, is a scaling of the basis part
-(_conjugation).
-
-The five checks that read delta and S basis vector by basis vector
-(coassociativity, counit-law, antipode-antihomomorphism,
-antipode-coalgebra-antihomomorphism and antipode-definition) run on one view
-of the tables per verify_axioms call (_view): basis vectors as their indices
-in the basis, delta rows as (index, index, payload) triples, and S as an
-image array and a payload coefficient array.  They compare payloads, and
-build a Scalar or a tuple only for a failure detail.  A vector off the basis
-keeps itself as its key, so a delta factor or an S image off the basis stays
-representable; a delta row that holds such a factor fails coassociativity,
-frobenius-copairing and antipode-coalgebra-antihomomorphism at "off-basis".
+verify_axioms and verify_derived each build one view of the tables (_view)
+and run every check that reads delta or S on it: basis vectors as their
+indices in the basis, delta rows as (index, index, payload) triples, the two
+coactions of the counit on each basis vector, and S as an image array and a
+payload coefficient array.  The checks compare payloads, and build a Scalar
+or a tuple only for a failure detail.  A vector off the basis keeps itself
+as its key, so a delta factor or an S image off the basis stays
+representable, and a check that would expand it fails at "off-basis".  The
+checks that compose the antipode read S, S^2, S^4 and h_v from payload
+arrays composed once (_powers), since S sends each monomial to a multiple of
+one monomial; conjugation by m = g_top 1 is a scaling (_conjugation), and
+alpha^{-1} is the counit by a certificate (_fourth_power_formula).
 
 Nine checks read only the presentation and the functionals it fixes: the
 counit epsilon = x_0^*, phi = x_top^* and the integral t = x_top.  Eight
@@ -49,6 +43,7 @@ DERIVED_CHECKS are their names.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field as dc_field
 from types import SimpleNamespace
@@ -99,14 +94,6 @@ class VerificationReport:
 # -- tensor helpers ----------------------------------------------------------
 
 
-def tensor_product(P: Presentation, x: dict, y: dict) -> dict:
-    out = {}
-    for u, cu in x.items():
-        for w, cw in y.items():
-            out[(u, w)] = cu * cw
-    return out
-
-
 def tensor_mul(P: Presentation, s: dict, t: dict) -> dict:
     """Componentwise product on the tensor square."""
     out: dict = {}
@@ -130,17 +117,7 @@ def _tensor_str(P: Presentation, t: dict) -> str:
     return " + ".join(parts)
 
 
-# -- coalgebra-side helpers ---------------------------------------------------
-
-
-def _values(x: dict) -> dict:
-    """The payloads of a Scalar dict."""
-    return {k: c.value for k, c in x.items()}
-
-
-def _scalars(field, x: dict) -> dict:
-    """The Scalar dict of a payload dict."""
-    return {k: Scalar(field, c) for k, c in x.items()}
+# -- the index-keyed view of the tables ------------------------------------------
 
 
 def _add_value(field, out: dict, key, term) -> None:
@@ -153,62 +130,6 @@ def _add_value(field, out: dict, key, term) -> None:
         out[key] = acc
 
 
-def _hit(B: BfaStructure, f: dict, x: dict, left: bool) -> dict:
-    """f -> x = sum x_1 f(x_2) when left, else x <- f = sum f(x_1) x_2, with
-    f and x payload dicts: the one implementation of both coactions."""
-    field = B.presentation.field
-    mul = field._mul
-    out: dict = {}
-    for v, c in x.items():
-        for u, w, coeff in B.delta[v]:
-            key, arg = (u, w) if left else (w, u)
-            fv = f.get(arg)
-            if fv is not None:
-                _add_value(field, out, key, mul(mul(c, coeff.value), fv))
-    return out
-
-
-def left_coaction(B: BfaStructure, f: dict, x: dict) -> dict:
-    """f -> x = sum x_1 f(x_2) on Scalar dicts, by _hit on their payloads."""
-    return _scalars(B.presentation.field, _hit(B, _values(f), _values(x), left=True))
-
-
-def right_coaction(B: BfaStructure, x: dict, f: dict) -> dict:
-    """x <- f = sum f(x_1) x_2 on Scalar dicts, by _hit on their payloads."""
-    return _scalars(B.presentation.field, _hit(B, _values(f), _values(x), left=False))
-
-
-def convolution_inverse(B: BfaStructure, f: dict) -> dict:
-    """Inverse of f in the dual algebra (f*g)(x) = sum f(x_1) g(x_2)."""
-    P = B.presentation
-    basis = P.basis()
-    dim = len(basis)
-    rows = []
-    for v in basis:
-        row: dict = {}
-        for u, w, coeff in B.delta[v]:
-            fv = f.get(u)
-            if fv is not None:
-                add_term(row, P.index(w), fv * coeff)
-        rows.append(row)
-    rows[P.index(P.zero_vec)][dim] = P.field.one
-    try:
-        sol = solve_sparse(rows, dim)
-    except SingularMatrixError:
-        raise NotInvertibleError("functional has no convolution inverse") from None
-    return {basis[i]: c for i, c in sol.items()}
-
-
-# -- the index-keyed view of the tables ------------------------------------------
-
-
-def _antipode_arrays(B: BfaStructure) -> tuple:
-    """S on the basis, in basis order: the image vector of each x_v as s_map
-    gives it, off the basis too, and its coefficient as a payload."""
-    basis = B.presentation.basis()
-    return [B.s_map[v][0] for v in basis], [B.s_map[v][1].value for v in basis]
-
-
 def _view(B: BfaStructure) -> SimpleNamespace:
     """The delta and S tables of B on basis indices, with payload coefficients.
 
@@ -216,27 +137,52 @@ def _view(B: BfaStructure) -> SimpleNamespace:
     itself, a tuple, when it does not, so keys compare as the vectors do and
     a delta factor or an S image off the basis stays representable.
 
-      rows[i]   the delta row of basis[i], as (key u, key w, payload c)
-      off       the indices i whose delta row holds a factor off the basis
-      s_vec[i]  the vector of the image S(x_v), v = basis[i]
-      s_img[i]  the key of s_vec[i]
-      s_coef[i] the payload c with S(x_v) = c x_{s_vec[i]}
+      rows[i]      the delta row of basis[i], as (key u, key w, payload c)
+      off          the indices i whose delta row holds a factor off the basis
+      eps_left[i]  epsilon -> x_v = the terms (u, 0, c) of rows[i], summed by u
+      eps_right[i] x_v <- epsilon = the terms (0, w, c) of rows[i], summed by w
+      s_vec[i]     the vector of the image S(x_v), v = basis[i]
+      s_img[i]     the key of s_vec[i]
+      s_coef[i]    the payload c with S(x_v) = c x_{s_vec[i]}
     """
     P = B.presentation
-    basis, index = P.basis(), P.positions()
-    rows = [
-        [(index.get(u, u), index.get(w, w), c.value) for u, w, c in B.delta[v]]
-        for v in basis
-    ]
-    off = {
-        i for i, row in enumerate(rows)
-        if any(isinstance(u, tuple) or isinstance(w, tuple) for u, w, _ in row)
-    }
-    s_vec, s_coef = _antipode_arrays(B)
-    s_img = [index.get(w, w) for w in s_vec]
+    field, basis, index = P.field, P.basis(), P.positions()
+    rows, off, eps_left, eps_right = [], set(), [], []
+    for i, v in enumerate(basis):
+        row, left, right = [], {}, {}
+        for u, w, c in B.delta[v]:
+            u, w, c = index.get(u, u), index.get(w, w), c.value
+            row.append((u, w, c))
+            if u == 0:
+                _add_value(field, right, w, c)
+            if w == 0:
+                _add_value(field, left, u, c)
+            if isinstance(u, tuple) or isinstance(w, tuple):
+                off.add(i)
+        rows.append(row)
+        eps_left.append(left)
+        eps_right.append(right)
+    s_vec = [B.s_map[v][0] for v in basis]
     return SimpleNamespace(
-        basis=basis, index=index, rows=rows, off=off, s_vec=s_vec, s_img=s_img, s_coef=s_coef
+        basis=basis, index=index, rows=rows, off=off, eps_left=eps_left, eps_right=eps_right,
+        s_vec=s_vec, s_img=[index.get(w, w) for w in s_vec],
+        s_coef=[B.s_map[v][1].value for v in basis],
     )
+
+
+def _hit(field, rows: list, f: dict, x: dict, left: bool) -> dict:
+    """f -> x = sum x_1 f(x_2) when left, else x <- f = sum f(x_1) x_2, with
+    f and x payload dicts on view keys, x on the basis, and rows those of the
+    view: the one implementation of both coactions."""
+    mul = field._mul
+    out: dict = {}
+    for v, c in x.items():
+        for u, w, coeff in rows[v]:
+            key, arg = (u, w) if left else (w, u)
+            fv = f.get(arg)
+            if fv is not None:
+                _add_value(field, out, key, mul(mul(c, coeff), fv))
+    return out
 
 
 def _element(view: SimpleNamespace, field, x: dict) -> dict:
@@ -246,18 +192,34 @@ def _element(view: SimpleNamespace, field, x: dict) -> dict:
     }
 
 
+def _character(field, chi, a) -> list:
+    """prod_k chi_k^{v_k} as payloads, for v over the basis of the box a in
+    basis order, chi a sequence of payloads.  A coordinate whose chi_k is 1
+    repeats entries instead of multiplying them: the table is built from the
+    first chi_k != 1 on and then repeated for the coordinates before it."""
+    mul, one = field._mul, field.one.value
+    lead = next((k for k, c in enumerate(chi) if c != one), len(chi))
+    out = [one]
+    for c, ak in zip(chi[lead:], a[lead:]):
+        if c == one:
+            out = [x for x in out for _ in range(ak)]
+        else:
+            powers = list(itertools.accumulate([c] * (ak - 1), mul, initial=one))
+            out = [mul(x, p) for x in out for p in powers]
+    return out * math.prod(a[:lead])
+
+
 # -- check helpers -------------------------------------------------------------
 
 
-def _first(vectors, fails, keys=None) -> tuple:
-    """(passed, detail) for "fails is false on every v", v in the order given.
+def _first(basis, fails) -> tuple:
+    """(passed, detail) for "fails(i) is false for every index i of basis".
 
-    fails is called on the key of each v in keys, which runs beside vectors
-    (the vectors themselves by default).  The detail names the first failing
-    v as {"v": v}, followed by the entries of the failure when it is a dict.
+    The detail names the first failing v = basis[i] as {"v": v}, followed by
+    the entries of the failure when it is a dict.
     """
-    for v, key in zip(vectors, vectors if keys is None else keys):
-        why = fails(key)
+    for i, v in enumerate(basis):
+        why = fails(i)
         if why:
             return False, {"v": list(v), **(why if isinstance(why, dict) else {})}
     return True, None
@@ -339,28 +301,16 @@ def _coassociativity(B: BfaStructure, view: SimpleNamespace) -> tuple:
                 _add_value(field, right, (u, p, q), mul(c, c2))
         return left != right
 
-    return _first(view.basis, fails, range(len(view.basis)))
+    return _first(view.basis, fails)
 
 
 def _counit_law(B: BfaStructure, view: SimpleNamespace) -> tuple:
-    """(epsilon (x) id) delta = id = (id (x) epsilon) delta.
-
-    epsilon = x_0^* (index 0), so the two sides at x_v sum the terms of the
-    row of v whose left, respectively right, factor is 1.
-    """
-    field = B.presentation.field
-    one = field.one.value
-
-    def fails(i):
-        right, left = {}, {}
-        for u, w, c in view.rows[i]:
-            if u == 0:
-                _add_value(field, right, w, c)
-            if w == 0:
-                _add_value(field, left, u, c)
-        return right != {i: one} or left != {i: one}
-
-    return _first(view.basis, fails, range(len(view.basis)))
+    """(epsilon (x) id) delta = id = (id (x) epsilon) delta, that is
+    x_v <- epsilon = x_v = epsilon -> x_v, read from the view."""
+    one = B.presentation.field.one.value
+    return _first(
+        view.basis, lambda i: view.eps_right[i] != {i: one} or view.eps_left[i] != {i: one}
+    )
 
 
 def _frobenius_copairing(B: BfaStructure, view: SimpleNamespace) -> tuple:
@@ -394,12 +344,18 @@ def _antipode_antihomomorphism(B: BfaStructure, view: SimpleNamespace) -> tuple:
     nonzero images must lie in the basis.  The generator pairs are pairs
     of the grid, so the certificate fails exactly when some pair fails.
 
-    Only then does the scan below name the first failing pair.  The left
-    side vanishes unless v lies in box(u), the right side unless
-    s(v) + s(u) lies in the basis; those v are found by probing the image
-    vectors w with s(u) + w in the basis, within the bounding box of all
-    images (images outside the basis included).  Each row visits the union
-    in basis order.
+    The brackets of the certificate pairs come from tables built once: the
+    bracket is multiplicative in each argument, so bracket(., e_k) and
+    bracket(S(e_k), .) are characters on the basis, with the values
+    bracket(e_j, e_k) and bracket(S(e_k), e_j) on the generators (_character).
+    An image off the basis takes its bracket from bracket_value.
+
+    Only when the certificate fails does the scan below name the first
+    failing pair.  The left side vanishes unless v lies in box(u), the right
+    side unless s(v) + s(u) lies in the basis; those v are found by probing
+    the image vectors w with s(u) + w in the basis, within the bounding box
+    of all images (images outside the basis included).  Each row visits the
+    union in basis order.
     """
     P = B.presentation
     basis, index = view.basis, view.index
@@ -407,27 +363,35 @@ def _antipode_antihomomorphism(B: BfaStructure, view: SimpleNamespace) -> tuple:
     field, bracket = P.field, P.bracket_value
     mul, is_zero = field._mul, field._is_zero
 
-    def antihomomorphic(i, j):
+    def antihomomorphic(i, j, k=None):
         """S(x_u x_v) == S(x_v) S(x_u) for u, v = basis[i], basis[j], each side
-        compared as None (zero) or (key, payload)."""
+        compared as None (zero) or (key, payload); with k given, v is
+        units[k] and the brackets come from its tables."""
         u, v = basis[i], basis[j]
-        k = index.get(tuple(map(operator.add, u, v)))
+        w = index.get(tuple(map(operator.add, u, v)))
         lhs = None
-        if k is not None and not is_zero(s_coef[k]):
-            lhs = (s_img[k], mul(s_coef[k], bracket(u, v)))
+        if w is not None and not is_zero(s_coef[w]):
+            lhs = (s_img[w], mul(s_coef[w], bracket(u, v) if k is None else left[k][i]))
         iu, iv = s_vec[i], s_vec[j]
-        k = index.get(tuple(map(operator.add, iv, iu)))
+        w = index.get(tuple(map(operator.add, iv, iu)))
         rhs = None
-        if k is not None:
+        if w is not None:
             c = mul(s_coef[j], s_coef[i])
             if not is_zero(c):
-                rhs = (k, mul(c, bracket(iv, iu)))
+                ku = s_img[i]
+                b = bracket(iv, iu) if k is None or isinstance(ku, tuple) else right[k][ku]
+                rhs = (w, mul(c, b))
         return lhs == rhs
 
     if s_img[0] != 0 or s_coef[0] != field.one.value:
         return False, {"at": "S(1)"}
-    generators = [index[P.unit_vec(k)] for k in range(1, P.n + 1)]
-    if all(antihomomorphic(i, e) for i in range(len(basis)) for e in generators):
+    units = [P.unit_vec(k) for k in range(1, P.n + 1)]
+    generators = [index[e] for e in units]
+    left = [_character(field, [bracket(f, e) for f in units], P.a) for e in units]
+    right = [_character(field, [bracket(s_vec[g], f) for f in units], P.a) for g in generators]
+    if all(
+        antihomomorphic(i, g, k) for i in range(len(basis)) for k, g in enumerate(generators)
+    ):
         return True, None
     preimages: dict = {}  # image vector -> basis indices of its preimages
     for j, img in enumerate(s_vec):
@@ -481,7 +445,7 @@ def _antipode_coalgebra_antihomomorphism(B: BfaStructure, view: SimpleNamespace)
             return {"at": "delta"}
         return None
 
-    return _first(view.basis, fails, range(len(view.basis)))
+    return _first(view.basis, fails)
 
 
 def _antipode_definition(B: BfaStructure, view: SimpleNamespace) -> tuple:
@@ -515,7 +479,7 @@ def _antipode_definition(B: BfaStructure, view: SimpleNamespace) -> tuple:
             "actual": P.element_to_string(_element(view, field, acc)),
         }
 
-    return _first(basis, fails, range(len(basis)))
+    return _first(basis, fails)
 
 
 _AXIOMS = {
@@ -555,48 +519,40 @@ def verify_axioms(B: BfaStructure) -> VerificationReport:
 
 
 def _powers(B: BfaStructure, d: SimpleNamespace) -> SimpleNamespace:
-    """S, S^2 and S^4 as payload tables, with h_v on the basis and alpha as
-    a payload dict; composed by the first check that reads them and kept in d.
+    """S, S^2 and S^4 as payload arrays over the basis, with h_v; composed by
+    the first check that reads them and kept in d.
 
-    S is read as _view reads it (_antipode_arrays).  A table maps each basis
-    vector v to (w, c) when the power sends x_v to c x_w, c a nonzero
-    payload, and to () when it sends x_v to 0, as it does from the first zero
-    coefficient on.  v has no entry where the power is undefined: S met a
-    vector off the basis.  S(x_v) is one term, so S^4 = S^2 S^2 entry by
-    entry.
+    Entry i of a power is (key, c) when it sends x_v, v = basis[i], to c x_w,
+    key the view key of w and c a nonzero payload, and () when it sends x_v
+    to 0, as it does from the first zero coefficient on.  It is None where
+    the power is undefined: S met a vector off the basis.  S(x_v) is one
+    term, so S^4 = S^2 S^2 entry by entry.  h_v = prod_k h_{e_k}^{v_k}.
     """
     if hasattr(d, "powers"):
         return d.powers
-    P = B.presentation
-    field = P.field
+    P, view, field = B.presentation, d.view, B.presentation.field
     mul = field._mul
-    images, coefs = _antipode_arrays(B)
-    s1 = {
-        v: () if field._is_zero(c) else (w, c) for v, w, c in zip(P.basis(), images, coefs)
-    }
+    s1 = [() if field._is_zero(c) else (w, c) for w, c in zip(view.s_img, view.s_coef)]
 
-    def then(first: dict, second: dict) -> dict:
-        out = {}
-        for v, term in first.items():
-            if not term:
-                out[v] = term
-            elif (image := second.get(term[0])) is not None:
-                out[v] = (image[0], mul(term[1], image[1])) if image else ()
+    def then(first: list, second: list) -> list:
+        out = []
+        for term in first:  # None and () stay, and a key off the basis gives None
+            image = term and (None if isinstance(term[0], tuple) else second[term[0]])
+            out.append(image and (image[0], mul(term[1], image[1])))
         return out
 
     s2 = then(s1, s1)
-    h = {v: P.h_value(v) for v in P.basis()}
-    alpha = _values(d.alpha)
-    d.powers = SimpleNamespace(s1=s1, s2=s2, s4=then(s2, s2), h=h, alpha=alpha)
+    h = _character(field, P.h_values(), P.a)
+    d.powers = SimpleNamespace(s1=s1, s2=s2, s4=then(s2, s2), h=h)
     return d.powers
 
 
-def _apply(field, table: dict, x: dict):
-    """The power of S in table applied to the payload element x, terms that
-    cancel dropped, or None when it is undefined on a key of x."""
+def _apply(field, table: list, x: dict):
+    """The power of S in table applied to the payload element x on view keys,
+    terms that cancel dropped, or None when it is undefined on a key of x."""
     out: dict = {}
-    for v, c in x.items():
-        term = table.get(v)
+    for k, c in x.items():
+        term = None if isinstance(k, tuple) else table[k]
         if term is None:
             return None
         if term:
@@ -604,23 +560,25 @@ def _apply(field, table: dict, x: dict):
     return out
 
 
-def _conjugation(P: Presentation, left: dict, right: dict):
-    """x |-> left x right on payload elements x, whose keys may lie off the basis.
+def _conjugation(P: Presentation, view: SimpleNamespace, left: dict, right: dict):
+    """x |-> left x right on payload elements x on view keys, which may lie
+    off the basis; left and right are Scalar elements.
 
     When left and right are constants l 1 and r 1, every bracket with the
-    zero vector is 1, so the map is x restricted to the basis, times l r.
-    That is the case for m and m^{-1} on every structure a file can hold:
-    the loader rebuilds delta from pi and g, and the one term of delta(t)
-    with right factor x_top is g_top 1 (x) x_top, so m = g_top 1.  Other
-    elements are multiplied in by Presentation.mul.
+    zero vector is 1, so the map is x restricted to the basis (its int
+    keys), times l r.  That is the case for m and m^{-1} on every structure
+    a file can hold: the loader rebuilds delta from pi and g, and the one
+    term of delta(t) with right factor x_top is g_top 1 (x) x_top, so
+    m = g_top 1.  Other elements are multiplied in by Presentation.mul.
     """
     zero, field = P.zero_vec, P.field
     if left.keys() == {zero} == right.keys():
         c = field._mul(left[zero].value, right[zero].value)
-        return lambda x: {w: field._mul(cw, c) for w, cw in x.items() if P.in_basis(w)}
+        return lambda x: {w: field._mul(cw, c) for w, cw in x.items() if isinstance(w, int)}
 
     def product(x: dict) -> dict:
-        return _values(P.mul(P.mul(left, _scalars(field, x)), right))
+        y = P.mul(P.mul(left, _element(view, field, x)), right)
+        return {view.index[w]: cw.value for w, cw in y.items()}
 
     return product
 
@@ -630,92 +588,132 @@ def _conjugation(P: Presentation, left: dict, right: dict):
 
 def _unit_via_copairing(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """1 = t <- phi."""
-    P = B.presentation
-    recovered = _hit(B, _values(d.phi), _values(d.t), left=False)
-    if recovered == {P.zero_vec: P.field.one.value}:
+    field, view = B.presentation.field, d.view
+    last, one = len(view.basis) - 1, field.one.value
+    recovered = _hit(field, view.rows, {last: one}, {last: one}, left=False)
+    if recovered == {0: one}:
         return True, None
-    return False, {"value": P.element_to_string(_scalars(P.field, recovered))}
+    return False, {"value": B.presentation.element_to_string(_element(view, field, recovered))}
 
 
 def _modular_element(B: BfaStructure, d: SimpleNamespace) -> tuple:
-    """m = phi -> t is group-like (and 1 in characteristic 0)."""
-    P, m = B.presentation, d.modular
-    if B.epsilon(m) != P.field.one:
+    """m = phi -> t is group-like (and 1 in characteristic 0); a key of m off
+    the basis fails at "off-basis", since delta has no row there."""
+    field, m = B.presentation.field, d.m
+    mul, one = field._mul, field.one.value
+    if m.get(0) != one:
         return False, {"at": "epsilon"}
-    if B.delta_elem(m) != tensor_product(P, m, m):
+    if any(isinstance(k, tuple) for k in m):
+        return False, {"at": "off-basis"}
+    delta: dict = {}
+    for k, c in m.items():
+        for u, w, coeff in d.view.rows[k]:
+            _add_value(field, delta, (u, w), mul(c, coeff))
+    if delta != {(u, w): mul(cu, cw) for u, cu in m.items() for w, cw in m.items()}:
         return False, {"at": "grouplike"}
-    if P.field.characteristic() == 0 and m != P.one_elem:
+    if field.characteristic() == 0 and m != {0: one}:
         return False, {"at": "char-zero-unit"}
     return True, None
 
 
 def _antipode_of_modular_element(B: BfaStructure, d: SimpleNamespace) -> tuple:
-    """S(m) = m^{-1}."""
-    return d.inv is not None and B.s_elem(d.modular) == d.inv, None
+    """S(m) = m^{-1}.  m^{-1} exists only when every key of m lies in the
+    basis, where S is read from the view."""
+    if d.inv is None:
+        return False, None
+    field, view = B.presentation.field, d.view
+    image: dict = {}
+    for k, c in d.m.items():
+        _add_value(field, image, view.s_img[k], field._mul(c, view.s_coef[k]))
+    return image == {view.index[v]: c.value for v, c in d.inv.items()}, None
 
 
 def _nakayama_via_antipode(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """N(x) = m^{-1} S^2(alpha -> x) m.
 
-    alpha -> x_v is read from the delta row of v, and S is applied to it
+    alpha -> x_v is epsilon -> x_v from the view, and S is applied to it
     twice, since its terms can cancel in between.
     """
     P = B.presentation
     if d.inv is None:
         return False, {"at": "modular-inverse"}
-    field, powers = P.field, _powers(B, d)
-    one = field.one.value
-    conjugate = _conjugation(P, d.inv, d.modular)
+    field, view, powers = P.field, d.view, _powers(B, d)
+    conjugate = _conjugation(P, view, d.inv, d.modular)
 
-    def fails(v):
-        s1 = _apply(field, powers.s1, _hit(B, powers.alpha, {v: one}, left=True))
+    def fails(i):
+        s1 = _apply(field, powers.s1, view.eps_left[i])
         s2 = None if s1 is None else _apply(field, powers.s1, s1)
-        return s2 is None or conjugate(s2) != {v: powers.h[v]}
+        return s2 is None or conjugate(s2) != {i: powers.h[i]}
 
-    return _first(P.basis(), fails)
+    return _first(view.basis, fails)
 
 
 def _fourth_power_formula(B: BfaStructure, d: SimpleNamespace) -> tuple:
-    """S^4(x) = m (alpha^{-1} -> x <- alpha) m^{-1}."""
+    """S^4(x) = m (alpha^{-1} -> x <- alpha) m^{-1}.
+
+    alpha^{-1} by certificate.  alpha = epsilon = x_0^*, so x_v <- alpha is
+    eps_right of the view, and the convolution system (alpha * g)(x_v) =
+    epsilon(x_v) for g = alpha^{-1} reads, row by row,
+      sum over the terms c x_w of x_v <- alpha of c g(x_w) = [v = 0].
+    When x_v <- alpha = x_v for every v, row v reads g(x_v) = [v = 0]: the
+    matrix is the identity, its unique solution is g = epsilon, and so
+    alpha^{-1} = epsilon exactly, with alpha^{-1} -> x_v <- alpha =
+    epsilon -> x_v.  Otherwise the system is solved; a surviving term off
+    the basis fails at "off-basis", since g has no unknown there, and a
+    singular system at "alpha-inverse".
+    """
     P = B.presentation
     if d.inv is None:
         return False, {"at": "modular-inverse"}
-    try:
-        alpha_inv = _values(convolution_inverse(B, d.alpha))
-    except NotInvertibleError:
-        return False, {"at": "alpha-inverse"}
-    powers, one = _powers(B, d), P.field.one.value
-    conjugate = _conjugation(P, d.modular, d.inv)
+    field, view = P.field, d.view
+    one, dim = field.one.value, len(view.basis)
+    if all(right == {i: one} for i, right in enumerate(view.eps_right)):
+        moved = view.eps_left
+    else:
+        if any(isinstance(w, tuple) for right in view.eps_right for w in right):
+            return False, {"at": "off-basis"}
+        rows = [{w: Scalar(field, c) for w, c in right.items()} for right in view.eps_right]
+        rows[0][dim] = field.one
+        try:
+            alpha_inv = {w: c.value for w, c in solve_sparse(rows, dim).items()}
+        except SingularMatrixError:
+            return False, {"at": "alpha-inverse"}
+        moved = [_hit(field, view.rows, alpha_inv, right, left=True) for right in view.eps_right]
+    powers = _powers(B, d)
+    conjugate = _conjugation(P, view, d.modular, d.inv)
 
-    def fails(v):
-        hit = _hit(B, alpha_inv, _hit(B, powers.alpha, {v: one}, left=False), left=True)
-        s4 = powers.s4.get(v)
-        return s4 is None or conjugate(hit) != ({s4[0]: s4[1]} if s4 else {})
+    def fails(i):
+        s4 = powers.s4[i]
+        return s4 is None or conjugate(moved[i]) != ({s4[0]: s4[1]} if s4 else {})
 
-    return _first(P.basis(), fails)
+    return _first(view.basis, fails)
 
 
 def _antipode_graded(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """S preserves total degree."""
-    P = B.presentation
-    return _first(P.basis(), lambda v: B.s_map[v][1].is_zero() or sum(B.s_map[v][0]) != sum(v))
+    view, is_zero = d.view, B.presentation.field._is_zero
+    return _first(
+        view.basis, lambda i: is_zero(view.s_coef[i]) or sum(view.s_vec[i]) != sum(view.basis[i])
+    )
 
 
 def _antipode_square_is_nakayama(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """S^2 = N, the Nakayama automorphism in closed form: x_v |-> h_v x_v."""
-    powers = _powers(B, d)
-    return _first(B.presentation.basis(), lambda v: powers.s2.get(v) != (v, powers.h[v]))
+    powers, basis = _powers(B, d), d.view.basis
+    return _first(basis, lambda i: powers.s2[i] != (i, powers.h[i]))
 
 
 def _antipode_fourth_power_identity(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """S^4 = id."""
-    powers, one = _powers(B, d), B.presentation.field.one.value
-    return _first(B.presentation.basis(), lambda v: powers.s4.get(v) != (v, one))
+    powers, basis = _powers(B, d), d.view.basis
+    one = B.presentation.field.one.value
+    return _first(basis, lambda i: powers.s4[i] != (i, one))
 
 
 def _antipode_fixes_integral(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """S(t) = t."""
-    return B.s_elem(d.t) == d.t, None
+    view, last = d.view, len(d.view.basis) - 1
+    return view.s_img[last] == last and view.s_coef[last] == B.presentation.field.one.value, None
 
 
 def _nakayama_involutive(B: BfaStructure, d: SimpleNamespace) -> tuple:
@@ -728,26 +726,25 @@ def _nakayama_involutive(B: BfaStructure, d: SimpleNamespace) -> tuple:
     the h_{e_i}^2 = 1 with i > k.  So the first failing v is e_k, and the
     detail names h_{e_k}.
     """
-    P = B.presentation
-    for k, h in reversed(list(enumerate(P.h_generators(), start=1))):
-        if h * h != P.field.one:
-            return False, {"v": list(P.unit_vec(k)), "h": str(h)}
+    P, field = B.presentation, B.presentation.field
+    for k, h in reversed(list(enumerate(P.h_values(), start=1))):
+        if field._mul(h, h) != field.one.value:
+            return False, {"v": list(P.unit_vec(k)), "h": str(Scalar(field, h))}
     return True, None
 
 
 def _antipode_monomial(B: BfaStructure, d: SimpleNamespace) -> tuple:
     """The image map is an involution of the basis fixing top."""
-    P = B.presentation
-    basis = P.basis()
-    found = _first(basis, lambda v: B.s_map[v][1].is_zero() or not P.in_basis(B.s_map[v][0]))
+    view, is_zero = d.view, B.presentation.field._is_zero
+    s_img, dim = view.s_img, len(view.basis)
+    found = _first(view.basis, lambda i: is_zero(view.s_coef[i]) or isinstance(s_img[i], tuple))
     if not found[0]:
         return found
-    images = {v: B.s_map[v][0] for v in basis}
-    if sorted(images.values()) != basis:
+    if sorted(s_img) != list(range(dim)):
         return False, {"at": "not-a-bijection"}
-    if any(images[images[v]] != v for v in basis):
+    if any(s_img[s_img[i]] != i for i in range(dim)):
         return False, {"at": "not-an-involution"}
-    if images[P.top] != P.top:
+    if s_img[dim - 1] != dim - 1:
         return False, {"at": "top-not-fixed"}
     return True, None
 
@@ -776,21 +773,22 @@ DERIVED_CHECKS = tuple(_DERIVED)
 
 
 def verify_derived(B: BfaStructure) -> VerificationReport:
-    """The derived identities.  The checks share phi, t, the modular element
-    m = phi -> t, m^{-1} (None when m is not invertible) and
-    alpha = t -> phi, computed once here; alpha is the counit for every
-    presentation (_fixed_by_presentation, left-modular-functional), and
-    m^{-1} is the nilpotent series of Presentation.invert_element, with no
-    linear solve."""
+    """The derived identities, on one view of the tables (_view) built here.
+    The checks share m = phi -> t, with phi = x_top^* and t = x_top, as a
+    payload dict on view keys and as a Scalar element, and m^{-1} (None when
+    m is not invertible) by the series of Presentation.invert_element.
+    alpha = t -> phi is the counit (_fixed_by_presentation), so alpha -> x
+    and x <- alpha are read from the view."""
     P = B.presentation
-    phi, t = B.phi(), B.t_elem()
-    modular = left_coaction(B, phi, t)
+    field, view = P.field, _view(B)
+    top = {P.dim - 1: field.one.value}
+    m = _hit(field, view.rows, top, top, left=True)
+    modular = _element(view, field, m)
     try:
         inv = P.invert_element(modular)
     except NotInvertibleError:
         inv = None
-    alpha = P.dual_functional(P.zero_vec)
-    shared = SimpleNamespace(phi=phi, t=t, modular=modular, inv=inv, alpha=alpha)
+    shared = SimpleNamespace(view=view, m=m, modular=modular, inv=inv)
     checks = [CheckResult(name, *check(B, shared)) for name, check in _DERIVED.items()]
     return VerificationReport(checks)
 

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 from functools import cache
 
+from qci import verify
 from qci.algebra import Presentation, vector_key
 from qci.builder import BfaStructure, build_structure, comultiplication, decide, g_table
 from qci.errors import NotInvertibleError, SingularMatrixError
@@ -20,7 +21,7 @@ from qci.linalg import add_term, null_space, rref, solve_sparse
 from qci.permutations import Permutation, partition, q_pi
 from qci.scalars import Field, Scalar, cyclotomic_polynomial, make_field
 from qci.structio import structure_to_json
-from qci.verify import convolution_inverse, tensor_mul
+from qci.verify import tensor_mul
 
 # one PASS/FAIL line per acceptance criterion, echoed by the conftest
 # terminal-summary hook so the lines survive pytest's output capture
@@ -559,6 +560,55 @@ def reference_coaction(B, f: dict, x: dict, left: bool) -> dict:
     return out
 
 
+def _view_coaction(B, f: dict, x: dict, left: bool) -> dict:
+    """qci.verify._hit on the view of B, for Scalar dicts f and x keyed by
+    vectors, x on the basis."""
+    view, field = verify._view(B), B.presentation.field
+    payloads = [{view.index.get(v, v): c.value for v, c in y.items()} for y in (f, x)]
+    return verify._element(view, field, verify._hit(field, view.rows, *payloads, left))
+
+
+def left_coaction(B, f: dict, x: dict) -> dict:
+    """f -> x = sum x_1 f(x_2) on Scalar dicts, by qci.verify._hit."""
+    return _view_coaction(B, f, x, left=True)
+
+
+def right_coaction(B, x: dict, f: dict) -> dict:
+    """x <- f = sum f(x_1) x_2 on Scalar dicts, by qci.verify._hit."""
+    return _view_coaction(B, f, x, left=False)
+
+
+def tensor_product(P: Presentation, x: dict, y: dict) -> dict:
+    """x (x) y on Scalar dicts, keyed by vector pairs."""
+    return {(u, w): cu * cw for u, cu in x.items() for w, cw in y.items()}
+
+
+def reference_convolution_inverse(B, f: dict) -> dict:
+    """Inverse of f in the dual algebra (f*g)(x) = sum f(x_1) g(x_2), by a
+    sparse solve on Scalars: row v of the system is (f*g)(x_v) = epsilon(x_v).
+
+    Raises NotInvertibleError when the system is singular, and KeyError when
+    a row keeps a term off the basis, where g has no unknown.
+    """
+    P = B.presentation
+    basis = P.basis()
+    dim = len(basis)
+    rows = []
+    for v in basis:
+        row: dict = {}
+        for u, w, coeff in B.delta[v]:
+            fu = f.get(u)
+            if fu is not None:
+                add_term(row, w, fu * coeff)
+        rows.append({P.index(w): c for w, c in row.items()})
+    rows[P.index(P.zero_vec)][dim] = P.field.one
+    try:
+        sol = solve_sparse(rows, dim)
+    except SingularMatrixError:
+        raise NotInvertibleError("functional has no convolution inverse") from None
+    return {basis[i]: c for i, c in sol.items()}
+
+
 def s_power(B, x: dict, k: int):
     """S^k(x), or None when S meets a vector that is no key of s_map."""
     try:
@@ -569,16 +619,20 @@ def s_power(B, x: dict, k: int):
     return x
 
 
-def reference_antipode_power_checks(B) -> dict:
-    """(passed, detail) of the four checks that compose S, by name.
+def reference_derived_checks(B) -> dict:
+    """(passed, detail) of the seventeen derived checks, by name.
 
-    These are the bodies qci.verify once ran: S applied k times to the
-    Scalar element of each x_v, alpha -> x_v and alpha^{-1} -> x <- alpha
-    on Scalars, and m, m^{-1} multiplied in with Presentation.mul.  The
-    shared values are computed as verify_derived computes them.
+    These are the bodies qci.verify once ran on tuple keys and Scalars:
+    the coactions on Scalar dicts (reference_coaction), S applied k times to
+    the Scalar element of each x_v, m and m^{-1} multiplied in with
+    Presentation.mul, and alpha^{-1} by a sparse solve
+    (reference_convolution_inverse), never by certificate.  The eight checks
+    that read only the presentation come from reference_presentation_checks.
+    A key of m or a term of x_v <- alpha off the basis, where those bodies
+    raised KeyError, fails at "off-basis" as in qci.verify.
     """
     P = B.presentation
-    basis = P.basis()
+    field, basis = P.field, P.basis()
     phi, t = B.phi(), B.t_elem()
     modular = reference_coaction(B, phi, t, left=True)
     try:
@@ -591,6 +645,23 @@ def reference_antipode_power_checks(B) -> dict:
         for v in basis:
             if fails(v):
                 return False, {"v": list(v)}
+        return True, None
+
+    def unit_via_copairing():
+        recovered = reference_coaction(B, phi, t, left=False)
+        if recovered == P.one_elem:
+            return True, None
+        return False, {"value": P.element_to_string(recovered)}
+
+    def modular_element():
+        if B.epsilon(modular) != field.one:
+            return False, {"at": "epsilon"}
+        if not all(map(P.in_basis, modular)):
+            return False, {"at": "off-basis"}
+        if B.delta_elem(modular) != tensor_product(P, modular, modular):
+            return False, {"at": "grouplike"}
+        if field.characteristic() == 0 and modular != P.one_elem:
+            return False, {"at": "char-zero-unit"}
         return True, None
 
     def nakayama_via_antipode():
@@ -606,30 +677,62 @@ def reference_antipode_power_checks(B) -> dict:
     def fourth_power_formula():
         if inv is None:
             return False, {"at": "modular-inverse"}
+        moved = [reference_coaction(B, alpha, P.monomial(v), left=False) for v in basis]
+        if not all(P.in_basis(w) for x in moved for w in x):
+            return False, {"at": "off-basis"}
         try:
-            alpha_inv = convolution_inverse(B, alpha)
+            alpha_inv = reference_convolution_inverse(B, alpha)
         except NotInvertibleError:
             return False, {"at": "alpha-inverse"}
 
         def fails(v):
             x = P.monomial(v)
-            moved = reference_coaction(
+            hit = reference_coaction(
                 B, alpha_inv, reference_coaction(B, alpha, x, left=False), left=True
             )
-            return s_power(B, x, 4) != P.mul(P.mul(modular, moved), inv)
+            return s_power(B, x, 4) != P.mul(P.mul(modular, hit), inv)
 
         return first(fails)
 
-    return {
+    def antipode_monomial():
+        found = first(
+            lambda v: B.s_map[v][1].is_zero() or not P.in_basis(B.s_map[v][0])
+        )
+        if not found[0]:
+            return found
+        images = {v: B.s_map[v][0] for v in basis}
+        if sorted(images.values()) != basis:
+            return False, {"at": "not-a-bijection"}
+        if any(images[images[v]] != v for v in basis):
+            return False, {"at": "not-an-involution"}
+        if images[P.top] != P.top:
+            return False, {"at": "top-not-fixed"}
+        return True, None
+
+    out = {
+        name: (entry["passed"], entry["detail"])
+        for name, entry in reference_presentation_checks(B).items()
+    }
+    del out["counit-algebra-map"], out["frobenius-pairing"]
+    out.update({
+        "unit-via-copairing": unit_via_copairing(),
+        "modular-element": modular_element(),
+        "antipode-of-modular-element": (inv is not None and B.s_elem(modular) == inv, None),
         "nakayama-via-antipode": nakayama_via_antipode(),
         "fourth-power-formula": fourth_power_formula(),
+        "antipode-graded": first(
+            lambda v: B.s_map[v][1].is_zero() or sum(B.s_map[v][0]) != sum(v)
+        ),
         "antipode-square-is-nakayama": first(
             lambda v: s_power(B, P.monomial(v), 2) != P.nakayama(P.monomial(v))
         ),
         "antipode-fourth-power-identity": first(
             lambda v: s_power(B, P.monomial(v), 4) != P.monomial(v)
         ),
-    }
+        "antipode-fixes-integral": (B.s_elem(t) == t, None),
+        "antipode-monomial": antipode_monomial(),
+    })
+    return out
 
 
 VIEW_CHECKS = (
