@@ -30,7 +30,6 @@ from .errors import (
     RegimeHypothesisError,
     WitnessInvalidError,
 )
-from .linalg import add_term
 from .permutations import (
     PartitionReport,
     Permutation,
@@ -398,20 +397,53 @@ def g_table(P: Presentation, w: Witness) -> dict:
     return route_one
 
 
+def key_of(P: Presentation, v):
+    """The key of v in the tables of a structure: its index in the basis, or
+    v itself off the basis, where it stays representable."""
+    return P.positions().get(v, v)
+
+
+def vector_of(P: Presentation, key) -> tuple:
+    """The vector a key of the tables names, the inverse of key_of."""
+    return P.basis()[key] if isinstance(key, int) else key
+
+
+def delta_rows(P: Presentation, delta: dict) -> list:
+    """The rows, on keys and payloads, of a table {v: [(u, w, coeff)]}."""
+    return [
+        [(key_of(P, u), key_of(P, w), c.value) for u, w, c in delta[v]] for v in P.basis()
+    ]
+
+
 @dataclass
 class BfaStructure:
-    """A verified-ready structure: presentation, witness, and all tables.
+    """A verified-ready structure: presentation, witness, g and the tables.
 
-    delta maps each basis vector v to a list of (u, w, coeff) tensor terms;
-    s_map sends v to (image vector, coeff); g holds the socle coefficients
-    keyed by v as in g_table.  The counit is the coefficient-of-1 functional.
+    delta and S have one representation, on keys (key_of) and payloads:
+      rows[i]    delta(x_v), v = basis[i], as (key u, key w, payload c) terms
+      s_img[i]   the key of w, where S(x_v) = c x_w
+      s_coef[i]  the payload c
+    Tables on vectors and Scalars enter through from_tables.  g holds the
+    socle coefficients keyed by v, as in g_table.  The counit is the
+    coefficient-of-1 functional.
     """
 
     presentation: Presentation
     witness: Witness
     g: dict
-    delta: dict
-    s_map: dict
+    rows: list
+    s_img: list
+    s_coef: list
+
+    @classmethod
+    def from_tables(cls, P: Presentation, witness, g: dict, delta: dict, s_map: dict):
+        """The structure with delta = {v: [(u, w, coeff)]} and
+        s_map = {v: (image, coeff)}, both keyed by basis vectors."""
+        images = [s_map[v] for v in P.basis()]
+        return cls(
+            P, witness, g, delta_rows(P, delta),
+            [key_of(P, w) for w, _ in images], [c.value for _, c in images],
+        )
 
     @property
     def t_vec(self) -> tuple:
@@ -427,42 +459,25 @@ class BfaStructure:
         c = x.get(self.presentation.zero_vec)
         return self.presentation.field.zero if c is None else c
 
-    def delta_elem(self, x: dict) -> dict:
-        """Tensor expansion of x as a dict keyed by vector pairs."""
-        out: dict = {}
-        for v, c in x.items():
-            for u, w, coeff in self.delta[v]:
-                add_term(out, (u, w), c * coeff)
-        return out
 
-    def s_elem(self, x: dict) -> dict:
-        out: dict = {}
-        for v, c in x.items():
-            img, coeff = self.s_map[v]
-            add_term(out, img, c * coeff)
-        return out
-
-
-def comultiplication(P: Presentation, pi: Permutation, g: dict) -> dict:
-    """The delta table of the construction, keyed by v in basis order.
+def comultiplication(P: Presentation, pi: Permutation, g: dict) -> list:
+    """The rows of delta in the construction, in basis order.
 
     delta(1) = 1 (x) 1, every middle monomial is primitive, and
-    delta(t) = sum_u g_u x_{a-1-u} (x) x_{pi(u)}.  Each row is a list of
-    (u, w, coeff) tensor terms.
+    delta(t) = sum_u g_u x_{a-1-u} (x) x_{pi(u)}; the complement of the
+    basis vector at index i is the one at index dim - 1 - i.
     """
-    one = P.field.one
-    zero = P.zero_vec
-    delta = {v: [(zero, v, one), (v, zero, one)] for v in P.basis()}
-    delta[zero] = [(zero, zero, one)]
-    delta[P.top] = [(P.complement(u), pi.act(u), g[u]) for u in P.basis()]
-    return delta
+    one, index, last = P.field.one.value, P.positions(), P.dim - 1
+    rows = [[(0, i, one), (i, 0, one)] for i in range(P.dim)]
+    rows[0] = [(0, 0, one)]
+    rows[last] = [(last - i, index[pi.act(u)], g[u].value) for i, u in enumerate(P.basis())]
+    return rows
 
 
 def build_structure(P: Presentation, w: Witness) -> BfaStructure:
-    """Assemble the comultiplication and antipode tables from a witness."""
+    """The structure of a witness, with S(x_v) = g_v bracket(a-1-v, v) x_{pi(v)}."""
     g = g_table(P, w)
-    s_map = {
-        v: (w.pi.act(v), g[v] * P.bracket(P.complement(v), v)) for v in P.basis()
-    }
-    return BfaStructure(P, w, g, comultiplication(P, w.pi, g), s_map)
-
+    basis, index, mul = P.basis(), P.positions(), P.field._mul
+    s_img = [index[w.pi.act(v)] for v in basis]
+    s_coef = [mul(g[v].value, P.bracket_value(P.complement(v), v)) for v in basis]
+    return BfaStructure(P, w, g, comultiplication(P, w.pi, g), s_img, s_coef)

@@ -2,7 +2,8 @@
 
 Every subcommand is a thin composition of library calls; no mathematics
 lives in this module.  Exit codes: 0 success (a "No" decision is a
-successful answer), 1 input or parse error, 2 verification failure,
+successful answer), 1 input or parse error, or standard output closed
+before the command finished (as by `| head`), 2 verification failure,
 3 internal error.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 from math import lcm
 
@@ -23,6 +25,7 @@ from .builder import (
     check_witness,
     decide,
     solve_c,
+    vector_of,
 )
 from .demos import EXAMPLE_IDS, default_field, example_presentation, example_witness
 from .errors import (
@@ -33,7 +36,7 @@ from .errors import (
     WitnessInvalidError,
 )
 from .permutations import Permutation, enumerate_compatible
-from .scalars import multiplicative_order, parse_field_descriptor
+from .scalars import Scalar, multiplicative_order, parse_field_descriptor
 from .structio import load_presentation, load_structure, open_output, save_structure
 from .verify import (
     is_hopf_comultiplication,
@@ -103,7 +106,14 @@ def _build_parser() -> _Parser:
 
 
 def entry() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader is gone: send what is left to devnull and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 def run(argv) -> int:
@@ -254,26 +264,23 @@ def _cmd_construct(args) -> int:
 
 def _structure_tables(B: BfaStructure) -> str:
     P = B.presentation
-    lines = []
-    top = P.top
-    terms = []
-    for u, w, coeff in B.delta[top]:
-        terms.append(f"({coeff})*{monomial_name(u)}(x){monomial_name(w)}")
-    lines.append(f"Delta({monomial_name(top)}) = " + " + ".join(terms))
-    for v in P.basis():
-        if v == P.zero_vec:
-            continue
-        img, coeff = B.s_map[v]
-        lines.append(f"S({monomial_name(v)}) = " + P.element_to_string({img: coeff}))
+    terms = [
+        f"({Scalar(P.field, c)})*{monomial_name(vector_of(P, u))}(x)"
+        f"{monomial_name(vector_of(P, w))}"
+        for u, w, c in B.rows[-1]
+    ]
+    lines = [f"Delta({monomial_name(P.top)}) = " + " + ".join(terms)]
+    for v, img, c in list(zip(P.basis(), B.s_img, B.s_coef))[1:]:
+        image = {vector_of(P, img): Scalar(P.field, c)}
+        lines.append(f"S({monomial_name(v)}) = " + P.element_to_string(image))
     return "\n".join(lines)
 
 
 def _run_verification(B: BfaStructure, as_json: bool) -> int:
-    P = B.presentation
     axioms = verify_axioms(B)
     derived = verify_derived(B)
     hopf = is_hopf_comultiplication(B)
-    prim = primitive_space_dim(P, B.delta)
+    prim = primitive_space_dim(B)
     ok = axioms.all_passed and derived.all_passed
     if as_json:
         print(

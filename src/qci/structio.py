@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 
 from .algebra import Presentation, parse_vector_key, vector_key
-from .builder import BfaStructure, Witness, check_witness, comultiplication
+from .builder import BfaStructure, Witness, check_witness, comultiplication, delta_rows
 from .errors import (
     FileSemanticError,
     FileSyntaxError,
@@ -37,7 +37,7 @@ from .errors import (
     WitnessInvalidError,
 )
 from .permutations import Permutation
-from .scalars import Field, make_field
+from .scalars import Field, Scalar, make_field
 
 FORMAT_VERSION = 2
 SECTIONS = {
@@ -177,23 +177,22 @@ def _read_json(path: str):
 
 def structure_to_json(B: BfaStructure) -> dict:
     P = B.presentation
-    basis = P.basis()
-    key = {v: vector_key(v) for v in basis}
+    keys = [vector_key(v) for v in P.basis()]
     literals = {}  # payload -> text; all scalars of B share one field
 
-    def text(s) -> str:
-        out = literals.get(s.value)
+    def text(value) -> str:
+        out = literals.get(value)
         if out is None:
-            out = literals[s.value] = str(s)
+            out = literals[value] = str(Scalar(P.field, value))
         return out
 
     return {
         "format": FORMAT_VERSION,
         "presentation": presentation_to_json(P),
         "pi": list(B.witness.pi.images),
-        "c": [text(c) for c in B.witness.c],
-        "g": {key[v]: text(B.g[v]) for v in basis},
-        "s": {key[v]: [key[B.s_map[v][0]], text(B.s_map[v][1])] for v in basis},
+        "c": [text(c.value) for c in B.witness.c],
+        "g": {key: text(B.g[v].value) for key, v in zip(keys, P.basis())},
+        "s": {key: [keys[w], text(c)] for key, w, c in zip(keys, B.s_img, B.s_coef)},
     }
 
 
@@ -240,8 +239,8 @@ def _basis_table(obj, name: str, P: Presentation, vectors: dict, entry) -> dict:
     return table
 
 
-def _check_delta_block(block, P: Presentation, vectors: dict, literals: dict, delta):
-    """Check the delta block of a format-1 file against the rebuilt table delta."""
+def _check_delta_block(block, P: Presentation, vectors: dict, literals: dict, rebuilt: list):
+    """Check the delta block of a format-1 file against the rebuilt rows of delta."""
     field = P.field
 
     def delta_row(key, rows):
@@ -262,21 +261,21 @@ def _check_delta_block(block, P: Presentation, vectors: dict, literals: dict, de
             terms.append((u, w, coeff))
         return terms
 
-    given = _basis_table(block, "delta", P, vectors, delta_row)
+    given = delta_rows(P, _basis_table(block, "delta", P, vectors, delta_row))
     wrong_row = {
-        P.zero_vec: "delta at the zero vector must be 1 (x) 1",
-        P.top: "delta at the top vector disagrees with g",
+        0: "delta at the zero vector must be 1 (x) 1",
+        P.dim - 1: "delta at the top vector disagrees with g",
     }
     # in basis order: the zero row first, the top row last
-    for v, expected in delta.items():
+    for i, (v, expected) in enumerate(zip(P.basis(), rebuilt)):
         row = {}
-        for u, w, coeff in given[v]:
+        for u, w, coeff in given[i]:
             if (u, w) in row:
                 raise FileSemanticError(f"delta[{vector_key(v)}] repeats a tensor term")
             row[(u, w)] = coeff
         if row != {(u, w): coeff for u, w, coeff in expected}:
             raise FileSemanticError(
-                wrong_row.get(v)
+                wrong_row.get(i)
                 or f"delta[{vector_key(v)}] must be primitive below the top vector"
             )
 
@@ -337,9 +336,9 @@ def structure_from_json(obj) -> BfaStructure:
     if g[P.zero_vec] != one or g[P.top] != one:
         raise FileSemanticError("g must be 1 at the zero and top vectors")
 
-    delta = comultiplication(P, pi, g)
+    rows = comultiplication(P, pi, g)
     if version == 1:
-        _check_delta_block(obj["delta"], P, vectors, literals, delta)
+        _check_delta_block(obj["delta"], P, vectors, literals, rows)
 
     def s_row(key, row):
         if not isinstance(row, list) or len(row) != 2:
@@ -349,17 +348,20 @@ def structure_from_json(obj) -> BfaStructure:
             raise FileSemanticError(f"s[{key}] image is outside the basis")
         return img, _scalar(field, row[1], f"coefficient in s[{key}]", literals)
 
-    s_map = _basis_table(obj["s"], "s", P, vectors, s_row)
+    s_entries = _basis_table(obj["s"], "s", P, vectors, s_row)
+    index, s_img, s_coef = P.positions(), [], []
     for v in P.basis():
-        img, coeff = s_map[v]
+        img, coeff = s_entries[v]
         if coeff.is_zero():
             raise FileSemanticError(f"s[{vector_key(v)}] has a zero coefficient")
         if img != pi.act(v):
             raise FileSemanticError(f"s[{vector_key(v)}] must land on the pi-image")
-    if s_map[P.top] != (P.top, one):
+        s_img.append(index[img])
+        s_coef.append(coeff.value)
+    if s_entries[P.top] != (P.top, one):
         raise FileSemanticError("s must fix the top monomial with coefficient 1")
 
-    return BfaStructure(P, witness, g, delta, s_map)
+    return BfaStructure(P, witness, g, rows, s_img, s_coef)
 
 
 def load_structure(path: str) -> BfaStructure:

@@ -11,18 +11,15 @@ other pairs scanned, to name the first failing one.  The Hopf flag is
 decided the same way, on the pairs (x_u, 1) and (x_u, x_k).  Failures
 carry a replayable counterexample.
 
-verify_axioms and verify_derived each build one view of the tables (_view)
-and run every check that reads delta or S on it: basis vectors as their
-indices in the basis, delta rows as (index, index, payload) triples, the two
-coactions of the counit on each basis vector, and S as an image array and a
-payload coefficient array.  The checks compare payloads, and build a Scalar
-or a tuple only for a failure detail.  A vector off the basis keeps itself
-as its key, so a delta factor or an S image off the basis stays
-representable, and a check that would expand it fails at "off-basis".  The
-checks that compose the antipode read S, S^2, S^4 and h_v from payload
-arrays composed once (_powers), since S sends each monomial to a multiple of
-one monomial; conjugation by m = g_top 1 is a scaling (_conjugation), and
-alpha^{-1} is the counit by a certificate (_fourth_power_formula).
+The checks read delta and S as the structure stores them (BfaStructure):
+rows of (key, key, payload) terms, an image array and a payload array.
+They compare payloads, and build a Scalar or a tuple only for a failure
+detail; a check that would expand a delta factor or an S image off the
+basis, which is its own key, fails at "off-basis".  S, S^2, S^4 and h_v
+are payload arrays composed once (_Shared), since S sends each monomial to
+a multiple of one monomial; conjugation by m = g_top 1 is a scaling
+(_conjugation), and alpha^{-1} is the counit by a certificate
+(_fourth_power_formula).
 
 Nine checks read only the presentation and the functionals it fixes: the
 counit epsilon = x_0^*, phi = x_top^* and the integral t = x_top.  Eight
@@ -46,10 +43,9 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field as dc_field
-from types import SimpleNamespace
 
 from .algebra import Presentation, monomial_name
-from .builder import BfaStructure
+from .builder import BfaStructure, key_of, vector_of
 from .errors import NotInvertibleError, SingularMatrixError
 from .linalg import add_term, rref, solve_sparse
 from .scalars import Scalar
@@ -91,33 +87,7 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-# -- tensor helpers ----------------------------------------------------------
-
-
-def tensor_mul(P: Presentation, s: dict, t: dict) -> dict:
-    """Componentwise product on the tensor square."""
-    out: dict = {}
-    for (u1, w1), c1 in s.items():
-        for (u2, w2), c2 in t.items():
-            u = tuple(a + b for a, b in zip(u1, u2))
-            w = tuple(a + b for a, b in zip(w1, w2))
-            if not P.in_basis(u) or not P.in_basis(w):
-                continue
-            coeff = c1 * c2 * P.bracket(u1, u2) * P.bracket(w1, w2)
-            add_term(out, (u, w), coeff)
-    return out
-
-
-def _tensor_str(P: Presentation, t: dict) -> str:
-    if not t:
-        return "0"
-    parts = []
-    for (u, w) in sorted(t):
-        parts.append(f"({t[(u, w)]})*{monomial_name(u)}(x){monomial_name(w)}")
-    return " + ".join(parts)
-
-
-# -- the index-keyed view of the tables ------------------------------------------
+# -- the tables on keys and payloads ----------------------------------------------
 
 
 def _add_value(field, out: dict, key, term) -> None:
@@ -130,50 +100,21 @@ def _add_value(field, out: dict, key, term) -> None:
         out[key] = acc
 
 
-def _view(B: BfaStructure) -> SimpleNamespace:
-    """The delta and S tables of B on basis indices, with payload coefficients.
-
-    A vector is keyed by its index in the basis when it lies there and by
-    itself, a tuple, when it does not, so keys compare as the vectors do and
-    a delta factor or an S image off the basis stays representable.
-
-      rows[i]      the delta row of basis[i], as (key u, key w, payload c)
-      off          the indices i whose delta row holds a factor off the basis
-      eps_left[i]  epsilon -> x_v = the terms (u, 0, c) of rows[i], summed by u
-      eps_right[i] x_v <- epsilon = the terms (0, w, c) of rows[i], summed by w
-      s_vec[i]     the vector of the image S(x_v), v = basis[i]
-      s_img[i]     the key of s_vec[i]
-      s_coef[i]    the payload c with S(x_v) = c x_{s_vec[i]}
-    """
-    P = B.presentation
-    field, basis, index = P.field, P.basis(), P.positions()
-    rows, off, eps_left, eps_right = [], set(), [], []
-    for i, v in enumerate(basis):
-        row, left, right = [], {}, {}
-        for u, w, c in B.delta[v]:
-            u, w, c = index.get(u, u), index.get(w, w), c.value
-            row.append((u, w, c))
-            if u == 0:
-                _add_value(field, right, w, c)
-            if w == 0:
-                _add_value(field, left, u, c)
-            if isinstance(u, tuple) or isinstance(w, tuple):
-                off.add(i)
-        rows.append(row)
-        eps_left.append(left)
-        eps_right.append(right)
-    s_vec = [B.s_map[v][0] for v in basis]
-    return SimpleNamespace(
-        basis=basis, index=index, rows=rows, off=off, eps_left=eps_left, eps_right=eps_right,
-        s_vec=s_vec, s_img=[index.get(w, w) for w in s_vec],
-        s_coef=[B.s_map[v][1].value for v in basis],
-    )
+def _delta(field, rows: list, x: dict) -> dict:
+    """delta(x) on key pairs, for x a payload dict on basis indices and rows
+    the delta rows of the structure."""
+    mul = field._mul
+    out: dict = {}
+    for v, c in x.items():
+        for u, w, coeff in rows[v]:
+            _add_value(field, out, (u, w), mul(c, coeff))
+    return out
 
 
 def _hit(field, rows: list, f: dict, x: dict, left: bool) -> dict:
     """f -> x = sum x_1 f(x_2) when left, else x <- f = sum f(x_1) x_2, with
-    f and x payload dicts on view keys, x on the basis, and rows those of the
-    view: the one implementation of both coactions."""
+    f and x payload dicts on keys, x on the basis, and rows the delta rows of
+    the structure: the one implementation of both coactions."""
     mul = field._mul
     out: dict = {}
     for v, c in x.items():
@@ -185,11 +126,29 @@ def _hit(field, rows: list, f: dict, x: dict, left: bool) -> dict:
     return out
 
 
-def _element(view: SimpleNamespace, field, x: dict) -> dict:
-    """The Scalar element, keyed by vectors, of a payload dict on view keys."""
-    return {
-        view.basis[k] if isinstance(k, int) else k: Scalar(field, c) for k, c in x.items()
-    }
+def _element(P: Presentation, x: dict) -> dict:
+    """The Scalar element, keyed by vectors, of a payload dict on keys."""
+    return {vector_of(P, k): Scalar(P.field, c) for k, c in x.items()}
+
+
+def _tensor_mul(P: Presentation, s: dict, t: dict) -> dict:
+    """Componentwise product on the tensor square of payload dicts keyed by
+    key pairs: x_u1 (x) x_w1 times x_u2 (x) x_w2 is bracket(u1, u2)
+    bracket(w1, w2) x_{u1+u2} (x) x_{w1+w2}, and 0 when a sum leaves the
+    basis."""
+    field, index, bracket = P.field, P.positions(), P.bracket_value
+    mul = field._mul
+    out: dict = {}
+    for (u1, w1), c1 in s.items():
+        u1, w1 = vector_of(P, u1), vector_of(P, w1)
+        for (u2, w2), c2 in t.items():
+            u2, w2 = vector_of(P, u2), vector_of(P, w2)
+            u = index.get(tuple(map(operator.add, u1, u2)))
+            w = index.get(tuple(map(operator.add, w1, w2)))
+            if u is not None and w is not None:
+                c = mul(mul(mul(c1, c2), bracket(u1, u2)), bracket(w1, w2))
+                _add_value(field, out, (u, w), c)
+    return out
 
 
 def _character(field, chi, a) -> list:
@@ -230,12 +189,7 @@ def _verdict(passed: bool, detail: dict) -> tuple:
     return passed, None if passed else detail
 
 
-def _box(P: Presentation, u):
-    """The basis vectors v with u + v in the basis, in basis order."""
-    return itertools.product(*(range(ak - uk) for ak, uk in zip(P.a, u)))
-
-
-def _fixed_by_presentation(B: BfaStructure, d: SimpleNamespace) -> tuple:
+def _fixed_by_presentation(B: BfaStructure, shared=None) -> tuple:
     """Passes, with no detail, for every structure.
 
     The eight checks that point here read only the presentation and the
@@ -272,61 +226,69 @@ def _fixed_by_presentation(B: BfaStructure, d: SimpleNamespace) -> tuple:
 # -- axiom checks ----------------------------------------------------------------
 
 
-def _unit_comultiplication(B: BfaStructure, view: SimpleNamespace) -> tuple:
-    """delta(1) = 1 (x) 1."""
-    P = B.presentation
-    actual = B.delta_elem(P.one_elem)
-    expected = {(P.zero_vec, P.zero_vec): P.field.one}
-    return _verdict(actual == expected, {"delta(1)": _tensor_str(P, actual)})
+def _unit_comultiplication(B: BfaStructure) -> tuple:
+    """delta(1) = 1 (x) 1; a failure prints delta(1), its terms in basis order."""
+    P, one = B.presentation, B.presentation.field.one.value
+    actual = _delta(P.field, B.rows, {0: one})
+    terms = {(vector_of(P, u), vector_of(P, w)): c for (u, w), c in actual.items()}
+    text = " + ".join(
+        f"({Scalar(P.field, terms[u, w])})*{monomial_name(u)}(x){monomial_name(w)}"
+        for u, w in sorted(terms)
+    )
+    return _verdict(actual == {(0, 0): one}, {"delta(1)": text or "0"})
 
 
-def _coassociativity(B: BfaStructure, view: SimpleNamespace) -> tuple:
+def _coassociativity(B: BfaStructure) -> tuple:
     """(delta (x) id) delta = (id (x) delta) delta.
 
     A row holding a factor off the basis fails at "off-basis": delta is no
     map A -> A (x) A there, and the factor has no row to expand.  The rows it
     expands may hold such factors; they are keys like any other.
     """
-    field, rows, off = B.presentation.field, view.rows, view.off
+    field, rows = B.presentation.field, B.rows
     mul = field._mul
 
     def fails(i):
-        if i in off:
-            return {"at": "off-basis"}
         left, right = {}, {}
         for u, w, c in rows[i]:
+            if isinstance(u, tuple) or isinstance(w, tuple):
+                return {"at": "off-basis"}
             for p, q, c2 in rows[u]:
                 _add_value(field, left, (p, q, w), mul(c, c2))
             for p, q, c2 in rows[w]:
                 _add_value(field, right, (u, p, q), mul(c, c2))
         return left != right
 
-    return _first(view.basis, fails)
+    return _first(B.presentation.basis(), fails)
 
 
-def _counit_law(B: BfaStructure, view: SimpleNamespace) -> tuple:
+def _counit_law(B: BfaStructure) -> tuple:
     """(epsilon (x) id) delta = id = (id (x) epsilon) delta, that is
-    x_v <- epsilon = x_v = epsilon -> x_v, read from the view."""
-    one = B.presentation.field.one.value
+    x_v <- epsilon = x_v = epsilon -> x_v, with epsilon = x_0^*."""
+    field, rows = B.presentation.field, B.rows
+    one = field.one.value
+    eps = {0: one}
     return _first(
-        view.basis, lambda i: view.eps_right[i] != {i: one} or view.eps_left[i] != {i: one}
+        B.presentation.basis(),
+        lambda i: _hit(field, rows, eps, {i: one}, left=False) != {i: one}
+        or _hit(field, rows, eps, {i: one}, left=True) != {i: one},
     )
 
 
-def _frobenius_copairing(B: BfaStructure, view: SimpleNamespace) -> tuple:
+def _frobenius_copairing(B: BfaStructure) -> tuple:
     """Rank of w |-> t <- x_w^*, one row per w; a factor of delta(t) off the
     basis fails at "off-basis", as in coassociativity."""
     P = B.presentation
-    if P.dim - 1 in view.off:
+    if any(isinstance(u, tuple) or isinstance(w, tuple) for u, w, _ in B.rows[-1]):
         return False, {"v": list(P.top), "at": "off-basis"}
     rows = [{} for _ in range(P.dim)]
-    for u, w, c in B.delta[B.t_vec]:
-        add_term(rows[P.index(u)], P.index(w), c)
+    for u, w, c in B.rows[-1]:
+        add_term(rows[u], w, Scalar(P.field, c))
     r = len(rref(rows))
     return _verdict(r == P.dim, {"rank": r})
 
 
-def _antipode_antihomomorphism(B: BfaStructure, view: SimpleNamespace) -> tuple:
+def _antipode_antihomomorphism(B: BfaStructure) -> tuple:
     """S(x_u x_v) = S(x_v) S(x_u).
 
     Generator certificate.  Let S(1) = 1, and let the pair (u, e_k) pass
@@ -358,8 +320,9 @@ def _antipode_antihomomorphism(B: BfaStructure, view: SimpleNamespace) -> tuple:
     union in basis order.
     """
     P = B.presentation
-    basis, index = view.basis, view.index
-    s_vec, s_img, s_coef = view.s_vec, view.s_img, view.s_coef
+    basis, index = P.basis(), P.positions()
+    s_img, s_coef = B.s_img, B.s_coef
+    s_vec = [vector_of(P, k) for k in s_img]
     field, bracket = P.field, P.bracket_value
     mul, is_zero = field._mul, field._is_zero
 
@@ -400,7 +363,8 @@ def _antipode_antihomomorphism(B: BfaStructure, view: SimpleNamespace) -> tuple:
     hi = [max(img[k] for img in preimages) for k in range(P.n)]
     for i, u in enumerate(basis):
         iu = s_vec[i]
-        candidates = {index[v] for v in _box(P, u)}
+        box = itertools.product(*(range(ak - uk) for ak, uk in zip(P.a, u)))
+        candidates = {index[v] for v in box}  # the v with u + v in the basis
         probe = (
             range(max(lo[k], -iu[k]), min(hi[k], P.a[k] - 1 - iu[k]) + 1)
             for k in range(P.n)
@@ -413,7 +377,7 @@ def _antipode_antihomomorphism(B: BfaStructure, view: SimpleNamespace) -> tuple:
     return True, None
 
 
-def _antipode_coalgebra_antihomomorphism(B: BfaStructure, view: SimpleNamespace) -> tuple:
+def _antipode_coalgebra_antihomomorphism(B: BfaStructure) -> tuple:
     """epsilon S = epsilon and delta S = (S (x) S) delta^op.
 
     S(x_v) = c x_w is one term, so epsilon S(x_v) is c when w = 0 and 0
@@ -421,8 +385,8 @@ def _antipode_coalgebra_antihomomorphism(B: BfaStructure, view: SimpleNamespace)
     there at "delta"; a row of delta holding a factor off the basis fails at
     "off-basis", as in coassociativity.
     """
-    field, rows = B.presentation.field, view.rows
-    s_img, s_coef = view.s_img, view.s_coef
+    field, rows = B.presentation.field, B.rows
+    s_img, s_coef = B.s_img, B.s_coef
     mul, is_zero = field._mul, field._is_zero
     one, zero = field.one.value, field.zero.value
 
@@ -430,10 +394,10 @@ def _antipode_coalgebra_antihomomorphism(B: BfaStructure, view: SimpleNamespace)
         img, coef = s_img[i], s_coef[i]
         if (coef if img == 0 else zero) != (one if i == 0 else zero):
             return {"at": "epsilon"}
-        if i in view.off:
-            return {"at": "off-basis"}
         rhs: dict = {}
         for u, w, c in rows[i]:
+            if isinstance(u, tuple) or isinstance(w, tuple):
+                return {"at": "off-basis"}
             _add_value(field, rhs, (s_img[w], s_img[u]), mul(mul(c, s_coef[u]), s_coef[w]))
         lhs: dict = {}
         if not is_zero(coef):
@@ -445,10 +409,10 @@ def _antipode_coalgebra_antihomomorphism(B: BfaStructure, view: SimpleNamespace)
             return {"at": "delta"}
         return None
 
-    return _first(view.basis, fails)
+    return _first(B.presentation.basis(), fails)
 
 
-def _antipode_definition(B: BfaStructure, view: SimpleNamespace) -> tuple:
+def _antipode_definition(B: BfaStructure) -> tuple:
     """S(x) = sum phi(t_1 x) t_2.
 
     phi = x_top^*, and x_u x_v has the support top exactly when u is the
@@ -457,10 +421,10 @@ def _antipode_definition(B: BfaStructure, view: SimpleNamespace) -> tuple:
     with left factor complement(v) contribute.
     """
     P = B.presentation
-    field, basis = P.field, view.basis
+    field, basis = P.field, P.basis()
     mul, last = field._mul, len(basis) - 1
     by_left: dict = {}  # left factor key -> [(w, c)] over the terms of delta(t)
-    for u, w, c in view.rows[last]:
+    for u, w, c in B.rows[last]:
         by_left.setdefault(u, []).append((w, c))
 
     def fails(i):
@@ -470,13 +434,13 @@ def _antipode_definition(B: BfaStructure, view: SimpleNamespace) -> tuple:
             cuv = P.bracket_value(basis[last - i], basis[i])
             for w, c in terms:
                 _add_value(field, acc, w, mul(cuv, c))
-        img, coef = view.s_img[i], view.s_coef[i]
+        img, coef = B.s_img[i], B.s_coef[i]
         expected = {} if field._is_zero(coef) else {img: coef}
         if acc == expected:
             return None
         return {
-            "expected": P.element_to_string(_element(view, field, expected)),
-            "actual": P.element_to_string(_element(view, field, acc)),
+            "expected": P.element_to_string(_element(P, expected)),
+            "actual": P.element_to_string(_element(P, acc)),
         }
 
     return _first(basis, fails)
@@ -506,49 +470,50 @@ def verify_axioms(B: BfaStructure) -> VerificationReport:
     other pair both sides are zero.  The anti-homomorphism check passes on
     its generator pairs alone and scans the rest only to locate a failure.
     Pairs are visited in basis order, row u before row u', so a failure
-    names the first failing pair of the whole dim x dim grid.  The checks
-    share one view of the tables (_view), built here.
+    names the first failing pair of the whole dim x dim grid.
     """
-    view = _view(B)
-    return VerificationReport(
-        [CheckResult(name, *check(B, view)) for name, check in _AXIOMS.items()]
-    )
+    return VerificationReport([CheckResult(name, *check(B)) for name, check in _AXIOMS.items()])
 
 
-# -- antipode powers on payloads ---------------------------------------------------
+# -- derived checks ---------------------------------------------------------------
 
 
-def _powers(B: BfaStructure, d: SimpleNamespace) -> SimpleNamespace:
-    """S, S^2 and S^4 as payload arrays over the basis, with h_v; composed by
-    the first check that reads them and kept in d.
+class _Shared:
+    """The values the derived checks share, computed once.
 
-    Entry i of a power is (key, c) when it sends x_v, v = basis[i], to c x_w,
-    key the view key of w and c a nonzero payload, and () when it sends x_v
-    to 0, as it does from the first zero coefficient on.  It is None where
-    the power is undefined: S met a vector off the basis.  S(x_v) is one
-    term, so S^4 = S^2 S^2 entry by entry.  h_v = prod_k h_{e_k}^{v_k}.
+    m = phi -> t, with phi = x_top^* and t = x_top, as a payload dict on keys
+    and as a Scalar element, and m^{-1} (None when m is not invertible).
+    Entry i of S, S^2 or S^4 is (key of w, c) when the power sends x_v,
+    v = basis[i], to c x_w, c != 0, () when it sends x_v to 0, and None when
+    S met a vector off the basis.  S(x_v) is one term, so S^4 = S^2 S^2
+    entry by entry.  h_v = prod_k h_{e_k}^{v_k}.
     """
-    if hasattr(d, "powers"):
-        return d.powers
-    P, view, field = B.presentation, d.view, B.presentation.field
-    mul = field._mul
-    s1 = [() if field._is_zero(c) else (w, c) for w, c in zip(view.s_img, view.s_coef)]
 
-    def then(first: list, second: list) -> list:
-        out = []
-        for term in first:  # None and () stay, and a key off the basis gives None
-            image = term and (None if isinstance(term[0], tuple) else second[term[0]])
-            out.append(image and (image[0], mul(term[1], image[1])))
-        return out
+    def __init__(self, B: BfaStructure):
+        P, field = B.presentation, B.presentation.field
+        top = {P.dim - 1: field.one.value}
+        self.m = _hit(field, B.rows, top, top, left=True)
+        self.modular = _element(P, self.m)
+        try:
+            self.inv = P.invert_element(self.modular)
+        except NotInvertibleError:
+            self.inv = None
 
-    s2 = then(s1, s1)
-    h = _character(field, P.h_values(), P.a)
-    d.powers = SimpleNamespace(s1=s1, s2=s2, s4=then(s2, s2), h=h)
-    return d.powers
+        def then(first: list, second: list) -> list:
+            out = []
+            for term in first:  # None and () stay, and a key off the basis gives None
+                image = term and (None if isinstance(term[0], tuple) else second[term[0]])
+                out.append(image and (image[0], field._mul(term[1], image[1])))
+            return out
+
+        self.s1 = [() if field._is_zero(c) else (w, c) for w, c in zip(B.s_img, B.s_coef)]
+        self.s2 = then(self.s1, self.s1)
+        self.s4 = then(self.s2, self.s2)
+        self.h = _character(field, P.h_values(), P.a)
 
 
 def _apply(field, table: list, x: dict):
-    """The power of S in table applied to the payload element x on view keys,
+    """The power of S in table applied to the payload element x on keys,
     terms that cancel dropped, or None when it is undefined on a key of x."""
     out: dict = {}
     for k, c in x.items():
@@ -560,9 +525,9 @@ def _apply(field, table: list, x: dict):
     return out
 
 
-def _conjugation(P: Presentation, view: SimpleNamespace, left: dict, right: dict):
-    """x |-> left x right on payload elements x on view keys, which may lie
-    off the basis; left and right are Scalar elements.
+def _conjugation(P: Presentation, left: dict, right: dict):
+    """x |-> left x right on payload elements x on keys, which may lie off
+    the basis; left and right are Scalar elements.
 
     When left and right are constants l 1 and r 1, every bracket with the
     zero vector is 1, so the map is x restricted to the basis (its int
@@ -577,26 +542,23 @@ def _conjugation(P: Presentation, view: SimpleNamespace, left: dict, right: dict
         return lambda x: {w: field._mul(cw, c) for w, cw in x.items() if isinstance(w, int)}
 
     def product(x: dict) -> dict:
-        y = P.mul(P.mul(left, _element(view, field, x)), right)
-        return {view.index[w]: cw.value for w, cw in y.items()}
+        y = P.mul(P.mul(left, _element(P, x)), right)
+        return {key_of(P, w): cw.value for w, cw in y.items()}
 
     return product
 
 
-# -- derived checks ---------------------------------------------------------------
-
-
-def _unit_via_copairing(B: BfaStructure, d: SimpleNamespace) -> tuple:
+def _unit_via_copairing(B: BfaStructure, d: _Shared) -> tuple:
     """1 = t <- phi."""
-    field, view = B.presentation.field, d.view
-    last, one = len(view.basis) - 1, field.one.value
-    recovered = _hit(field, view.rows, {last: one}, {last: one}, left=False)
+    P = B.presentation
+    last, one = P.dim - 1, P.field.one.value
+    recovered = _hit(P.field, B.rows, {last: one}, {last: one}, left=False)
     if recovered == {0: one}:
         return True, None
-    return False, {"value": B.presentation.element_to_string(_element(view, field, recovered))}
+    return False, {"value": P.element_to_string(_element(P, recovered))}
 
 
-def _modular_element(B: BfaStructure, d: SimpleNamespace) -> tuple:
+def _modular_element(B: BfaStructure, d: _Shared) -> tuple:
     """m = phi -> t is group-like (and 1 in characteristic 0); a key of m off
     the basis fails at "off-basis", since delta has no row there."""
     field, m = B.presentation.field, d.m
@@ -605,54 +567,53 @@ def _modular_element(B: BfaStructure, d: SimpleNamespace) -> tuple:
         return False, {"at": "epsilon"}
     if any(isinstance(k, tuple) for k in m):
         return False, {"at": "off-basis"}
-    delta: dict = {}
-    for k, c in m.items():
-        for u, w, coeff in d.view.rows[k]:
-            _add_value(field, delta, (u, w), mul(c, coeff))
-    if delta != {(u, w): mul(cu, cw) for u, cu in m.items() for w, cw in m.items()}:
+    square = {(u, w): mul(cu, cw) for u, cu in m.items() for w, cw in m.items()}
+    if _delta(field, B.rows, m) != square:
         return False, {"at": "grouplike"}
     if field.characteristic() == 0 and m != {0: one}:
         return False, {"at": "char-zero-unit"}
     return True, None
 
 
-def _antipode_of_modular_element(B: BfaStructure, d: SimpleNamespace) -> tuple:
+def _antipode_of_modular_element(B: BfaStructure, d: _Shared) -> tuple:
     """S(m) = m^{-1}.  m^{-1} exists only when every key of m lies in the
-    basis, where S is read from the view."""
+    basis, where S is read from the arrays."""
     if d.inv is None:
         return False, None
-    field, view = B.presentation.field, d.view
+    P = B.presentation
     image: dict = {}
     for k, c in d.m.items():
-        _add_value(field, image, view.s_img[k], field._mul(c, view.s_coef[k]))
-    return image == {view.index[v]: c.value for v, c in d.inv.items()}, None
+        _add_value(P.field, image, B.s_img[k], P.field._mul(c, B.s_coef[k]))
+    return image == {key_of(P, v): c.value for v, c in d.inv.items()}, None
 
 
-def _nakayama_via_antipode(B: BfaStructure, d: SimpleNamespace) -> tuple:
+def _nakayama_via_antipode(B: BfaStructure, d: _Shared) -> tuple:
     """N(x) = m^{-1} S^2(alpha -> x) m.
 
-    alpha -> x_v is epsilon -> x_v from the view, and S is applied to it
-    twice, since its terms can cancel in between.
+    alpha -> x_v is epsilon -> x_v, and S is applied to it twice, since its
+    terms can cancel in between.
     """
     P = B.presentation
     if d.inv is None:
         return False, {"at": "modular-inverse"}
-    field, view, powers = P.field, d.view, _powers(B, d)
-    conjugate = _conjugation(P, view, d.inv, d.modular)
+    field, s1, h = P.field, d.s1, d.h
+    one = field.one.value
+    eps = {0: one}
+    conjugate = _conjugation(P, d.inv, d.modular)
 
     def fails(i):
-        s1 = _apply(field, powers.s1, view.eps_left[i])
-        s2 = None if s1 is None else _apply(field, powers.s1, s1)
-        return s2 is None or conjugate(s2) != {i: powers.h[i]}
+        once = _apply(field, s1, _hit(field, B.rows, eps, {i: one}, left=True))
+        twice = None if once is None else _apply(field, s1, once)
+        return twice is None or conjugate(twice) != {i: h[i]}
 
-    return _first(view.basis, fails)
+    return _first(P.basis(), fails)
 
 
-def _fourth_power_formula(B: BfaStructure, d: SimpleNamespace) -> tuple:
+def _fourth_power_formula(B: BfaStructure, d: _Shared) -> tuple:
     """S^4(x) = m (alpha^{-1} -> x <- alpha) m^{-1}.
 
     alpha^{-1} by certificate.  alpha = epsilon = x_0^*, so x_v <- alpha is
-    eps_right of the view, and the convolution system (alpha * g)(x_v) =
+    x_v <- epsilon, and the convolution system (alpha * g)(x_v) =
     epsilon(x_v) for g = alpha^{-1} reads, row by row,
       sum over the terms c x_w of x_v <- alpha of c g(x_w) = [v = 0].
     When x_v <- alpha = x_v for every v, row v reads g(x_v) = [v = 0]: the
@@ -665,58 +626,64 @@ def _fourth_power_formula(B: BfaStructure, d: SimpleNamespace) -> tuple:
     P = B.presentation
     if d.inv is None:
         return False, {"at": "modular-inverse"}
-    field, view = P.field, d.view
-    one, dim = field.one.value, len(view.basis)
-    if all(right == {i: one} for i, right in enumerate(view.eps_right)):
-        moved = view.eps_left
+    field, rows, dim = P.field, B.rows, P.dim
+    one = field.one.value
+    eps = {0: one}
+    if all(_hit(field, rows, eps, {i: one}, left=False) == {i: one} for i in range(dim)):
+        def moved(i):
+            return _hit(field, rows, eps, {i: one}, left=True)
     else:
-        if any(isinstance(w, tuple) for right in view.eps_right for w in right):
+        rights = [_hit(field, rows, eps, {i: one}, left=False) for i in range(dim)]
+        if any(isinstance(w, tuple) for right in rights for w in right):
             return False, {"at": "off-basis"}
-        rows = [{w: Scalar(field, c) for w, c in right.items()} for right in view.eps_right]
-        rows[0][dim] = field.one
+        system = [{w: Scalar(field, c) for w, c in right.items()} for right in rights]
+        system[0][dim] = field.one
         try:
-            alpha_inv = {w: c.value for w, c in solve_sparse(rows, dim).items()}
+            alpha_inv = {w: c.value for w, c in solve_sparse(system, dim).items()}
         except SingularMatrixError:
             return False, {"at": "alpha-inverse"}
-        moved = [_hit(field, view.rows, alpha_inv, right, left=True) for right in view.eps_right]
-    powers = _powers(B, d)
-    conjugate = _conjugation(P, view, d.modular, d.inv)
+
+        def moved(i):
+            return _hit(field, rows, alpha_inv, rights[i], left=True)
+
+    s4 = d.s4
+    conjugate = _conjugation(P, d.modular, d.inv)
 
     def fails(i):
-        s4 = powers.s4[i]
-        return s4 is None or conjugate(moved[i]) != ({s4[0]: s4[1]} if s4 else {})
+        return s4[i] is None or conjugate(moved(i)) != ({s4[i][0]: s4[i][1]} if s4[i] else {})
 
-    return _first(view.basis, fails)
+    return _first(P.basis(), fails)
 
 
-def _antipode_graded(B: BfaStructure, d: SimpleNamespace) -> tuple:
+def _antipode_graded(B: BfaStructure, d: _Shared) -> tuple:
     """S preserves total degree."""
-    view, is_zero = d.view, B.presentation.field._is_zero
+    P = B.presentation
+    basis, is_zero = P.basis(), P.field._is_zero
     return _first(
-        view.basis, lambda i: is_zero(view.s_coef[i]) or sum(view.s_vec[i]) != sum(view.basis[i])
+        basis,
+        lambda i: is_zero(B.s_coef[i]) or sum(vector_of(P, B.s_img[i])) != sum(basis[i]),
     )
 
 
-def _antipode_square_is_nakayama(B: BfaStructure, d: SimpleNamespace) -> tuple:
+def _antipode_square_is_nakayama(B: BfaStructure, d: _Shared) -> tuple:
     """S^2 = N, the Nakayama automorphism in closed form: x_v |-> h_v x_v."""
-    powers, basis = _powers(B, d), d.view.basis
-    return _first(basis, lambda i: powers.s2[i] != (i, powers.h[i]))
+    s2, h = d.s2, d.h
+    return _first(B.presentation.basis(), lambda i: s2[i] != (i, h[i]))
 
 
-def _antipode_fourth_power_identity(B: BfaStructure, d: SimpleNamespace) -> tuple:
+def _antipode_fourth_power_identity(B: BfaStructure, d: _Shared) -> tuple:
     """S^4 = id."""
-    powers, basis = _powers(B, d), d.view.basis
-    one = B.presentation.field.one.value
-    return _first(basis, lambda i: powers.s4[i] != (i, one))
+    s4, one = d.s4, B.presentation.field.one.value
+    return _first(B.presentation.basis(), lambda i: s4[i] != (i, one))
 
 
-def _antipode_fixes_integral(B: BfaStructure, d: SimpleNamespace) -> tuple:
+def _antipode_fixes_integral(B: BfaStructure, d: _Shared) -> tuple:
     """S(t) = t."""
-    view, last = d.view, len(d.view.basis) - 1
-    return view.s_img[last] == last and view.s_coef[last] == B.presentation.field.one.value, None
+    last = B.presentation.dim - 1
+    return B.s_img[last] == last and B.s_coef[last] == B.presentation.field.one.value, None
 
 
-def _nakayama_involutive(B: BfaStructure, d: SimpleNamespace) -> tuple:
+def _nakayama_involutive(B: BfaStructure, d: _Shared) -> tuple:
     """h_v^2 = 1 for every v, so N is an involution.
 
     Certificate on the generators.  h_v = prod_i h_{e_i}^{v_i}, so every
@@ -733,11 +700,11 @@ def _nakayama_involutive(B: BfaStructure, d: SimpleNamespace) -> tuple:
     return True, None
 
 
-def _antipode_monomial(B: BfaStructure, d: SimpleNamespace) -> tuple:
+def _antipode_monomial(B: BfaStructure, d: _Shared) -> tuple:
     """The image map is an involution of the basis fixing top."""
-    view, is_zero = d.view, B.presentation.field._is_zero
-    s_img, dim = view.s_img, len(view.basis)
-    found = _first(view.basis, lambda i: is_zero(view.s_coef[i]) or isinstance(s_img[i], tuple))
+    P = B.presentation
+    s_img, dim, is_zero = B.s_img, P.dim, P.field._is_zero
+    found = _first(P.basis(), lambda i: is_zero(B.s_coef[i]) or isinstance(s_img[i], tuple))
     if not found[0]:
         return found
     if sorted(s_img) != list(range(dim)):
@@ -773,24 +740,13 @@ DERIVED_CHECKS = tuple(_DERIVED)
 
 
 def verify_derived(B: BfaStructure) -> VerificationReport:
-    """The derived identities, on one view of the tables (_view) built here.
-    The checks share m = phi -> t, with phi = x_top^* and t = x_top, as a
-    payload dict on view keys and as a Scalar element, and m^{-1} (None when
-    m is not invertible) by the series of Presentation.invert_element.
-    alpha = t -> phi is the counit (_fixed_by_presentation), so alpha -> x
-    and x <- alpha are read from the view."""
-    P = B.presentation
-    field, view = P.field, _view(B)
-    top = {P.dim - 1: field.one.value}
-    m = _hit(field, view.rows, top, top, left=True)
-    modular = _element(view, field, m)
-    try:
-        inv = P.invert_element(modular)
-    except NotInvertibleError:
-        inv = None
-    shared = SimpleNamespace(view=view, m=m, modular=modular, inv=inv)
-    checks = [CheckResult(name, *check(B, shared)) for name, check in _DERIVED.items()]
-    return VerificationReport(checks)
+    """The derived identities.  The checks share m, m^{-1} and the powers of
+    S (_Shared).  alpha = t -> phi is the counit (_fixed_by_presentation),
+    so alpha -> x and x <- alpha are the coactions of epsilon = x_0^*."""
+    shared = _Shared(B)
+    return VerificationReport(
+        [CheckResult(name, *check(B, shared)) for name, check in _DERIVED.items()]
+    )
 
 
 def is_hopf_comultiplication(B: BfaStructure) -> bool:
@@ -809,34 +765,45 @@ def is_hopf_comultiplication(B: BfaStructure) -> bool:
     delta(1) = 1 (x) 1 is needed and the claim holds for any linear map
     delta: A -> A (x) A.
     The certificate pairs are pairs of the grid, so the flag is the one of
-    the exhaustive dim x dim scan, from at most (n + 1) dim pairs.
+    the exhaustive dim x dim scan, from at most (n + 1) dim pairs, each one
+    _tensor_mul call on payload dicts.
     """
     P = B.presentation
-    factors = [P.zero_vec] + [P.unit_vec(k) for k in range(1, P.n + 1)]
-    deltas = [(v, B.delta_elem(P.monomial(v))) for v in factors]
-    for u in P.basis():
-        du = B.delta_elem(P.monomial(u))
+    field, basis, index = P.field, P.basis(), P.positions()
+    one = field.one.value
+    factors = [0] + [index[P.unit_vec(k)] for k in range(1, P.n + 1)]
+    deltas = [(basis[j], _delta(field, B.rows, {j: one})) for j in factors]
+    for i, u in enumerate(basis):
+        du = _delta(field, B.rows, {i: one})
         for v, dv in deltas:
-            w, c = P.mul_basis(u, v)
-            lhs = {} if w is None else B.delta_elem({w: c})
-            if lhs != tensor_mul(P, du, dv):
+            w = index.get(tuple(map(operator.add, u, v)))
+            lhs = {} if w is None else _delta(field, B.rows, {w: P.bracket_value(u, v)})
+            if lhs != _tensor_mul(P, du, dv):
                 return False
     return True
 
 
-def primitive_space_dim(P: Presentation, delta: dict) -> int:
-    """Dimension of {x : delta(x) = 1 (x) x + x (x) 1}, computed exactly."""
-    zero = P.zero_vec
-    rows: dict = {}  # tensor key -> {index(v): coefficient of that key in column v}
-    for j, v in enumerate(P.basis()):
-        col: dict = {}
-        for u, w, c in delta[v]:
-            add_term(col, (u, w), c)
-        add_term(col, (zero, v), -P.field.one)
-        add_term(col, (v, zero), -P.field.one)
-        for key, c in col.items():
-            rows.setdefault(key, {})[j] = c
-    return P.dim - len(rref(rows.values()))
+def primitive_space_dim(B: BfaStructure) -> int:
+    """Dimension of {x : delta(x) = 1 (x) x + x (x) 1}, computed exactly.
+
+    dim minus the rank of the columns delta(x_v) - 1 (x) x_v - x_v (x) 1 on
+    the key pairs, eliminated as rows.  A row that is exactly
+    1 (x) x_v + x_v (x) 1 gives a zero column: it is skipped.
+    """
+    P = B.presentation
+    field = P.field
+    one = field.one.value
+    minus_one = field._neg(one)
+    ids: dict = {}  # key pair -> its column in the eliminated rows
+    columns = []
+    for j, row in enumerate(B.rows):
+        if row == [(0, j, one), (j, 0, one)]:
+            continue
+        col = _delta(field, B.rows, {j: one})
+        _add_value(field, col, (0, j), minus_one)
+        _add_value(field, col, (j, 0), minus_one)
+        columns.append({ids.setdefault(k, len(ids)): Scalar(field, c) for k, c in col.items()})
+    return P.dim - len(rref(columns))
 
 
 def negate_socle_entry(B: BfaStructure, v) -> BfaStructure:
@@ -849,8 +816,7 @@ def negate_socle_entry(B: BfaStructure, v) -> BfaStructure:
     P = B.presentation
     g = dict(B.g)
     g[v] = -g[v]
-    delta = {key: list(rows) for key, rows in B.delta.items()}
-    delta[P.top] = [
-        (u, w, -c if P.complement(u) == v else c) for u, w, c in delta[P.top]
-    ]
-    return BfaStructure(P, B.witness, g, delta, dict(B.s_map))
+    left, neg = key_of(P, P.complement(v)), P.field._neg
+    rows = list(B.rows)
+    rows[-1] = [(u, w, neg(c) if u == left else c) for u, w, c in rows[-1]]
+    return BfaStructure(P, B.witness, g, rows, list(B.s_img), list(B.s_coef))

@@ -245,7 +245,7 @@ def test_criterion_6_grid_structures_and_sensitivity():
             B = build_structure(P, report.witness)
             assert verify_axioms(B).all_passed
             assert verify_derived(B).all_passed
-            assert primitive_space_dim(P, B.delta) == P.dim - 2
+            assert primitive_space_dim(B) == P.dim - 2
             if P.field.characteristic() == 2:
                 continue  # negation is the identity there
             for v in P.basis():

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from helpers import reference_g_table
+from helpers import reference_g_table, s_elem
 from qci.algebra import Presentation
 from qci.builder import (
     BfaStructure,
@@ -482,9 +482,9 @@ class TestBuildStructure:
         P = example_presentation("6.10", C8)
         B = build_structure(P, example_witness("6.10", P))
         # S(x_i) = c_i x_{pi(i)}
-        assert B.s_elem(P.monomial((1, 0, 0))) == {(1, 0, 0): -C8.one}
-        assert B.s_elem(P.monomial((0, 1, 0))) == {(0, 0, 1): C8.zeta_power(2)}
-        assert B.s_elem(P.monomial((0, 0, 1))) == {(0, 1, 0): C8.zeta_power(2)}
+        assert s_elem(B, P.monomial((1, 0, 0))) == {(1, 0, 0): -C8.one}
+        assert s_elem(B, P.monomial((0, 1, 0))) == {(0, 0, 1): C8.zeta_power(2)}
+        assert s_elem(B, P.monomial((0, 0, 1))) == {(0, 1, 0): C8.zeta_power(2)}
 
     def test_twisted_antipode_table(self):
         P = example_presentation("6.10", C8)

@@ -562,3 +562,24 @@ def test_python_dash_m():
 @pytest.mark.skipif(shutil.which("qci") is None, reason="no qci script on PATH")
 def test_console_script_on_path():
     assert_script_contract([shutil.which("qci")])
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that stops after the first line closes the pipe mid-scan: the
+    GF(29) scan writes about 1 MB, well past a pipe buffer.  The command then
+    exits 1 with nothing on stderr, and no BrokenPipeError traceback."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = ["enumerate", "--field", "prime:29", "--n", "3", "--a", "4,4,4", "--allow-large"]
+    scan = subprocess.Popen(
+        [sys.executable, "-m", "qci", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert scan.stdout.readline().startswith(b"q12,q13,q23,")
+    scan.stdout.close()
+    try:
+        stderr = scan.stderr.read()
+        assert scan.wait(timeout=60) == 1
+    finally:
+        scan.kill()
+        scan.stderr.close()
+    assert stderr == b""

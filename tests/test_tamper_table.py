@@ -37,7 +37,7 @@ X0, X1, X2, X3 = (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
 def tampered(B, delta=None, s_map=None, g=None):
     """A copy of B with the given tables changed: {key: new row or entry}."""
-    return BfaStructure(
+    return BfaStructure.from_tables(
         B.presentation,
         B.witness,
         {**B.g, **(g or {})},

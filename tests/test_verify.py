@@ -1,6 +1,7 @@
 """Exhaustive axiom and consequence checks on constructed structures."""
 
 import random
+import tracemalloc
 from functools import cache
 from pathlib import Path
 
@@ -23,6 +24,8 @@ from helpers import (
     reference_is_hopf,
     reference_pair_checks,
     reference_presentation_checks,
+    reference_primitive_space_dim,
+    reference_tensor_mul,
     reference_view_checks,
     right_coaction,
     tensor_product,
@@ -41,12 +44,11 @@ from qci.verify import (
     is_hopf_comultiplication,
     negate_socle_entry,
     primitive_space_dim,
-    tensor_mul,
     verify_axioms,
     verify_derived,
 )
 from qci.scalars import Scalar, make_field
-from qci.structio import load_structure
+from qci.structio import load_structure, save_structure
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 C4 = make_field("cyclotomic", 4)
@@ -115,9 +117,9 @@ class TestTensorHelpers:
         x2 = P.monomial((0, 1, 0))
         t = tensor_product(P, x1, x2)
         assert t == {((1, 0, 0), (0, 1, 0)): C8.one}
-        sq = tensor_mul(P, t, t)
+        sq = reference_tensor_mul(P, t, t)
         assert sq == {}
-        cross = tensor_mul(P, t, tensor_product(P, x2, x1))
+        cross = reference_tensor_mul(P, t, tensor_product(P, x2, x1))
         key = ((1, 1, 0), (1, 1, 0))
         assert list(cross) == [key]
 
@@ -173,7 +175,8 @@ class TestPrimitives:
     def test_dimension_is_dim_minus_two(self):
         for B in STRUCTURES:
             P = B.presentation
-            assert primitive_space_dim(P, B.delta) == P.dim - 2
+            assert primitive_space_dim(B) == P.dim - 2
+            assert reference_primitive_space_dim(B) == P.dim - 2
 
 
 def first_antihomomorphism_failure(P, s_map):
@@ -228,9 +231,7 @@ class TestSensitivity:
         s_map = dict(B.s_map)
         img, coeff = s_map[(1, 1, 0)]
         s_map[(1, 1, 0)] = (img, -coeff)
-        from qci.builder import BfaStructure
-
-        tampered = BfaStructure(B.presentation, B.witness, B.g, B.delta, s_map)
+        tampered = BfaStructure.from_tables(B.presentation, B.witness, B.g, B.delta, s_map)
         rep = verify_axioms(tampered)
         names = {c.name for c in rep.failing()}
         assert "antipode-antihomomorphism" in names or "antipode-definition" in names
@@ -245,15 +246,13 @@ class TestSensitivity:
         ids=lambda B: repr(B.presentation),
     )
     def test_every_negated_antipode_coefficient_detected(self, B):
-        from qci.builder import BfaStructure
-
         P = B.presentation
         assert P.a == (2, 2, 2)
         for v in P.basis():
             s_map = dict(B.s_map)
             img, coeff = s_map[v]
             s_map[v] = (img, -coeff)
-            rep = verify_axioms(BfaStructure(P, B.witness, B.g, B.delta, s_map))
+            rep = verify_axioms(BfaStructure.from_tables(P, B.witness, B.g, B.delta, s_map))
             failing = {c.name: c.detail for c in rep.failing()}
             assert failing["antipode-antihomomorphism"] == first_antihomomorphism_failure(
                 P, s_map
@@ -262,7 +261,7 @@ class TestSensitivity:
 
 
 def with_s_map(B, s_map, delta=None):
-    return BfaStructure(
+    return BfaStructure.from_tables(
         B.presentation, B.witness, B.g, B.delta if delta is None else delta, s_map
     )
 
@@ -429,6 +428,46 @@ class TestHopfCertificateAgainstReference:
         T = rng.choice([T for _, T in delta_perturbations(B)])
         for S in (B, T):
             assert is_hopf_comultiplication(S) == reference_is_hopf(S)
+
+
+def factor_off_basis(B, v):
+    """B with row v gaining x_{v+a} (x) 1, a factor off the basis, as in
+    TestDeltaFactorsOffBasis."""
+    P = B.presentation
+    off = tuple(map(sum, zip(v, P.a)))
+    return with_s_map(B, B.s_map, {**B.delta, v: B.delta[v] + [(off, P.zero_vec, P.field.one)]})
+
+
+@pytest.mark.parametrize("B", REFERENCE_STRUCTURES[:3], ids=lambda B: repr(B.presentation))
+def test_primitive_space_dim_matches_dense_reference(B):
+    """primitive_space_dim skips the columns that are zero and eliminates on
+    payload keys; the dense kernel on the tuple tables gives the same
+    dimension under every single-term change of delta and every row gaining
+    a factor off the basis, and some of them change it."""
+    P = B.presentation
+    cases = [T for _, T in delta_perturbations(B)]
+    cases += [factor_off_basis(B, v) for v in P.basis()]
+    dims = [reference_primitive_space_dim(T) for T in cases]
+    assert [primitive_space_dim(T) for T in cases] == dims
+    assert set(dims) != {P.dim - 2}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([F2, make_field("prime", 3), F7, Q, C8]),
+    st.sampled_from([2, 3]),
+    st.randoms(use_true_random=False),
+)
+def test_primitive_space_dim_matches_reference_on_draws(field, n, rng):
+    """Built structures, one drawn change of delta and one row gaining a
+    factor off the basis: the dimension is that of the dense kernel."""
+    P, _ = rand_compatible_involutive_h(rng, field, n, a_hi=3)
+    report = decide(P)
+    assume(report.exists)
+    B = build_structure(P, report.witness)
+    perturbed = rng.choice([T for _, T in delta_perturbations(B)])
+    for S in (B, perturbed, factor_off_basis(B, rng.choice(P.basis()))):
+        assert primitive_space_dim(S) == reference_primitive_space_dim(S)
 
 
 COMPOSING_S = (
@@ -857,21 +896,26 @@ def test_first_non_involutive_generator_is_the_last_one():
 
 
 @cache
-def seeded_d256():
-    """GF(7), a = (4, 4, 4, 4), q_ij (i < j) drawn from 1..6 by Random(1)
-    until decide says Yes (the 14th draw)."""
+def seeded(a):
+    """GF(7), exponents a, q_ij (i < j) drawn from 1..6 by Random(1) until
+    decide says Yes."""
     rng = random.Random(1)
-    one = F7.one
+    n, one = len(a), F7.one
     while True:
-        q = [[one] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(i + 1, 4):
+        q = [[one] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
                 q[i][j] = F7.from_int(rng.randint(1, 6))
                 q[j][i] = q[i][j].inverse()
-        P = Presentation(F7, (4, 4, 4, 4), q)
+        P = Presentation(F7, a, q)
         report = decide(P)
         if report.exists:
             return build_structure(P, report.witness)
+
+
+def seeded_d256():
+    """The seeded structure with a = (4, 4, 4, 4) (the 14th draw)."""
+    return seeded((4, 4, 4, 4))
 
 
 def count_scalars(monkeypatch, field) -> dict:
@@ -894,26 +938,27 @@ def count_scalars(monkeypatch, field) -> dict:
 
 @pytest.mark.parametrize(
     "zero_delta, pairs, scalars",
-    [(False, 7, 73), (True, 1280, 513)],
+    [(False, 7, 0), (True, 1280, 0)],
     ids=["built", "zero-delta"],
 )
 def test_hopf_flag_evaluates_few_pairs(monkeypatch, zero_delta, pairs, scalars):
-    """At most (n + 1) dim pairs, each one tensor_mul call; the built
+    """At most (n + 1) dim pairs, each one _tensor_mul call; the built
     structure fails at its seventh pair, and the zero delta, which is
-    multiplicative, evaluates every certificate pair."""
+    multiplicative, evaluates every certificate pair.  The products run on
+    payloads and build no Scalar; on Scalar elements they built 73 and 513."""
     B = seeded_d256()
     P = B.presentation
     if zero_delta:
         B = with_s_map(B, B.s_map, {v: [] for v in B.delta})
     calls = count_scalars(monkeypatch, B.presentation.field)
     calls["tensor_mul"] = 0
-    original = verify.tensor_mul
+    original = verify._tensor_mul
 
     def counted(*args):
         calls["tensor_mul"] += 1
         return original(*args)
 
-    monkeypatch.setattr(verify, "tensor_mul", counted)
+    monkeypatch.setattr(verify, "_tensor_mul", counted)
     assert is_hopf_comultiplication(B) is zero_delta
     assert calls == {"scalar": scalars, "tensor_mul": pairs}
     assert pairs <= (P.n + 1) * P.dim
@@ -1021,3 +1066,34 @@ def test_units_invert_without_elimination(monkeypatch):
     report = verify_derived(B)
     assert [c.name for c in report.checks] == list(DERIVED_CHECKS)
     assert report.all_passed
+
+
+# -- memory gate on one seeded d4096 file -----------------------------------------
+
+
+# A full verification of seeded((16, 16, 16)), loaded from its file, peaks at
+# 4.8-4.9 MiB of traced allocations over a 1.9-2.1 MiB loaded structure
+# (Python 3.11.7).  When verify_axioms and verify_derived each built an
+# index-keyed copy of tuple-keyed tables, the same measurement gave 8.49 MiB
+# over 2.37 MiB.  The bound is 1.1 MiB above the first peak and 2.5 MiB below
+# the second.
+MEMORY_BOUND_MIB = 6.0
+
+
+def test_full_verification_stays_under_the_memory_bound(tmp_path):
+    """tracemalloc peak of verify_axioms, verify_derived, the Hopf flag and
+    primitive_space_dim on a d4096 structure after save and load, the
+    loaded structure included: the allocations of one `qci verify`."""
+    path = tmp_path / "d4096.json"
+    save_structure(seeded((16, 16, 16)), str(path))
+    tracemalloc.start()
+    try:
+        B = load_structure(str(path))
+        tracemalloc.reset_peak()
+        passed = verify_axioms(B).all_passed and verify_derived(B).all_passed
+        hopf, primitive = is_hopf_comultiplication(B), primitive_space_dim(B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (passed, hopf, primitive) == (True, False, B.presentation.dim - 2)
+    assert peak < MEMORY_BOUND_MIB * 2**20, f"peak {peak / 2**20:.2f} MiB"
