@@ -185,22 +185,40 @@ class Presentation:
                         out = power if out is None else field._mul(out, power)
         return out
 
-    def mul_basis(self, u, v):
-        """Product of two basis monomials: (w, coeff) or (None, 0)."""
-        w = tuple(map(operator.add, u, v))
-        if not self.in_basis(w):
-            return None, self.field.zero
-        return w, self.bracket(u, v)
+    def quadratic_table(self, lin, quad) -> list:
+        """prod_i lin_i^{v_i} prod_{i<j} quad_ij^{v_i v_j} as payloads, for v
+        over the basis in basis order; lin holds n payloads and quad an n x n
+        matrix of payloads, read above the diagonal.
+
+        Coordinate k extends the table over the first k coordinates: the entry
+        x at a prefix u is followed by x r, x r^2, ..., x r^{a_k - 1}, where
+        r = lin_k prod_{i<k} quad_ik^{u_i} is a character of u, tabulated in
+        the same order.  Each entry of a table costs at most one _mul, and
+        since every a_i >= 2 the tables of r for all k are together no longer
+        than the result; a factor of 1 repeats entries instead.
+        """
+        mul, one = self.field._mul, self.field.one.value
+
+        def powers(x, c, ak):
+            """x c^e for e = 0, ..., ak - 1."""
+            if c == one:
+                return itertools.repeat(x, ak)
+            return itertools.accumulate(itertools.repeat(c, ak - 1), mul, initial=x)
+
+        out = [one]
+        for k, ak in enumerate(self.a):
+            ratio = [lin[k]]
+            for i in range(k):
+                c, ai = quad[i][k], self.a[i]
+                ratio = [y for x in ratio for y in powers(x, c, ai)]
+            out = [y for x, r in zip(out, ratio) for y in powers(x, r, ak)]
+        return out
 
     def monomial(self, v, coeff=None) -> dict:
         coeff = self.field.one if coeff is None else coeff
         if coeff.is_zero():
             return {}
         return {tuple(v): coeff}
-
-    @property
-    def one_elem(self) -> dict:
-        return {self.zero_vec: self.field.one}
 
     def mul(self, x: dict, y: dict) -> dict:
         out: dict = {}
@@ -210,11 +228,6 @@ class Presentation:
                 if self.in_basis(w):
                     add_term(out, w, cu * cv * self.bracket(u, v))
         return out
-
-    def scale(self, c: Scalar, x: dict) -> dict:
-        if c.is_zero():
-            return {}
-        return {v: c * cv for v, cv in x.items()}
 
     def invert_element(self, x: dict) -> dict:
         """Two-sided inverse of x = c (1 + n), as c^{-1} sum_k (-n)^k.
@@ -305,14 +318,6 @@ class Presentation:
     def dual_functional(self, v) -> dict:
         """The linear functional picking out the coefficient of x_v."""
         return {tuple(v): self.field.one}
-
-    def apply_functional(self, f: dict, x: dict) -> Scalar:
-        out = self.field.zero
-        for v, c in x.items():
-            fv = f.get(v)
-            if fv is not None:
-                out = out + fv * c
-        return out
 
     def pairing_matrix(self, phi: dict) -> list:
         """Matrix (u, v) |-> phi(x_u x_v) over the basis ordering (dense rows).

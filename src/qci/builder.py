@@ -19,6 +19,7 @@ scalars directly (solve_c).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
@@ -345,56 +346,94 @@ def decide(P: Presentation) -> DecisionReport:
 # coefficient tables and the full structure
 
 
+def image_indices(P: Presentation, pi: Permutation) -> list:
+    """The basis index of pi(v), for v over the basis in basis order.
+
+    pi(v) carries v_i at position pi(i), and a basis vector w has the index
+    sum_k w_k stride_k with stride_k = a_{k+1} ... a_n, so index(pi v) =
+    sum_i v_i stride_{pi(i)}, tabulated coordinate by coordinate.  pi must
+    preserve the exponents, as a compatible permutation does.
+    """
+    strides = [math.prod(P.a[k + 1:]) for k in range(P.n)]
+    out = [0]
+    for i, ai in enumerate(P.a):
+        step = strides[pi(i + 1) - 1]
+        out = [x + y for x in out for y in range(0, ai * step, step)]
+    return out
+
+
+def _socle_powers(P: Presentation) -> list:
+    """The payloads d_i = prod_{j>i} q_ij^{-(a_j - 1)}, read as q_ji^{a_j - 1}."""
+    field, q, a = P.field, P.q_values, P.a
+    out = []
+    for i in range(P.n):
+        acc = field.one.value
+        for j in range(i + 1, P.n):
+            acc = field._mul(acc, field._pow(q[j][i], a[j] - 1))
+        out.append(acc)
+    return out
+
+
+def _upper(n: int, entry) -> list:
+    """The n x n matrix with entry(i, j) above the diagonal and None elsewhere."""
+    return [[entry(i, j) if i < j else None for j in range(n)] for i in range(n)]
+
+
 def g_table(P: Presentation, w: Witness) -> dict:
     """Coefficients of the socle comultiplication, keyed by v in the basis.
 
     Entry v holds the coefficient of x_{a-1-v} (x) x_{pi(v)}.  Two closed
-    forms compute it; they must agree (CrossCheckError otherwise), and the
-    entries at v = 0 and v = a-1 must be 1.
+    forms compute it; they must agree (CrossCheckError otherwise, at the
+    first v in basis order), and the entries at v = 0 and v = a-1 must be 1.
+    With b_jk = bracket(pi e_k, pi e_j):
+      route one   g_v = bracket(top - v, v)^{-1} prod_i c_i^{v_i}
+                        prod_{j<k} b_jk^{v_j v_k}
+      route two   g_{pi(v)} = bracket(top - pi v, pi v)^{-1}
+                        prod_i c_{pi(i)}^{v_i} prod_{j<k} b_jk^{-v_j v_k}
+
+    Each route is a quadratic character of v, prod_i l_i^{v_i}
+    prod_{i<j} m_ij^{v_i v_j}, tabulated over the basis with O(1) field
+    products per entry (Presentation.quadratic_table).  With
+    d_i = prod_{j>i} q_ij^{-(a_j - 1)},
+      bracket(top - v, v)^{-1} = prod_{i<j} q_ij^{-(a_j - 1) v_i} q_ij^{v_i v_j},
+    so route one has l_i = c_i d_i and m_ij = q_ij b_ij.  pi(v) carries v_i
+    at position pi(i), so the bracket at pi(v) has l_i = d_{pi(i)} and
+    m_ij = q_{pi(i) pi(j)} with the pair in increasing order, and route two
+    has l_i = c_{pi(i)} d_{pi(i)} and m_ij = q_{pi(i) pi(j)} b_ij^{-1}.  Route
+    two's table, in the order of v, is moved to pi(v) by image_indices.  The
+    routes share only the d_i.
     """
     check_witness(P, w)
-    pi = w.pi
-    one = P.field.one
-    pe = [pi.act(P.unit_vec(i)) for i in range(1, P.n + 1)]  # images of e_i
+    field, n, q = P.field, P.n, P.q_values
+    mul = field._mul
+    p = [w.pi(i + 1) - 1 for i in range(n)]  # pi on 0-based positions
+    c = [ci.value for ci in w.c]
+    d = _socle_powers(P)
+    units = [P.unit_vec(i + 1) for i in range(n)]
+    b = _upper(n, lambda j, k: P.bracket_value(units[p[k]], units[p[j]]))
 
-    bases = {
-        (j, k): P.bracket(pe[k], pe[j]) for j in range(P.n) for k in range(j + 1, P.n)
-    }
+    route_one = P.quadratic_table(
+        [mul(c[i], d[i]) for i in range(n)], _upper(n, lambda i, j: mul(q[i][j], b[i][j]))
+    )
+    table = P.quadratic_table(
+        [mul(c[p[i]], d[p[i]]) for i in range(n)],
+        _upper(n, lambda i, j: mul(q[min(p[i], p[j])][max(p[i], p[j])], field._inv(b[i][j]))),
+    )
+    route_two = [None] * P.dim
+    for k, x in zip(image_indices(P, w.pi), table):
+        route_two[k] = x
 
-    def pair_product(v, negate: bool) -> Scalar:
-        acc = one
-        for (j, k), base in bases.items():
-            e = v[j] * v[k]
-            if e:
-                acc = acc * base ** (-e if negate else e)
-        return acc
-
-    route_one = {}
-    for v in P.basis():
-        coeff = P.bracket(P.complement(v), v).inverse()
-        for i in range(P.n):
-            if v[i]:
-                coeff = coeff * w.c[i] ** v[i]
-        route_one[v] = coeff * pair_product(v, negate=False)
-
-    route_two = {}
-    for v in P.basis():
-        pv = pi.act(v)
-        coeff = P.bracket(P.complement(pv), pv).inverse()
-        for i in range(P.n):
-            if v[i]:
-                coeff = coeff * w.c[pi(i + 1) - 1] ** v[i]
-        route_two[pv] = coeff * pair_product(v, negate=True)
-
-    for v in P.basis():
-        if route_one[v] != route_two[v]:
-            raise CrossCheckError(
-                f"socle coefficient routes disagree at v = {v}: "
-                f"{route_one[v]} vs {route_two[v]}"
-            )
-    if route_one[P.zero_vec] != one or route_one[P.top] != one:
+    basis = P.basis()
+    if route_one != route_two:
+        v, x, y = next(t for t in zip(basis, route_one, route_two) if t[1] != t[2])
+        raise CrossCheckError(
+            f"socle coefficient routes disagree at v = {v}: "
+            f"{Scalar(field, x)} vs {Scalar(field, y)}"
+        )
+    one = field.one.value
+    if route_one[0] != one or route_one[-1] != one:
         raise CrossCheckError("boundary socle coefficients must be 1")
-    return route_one
+    return {v: Scalar(field, x) for v, x in zip(basis, route_one)}
 
 
 def key_of(P: Presentation, v):
@@ -445,39 +484,36 @@ class BfaStructure:
             [key_of(P, w) for w, _ in images], [c.value for _, c in images],
         )
 
-    @property
-    def t_vec(self) -> tuple:
-        return self.presentation.top
 
-    def phi(self) -> dict:
-        return self.presentation.dual_functional(self.presentation.top)
-
-    def t_elem(self) -> dict:
-        return self.presentation.monomial(self.presentation.top)
-
-    def epsilon(self, x: dict):
-        c = x.get(self.presentation.zero_vec)
-        return self.presentation.field.zero if c is None else c
-
-
-def comultiplication(P: Presentation, pi: Permutation, g: dict) -> list:
-    """The rows of delta in the construction, in basis order.
+def comultiplication(P: Presentation, images: list, g: dict) -> list:
+    """The rows of delta in the construction, in basis order, for the
+    involution pi with image_indices(P, pi) = images.
 
     delta(1) = 1 (x) 1, every middle monomial is primitive, and
     delta(t) = sum_u g_u x_{a-1-u} (x) x_{pi(u)}; the complement of the
     basis vector at index i is the one at index dim - 1 - i.
     """
-    one, index, last = P.field.one.value, P.positions(), P.dim - 1
+    one, last = P.field.one.value, P.dim - 1
     rows = [[(0, i, one), (i, 0, one)] for i in range(P.dim)]
     rows[0] = [(0, 0, one)]
-    rows[last] = [(last - i, index[pi.act(u)], g[u].value) for i, u in enumerate(P.basis())]
+    rows[last] = [
+        (last - i, k, g[u].value) for i, (u, k) in enumerate(zip(P.basis(), images))
+    ]
     return rows
 
 
 def build_structure(P: Presentation, w: Witness) -> BfaStructure:
-    """The structure of a witness, with S(x_v) = g_v bracket(a-1-v, v) x_{pi(v)}."""
+    """The structure of a witness, with S(x_v) = g_v bracket(a-1-v, v) x_{pi(v)}.
+
+    bracket(top - v, v) = prod_{i<j} q_ij^{(a_j - 1) v_i} q_ji^{v_i v_j} is
+    read from one quadratic_table, with l_i = d_i^{-1} (d_i as in g_table).
+    """
     g = g_table(P, w)
-    basis, index, mul = P.basis(), P.positions(), P.field._mul
-    s_img = [index[w.pi.act(v)] for v in basis]
-    s_coef = [mul(g[v].value, P.bracket_value(P.complement(v), v)) for v in basis]
-    return BfaStructure(P, w, g, comultiplication(P, w.pi, g), s_img, s_coef)
+    field, q = P.field, P.q_values
+    brackets = P.quadratic_table(
+        [field._inv(x) for x in _socle_powers(P)], _upper(P.n, lambda i, j: q[j][i])
+    )
+    mul = field._mul
+    s_coef = [mul(g[v].value, x) for v, x in zip(P.basis(), brackets)]
+    images = image_indices(P, w.pi)
+    return BfaStructure(P, w, g, comultiplication(P, images, g), images, s_coef)

@@ -43,12 +43,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(range(1, n + 1))
 
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        images = list(range(1, n + 1))
-        images[i - 1], images[j - 1] = j, i
-        return cls(images)
-
     @property
     def n(self) -> int:
         return len(self.images)

@@ -28,7 +28,14 @@ from __future__ import annotations
 import json
 
 from .algebra import Presentation, parse_vector_key, vector_key
-from .builder import BfaStructure, Witness, check_witness, comultiplication, delta_rows
+from .builder import (
+    BfaStructure,
+    Witness,
+    check_witness,
+    comultiplication,
+    delta_rows,
+    image_indices,
+)
 from .errors import (
     FileSemanticError,
     FileSyntaxError,
@@ -336,7 +343,8 @@ def structure_from_json(obj) -> BfaStructure:
     if g[P.zero_vec] != one or g[P.top] != one:
         raise FileSemanticError("g must be 1 at the zero and top vectors")
 
-    rows = comultiplication(P, pi, g)
+    images = image_indices(P, pi)
+    rows = comultiplication(P, images, g)
     if version == 1:
         _check_delta_block(obj["delta"], P, vectors, literals, rows)
 
@@ -349,19 +357,18 @@ def structure_from_json(obj) -> BfaStructure:
         return img, _scalar(field, row[1], f"coefficient in s[{key}]", literals)
 
     s_entries = _basis_table(obj["s"], "s", P, vectors, s_row)
-    index, s_img, s_coef = P.positions(), [], []
-    for v in P.basis():
+    index, s_coef = P.positions(), []
+    for v, image in zip(P.basis(), images):
         img, coeff = s_entries[v]
         if coeff.is_zero():
             raise FileSemanticError(f"s[{vector_key(v)}] has a zero coefficient")
-        if img != pi.act(v):
+        if index[img] != image:
             raise FileSemanticError(f"s[{vector_key(v)}] must land on the pi-image")
-        s_img.append(index[img])
         s_coef.append(coeff.value)
     if s_entries[P.top] != (P.top, one):
         raise FileSemanticError("s must fix the top monomial with coefficient 1")
 
-    return BfaStructure(P, witness, g, rows, s_img, s_coef)
+    return BfaStructure(P, witness, g, rows, images, s_coef)
 
 
 def load_structure(path: str) -> BfaStructure:

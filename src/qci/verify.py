@@ -126,6 +126,18 @@ def _hit(field, rows: list, f: dict, x: dict, left: bool) -> dict:
     return out
 
 
+def _counit_hit(field, row: list, left: bool) -> dict:
+    """epsilon -> x_v when left, else x_v <- epsilon, for row the delta row of
+    x_v: epsilon = x_0^* is 1 at the key 0 and 0 elsewhere, so these are the
+    terms of the row whose other factor is the key 0, summed as they are."""
+    out: dict = {}
+    for u, w, c in row:
+        key, arg = (u, w) if left else (w, u)
+        if arg == 0:
+            _add_value(field, out, key, c)
+    return out
+
+
 def _element(P: Presentation, x: dict) -> dict:
     """The Scalar element, keyed by vectors, of a payload dict on keys."""
     return {vector_of(P, k): Scalar(P.field, c) for k, c in x.items()}
@@ -267,11 +279,10 @@ def _counit_law(B: BfaStructure) -> tuple:
     x_v <- epsilon = x_v = epsilon -> x_v, with epsilon = x_0^*."""
     field, rows = B.presentation.field, B.rows
     one = field.one.value
-    eps = {0: one}
     return _first(
         B.presentation.basis(),
-        lambda i: _hit(field, rows, eps, {i: one}, left=False) != {i: one}
-        or _hit(field, rows, eps, {i: one}, left=True) != {i: one},
+        lambda i: _counit_hit(field, rows[i], left=False) != {i: one}
+        or _counit_hit(field, rows[i], left=True) != {i: one},
     )
 
 
@@ -597,12 +608,10 @@ def _nakayama_via_antipode(B: BfaStructure, d: _Shared) -> tuple:
     if d.inv is None:
         return False, {"at": "modular-inverse"}
     field, s1, h = P.field, d.s1, d.h
-    one = field.one.value
-    eps = {0: one}
     conjugate = _conjugation(P, d.inv, d.modular)
 
     def fails(i):
-        once = _apply(field, s1, _hit(field, B.rows, eps, {i: one}, left=True))
+        once = _apply(field, s1, _counit_hit(field, B.rows[i], left=True))
         twice = None if once is None else _apply(field, s1, once)
         return twice is None or conjugate(twice) != {i: h[i]}
 
@@ -628,12 +637,11 @@ def _fourth_power_formula(B: BfaStructure, d: _Shared) -> tuple:
         return False, {"at": "modular-inverse"}
     field, rows, dim = P.field, B.rows, P.dim
     one = field.one.value
-    eps = {0: one}
-    if all(_hit(field, rows, eps, {i: one}, left=False) == {i: one} for i in range(dim)):
+    if all(_counit_hit(field, rows[i], left=False) == {i: one} for i in range(dim)):
         def moved(i):
-            return _hit(field, rows, eps, {i: one}, left=True)
+            return _counit_hit(field, rows[i], left=True)
     else:
-        rights = [_hit(field, rows, eps, {i: one}, left=False) for i in range(dim)]
+        rights = [_counit_hit(field, row, left=False) for row in rows]
         if any(isinstance(w, tuple) for right in rights for w in right):
             return False, {"at": "off-basis"}
         system = [{w: Scalar(field, c) for w, c in right.items()} for right in rights]

@@ -160,7 +160,7 @@ def test_criterion_2_twisted_example():
 
         # phi = (1 + x1) -> socle dual; the solved automorphism does not square
         # to the identity although the canonical one does
-        shift = helpers.add(P.one_elem, P.monomial((1, 0, 0)))
+        shift = helpers.add(helpers.one_elem(P), P.monomial((1, 0, 0)))
         phi = helpers.reference_functional_left_hit(P, shift, P.dual_functional(P.top))
         images = helpers.reference_nakayama_wrt(P, phi)
         x2 = (0, 1, 0)

@@ -5,12 +5,16 @@ import random
 import pytest
 from helpers import (
     add,
+    apply_functional,
     field_pool,
+    one_elem,
     rand_presentation,
     reference_element_to_string,
     reference_functional_left_hit,
     reference_invert_element,
     reference_nakayama_wrt,
+    reference_power,
+    scale,
     unit_pool,
 )
 from hypothesis import given, settings
@@ -33,7 +37,7 @@ from qci.errors import (
     TooLargeError,
 )
 from qci.linalg import add_term
-from qci.scalars import make_field
+from qci.scalars import Scalar, make_field
 
 Q = make_field("rational")
 F13 = make_field("prime", 13)
@@ -121,15 +125,15 @@ class TestArithmetic:
 
     def test_power_and_add(self):
         P = two_gen(Q, 2, 3, "2")
-        s = add(P.one_elem, P.scale(-Q.one, P.one_elem))
+        s = add(one_elem(P), scale(P, -Q.one, one_elem(P)))
         assert s == {}
 
     def test_invert_element(self):
         P = two_gen(Q, 2, 3, "2")
-        one_plus = add(P.one_elem, P.monomial((0, 1)))
+        one_plus = add(one_elem(P), P.monomial((0, 1)))
         inv = P.invert_element(one_plus)
-        assert P.mul(one_plus, inv) == P.one_elem
-        assert P.mul(inv, one_plus) == P.one_elem
+        assert P.mul(one_plus, inv) == one_elem(P)
+        assert P.mul(inv, one_plus) == one_elem(P)
         assert inv == {
             (0, 0): Q.one,
             (0, 1): -Q.one,
@@ -147,6 +151,30 @@ def inverse_or_raise(invert, *args):
         return invert(*args)
     except NotInvertibleError:
         return NotInvertibleError
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(field_pool()),
+    st.integers(min_value=2, max_value=4),
+    st.randoms(use_true_random=False),
+)
+def test_quadratic_table_matches_direct_products(field, n, rng):
+    """Entry v is prod_i lin_i^{v_i} prod_{i<j} quad_ij^{v_i v_j}; the unit
+    pools hold 1, so the repeating path runs too."""
+    P = rand_presentation(rng, field, n, a_hi=3)
+    pool = unit_pool(field)
+    lin = [rng.choice(pool) for _ in range(n)]
+    quad = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+    table = P.quadratic_table([x.value for x in lin], [[x.value for x in row] for row in quad])
+    assert len(table) == P.dim
+    for v, got in zip(P.basis(), table):
+        want = field.one
+        for i in range(n):
+            want = want * reference_power(lin[i], v[i])
+            for j in range(i + 1, n):
+                want = want * reference_power(quad[i][j], v[i] * v[j])
+        assert Scalar(field, got) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -176,7 +204,7 @@ def test_series_inverse_matches_solve(field, n, constant, rng):
     assert inv == inverse_or_raise(reference_invert_element, P, x)
     assert (inv is NotInvertibleError) is (P.zero_vec not in x)
     if inv is not NotInvertibleError:
-        assert P.mul(x, inv) == P.one_elem == P.mul(inv, x)
+        assert P.mul(x, inv) == one_elem(P) == P.mul(inv, x)
 
 
 @pytest.mark.parametrize("v", [(3, 0), (0, 4), (-1, 1)], ids=["x1^3", "x2^4", "x1^-1*x2"])
@@ -185,7 +213,7 @@ def test_series_inverse_rejects_keys_off_the_basis(v):
     constant term."""
     P = two_gen(Q, 3, 4, "2")
     with pytest.raises(NotInvertibleError):
-        P.invert_element(add(P.one_elem, P.monomial(v)))
+        P.invert_element(add(one_elem(P), P.monomial(v)))
 
 
 class TestDistinguishedScalars:
@@ -239,8 +267,8 @@ class TestNakayama:
         images = reference_nakayama_wrt(P, phi)
         for u in P.basis():
             for v in P.basis():
-                lhs = P.apply_functional(phi, P.mul(P.monomial(u), P.monomial(v)))
-                rhs = P.apply_functional(
+                lhs = apply_functional(P, phi, P.mul(P.monomial(u), P.monomial(v)))
+                rhs = apply_functional(P, 
                     phi, P.mul(P.monomial(v), images[P.index(u)])
                 )
                 assert lhs == rhs
@@ -270,7 +298,7 @@ class TestFunctionals:
         for i, u in enumerate(P.basis()):
             for j, v in enumerate(P.basis()):
                 prod = P.mul(P.monomial(u), P.monomial(v))
-                assert mat[i][j] == P.apply_functional(phi, prod)
+                assert mat[i][j] == apply_functional(P, phi, prod)
         # phi picks only the unit's coefficient: the pairing has rank 1.
         unit_only = P.pairing_matrix(P.dual_functional(P.zero_vec))
         assert rank(Q, unit_only) == 1 < P.dim
@@ -296,7 +324,7 @@ class TestNames:
     def test_element_to_string(self):
         P = two_gen(Q, 2, 3, "2")
         assert P.element_to_string({}) == "0"
-        x = add(P.one_elem, P.monomial((1, 1), Q.parse("-2")))
+        x = add(one_elem(P), P.monomial((1, 1), Q.parse("-2")))
         assert P.element_to_string(x) == "(1) + (-2)*x1*x2"
 
     def test_element_to_string_off_the_basis(self):

@@ -1,10 +1,25 @@
 """Witness equations, closed forms, the decision procedure, and g tables."""
 
 import itertools
+import random
+import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import reference_g_table, s_elem
+from helpers import (
+    epsilon,
+    one_elem,
+    phi_of,
+    rand_compatible,
+    rand_compatible_involutive_h,
+    reference_bracket,
+    reference_g_table,
+    s_elem,
+    t_elem,
+    t_vec,
+)
 from qci.algebra import Presentation
 from qci.builder import (
     BfaStructure,
@@ -16,11 +31,13 @@ from qci.builder import (
     closed_form_c,
     decide,
     g_table,
+    image_indices,
     regime_family,
     solve_c,
 )
 from qci.demos import example_presentation, example_witness
 from qci.errors import (
+    CrossCheckError,
     NotCompatibleError,
     NotInvolutionError,
     RegimeHypothesisError,
@@ -28,7 +45,7 @@ from qci.errors import (
     WitnessInvalidError,
 )
 from qci.permutations import Permutation, enumerate_compatible, partition
-from qci.scalars import make_field
+from qci.scalars import Scalar, make_field
 
 Q = make_field("rational")
 F2 = make_field("prime", 2)
@@ -449,17 +466,109 @@ class TestGTable:
         assert w.pi == Permutation(pi)
         assert g_table(P, w) == reference_g_table(P, w)
 
+    def test_routes_disagree_without_the_witness_check(self, monkeypatch):
+        # c = (1, 1) with pi = id is no witness here (c_1^2 != h_e1 = 2), and
+        # the routes differ by b_12^2 = 4 at v = (1, 1): 2 vs 2^-1 = 4
+        monkeypatch.setattr("qci.builder.check_witness", lambda P, w: None)
+        P = presentation(F7, (2, 2), {(1, 2): "2"})
+        with pytest.raises(
+            CrossCheckError,
+            match=re.escape("socle coefficient routes disagree at v = (1, 1): 2 vs 4"),
+        ):
+            g_table(P, Witness(Permutation.identity(2), (F7.one, F7.one)))
+
+    def test_boundary_check_without_the_witness_check(self, monkeypatch):
+        # symmetric q: both routes give c_1 c_2 = 2 at the top vector
+        monkeypatch.setattr("qci.builder.check_witness", lambda P, w: None)
+        P = presentation(F7, (2, 2), {(1, 2): "1"})
+        with pytest.raises(CrossCheckError, match="boundary socle coefficients must be 1"):
+            g_table(P, Witness(Permutation.identity(2), (F7.from_int(2), F7.one)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([F2, F7, F13, Q, C8]),
+    st.integers(min_value=2, max_value=4),
+    st.randoms(use_true_random=False),
+)
+def test_tables_match_references(field, n, rng):
+    """g_table against reference_g_table, and S(x_v) = g_v bracket(top - v, v)
+    x_{pi(v)} against reference_bracket, for decide's witness."""
+    P, _ = rand_compatible_involutive_h(rng, field, n, a_hi=3)
+    report = decide(P)
+    assume(report.exists)
+    w = report.witness
+    g = g_table(P, w)
+    assert g == reference_g_table(P, w)
+    B = build_structure(P, w)
+    for i, v in enumerate(P.basis()):
+        assert Scalar(field, B.s_coef[i]) == g[v] * reference_bracket(P, P.complement(v), v)
+        assert B.s_img[i] == P.index(w.pi.act(v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.randoms(use_true_random=False))
+def test_image_indices_match_the_action(n, rng):
+    P, pi = rand_compatible(rng, F7, n, a_hi=4)
+    assert image_indices(P, pi) == [P.index(pi.act(v)) for v in P.basis()]
+
+
+def gf7_draw(a, seed: int):
+    """A GF(7) presentation with exponents a and decide's witness: the q_ij,
+    i < j, are drawn from the units until decide says Yes."""
+    rng = random.Random(seed)
+    units = [F7.from_int(k) for k in range(1, 7)]
+    n = len(a)
+    while True:
+        q = [[F7.one] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                q[i][j] = rng.choice(units)
+                q[j][i] = q[i][j].inverse()
+        P = Presentation(F7, a, q)
+        report = decide(P)
+        if report.exists:
+            return P, report.witness
+
+
+def scalar_arithmetic(monkeypatch, call) -> int:
+    """The Scalar products, powers and inverses that call() performs."""
+    calls = [0]
+    for name in ("__mul__", "__rmul__", "__pow__", "inverse"):
+        original = getattr(Scalar, name)
+
+        def counted(*args, _original=original):
+            calls[0] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(Scalar, name, counted)
+    call()
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_build_structure_scalar_arithmetic_does_not_grow_with_dim(monkeypatch):
+    """g, S and delta are built on payload tables: the only Scalar arithmetic
+    is check_witness, whose cost depends on n alone."""
+    counts = {}
+    for a in ((4, 4, 4), (16, 16, 16), (64, 64), (8, 8, 8, 8)):
+        P, w = gf7_draw(a, seed=1)
+        counts[a] = scalar_arithmetic(monkeypatch, lambda: build_structure(P, w))
+        assert counts[a] == scalar_arithmetic(monkeypatch, lambda: check_witness(P, w))
+    assert counts[(4, 4, 4)] == counts[(16, 16, 16)]
+    assert all(counts[a] <= 64 for a in ((16, 16, 16), (64, 64), (8, 8, 8, 8)))
+
 
 class TestBuildStructure:
     def test_structure_fields(self):
         P = example_presentation("6.9", C8)
         B = build_structure(P, example_witness("6.9", P))
         assert isinstance(B, BfaStructure)
-        assert B.t_vec == (1, 1, 1)
-        assert B.t_elem() == {(1, 1, 1): C8.one}
-        assert B.phi() == {(1, 1, 1): C8.one}
-        assert B.epsilon(P.one_elem) == C8.one
-        assert B.epsilon(P.monomial((1, 0, 0))) == C8.zero
+        assert t_vec(B) == (1, 1, 1)
+        assert t_elem(B) == {(1, 1, 1): C8.one}
+        assert phi_of(B) == {(1, 1, 1): C8.one}
+        assert epsilon(B, one_elem(P)) == C8.one
+        assert epsilon(B, P.monomial((1, 0, 0))) == C8.zero
 
     def test_delta_shapes(self):
         P = example_presentation("6.9", C8)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import transposition
 from qci.algebra import Presentation
 from qci.demos import example_presentation
 from qci.errors import (
@@ -77,7 +78,7 @@ class TestPermutationBasics:
         assert not cycle.is_involution()
         assert cycle.inverse() == Permutation((3, 1, 2))
         assert Permutation.identity(3) == Permutation((1, 2, 3))
-        assert Permutation.transposition(3, 2, 3) == swap
+        assert transposition(3, 2, 3) == swap
 
 
 class TestCompatibility:

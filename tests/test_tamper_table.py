@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import t_vec
 from qci.builder import BfaStructure
 from qci.demos import example_structure
 from qci.verify import AXIOM_CHECKS, DERIVED_CHECKS, verify_axioms, verify_derived
@@ -68,7 +69,7 @@ def extra_terms(B, v, *terms):
 
 def top_term(B, u):
     """Index in delta[t] of the term with left factor u."""
-    return [left for left, _, _ in B.delta[B.t_vec]].index(u)
+    return [left for left, _, _ in B.delta[t_vec(B)]].index(u)
 
 
 def s_coefficient(B, v, factor):
@@ -83,14 +84,14 @@ def s_images(B, images):
 
 def socle_entry(B, u, factor):
     """g_u times factor, in g and in the delta(t) term x_{a-1-u} (x) x_{pi(u)}."""
-    top = B.t_vec
+    top = t_vec(B)
     T = scaled_term(B, top, top_term(B, B.presentation.complement(u)), factor)
     return tampered(T, g={u: B.g[u] * B.presentation.field.parse(factor)})
 
 
 def grouplike_modular_element(B):
     """m = 1 + x_1 with x_1 made group-like up to 1: delta(x_1) gains x_1 (x) x_1."""
-    T = extra_terms(B, B.t_vec, (X1, B.t_vec))
+    T = extra_terms(B, t_vec(B), (X1, t_vec(B)))
     return extra_terms(T, X1, (X1, X1))
 
 
@@ -99,20 +100,20 @@ TAMPERINGS = {
     "delta(1) emptied": lambda B: tampered(B, delta={X0: []}),
     "delta(x1) gains x1(x)x2": lambda B: extra_terms(B, X1, (X1, X2)),
     "delta(x1) 1(x)x1 doubled": lambda B: scaled_term(B, X1, 0, "2"),
-    "delta(t) term x1 dropped": lambda B: dropped_term(B, B.t_vec, top_term(B, X1)),
-    "delta(t) gains x1(x)t": lambda B: extra_terms(B, B.t_vec, (X1, B.t_vec)),
+    "delta(t) term x1 dropped": lambda B: dropped_term(B, t_vec(B), top_term(B, X1)),
+    "delta(t) gains x1(x)t": lambda B: extra_terms(B, t_vec(B), (X1, t_vec(B))),
     "m made 1 + x1, group-like": grouplike_modular_element,
     "g_0 doubled": lambda B: socle_entry(B, X0, "2"),
-    "g_t doubled": lambda B: socle_entry(B, B.t_vec, "2"),
-    "g_t negated": lambda B: socle_entry(B, B.t_vec, "-1"),
-    "g_t zeroed": lambda B: socle_entry(B, B.t_vec, "0"),
+    "g_t doubled": lambda B: socle_entry(B, t_vec(B), "2"),
+    "g_t negated": lambda B: socle_entry(B, t_vec(B), "-1"),
+    "g_t zeroed": lambda B: socle_entry(B, t_vec(B), "0"),
     "S(1) negated": lambda B: s_coefficient(B, X0, "-1"),
     "S(x1) zeroed": lambda B: s_coefficient(B, X1, "0"),
-    "S(t) doubled": lambda B: s_coefficient(B, B.t_vec, "2"),
+    "S(t) doubled": lambda B: s_coefficient(B, t_vec(B), "2"),
     "S(x1) made x1x2": lambda B: s_images(B, {X1: (1, 1, 0)}),
     "S(x1) made S(x2)": lambda B: s_images(B, {X1: B.s_map[X2][0]}),
     "S cycles x1, x2, x3": lambda B: s_images(B, {X1: X2, X2: X3, X3: X1}),
-    "S swaps 1 and t": lambda B: s_images(B, {X0: B.t_vec, B.t_vec: X0}),
+    "S swaps 1 and t": lambda B: s_images(B, {X0: t_vec(B), t_vec(B): X0}),
 }
 
 EXAMPLES = ("6.9", "6.10")

@@ -12,6 +12,8 @@ from helpers import (
     add,
     bare_structure,
     left_coaction,
+    one_elem,
+    phi_of,
     rand_compatible_involutive_h,
     rand_presentation,
     rand_vector,
@@ -28,6 +30,7 @@ from helpers import (
     reference_tensor_mul,
     reference_view_checks,
     right_coaction,
+    t_elem,
     tensor_product,
 )
 from hypothesis import assume, given, settings
@@ -143,12 +146,12 @@ class TestConvolution:
     def test_socle_functional_not_invertible(self):
         B = STRUCTURES[0]
         with pytest.raises(NotInvertibleError):
-            reference_convolution_inverse(B, B.phi())
+            reference_convolution_inverse(B, phi_of(B))
 
     def test_inverse_property(self):
         B = STRUCTURES[1]
         P = B.presentation
-        alpha = reference_functional_left_hit(P, B.t_elem(), B.phi())
+        alpha = reference_functional_left_hit(P, t_elem(B), phi_of(B))
         inv = reference_convolution_inverse(B, alpha)
         # (alpha * inv)(x_v) = delta_{v,0}
         for v in P.basis():
@@ -189,7 +192,7 @@ def first_antihomomorphism_failure(P, s_map):
             out = add(out, P.monomial(img, c * coeff))
         return out
 
-    if S(P.one_elem) != P.one_elem:
+    if S(one_elem(P)) != one_elem(P):
         return {"at": "S(1)"}
     for u in P.basis():
         for v in P.basis():
@@ -1048,11 +1051,11 @@ def test_units_invert_without_elimination(monkeypatch):
     passes."""
     B = seeded_d256()
     P = B.presentation
-    modular = left_coaction(B, B.phi(), B.t_elem())
+    modular = left_coaction(B, phi_of(B), t_elem(B))
     three, two = P.field.from_int(3), P.field.from_int(2)
     units = [
         modular,
-        add(P.one_elem, P.monomial(P.unit_vec(1))),
+        add(one_elem(P), P.monomial(P.unit_vec(1))),
         {P.zero_vec: three, P.unit_vec(1): P.field.one, P.unit_vec(2): two},
         {P.zero_vec: two, (1, 0, 2, 1): three, (0, 3, 0, 1): P.field.one, P.top: two},
     ]
