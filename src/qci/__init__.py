@@ -7,7 +7,7 @@ monomial basis, builds the structure when it exists, and verifies every
 axiom exhaustively over exact fields (Q, GF(p), cyclotomics).
 """
 
-from .algebra import Presentation, monomial_name, parse_vector_key, vector_key
+from .algebra import Presentation, monomial_name, parse_vector_key, q_grid, vector_key
 from .builder import (
     BfaStructure,
     Regime,
@@ -97,6 +97,7 @@ __all__ = [
     "parse_vector_key",
     "partition",
     "primitive_space_dim",
+    "q_grid",
     "q_pi",
     "save_presentation",
     "save_structure",

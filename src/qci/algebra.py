@@ -46,6 +46,44 @@ def dim_limit() -> int:
     return limit
 
 
+def _validate(field: Field, a: tuple, q: tuple) -> tuple:
+    """Check a presentation's exponents, q and dimension; return the payload
+    matrix of q.  Reads the cap through dim_limit()."""
+    n = len(a)
+    if n < 2:
+        raise BadExponentError(f"need at least 2 generators, got {n}")
+    if any(ai < 2 for ai in a):
+        raise BadExponentError(f"every exponent must be >= 2, got {a}")
+    if len(q) != n or any(len(row) != n for row in q):
+        raise BadReciprocalError(f"q must be a {n}x{n} matrix")
+    is_zero, mul, one = field._is_zero, field._mul, field.one.value
+    values = []
+    for i, row in enumerate(q):
+        row_values = []
+        for j, entry in enumerate(row):
+            if not isinstance(entry, Scalar) or (
+                entry.field is not field and entry.field != field
+            ):
+                raise BadReciprocalError(f"q[{i+1}][{j+1}] is not a field scalar")
+            if is_zero(entry.value):
+                raise BadReciprocalError(f"q[{i+1}][{j+1}] is zero")
+            row_values.append(entry.value)
+        if row_values[i] != one:
+            raise BadDiagonalError(f"q[{i+1}][{i+1}] must be 1")
+        values.append(tuple(row_values))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if mul(values[i][j], values[j][i]) != one:
+                raise BadReciprocalError(f"q[{i+1}][{j+1}] * q[{j+1}][{i+1}] must be 1")
+    dim = 1
+    for ai in a:
+        dim *= ai
+    limit = dim_limit()
+    if dim > limit:
+        raise TooLargeError(f"dimension {dim} exceeds the cap {limit}")
+    return tuple(values)
+
+
 class Presentation:
     """Validated presentation data plus exact structure-constant arithmetic.
 
@@ -56,60 +94,29 @@ class Presentation:
     """
 
     def __init__(self, field: Field, a, q):
-        self.field = field
         a = tuple(a)
         try:
-            self.a = tuple(map(operator.index, a))
+            a = tuple(map(operator.index, a))
         except TypeError:
             raise BadExponentError(f"every exponent must be an integer, got {a!r}") from None
-        self.n = len(self.a)
-        self.top = tuple(ai - 1 for ai in self.a)  # exponents of the socle monomial
-        self.q = tuple(tuple(row) for row in q)
-        self.q_values = self._validate()
+        q = tuple(tuple(row) for row in q)
+        self._setup(field, a, q, _validate(field, a, q))
+
+    def _setup(self, field: Field, a: tuple, q: tuple, q_values: tuple) -> None:
+        """Set every attribute: a is a tuple of ints, q a tuple of row tuples
+        of Scalars and q_values its payload matrix, all already validated."""
+        self.field = field
+        self.a = a
+        self.n = len(a)
+        self.top = tuple(ai - 1 for ai in a)  # exponents of the socle monomial
+        self.q = q
+        self.q_values = q_values
         self._basis = None
         self._index = None
         self._h_values = None
         self._h_gen = None
         self._powers = {}  # (i, j, e) -> payload of q_ij ** e, filled by bracket
         self._h_powers = {}  # (i, e) -> payload of h_{e_i} ** e, filled by h_value
-
-    def _validate(self) -> tuple:
-        """Check the presentation; return the payload matrix of q."""
-        if self.n < 2:
-            raise BadExponentError(f"need at least 2 generators, got {self.n}")
-        if any(ai < 2 for ai in self.a):
-            raise BadExponentError(f"every exponent must be >= 2, got {self.a}")
-        if len(self.q) != self.n or any(len(row) != self.n for row in self.q):
-            raise BadReciprocalError(f"q must be a {self.n}x{self.n} matrix")
-        field = self.field
-        is_zero, mul, one = field._is_zero, field._mul, field.one.value
-        values = []
-        for i, row in enumerate(self.q):
-            row_values = []
-            for j, entry in enumerate(row):
-                if not isinstance(entry, Scalar) or (
-                    entry.field is not field and entry.field != field
-                ):
-                    raise BadReciprocalError(f"q[{i+1}][{j+1}] is not a field scalar")
-                if is_zero(entry.value):
-                    raise BadReciprocalError(f"q[{i+1}][{j+1}] is zero")
-                row_values.append(entry.value)
-            if row_values[i] != one:
-                raise BadDiagonalError(f"q[{i+1}][{i+1}] must be 1")
-            values.append(tuple(row_values))
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if mul(values[i][j], values[j][i]) != one:
-                    raise BadReciprocalError(
-                        f"q[{i+1}][{j+1}] * q[{j+1}][{i+1}] must be 1"
-                    )
-        dim = 1
-        for ai in self.a:
-            dim *= ai
-        limit = dim_limit()
-        if dim > limit:
-            raise TooLargeError(f"dimension {dim} exceeds the cap {limit}")
-        return tuple(values)
 
     # -- basis bookkeeping ---------------------------------------------------
 
@@ -214,12 +221,6 @@ class Presentation:
             out = [y for x, r in zip(out, ratio) for y in powers(x, r, ak)]
         return out
 
-    def monomial(self, v, coeff=None) -> dict:
-        coeff = self.field.one if coeff is None else coeff
-        if coeff.is_zero():
-            return {}
-        return {tuple(v): coeff}
-
     def mul(self, x: dict, y: dict) -> dict:
         out: dict = {}
         for u, cu in x.items():
@@ -315,10 +316,6 @@ class Presentation:
 
     # -- functionals -------------------------------------------------------------
 
-    def dual_functional(self, v) -> dict:
-        """The linear functional picking out the coefficient of x_v."""
-        return {tuple(v): self.field.one}
-
     def pairing_matrix(self, phi: dict) -> list:
         """Matrix (u, v) |-> phi(x_u x_v) over the basis ordering (dense rows).
 
@@ -363,6 +360,52 @@ class Presentation:
 
     def __repr__(self):
         return f"Presentation(n={self.n}, a={self.a}, field={self.field.describe()})"
+
+
+def q_grid(field: Field, a):
+    """Every presentation of exponents a over the prime field `field` with
+    units above the diagonal, in the row order of `qci enumerate`.
+
+    The pairs i < j are taken in lexicographic order and each q_ij runs over
+    the units 1, ..., p - 1 in increasing order, the first pair fastest;
+    q_ji = q_ij^{-1} and q_ii = 1.  The grid is validated once, not once per
+    row: the shape by one Presentation of a with q = 1, which reads the cap
+    once, and each unit u once, that it is nonzero and that u u^{-1} = 1.
+    Each row is then set up from those Scalars and their payloads.
+
+    Certificate that _validate passes on every row: the row has the
+    validated a (n >= 2, each a_i >= 2, dim within the cap read for the
+    grid); q is n x n by construction and each entry is field.one or a
+    checked unit or inverse, all Scalars of `field`; these are nonzero, the
+    diagonal is one, and q_ij q_ji = u u^{-1} = 1.  q_values holds the
+    payloads of exactly these entries, as _validate would return them.
+    """
+    if field.kind != "prime":
+        raise ValueError(f"q_grid needs a prime field, got {field.describe()}")
+    a = tuple(a)
+    one = field.one
+    shape = Presentation(field, a, [[one] * len(a) for _ in a])
+    is_zero, mul, one_value = field._is_zero, field._mul, one.value
+    units = []
+    for k in range(1, field.p):
+        u = field.from_int(k)
+        if is_zero(u.value):
+            raise BadReciprocalError(f"grid unit {u} is zero")
+        u_inv = u.inverse()
+        if mul(u.value, u_inv.value) != one_value:
+            raise BadReciprocalError(f"grid unit {u} times its inverse must be 1")
+        units.append((u, u_inv, u.value, u_inv.value))
+    n = shape.n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for choice in itertools.product(units, repeat=len(pairs)):
+        q = [[one] * n for _ in range(n)]
+        values = [[one_value] * n for _ in range(n)]
+        for (i, j), (u, u_inv, x, x_inv) in zip(pairs, reversed(choice)):
+            q[i][j], q[j][i] = u, u_inv
+            values[i][j], values[j][i] = x, x_inv
+        P = Presentation.__new__(Presentation)
+        P._setup(field, shape.a, tuple(map(tuple, q)), tuple(map(tuple, values)))
+        yield P
 
 
 def monomial_name(v) -> str:

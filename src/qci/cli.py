@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
+import functools
 import json
 import os
 import sys
 from math import lcm
 
-from .algebra import Presentation, monomial_name
+from .algebra import Presentation, monomial_name, q_grid
 from .builder import (
     BfaStructure,
     Witness,
@@ -347,29 +347,23 @@ def _cmd_enumerate(args) -> int:
     if len(a) != n or any(x < 2 for x in a):
         raise UsageError("--a needs one exponent >= 2 per generator")
 
-    # each unit with its inverse and its text, computed once for the whole grid
-    units = [(u, u.inverse(), str(u)) for u in map(field.from_int, range(1, field.p))]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    one = field.one
-
     header = [f"q{i + 1}{j + 1}" for i, j in pairs]
     header += [f"h{i + 1}" for i in range(n)]
     header += ["n_squared_is_id", "n_involutions", "decision", "witness_pi", "regime"]
 
+    @functools.cache
+    def text(value) -> str:
+        """The text of a payload, formatted once per scan."""
+        return str(Scalar(field, value))
+
     def scan(writer) -> int:
         writer.writerow(header)
         count = 0
-        for choice in itertools.product(units, repeat=len(pairs)):
-            choice = choice[::-1]  # the first pair varies fastest
-            q = [[one for _ in range(n)] for _ in range(n)]
-            for (i, j), (val, inverse, _) in zip(pairs, choice):
-                q[i][j] = val
-                q[j][i] = inverse
-            P = Presentation(field, a, q)
+        for P in q_grid(field, a):
             report = decide(P)
-            hs = P.h_generators()
-            row = [text for _, _, text in choice]
-            row += [str(h) for h in hs]
+            row = [text(P.q_values[i][j]) for i, j in pairs]
+            row += map(text, P.h_values())
             row += [
                 "yes" if report.nakayama_involutive else "no",
                 str(report.n_involutions),

@@ -118,42 +118,50 @@ def enumerate_compatible(
 
     One recursion fills the least unfilled position i, trying images in
     increasing order, so the results come out sorted.  i takes an unused
-    image j of equal exponent whose q entries agree with every filled
-    position.  For involutions j then takes i back; every earlier position
-    is used by then, so j is i or a later position.  j -> i agrees as well:
-    its condition with a filled position k is that of i -> j with pi(k),
-    by reciprocity.
+    image j of equal exponent whose q entries agree with every filled pair
+    (k, pi(k)): q_{j pi(k)} = q_{ki}; as in is_compatible, the condition for
+    (k, i) follows from it.  For involutions j then takes i back; every
+    earlier position is used by then, so j is i or a later position.  j -> i
+    agrees as well: its condition with a filled pair (k, pi(k)) is that of
+    i -> j with (pi(k), k), by reciprocity.
     """
     n = P.n
     if n > bound:
         raise TooManyGeneratorsError(f"n = {n} exceeds the enumeration bound {bound}")
     a, q = P.a, P.q_values
+    columns = list(zip(*q))  # columns[i][k] = q[k][i]
     images = [None] * n  # 0-based: images[i] = pi(i + 1) - 1 once filled
+    used = [False] * n  # the images taken so far
+    filled = []  # the filled pairs (k, images[k])
     results = []
 
-    def agrees(i: int, img: int) -> bool:
-        # equal exponents, and the q conditions between i and the filled
-        # positions; as in is_compatible, (j, i) follows from (i, j)
-        return a[img] == a[i] and all(
-            k is None or q[img][k] == q[j][i] for j, k in enumerate(images)
-        )
-
     def fill(i: int) -> None:
+        while i < n and images[i] is not None:  # taken back by an earlier position
+            i += 1
         if i == n:
             results.append(Permutation([k + 1 for k in images]))
-        elif images[i] is not None:  # taken back by an earlier position
-            fill(i + 1)
-        else:
-            for img in range(n):
-                if img in images or not agrees(i, img):
-                    continue
-                images[i] = img
-                if involutions_only:
-                    images[img] = i
+            return
+        ai, column = a[i], columns[i]
+        for j in range(i if involutions_only else 0, n):
+            if used[j] or a[j] != ai:
+                continue
+            row = q[j]
+            for k, image in filled:
+                if row[image] != column[k]:
+                    break
+            else:
+                back = involutions_only and j != i
+                images[i], used[j] = j, True
+                filled.append((i, j))
+                if back:
+                    images[j], used[i] = i, True
+                    filled.append((j, i))
                 fill(i + 1)
-                images[i] = None
-                if involutions_only:
-                    images[img] = None
+                if back:
+                    images[j], used[i] = None, False
+                    filled.pop()
+                images[i], used[j] = None, False
+                filled.pop()
 
     fill(0)
     return results

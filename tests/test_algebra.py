@@ -1,12 +1,15 @@
 """Presentation validation, monomial arithmetic, and the two Nakayama maps."""
 
+import itertools
 import random
 
 import pytest
 from helpers import (
     add,
     apply_functional,
+    dual_functional,
     field_pool,
+    monomial,
     one_elem,
     rand_presentation,
     reference_element_to_string,
@@ -25,8 +28,10 @@ from qci.algebra import (
     dim_limit,
     monomial_name,
     parse_vector_key,
+    q_grid,
     vector_key,
 )
+from qci.cli import run
 from qci.demos import example_presentation
 from qci.errors import (
     BadDiagonalError,
@@ -99,10 +104,82 @@ class TestValidation:
             Presentation(Q, (2, 2), [[Q.one, Q.one]])
 
 
+def grid_by_init(field, a):
+    """The q-grid of `qci enumerate`, each row validated by Presentation().
+
+    The unit of the last pair i < j varies slowest and that of the first
+    fastest, each over 1, ..., p - 1."""
+    n = len(a)
+    units = [field.from_int(k) for k in range(1, field.p)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for slowest_first in itertools.product(units, repeat=len(pairs)):
+        q = [[field.one] * n for _ in range(n)]
+        for (i, j), u in zip(reversed(pairs), slowest_first):
+            q[i][j], q[j][i] = u, u.inverse()
+        yield Presentation(field, a, q)
+
+
+class TestGrid:
+    @pytest.mark.parametrize("p, a", [(5, (2, 2)), (7, (2, 2, 3))])
+    def test_rows_equal_validated_presentations(self, p, a):
+        field = make_field("prime", p)
+        rows = list(q_grid(field, a))
+        expected = list(grid_by_init(field, a))
+        assert len(rows) == (p - 1) ** (len(a) * (len(a) - 1) // 2)
+        assert rows == expected
+        # every attribute, q's Scalars and the empty caches included
+        assert [vars(P) for P in rows] == [vars(P) for P in expected]
+
+    def test_shape_is_validated(self):
+        F5 = make_field("prime", 5)
+        with pytest.raises(BadExponentError):
+            next(q_grid(F5, (2,)))
+        with pytest.raises(BadExponentError):
+            next(q_grid(F5, (2, 1)))
+        with pytest.raises(BadExponentError):
+            next(q_grid(F5, (2, 2.5)))
+        with pytest.raises(ValueError):
+            next(q_grid(Q, (2, 2)))
+
+    def test_enumerate_reads_the_cap_once(self, monkeypatch, capsys):
+        import qci.algebra
+
+        calls = []
+        original = qci.algebra.dim_limit
+
+        def counted():
+            calls.append(1)
+            return original()
+
+        monkeypatch.setattr(qci.algebra, "dim_limit", counted)
+        assert run(["enumerate", "--field", "prime:5", "--n", "3", "--a", "2,2,2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 4**3
+        assert calls == [1]
+
+    @pytest.mark.parametrize(
+        "limit, a, message",
+        [
+            (None, "100,100", "error: dimension 10000 exceeds the cap 4096\n"),
+            ("3", "2,2", "error: dimension 4 exceeds the cap 3\n"),
+        ],
+    )
+    def test_enumerate_over_the_cap(self, monkeypatch, capsys, limit, a, message):
+        if limit is None:
+            monkeypatch.delenv("QCI_DIM_LIMIT", raising=False)
+        else:
+            monkeypatch.setenv("QCI_DIM_LIMIT", limit)
+        assert run(["enumerate", "--field", "prime:5", "--n", "2", "--a", a]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message
+        # the header goes out before the first row is set up, as it always has
+        header = "q12,h1,h2,n_squared_is_id,n_involutions,decision,witness_pi,regime"
+        assert captured.out.splitlines() == [header]
+
+
 class TestArithmetic:
     def test_bracket_and_mul(self):
         P = two_gen(Q, 2, 3, "2")
-        x1, x2 = P.monomial((1, 0)), P.monomial((0, 1))
+        x1, x2 = monomial(P, (1, 0)), monomial(P, (0, 1))
         # x2 x1 = q12 x1 x2
         assert P.mul(x2, x1) == {(1, 1): Q.parse("2")}
         assert P.mul(x1, x2) == {(1, 1): Q.one}
@@ -110,8 +187,8 @@ class TestArithmetic:
 
     def test_truncation(self):
         P = two_gen(Q, 2, 3, "2")
-        assert P.mul(P.monomial((1, 0)), P.monomial((1, 0))) == {}
-        assert P.mul(P.monomial((0, 2)), P.monomial((0, 1))) == {}
+        assert P.mul(monomial(P, (1, 0)), monomial(P, (1, 0))) == {}
+        assert P.mul(monomial(P, (0, 2)), monomial(P, (0, 1))) == {}
 
     def test_associativity_small(self):
         P = two_gen(F13, 3, 3, "6")
@@ -119,8 +196,8 @@ class TestArithmetic:
         for u in basis:
             for v in basis:
                 for w in basis:
-                    left = P.mul(P.mul(P.monomial(u), P.monomial(v)), P.monomial(w))
-                    right = P.mul(P.monomial(u), P.mul(P.monomial(v), P.monomial(w)))
+                    left = P.mul(P.mul(monomial(P, u), monomial(P, v)), monomial(P, w))
+                    right = P.mul(monomial(P, u), P.mul(monomial(P, v), monomial(P, w)))
                     assert left == right
 
     def test_power_and_add(self):
@@ -130,7 +207,7 @@ class TestArithmetic:
 
     def test_invert_element(self):
         P = two_gen(Q, 2, 3, "2")
-        one_plus = add(one_elem(P), P.monomial((0, 1)))
+        one_plus = add(one_elem(P), monomial(P, (0, 1)))
         inv = P.invert_element(one_plus)
         assert P.mul(one_plus, inv) == one_elem(P)
         assert P.mul(inv, one_plus) == one_elem(P)
@@ -140,7 +217,7 @@ class TestArithmetic:
             (0, 2): Q.one,
         }
         with pytest.raises(NotInvertibleError):
-            P.invert_element(P.monomial((1, 0)))
+            P.invert_element(monomial(P, (1, 0)))
         with pytest.raises(NotInvertibleError):
             P.invert_element({})
 
@@ -213,7 +290,7 @@ def test_series_inverse_rejects_keys_off_the_basis(v):
     constant term."""
     P = two_gen(Q, 3, 4, "2")
     with pytest.raises(NotInvertibleError):
-        P.invert_element(add(one_elem(P), P.monomial(v)))
+        P.invert_element(add(one_elem(P), monomial(P, v)))
 
 
 class TestDistinguishedScalars:
@@ -246,30 +323,30 @@ class TestNakayama:
         # the automorphism solved from phi(xy) = phi(y N(x)) with the socle
         # functional scales x_v by h_v^{-1}, the closed form scales by h_v.
         P = two_gen(F13, 2, 3, "5")
-        phi = P.dual_functional(P.top)
+        phi = dual_functional(P, P.top)
         images = reference_nakayama_wrt(P, phi)
         for v in P.basis():
             h = P.h_of(v)
             assert images[P.index(v)] == {v: h.inverse()}
-            assert P.nakayama(P.monomial(v)) == {v: h}
+            assert P.nakayama(monomial(P, v)) == {v: h}
         assert images[P.index((0, 1))] == {(0, 1): F13.from_int(5)}
-        assert P.nakayama(P.monomial((0, 1))) == {(0, 1): F13.from_int(8)}
+        assert P.nakayama(monomial(P, (0, 1))) == {(0, 1): F13.from_int(8)}
 
     def test_conventions_agree_when_h_involutive(self):
         P = example_presentation("6.10", make_field("cyclotomic", 8))
-        images = reference_nakayama_wrt(P, P.dual_functional(P.top))
+        images = reference_nakayama_wrt(P, dual_functional(P, P.top))
         for v in P.basis():
-            assert images[P.index(v)] == P.nakayama(P.monomial(v))
+            assert images[P.index(v)] == P.nakayama(monomial(P, v))
 
     def test_defining_identity(self):
         P = two_gen(F13, 2, 3, "5")
-        phi = P.dual_functional(P.top)
+        phi = dual_functional(P, P.top)
         images = reference_nakayama_wrt(P, phi)
         for u in P.basis():
             for v in P.basis():
-                lhs = apply_functional(P, phi, P.mul(P.monomial(u), P.monomial(v)))
+                lhs = apply_functional(P, phi, P.mul(monomial(P, u), monomial(P, v)))
                 rhs = apply_functional(P, 
-                    phi, P.mul(P.monomial(v), images[P.index(u)])
+                    phi, P.mul(monomial(P, v), images[P.index(u)])
                 )
                 assert lhs == rhs
 
@@ -277,15 +354,15 @@ class TestNakayama:
 class TestFunctionals:
     def test_left_and_right_hits(self):
         P = two_gen(Q, 2, 3, "2")
-        phi = P.dual_functional(P.top)
-        x1 = P.monomial((1, 0))
+        phi = dual_functional(P, P.top)
+        x1 = monomial(P, (1, 0))
         assert reference_functional_left_hit(P, x1, phi) == {(0, 2): Q.parse("4")}
 
     def test_pairing_matrix_socle(self):
         from qci.linalg import is_generalized_permutation
 
         P = two_gen(Q, 2, 3, "2")
-        mat = P.pairing_matrix(P.dual_functional(P.top))
+        mat = P.pairing_matrix(dual_functional(P, P.top))
         assert is_generalized_permutation(Q, mat)
 
     def test_pairing_against_products(self):
@@ -297,10 +374,10 @@ class TestFunctionals:
         mat = P.pairing_matrix(phi)
         for i, u in enumerate(P.basis()):
             for j, v in enumerate(P.basis()):
-                prod = P.mul(P.monomial(u), P.monomial(v))
+                prod = P.mul(monomial(P, u), monomial(P, v))
                 assert mat[i][j] == apply_functional(P, phi, prod)
         # phi picks only the unit's coefficient: the pairing has rank 1.
-        unit_only = P.pairing_matrix(P.dual_functional(P.zero_vec))
+        unit_only = P.pairing_matrix(dual_functional(P, P.zero_vec))
         assert rank(Q, unit_only) == 1 < P.dim
 
 
@@ -324,7 +401,7 @@ class TestNames:
     def test_element_to_string(self):
         P = two_gen(Q, 2, 3, "2")
         assert P.element_to_string({}) == "0"
-        x = add(one_elem(P), P.monomial((1, 1), Q.parse("-2")))
+        x = add(one_elem(P), monomial(P, (1, 1), Q.parse("-2")))
         assert P.element_to_string(x) == "(1) + (-2)*x1*x2"
 
     def test_element_to_string_off_the_basis(self):

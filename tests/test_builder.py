@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     epsilon,
+    monomial,
     one_elem,
     phi_of,
     rand_compatible,
@@ -568,7 +569,7 @@ class TestBuildStructure:
         assert t_elem(B) == {(1, 1, 1): C8.one}
         assert phi_of(B) == {(1, 1, 1): C8.one}
         assert epsilon(B, one_elem(P)) == C8.one
-        assert epsilon(B, P.monomial((1, 0, 0))) == C8.zero
+        assert epsilon(B, monomial(P, (1, 0, 0))) == C8.zero
 
     def test_delta_shapes(self):
         P = example_presentation("6.9", C8)
@@ -591,9 +592,9 @@ class TestBuildStructure:
         P = example_presentation("6.10", C8)
         B = build_structure(P, example_witness("6.10", P))
         # S(x_i) = c_i x_{pi(i)}
-        assert s_elem(B, P.monomial((1, 0, 0))) == {(1, 0, 0): -C8.one}
-        assert s_elem(B, P.monomial((0, 1, 0))) == {(0, 0, 1): C8.zeta_power(2)}
-        assert s_elem(B, P.monomial((0, 0, 1))) == {(0, 1, 0): C8.zeta_power(2)}
+        assert s_elem(B, monomial(P, (1, 0, 0))) == {(1, 0, 0): -C8.one}
+        assert s_elem(B, monomial(P, (0, 1, 0))) == {(0, 0, 1): C8.zeta_power(2)}
+        assert s_elem(B, monomial(P, (0, 0, 1))) == {(0, 1, 0): C8.zeta_power(2)}
 
     def test_twisted_antipode_table(self):
         P = example_presentation("6.10", C8)

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import add, dense_eliminate, dense_kernel_basis, dense_rank, dense_solve_matrix
+from helpers import (
+    add,
+    dense_eliminate,
+    dense_kernel_basis,
+    dense_rank,
+    dense_solve_matrix,
+    monomial,
+)
 from qci.algebra import Presentation
 from qci.errors import SingularMatrixError
 from qci.linalg import (
@@ -301,6 +308,6 @@ def test_mul_drops_products_that_cancel(name):
     q12 = C8.zeta if field is C8 else field.from_int(2)
     one = field.one
     P = Presentation(field, (2, 3), [[one, q12], [q12.inverse(), one]])
-    x = add(P.monomial((1, 0)), P.monomial((0, 1)))
-    y = add(P.monomial((0, 1)), P.monomial((1, 0), -q12.inverse()))
+    x = add(monomial(P, (1, 0)), monomial(P, (0, 1)))
+    y = add(monomial(P, (0, 1)), monomial(P, (1, 0), -q12.inverse()))
     assert P.mul(x, y) == {(0, 2): one}

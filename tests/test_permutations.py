@@ -1,6 +1,10 @@
 """Permutation action, compatibility, enumeration, and index partitions."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import transposition
 from qci.algebra import Presentation
@@ -22,6 +26,7 @@ from qci.scalars import make_field
 
 Q = make_field("rational")
 C8 = make_field("cyclotomic", 8)
+F5 = make_field("prime", 5)
 
 
 def presentation(field, a, entries):
@@ -113,6 +118,37 @@ class TestCompatibility:
         P = presentation(Q, (2, 2), {(1, 2): "1"})
         with pytest.raises(TooManyGeneratorsError):
             enumerate_compatible(P, bound=1)
+
+
+@st.composite
+def gf5_presentations(draw):
+    """n <= 5 over GF(5), q_ij in {1, -1, 2, 2^-1} above the diagonal and
+    exponents in {2, 3}.  Each is drawn from a random sub-pool of its
+    values, so that many draws admit several compatible permutations."""
+    n = draw(st.integers(2, 5))
+    pool = st.lists(st.sampled_from(("1", "-1", "2", "3")), min_size=1, unique=True)
+    exponents = st.lists(st.sampled_from((2, 3)), min_size=1, unique=True)
+    literals, sizes = draw(pool), draw(exponents)
+    a = draw(st.lists(st.sampled_from(sizes), min_size=n, max_size=n))
+    entries = {
+        (i, j): draw(st.sampled_from(literals))
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    }
+    return presentation(F5, a, entries)
+
+
+class TestEnumerationOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(P=gf5_presentations(), involutions_only=st.booleans())
+    def test_matches_filtered_permutations(self, P, involutions_only):
+        # itertools.permutations yields the image tuples in lexicographic order
+        expected = [
+            pi
+            for pi in map(Permutation, itertools.permutations(range(1, P.n + 1)))
+            if is_compatible(P, pi) and (pi.is_involution() or not involutions_only)
+        ]
+        assert enumerate_compatible(P, involutions_only) == expected
 
 
 class TestQPi:

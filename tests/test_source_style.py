@@ -16,3 +16,11 @@ def test_no_source_line_over_the_limit():
         if len(line) > MAX_LINE
     ]
     assert long == []
+
+
+def test_cli_does_no_arithmetic():
+    """The command line composes library calls: it builds no presentation and
+    does no field arithmetic, on Scalars or on payloads."""
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    forbidden = [".inverse(", "from_int(", "Presentation(", "._mul", "._pow", "._inv", "._add"]
+    assert [token for token in forbidden if token in source] == []
