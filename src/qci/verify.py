@@ -21,6 +21,20 @@ a multiple of one monomial; conjugation by m = g_top 1 is a scaling
 (_conjugation), and alpha^{-1} is the counit by a certificate
 (_fourth_power_formula).
 
+More certificates skip evaluation where the tables have the shape the
+construction writes.  Each is proved in its docstring and falls back to
+evaluation where its premise fails, so no verdict or detail depends on it:
+  - a primitive row, exactly 1 (x) x_v + x_v (x) 1 (_is_primitive), passes
+    coassociativity (given delta(1) = 1 (x) 1), counit-law and
+    antipode-coalgebra-antihomomorphism (given a primitive row at its S
+    image) unexpanded, and its counit coactions are x_v (_counit_hit);
+  - frobenius-copairing passes when delta(t) is a generalized permutation
+    matrix, read off its supports;
+  - the generator pairs of the anti-homomorphism add vectors as indices when
+    S sends the basis into the basis and generators to generators;
+  - primitive_space_dim counts nonzero columns with disjoint supports.
+So a built structure expands only the rows of 1 and t, and calls no rref.
+
 Nine checks read only the presentation and the functionals it fixes: the
 counit epsilon = x_0^*, phi = x_top^* and the integral t = x_top.  Eight
 of them hold for every presentation and pass by the proofs in
@@ -126,12 +140,25 @@ def _hit(field, rows: list, f: dict, x: dict, left: bool) -> dict:
     return out
 
 
-def _counit_hit(field, row: list, left: bool) -> dict:
-    """epsilon -> x_v when left, else x_v <- epsilon, for row the delta row of
-    x_v: epsilon = x_0^* is 1 at the key 0 and 0 elsewhere, so these are the
-    terms of the row whose other factor is the key 0, summed as they are."""
+def _is_primitive(rows: list, i: int, one) -> bool:
+    """Whether row i is exactly [(0, i, 1), (i, 0, 1)] with i != 0, that is
+    delta(x_v) = 1 (x) x_v + x_v (x) 1 for v = basis[i] != 0: the row
+    comultiplication writes for every middle monomial, and the loader
+    rebuilds."""
+    return i != 0 and rows[i] == [(0, i, one), (i, 0, one)]
+
+
+def _counit_hit(field, rows: list, i: int, left: bool) -> dict:
+    """epsilon -> x_v when left, else x_v <- epsilon, for v = basis[i]:
+    epsilon = x_0^* is 1 at the key 0 and 0 elsewhere, so these are the terms
+    of row i whose other factor is the key 0, summed as they are.  A
+    primitive row (_is_primitive) has one such term on either side, x_v
+    (x) 1 or 1 (x) x_v, so both sums are {i: 1}."""
+    one = field.one.value
+    if _is_primitive(rows, i, one):
+        return {i: one}
     out: dict = {}
-    for u, w, c in row:
+    for u, w, c in rows[i]:
         key, arg = (u, w) if left else (w, u)
         if arg == 0:
             _add_value(field, out, key, c)
@@ -253,14 +280,23 @@ def _unit_comultiplication(B: BfaStructure) -> tuple:
 def _coassociativity(B: BfaStructure) -> tuple:
     """(delta (x) id) delta = (id (x) delta) delta.
 
+    Certificate for primitive rows.  Let delta(1) = 1 (x) 1 exactly and let
+    row i be primitive (_is_primitive), delta(x_v) = 1 (x) x_v + x_v (x) 1.
+    Then both sides are 1 (x) 1 (x) x_v + 1 (x) x_v (x) 1 + x_v (x) 1 (x) 1,
+    so the row passes without expansion.  A built structure expands only
+    the rows of 1 and t.
+
     A row holding a factor off the basis fails at "off-basis": delta is no
     map A -> A (x) A there, and the factor has no row to expand.  The rows it
     expands may hold such factors; they are keys like any other.
     """
     field, rows = B.presentation.field, B.rows
-    mul = field._mul
+    mul, one = field._mul, field.one.value
+    unit = rows[0] == [(0, 0, one)]
 
     def fails(i):
+        if unit and _is_primitive(rows, i, one):
+            return False
         left, right = {}, {}
         for u, w, c in rows[i]:
             if isinstance(u, tuple) or isinstance(w, tuple):
@@ -276,24 +312,41 @@ def _coassociativity(B: BfaStructure) -> tuple:
 
 def _counit_law(B: BfaStructure) -> tuple:
     """(epsilon (x) id) delta = id = (id (x) epsilon) delta, that is
-    x_v <- epsilon = x_v = epsilon -> x_v, with epsilon = x_0^*."""
+    x_v <- epsilon = x_v = epsilon -> x_v, with epsilon = x_0^*; a primitive
+    row passes without a sum (_counit_hit)."""
     field, rows = B.presentation.field, B.rows
     one = field.one.value
     return _first(
         B.presentation.basis(),
-        lambda i: _counit_hit(field, rows[i], left=False) != {i: one}
-        or _counit_hit(field, rows[i], left=True) != {i: one},
+        lambda i: not _is_primitive(rows, i, one)
+        and (_counit_hit(field, rows, i, left=False) != {i: one}
+             or _counit_hit(field, rows, i, left=True) != {i: one}),
     )
 
 
 def _frobenius_copairing(B: BfaStructure) -> tuple:
     """Rank of w |-> t <- x_w^*, one row per w; a factor of delta(t) off the
-    basis fails at "off-basis", as in coassociativity."""
+    basis fails at "off-basis", as in coassociativity.
+
+    Support certificate.  Row u of the matrix holds the payloads of the
+    terms of delta(t) with left factor u, at their right factors.  When
+    delta(t) has dim terms with distinct left factors, distinct right
+    factors and nonzero payloads, every row and every column holds exactly
+    one nonzero entry: a generalized permutation matrix, of rank dim.
+    Otherwise the rank comes from rref.
+    """
     P = B.presentation
-    if any(isinstance(u, tuple) or isinstance(w, tuple) for u, w, _ in B.rows[-1]):
+    top = B.rows[-1]
+    if any(isinstance(u, tuple) or isinstance(w, tuple) for u, w, _ in top):
         return False, {"v": list(P.top), "at": "off-basis"}
+    is_zero = P.field._is_zero
+    if (
+        len(top) == P.dim == len({u for u, _, _ in top}) == len({w for _, w, _ in top})
+        and not any(is_zero(c) for _, _, c in top)
+    ):
+        return True, None
     rows = [{} for _ in range(P.dim)]
-    for u, w, c in B.rows[-1]:
+    for u, w, c in top:
         add_term(rows[u], w, Scalar(P.field, c))
     r = len(rref(rows))
     return _verdict(r == P.dim, {"rank": r})
@@ -321,52 +374,73 @@ def _antipode_antihomomorphism(B: BfaStructure) -> tuple:
     bracket is multiplicative in each argument, so bracket(., e_k) and
     bracket(S(e_k), .) are characters on the basis, with the values
     bracket(e_j, e_k) and bracket(S(e_k), e_j) on the generators (_character).
-    An image off the basis takes its bracket from bracket_value.
+    The certificate is read when every image lies in the basis and S sends
+    each generator to a generator, the shape a built or loaded structure
+    has; then the sums u + e_k and s(e_k) + s(u) are indices (certified).
 
-    Only when the certificate fails does the scan below name the first
-    failing pair.  The left side vanishes unless v lies in box(u), the right
-    side unless s(v) + s(u) lies in the basis; those v are found by probing
-    the image vectors w with s(u) + w in the basis, within the bounding box
-    of all images (images outside the basis included).  Each row visits the
-    union in basis order.
+    Otherwise, or when the certificate fails, the scan below decides every
+    pair that can fail and names the first failing one.  The left side
+    vanishes unless v lies in box(u), the right side unless s(v) + s(u)
+    lies in the basis; those v are found by probing the image vectors w
+    with s(u) + w in the basis, within the bounding box of all images
+    (images outside the basis included).  Each row visits the union in
+    basis order.
     """
     P = B.presentation
     basis, index = P.basis(), P.positions()
     s_img, s_coef = B.s_img, B.s_coef
-    s_vec = [vector_of(P, k) for k in s_img]
     field, bracket = P.field, P.bracket_value
     mul, is_zero = field._mul, field._is_zero
 
-    def antihomomorphic(i, j, k=None):
+    def antihomomorphic(i, j):
         """S(x_u x_v) == S(x_v) S(x_u) for u, v = basis[i], basis[j], each side
-        compared as None (zero) or (key, payload); with k given, v is
-        units[k] and the brackets come from its tables."""
+        compared as None (zero) or (key, payload)."""
         u, v = basis[i], basis[j]
         w = index.get(tuple(map(operator.add, u, v)))
         lhs = None
         if w is not None and not is_zero(s_coef[w]):
-            lhs = (s_img[w], mul(s_coef[w], bracket(u, v) if k is None else left[k][i]))
+            lhs = (s_img[w], mul(s_coef[w], bracket(u, v)))
         iu, iv = s_vec[i], s_vec[j]
         w = index.get(tuple(map(operator.add, iv, iu)))
         rhs = None
         if w is not None:
             c = mul(s_coef[j], s_coef[i])
             if not is_zero(c):
-                ku = s_img[i]
-                b = bracket(iv, iu) if k is None or isinstance(ku, tuple) else right[k][ku]
-                rhs = (w, mul(c, b))
+                rhs = (w, mul(c, bracket(iv, iu)))
         return lhs == rhs
+
+    def certified():
+        """The certificate pairs (u, e_k), on indices: u + e_k is
+        i + index(e_k) when u_k < a_k - 1, and s(e_k) + s(u) is
+        s_img[i] + index(e_m) when S(x_k) sits at e_m and s(u)_m < a_m - 1."""
+        units = [P.unit_vec(k) for k in range(1, P.n + 1)]
+        generators = [index[e] for e in units]
+        if set(map(type, s_img)) != {int} or not all(s_img[g] in generators for g in generators):
+            return False
+        for k, g in enumerate(generators):
+            sg, cg = s_img[g], s_coef[g]
+            m = generators.index(sg)
+            lk = _character(field, [bracket(f, units[k]) for f in units], P.a)
+            rk = _character(field, [bracket(units[m], f) for f in units], P.a)
+            ak, am = P.a[k] - 1, P.a[m] - 1
+            for i, u in enumerate(basis):
+                lhs = rhs = None
+                if u[k] < ak and not is_zero(s_coef[i + g]):
+                    lhs = (s_img[i + g], mul(s_coef[i + g], lk[i]))
+                ku = s_img[i]
+                if basis[ku][m] < am:
+                    c = mul(cg, s_coef[i])
+                    if not is_zero(c):
+                        rhs = (ku + sg, mul(c, rk[ku]))
+                if lhs != rhs:
+                    return False
+        return True
 
     if s_img[0] != 0 or s_coef[0] != field.one.value:
         return False, {"at": "S(1)"}
-    units = [P.unit_vec(k) for k in range(1, P.n + 1)]
-    generators = [index[e] for e in units]
-    left = [_character(field, [bracket(f, e) for f in units], P.a) for e in units]
-    right = [_character(field, [bracket(s_vec[g], f) for f in units], P.a) for g in generators]
-    if all(
-        antihomomorphic(i, g, k) for i in range(len(basis)) for k, g in enumerate(generators)
-    ):
+    if certified():
         return True, None
+    s_vec = [vector_of(P, k) for k in s_img]
     preimages: dict = {}  # image vector -> basis indices of its preimages
     for j, img in enumerate(s_vec):
         preimages.setdefault(img, []).append(j)
@@ -395,6 +469,13 @@ def _antipode_coalgebra_antihomomorphism(B: BfaStructure) -> tuple:
     otherwise.  An image off the basis has no delta row, so the check fails
     there at "delta"; a row of delta holding a factor off the basis fails at
     "off-basis", as in coassociativity.
+
+    Certificate for primitive rows.  Row 0 is decided first, and its
+    epsilon test passes only when S(1) = 1.  Let row i and the row of its
+    image w be primitive (_is_primitive).  Then
+      (S (x) S) delta^op(x_v) = S(x_v) (x) S(1) + S(1) (x) S(x_v)
+                              = c (x_w (x) 1 + 1 (x) x_w) = c delta(x_w),
+    which is delta S(x_v), so the row passes without expansion.
     """
     field, rows = B.presentation.field, B.rows
     s_img, s_coef = B.s_img, B.s_coef
@@ -405,6 +486,8 @@ def _antipode_coalgebra_antihomomorphism(B: BfaStructure) -> tuple:
         img, coef = s_img[i], s_coef[i]
         if (coef if img == 0 else zero) != (one if i == 0 else zero):
             return {"at": "epsilon"}
+        if isinstance(img, int) and _is_primitive(rows, i, one) and _is_primitive(rows, img, one):
+            return None
         rhs: dict = {}
         for u, w, c in rows[i]:
             if isinstance(u, tuple) or isinstance(w, tuple):
@@ -611,7 +694,7 @@ def _nakayama_via_antipode(B: BfaStructure, d: _Shared) -> tuple:
     conjugate = _conjugation(P, d.inv, d.modular)
 
     def fails(i):
-        once = _apply(field, s1, _counit_hit(field, B.rows[i], left=True))
+        once = _apply(field, s1, _counit_hit(field, B.rows, i, left=True))
         twice = None if once is None else _apply(field, s1, once)
         return twice is None or conjugate(twice) != {i: h[i]}
 
@@ -637,11 +720,11 @@ def _fourth_power_formula(B: BfaStructure, d: _Shared) -> tuple:
         return False, {"at": "modular-inverse"}
     field, rows, dim = P.field, B.rows, P.dim
     one = field.one.value
-    if all(_counit_hit(field, rows[i], left=False) == {i: one} for i in range(dim)):
+    if all(_counit_hit(field, rows, i, left=False) == {i: one} for i in range(dim)):
         def moved(i):
-            return _counit_hit(field, rows[i], left=True)
+            return _counit_hit(field, rows, i, left=True)
     else:
-        rights = [_counit_hit(field, row, left=False) for row in rows]
+        rights = [_counit_hit(field, rows, i, left=False) for i in range(dim)]
         if any(isinstance(w, tuple) for right in rights for w in right):
             return False, {"at": "off-basis"}
         system = [{w: Scalar(field, c) for w, c in right.items()} for right in rights]
@@ -795,23 +878,31 @@ def primitive_space_dim(B: BfaStructure) -> int:
     """Dimension of {x : delta(x) = 1 (x) x + x (x) 1}, computed exactly.
 
     dim minus the rank of the columns delta(x_v) - 1 (x) x_v - x_v (x) 1 on
-    the key pairs, eliminated as rows.  A row that is exactly
-    1 (x) x_v + x_v (x) 1 gives a zero column: it is skipped.
+    the key pairs.  A primitive row (_is_primitive) gives a zero column and
+    is skipped.  Support certificate: nonzero columns with pairwise disjoint
+    supports are independent, so their rank is their number.  On a built
+    structure the columns left are -(1 (x) 1) and the column of t, which
+    holds no key (0, 0).  Otherwise the columns are eliminated as rows.
     """
     P = B.presentation
-    field = P.field
+    field, rows = P.field, B.rows
     one = field.one.value
     minus_one = field._neg(one)
-    ids: dict = {}  # key pair -> its column in the eliminated rows
     columns = []
-    for j, row in enumerate(B.rows):
-        if row == [(0, j, one), (j, 0, one)]:
+    for j in range(P.dim):
+        if _is_primitive(rows, j, one):
             continue
-        col = _delta(field, B.rows, {j: one})
+        col = _delta(field, rows, {j: one})
         _add_value(field, col, (0, j), minus_one)
         _add_value(field, col, (j, 0), minus_one)
-        columns.append({ids.setdefault(k, len(ids)): Scalar(field, c) for k, c in col.items()})
-    return P.dim - len(rref(columns))
+        if col:
+            columns.append(col)
+    if sum(map(len, columns)) == len(set().union(*columns)):
+        return P.dim - len(columns)
+    ids: dict = {}  # key pair -> its column in the eliminated rows
+    return P.dim - len(rref(
+        [{ids.setdefault(k, len(ids)): Scalar(field, c) for k, c in col.items()} for col in columns]
+    ))
 
 
 def negate_socle_entry(B: BfaStructure, v) -> BfaStructure:

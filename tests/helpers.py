@@ -320,6 +320,22 @@ def reference_tensor_mul(P: Presentation, s: dict, t: dict) -> dict:
     return out
 
 
+def reference_copairing(B) -> tuple:
+    """(passed, detail) of frobenius-copairing from the dense dim x dim
+    matrix whose entry (u, w) is the coefficient of x_u (x) x_w in delta(t),
+    on the tuple tables, and its rank by dense elimination; a factor off the
+    basis fails at "off-basis"."""
+    P = B.presentation
+    terms = B.delta[P.top]
+    if not all(P.in_basis(u) and P.in_basis(w) for u, w, _ in terms):
+        return False, {"v": list(P.top), "at": "off-basis"}
+    mat = [[P.field.zero] * P.dim for _ in range(P.dim)]
+    for u, w, c in terms:
+        mat[P.index(u)][P.index(w)] += c
+    r = dense_rank(mat)
+    return (True, None) if r == P.dim else (False, {"rank": r})
+
+
 def reference_primitive_space_dim(B) -> int:
     """Dimension of the primitives from the dense matrix on the tuple tables:
     column v holds delta(x_v) - 1 (x) x_v - x_v (x) 1 on every vector pair
