@@ -283,17 +283,12 @@ class Presentation:
     def h_values(self) -> tuple:
         """The payloads of h_{e_i} = prod_j q_ij^{a_j - 1} (q_ii = 1 is skipped)."""
         if self._h_values is None:
-            field = self.field
-            exps = self.top
-            out = []
-            for i, row in enumerate(self.q_values):
-                acc = None
-                for j, x in enumerate(row):
-                    if j != i:
-                        power = field._pow(x, exps[j])
-                        acc = power if acc is None else field._mul(acc, power)
-                out.append(acc)
-            self._h_values = tuple(out)
+            power, q = self.field._pow, self.q_values
+            columns = [
+                {q[i][j]: power(q[i][j], e) for i in range(self.n) if i != j}
+                for j, e in enumerate(self.top)
+            ]
+            self._h_values = _h_payloads(self.field, q, columns)
         return self._h_values
 
     def h_generators(self) -> list:
@@ -362,6 +357,22 @@ class Presentation:
         return f"Presentation(n={self.n}, a={self.a}, field={self.field.describe()})"
 
 
+def _h_payloads(field: Field, q_values: tuple, columns: list) -> tuple:
+    """h_{e_i} = prod_{j != i} q_ij^{a_j - 1} as payloads, the factors taken
+    in increasing j; columns[j] maps each payload q_ij, i != j, to its power
+    q_ij^{a_j - 1}."""
+    mul = field._mul
+    out = []
+    for i, row in enumerate(q_values):
+        acc = None
+        for j, x in enumerate(row):
+            if j != i:
+                power = columns[j][x]
+                acc = power if acc is None else mul(acc, power)
+        out.append(acc)
+    return tuple(out)
+
+
 def q_grid(field: Field, a):
     """Every presentation of exponents a over the prime field `field` with
     units above the diagonal, in the row order of `qci enumerate`.
@@ -379,6 +390,14 @@ def q_grid(field: Field, a):
     checked unit or inverse, all Scalars of `field`; these are nonzero, the
     diagonal is one, and q_ij q_ji = u u^{-1} = 1.  q_values holds the
     payloads of exactly these entries, as _validate would return them.
+
+    Each row's h payloads are set from one table of the powers x^(a_j - 1)
+    of every unit and inverse payload x, built once per grid.  Certificate
+    that they equal h_values() of the row: h_{e_i} multiplies q_ij^(a_j - 1)
+    over j != i, and every such q_ij of a row is a unit u or its inverse
+    u^{-1} of the grid, so its power is a table entry, the one field._pow
+    returns; _h_payloads multiplies the same factors in the same order for
+    both.
     """
     if field.kind != "prime":
         raise ValueError(f"q_grid needs a prime field, got {field.describe()}")
@@ -395,6 +414,10 @@ def q_grid(field: Field, a):
         if mul(u.value, u_inv.value) != one_value:
             raise BadReciprocalError(f"grid unit {u} times its inverse must be 1")
         units.append((u, u_inv, u.value, u_inv.value))
+    table = {
+        e: {x: field._pow(x, e) for unit in units for x in unit[2:]} for e in set(shape.top)
+    }
+    columns = [table[e] for e in shape.top]
     n = shape.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for choice in itertools.product(units, repeat=len(pairs)):
@@ -404,7 +427,9 @@ def q_grid(field: Field, a):
             q[i][j], q[j][i] = u, u_inv
             values[i][j], values[j][i] = x, x_inv
         P = Presentation.__new__(Presentation)
-        P._setup(field, shape.a, tuple(map(tuple, q)), tuple(map(tuple, values)))
+        values = tuple(map(tuple, values))
+        P._setup(field, shape.a, tuple(map(tuple, q)), values)
+        P._h_values = _h_payloads(field, values, columns)
         yield P
 
 
@@ -422,6 +447,13 @@ def monomial_name(v) -> str:
 def vector_key(v) -> str:
     """Comma-joined form of an exponent vector, used in file formats."""
     return ",".join(str(x) for x in v)
+
+
+def basis_keys(a) -> list:
+    """vector_key of every basis vector of exponents a, in basis order; each
+    key is one join over digit strings spelled once per coordinate."""
+    digits = (tuple(map(str, range(ai))) for ai in a)
+    return [",".join(t) for t in itertools.product(*digits)]
 
 
 def parse_vector_key(text: str, n: int) -> tuple:

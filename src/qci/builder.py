@@ -379,12 +379,13 @@ def _upper(n: int, entry) -> list:
     return [[entry(i, j) if i < j else None for j in range(n)] for i in range(n)]
 
 
-def g_table(P: Presentation, w: Witness) -> dict:
-    """Coefficients of the socle comultiplication, keyed by v in the basis.
+def g_table(P: Presentation, w: Witness) -> list:
+    """Payloads of the socle comultiplication's coefficients, in basis order.
 
-    Entry v holds the coefficient of x_{a-1-v} (x) x_{pi(v)}.  Two closed
-    forms compute it; they must agree (CrossCheckError otherwise, at the
-    first v in basis order), and the entries at v = 0 and v = a-1 must be 1.
+    Entry i holds the coefficient of x_{a-1-v} (x) x_{pi(v)}, v = basis[i];
+    the list returned is route one's table.  Two closed forms compute it;
+    they must agree (CrossCheckError otherwise, at the first v in basis
+    order), and the entries at v = 0 and v = a-1 must be 1.
     With b_jk = bracket(pi e_k, pi e_j):
       route one   g_v = bracket(top - v, v)^{-1} prod_i c_i^{v_i}
                         prod_{j<k} b_jk^{v_j v_k}
@@ -423,9 +424,8 @@ def g_table(P: Presentation, w: Witness) -> dict:
     for k, x in zip(image_indices(P, w.pi), table):
         route_two[k] = x
 
-    basis = P.basis()
     if route_one != route_two:
-        v, x, y = next(t for t in zip(basis, route_one, route_two) if t[1] != t[2])
+        v, x, y = next(t for t in zip(P.basis(), route_one, route_two) if t[1] != t[2])
         raise CrossCheckError(
             f"socle coefficient routes disagree at v = {v}: "
             f"{Scalar(field, x)} vs {Scalar(field, y)}"
@@ -433,7 +433,7 @@ def g_table(P: Presentation, w: Witness) -> dict:
     one = field.one.value
     if route_one[0] != one or route_one[-1] != one:
         raise CrossCheckError("boundary socle coefficients must be 1")
-    return {v: Scalar(field, x) for v, x in zip(basis, route_one)}
+    return route_one
 
 
 def key_of(P: Presentation, v):
@@ -463,8 +463,8 @@ class BfaStructure:
       s_img[i]   the key of w, where S(x_v) = c x_w
       s_coef[i]  the payload c
     Tables on vectors and Scalars enter through from_tables.  g holds the
-    socle coefficients keyed by v, as in g_table.  The counit is the
-    coefficient-of-1 functional.
+    payloads of the socle coefficients in basis order, as in g_table.  The
+    counit is the coefficient-of-1 functional.
     """
 
     presentation: Presentation
@@ -476,18 +476,19 @@ class BfaStructure:
 
     @classmethod
     def from_tables(cls, P: Presentation, witness, g: dict, delta: dict, s_map: dict):
-        """The structure with delta = {v: [(u, w, coeff)]} and
-        s_map = {v: (image, coeff)}, both keyed by basis vectors."""
+        """The structure with g = {v: coeff}, delta = {v: [(u, w, coeff)]}
+        and s_map = {v: (image, coeff)}, all keyed by basis vectors."""
         images = [s_map[v] for v in P.basis()]
         return cls(
-            P, witness, g, delta_rows(P, delta),
+            P, witness, [g[v].value for v in P.basis()], delta_rows(P, delta),
             [key_of(P, w) for w, _ in images], [c.value for _, c in images],
         )
 
 
-def comultiplication(P: Presentation, images: list, g: dict) -> list:
+def comultiplication(P: Presentation, images: list, g: list) -> list:
     """The rows of delta in the construction, in basis order, for the
-    involution pi with image_indices(P, pi) = images.
+    involution pi with image_indices(P, pi) = images and the payloads g of
+    g_table.
 
     delta(1) = 1 (x) 1, every middle monomial is primitive, and
     delta(t) = sum_u g_u x_{a-1-u} (x) x_{pi(u)}; the complement of the
@@ -496,9 +497,7 @@ def comultiplication(P: Presentation, images: list, g: dict) -> list:
     one, last = P.field.one.value, P.dim - 1
     rows = [[(0, i, one), (i, 0, one)] for i in range(P.dim)]
     rows[0] = [(0, 0, one)]
-    rows[last] = [
-        (last - i, k, g[u].value) for i, (u, k) in enumerate(zip(P.basis(), images))
-    ]
+    rows[last] = [(last - i, k, x) for i, (k, x) in enumerate(zip(images, g))]
     return rows
 
 
@@ -514,6 +513,6 @@ def build_structure(P: Presentation, w: Witness) -> BfaStructure:
         [field._inv(x) for x in _socle_powers(P)], _upper(P.n, lambda i, j: q[j][i])
     )
     mul = field._mul
-    s_coef = [mul(g[v].value, x) for v, x in zip(P.basis(), brackets)]
+    s_coef = list(map(mul, g, brackets))
     images = image_indices(P, w.pi)
     return BfaStructure(P, w, g, comultiplication(P, images, g), images, s_coef)

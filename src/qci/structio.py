@@ -16,18 +16,20 @@ witness, so a file whose g and s entries were perturbed consistently is
 accepted here and left for the verifier to reject.
 
 A structure file repeats a few literals and the dim basis keys many times
-over.  One load therefore resolves each key through a dict of the canonical
-basis keys and parses each distinct literal once; both memos live only for
-the call that builds them.  Saving likewise spells each basis key and
-formats each distinct scalar once, and writes the compact text of one
-json.dumps call.
+over.  One load therefore parses each distinct literal once, and a file in
+the layout save_structure writes is read positionally: its g and s tables
+are compared with the canonical keys as whole lists (_positional_tables).
+Any other file resolves each key through a dict of the canonical basis keys
+(_basis_table).  The memos live only for the call that builds them.  Saving
+likewise spells each basis key and formats each distinct scalar once, and
+writes the compact text of one json.dumps call.
 """
 
 from __future__ import annotations
 
 import json
 
-from .algebra import Presentation, parse_vector_key, vector_key
+from .algebra import Presentation, basis_keys, parse_vector_key, vector_key
 from .builder import (
     BfaStructure,
     Witness,
@@ -184,22 +186,18 @@ def _read_json(path: str):
 
 def structure_to_json(B: BfaStructure) -> dict:
     P = B.presentation
-    keys = [vector_key(v) for v in P.basis()]
-    literals = {}  # payload -> text; all scalars of B share one field
-
-    def text(value) -> str:
-        out = literals.get(value)
-        if out is None:
-            out = literals[value] = str(Scalar(P.field, value))
-        return out
-
+    keys = basis_keys(P.a)
+    c = [ci.value for ci in B.witness.c]
+    # payload -> text, each distinct payload formatted once; all scalars of B
+    # share one field
+    text = {x: str(Scalar(P.field, x)) for x in {*c, *B.g, *B.s_coef}}
     return {
         "format": FORMAT_VERSION,
         "presentation": presentation_to_json(P),
         "pi": list(B.witness.pi.images),
-        "c": [text(c.value) for c in B.witness.c],
-        "g": {key: text(B.g[v].value) for key, v in zip(keys, P.basis())},
-        "s": {key: [keys[w], text(c)] for key, w, c in zip(keys, B.s_img, B.s_coef)},
+        "c": [text[x] for x in c],
+        "g": dict(zip(keys, map(text.__getitem__, B.g))),
+        "s": {key: [keys[w], text[x]] for key, w, x in zip(keys, B.s_img, B.s_coef)},
     }
 
 
@@ -287,7 +285,82 @@ def _check_delta_block(block, P: Presentation, vectors: dict, literals: dict, re
             )
 
 
+def _positional_tables(obj, P: Presentation, keys: list, images: list, literals: dict):
+    """The payloads (g, s_coef) of a format-2 file laid out as save_structure
+    writes it, or None when any part of this premise fails:
+
+      (1) g and s are objects whose keys are exactly keys = basis_keys(P.a),
+          in that order (one list comparison each);
+      (2) every s entry is a 2-element list, every g value and every s
+          coefficient is a string;
+      (3) the image texts are [keys[k] for k in images], images being
+          image_indices(P, pi);
+      (4) each distinct literal of g parses, through the shared memo
+          literals, to a nonzero scalar, and g is 1 at the first and the
+          last key;
+      (5) likewise for the distinct coefficients of s, and the last is 1.
+
+    Certificate that the per-key reader (_basis_table and the checks after
+    it in structure_from_json) would accept the file and build the same
+    structure: by (1) every key is canonical, so _vector finds it in the
+    dict of canonical keys, no basis vector is named twice (the keys of the
+    basis are distinct) and none is missing; by (2) every row has the shape
+    that reader asks for; by (3) the image at key i is the canonical key of
+    basis[images[i]], so it lies in the basis, its index is images[i] as the
+    pi-image check requires, and at the top it is the top vector, since a
+    compatible pi preserves the exponents; (4) and (5) decide the checks on
+    literals (every entry parses and is nonzero), g's boundary and S's top
+    coefficient.  That reader would then hold g_v and the coefficient of
+    S(x_v) at v = basis[i] as the payloads read here at i.
+
+    The literals are parsed in the order in which the per-key reader first
+    meets them, g before s, and (1)-(3) raise nothing; so an exception the
+    parser raises outside QciError propagates here exactly when it would
+    propagate there.
+    """
+    g, s = obj["g"], obj["s"]
+    if not (isinstance(g, dict) and isinstance(s, dict) and list(g) == keys == list(s)):
+        return None
+    g_texts, entries = list(g.values()), list(s.values())
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    image_texts, coef_texts = zip(*entries)
+    if set(map(type, g_texts)) != {str} or set(map(type, coef_texts)) != {str}:
+        return None
+    if list(image_texts) != list(map(keys.__getitem__, images)):
+        return None
+    field, one = P.field, P.field.one.value
+    payloads = {}
+
+    def read(texts):
+        """The payloads of texts, or None unless each parses to a nonzero scalar."""
+        for text in dict.fromkeys(texts):
+            if text not in payloads:
+                try:
+                    x = _scalar(field, text, "literal", literals).value
+                except FileSyntaxError:
+                    return None
+                if field._is_zero(x):
+                    return None
+                payloads[text] = x
+        return list(map(payloads.__getitem__, texts))
+
+    g_values = read(g_texts)
+    if g_values is None or g_values[0] != one or g_values[-1] != one:
+        return None
+    s_coef = read(coef_texts)
+    if s_coef is None or s_coef[-1] != one:
+        return None
+    return g_values, s_coef
+
+
 def structure_from_json(obj) -> BfaStructure:
+    """The structure a file's JSON object describes.
+
+    A format-2 file in the layout save_structure writes is read positionally
+    (_positional_tables); any other file, and any format-1 file, goes
+    through the per-key reader below, which raises every loader message.
+    """
     if not isinstance(obj, dict):
         raise FileSyntaxError("structure must be an object")
     if "format" not in obj:
@@ -309,7 +382,6 @@ def structure_from_json(obj) -> BfaStructure:
     field = P.field
     n = P.n
     one = field.one
-    vectors = {vector_key(v): v for v in P.basis()}
 
     try:
         pi = Permutation(tuple(_int(x, "pi entry") for x in obj["pi"]))
@@ -330,7 +402,15 @@ def structure_from_json(obj) -> BfaStructure:
     except WitnessInvalidError as exc:
         raise FileSemanticError(str(exc)) from None
 
-    g = _basis_table(
+    keys = basis_keys(P.a)
+    images = image_indices(P, pi)
+    tables = _positional_tables(obj, P, keys, images, literals) if version == 2 else None
+    if tables is not None:
+        g, s_coef = tables
+        return BfaStructure(P, witness, g, comultiplication(P, images, g), images, s_coef)
+
+    vectors = dict(zip(keys, P.basis()))
+    g_entries = _basis_table(
         obj["g"],
         "g",
         P,
@@ -338,12 +418,12 @@ def structure_from_json(obj) -> BfaStructure:
         lambda key, text: _scalar(field, text, f"g[{key}]", literals),
     )
     for v in P.basis():
-        if g[v].is_zero():
+        if g_entries[v].is_zero():
             raise FileSemanticError(f"g[{vector_key(v)}] must be nonzero")
-    if g[P.zero_vec] != one or g[P.top] != one:
+    if g_entries[P.zero_vec] != one or g_entries[P.top] != one:
         raise FileSemanticError("g must be 1 at the zero and top vectors")
 
-    images = image_indices(P, pi)
+    g = [g_entries[v].value for v in P.basis()]
     rows = comultiplication(P, images, g)
     if version == 1:
         _check_delta_block(obj["delta"], P, vectors, literals, rows)

@@ -913,9 +913,10 @@ def negate_socle_entry(B: BfaStructure, v) -> BfaStructure:
     """
     v = tuple(v)
     P = B.presentation
-    g = dict(B.g)
-    g[v] = -g[v]
+    g = list(B.g)
+    i = P.index(v)
     left, neg = key_of(P, P.complement(v)), P.field._neg
+    g[i] = neg(g[i])
     rows = list(B.rows)
     rows[-1] = [(u, w, neg(c) if u == left else c) for u, w, c in rows[-1]]
     return BfaStructure(P, B.witness, g, rows, list(B.s_img), list(B.s_coef))

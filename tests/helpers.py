@@ -650,7 +650,7 @@ def bare_structure(P: Presentation) -> BfaStructure:
     on it through verify_axioms and verify_derived.
     """
     one = P.field.one
-    g = {v: one for v in P.basis()}
+    g = [one.value] * P.dim
     rows = comultiplication(P, list(range(P.dim)), g)
     return BfaStructure(P, None, g, rows, list(range(P.dim)), [one.value] * P.dim)
 
@@ -1189,6 +1189,12 @@ def reference_multiplicative_order(s: Scalar):
     return None
 
 
+def g_dict(P: Presentation, g: list) -> dict:
+    """The socle coefficients {v: Scalar} of the payloads g in basis order,
+    the form of B.g and of g_table's result."""
+    return {v: Scalar(P.field, x) for v, x in zip(P.basis(), g)}
+
+
 def reference_g_table(P: Presentation, w) -> dict:
     """Route one of g_table with every power taken by reference_power.
 
@@ -1547,7 +1553,7 @@ def suite_socle_coefficients(rng: random.Random, trials: int) -> int:
         if not report.exists:
             continue
         w = report.witness
-        g = g_table(P, w)
+        g = g_dict(P, g_table(P, w))
         B = build_structure(P, w)
         top = P.top
         one = P.field.one

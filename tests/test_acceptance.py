@@ -11,7 +11,7 @@ import time
 from contextlib import contextmanager
 
 import helpers
-from helpers import ALL_SUITES
+from helpers import ALL_SUITES, g_dict
 
 from qci.algebra import Presentation
 from qci.builder import build_structure, decide
@@ -88,7 +88,7 @@ def test_criterion_1_symmetric_example():
             B = build_structure(P, w)
             b = P.q[0][1]
             exp_g, exp_s = expected_symmetric_tables(P, b)
-            assert B.g == exp_g
+            assert g_dict(P, B.g) == exp_g
             assert B.s_map == exp_s
             top_terms = {(u, wv): c for u, wv, c in B.delta[P.top]}
             assert top_terms == {
@@ -103,8 +103,8 @@ def test_criterion_1_symmetric_example():
         C8 = make_field("cyclotomic", 8)
         Bz = example_structure("6.9", C8)
         minus_z3 = C8.parse("-z^3")
-        assert Bz.g[(0, 1, 0)] == minus_z3
-        assert Bz.g[(1, 1, 0)] == minus_z3
+        assert g_dict(Bz.presentation, Bz.g)[(0, 1, 0)] == minus_z3
+        assert g_dict(Bz.presentation, Bz.g)[(1, 1, 0)] == minus_z3
         assert Bz.s_map[(1, 1, 0)] == ((1, 0, 1), minus_z3)
         assert Bz.s_map[(1, 0, 1)] == ((1, 1, 0), C8.parse("z"))
         assert Bz.s_map[(0, 1, 0)] == ((0, 0, 1), C8.one)
@@ -135,7 +135,7 @@ def test_criterion_2_twisted_example():
             (1, 1, 0): z,
             (1, 1, 1): one,
         }
-        assert B.g == expected_g
+        assert g_dict(P, B.g) == expected_g
         expected_s = {
             (0, 0, 0): ((0, 0, 0), one),
             (1, 0, 0): ((1, 0, 0), -one),

@@ -120,14 +120,17 @@ def grid_by_init(field, a):
 
 
 class TestGrid:
-    @pytest.mark.parametrize("p, a", [(5, (2, 2)), (7, (2, 2, 3))])
+    @pytest.mark.parametrize("p, a", [(5, (2, 2)), (7, (2, 2, 3)), (5, (3, 2, 4))])
     def test_rows_equal_validated_presentations(self, p, a):
         field = make_field("prime", p)
         rows = list(q_grid(field, a))
         expected = list(grid_by_init(field, a))
         assert len(rows) == (p - 1) ** (len(a) * (len(a) - 1) // 2)
         assert rows == expected
-        # every attribute, q's Scalars and the empty caches included
+        # q_grid sets each row's h payloads from its power table; a fresh
+        # presentation computes them with field._pow
+        assert [P._h_values for P in rows] == [P.h_values() for P in expected]
+        # every attribute, q's Scalars and the other, empty caches included
         assert [vars(P) for P in rows] == [vars(P) for P in expected]
 
     def test_shape_is_validated(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     epsilon,
+    g_dict,
     monomial,
     one_elem,
     phi_of,
@@ -415,7 +416,7 @@ class TestDecide:
 class TestGTable:
     def test_symmetric_example_values(self):
         P = example_presentation("6.9", C8)
-        g = g_table(P, example_witness("6.9", P))
+        g = g_dict(P, g_table(P, example_witness("6.9", P)))
         minus_z3 = C8.parse("-z^3")
         expected = {
             (0, 0, 0): C8.one,
@@ -431,7 +432,7 @@ class TestGTable:
 
     def test_twisted_example_values(self):
         P = example_presentation("6.10", C8)
-        g = g_table(P, example_witness("6.10", P))
+        g = g_dict(P, g_table(P, example_witness("6.10", P)))
         z = C8.zeta
         expected = {
             (0, 0, 0): C8.one,
@@ -448,7 +449,7 @@ class TestGTable:
     def test_endpoints_are_one(self):
         P = minus_pair(C4)
         report = decide(P)
-        g = g_table(P, report.witness)
+        g = g_dict(P, g_table(P, report.witness))
         assert g[P.zero_vec] == C4.one
         assert g[P.top] == C4.one
 
@@ -465,7 +466,7 @@ class TestGTable:
         P = presentation(field, (16, 16), {(1, 2): q12})
         w = decide(P).witness
         assert w.pi == Permutation(pi)
-        assert g_table(P, w) == reference_g_table(P, w)
+        assert g_dict(P, g_table(P, w)) == reference_g_table(P, w)
 
     def test_routes_disagree_without_the_witness_check(self, monkeypatch):
         # c = (1, 1) with pi = id is no witness here (c_1^2 != h_e1 = 2), and
@@ -499,7 +500,7 @@ def test_tables_match_references(field, n, rng):
     report = decide(P)
     assume(report.exists)
     w = report.witness
-    g = g_table(P, w)
+    g = g_dict(P, g_table(P, w))
     assert g == reference_g_table(P, w)
     B = build_structure(P, w)
     for i, v in enumerate(P.basis()):
@@ -581,7 +582,7 @@ class TestBuildStructure:
         )
         top_row = B.delta[P.top]
         assert len(top_row) == P.dim
-        g = B.g
+        g = g_dict(P, B.g)
         pi = B.witness.pi
         for u_part, w_part, coeff in top_row:
             u = tuple(t - x for t, x in zip(P.top, u_part))

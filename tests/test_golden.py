@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import g_dict
 from qci.builder import BfaStructure
 from qci.cli import run
 from qci.structio import load_structure, save_structure
@@ -27,7 +28,8 @@ def double_s_coefficient(B: BfaStructure, v) -> BfaStructure:
     s_map = dict(B.s_map)
     img, coeff = s_map[v]
     s_map[v] = (img, coeff + coeff)
-    return BfaStructure.from_tables(B.presentation, B.witness, dict(B.g), B.delta, s_map)
+    P = B.presentation
+    return BfaStructure.from_tables(P, B.witness, g_dict(P, B.g), B.delta, s_map)
 
 
 CASES = {

@@ -1,6 +1,7 @@
 """Save/load round trips and the two-layer file validation."""
 
 import copy
+import itertools
 import json
 import re
 from pathlib import Path
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qci.algebra
 import qci.scalars
 import qci.structio
-from helpers import format1_blob, rand_compatible_involutive_h
-from qci.algebra import Presentation
+from helpers import format1_blob, g_dict, rand_compatible_involutive_h
+from qci.algebra import Presentation, basis_keys, vector_key
 from qci.builder import build_structure, decide
 from qci.demos import example_presentation, example_structure
 from qci.errors import FileSemanticError, FileSyntaxError, FileWriteError
@@ -182,6 +184,7 @@ class TestStructureRoundTrip:
         # spelling of every entry
         B = build()
         basis = B.presentation.basis()
+        g = g_dict(B.presentation, B.g)
 
         def spell(v):
             return ",".join(str(x) for x in v)
@@ -191,7 +194,7 @@ class TestStructureRoundTrip:
             "presentation": presentation_to_json(B.presentation),
             "pi": list(B.witness.pi.images),
             "c": [str(c) for c in B.witness.c],
-            "g": {spell(v): str(B.g[v]) for v in basis},
+            "g": {spell(v): str(g[v]) for v in basis},
             "s": {spell(v): [spell(B.s_map[v][0]), str(B.s_map[v][1])] for v in basis},
         }
         first, second = tmp_path / "first.json", tmp_path / "second.json"
@@ -730,6 +733,94 @@ def test_load_parses_each_distinct_text_once(tmp_path, monkeypatch, version):
     assert calls == {"scalar": len(file_literals(blob)), "key": 0}
     assert len(file_literals(blob)) == 6
     assert structure_to_json(loaded) == structure_to_json(B)
+
+
+# -- the positional read of canonical files -----------------------------------
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(min_value=2, max_value=12), min_size=1, max_size=4))
+def test_basis_keys_spell_the_basis(a):
+    basis = itertools.product(*map(range, a))
+    assert basis_keys(a) == [vector_key(v) for v in basis]
+
+
+@pytest.fixture
+def positional(monkeypatch):
+    """The results of every _positional_tables call of the test, in order."""
+    results = []
+    read = qci.structio._positional_tables
+
+    def recorded(*args):
+        results.append(read(*args))
+        return results[-1]
+
+    monkeypatch.setattr(qci.structio, "_positional_tables", recorded)
+    return results
+
+
+def test_canonical_file_is_read_positionally(blob, positional):
+    assert structure_to_json(structure_from_json(copy.deepcopy(blob))) == blob
+    assert len(positional) == 1 and positional[0] is not None
+
+
+def test_reversed_key_order_loads_through_the_per_key_reader(blob, positional):
+    obj = copy.deepcopy(blob)
+    obj["g"] = dict(reversed(obj["g"].items()))
+    obj["s"] = dict(reversed(obj["s"].items()))
+    assert list(obj["s"])[0] == "1,1,1"
+    assert structure_to_json(structure_from_json(obj)) == blob
+    assert positional == [None]
+
+
+def test_alias_image_loads_through_the_per_key_reader(blob, positional):
+    obj = copy.deepcopy(blob)
+    assert obj["s"]["0,0,1"][0] == "0,1,0"
+    obj["s"]["0,0,1"][0] = "00,1,0"
+    assert structure_to_json(structure_from_json(obj)) == blob
+    assert positional == [None]
+
+
+@pytest.mark.parametrize("source", ["blob1", "golden"])
+def test_format1_files_are_never_read_positionally(blob1, positional, source):
+    if source == "golden":
+        loaded = load_structure(str(GOLDEN_STRUCTURE))
+        assert format1_blob(loaded) == json.loads(GOLDEN_STRUCTURE.read_text())
+    else:
+        assert format1_blob(structure_from_json(copy.deepcopy(blob1))) == blob1
+    assert positional == []
+
+
+def test_d4096_load_and_save_spell_no_key_and_parse_each_literal_once(tmp_path, monkeypatch):
+    # the gate of the positional read: a canonical file at the dimension cap
+    # resolves no key and parses each distinct literal once, and saving it
+    # again spells no key through vector_key
+    B = gf7_structure(
+        (8, 8, 8, 8),
+        {(1, 2): 4, (1, 3): 5, (1, 4): 6, (2, 3): 3, (2, 4): 6, (3, 4): 1},
+    )
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_structure(B, str(first))
+    calls = {"vector_key": 0, "_vector": 0, "_parse_scalar": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(qci.algebra, "vector_key")
+    counted(qci.structio, "vector_key")
+    counted(qci.structio, "_vector")
+    counted(qci.scalars, "_parse_scalar")
+    loaded = load_structure(str(first))
+    save_structure(loaded, str(second))
+    literals = file_literals(json.loads(first.read_text()))
+    assert calls == {"vector_key": 0, "_vector": 0, "_parse_scalar": len(literals)}
+    assert second.read_bytes() == first.read_bytes()
 
 
 # integers are taken only as JSON integers: no bool, float or string

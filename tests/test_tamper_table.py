@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import t_vec
+from helpers import g_dict, t_vec
 from qci.builder import BfaStructure
 from qci.demos import example_structure
 from qci.verify import AXIOM_CHECKS, DERIVED_CHECKS, verify_axioms, verify_derived
@@ -41,7 +41,7 @@ def tampered(B, delta=None, s_map=None, g=None):
     return BfaStructure.from_tables(
         B.presentation,
         B.witness,
-        {**B.g, **(g or {})},
+        {**g_dict(B.presentation, B.g), **(g or {})},
         {**B.delta, **(delta or {})},
         {**B.s_map, **(s_map or {})},
     )
@@ -86,7 +86,8 @@ def socle_entry(B, u, factor):
     """g_u times factor, in g and in the delta(t) term x_{a-1-u} (x) x_{pi(u)}."""
     top = t_vec(B)
     T = scaled_term(B, top, top_term(B, B.presentation.complement(u)), factor)
-    return tampered(T, g={u: B.g[u] * B.presentation.field.parse(factor)})
+    g = g_dict(B.presentation, B.g)
+    return tampered(T, g={u: g[u] * B.presentation.field.parse(factor)})
 
 
 def grouplike_modular_element(B):

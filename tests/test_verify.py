@@ -12,6 +12,7 @@ from helpers import (
     add,
     bare_structure,
     dual_functional,
+    g_dict,
     left_coaction,
     monomial,
     one_elem,
@@ -218,9 +219,9 @@ class TestSensitivity:
 
     def test_original_structure_unchanged(self):
         B = example_structure("6.9", C8)
-        g_before = dict(B.g)
+        g_before = g_dict(B.presentation, B.g)
         negate_socle_entry(B, (0, 1, 0))
-        assert B.g == g_before
+        assert g_dict(B.presentation, B.g) == g_before
         assert verify_axioms(B).all_passed
 
     def test_every_interior_entry_detected(self):
@@ -237,7 +238,9 @@ class TestSensitivity:
         s_map = dict(B.s_map)
         img, coeff = s_map[(1, 1, 0)]
         s_map[(1, 1, 0)] = (img, -coeff)
-        tampered = BfaStructure.from_tables(B.presentation, B.witness, B.g, B.delta, s_map)
+        tampered = BfaStructure.from_tables(
+            B.presentation, B.witness, g_dict(B.presentation, B.g), B.delta, s_map
+        )
         rep = verify_axioms(tampered)
         names = {c.name for c in rep.failing()}
         assert "antipode-antihomomorphism" in names or "antipode-definition" in names
@@ -258,7 +261,9 @@ class TestSensitivity:
             s_map = dict(B.s_map)
             img, coeff = s_map[v]
             s_map[v] = (img, -coeff)
-            rep = verify_axioms(BfaStructure.from_tables(P, B.witness, B.g, B.delta, s_map))
+            rep = verify_axioms(
+                BfaStructure.from_tables(P, B.witness, g_dict(P, B.g), B.delta, s_map)
+            )
             failing = {c.name: c.detail for c in rep.failing()}
             assert failing["antipode-antihomomorphism"] == first_antihomomorphism_failure(
                 P, s_map
@@ -267,8 +272,9 @@ class TestSensitivity:
 
 
 def with_s_map(B, s_map, delta=None):
+    P = B.presentation
     return BfaStructure.from_tables(
-        B.presentation, B.witness, B.g, B.delta if delta is None else delta, s_map
+        P, B.witness, g_dict(P, B.g), B.delta if delta is None else delta, s_map
     )
 
 
