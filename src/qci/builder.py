@@ -447,19 +447,14 @@ def vector_of(P: Presentation, key) -> tuple:
     return P.basis()[key] if isinstance(key, int) else key
 
 
-def delta_rows(P: Presentation, delta: dict) -> list:
-    """The rows, on keys and payloads, of a table {v: [(u, w, coeff)]}."""
-    return [
-        [(key_of(P, u), key_of(P, w), c.value) for u, w, c in delta[v]] for v in P.basis()
-    ]
-
-
 @dataclass
 class BfaStructure:
     """A verified-ready structure: presentation, witness, g and the tables.
 
     delta and S have one representation, on keys (key_of) and payloads:
-      rows[i]    delta(x_v), v = basis[i], as (key u, key w, payload c) terms
+      rows       {i: delta(x_v)}, v = basis[i], as (key u, key w, payload c)
+                 terms, for i = 0 and each i whose row is not the primitive
+                 row 1 (x) x_v + x_v (x) 1; row(i) reads every row
       s_img[i]   the key of w, where S(x_v) = c x_w
       s_coef[i]  the payload c
     Tables on vectors and Scalars enter through from_tables.  g holds the
@@ -470,35 +465,45 @@ class BfaStructure:
     presentation: Presentation
     witness: Witness
     g: dict
-    rows: list
+    rows: dict
     s_img: list
     s_coef: list
+
+    def row(self, i: int) -> list:
+        """delta(x_v), v = basis[i], for a basis index i: the stored row, or
+        else the primitive row [(0, i, 1), (i, 0, 1)].  Row 0 is always
+        stored, so it is never read as primitive."""
+        one = self.presentation.field.one.value
+        return self.rows.get(i, [(0, i, one), (i, 0, one)])
 
     @classmethod
     def from_tables(cls, P: Presentation, witness, g: dict, delta: dict, s_map: dict):
         """The structure with g = {v: coeff}, delta = {v: [(u, w, coeff)]}
-        and s_map = {v: (image, coeff)}, all keyed by basis vectors."""
+        and s_map = {v: (image, coeff)}, all keyed by basis vectors; rows
+        keeps row 0 and each row that is not the primitive one."""
         images = [s_map[v] for v in P.basis()]
-        return cls(
-            P, witness, [g[v].value for v in P.basis()], delta_rows(P, delta),
+        B = cls(
+            P, witness, [g[v].value for v in P.basis()], {},
             [key_of(P, w) for w, _ in images], [c.value for _, c in images],
         )
+        rows = ([(key_of(P, u), key_of(P, w), c.value) for u, w, c in delta[v]] for v in P.basis())
+        # B.rows is still empty while this runs, so B.row(i) is the primitive row
+        B.rows = {i: row for i, row in enumerate(rows) if i == 0 or row != B.row(i)}
+        return B
 
 
-def comultiplication(P: Presentation, images: list, g: list) -> list:
-    """The rows of delta in the construction, in basis order, for the
-    involution pi with image_indices(P, pi) = images and the payloads g of
-    g_table.
+def comultiplication(P: Presentation, images: list, g: list) -> dict:
+    """The rows of delta in the construction that are stored, those of 1
+    and t, for the involution pi with image_indices(P, pi) = images and the
+    payloads g of g_table.
 
     delta(1) = 1 (x) 1, every middle monomial is primitive, and
     delta(t) = sum_u g_u x_{a-1-u} (x) x_{pi(u)}; the complement of the
     basis vector at index i is the one at index dim - 1 - i.
     """
-    one, last = P.field.one.value, P.dim - 1
-    rows = [[(0, i, one), (i, 0, one)] for i in range(P.dim)]
-    rows[0] = [(0, 0, one)]
-    rows[last] = [(last - i, k, x) for i, (k, x) in enumerate(zip(images, g))]
-    return rows
+    last = P.dim - 1
+    top = [(last - i, k, x) for i, (k, x) in enumerate(zip(images, g))]
+    return {0: [(0, 0, P.field.one.value)], last: top}
 
 
 def build_structure(P: Presentation, w: Witness) -> BfaStructure:

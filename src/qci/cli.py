@@ -267,7 +267,7 @@ def _structure_tables(B: BfaStructure) -> str:
     terms = [
         f"({Scalar(P.field, c)})*{monomial_name(vector_of(P, u))}(x)"
         f"{monomial_name(vector_of(P, w))}"
-        for u, w, c in B.rows[-1]
+        for u, w, c in B.row(P.dim - 1)
     ]
     lines = [f"Delta({monomial_name(P.top)}) = " + " + ".join(terms)]
     for v, img, c in list(zip(P.basis(), B.s_img, B.s_coef))[1:]:

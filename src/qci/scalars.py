@@ -10,6 +10,7 @@ equality is structural and nothing is ever rounded.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -606,7 +607,13 @@ def _tokenize(text: str):
         if not m:
             raise ScalarSyntaxError(f"unexpected character at position {pos} in {text!r}")
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1))))
+            try:
+                tokens.append(("int", int(m.group(1))))
+            except ValueError:  # more digits than int() converts
+                raise ScalarSyntaxError(
+                    f"integer of {len(m.group(1))} digits at position {m.start(1)} exceeds "
+                    f"the limit of {sys.get_int_max_str_digits()} digits"
+                ) from None
         else:
             tokens.append((m.group(2), None))
         pos = m.end()

@@ -35,7 +35,6 @@ from .builder import (
     Witness,
     check_witness,
     comultiplication,
-    delta_rows,
     image_indices,
 )
 from .errors import (
@@ -244,9 +243,10 @@ def _basis_table(obj, name: str, P: Presentation, vectors: dict, entry) -> dict:
     return table
 
 
-def _check_delta_block(block, P: Presentation, vectors: dict, literals: dict, rebuilt: list):
-    """Check the delta block of a format-1 file against the rebuilt rows of delta."""
-    field = P.field
+def _check_delta_block(block, B: BfaStructure, vectors: dict, literals: dict):
+    """Check the delta block of a format-1 file against the rows of the
+    rebuilt structure B."""
+    P, index = B.presentation, B.presentation.positions()
 
     def delta_row(key, rows):
         if not isinstance(rows, list):
@@ -260,25 +260,25 @@ def _check_delta_block(block, P: Presentation, vectors: dict, literals: dict, re
             w = _vector(P, vectors, row[1])
             if u is None or w is None:
                 raise FileSemanticError(f"delta[{key}] has a term outside the basis")
-            coeff = _scalar(field, row[2], where, literals)
+            coeff = _scalar(P.field, row[2], where, literals)
             if coeff.is_zero():
                 raise FileSemanticError(f"delta[{key}] has a zero coefficient")
-            terms.append((u, w, coeff))
+            terms.append((index[u], index[w], coeff.value))
         return terms
 
-    given = delta_rows(P, _basis_table(block, "delta", P, vectors, delta_row))
+    given = _basis_table(block, "delta", P, vectors, delta_row)
     wrong_row = {
         0: "delta at the zero vector must be 1 (x) 1",
         P.dim - 1: "delta at the top vector disagrees with g",
     }
     # in basis order: the zero row first, the top row last
-    for i, (v, expected) in enumerate(zip(P.basis(), rebuilt)):
+    for i, v in enumerate(P.basis()):
         row = {}
-        for u, w, coeff in given[i]:
+        for u, w, coeff in given[v]:
             if (u, w) in row:
                 raise FileSemanticError(f"delta[{vector_key(v)}] repeats a tensor term")
             row[(u, w)] = coeff
-        if row != {(u, w): coeff for u, w, coeff in expected}:
+        if row != {(u, w): coeff for u, w, coeff in B.row(i)}:
             raise FileSemanticError(
                 wrong_row.get(i)
                 or f"delta[{vector_key(v)}] must be primitive below the top vector"
@@ -313,10 +313,8 @@ def _positional_tables(obj, P: Presentation, keys: list, images: list, literals:
     coefficient.  That reader would then hold g_v and the coefficient of
     S(x_v) at v = basis[i] as the payloads read here at i.
 
-    The literals are parsed in the order in which the per-key reader first
-    meets them, g before s, and (1)-(3) raise nothing; so an exception the
-    parser raises outside QciError propagates here exactly when it would
-    propagate there.
+    (1)-(3) raise nothing, and a literal that fails to parse returns None,
+    so the per-key reader names it.
     """
     g, s = obj["g"], obj["s"]
     if not (isinstance(g, dict) and isinstance(s, dict) and list(g) == keys == list(s)):
@@ -424,9 +422,9 @@ def structure_from_json(obj) -> BfaStructure:
         raise FileSemanticError("g must be 1 at the zero and top vectors")
 
     g = [g_entries[v].value for v in P.basis()]
-    rows = comultiplication(P, images, g)
+    B = BfaStructure(P, witness, g, comultiplication(P, images, g), images, s_coef=[])
     if version == 1:
-        _check_delta_block(obj["delta"], P, vectors, literals, rows)
+        _check_delta_block(obj["delta"], B, vectors, literals)
 
     def s_row(key, row):
         if not isinstance(row, list) or len(row) != 2:
@@ -437,18 +435,18 @@ def structure_from_json(obj) -> BfaStructure:
         return img, _scalar(field, row[1], f"coefficient in s[{key}]", literals)
 
     s_entries = _basis_table(obj["s"], "s", P, vectors, s_row)
-    index, s_coef = P.positions(), []
+    index = P.positions()
     for v, image in zip(P.basis(), images):
         img, coeff = s_entries[v]
         if coeff.is_zero():
             raise FileSemanticError(f"s[{vector_key(v)}] has a zero coefficient")
         if index[img] != image:
             raise FileSemanticError(f"s[{vector_key(v)}] must land on the pi-image")
-        s_coef.append(coeff.value)
+        B.s_coef.append(coeff.value)
     if s_entries[P.top] != (P.top, one):
         raise FileSemanticError("s must fix the top monomial with coefficient 1")
 
-    return BfaStructure(P, witness, g, rows, images, s_coef)
+    return B
 
 
 def load_structure(path: str) -> BfaStructure:

@@ -13,9 +13,12 @@ carry a replayable counterexample.
 
 The checks read delta and S as the structure stores them (BfaStructure):
 rows of (key, key, payload) terms, an image array and a payload array.
-They compare payloads, and build a Scalar or a tuple only for a failure
-detail; a check that would expand a delta factor or an S image off the
-basis, which is its own key, fails at "off-basis".  S, S^2, S^4 and h_v
+B.rows holds row 0 and every row that is not primitive, 1 (x) x_v +
+x_v (x) 1; B.row(i) reads any row, and "i not in B.rows" is the premise
+"row i is primitive".  The checks compare payloads, and build a Scalar or
+a tuple only for a failure detail; a check that would expand a delta
+factor or an S image off the basis, which is its own key, fails at
+"off-basis".  S, S^2, S^4 and h_v
 are payload arrays composed once (_Shared), since S sends each monomial to
 a multiple of one monomial; conjugation by m = g_top 1 is a scaling
 (_conjugation), and alpha^{-1} is the counit by a certificate
@@ -24,15 +27,16 @@ a multiple of one monomial; conjugation by m = g_top 1 is a scaling
 More certificates skip evaluation where the tables have the shape the
 construction writes.  Each is proved in its docstring and falls back to
 evaluation where its premise fails, so no verdict or detail depends on it:
-  - a primitive row, exactly 1 (x) x_v + x_v (x) 1 (_is_primitive), passes
-    coassociativity (given delta(1) = 1 (x) 1), counit-law and
-    antipode-coalgebra-antihomomorphism (given a primitive row at its S
-    image) unexpanded, and its counit coactions are x_v (_counit_hit);
+  - a primitive row passes coassociativity (given delta(1) = 1 (x) 1),
+    counit-law and antipode-coalgebra-antihomomorphism (given a primitive
+    row at its S image) unexpanded, and its counit coactions are x_v
+    (_counit_hit), so fourth-power-formula reads only the stored rows;
   - frobenius-copairing passes when delta(t) is a generalized permutation
     matrix, read off its supports;
   - the generator pairs of the anti-homomorphism add vectors as indices when
     S sends the basis into the basis and generators to generators;
-  - primitive_space_dim counts nonzero columns with disjoint supports.
+  - primitive_space_dim reads only the stored rows, and counts nonzero
+    columns with disjoint supports.
 So a built structure expands only the rows of 1 and t, and calls no rref.
 
 Nine checks read only the presentation and the functionals it fixes: the
@@ -114,25 +118,25 @@ def _add_value(field, out: dict, key, term) -> None:
         out[key] = acc
 
 
-def _delta(field, rows: list, x: dict) -> dict:
-    """delta(x) on key pairs, for x a payload dict on basis indices and rows
-    the delta rows of the structure."""
+def _delta(field, row, x: dict) -> dict:
+    """delta(x) on key pairs, for x a payload dict on basis indices and row
+    the row accessor of the structure (BfaStructure.row)."""
     mul = field._mul
     out: dict = {}
     for v, c in x.items():
-        for u, w, coeff in rows[v]:
+        for u, w, coeff in row(v):
             _add_value(field, out, (u, w), mul(c, coeff))
     return out
 
 
-def _hit(field, rows: list, f: dict, x: dict, left: bool) -> dict:
+def _hit(field, row, f: dict, x: dict, left: bool) -> dict:
     """f -> x = sum x_1 f(x_2) when left, else x <- f = sum f(x_1) x_2, with
-    f and x payload dicts on keys, x on the basis, and rows the delta rows of
-    the structure: the one implementation of both coactions."""
+    f and x payload dicts on keys, x on the basis, and row the row accessor
+    of the structure: the one implementation of both coactions."""
     mul = field._mul
     out: dict = {}
     for v, c in x.items():
-        for u, w, coeff in rows[v]:
+        for u, w, coeff in row(v):
             key, arg = (u, w) if left else (w, u)
             fv = f.get(arg)
             if fv is not None:
@@ -140,25 +144,17 @@ def _hit(field, rows: list, f: dict, x: dict, left: bool) -> dict:
     return out
 
 
-def _is_primitive(rows: list, i: int, one) -> bool:
-    """Whether row i is exactly [(0, i, 1), (i, 0, 1)] with i != 0, that is
-    delta(x_v) = 1 (x) x_v + x_v (x) 1 for v = basis[i] != 0: the row
-    comultiplication writes for every middle monomial, and the loader
-    rebuilds."""
-    return i != 0 and rows[i] == [(0, i, one), (i, 0, one)]
-
-
-def _counit_hit(field, rows: list, i: int, left: bool) -> dict:
+def _counit_hit(B: BfaStructure, i: int, left: bool) -> dict:
     """epsilon -> x_v when left, else x_v <- epsilon, for v = basis[i]:
     epsilon = x_0^* is 1 at the key 0 and 0 elsewhere, so these are the terms
     of row i whose other factor is the key 0, summed as they are.  A
-    primitive row (_is_primitive) has one such term on either side, x_v
+    primitive row (i not in B.rows) has one such term on either side, x_v
     (x) 1 or 1 (x) x_v, so both sums are {i: 1}."""
-    one = field.one.value
-    if _is_primitive(rows, i, one):
-        return {i: one}
+    field = B.presentation.field
+    if i not in B.rows:
+        return {i: field.one.value}
     out: dict = {}
-    for u, w, c in rows[i]:
+    for u, w, c in B.rows[i]:
         key, arg = (u, w) if left else (w, u)
         if arg == 0:
             _add_value(field, out, key, c)
@@ -268,7 +264,7 @@ def _fixed_by_presentation(B: BfaStructure, shared=None) -> tuple:
 def _unit_comultiplication(B: BfaStructure) -> tuple:
     """delta(1) = 1 (x) 1; a failure prints delta(1), its terms in basis order."""
     P, one = B.presentation, B.presentation.field.one.value
-    actual = _delta(P.field, B.rows, {0: one})
+    actual = _delta(P.field, B.row, {0: one})
     terms = {(vector_of(P, u), vector_of(P, w)): c for (u, w), c in actual.items()}
     text = " + ".join(
         f"({Scalar(P.field, terms[u, w])})*{monomial_name(u)}(x){monomial_name(w)}"
@@ -281,7 +277,7 @@ def _coassociativity(B: BfaStructure) -> tuple:
     """(delta (x) id) delta = (id (x) delta) delta.
 
     Certificate for primitive rows.  Let delta(1) = 1 (x) 1 exactly and let
-    row i be primitive (_is_primitive), delta(x_v) = 1 (x) x_v + x_v (x) 1.
+    row i be primitive (i not in B.rows), delta(x_v) = 1 (x) x_v + x_v (x) 1.
     Then both sides are 1 (x) 1 (x) x_v + 1 (x) x_v (x) 1 + x_v (x) 1 (x) 1,
     so the row passes without expansion.  A built structure expands only
     the rows of 1 and t.
@@ -290,20 +286,20 @@ def _coassociativity(B: BfaStructure) -> tuple:
     map A -> A (x) A there, and the factor has no row to expand.  The rows it
     expands may hold such factors; they are keys like any other.
     """
-    field, rows = B.presentation.field, B.rows
-    mul, one = field._mul, field.one.value
-    unit = rows[0] == [(0, 0, one)]
+    field, rows, row = B.presentation.field, B.rows, B.row
+    mul = field._mul
+    unit = rows[0] == [(0, 0, field.one.value)]
 
     def fails(i):
-        if unit and _is_primitive(rows, i, one):
+        if unit and i not in rows:
             return False
         left, right = {}, {}
-        for u, w, c in rows[i]:
+        for u, w, c in row(i):
             if isinstance(u, tuple) or isinstance(w, tuple):
                 return {"at": "off-basis"}
-            for p, q, c2 in rows[u]:
+            for p, q, c2 in row(u):
                 _add_value(field, left, (p, q, w), mul(c, c2))
-            for p, q, c2 in rows[w]:
+            for p, q, c2 in row(w):
                 _add_value(field, right, (u, p, q), mul(c, c2))
         return left != right
 
@@ -314,13 +310,11 @@ def _counit_law(B: BfaStructure) -> tuple:
     """(epsilon (x) id) delta = id = (id (x) epsilon) delta, that is
     x_v <- epsilon = x_v = epsilon -> x_v, with epsilon = x_0^*; a primitive
     row passes without a sum (_counit_hit)."""
-    field, rows = B.presentation.field, B.rows
-    one = field.one.value
+    one = B.presentation.field.one.value
     return _first(
         B.presentation.basis(),
-        lambda i: not _is_primitive(rows, i, one)
-        and (_counit_hit(field, rows, i, left=False) != {i: one}
-             or _counit_hit(field, rows, i, left=True) != {i: one}),
+        lambda i: i in B.rows
+        and (_counit_hit(B, i, left=False) != {i: one} or _counit_hit(B, i, left=True) != {i: one}),
     )
 
 
@@ -336,7 +330,7 @@ def _frobenius_copairing(B: BfaStructure) -> tuple:
     Otherwise the rank comes from rref.
     """
     P = B.presentation
-    top = B.rows[-1]
+    top = B.row(P.dim - 1)
     if any(isinstance(u, tuple) or isinstance(w, tuple) for u, w, _ in top):
         return False, {"v": list(P.top), "at": "off-basis"}
     is_zero = P.field._is_zero
@@ -472,12 +466,13 @@ def _antipode_coalgebra_antihomomorphism(B: BfaStructure) -> tuple:
 
     Certificate for primitive rows.  Row 0 is decided first, and its
     epsilon test passes only when S(1) = 1.  Let row i and the row of its
-    image w be primitive (_is_primitive).  Then
+    image w be primitive (neither i nor w in B.rows; w an index, since a key
+    off the basis has no row).  Then
       (S (x) S) delta^op(x_v) = S(x_v) (x) S(1) + S(1) (x) S(x_v)
                               = c (x_w (x) 1 + 1 (x) x_w) = c delta(x_w),
     which is delta S(x_v), so the row passes without expansion.
     """
-    field, rows = B.presentation.field, B.rows
+    field, rows, row = B.presentation.field, B.rows, B.row
     s_img, s_coef = B.s_img, B.s_coef
     mul, is_zero = field._mul, field._is_zero
     one, zero = field.one.value, field.zero.value
@@ -486,10 +481,10 @@ def _antipode_coalgebra_antihomomorphism(B: BfaStructure) -> tuple:
         img, coef = s_img[i], s_coef[i]
         if (coef if img == 0 else zero) != (one if i == 0 else zero):
             return {"at": "epsilon"}
-        if isinstance(img, int) and _is_primitive(rows, i, one) and _is_primitive(rows, img, one):
+        if isinstance(img, int) and i not in rows and img not in rows:
             return None
         rhs: dict = {}
-        for u, w, c in rows[i]:
+        for u, w, c in row(i):
             if isinstance(u, tuple) or isinstance(w, tuple):
                 return {"at": "off-basis"}
             _add_value(field, rhs, (s_img[w], s_img[u]), mul(mul(c, s_coef[u]), s_coef[w]))
@@ -497,7 +492,7 @@ def _antipode_coalgebra_antihomomorphism(B: BfaStructure) -> tuple:
         if not is_zero(coef):
             if isinstance(img, tuple):
                 return {"at": "delta"}
-            for u, w, c in rows[img]:
+            for u, w, c in row(img):
                 _add_value(field, lhs, (u, w), mul(coef, c))
         if lhs != rhs:
             return {"at": "delta"}
@@ -518,7 +513,7 @@ def _antipode_definition(B: BfaStructure) -> tuple:
     field, basis = P.field, P.basis()
     mul, last = field._mul, len(basis) - 1
     by_left: dict = {}  # left factor key -> [(w, c)] over the terms of delta(t)
-    for u, w, c in B.rows[last]:
+    for u, w, c in B.row(last):
         by_left.setdefault(u, []).append((w, c))
 
     def fails(i):
@@ -586,7 +581,7 @@ class _Shared:
     def __init__(self, B: BfaStructure):
         P, field = B.presentation, B.presentation.field
         top = {P.dim - 1: field.one.value}
-        self.m = _hit(field, B.rows, top, top, left=True)
+        self.m = _hit(field, B.row, top, top, left=True)
         self.modular = _element(P, self.m)
         try:
             self.inv = P.invert_element(self.modular)
@@ -646,7 +641,7 @@ def _unit_via_copairing(B: BfaStructure, d: _Shared) -> tuple:
     """1 = t <- phi."""
     P = B.presentation
     last, one = P.dim - 1, P.field.one.value
-    recovered = _hit(P.field, B.rows, {last: one}, {last: one}, left=False)
+    recovered = _hit(P.field, B.row, {last: one}, {last: one}, left=False)
     if recovered == {0: one}:
         return True, None
     return False, {"value": P.element_to_string(_element(P, recovered))}
@@ -662,7 +657,7 @@ def _modular_element(B: BfaStructure, d: _Shared) -> tuple:
     if any(isinstance(k, tuple) for k in m):
         return False, {"at": "off-basis"}
     square = {(u, w): mul(cu, cw) for u, cu in m.items() for w, cw in m.items()}
-    if _delta(field, B.rows, m) != square:
+    if _delta(field, B.row, m) != square:
         return False, {"at": "grouplike"}
     if field.characteristic() == 0 and m != {0: one}:
         return False, {"at": "char-zero-unit"}
@@ -694,7 +689,7 @@ def _nakayama_via_antipode(B: BfaStructure, d: _Shared) -> tuple:
     conjugate = _conjugation(P, d.inv, d.modular)
 
     def fails(i):
-        once = _apply(field, s1, _counit_hit(field, B.rows, i, left=True))
+        once = _apply(field, s1, _counit_hit(B, i, left=True))
         twice = None if once is None else _apply(field, s1, once)
         return twice is None or conjugate(twice) != {i: h[i]}
 
@@ -708,8 +703,9 @@ def _fourth_power_formula(B: BfaStructure, d: _Shared) -> tuple:
     x_v <- epsilon, and the convolution system (alpha * g)(x_v) =
     epsilon(x_v) for g = alpha^{-1} reads, row by row,
       sum over the terms c x_w of x_v <- alpha of c g(x_w) = [v = 0].
-    When x_v <- alpha = x_v for every v, row v reads g(x_v) = [v = 0]: the
-    matrix is the identity, its unique solution is g = epsilon, and so
+    When x_v <- alpha = x_v for every v (it holds on every primitive row,
+    _counit_hit, so it is decided on B.rows), row v reads g(x_v) = [v = 0]:
+    the matrix is the identity, its unique solution is g = epsilon, and so
     alpha^{-1} = epsilon exactly, with alpha^{-1} -> x_v <- alpha =
     epsilon -> x_v.  Otherwise the system is solved; a surviving term off
     the basis fails at "off-basis", since g has no unknown there, and a
@@ -718,13 +714,13 @@ def _fourth_power_formula(B: BfaStructure, d: _Shared) -> tuple:
     P = B.presentation
     if d.inv is None:
         return False, {"at": "modular-inverse"}
-    field, rows, dim = P.field, B.rows, P.dim
+    field, dim = P.field, P.dim
     one = field.one.value
-    if all(_counit_hit(field, rows, i, left=False) == {i: one} for i in range(dim)):
+    if all(_counit_hit(B, i, left=False) == {i: one} for i in B.rows):
         def moved(i):
-            return _counit_hit(field, rows, i, left=True)
+            return _counit_hit(B, i, left=True)
     else:
-        rights = [_counit_hit(field, rows, i, left=False) for i in range(dim)]
+        rights = [_counit_hit(B, i, left=False) for i in range(dim)]
         if any(isinstance(w, tuple) for right in rights for w in right):
             return False, {"at": "off-basis"}
         system = [{w: Scalar(field, c) for w, c in right.items()} for right in rights]
@@ -735,7 +731,7 @@ def _fourth_power_formula(B: BfaStructure, d: _Shared) -> tuple:
             return False, {"at": "alpha-inverse"}
 
         def moved(i):
-            return _hit(field, rows, alpha_inv, rights[i], left=True)
+            return _hit(field, B.row, alpha_inv, rights[i], left=True)
 
     s4 = d.s4
     conjugate = _conjugation(P, d.modular, d.inv)
@@ -863,12 +859,12 @@ def is_hopf_comultiplication(B: BfaStructure) -> bool:
     field, basis, index = P.field, P.basis(), P.positions()
     one = field.one.value
     factors = [0] + [index[P.unit_vec(k)] for k in range(1, P.n + 1)]
-    deltas = [(basis[j], _delta(field, B.rows, {j: one})) for j in factors]
+    deltas = [(basis[j], _delta(field, B.row, {j: one})) for j in factors]
     for i, u in enumerate(basis):
-        du = _delta(field, B.rows, {i: one})
+        du = _delta(field, B.row, {i: one})
         for v, dv in deltas:
             w = index.get(tuple(map(operator.add, u, v)))
-            lhs = {} if w is None else _delta(field, B.rows, {w: P.bracket_value(u, v)})
+            lhs = {} if w is None else _delta(field, B.row, {w: P.bracket_value(u, v)})
             if lhs != _tensor_mul(P, du, dv):
                 return False
     return True
@@ -878,21 +874,18 @@ def primitive_space_dim(B: BfaStructure) -> int:
     """Dimension of {x : delta(x) = 1 (x) x + x (x) 1}, computed exactly.
 
     dim minus the rank of the columns delta(x_v) - 1 (x) x_v - x_v (x) 1 on
-    the key pairs.  A primitive row (_is_primitive) gives a zero column and
-    is skipped.  Support certificate: nonzero columns with pairwise disjoint
-    supports are independent, so their rank is their number.  On a built
+    the key pairs.  A primitive row gives a zero column, so only the rows
+    in B.rows are read.  Support certificate: nonzero columns with pairwise
+    disjoint supports are independent, so their rank is their number.  On a built
     structure the columns left are -(1 (x) 1) and the column of t, which
     holds no key (0, 0).  Otherwise the columns are eliminated as rows.
     """
     P = B.presentation
-    field, rows = P.field, B.rows
-    one = field.one.value
+    field, one = P.field, P.field.one.value
     minus_one = field._neg(one)
     columns = []
-    for j in range(P.dim):
-        if _is_primitive(rows, j, one):
-            continue
-        col = _delta(field, rows, {j: one})
+    for j in B.rows:
+        col = _delta(field, B.row, {j: one})
         _add_value(field, col, (0, j), minus_one)
         _add_value(field, col, (j, 0), minus_one)
         if col:
@@ -917,6 +910,6 @@ def negate_socle_entry(B: BfaStructure, v) -> BfaStructure:
     i = P.index(v)
     left, neg = key_of(P, P.complement(v)), P.field._neg
     g[i] = neg(g[i])
-    rows = list(B.rows)
-    rows[-1] = [(u, w, neg(c) if u == left else c) for u, w, c in rows[-1]]
+    last, rows = P.dim - 1, dict(B.rows)
+    rows[last] = [(u, w, neg(c) if u == left else c) for u, w, c in B.row(last)]
     return BfaStructure(P, B.witness, g, rows, list(B.s_img), list(B.s_coef))

@@ -260,11 +260,12 @@ def transposition(n: int, i: int, j: int) -> Permutation:
 
 
 def delta_table(B) -> dict:
-    """delta as {v: [(u, w, coeff)]} on vectors and Scalars, read off B.rows."""
+    """delta as {v: [(u, w, coeff)]} on vectors and Scalars, read off B.row
+    for every basis vector."""
     P = B.presentation
     return {
-        v: [(vector_of(P, u), vector_of(P, w), Scalar(P.field, c)) for u, w, c in row]
-        for v, row in zip(P.basis(), B.rows)
+        v: [(vector_of(P, u), vector_of(P, w), Scalar(P.field, c)) for u, w, c in B.row(i)]
+        for i, v in enumerate(P.basis())
     }
 
 
@@ -747,7 +748,7 @@ def _rows_coaction(B, f: dict, x: dict, left: bool) -> dict:
     vectors, x on the basis."""
     P = B.presentation
     payloads = [{key_of(P, v): c.value for v, c in y.items()} for y in (f, x)]
-    return verify._element(P, verify._hit(P.field, B.rows, *payloads, left))
+    return verify._element(P, verify._hit(P.field, B.row, *payloads, left))
 
 
 def left_coaction(B, f: dict, x: dict) -> dict:

@@ -49,10 +49,15 @@ def not_utf8(tmp_path):
     return str(path)
 
 
+def assert_one_error_line(err: str, prefix: str) -> None:
+    """stderr holds one line, which starts with prefix, and no traceback."""
+    assert err.startswith(prefix), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def assert_cannot_write(err: str, path) -> None:
     """stderr holds one `error: cannot write <path>: ...` line."""
-    assert err.startswith(f"error: cannot write {path}: "), err
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert_one_error_line(err, f"error: cannot write {path}: ")
 
 
 @pytest.fixture
@@ -350,6 +355,16 @@ class TestVerify:
         assert script.returncode == 1, script.stderr
         assert script.stderr == f"error: delta[{key}] repeats a tensor term\n"
 
+    def test_over_long_literal_is_an_input_error(self, p69, tmp_path, capsys):
+        s_path = tmp_path / "s.json"
+        run(["construct", p69, "--out", str(s_path)])
+        obj = json.loads(s_path.read_text())
+        obj["g"]["0,1,0"] = "9" * 5000
+        s_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run(["verify", str(s_path)]) == 1
+        assert_one_error_line(capsys.readouterr().err, "error: bad g[0,1,0]: integer of 5000 ")
+
     def test_not_utf8(self, not_utf8, capsys):
         assert run(["verify", not_utf8]) == 1
         assert capsys.readouterr().err.startswith("error: not valid UTF-8: ")
@@ -377,6 +392,10 @@ class TestExample:
 
     def test_prime_field(self, capsys):
         assert run(["example", "6.9", "--b", "2", "--field", "prime:7"]) == 0
+
+    def test_over_long_b_is_an_input_error(self, capsys):
+        assert run(["example", "6.9", "--b", "9" * 5000]) == 1
+        assert_one_error_line(capsys.readouterr().err, "error: integer of 5000 digits at ")
 
     def test_twisted_needs_root(self, capsys):
         assert run(["example", "6.10", "--b", "2", "--field", "prime:7"]) == 1

@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -779,6 +780,45 @@ def test_alias_image_loads_through_the_per_key_reader(blob, positional):
     obj["s"]["0,0,1"][0] = "00,1,0"
     assert structure_to_json(structure_from_json(obj)) == blob
     assert positional == [None]
+
+
+LONG_LITERAL = "9" * 5000
+LONG_MESSAGE = (
+    f"integer of 5000 digits at position 0 exceeds the limit of "
+    f"{sys.get_int_max_str_digits()} digits"
+)
+
+
+@pytest.mark.parametrize("respelled", [False, True])
+@pytest.mark.parametrize("section", ["g", "s"])
+def test_over_long_literal_is_a_syntax_error(tmp_path, blob, positional, section, respelled):
+    """A literal past int()'s digit limit fails the positional read and is
+    named by the per-key reader, in a canonical file and in one whose
+    entry's key is spelled another way."""
+    obj = copy.deepcopy(blob)
+    key = "0,1,0"
+    if section == "g":
+        obj["g"][key] = LONG_LITERAL
+    else:
+        obj["s"][key][1] = LONG_LITERAL
+    if respelled:
+        obj[section] = {("0" + k if k == key else k): v for k, v in obj[section].items()}
+        key = "0" + key
+    where = f"g[{key}]" if section == "g" else f"coefficient in s[{key}]"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FileSyntaxError) as exc:
+        load_structure(str(path))
+    assert str(exc.value) == f"bad {where}: {LONG_MESSAGE}"
+    assert positional == [None]
+
+
+def test_over_long_literal_in_a_presentation(blob):
+    obj = copy.deepcopy(blob["presentation"])
+    obj["q"][0][1] = LONG_LITERAL
+    with pytest.raises(FileSyntaxError) as exc:
+        presentation_from_json(obj)
+    assert str(exc.value) == f"bad scalar in presentation: {LONG_MESSAGE}"
 
 
 @pytest.mark.parametrize("source", ["blob1", "golden"])

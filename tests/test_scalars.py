@@ -1,6 +1,7 @@
 """Field arithmetic, parsing, and root-of-unity bookkeeping."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -171,6 +172,19 @@ class TestParsing:
             Q.parse("1/")
         with pytest.raises(DivisionByZeroError):
             Q.parse("1/0")
+
+    def test_integer_past_the_digit_limit(self):
+        """An integer int() refuses to convert is a ScalarSyntaxError that
+        names its length and place, not a bare ValueError."""
+        limit = sys.get_int_max_str_digits()
+        for field, text, at in ((F7, "9" * 5000, 0), (Q, "1/ " + "9" * 5000, 3),
+                                (C8, "z - " + "9" * 5000 + "*z", 4)):
+            with pytest.raises(ScalarSyntaxError) as exc:
+                field.parse(text)
+            assert str(exc.value) == (
+                f"integer of 5000 digits at position {at} exceeds the limit of {limit} digits"
+            )
+        assert F7.parse("9" * limit) == F7.from_int(int("9" * limit) % 7)
 
     def test_format_parse_round_trip(self):
         samples = {

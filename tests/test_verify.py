@@ -1,5 +1,6 @@
 """Exhaustive axiom and consequence checks on constructed structures."""
 
+import json
 import random
 import tracemalloc
 from functools import cache
@@ -11,7 +12,9 @@ from helpers import (
     VIEW_CHECKS,
     add,
     bare_structure,
+    delta_table,
     dual_functional,
+    format1_blob,
     g_dict,
     left_coaction,
     monomial,
@@ -734,11 +737,13 @@ VIEW_PERTURBATIONS = (
     "primitive row terms swapped",
     "S(1) scaled",
     "generator images swapped with non-generators",
+    # the premise "row i is primitive" is "i not in B.rows"
+    "primitive row stored explicitly",
 )
 
 # Perturbations that break a certificate's premise but no identity: every
 # check still passes, now by evaluation.
-HARMLESS_PERTURBATIONS = ("primitive row terms swapped",)
+HARMLESS_PERTURBATIONS = ("primitive row terms swapped", "primitive row stored explicitly")
 
 
 def view_perturbation(B, kind, rng):
@@ -773,6 +778,11 @@ def view_perturbation(B, kind, rng):
     if kind == "primitive row terms swapped":
         v = rng.choice(basis[1:-1])
         return with_s_map(B, B.s_map, {**B.delta, v: B.delta[v][::-1]})
+    if kind == "primitive row stored explicitly":
+        # made directly, since from_tables stores no primitive row
+        i = rng.choice([i for i in range(1, P.dim - 1) if i not in B.rows])
+        rows = {**B.rows, i: [(0, i, one.value), (i, 0, one.value)]}
+        return BfaStructure(P, B.witness, B.g, rows, B.s_img, B.s_coef)
     if kind == "S(1) scaled":
         return with_s_map(B, {**B.s_map, zero: (zero, field.from_int(rng.choice([-1, 2, 3])))})
     if kind == "generator images swapped with non-generators":
@@ -1069,7 +1079,7 @@ def test_built_structure_expands_only_the_rows_of_one_and_t(monkeypatch):
     assert verify_axioms(B).all_passed
     assert verify_derived(B).all_passed
     assert primitive_space_dim(B) == P.dim - 2
-    assert calls["sums"] <= SUMS_PER_TERM_OF_DELTA_T * len(B.rows[-1])
+    assert calls["sums"] <= SUMS_PER_TERM_OF_DELTA_T * len(B.row(P.dim - 1))
 
 
 def test_repeated_right_factor_fails_the_copairing_with_its_rank():
@@ -1193,18 +1203,55 @@ def test_units_invert_without_elimination(monkeypatch):
     assert report.all_passed
 
 
+# -- the rows a structure stores --------------------------------------------------
+
+
+def test_built_and_loaded_structures_store_the_rows_of_one_and_t(tmp_path):
+    """A built d4096 structure, and the same structure loaded from a
+    format-2 and from a format-1 file, store the rows of 1 and t only."""
+    B = seeded((16, 16, 16))
+    last = B.presentation.dim - 1
+    format2, format1 = tmp_path / "format2.json", tmp_path / "format1.json"
+    save_structure(B, str(format2))
+    format1.write_text(json.dumps(format1_blob(B)))
+    for T in (B, load_structure(str(format2)), load_structure(str(format1))):
+        assert sorted(T.rows) == [0, last]
+        assert T.rows == B.rows
+
+
+def test_from_tables_stores_exactly_the_rows_that_are_not_primitive():
+    """from_tables keeps row 0 and each row other than 1 (x) x_v + x_v (x) 1
+    as written, terms in that order; delta_table still lists delta(x_v) for
+    every basis vector v."""
+    rng = random.Random(0)
+    for B in REFERENCE_STRUCTURES:
+        P = B.presentation
+        basis, zero, one = P.basis(), P.zero_vec, P.field.one
+        table = delta_table(B)
+        assert list(table) == basis
+        assert all(table[v] == [(zero, v, one), (v, zero, one)] for v in basis[1:-1])
+        v, w = rng.sample(basis[1:-1], 2)
+        delta = {**table, v: table[v][::-1], w: [(zero, w, one), (w, zero, one + one)]}
+        T = with_s_map(B, B.s_map, delta)
+        assert sorted(T.rows) == sorted({0, P.index(v), P.index(w), P.dim - 1})
+        assert delta_table(T) == delta
+
+
 # -- memory gate on one seeded d4096 file -----------------------------------------
 
 
 # A full verification of seeded((16, 16, 16)), loaded from its file, peaks at
-# 4.9-5.0 MiB of traced allocations over a 2.0-2.1 MiB loaded structure
-# (Python 3.11.7), as it did when every primitive row was expanded and the
-# copairing eliminated (4.9-5.1 MiB).  Keying coassociativity's expansion of
-# delta(t) by one int instead of (p, q, w) read 4.3-4.4 MiB, at no measured
-# gain in time.  When verify_axioms and verify_derived each built an
-# index-keyed copy of tuple-keyed tables, it peaked at 8.49 MiB over
-# 2.37 MiB.  The bound is 1.0 MiB above the first peak and 2.5 MiB below
-# the last.
+# 3.60-3.72 MiB of traced allocations over a 0.49-0.61 MiB loaded structure
+# (Python 3.11.7), which stores the rows of 1 and t only.  Storing every
+# primitive row read 4.53-4.65 MiB over 1.42-1.54 MiB in the same sitting;
+# an earlier sitting read 4.9-5.0 MiB over 2.0-2.1 MiB there, as when every
+# primitive row was expanded and the copairing eliminated (4.9-5.1 MiB).
+# Keying coassociativity's expansion of delta(t) by one int instead of
+# (p, q, w) read 4.3-4.4 MiB, at no measured gain in time.  When
+# verify_axioms and verify_derived each built an index-keyed copy of
+# tuple-keyed tables, it peaked at 8.49 MiB over 2.37 MiB.  The bound is
+# kept at 6.0 MiB: 1.0 MiB above the peak with every primitive row stored,
+# and 2.5 MiB below the last.
 MEMORY_BOUND_MIB = 6.0
 
 
