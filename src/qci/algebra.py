@@ -116,7 +116,6 @@ class Presentation:
         self._h_values = None
         self._h_gen = None
         self._powers = {}  # (i, j, e) -> payload of q_ij ** e, filled by bracket
-        self._h_powers = {}  # (i, e) -> payload of h_{e_i} ** e, filled by h_value
 
     # -- basis bookkeeping ---------------------------------------------------
 
@@ -258,28 +257,6 @@ class Presentation:
 
     # -- the distinguished automorphism data ------------------------------------
 
-    def h_of(self, v) -> Scalar:
-        """h_v = bracket(a-1-v, v) / bracket(v, a-1-v) on any integer vector v.
-
-        Computed as prod_i h_{e_i}^{v_i}: with q_ii = 1 and q_ji = q_ij^{-1}
-        the v_i v_j factors of the two brackets cancel.
-        """
-        return Scalar(self.field, self.h_value(v))
-
-    def h_value(self, v):
-        """The payload of h_of(v)."""
-        field = self.field
-        hs = self.h_values()
-        powers = self._h_powers
-        out = None
-        for i, e in enumerate(v):
-            if e:
-                power = powers.get((i, e))
-                if power is None:
-                    power = powers[(i, e)] = field._pow(hs[i], e)
-                out = power if out is None else field._mul(out, power)
-        return field.one.value if out is None else out
-
     def h_values(self) -> tuple:
         """The payloads of h_{e_i} = prod_j q_ij^{a_j - 1} (q_ii = 1 is skipped)."""
         if self._h_values is None:
@@ -304,10 +281,6 @@ class Presentation:
     def nakayama_is_involution(self) -> bool:
         mul, one = self.field._mul, self.field.one.value
         return all(mul(h, h) == one for h in self.h_values())
-
-    def nakayama(self, x: dict) -> dict:
-        """The closed-form automorphism scaling each x_v by h_v."""
-        return {v: self.h_of(v) * c for v, c in x.items()}
 
     # -- functionals -------------------------------------------------------------
 

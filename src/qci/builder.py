@@ -464,7 +464,7 @@ class BfaStructure:
 
     presentation: Presentation
     witness: Witness
-    g: dict
+    g: list
     rows: dict
     s_img: list
     s_coef: list

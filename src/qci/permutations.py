@@ -39,10 +39,6 @@ class Permutation:
             raise ValueError(f"{images!r} is not a permutation of 1..{n}")
         self.images = images
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
-
     @property
     def n(self) -> int:
         return len(self.images)

@@ -31,13 +31,25 @@ evaluation where its premise fails, so no verdict or detail depends on it:
     counit-law and antipode-coalgebra-antihomomorphism (given a primitive
     row at its S image) unexpanded, and its counit coactions are x_v
     (_counit_hit), so fourth-power-formula reads only the stored rows;
+  - the row of t passes coassociativity unexpanded when every other row
+    but that of 1 is primitive and delta(t) is 1 (x) t + t (x) 1 plus terms
+    on the basis away from 1 and t;
+  - a row of antipode-definition with one term of delta(t) at its left
+    factor is one comparison, with bracket(top - v, v) from a table built
+    from the brackets of generators (_socle_brackets), not from the
+    builder's Presentation.quadratic_table;
+  - when m and m^{-1} are constants, a primitive row of
+    nakayama-via-antipode and, given alpha^{-1} = epsilon, of
+    fourth-power-formula is one comparison with S^2 or S^4 (_Shared);
   - frobenius-copairing passes when delta(t) is a generalized permutation
     matrix, read off its supports;
   - the generator pairs of the anti-homomorphism add vectors as indices when
     S sends the basis into the basis and generators to generators;
   - primitive_space_dim reads only the stored rows, and counts nonzero
     columns with disjoint supports.
-So a built structure expands only the rows of 1 and t, and calls no rref.
+So a built structure expands only the row of 1 in coassociativity, sums
+delta(t) only in antipode-coalgebra-antihomomorphism and the primitive
+space, and calls no rref.
 
 Nine checks read only the presentation and the functionals it fixes: the
 counit epsilon = x_0^*, phi = x_top^* and the integral t = x_top.  Eight
@@ -86,9 +98,6 @@ class VerificationReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failing(self) -> list:
-        return [c for c in self.checks if not c.passed]
 
     def to_json(self) -> dict:
         return {
@@ -203,6 +212,39 @@ def _character(field, chi, a) -> list:
     return out * math.prod(a[:lead])
 
 
+def _socle_brackets(P: Presentation) -> list:
+    """bracket(top - v, v) as payloads, for v over the basis in basis order,
+    from n^2 brackets of generators and not from Presentation.quadratic_table,
+    which the builder reads S from.
+
+    The bracket is multiplicative in each argument, so bracket(top - v, v) =
+    bracket(top, v) bracket(v, v)^{-1}, and bracket(e_k, e_k) = 1.  Let
+    v_j = 0 for every j > k.  Then bracket(v, e_k) = 1, so
+      bracket(top - v - e_k, v + e_k) = bracket(top - v, v) bracket(top, e_k) psi_k(v)^{-1}
+    with psi_k = bracket(., e_k) bracket(e_k, .), a character whose value at
+    v is prod_{i<k} psi_k(e_i)^{v_i}.  Coordinate k extends the table at
+    each prefix p over the first k coordinates by the powers of the ratio
+    bracket(top, e_k) psi_k(p)^{-1}, tabulated by _character: one _mul per
+    entry, and the ratio tables are together no longer than the result.
+    """
+    field, units = P.field, [P.unit_vec(k) for k in range(1, P.n + 1)]
+    mul, inv, bracket, one = field._mul, field._inv, P.bracket_value, field.one.value
+    out = [one]
+    for k, (ek, ak) in enumerate(zip(units, P.a)):
+        psi = [inv(mul(bracket(ei, ek), bracket(ek, ei))) for ei in units[:k]]
+        step = bracket(P.top, ek)
+        ratios = (mul(step, r) for r in _character(field, psi, P.a[:k]))
+        out = [
+            y
+            for x, r in zip(out, ratios)
+            for y in (
+                itertools.repeat(x, ak) if r == one
+                else itertools.accumulate(itertools.repeat(r, ak - 1), mul, initial=x)
+            )
+        ]
+    return out
+
+
 # -- check helpers -------------------------------------------------------------
 
 
@@ -279,19 +321,39 @@ def _coassociativity(B: BfaStructure) -> tuple:
     Certificate for primitive rows.  Let delta(1) = 1 (x) 1 exactly and let
     row i be primitive (i not in B.rows), delta(x_v) = 1 (x) x_v + x_v (x) 1.
     Then both sides are 1 (x) 1 (x) x_v + 1 (x) x_v (x) 1 + x_v (x) 1 (x) 1,
-    so the row passes without expansion.  A built structure expands only
-    the rows of 1 and t.
+    so the row passes without expansion.
+
+    Certificate for the row of t, last = dim - 1.  Let delta(1) = 1 (x) 1
+    exactly, B.rows.keys() == {0, last}, every factor of delta(t) a basis
+    index, and the terms of delta(t) with a factor at 0 or last exactly
+    (0, last, 1) and (last, 0, 1), so delta(t) = 1 (x) t + t (x) 1 +
+    sum c x_L (x) x_R with every x_L and x_R primitive.  Then
+      (delta (x) id) delta(t) = 1(x)1(x)t + delta(t) (x) 1 + sum c delta(x_L) (x) x_R
+      (id (x) delta) delta(t) = 1 (x) delta(t) + t(x)1(x)1 + sum c x_L (x) delta(x_R)
+    are, term for term, the one sum 1(x)1(x)t + 1(x)t(x)1 + t(x)1(x)1 +
+    sum c (1 (x) x_L (x) x_R + x_L (x) 1 (x) x_R + x_L (x) x_R (x) 1), so the
+    row passes whatever the c are.  A built or loaded structure meets both
+    premises and expands only the row of 1.
 
     A row holding a factor off the basis fails at "off-basis": delta is no
     map A -> A (x) A there, and the factor has no row to expand.  The rows it
     expands may hold such factors; they are keys like any other.
     """
     field, rows, row = B.presentation.field, B.rows, B.row
-    mul = field._mul
-    unit = rows[0] == [(0, 0, field.one.value)]
+    mul, one = field._mul, field.one.value
+    last = B.presentation.dim - 1
+    unit = rows[0] == [(0, 0, one)]
+    top = rows.get(last, ())
+    ends = (0, last)
+    certified = (
+        rows.keys() == {0, last}
+        and not any(isinstance(u, tuple) or isinstance(w, tuple) for u, w, _ in top)
+        and [t for t in top if t[0] in ends or t[1] in ends]
+        in ([(0, last, one), (last, 0, one)], [(last, 0, one), (0, last, one)])
+    )
 
     def fails(i):
-        if unit and i not in rows:
+        if unit and (i not in rows or i == last and certified):
             return False
         left, right = {}, {}
         for u, w, c in row(i):
@@ -508,22 +570,32 @@ def _antipode_definition(B: BfaStructure) -> tuple:
     complement top - v, whose index is dim - 1 - index(v); there
     phi(x_u x_v) = bracket(u, v).  So for each v only the terms of delta(t)
     with left factor complement(v) contribute.
+
+    Certificate for one term.  When delta(t) has exactly one term (w, c)
+    with left factor complement(v), the sum is bracket(top - v, v) c x_w, so
+    row v passes when (w, table[i] c) == (s_img[i], s_coef[i]), with table
+    from _socle_brackets: both sides are then c' x_w, or both 0 when c' = 0.
+    Every other row is expanded, which decides it and names the failure.
     """
     P = B.presentation
     field, basis = P.field, P.basis()
     mul, last = field._mul, len(basis) - 1
+    s_img, s_coef = B.s_img, B.s_coef
+    table = _socle_brackets(P)
     by_left: dict = {}  # left factor key -> [(w, c)] over the terms of delta(t)
     for u, w, c in B.row(last):
         by_left.setdefault(u, []).append((w, c))
 
     def fails(i):
-        acc: dict = {}
         terms = by_left.get(last - i, ())
+        if len(terms) == 1 and terms[0][0] == s_img[i] and mul(table[i], terms[0][1]) == s_coef[i]:
+            return None
+        acc: dict = {}
         if terms:
             cuv = P.bracket_value(basis[last - i], basis[i])
             for w, c in terms:
                 _add_value(field, acc, w, mul(cuv, c))
-        img, coef = B.s_img[i], B.s_coef[i]
+        img, coef = s_img[i], s_coef[i]
         expected = {} if field._is_zero(coef) else {img: coef}
         if acc == expected:
             return None
@@ -614,21 +686,30 @@ def _apply(field, table: list, x: dict):
     return out
 
 
+def _scaling(P: Presentation, left: dict, right: dict):
+    """The payload l r when the Scalar elements left and right are constants
+    l 1 and r 1, else None."""
+    zero = P.zero_vec
+    if left.keys() == {zero} == right.keys():
+        return P.field._mul(left[zero].value, right[zero].value)
+    return None
+
+
 def _conjugation(P: Presentation, left: dict, right: dict):
     """x |-> left x right on payload elements x on keys, which may lie off
     the basis; left and right are Scalar elements.
 
     When left and right are constants l 1 and r 1, every bracket with the
     zero vector is 1, so the map is x restricted to the basis (its int
-    keys), times l r.  That is the case for m and m^{-1} on every structure
-    a file can hold: the loader rebuilds delta from pi and g, and the one
-    term of delta(t) with right factor x_top is g_top 1 (x) x_top, so
-    m = g_top 1.  Other elements are multiplied in by Presentation.mul.
+    keys), times l r (_scaling).  That is the case for m and m^{-1} on every
+    structure a file can hold: the loader rebuilds delta from pi and g, and
+    the one term of delta(t) with right factor x_top is g_top 1 (x) x_top,
+    so m = g_top 1.  Other elements are multiplied in by Presentation.mul.
     """
-    zero, field = P.zero_vec, P.field
-    if left.keys() == {zero} == right.keys():
-        c = field._mul(left[zero].value, right[zero].value)
-        return lambda x: {w: field._mul(cw, c) for w, cw in x.items() if isinstance(w, int)}
+    c = _scaling(P, left, right)
+    if c is not None:
+        mul = P.field._mul
+        return lambda x: {w: mul(cw, c) for w, cw in x.items() if isinstance(w, int)}
 
     def product(x: dict) -> dict:
         y = P.mul(P.mul(left, _element(P, x)), right)
@@ -681,14 +762,26 @@ def _nakayama_via_antipode(B: BfaStructure, d: _Shared) -> tuple:
 
     alpha -> x_v is epsilon -> x_v, and S is applied to it twice, since its
     terms can cancel in between.
+
+    Certificate for primitive rows.  Let m^{-1} and m be constants, so that
+    conjugation scales by l r (_scaling), and let row i be primitive
+    (i not in B.rows), so alpha -> x_v = x_v (_counit_hit).  Applying S
+    twice to x_v is entry i of S^2 (_Shared): undefined when S meets a key
+    off the basis, 0, or c x_w.  Conjugation keeps the int keys, so the row
+    passes exactly when s2[i] = (i, c) with c l r = h_v.
     """
     P = B.presentation
     if d.inv is None:
         return False, {"at": "modular-inverse"}
-    field, s1, h = P.field, d.s1, d.h
+    field, s1, s2, h, rows = P.field, d.s1, d.s2, d.h, B.rows
+    mul = field._mul
     conjugate = _conjugation(P, d.inv, d.modular)
+    lr = _scaling(P, d.inv, d.modular)
 
     def fails(i):
+        if lr is not None and i not in rows:
+            term = s2[i]
+            return not (term and term[0] == i and mul(term[1], lr) == h[i])
         once = _apply(field, s1, _counit_hit(B, i, left=True))
         twice = None if once is None else _apply(field, s1, once)
         return twice is None or conjugate(twice) != {i: h[i]}
@@ -710,13 +803,22 @@ def _fourth_power_formula(B: BfaStructure, d: _Shared) -> tuple:
     epsilon -> x_v.  Otherwise the system is solved; a surviving term off
     the basis fails at "off-basis", since g has no unknown there, and a
     singular system at "alpha-inverse".
+
+    Certificate for primitive rows.  Let alpha^{-1} = epsilon by the
+    certificate above, let m and m^{-1} be constants, so that conjugation
+    scales by l r (_scaling), and let row i be primitive (i not in
+    B.rows).  Then epsilon -> x_v = x_v, whose conjugate is l r x_v, so the
+    row passes exactly when s4[i] == (i, l r).
     """
     P = B.presentation
     if d.inv is None:
         return False, {"at": "modular-inverse"}
-    field, dim = P.field, P.dim
+    field, dim, rows = P.field, P.dim, B.rows
     one = field.one.value
-    if all(_counit_hit(B, i, left=False) == {i: one} for i in B.rows):
+    target = None  # l r, when the certificate for primitive rows applies
+    if all(_counit_hit(B, i, left=False) == {i: one} for i in rows):
+        target = _scaling(P, d.modular, d.inv)
+
         def moved(i):
             return _counit_hit(B, i, left=True)
     else:
@@ -737,6 +839,8 @@ def _fourth_power_formula(B: BfaStructure, d: _Shared) -> tuple:
     conjugate = _conjugation(P, d.modular, d.inv)
 
     def fails(i):
+        if target is not None and i not in rows:
+            return s4[i] != (i, target)
         return s4[i] is None or conjugate(moved(i)) != ({s4[i][0]: s4[i][1]} if s4[i] else {})
 
     return _first(P.basis(), fails)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     epsilon,
     g_dict,
+    identity_permutation,
     monomial,
     one_elem,
     phi_of,
@@ -93,7 +94,7 @@ class TestCheckWitness:
     def test_size_mismatch(self):
         P = example_presentation("6.9", C8)
         with pytest.raises(WitnessInvalidError):
-            check_witness(P, Witness(Permutation.identity(2), (C8.one, C8.one)))
+            check_witness(P, Witness(identity_permutation(2), (C8.one, C8.one)))
 
     def test_not_involution(self):
         P = example_presentation("6.9", C8)
@@ -103,7 +104,7 @@ class TestCheckWitness:
     def test_not_compatible(self):
         P = example_presentation("6.9", C8)
         with pytest.raises(WitnessInvalidError):
-            check_witness(P, Witness(Permutation.identity(3), (C8.one,) * 3))
+            check_witness(P, Witness(identity_permutation(3), (C8.one,) * 3))
 
     def test_bad_scalars(self):
         P = example_presentation("6.9", C8)
@@ -133,7 +134,7 @@ class TestSolveC:
         with pytest.raises(NotInvolutionError):
             solve_c(P, Permutation((2, 3, 1)))
         with pytest.raises(NotCompatibleError):
-            solve_c(P, Permutation.identity(3))
+            solve_c(P, identity_permutation(3))
 
     def test_gate_on_h_order(self):
         P = presentation(F13, (3, 3), {(1, 2): "2"})
@@ -141,15 +142,15 @@ class TestSolveC:
 
     def test_plus_first_sign_search(self):
         P = minus_pair(F5)
-        assert solve_c(P, Permutation.identity(2)) == (F5.from_int(2), F5.from_int(2))
+        assert solve_c(P, identity_permutation(2)) == (F5.from_int(2), F5.from_int(2))
 
     def test_cyclotomic_root_values(self):
         P = minus_pair(C4)
-        assert solve_c(P, Permutation.identity(2)) == (C4.zeta, C4.zeta)
+        assert solve_c(P, identity_permutation(2)) == (C4.zeta, C4.zeta)
 
     def test_missing_root_blocks_fixed_minus(self):
         P = minus_pair(Q)
-        assert solve_c(P, Permutation.identity(2)) is None
+        assert solve_c(P, identity_permutation(2)) is None
         # the swap normalizes to c = (1, -1) whose product breaks the last equation
         assert solve_c(P, Permutation((2, 1))) is None
 
@@ -178,10 +179,10 @@ class TestRegimes:
         P10q = example_presentation("6.10", make_field("rational"), b="2")
         assert applicable_regime(P10q, Permutation((1, 3, 2))) == Regime.REAL_ANCHOR
         assert (
-            applicable_regime(presentation(F2, (2, 2), {(1, 2): "1"}), Permutation.identity(2))
+            applicable_regime(presentation(F2, (2, 2), {(1, 2): "1"}), identity_permutation(2))
             == Regime.CHAR_TWO
         )
-        assert applicable_regime(minus_pair(F5), Permutation.identity(2)) == (
+        assert applicable_regime(minus_pair(F5), identity_permutation(2)) == (
             Regime.IMAG_ANCHOR_H_MINUS
         )
         assert applicable_regime(double_swap(F5), Permutation((2, 1, 4, 3))) == (
@@ -191,12 +192,12 @@ class TestRegimes:
             Regime.REAL_NO_ANCHOR
         )
         # blocked: no sqrt(-1) and a fixed index with h = -1
-        assert applicable_regime(minus_pair(Q), Permutation.identity(2)) is None
+        assert applicable_regime(minus_pair(Q), identity_permutation(2)) is None
         # blocked: moved pairs with h = -1 not in multiples of four
         assert applicable_regime(minus_pair(Q), Permutation((2, 1))) is None
         # not an involution, or incompatible
         assert applicable_regime(example_presentation("6.9", C8), Permutation((2, 3, 1))) is None
-        assert applicable_regime(example_presentation("6.9", C8), Permutation.identity(3)) is None
+        assert applicable_regime(example_presentation("6.9", C8), identity_permutation(3)) is None
 
     def test_closed_forms_satisfy_witness_equations(self):
         # moved pairs normalize to c_i = 1, c_{pi(i)} = h_{e_i} for i < pi(i)
@@ -208,8 +209,8 @@ class TestRegimes:
                 Permutation((1, 3, 2)),
                 "-1,1,-1",
             ),
-            (presentation(F2, (2, 2), {(1, 2): "1"}), Permutation.identity(2), "1,1"),
-            (minus_pair(F5), Permutation.identity(2), "2,2"),
+            (presentation(F2, (2, 2), {(1, 2): "1"}), identity_permutation(2), "1,1"),
+            (minus_pair(F5), identity_permutation(2), "2,2"),
             (double_swap(F5), Permutation((2, 1, 4, 3)), "1,4,1,4"),
             (double_swap(Q), Permutation((2, 1, 4, 3)), "1,-1,1,-1"),
         ]
@@ -225,7 +226,7 @@ class TestRegimes:
         # fully fixed involution with nontrivial fixed-block signs
         P = presentation(Q, (2, 2, 2), {(1, 2): "-1", (1, 3): "-1", (2, 3): "-1"})
         assert P.is_symmetric()
-        pi = Permutation.identity(3)
+        pi = identity_permutation(3)
         c = closed_form_c(P, pi, Regime.SYMMETRIC)
         assert c == (Q.one, -Q.one, Q.one)
         # the sign search finds a different but equally valid witness
@@ -238,16 +239,16 @@ class TestRegimes:
         with pytest.raises(RegimeHypothesisError):
             closed_form_c(P9, pi, Regime.CHAR_TWO)
         with pytest.raises(RegimeHypothesisError):
-            closed_form_c(minus_pair(F5), Permutation.identity(2), Regime.REAL_ANCHOR)
+            closed_form_c(minus_pair(F5), identity_permutation(2), Regime.REAL_ANCHOR)
         with pytest.raises(RegimeHypothesisError):
-            closed_form_c(minus_pair(F5), Permutation.identity(2), Regime.IMAG_ANCHOR_H_PLUS)
+            closed_form_c(minus_pair(F5), identity_permutation(2), Regime.IMAG_ANCHOR_H_PLUS)
         with pytest.raises(RegimeHypothesisError):
             closed_form_c(double_swap(Q), Permutation((2, 1, 4, 3)), Regime.IMAG_NO_ANCHOR)
         # the symmetric recipe would work in characteristic 2, and the h = 1
         # anchor on a symmetric presentation, but neither is the applicable regime
         with pytest.raises(RegimeHypothesisError):
             closed_form_c(
-                presentation(F2, (2, 2), {(1, 2): "1"}), Permutation.identity(2), Regime.SYMMETRIC
+                presentation(F2, (2, 2), {(1, 2): "1"}), identity_permutation(2), Regime.SYMMETRIC
             )
         with pytest.raises(RegimeHypothesisError):
             closed_form_c(P9, pi, Regime.IMAG_ANCHOR_H_PLUS)
@@ -383,7 +384,7 @@ class TestDecide:
     def test_yes_after_field_extension(self):
         report = decide(minus_pair(C4))
         assert report.exists
-        assert report.witness.pi == Permutation.identity(2)
+        assert report.witness.pi == identity_permutation(2)
         assert report.witness.c == (C4.zeta, C4.zeta)
 
     def test_witness_is_first_in_enumeration_order(self):
@@ -477,14 +478,14 @@ class TestGTable:
             CrossCheckError,
             match=re.escape("socle coefficient routes disagree at v = (1, 1): 2 vs 4"),
         ):
-            g_table(P, Witness(Permutation.identity(2), (F7.one, F7.one)))
+            g_table(P, Witness(identity_permutation(2), (F7.one, F7.one)))
 
     def test_boundary_check_without_the_witness_check(self, monkeypatch):
         # symmetric q: both routes give c_1 c_2 = 2 at the top vector
         monkeypatch.setattr("qci.builder.check_witness", lambda P, w: None)
         P = presentation(F7, (2, 2), {(1, 2): "1"})
         with pytest.raises(CrossCheckError, match="boundary socle coefficients must be 1"):
-            g_table(P, Witness(Permutation.identity(2), (F7.from_int(2), F7.one)))
+            g_table(P, Witness(identity_permutation(2), (F7.from_int(2), F7.one)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import qci.algebra
 import qci.scalars
 import qci.structio
-from helpers import format1_blob, g_dict, rand_compatible_involutive_h
+from helpers import failing, format1_blob, g_dict, rand_compatible_involutive_h
 from qci.algebra import Presentation, basis_keys, vector_key
 from qci.builder import build_structure, decide
 from qci.demos import example_presentation, example_structure
@@ -345,7 +345,7 @@ class TestStructureSemantics:
         loaded = structure_from_json(obj)
         rep = verify_axioms(loaded)
         assert not rep.all_passed
-        assert any(c.name == "antipode-definition" for c in rep.failing())
+        assert any(c.name == "antipode-definition" for c in failing(rep))
 
 
 # -- every message of structure_from_json ------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import transposition
+from helpers import identity_permutation, transposition
 from qci.algebra import Presentation
 from qci.demos import example_presentation
 from qci.errors import (
@@ -82,7 +82,7 @@ class TestPermutationBasics:
         cycle = Permutation((2, 3, 1))
         assert not cycle.is_involution()
         assert cycle.inverse() == Permutation((3, 1, 2))
-        assert Permutation.identity(3) == Permutation((1, 2, 3))
+        assert identity_permutation(3) == Permutation((1, 2, 3))
         assert transposition(3, 2, 3) == swap
 
 
@@ -92,7 +92,7 @@ class TestCompatibility:
         got = enumerate_compatible(P)
         assert [str(p) for p in got] == ["[1,3,2]", "[2,1,3]", "[3,2,1]"]
         # the identity and the 3-cycles fail the q condition for generic b
-        assert not is_compatible(P, Permutation.identity(3))
+        assert not is_compatible(P, identity_permutation(3))
         assert not is_compatible(P, Permutation((2, 3, 1)))
 
     def test_symmetric_example_all_permutations(self):
@@ -108,11 +108,11 @@ class TestCompatibility:
     def test_exponent_mismatch(self):
         P = presentation(Q, (2, 3), {(1, 2): "1"})
         assert not is_compatible(P, Permutation((2, 1)))
-        assert is_compatible(P, Permutation.identity(2))
+        assert is_compatible(P, identity_permutation(2))
 
     def test_size_mismatch(self):
         P = presentation(Q, (2, 3), {(1, 2): "1"})
-        assert not is_compatible(P, Permutation.identity(3))
+        assert not is_compatible(P, identity_permutation(3))
 
     def test_enumeration_bound(self):
         P = presentation(Q, (2, 2), {(1, 2): "1"})
@@ -154,7 +154,7 @@ class TestEnumerationOracle:
 class TestQPi:
     def test_identity_witness_sign(self):
         P = presentation(Q, (2, 2), {(1, 2): "-1"})
-        assert q_pi(P, Permutation.identity(2)) == -Q.one
+        assert q_pi(P, identity_permutation(2)) == -Q.one
 
     def test_single_fixed_point_is_trivial(self):
         P = example_presentation("6.10", C8)
@@ -179,7 +179,7 @@ class TestPartition:
 
     def test_i4_split(self):
         P = presentation(Q, (3, 4, 4), {(1, 2): "-1", (1, 3): "1", (2, 3): "1"})
-        rep = partition(P, Permutation.identity(3))
+        rep = partition(P, identity_permutation(3))
         assert rep.i4 == (1,)
         assert rep.i1 == (2, 3)
 
@@ -188,7 +188,7 @@ class TestPartition:
         with pytest.raises(NotInvolutionError):
             partition(P, Permutation((2, 3, 1)))
         with pytest.raises(NotCompatibleError):
-            partition(P, Permutation.identity(3))
+            partition(P, identity_permutation(3))
 
     def test_sign_classification_needs_h_order_two(self):
         F13 = make_field("prime", 13)
@@ -199,7 +199,7 @@ class TestPartition:
     def test_char_two_report(self):
         F2 = make_field("prime", 2)
         P = presentation(F2, (2, 2), {(1, 2): "1"})
-        rep = partition(P, Permutation.identity(2))
+        rep = partition(P, identity_permutation(2))
         assert rep.char_two
         assert rep.fixed == (1, 2)
         assert rep.i1 == ()

@@ -39,9 +39,6 @@ UNREFERENCED = {
     "builder.closed_form_c": "documented API: the literal scalars of each regime",
     "builder.BfaStructure.from_tables": "documented API: tables on vectors and Scalars",
     "cli._Parser.error": "argparse calls it on a usage error",
-    "algebra.Presentation.nakayama": "public method of an exported class, read by tests",
-    "permutations.Permutation.identity": "public method of an exported class, read by tests",
-    "verify.VerificationReport.failing": "public method of a report class, read by tests",
 }
 
 

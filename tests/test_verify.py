@@ -14,6 +14,7 @@ from helpers import (
     bare_structure,
     delta_table,
     dual_functional,
+    failing,
     format1_blob,
     g_dict,
     left_coaction,
@@ -104,13 +105,13 @@ class TestAllPass:
     def test_axioms(self, B):
         rep = verify_axioms(B)
         assert [c.name for c in rep.checks] == list(AXIOM_CHECKS)
-        assert rep.all_passed, rep.failing()
+        assert rep.all_passed, failing(rep)
 
     @pytest.mark.parametrize("B", STRUCTURES, ids=lambda B: repr(B.presentation))
     def test_derived(self, B):
         rep = verify_derived(B)
         assert [c.name for c in rep.checks] == list(DERIVED_CHECKS)
-        assert rep.all_passed, rep.failing()
+        assert rep.all_passed, failing(rep)
 
     def test_report_formats(self):
         rep = verify_axioms(STRUCTURES[0])
@@ -216,9 +217,9 @@ class TestSensitivity:
         broken = negate_socle_entry(B, target)
         rep = verify_axioms(broken)
         assert not rep.all_passed
-        failing = {c.name: c.detail for c in rep.failing()}
-        assert "antipode-definition" in failing
-        assert failing["antipode-definition"]["v"] == list(target)
+        failed = {c.name: c.detail for c in failing(rep)}
+        assert "antipode-definition" in failed
+        assert failed["antipode-definition"]["v"] == list(target)
 
     def test_original_structure_unchanged(self):
         B = example_structure("6.9", C8)
@@ -234,7 +235,7 @@ class TestSensitivity:
             if v in (P.zero_vec, P.top):
                 continue
             rep = verify_axioms(negate_socle_entry(B, v))
-            assert any(c.name == "antipode-definition" for c in rep.failing())
+            assert any(c.name == "antipode-definition" for c in failing(rep))
 
     def test_tampered_antipode_breaks_antihomomorphism(self):
         B = example_structure("6.10", C8)
@@ -245,7 +246,7 @@ class TestSensitivity:
             B.presentation, B.witness, g_dict(B.presentation, B.g), B.delta, s_map
         )
         rep = verify_axioms(tampered)
-        names = {c.name for c in rep.failing()}
+        names = {c.name for c in failing(rep)}
         assert "antipode-antihomomorphism" in names or "antipode-definition" in names
 
     @pytest.mark.parametrize(
@@ -267,11 +268,11 @@ class TestSensitivity:
             rep = verify_axioms(
                 BfaStructure.from_tables(P, B.witness, g_dict(P, B.g), B.delta, s_map)
             )
-            failing = {c.name: c.detail for c in rep.failing()}
-            assert failing["antipode-antihomomorphism"] == first_antihomomorphism_failure(
+            failed = {c.name: c.detail for c in failing(rep)}
+            assert failed["antipode-antihomomorphism"] == first_antihomomorphism_failure(
                 P, s_map
             ), v
-            assert failing["antipode-definition"]["v"] == list(v)
+            assert failed["antipode-definition"]["v"] == list(v)
 
 
 def with_s_map(B, s_map, delta=None):
@@ -513,8 +514,8 @@ class TestImagesOffBasis:
         x2 = B.presentation.unit_vec(2)
         T = moved_image(B, x2, B.presentation.a[0])
         assert T.s_map[x2][0] == (2, 0, 1)
-        failing = {c.name: c.detail for c in verify_axioms(T).failing()}
-        assert failing["antipode-coalgebra-antihomomorphism"] == {"v": [0, 1, 0], "at": "delta"}
+        failed = {c.name: c.detail for c in failing(verify_axioms(T))}
+        assert failed["antipode-coalgebra-antihomomorphism"] == {"v": [0, 1, 0], "at": "delta"}
 
     @pytest.mark.parametrize("B", REFERENCE_STRUCTURES, ids=lambda B: repr(B.presentation))
     def test_every_moved_image_fails_coalgebra_antihomomorphism(self, B):
@@ -522,7 +523,7 @@ class TestImagesOffBasis:
         for v in P.basis():
             for shift in (-P.a[0], P.a[0]):
                 rep = verify_axioms(moved_image(B, v, shift))
-                detail = {c.name: c.detail for c in rep.failing()}[
+                detail = {c.name: c.detail for c in failing(rep)}[
                     "antipode-coalgebra-antihomomorphism"
                 ]
                 # S(1) off the basis already fails the counit half at v = 0
@@ -540,21 +541,21 @@ class TestImagesOffBasis:
             for shift in (-P.a[0], P.a[0]):
                 rep = verify_derived(moved_image(B, v, shift))
                 assert [c.name for c in rep.checks] == list(DERIVED_CHECKS)
-                failing = {c.name: c.detail for c in rep.failing()}
+                failed = {c.name: c.detail for c in failing(rep)}
                 for name in COMPOSING_S:
-                    assert failing[name] == {"v": first}, (v, shift, name)
+                    assert failed[name] == {"v": first}, (v, shift, name)
 
     def test_example_6_9_details_name_the_moved_image(self):
         B = example_structure("6.9")
         x1 = B.presentation.unit_vec(1)
         for shift, image in ((2, "x1^3"), (-2, "x1^-1")):
             T = moved_image(B, x1, shift)
-            failing = {c.name: c.detail for c in verify_axioms(T).failing()}
-            assert failing["antipode-definition"] == {
+            failed = {c.name: c.detail for c in failing(verify_axioms(T))}
+            assert failed["antipode-definition"] == {
                 "v": [1, 0, 0], "expected": f"(1)*{image}", "actual": "(1)*x1"
             }
-            failing = {c.name: c.detail for c in verify_derived(T).failing()}
-            assert {name: failing[name] for name in COMPOSING_S} == {
+            failed = {c.name: c.detail for c in failing(verify_derived(T))}
+            assert {name: failed[name] for name in COMPOSING_S} == {
                 name: {"v": [1, 0, 0]} for name in COMPOSING_S
             }
 
@@ -596,7 +597,7 @@ class TestDeltaFactorsOffBasis:
         assert row != B.delta[x3]
         report = verify_derived(with_s_map(B, B.s_map, {**B.delta, x3: row}))
         assert [c.name for c in report.checks] == list(DERIVED_CHECKS)
-        assert {c.name: c.detail for c in report.failing()} == {
+        assert {c.name: c.detail for c in failing(report)} == {
             "fourth-power-formula": {"at": "off-basis"}
         }
 
@@ -611,18 +612,18 @@ class TestDeltaFactorsOffBasis:
         for v in P.basis():
             off = tuple(map(sum, zip(v, P.a)))
             row = B.delta[v] + [(off, P.zero_vec, P.field.one)]
-            failing = {
+            failed = {
                 c.name: c.detail
-                for c in verify_axioms(with_s_map(B, B.s_map, {**B.delta, v: row})).failing()
+                for c in failing(verify_axioms(with_s_map(B, B.s_map, {**B.delta, v: row})))
             }
-            assert failing["coassociativity"] == {"v": list(v), "at": "off-basis"}
-            assert failing["counit-law"] == {"v": list(v)}
+            assert failed["coassociativity"] == {"v": list(v), "at": "off-basis"}
+            assert failed["counit-law"] == {"v": list(v)}
             u = preimage[v]
-            assert failing["antipode-coalgebra-antihomomorphism"] == (
+            assert failed["antipode-coalgebra-antihomomorphism"] == (
                 {"v": list(u), "at": "delta"} if u < v else {"v": list(v), "at": "off-basis"}
             )
             expected = {"v": list(P.top), "at": "off-basis"} if v == P.top else None
-            assert failing.get("frobenius-copairing") == expected, v
+            assert failed.get("frobenius-copairing") == expected, v
 
 
 POWER_PERTURBATIONS = (
@@ -633,6 +634,7 @@ POWER_PERTURBATIONS = (
     "middle delta row gains a (u, 0) term",
     "right counit law broken",
     "delta factor off the basis",
+    "delta(1) scaled by c^4 and S(1) by c",
 )
 
 
@@ -646,6 +648,9 @@ def power_perturbation(B, kind, rng):
     that fourth-power-formula solves for alpha^{-1}.  A factor w off the
     basis is added to row v as (0, w) or (w, 0), or to delta(t) as (w, t) or
     (t, w), so that it reaches x_v <- alpha, alpha -> x_v, m or t <- phi.
+    delta(1) = c^4 1 (x) 1 with S(1) = c 1 makes alpha^{-1}(1) = c^{-4} and
+    S^4(1) = c^4 1: fourth-power-formula solves for alpha^{-1}, passes at 1
+    and fails at the first primitive row.
     """
     P = B.presentation
     field, basis = P.field, P.basis()
@@ -661,8 +666,12 @@ def power_perturbation(B, kind, rng):
     if kind == "delta(t) gains x1 (x) t":
         row = (P.unit_vec(1), P.top, field.one)
         return with_s_map(B, B.s_map, {**B.delta, P.top: B.delta[P.top] + [row]})
-    c = field.from_int(rng.choice([1, -1, 2]))
     zero = P.zero_vec
+    if kind == "delta(1) scaled by c^4 and S(1) by c":
+        c = field.from_int(rng.choice([2, 3]))
+        delta = {**B.delta, zero: [(zero, zero, c * c * c * c)]}
+        return with_s_map(B, {**B.s_map, zero: (zero, c)}, delta)
+    c = field.from_int(rng.choice([1, -1, 2]))
     if kind == "right counit law broken":
         row = B.delta[v]
         if rng.random() < 0.5:
@@ -739,22 +748,54 @@ VIEW_PERTURBATIONS = (
     "generator images swapped with non-generators",
     # the premise "row i is primitive" is "i not in B.rows"
     "primitive row stored explicitly",
+    # the premises of the certificates for delta(t): its terms at 1 and t,
+    # one term per left factor, and m = g_top 1
+    "delta(t) edge term scaled",
+    "delta(t) gains a term at 1 or t",
+    "delta(t) gains a term at a repeated left factor",
+    "delta(t) gains x_u (x) t",
+    "delta(t) term split in three",
 )
 
 # Perturbations that break a certificate's premise but no identity: every
 # check still passes, now by evaluation.
-HARMLESS_PERTURBATIONS = ("primitive row terms swapped", "primitive row stored explicitly")
+HARMLESS_PERTURBATIONS = (
+    "primitive row terms swapped",
+    "primitive row stored explicitly",
+    "delta(t) term split in three",
+)
 
 
 def view_perturbation(B, kind, rng):
     """B with one change of the kind named, its place drawn by rng.  An added
-    delta term has both factors in the basis."""
+    delta term has both factors in the basis.  A term x_u (x) t of delta(t)
+    with u != 0 makes m = g_top 1 + c x_u, which is not a constant; splitting
+    a term c x_u (x) x_w of delta(t) into c, d and -d keeps delta(t)."""
     P = B.presentation
     field, basis = P.field, P.basis()
-    zero, one = P.zero_vec, field.one
+    zero, one, top = P.zero_vec, field.one, P.top
     v = rng.choice(basis)
     row = B.delta[v]
     j = rng.randrange(len(row))
+    if kind.startswith("delta(t)"):
+        row, c = B.delta[top], field.from_int(rng.choice([1, -1, 2]))
+        if kind == "delta(t) edge term scaled":
+            edge = rng.choice([(zero, top), (top, zero)])
+            factor = field.from_int(rng.choice([0, 2, 3]))
+            row = [(u, w, coeff * factor if (u, w) == edge else coeff) for u, w, coeff in row]
+        elif kind == "delta(t) gains a term at 1 or t":
+            w = rng.choice(basis)
+            row = row + [(*rng.choice([(zero, w), (w, zero), (top, w)]), c)]
+        elif kind == "delta(t) gains a term at a repeated left factor":
+            u = rng.choice([u for u, _, _ in row if u not in (zero, top)])
+            row = row + [(u, rng.choice(basis[1:-1]), c)]
+        elif kind == "delta(t) gains x_u (x) t":
+            row = row + [(rng.choice(basis[1:]), top, c)]
+        else:
+            j = rng.randrange(len(row))
+            u, w, coeff = row[j]
+            row = row[:j] + [(u, w, coeff), (u, w, c), (u, w, -c)] + row[j + 1:]
+        return with_s_map(B, B.s_map, {**B.delta, top: row})
     if kind == "delta coefficient scaled or zeroed":
         u, w, c = row[j]
         term = (u, w, c * field.from_int(rng.choice([0, 2, 3])))
@@ -870,13 +911,15 @@ def test_coactions_match_reference(field, n, rng):
 
 
 def test_pair_checks_evaluate_subquadratically_many_products(monkeypatch):
-    """verify_axioms evaluates O(n^2 + dim) brackets, not dim^2.
+    """verify_axioms evaluates O(n^2) brackets, not dim^2 or dim.
 
     A passing structure is decided by the generator certificate of
     antipode-antihomomorphism, whose n dim pairs read their brackets from
-    tables built from the 2 n^2 brackets of generators, and
-    antipode-definition reads one bracket per basis vector.  Reading two
-    brackets for each certificate pair made up to 2 n dim + dim.
+    tables built from the 2 n^2 brackets of generators, and by the
+    one-term certificate of antipode-definition, whose table of
+    bracket(top - v, v) is built from n^2 more.  Reading two brackets for
+    each certificate pair made up to 2 n dim + dim, and one bracket per
+    basis vector in antipode-definition 2 n^2 + dim.
     """
     B = load_structure(str(GOLDEN / "d64-gf7.structure.json"))
     P = B.presentation
@@ -890,7 +933,23 @@ def test_pair_checks_evaluate_subquadratically_many_products(monkeypatch):
 
     monkeypatch.setattr(Presentation, "bracket_value", counted)
     assert verify_axioms(B).all_passed
-    assert len(calls) == 2 * P.n ** 2 + P.dim
+    assert len(calls) == 3 * P.n ** 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([F2, F7, make_field("prime", 13), C8]),
+    st.integers(min_value=2, max_value=4),
+    st.randoms(use_true_random=False),
+)
+def test_socle_brackets_match_bracket_value(field, n, rng):
+    """The table of antipode-definition's one-term certificate, built by
+    verify._socle_brackets from n^2 brackets of generators, is
+    bracket(top - v, v) for every basis vector v, 2 <= a_i <= 6."""
+    P = rand_presentation(rng, field, n, a_hi=6)
+    assert verify._socle_brackets(P) == [
+        P.bracket_value(P.complement(v), v) for v in P.basis()
+    ]
 
 
 @settings(max_examples=40, deadline=None)
@@ -969,8 +1028,8 @@ def test_first_non_involutive_generator_is_the_last_one():
     expected = reference_presentation_checks(B)
     assert expected["nakayama-involutive"]["detail"] == {"v": [0, 1, 0], "h": "2"}
     assert presentation_entries(B) == expected
-    failing = [name for name, e in expected.items() if not e["passed"]]
-    assert failing == ["nakayama-involutive"]
+    failed = [name for name, e in expected.items() if not e["passed"]]
+    assert failed == ["nakayama-involutive"]
 
 
 # -- count gates on one seeded d256 structure -------------------------------------
@@ -1046,21 +1105,28 @@ def test_hopf_flag_evaluates_few_pairs(monkeypatch, zero_delta, pairs, scalars):
 
 
 # Payload sums (_add_value) of verify_axioms, verify_derived and
-# primitive_space_dim on seeded_d256, per term of delta(t): coassociativity
-# expands the rows of 1 and t (6), antipode-coalgebra-antihomomorphism
-# expands delta(t) on both sides (2), antipode-definition and the column of t
-# sum delta(t) once each (2), nakayama-via-antipode applies S twice per basis
-# vector (2), and a few more terms come from the rows of 1 and t.  Expanding
-# every primitive row as well made 6 900 sums, 26.95 per term.
-SUMS_PER_TERM_OF_DELTA_T = 13
+# primitive_space_dim on a built structure, per term of delta(t):
+# antipode-coalgebra-antihomomorphism expands delta(t) on both sides (2), the
+# column of t sums delta(t) once (1), and a few more terms come from the rows
+# of 1 and t: 3.11 per term at d256 and 3.01 at d4096.  Expanding delta(t) in
+# coassociativity (6), summing it in antipode-definition (1) and applying S
+# twice per basis vector in nakayama-via-antipode (2) made 12.07 per term at
+# d256, under the bound of 13 this replaces, with 288 brackets and 512
+# applications of S; expanding every primitive row as well made 26.95.
+SUMS_PER_TERM_OF_DELTA_T = 4
 
 
-def test_built_structure_expands_only_the_rows_of_one_and_t(monkeypatch):
-    """The certificates decide every primitive row, the Frobenius copairing
-    and the primitive space: with rref raising, verify_axioms,
-    verify_derived and primitive_space_dim pass, and the payload sums are
-    bounded by a constant times the number of terms of delta(t)."""
-    B = seeded_d256()
+@pytest.mark.parametrize("a", [(4, 4, 4, 4), (16, 16, 16)], ids=["d256", "d4096"])
+def test_built_structure_expands_only_the_rows_of_one_and_t(monkeypatch, a):
+    """The certificates decide every primitive row, the row of t in
+    coassociativity and antipode-definition, the primitive rows of the two
+    S-power formulas, the Frobenius copairing and the primitive space: with
+    rref raising, verify_axioms, verify_derived and primitive_space_dim
+    pass, the payload sums are bounded by a constant times the number of
+    terms of delta(t), the brackets by 3 n^2 (the tables of the
+    anti-homomorphism and the antipode definition), and S is applied to
+    elements only for the rows of 1 and t."""
+    B = seeded(a)
     P = B.presentation
 
     def no_elimination(rows):
@@ -1068,18 +1134,26 @@ def test_built_structure_expands_only_the_rows_of_one_and_t(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", no_elimination)
     monkeypatch.setattr(verify, "rref", no_elimination)
-    calls = {"sums": 0}
-    original = verify._add_value
+    calls = {"sums": 0, "brackets": 0, "apply": 0}
 
-    def counted(*args):
-        calls["sums"] += 1
-        original(*args)
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
 
-    monkeypatch.setattr(verify, "_add_value", counted)
+        return wrapper
+
+    monkeypatch.setattr(verify, "_add_value", counted("sums", verify._add_value))
+    monkeypatch.setattr(verify, "_apply", counted("apply", verify._apply))
+    monkeypatch.setattr(
+        Presentation, "bracket_value", counted("brackets", Presentation.bracket_value)
+    )
     assert verify_axioms(B).all_passed
     assert verify_derived(B).all_passed
     assert primitive_space_dim(B) == P.dim - 2
     assert calls["sums"] <= SUMS_PER_TERM_OF_DELTA_T * len(B.row(P.dim - 1))
+    assert calls["brackets"] <= 3 * P.n ** 2
+    assert calls["apply"] <= 2 * len(B.rows)
 
 
 def test_repeated_right_factor_fails_the_copairing_with_its_rank():
@@ -1241,10 +1315,11 @@ def test_from_tables_stores_exactly_the_rows_that_are_not_primitive():
 
 
 # A full verification of seeded((16, 16, 16)), loaded from its file, peaks at
-# 3.60-3.72 MiB of traced allocations over a 0.49-0.61 MiB loaded structure
-# (Python 3.11.7), which stores the rows of 1 and t only.  Storing every
-# primitive row read 4.53-4.65 MiB over 1.42-1.54 MiB in the same sitting;
-# an earlier sitting read 4.9-5.0 MiB over 2.0-2.1 MiB there, as when every
+# 2.07 MiB of traced allocations over a 0.61 MiB loaded structure (Python
+# 3.11.7), which stores the rows of 1 and t only, and 3.72 MiB when
+# coassociativity expanded delta(t), in the same sitting.  In an earlier
+# sitting, storing every primitive row read 4.53-4.65 MiB over 1.42-1.54 MiB;
+# one before it read 4.9-5.0 MiB over 2.0-2.1 MiB there, as when every
 # primitive row was expanded and the copairing eliminated (4.9-5.1 MiB).
 # Keying coassociativity's expansion of delta(t) by one int instead of
 # (p, q, w) read 4.3-4.4 MiB, at no measured gain in time.  When
