@@ -55,7 +55,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process: parsing keeps
+    no state in it, so each run shares it."""
     parser = _Parser(prog="qci", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
 

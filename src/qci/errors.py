@@ -10,7 +10,8 @@ class NotPrimeError(QciError):
 
 
 class InvalidOrderError(QciError):
-    """The order handed to a cyclotomic field is not a positive integer."""
+    """The order handed to a cyclotomic field is not a positive integer, or
+    exceeds scalars.MAX_CYCLOTOMIC_ORDER."""
 
 
 class ScalarSyntaxError(QciError):

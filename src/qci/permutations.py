@@ -46,12 +46,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(inv)
-
     def is_involution(self) -> bool:
         return all(self(self(i)) == i for i in range(1, self.n + 1))
 

@@ -380,6 +380,11 @@ class PrimeField(Field):
         return hash(("prime", self.p))
 
 
+# the reduction table of Q(zeta_m) holds up to about deg(Phi_m)^2 entries, so
+# orders are bounded before Phi_m is computed
+MAX_CYCLOTOMIC_ORDER = 1000
+
+
 class CyclotomicField(Field):
     """Q(zeta_m): payloads are residues mod the m-th cyclotomic polynomial.
 
@@ -398,6 +403,10 @@ class CyclotomicField(Field):
     def __init__(self, m: int):
         if not isinstance(m, int) or m < 1:
             raise InvalidOrderError(f"cyclotomic order {m!r} must be a positive integer")
+        if m > MAX_CYCLOTOMIC_ORDER:
+            raise InvalidOrderError(
+                f"cyclotomic order {m} exceeds the limit of {MAX_CYCLOTOMIC_ORDER}"
+            )
         self.m = m
         self.modulus = tuple(int(c) for c in cyclotomic_polynomial(m))
         self.degree = d = len(self.modulus) - 1

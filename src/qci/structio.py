@@ -16,18 +16,21 @@ witness, so a file whose g and s entries were perturbed consistently is
 accepted here and left for the verifier to reject.
 
 A structure file repeats a few literals and the dim basis keys many times
-over.  One load therefore parses each distinct literal once, and a file in
-the layout save_structure writes is read positionally: its g and s tables
-are compared with the canonical keys as whole lists (_positional_tables).
-Any other file resolves each key through a dict of the canonical basis keys
-(_basis_table).  The memos live only for the call that builds them.  Saving
-likewise spells each basis key and formats each distinct scalar once, and
-writes the compact text of one json.dumps call.
+over.  One reader serves every file: it puts each of g, s and the format-1
+delta block in basis order once (_Keys.table), by position when its keys
+are the canonical ones in the order save_structure writes, else by
+resolving each key, and then runs every check once on whole lists: one type
+set, one parse per distinct literal, one zero test per distinct payload,
+one comparison of the image texts.  Only a check that fails walks the
+entries, to name the first bad one.  The memos live only for the call that
+builds them.  Saving likewise spells each basis key and formats each
+distinct scalar once, and writes the compact text of one json.dumps call.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 from .algebra import Presentation, basis_keys, parse_vector_key, vector_key
 from .builder import (
@@ -177,6 +180,8 @@ def _read_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FileSyntaxError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FileSyntaxError("not valid JSON: nested too deeply to read") from None
     except UnicodeDecodeError as exc:
         raise FileSyntaxError(f"not valid UTF-8: {exc}") from None
     except OSError as exc:
@@ -204,160 +209,128 @@ def save_structure(B: BfaStructure, path: str) -> None:
     _write_text(path, json.dumps(structure_to_json(B)) + "\n")
 
 
-def _parse_key(text, n: int) -> tuple:
-    try:
-        return parse_vector_key(str(text), n)
-    except ValueError as exc:
-        raise FileSyntaxError(str(exc)) from None
+class _Keys:
+    """The canonical keys of a presentation's basis, in basis order, and the
+    one resolver of the keys a file spells."""
+
+    def __init__(self, P: Presentation):
+        self.keys = basis_keys(P.a)
+        self.n = P.n
+
+    @cached_property
+    def _lookup(self) -> dict:
+        # built by the first key resolved, so a file whose tables are all in
+        # canonical order never builds it
+        return dict(zip(self.keys, range(len(self.keys))))
+
+    def index(self, text):
+        """The basis index of the vector text names, or None for a
+        well-formed key off the basis; only spellings other than the
+        canonical one (" 0,1", "00,1") are parsed and range-checked."""
+        i = self._lookup.get(text) if isinstance(text, str) else None
+        if i is None:
+            try:
+                v = parse_vector_key(str(text), self.n)
+            except ValueError as exc:
+                raise FileSyntaxError(str(exc)) from None
+            i = self._lookup.get(vector_key(v))
+        return i
+
+    def table(self, obj, name: str) -> tuple[list, list]:
+        """The keys as the file spells them and the values of a table keyed
+        by every basis vector, both in basis order.  A table in canonical
+        order is read by position; any other resolves each key."""
+        if not isinstance(obj, dict):
+            raise FileSyntaxError(f"{name} must be an object keyed by exponent vectors")
+        keys = self.keys
+        if list(obj) == keys:
+            return keys, list(obj.values())
+        spelled, values = [None] * len(keys), [None] * len(keys)
+        for key, value in obj.items():
+            i = self.index(key)
+            if i is None:
+                raise FileSemanticError(f"{name} key {key!r} is outside the basis")
+            if spelled[i] is not None:
+                raise FileSemanticError(f"{name} names {keys[i]} twice")
+            spelled[i], values[i] = key, value
+        if None in spelled:
+            raise FileSemanticError(f"{name} is missing {keys[spelled.index(None)]}")
+        return spelled, values
 
 
-def _vector(P: Presentation, vectors: dict, text):
-    """The basis vector text names, or None for a well-formed key off the basis.
+def _nonzero_scalars(field: Field, texts: list, literals: dict, where, zero) -> list:
+    """The payloads of texts, each of which must name a nonzero scalar.
 
-    vectors maps each canonical key to its basis vector; only other spellings
-    (" 0,1", "00,1") are parsed and range-checked.
+    The common case takes whole-list steps: one type set, each distinct text
+    parsed once through literals, one zero test per distinct payload.  Only
+    when one of them fails are the entries walked, and the first bad entry i
+    raises 'bad {where(i)}: ...', or zero(i) when every entry parses.
     """
-    v = vectors.get(text) if isinstance(text, str) else None
-    if v is None:
-        v = _parse_key(text, P.n)
-        if not P.in_basis(v):
-            return None
-    return v
+    if set(map(type, texts)) == {str}:
+        distinct = set(texts)
+        try:
+            for text in distinct.difference(literals):
+                literals[text] = field.parse(text)
+        except QciError:
+            pass
+        else:
+            payload = {text: literals[text].value for text in distinct}
+            if not any(map(field._is_zero, payload.values())):
+                return list(map(payload.__getitem__, texts))
+    values = [
+        _scalar(field, text, where(i), literals).value for i, text in enumerate(texts)
+    ]
+    for i, x in enumerate(values):
+        if field._is_zero(x):
+            raise FileSemanticError(zero(i))
+    return values
 
 
-def _basis_table(obj, name: str, P: Presentation, vectors: dict, entry) -> dict:
-    """A table keyed by every basis vector; entry(key, value) reads one value."""
-    if not isinstance(obj, dict):
-        raise FileSyntaxError(f"{name} must be an object keyed by exponent vectors")
-    table = {}
-    for key, value in obj.items():
-        v = _vector(P, vectors, key)
-        if v is None:
-            raise FileSemanticError(f"{name} key {key!r} is outside the basis")
-        if v in table:
-            raise FileSemanticError(f"{name} names {vector_key(v)} twice")
-        table[v] = entry(key, value)
-    for v in P.basis():
-        if v not in table:
-            raise FileSemanticError(f"{name} is missing {vector_key(v)}")
-    return table
-
-
-def _check_delta_block(block, B: BfaStructure, vectors: dict, literals: dict):
+def _check_delta_block(block, B: BfaStructure, basis: _Keys, literals: dict):
     """Check the delta block of a format-1 file against the rows of the
     rebuilt structure B."""
-    P, index = B.presentation, B.presentation.positions()
-
-    def delta_row(key, rows):
+    P = B.presentation
+    spelled, entries = basis.table(block, "delta")
+    given = []
+    for key, rows in zip(spelled, entries):
         if not isinstance(rows, list):
             raise FileSyntaxError(f"delta[{key}] must be a list of terms")
         terms = []
-        where = f"coefficient in delta[{key}]"
         for row in rows:
             if not isinstance(row, list) or len(row) != 3:
                 raise FileSyntaxError(f"delta[{key}] terms must be [u, w, coeff]")
-            u = _vector(P, vectors, row[0])
-            w = _vector(P, vectors, row[1])
+            u, w = basis.index(row[0]), basis.index(row[1])
             if u is None or w is None:
                 raise FileSemanticError(f"delta[{key}] has a term outside the basis")
-            coeff = _scalar(P.field, row[2], where, literals)
+            coeff = _scalar(P.field, row[2], f"coefficient in delta[{key}]", literals)
             if coeff.is_zero():
                 raise FileSemanticError(f"delta[{key}] has a zero coefficient")
-            terms.append((index[u], index[w], coeff.value))
-        return terms
-
-    given = _basis_table(block, "delta", P, vectors, delta_row)
+            terms.append((u, w, coeff.value))
+        given.append(terms)
     wrong_row = {
         0: "delta at the zero vector must be 1 (x) 1",
         P.dim - 1: "delta at the top vector disagrees with g",
     }
     # in basis order: the zero row first, the top row last
-    for i, v in enumerate(P.basis()):
+    for i, terms in enumerate(given):
         row = {}
-        for u, w, coeff in given[v]:
+        for u, w, coeff in terms:
             if (u, w) in row:
-                raise FileSemanticError(f"delta[{vector_key(v)}] repeats a tensor term")
+                raise FileSemanticError(f"delta[{basis.keys[i]}] repeats a tensor term")
             row[(u, w)] = coeff
         if row != {(u, w): coeff for u, w, coeff in B.row(i)}:
             raise FileSemanticError(
                 wrong_row.get(i)
-                or f"delta[{vector_key(v)}] must be primitive below the top vector"
+                or f"delta[{basis.keys[i]}] must be primitive below the top vector"
             )
-
-
-def _positional_tables(obj, P: Presentation, keys: list, images: list, literals: dict):
-    """The payloads (g, s_coef) of a format-2 file laid out as save_structure
-    writes it, or None when any part of this premise fails:
-
-      (1) g and s are objects whose keys are exactly keys = basis_keys(P.a),
-          in that order (one list comparison each);
-      (2) every s entry is a 2-element list, every g value and every s
-          coefficient is a string;
-      (3) the image texts are [keys[k] for k in images], images being
-          image_indices(P, pi);
-      (4) each distinct literal of g parses, through the shared memo
-          literals, to a nonzero scalar, and g is 1 at the first and the
-          last key;
-      (5) likewise for the distinct coefficients of s, and the last is 1.
-
-    Certificate that the per-key reader (_basis_table and the checks after
-    it in structure_from_json) would accept the file and build the same
-    structure: by (1) every key is canonical, so _vector finds it in the
-    dict of canonical keys, no basis vector is named twice (the keys of the
-    basis are distinct) and none is missing; by (2) every row has the shape
-    that reader asks for; by (3) the image at key i is the canonical key of
-    basis[images[i]], so it lies in the basis, its index is images[i] as the
-    pi-image check requires, and at the top it is the top vector, since a
-    compatible pi preserves the exponents; (4) and (5) decide the checks on
-    literals (every entry parses and is nonzero), g's boundary and S's top
-    coefficient.  That reader would then hold g_v and the coefficient of
-    S(x_v) at v = basis[i] as the payloads read here at i.
-
-    (1)-(3) raise nothing, and a literal that fails to parse returns None,
-    so the per-key reader names it.
-    """
-    g, s = obj["g"], obj["s"]
-    if not (isinstance(g, dict) and isinstance(s, dict) and list(g) == keys == list(s)):
-        return None
-    g_texts, entries = list(g.values()), list(s.values())
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
-        return None
-    image_texts, coef_texts = zip(*entries)
-    if set(map(type, g_texts)) != {str} or set(map(type, coef_texts)) != {str}:
-        return None
-    if list(image_texts) != list(map(keys.__getitem__, images)):
-        return None
-    field, one = P.field, P.field.one.value
-    payloads = {}
-
-    def read(texts):
-        """The payloads of texts, or None unless each parses to a nonzero scalar."""
-        for text in dict.fromkeys(texts):
-            if text not in payloads:
-                try:
-                    x = _scalar(field, text, "literal", literals).value
-                except FileSyntaxError:
-                    return None
-                if field._is_zero(x):
-                    return None
-                payloads[text] = x
-        return list(map(payloads.__getitem__, texts))
-
-    g_values = read(g_texts)
-    if g_values is None or g_values[0] != one or g_values[-1] != one:
-        return None
-    s_coef = read(coef_texts)
-    if s_coef is None or s_coef[-1] != one:
-        return None
-    return g_values, s_coef
 
 
 def structure_from_json(obj) -> BfaStructure:
     """The structure a file's JSON object describes.
 
-    A format-2 file in the layout save_structure writes is read positionally
-    (_positional_tables); any other file, and any format-1 file, goes
-    through the per-key reader below, which raises every loader message.
+    Each table is put in basis order once (_Keys.table); every check then
+    runs once on the whole lists, and walks the entries only to name the
+    first one that fails it.
     """
     if not isinstance(obj, dict):
         raise FileSyntaxError("structure must be an object")
@@ -379,7 +352,7 @@ def structure_from_json(obj) -> BfaStructure:
     P = presentation_from_json(obj["presentation"], literals)
     field = P.field
     n = P.n
-    one = field.one
+    one = field.one.value
 
     try:
         pi = Permutation(tuple(_int(x, "pi entry") for x in obj["pi"]))
@@ -400,52 +373,46 @@ def structure_from_json(obj) -> BfaStructure:
     except WitnessInvalidError as exc:
         raise FileSemanticError(str(exc)) from None
 
-    keys = basis_keys(P.a)
+    basis = _Keys(P)
+    keys = basis.keys
     images = image_indices(P, pi)
-    tables = _positional_tables(obj, P, keys, images, literals) if version == 2 else None
-    if tables is not None:
-        g, s_coef = tables
-        return BfaStructure(P, witness, g, comultiplication(P, images, g), images, s_coef)
 
-    vectors = dict(zip(keys, P.basis()))
-    g_entries = _basis_table(
-        obj["g"],
-        "g",
-        P,
-        vectors,
-        lambda key, text: _scalar(field, text, f"g[{key}]", literals),
+    g_keys, g_texts = basis.table(obj["g"], "g")
+    g = _nonzero_scalars(
+        field,
+        g_texts,
+        literals,
+        lambda i: f"g[{g_keys[i]}]",
+        lambda i: f"g[{keys[i]}] must be nonzero",
     )
-    for v in P.basis():
-        if g_entries[v].is_zero():
-            raise FileSemanticError(f"g[{vector_key(v)}] must be nonzero")
-    if g_entries[P.zero_vec] != one or g_entries[P.top] != one:
+    if g[0] != one or g[-1] != one:
         raise FileSemanticError("g must be 1 at the zero and top vectors")
-
-    g = [g_entries[v].value for v in P.basis()]
     B = BfaStructure(P, witness, g, comultiplication(P, images, g), images, s_coef=[])
     if version == 1:
-        _check_delta_block(obj["delta"], B, vectors, literals)
+        _check_delta_block(obj["delta"], B, basis, literals)
 
-    def s_row(key, row):
-        if not isinstance(row, list) or len(row) != 2:
-            raise FileSyntaxError(f"s[{key}] must be [image, coeff]")
-        img = _vector(P, vectors, row[0])
-        if img is None:
-            raise FileSemanticError(f"s[{key}] image is outside the basis")
-        return img, _scalar(field, row[1], f"coefficient in s[{key}]", literals)
-
-    s_entries = _basis_table(obj["s"], "s", P, vectors, s_row)
-    index = P.positions()
-    for v, image in zip(P.basis(), images):
-        img, coeff = s_entries[v]
-        if coeff.is_zero():
-            raise FileSemanticError(f"s[{vector_key(v)}] has a zero coefficient")
-        if index[img] != image:
-            raise FileSemanticError(f"s[{vector_key(v)}] must land on the pi-image")
-        B.s_coef.append(coeff.value)
-    if s_entries[P.top] != (P.top, one):
+    s_keys, entries = basis.table(obj["s"], "s")
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        for key, entry in zip(s_keys, entries):
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise FileSyntaxError(f"s[{key}] must be [image, coeff]")
+    image_texts, coef_texts = zip(*entries)
+    if list(image_texts) != list(map(keys.__getitem__, images)):
+        for key, canonical, text, image in zip(s_keys, keys, image_texts, images):
+            i = basis.index(text)
+            if i is None:
+                raise FileSemanticError(f"s[{key}] image is outside the basis")
+            if i != image:
+                raise FileSemanticError(f"s[{canonical}] must land on the pi-image")
+    B.s_coef = _nonzero_scalars(
+        field,
+        coef_texts,
+        literals,
+        lambda i: f"coefficient in s[{s_keys[i]}]",
+        lambda i: f"s[{keys[i]}] has a zero coefficient",
+    )
+    if B.s_coef[-1] != one:
         raise FileSemanticError("s must fix the top monomial with coefficient 1")
-
     return B
 
 

@@ -82,6 +82,15 @@ class TestTopLevel:
     def test_missing_file(self, capsys):
         assert run(["validate", "/nonexistent/path.json"]) == 1
 
+    def test_usage_error_leaves_the_next_run_unchanged(self, p69, capsys):
+        # every run shares one parser
+        assert run(["decide", p69, "--json"]) == 0
+        first = capsys.readouterr()
+        assert run(["decide", p69, "--bogus"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert run(["decide", p69, "--json"]) == 0
+        assert capsys.readouterr() == first
+
 
 class TestValidate:
     def test_valid(self, p69, capsys):
@@ -99,6 +108,13 @@ class TestValidate:
         assert run(["validate", not_utf8]) == 1
         assert capsys.readouterr().err.startswith("error: not valid UTF-8: ")
 
+    @pytest.mark.parametrize("command", ["validate", "verify"])
+    def test_nested_too_deeply(self, tmp_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert run([command, str(deep)]) == 1
+        assert capsys.readouterr().err == "error: not valid JSON: nested too deeply to read\n"
+
     def test_semantic_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -113,6 +129,15 @@ class TestValidate:
         )
         assert run(["validate", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_huge_cyclotomic_order(self, tmp_path, capsys):
+        bad = tmp_path / "huge.json"
+        field = {"kind": "cyclotomic", "m": 10**30}
+        bad.write_text(json.dumps({"field": field, "n": 1, "a": [2], "q": [["1"]]}))
+        assert run(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cyclotomic order {10**30} exceeds the limit of 1000\n"
+        )
 
     def test_dimension_cap_env(self, tmp_path, monkeypatch, capsys):
         big = tmp_path / "big.json"

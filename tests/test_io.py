@@ -1,6 +1,8 @@
 """Save/load round trips and the two-layer file validation."""
 
+import contextlib
 import copy
+import io
 import itertools
 import json
 import re
@@ -17,8 +19,9 @@ import qci.structio
 from helpers import failing, format1_blob, g_dict, rand_compatible_involutive_h
 from qci.algebra import Presentation, basis_keys, vector_key
 from qci.builder import build_structure, decide
+from qci.cli import run
 from qci.demos import example_presentation, example_structure
-from qci.errors import FileSemanticError, FileSyntaxError, FileWriteError
+from qci.errors import FileSemanticError, FileSyntaxError, FileWriteError, QciError
 from qci.scalars import make_field
 from qci.structio import (
     field_from_json,
@@ -455,8 +458,8 @@ LOADER_MESSAGES = [
         "g key '0,2,0' is outside the basis",
     ),
     ("g-key-twice", BOTH, _put("g", "00,1,0", "1"), M, "g names 0,1,0 twice"),
-    ("g-scalar", BOTH, _put("g", "0,1,0", "z+"), S, "bad g[0,1,0]"),
     ("g-missing", BOTH, _drop("g", "0,1,0"), M, "g is missing 0,1,0"),
+    ("g-scalar", BOTH, _put("g", "0,1,0", "z+"), S, "bad g[0,1,0]"),
     ("g-zero", BOTH, _put("g", "0,1,0", "0"), M, "g[0,1,0] must be nonzero"),
     (
         "g-boundary",
@@ -479,6 +482,7 @@ LOADER_MESSAGES = [
         M,
         "delta key '0,2,0' is outside the basis",
     ),
+    ("delta-missing", V1, _drop("delta", "0,1,0"), M, "delta is missing 0,1,0"),
     (
         "delta-row",
         V1,
@@ -521,7 +525,6 @@ LOADER_MESSAGES = [
         M,
         "delta[0,1,0] has a zero coefficient",
     ),
-    ("delta-missing", V1, _drop("delta", "0,1,0"), M, "delta is missing 0,1,0"),
     (
         "delta-zero-row",
         V1,
@@ -558,6 +561,7 @@ LOADER_MESSAGES = [
         M,
         "s key '0,2,0' is outside the basis",
     ),
+    ("s-missing", BOTH, _drop("s", "0,1,0"), M, "s is missing 0,1,0"),
     (
         "s-row",
         BOTH,
@@ -580,26 +584,25 @@ LOADER_MESSAGES = [
         "s[0,1,0] image is outside the basis",
     ),
     (
+        "s-pi-image",
+        BOTH,
+        _put("s", "0,1,0", ["0,1,0", "1"]),
+        M,
+        "s[0,1,0] must land on the pi-image",
+    ),
+    (
         "s-scalar",
         BOTH,
         _put("s", "0,1,0", ["0,0,1", "z+"]),
         S,
         "bad coefficient in s[0,1,0]",
     ),
-    ("s-missing", BOTH, _drop("s", "0,1,0"), M, "s is missing 0,1,0"),
     (
         "s-zero",
         BOTH,
         _put("s", "0,1,0", ["0,0,1", "0"]),
         M,
         "s[0,1,0] has a zero coefficient",
-    ),
-    (
-        "s-pi-image",
-        BOTH,
-        _put("s", "0,1,0", ["0,1,0", "1"]),
-        M,
-        "s[0,1,0] must land on the pi-image",
     ),
     (
         "s-top",
@@ -736,7 +739,7 @@ def test_load_parses_each_distinct_text_once(tmp_path, monkeypatch, version):
     assert structure_to_json(loaded) == structure_to_json(B)
 
 
-# -- the positional read of canonical files -----------------------------------
+# -- the one table reader: by position in canonical order, else by key ------
 
 
 @settings(max_examples=50, deadline=None)
@@ -747,39 +750,39 @@ def test_basis_keys_spell_the_basis(a):
 
 
 @pytest.fixture
-def positional(monkeypatch):
-    """The results of every _positional_tables call of the test, in order."""
-    results = []
-    read = qci.structio._positional_tables
+def resolved(monkeypatch):
+    """Every key text the loader resolves in the test, in order."""
+    texts = []
+    index = qci.structio._Keys.index
 
-    def recorded(*args):
-        results.append(read(*args))
-        return results[-1]
+    def recorded(self, text):
+        texts.append(text)
+        return index(self, text)
 
-    monkeypatch.setattr(qci.structio, "_positional_tables", recorded)
-    return results
+    monkeypatch.setattr(qci.structio._Keys, "index", recorded)
+    return texts
 
 
-def test_canonical_file_is_read_positionally(blob, positional):
+def test_canonical_file_is_read_positionally(blob, resolved):
     assert structure_to_json(structure_from_json(copy.deepcopy(blob))) == blob
-    assert len(positional) == 1 and positional[0] is not None
+    assert resolved == []
 
 
-def test_reversed_key_order_loads_through_the_per_key_reader(blob, positional):
+def test_reversed_key_order_loads_through_the_per_key_reader(blob, resolved):
     obj = copy.deepcopy(blob)
     obj["g"] = dict(reversed(obj["g"].items()))
     obj["s"] = dict(reversed(obj["s"].items()))
     assert list(obj["s"])[0] == "1,1,1"
     assert structure_to_json(structure_from_json(obj)) == blob
-    assert positional == [None]
+    assert resolved == list(obj["g"]) + list(obj["s"])
 
 
-def test_alias_image_loads_through_the_per_key_reader(blob, positional):
+def test_alias_image_loads_through_the_per_key_reader(blob, resolved):
     obj = copy.deepcopy(blob)
     assert obj["s"]["0,0,1"][0] == "0,1,0"
     obj["s"]["0,0,1"][0] = "00,1,0"
     assert structure_to_json(structure_from_json(obj)) == blob
-    assert positional == [None]
+    assert resolved == [image for image, _ in obj["s"].values()]
 
 
 LONG_LITERAL = "9" * 5000
@@ -791,10 +794,11 @@ LONG_MESSAGE = (
 
 @pytest.mark.parametrize("respelled", [False, True])
 @pytest.mark.parametrize("section", ["g", "s"])
-def test_over_long_literal_is_a_syntax_error(tmp_path, blob, positional, section, respelled):
-    """A literal past int()'s digit limit fails the positional read and is
-    named by the per-key reader, in a canonical file and in one whose
-    entry's key is spelled another way."""
+def test_over_long_literal_is_a_syntax_error(tmp_path, blob, resolved, section, respelled):
+    """A literal past int()'s digit limit is named by its key as the file
+    spells it, in a canonical file, which resolves no key, and in one whose
+    entry's key is spelled another way, which resolves the keys of that
+    table only."""
     obj = copy.deepcopy(blob)
     key = "0,1,0"
     if section == "g":
@@ -810,7 +814,7 @@ def test_over_long_literal_is_a_syntax_error(tmp_path, blob, positional, section
     with pytest.raises(FileSyntaxError) as exc:
         load_structure(str(path))
     assert str(exc.value) == f"bad {where}: {LONG_MESSAGE}"
-    assert positional == [None]
+    assert resolved == (list(obj[section]) if respelled else [])
 
 
 def test_over_long_literal_in_a_presentation(blob):
@@ -822,44 +826,73 @@ def test_over_long_literal_in_a_presentation(blob):
 
 
 @pytest.mark.parametrize("source", ["blob1", "golden"])
-def test_format1_files_are_never_read_positionally(blob1, positional, source):
+def test_format1_files_read_g_and_s_positionally(blob1, resolved, source):
+    # the only keys resolved are the u and w of the delta terms
     if source == "golden":
-        loaded = load_structure(str(GOLDEN_STRUCTURE))
-        assert format1_blob(loaded) == json.loads(GOLDEN_STRUCTURE.read_text())
+        obj = json.loads(GOLDEN_STRUCTURE.read_text())
+        assert format1_blob(load_structure(str(GOLDEN_STRUCTURE))) == obj
     else:
+        obj = blob1
         assert format1_blob(structure_from_json(copy.deepcopy(blob1))) == blob1
-    assert positional == []
+    assert resolved == [key for rows in obj["delta"].values() for u, w, _ in rows for key in (u, w)]
+
+
+G_S_FAULTS = [case for case in LOADER_MESSAGES if case[0][:2] in ("g-", "s-")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(G_S_FAULTS),
+    st.sampled_from([1, 2]),
+    st.sets(st.sampled_from(["g", "delta", "s"]), min_size=1),
+)
+def test_a_fault_is_named_alike_in_either_key_order(case, version, reordered):
+    """One fault of g or s raises the same message in a canonical file and
+    in the same file with some of its tables in reversed key order."""
+    _, _, tamper, exc, fragment = case
+    blob = structure_to_json(example_structure("6.9", C8))
+    canonical = tamper(format1_blob(structure_from_json(blob)) if version == 1 else blob)
+    reversed_obj = copy.deepcopy(canonical)
+    for name in reordered:
+        if isinstance(reversed_obj.get(name), dict):
+            reversed_obj[name] = dict(reversed(reversed_obj[name].items()))
+    messages = []
+    for obj in (canonical, reversed_obj):
+        with pytest.raises(exc, match=re.escape(fragment)) as info:
+            structure_from_json(obj)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_d4096_load_and_save_spell_no_key_and_parse_each_literal_once(tmp_path, monkeypatch):
-    # the gate of the positional read: a canonical file at the dimension cap
-    # resolves no key and parses each distinct literal once, and saving it
-    # again spells no key through vector_key
+    # a canonical file at the dimension cap resolves no key and parses each
+    # distinct literal once, and saving it again spells no key through
+    # vector_key
     B = gf7_structure(
         (8, 8, 8, 8),
         {(1, 2): 4, (1, 3): 5, (1, 4): 6, (2, 3): 3, (2, 4): 6, (3, 4): 1},
     )
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     save_structure(B, str(first))
-    calls = {"vector_key": 0, "_vector": 0, "_parse_scalar": 0}
+    calls = {"vector_key": 0, "index": 0, "_parse_scalar": 0}
 
-    def counted(module, name):
-        original = getattr(module, name)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
     counted(qci.algebra, "vector_key")
     counted(qci.structio, "vector_key")
-    counted(qci.structio, "_vector")
+    counted(qci.structio._Keys, "index")
     counted(qci.scalars, "_parse_scalar")
     loaded = load_structure(str(first))
     save_structure(loaded, str(second))
     literals = file_literals(json.loads(first.read_text()))
-    assert calls == {"vector_key": 0, "_vector": 0, "_parse_scalar": len(literals)}
+    assert calls == {"vector_key": 0, "index": 0, "_parse_scalar": len(literals)}
     assert second.read_bytes() == first.read_bytes()
 
 
@@ -974,3 +1007,85 @@ def test_noncanonical_keys_load(drawn, rng, version):
             for k, rows in obj["delta"].items()
         }
     assert structure_to_json(structure_from_json(_through_text(obj))) == blob
+
+
+# -- a loader fuzzer ----------------------------------------------------------
+
+# type swaps, huge and odd literals, nested lists, NaN and Infinity
+ODD_VALUES = [
+    None, True, 0, -1, 2.5, 10**30, float("nan"), float("inf"),
+    "", "z+", "0,0", "0,2,0", LONG_LITERAL, [], {}, [[["1"]]],
+]
+MUTATIONS = ["replace", "wrap", "delete", "alias", "reverse"]
+
+
+def _nodes(node, path=()):
+    """The path of node and of every object value and list entry inside it."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _nodes(child, (*path, key))
+
+
+def _mutate(obj, path, kind, value):
+    """obj with one mutation at path: the node replaced by value, wrapped in
+    a list, deleted, named a second time under the alias "0" + key, or with
+    its entries in reversed order."""
+    value = copy.deepcopy(value)
+    if not path:
+        return {"replace": value, "wrap": [obj]}.get(kind, obj)
+    *head, last = path
+    parent = obj
+    for key in head:
+        parent = parent[key]
+    node = parent[last]
+    if kind == "replace":
+        parent[last] = value
+    elif kind == "wrap":
+        parent[last] = [node]
+    elif kind == "delete":
+        del parent[last]
+    elif kind == "alias" and isinstance(parent, dict):
+        parent["0" + last] = node
+    elif kind == "reverse" and isinstance(node, dict):
+        parent[last] = dict(reversed(node.items()))
+    elif kind == "reverse" and isinstance(node, list):
+        parent[last] = node[::-1]
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["structure-1", "structure-2", "presentation"]), st.data())
+def test_mutated_files_fail_only_with_loader_errors(tmp_path_factory, source, data):
+    """A mutant of the d64 golden structure (format 1 or 2) or of the
+    presentation of example 6.9 over Q(zeta_8) fails to load only with a
+    QciError, and `qci verify` or `qci validate` of it exits 0, 1 or 2 with
+    no traceback."""
+    if source == "presentation":
+        obj = presentation_to_json(example_presentation("6.9", C8))
+    else:
+        obj = json.loads(GOLDEN_STRUCTURE.read_text())
+        if source == "structure-2":
+            obj = structure_to_json(structure_from_json(obj))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        path = data.draw(st.sampled_from(list(_nodes(obj))))
+        kind = data.draw(st.sampled_from(MUTATIONS))
+        obj = _mutate(obj, path, kind, data.draw(st.sampled_from(ODD_VALUES)))
+    text = json.dumps(obj)
+    load = presentation_from_json if source == "presentation" else structure_from_json
+    try:
+        load(json.loads(text))
+    except QciError:
+        pass
+    file = tmp_path_factory.getbasetemp() / "mutant.json"
+    file.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(["validate" if source == "presentation" else "verify", str(file)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qci.scalars
 from helpers import (
     cyclo_coefficients,
     reference_cyclo_inverse,
@@ -20,11 +21,13 @@ from helpers import (
 )
 from qci.errors import (
     DivisionByZeroError,
+    InvalidOrderError,
     NotInFieldError,
     NotPrimeError,
     ScalarSyntaxError,
 )
 from qci.scalars import (
+    MAX_CYCLOTOMIC_ORDER,
     CyclotomicField,
     PrimeField,
     RationalField,
@@ -107,6 +110,18 @@ class TestFieldConstruction:
             make_field("prime", 6)
         with pytest.raises(NotPrimeError):
             make_field("prime", 1)
+
+    @pytest.mark.parametrize("m", [10**30, MAX_CYCLOTOMIC_ORDER + 1])
+    def test_cyclotomic_order_bound(self, monkeypatch, m):
+        # the bound is checked before Phi_m is computed
+        def unreachable(m):
+            raise AssertionError(f"order {m} was factored")
+
+        monkeypatch.setattr(qci.scalars, "cyclotomic_polynomial", unreachable)
+        monkeypatch.setattr(qci.scalars, "_prime_factors", unreachable)
+        message = f"cyclotomic order {m} exceeds the limit of {MAX_CYCLOTOMIC_ORDER}"
+        with pytest.raises(InvalidOrderError, match=message):
+            make_field("cyclotomic", m)
 
     def test_descriptor_round_trip(self):
         for text in ("rational", "prime:13", "cyclotomic:8"):
