@@ -100,9 +100,7 @@ def is_compatible(P: Presentation, pi: Permutation) -> bool:
     )
 
 
-def enumerate_compatible(
-    P: Presentation, involutions_only: bool = True, bound: int = ENUMERATION_BOUND
-) -> list:
+def enumerate_compatible(P: Presentation, involutions_only: bool = True) -> list:
     """All compatible permutations (involutions by default), in lexicographic
     order of their image tuples.
 
@@ -116,8 +114,8 @@ def enumerate_compatible(
     i -> j with (pi(k), k), by reciprocity.
     """
     n = P.n
-    if n > bound:
-        raise TooManyGeneratorsError(f"n = {n} exceeds the enumeration bound {bound}")
+    if n > ENUMERATION_BOUND:
+        raise TooManyGeneratorsError(f"n = {n} exceeds the enumeration bound {ENUMERATION_BOUND}")
     a, q = P.a, P.q_values
     columns = list(zip(*q))  # columns[i][k] = q[k][i]
     images = [None] * n  # 0-based: images[i] = pi(i + 1) - 1 once filled

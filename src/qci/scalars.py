@@ -318,6 +318,8 @@ class PrimeField(Field):
     kind = "prime"
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p > MAX_PRIME_MODULUS:
+            raise NotPrimeError(f"modulus {p} exceeds the limit of {MAX_PRIME_MODULUS}")
         if not isinstance(p, int) or not is_prime(p):
             raise NotPrimeError(f"modulus {p!r} is not prime")
         self.p = p
@@ -379,6 +381,10 @@ class PrimeField(Field):
     def __hash__(self):
         return hash(("prime", self.p))
 
+
+# is_prime and multiplicative_order divide by every odd d up to sqrt(p), so
+# moduli are bounded before the primality test
+MAX_PRIME_MODULUS = 2**31 - 1
 
 # the reduction table of Q(zeta_m) holds up to about deg(Phi_m)^2 entries, so
 # orders are bounded before Phi_m is computed

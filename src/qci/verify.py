@@ -14,42 +14,34 @@ carry a replayable counterexample.
 The checks read delta and S as the structure stores them (BfaStructure):
 rows of (key, key, payload) terms, an image array and a payload array.
 B.rows holds row 0 and every row that is not primitive, 1 (x) x_v +
-x_v (x) 1; B.row(i) reads any row, and "i not in B.rows" is the premise
-"row i is primitive".  The checks compare payloads, and build a Scalar or
-a tuple only for a failure detail; a check that would expand a delta
-factor or an S image off the basis, which is its own key, fails at
-"off-basis".  S, S^2, S^4 and h_v
-are payload arrays composed once (_Shared), since S sends each monomial to
-a multiple of one monomial; conjugation by m = g_top 1 is a scaling
-(_conjugation), and alpha^{-1} is the counit by a certificate
-(_fourth_power_formula).
+x_v (x) 1, and B.row(i) reads any row.  The checks compare payloads, and
+build a Scalar or a tuple only for a failure detail; a check that would
+expand a delta factor or an S image off the basis, which is its own key,
+fails at "off-basis".  S, S^2, S^4 and h_v are payload arrays composed once
+(_Shared), since S sends each monomial to a multiple of one monomial;
+conjugation by m is a scaling when m is a constant (_conjugation).
 
-More certificates skip evaluation where the tables have the shape the
-construction writes.  Each is proved in its docstring and falls back to
-evaluation where its premise fails, so no verdict or detail depends on it:
-  - a primitive row passes coassociativity (given delta(1) = 1 (x) 1),
-    counit-law and antipode-coalgebra-antihomomorphism (given a primitive
-    row at its S image) unexpanded, and its counit coactions are x_v
-    (_counit_hit), so fourth-power-formula reads only the stored rows;
-  - the row of t passes coassociativity unexpanded when every other row
-    but that of 1 is primitive and delta(t) is 1 (x) t + t (x) 1 plus terms
-    on the basis away from 1 and t;
-  - a row of antipode-definition with one term of delta(t) at its left
-    factor is one comparison, with bracket(top - v, v) from a table built
-    from the brackets of generators (_socle_brackets), not from the
-    builder's Presentation.quadratic_table;
-  - when m and m^{-1} are constants, a primitive row of
-    nakayama-via-antipode and, given alpha^{-1} = epsilon, of
-    fourth-power-formula is one comparison with S^2 or S^4 (_Shared);
-  - frobenius-copairing passes when delta(t) is a generalized permutation
-    matrix, read off its supports;
-  - the generator pairs of the anti-homomorphism add vectors as indices when
-    S sends the basis into the basis and generators to generators;
-  - primitive_space_dim reads only the stored rows, and counts nonzero
-    columns with disjoint supports.
-So a built structure expands only the row of 1 in coassociativity, sums
-delta(t) only in antipode-coalgebra-antihomomorphism and the primitive
-space, and calls no rref.
+One premise, decided once: whether delta has the shape the construction
+writes (_construction_shape), delta(1) = 1 (x) 1, every middle row
+primitive, and delta(t) = sum_v g_v x_{a-1-v} (x) x_{pi(v)} laid out as
+builder.comultiplication lays it out.  Every structure that build_structure
+or load_structure makes has it.  verify_axioms passes it to its checks, and
+_Shared holds it for the derived ones.  Its docstring proves what it
+implies:
+  - coassociativity, counit-law and frobenius-copairing pass, and
+    primitive_space_dim is dim - 2;
+  - a row of antipode-definition is one comparison with one term of
+    delta(t), its bracket from a table built from the brackets of
+    generators (_socle_brackets), not from the builder's
+    Presentation.quadratic_table;
+  - m = 1 and alpha^{-1} = epsilon, so nakayama-via-antipode and
+    fourth-power-formula read as antipode-square-is-nakayama and
+    antipode-fourth-power-identity.
+Outside the shape these evaluate plainly, through B.row and _hit, so no
+verdict or detail depends on the shape.  antipode-coalgebra-antihomomorphism
+reads the rows instead: a primitive row whose S image is primitive passes
+unexpanded, by its docstring.  So a built structure sums delta(t) only in
+antipode-coalgebra-antihomomorphism, and calls no rref.
 
 Nine checks read only the presentation and the functionals it fixes: the
 counit epsilon = x_0^*, phi = x_top^* and the integral t = x_top.  Eight
@@ -153,23 +145,6 @@ def _hit(field, row, f: dict, x: dict, left: bool) -> dict:
     return out
 
 
-def _counit_hit(B: BfaStructure, i: int, left: bool) -> dict:
-    """epsilon -> x_v when left, else x_v <- epsilon, for v = basis[i]:
-    epsilon = x_0^* is 1 at the key 0 and 0 elsewhere, so these are the terms
-    of row i whose other factor is the key 0, summed as they are.  A
-    primitive row (i not in B.rows) has one such term on either side, x_v
-    (x) 1 or 1 (x) x_v, so both sums are {i: 1}."""
-    field = B.presentation.field
-    if i not in B.rows:
-        return {i: field.one.value}
-    out: dict = {}
-    for u, w, c in B.rows[i]:
-        key, arg = (u, w) if left else (w, u)
-        if arg == 0:
-            _add_value(field, out, key, c)
-    return out
-
-
 def _element(P: Presentation, x: dict) -> dict:
     """The Scalar element, keyed by vectors, of a payload dict on keys."""
     return {vector_of(P, k): Scalar(P.field, c) for k, c in x.items()}
@@ -245,6 +220,71 @@ def _socle_brackets(P: Presentation) -> list:
     return out
 
 
+# -- the shape of delta ----------------------------------------------------------
+
+
+def _construction_shape(B: BfaStructure) -> bool:
+    """Whether delta is the one the construction writes, the premise of
+    every check that passes or shortens by its shape.
+
+    With last = dim - 1, the shape is these clauses, spelled here and not
+    read from the builder:
+      (a) B.rows.keys() == {0, last}: every middle row is primitive;
+      (b) B.rows[0] == [(0, 0, 1)]: delta(1) = 1 (x) 1;
+      (c) delta(t) lists its terms as (last - k, r_k, c_k), k = 0 .. last, so
+          its left factors run down the basis, each once;
+      (d) {r_k} == set(range(dim)): its right factors are the basis, each once;
+      (e) term 0 is (last, 0, 1) and term last is (0, last, 1): t (x) 1 and
+          1 (x) t, so no other term has a factor at 0 or last, by (c), (d);
+      (f) every c_k != 0.
+    So delta(t) = 1 (x) t + t (x) 1 + sum c_k x_L (x) x_R over the middle k,
+    with x_L and x_R primitive by (a).  Then:
+      coassociativity: delta(1) = 1 (x) 1 by (b), and a primitive row gives
+        1(x)1(x)x_v + 1(x)x_v(x)1 + x_v(x)1(x)1 on both sides.  At t,
+          (delta (x) id) delta(t) = 1(x)1(x)t + delta(t) (x) 1 + sum c delta(x_L) (x) x_R
+          (id (x) delta) delta(t) = 1 (x) delta(t) + t(x)1(x)1 + sum c x_L (x) delta(x_R)
+        are, term for term, 1(x)1(x)t + 1(x)t(x)1 + t(x)1(x)1 +
+        sum c (1 (x) x_L (x) x_R + x_L (x) 1 (x) x_R + x_L (x) x_R (x) 1),
+        whatever the c are.  So it passes.
+      counit-law, and alpha^{-1} = epsilon: epsilon = x_0^*, so
+        epsilon -> x_v and x_v <- epsilon sum the terms of row v with right,
+        resp. left, factor 0.  Row 0 has the one term 1 (x) 1, a primitive
+        row x_v (x) 1 and 1 (x) x_v, and delta(t) t (x) 1 and 1 (x) t by (e),
+        so epsilon -> x_v = x_v = x_v <- epsilon for every v, and
+        counit-law passes.  alpha = epsilon (_fixed_by_presentation), so the
+        convolution system of alpha^{-1} is the identity, and
+        alpha^{-1} = epsilon.
+      m = 1: m = phi -> t sums the terms of delta(t) with right factor t,
+        which by (d), (e) is the one term 1 (x) t, so m = m^{-1} = 1.
+      frobenius-copairing: row last - k of the matrix of w |-> t <- x_w^*
+        holds c_k at column r_k and nothing else, by (c), so by (d), (f) it
+        is a generalized permutation matrix of rank dim, and it passes.
+      primitive_space_dim: the column delta(x_v) - 1 (x) x_v - x_v (x) 1
+        vanishes on a primitive row; at 1 it is -(1 (x) 1), and at t the
+        middle terms of delta(t), nonzero by (f) since dim >= 4, none at
+        (0, 0).  Nonzero columns on disjoint supports have rank 2, so the
+        space has dimension dim - 2.
+      antipode-definition: row v = basis[i] sums the terms of delta(t) with
+        left factor complement(v), index last - i, which by (c) is the one
+        term k = i.  With table[i] = bracket(top - v, v) (_socle_brackets)
+        that sum is table[i] c_i x_{r_i}, nonzero by (f), so the row is the
+        one comparison of (r_i, table[i] c_i) with (s_img[i], s_coef[i]).
+    """
+    P, rows = B.presentation, B.rows
+    field, last = P.field, P.dim - 1
+    one = field.one.value
+    if rows.keys() != {0, last} or rows[0] != [(0, 0, one)]:
+        return False
+    top = rows[last]
+    return (
+        [u for u, _, _ in top] == list(range(last, -1, -1))
+        and {w for _, w, _ in top} == set(range(P.dim))
+        and top[0] == (last, 0, one)
+        and top[last] == (0, last, one)
+        and not any(field._is_zero(c) for _, _, c in top)
+    )
+
+
 # -- check helpers -------------------------------------------------------------
 
 
@@ -266,7 +306,7 @@ def _verdict(passed: bool, detail: dict) -> tuple:
     return passed, None if passed else detail
 
 
-def _fixed_by_presentation(B: BfaStructure, shared=None) -> tuple:
+def _fixed_by_presentation(B: BfaStructure, shared) -> tuple:
     """Passes, with no detail, for every structure.
 
     The eight checks that point here read only the presentation and the
@@ -303,7 +343,7 @@ def _fixed_by_presentation(B: BfaStructure, shared=None) -> tuple:
 # -- axiom checks ----------------------------------------------------------------
 
 
-def _unit_comultiplication(B: BfaStructure) -> tuple:
+def _unit_comultiplication(B: BfaStructure, shape: bool) -> tuple:
     """delta(1) = 1 (x) 1; a failure prints delta(1), its terms in basis order."""
     P, one = B.presentation, B.presentation.field.one.value
     actual = _delta(P.field, B.row, {0: one})
@@ -315,46 +355,20 @@ def _unit_comultiplication(B: BfaStructure) -> tuple:
     return _verdict(actual == {(0, 0): one}, {"delta(1)": text or "0"})
 
 
-def _coassociativity(B: BfaStructure) -> tuple:
-    """(delta (x) id) delta = (id (x) delta) delta.
-
-    Certificate for primitive rows.  Let delta(1) = 1 (x) 1 exactly and let
-    row i be primitive (i not in B.rows), delta(x_v) = 1 (x) x_v + x_v (x) 1.
-    Then both sides are 1 (x) 1 (x) x_v + 1 (x) x_v (x) 1 + x_v (x) 1 (x) 1,
-    so the row passes without expansion.
-
-    Certificate for the row of t, last = dim - 1.  Let delta(1) = 1 (x) 1
-    exactly, B.rows.keys() == {0, last}, every factor of delta(t) a basis
-    index, and the terms of delta(t) with a factor at 0 or last exactly
-    (0, last, 1) and (last, 0, 1), so delta(t) = 1 (x) t + t (x) 1 +
-    sum c x_L (x) x_R with every x_L and x_R primitive.  Then
-      (delta (x) id) delta(t) = 1(x)1(x)t + delta(t) (x) 1 + sum c delta(x_L) (x) x_R
-      (id (x) delta) delta(t) = 1 (x) delta(t) + t(x)1(x)1 + sum c x_L (x) delta(x_R)
-    are, term for term, the one sum 1(x)1(x)t + 1(x)t(x)1 + t(x)1(x)1 +
-    sum c (1 (x) x_L (x) x_R + x_L (x) 1 (x) x_R + x_L (x) x_R (x) 1), so the
-    row passes whatever the c are.  A built or loaded structure meets both
-    premises and expands only the row of 1.
+def _coassociativity(B: BfaStructure, shape: bool) -> tuple:
+    """(delta (x) id) delta = (id (x) delta) delta.  It holds in the shape
+    (_construction_shape); otherwise every row is expanded.
 
     A row holding a factor off the basis fails at "off-basis": delta is no
     map A -> A (x) A there, and the factor has no row to expand.  The rows it
     expands may hold such factors; they are keys like any other.
     """
-    field, rows, row = B.presentation.field, B.rows, B.row
-    mul, one = field._mul, field.one.value
-    last = B.presentation.dim - 1
-    unit = rows[0] == [(0, 0, one)]
-    top = rows.get(last, ())
-    ends = (0, last)
-    certified = (
-        rows.keys() == {0, last}
-        and not any(isinstance(u, tuple) or isinstance(w, tuple) for u, w, _ in top)
-        and [t for t in top if t[0] in ends or t[1] in ends]
-        in ([(0, last, one), (last, 0, one)], [(last, 0, one), (0, last, one)])
-    )
+    if shape:
+        return True, None
+    field, row = B.presentation.field, B.row
+    mul = field._mul
 
     def fails(i):
-        if unit and (i not in rows or i == last and certified):
-            return False
         left, right = {}, {}
         for u, w, c in row(i):
             if isinstance(u, tuple) or isinstance(w, tuple):
@@ -368,39 +382,31 @@ def _coassociativity(B: BfaStructure) -> tuple:
     return _first(B.presentation.basis(), fails)
 
 
-def _counit_law(B: BfaStructure) -> tuple:
+def _counit_law(B: BfaStructure, shape: bool) -> tuple:
     """(epsilon (x) id) delta = id = (id (x) epsilon) delta, that is
-    x_v <- epsilon = x_v = epsilon -> x_v, with epsilon = x_0^*; a primitive
-    row passes without a sum (_counit_hit)."""
-    one = B.presentation.field.one.value
+    x_v <- epsilon = x_v = epsilon -> x_v, with epsilon = x_0^*.  It holds
+    in the shape (_construction_shape)."""
+    if shape:
+        return True, None
+    field, one = B.presentation.field, B.presentation.field.one.value
     return _first(
         B.presentation.basis(),
-        lambda i: i in B.rows
-        and (_counit_hit(B, i, left=False) != {i: one} or _counit_hit(B, i, left=True) != {i: one}),
+        lambda i: any(
+            _hit(field, B.row, {0: one}, {i: one}, left) != {i: one} for left in (False, True)
+        ),
     )
 
 
-def _frobenius_copairing(B: BfaStructure) -> tuple:
-    """Rank of w |-> t <- x_w^*, one row per w; a factor of delta(t) off the
-    basis fails at "off-basis", as in coassociativity.
-
-    Support certificate.  Row u of the matrix holds the payloads of the
-    terms of delta(t) with left factor u, at their right factors.  When
-    delta(t) has dim terms with distinct left factors, distinct right
-    factors and nonzero payloads, every row and every column holds exactly
-    one nonzero entry: a generalized permutation matrix, of rank dim.
-    Otherwise the rank comes from rref.
-    """
+def _frobenius_copairing(B: BfaStructure, shape: bool) -> tuple:
+    """Rank of w |-> t <- x_w^*, one row per w: dim in the shape
+    (_construction_shape), and otherwise from rref.  A factor of delta(t)
+    off the basis fails at "off-basis", as in coassociativity."""
+    if shape:
+        return True, None
     P = B.presentation
     top = B.row(P.dim - 1)
     if any(isinstance(u, tuple) or isinstance(w, tuple) for u, w, _ in top):
         return False, {"v": list(P.top), "at": "off-basis"}
-    is_zero = P.field._is_zero
-    if (
-        len(top) == P.dim == len({u for u, _, _ in top}) == len({w for _, w, _ in top})
-        and not any(is_zero(c) for _, _, c in top)
-    ):
-        return True, None
     rows = [{} for _ in range(P.dim)]
     for u, w, c in top:
         add_term(rows[u], w, Scalar(P.field, c))
@@ -408,7 +414,7 @@ def _frobenius_copairing(B: BfaStructure) -> tuple:
     return _verdict(r == P.dim, {"rank": r})
 
 
-def _antipode_antihomomorphism(B: BfaStructure) -> tuple:
+def _antipode_antihomomorphism(B: BfaStructure, shape: bool) -> tuple:
     """S(x_u x_v) = S(x_v) S(x_u).
 
     Generator certificate.  Let S(1) = 1, and let the pair (u, e_k) pass
@@ -518,7 +524,7 @@ def _antipode_antihomomorphism(B: BfaStructure) -> tuple:
     return True, None
 
 
-def _antipode_coalgebra_antihomomorphism(B: BfaStructure) -> tuple:
+def _antipode_coalgebra_antihomomorphism(B: BfaStructure, shape: bool) -> tuple:
     """epsilon S = epsilon and delta S = (S (x) S) delta^op.
 
     S(x_v) = c x_w is one term, so epsilon S(x_v) is c when w = 0 and 0
@@ -563,38 +569,32 @@ def _antipode_coalgebra_antihomomorphism(B: BfaStructure) -> tuple:
     return _first(B.presentation.basis(), fails)
 
 
-def _antipode_definition(B: BfaStructure) -> tuple:
+def _antipode_definition(B: BfaStructure, shape: bool) -> tuple:
     """S(x) = sum phi(t_1 x) t_2.
 
     phi = x_top^*, and x_u x_v has the support top exactly when u is the
     complement top - v, whose index is dim - 1 - index(v); there
-    phi(x_u x_v) = bracket(u, v).  So for each v only the terms of delta(t)
-    with left factor complement(v) contribute.
-
-    Certificate for one term.  When delta(t) has exactly one term (w, c)
-    with left factor complement(v), the sum is bracket(top - v, v) c x_w, so
-    row v passes when (w, table[i] c) == (s_img[i], s_coef[i]), with table
-    from _socle_brackets: both sides are then c' x_w, or both 0 when c' = 0.
-    Every other row is expanded, which decides it and names the failure.
+    phi(x_u x_v) = bracket(top - v, v), table[i] (_socle_brackets).  So
+    row v = basis[i] sums the terms of delta(t) with left factor
+    complement(v), times table[i].  In the shape that is one comparison
+    (_construction_shape); a row that fails it is summed for its detail.
     """
     P = B.presentation
     field, basis = P.field, P.basis()
     mul, last = field._mul, len(basis) - 1
     s_img, s_coef = B.s_img, B.s_coef
     table = _socle_brackets(P)
+    top = B.row(last)
     by_left: dict = {}  # left factor key -> [(w, c)] over the terms of delta(t)
-    for u, w, c in B.row(last):
+    for u, w, c in top:
         by_left.setdefault(u, []).append((w, c))
 
     def fails(i):
-        terms = by_left.get(last - i, ())
-        if len(terms) == 1 and terms[0][0] == s_img[i] and mul(table[i], terms[0][1]) == s_coef[i]:
+        if shape and top[i][1] == s_img[i] and mul(table[i], top[i][2]) == s_coef[i]:
             return None
         acc: dict = {}
-        if terms:
-            cuv = P.bracket_value(basis[last - i], basis[i])
-            for w, c in terms:
-                _add_value(field, acc, w, mul(cuv, c))
+        for w, c in by_left.get(last - i, ()):
+            _add_value(field, acc, w, mul(table[i], c))
         img, coef = s_img[i], s_coef[i]
         expected = {} if field._is_zero(coef) else {img: coef}
         if acc == expected:
@@ -625,15 +625,19 @@ AXIOM_CHECKS = tuple(_AXIOMS)
 def verify_axioms(B: BfaStructure) -> VerificationReport:
     """The defining axioms, every basis pair decided exactly.
 
-    counit-algebra-map and frobenius-pairing hold for every presentation
-    (_fixed_by_presentation).  The other pair checks evaluate only the pairs
-    where a side can be nonzero given the supports of the tables; on every
-    other pair both sides are zero.  The anti-homomorphism check passes on
+    The shape of delta is decided once and passed to every check
+    (_construction_shape).  counit-algebra-map and frobenius-pairing hold
+    for every presentation (_fixed_by_presentation).  The other pair checks
+    evaluate only the pairs where a side can be nonzero given the supports
+    of the tables; on every other pair both sides are zero.  The anti-homomorphism check passes on
     its generator pairs alone and scans the rest only to locate a failure.
     Pairs are visited in basis order, row u before row u', so a failure
     names the first failing pair of the whole dim x dim grid.
     """
-    return VerificationReport([CheckResult(name, *check(B)) for name, check in _AXIOMS.items()])
+    shape = _construction_shape(B)
+    return VerificationReport(
+        [CheckResult(name, *check(B, shape)) for name, check in _AXIOMS.items()]
+    )
 
 
 # -- derived checks ---------------------------------------------------------------
@@ -642,6 +646,7 @@ def verify_axioms(B: BfaStructure) -> VerificationReport:
 class _Shared:
     """The values the derived checks share, computed once.
 
+    Whether delta has the construction's shape (_construction_shape).
     m = phi -> t, with phi = x_top^* and t = x_top, as a payload dict on keys
     and as a Scalar element, and m^{-1} (None when m is not invertible).
     Entry i of S, S^2 or S^4 is (key of w, c) when the power sends x_v,
@@ -652,6 +657,7 @@ class _Shared:
 
     def __init__(self, B: BfaStructure):
         P, field = B.presentation, B.presentation.field
+        self.shape = _construction_shape(B)
         top = {P.dim - 1: field.one.value}
         self.m = _hit(field, B.row, top, top, left=True)
         self.modular = _element(P, self.m)
@@ -686,29 +692,17 @@ def _apply(field, table: list, x: dict):
     return out
 
 
-def _scaling(P: Presentation, left: dict, right: dict):
-    """The payload l r when the Scalar elements left and right are constants
-    l 1 and r 1, else None."""
-    zero = P.zero_vec
-    if left.keys() == {zero} == right.keys():
-        return P.field._mul(left[zero].value, right[zero].value)
-    return None
-
-
 def _conjugation(P: Presentation, left: dict, right: dict):
     """x |-> left x right on payload elements x on keys, which may lie off
     the basis; left and right are Scalar elements.
 
     When left and right are constants l 1 and r 1, every bracket with the
     zero vector is 1, so the map is x restricted to the basis (its int
-    keys), times l r (_scaling).  That is the case for m and m^{-1} on every
-    structure a file can hold: the loader rebuilds delta from pi and g, and
-    the one term of delta(t) with right factor x_top is g_top 1 (x) x_top,
-    so m = g_top 1.  Other elements are multiplied in by Presentation.mul.
+    keys), times l r.  Other elements are multiplied in by Presentation.mul.
     """
-    c = _scaling(P, left, right)
-    if c is not None:
-        mul = P.field._mul
+    zero, mul = P.zero_vec, P.field._mul
+    if left.keys() == {zero} == right.keys():
+        c = mul(left[zero].value, right[zero].value)
         return lambda x: {w: mul(cw, c) for w, cw in x.items() if isinstance(w, int)}
 
     def product(x: dict) -> dict:
@@ -761,28 +755,21 @@ def _nakayama_via_antipode(B: BfaStructure, d: _Shared) -> tuple:
     """N(x) = m^{-1} S^2(alpha -> x) m.
 
     alpha -> x_v is epsilon -> x_v, and S is applied to it twice, since its
-    terms can cancel in between.
-
-    Certificate for primitive rows.  Let m^{-1} and m be constants, so that
-    conjugation scales by l r (_scaling), and let row i be primitive
-    (i not in B.rows), so alpha -> x_v = x_v (_counit_hit).  Applying S
-    twice to x_v is entry i of S^2 (_Shared): undefined when S meets a key
-    off the basis, 0, or c x_w.  Conjugation keeps the int keys, so the row
-    passes exactly when s2[i] = (i, c) with c l r = h_v.
+    terms can cancel in between.  In the shape, epsilon -> x_v = x_v and
+    m = m^{-1} = 1 (_construction_shape), so row v reads S^2(x_v) = h_v x_v,
+    which is antipode-square-is-nakayama.
     """
+    if d.shape:
+        return _antipode_square_is_nakayama(B, d)
     P = B.presentation
     if d.inv is None:
         return False, {"at": "modular-inverse"}
-    field, s1, s2, h, rows = P.field, d.s1, d.s2, d.h, B.rows
-    mul = field._mul
+    field, s1, h = P.field, d.s1, d.h
+    one = field.one.value
     conjugate = _conjugation(P, d.inv, d.modular)
-    lr = _scaling(P, d.inv, d.modular)
 
     def fails(i):
-        if lr is not None and i not in rows:
-            term = s2[i]
-            return not (term and term[0] == i and mul(term[1], lr) == h[i])
-        once = _apply(field, s1, _counit_hit(B, i, left=True))
+        once = _apply(field, s1, _hit(field, B.row, {0: one}, {i: one}, left=True))
         twice = None if once is None else _apply(field, s1, once)
         return twice is None or conjugate(twice) != {i: h[i]}
 
@@ -792,56 +779,38 @@ def _nakayama_via_antipode(B: BfaStructure, d: _Shared) -> tuple:
 def _fourth_power_formula(B: BfaStructure, d: _Shared) -> tuple:
     """S^4(x) = m (alpha^{-1} -> x <- alpha) m^{-1}.
 
-    alpha^{-1} by certificate.  alpha = epsilon = x_0^*, so x_v <- alpha is
-    x_v <- epsilon, and the convolution system (alpha * g)(x_v) =
-    epsilon(x_v) for g = alpha^{-1} reads, row by row,
-      sum over the terms c x_w of x_v <- alpha of c g(x_w) = [v = 0].
-    When x_v <- alpha = x_v for every v (it holds on every primitive row,
-    _counit_hit, so it is decided on B.rows), row v reads g(x_v) = [v = 0]:
-    the matrix is the identity, its unique solution is g = epsilon, and so
-    alpha^{-1} = epsilon exactly, with alpha^{-1} -> x_v <- alpha =
-    epsilon -> x_v.  Otherwise the system is solved; a surviving term off
-    the basis fails at "off-basis", since g has no unknown there, and a
-    singular system at "alpha-inverse".
+    In the shape, alpha^{-1} = epsilon, epsilon -> x_v = x_v = x_v <- epsilon
+    and m = m^{-1} = 1 (_construction_shape), so row v reads S^4(x_v) = x_v,
+    which is antipode-fourth-power-identity.
 
-    Certificate for primitive rows.  Let alpha^{-1} = epsilon by the
-    certificate above, let m and m^{-1} be constants, so that conjugation
-    scales by l r (_scaling), and let row i be primitive (i not in
-    B.rows).  Then epsilon -> x_v = x_v, whose conjugate is l r x_v, so the
-    row passes exactly when s4[i] == (i, l r).
+    Otherwise alpha = epsilon = x_0^*, so x_v <- alpha is x_v <- epsilon, and
+    alpha^{-1} is solved from the convolution system (alpha * g)(x_v) =
+    epsilon(x_v), which reads, row by row,
+      sum over the terms c x_w of x_v <- alpha of c g(x_w) = [v = 0].
+    A surviving term off the basis fails at "off-basis", since g has no
+    unknown there, and a singular system at "alpha-inverse".
     """
+    if d.shape:
+        return _antipode_fourth_power_identity(B, d)
     P = B.presentation
     if d.inv is None:
         return False, {"at": "modular-inverse"}
-    field, dim, rows = P.field, P.dim, B.rows
-    one = field.one.value
-    target = None  # l r, when the certificate for primitive rows applies
-    if all(_counit_hit(B, i, left=False) == {i: one} for i in rows):
-        target = _scaling(P, d.modular, d.inv)
-
-        def moved(i):
-            return _counit_hit(B, i, left=True)
-    else:
-        rights = [_counit_hit(B, i, left=False) for i in range(dim)]
-        if any(isinstance(w, tuple) for right in rights for w in right):
-            return False, {"at": "off-basis"}
-        system = [{w: Scalar(field, c) for w, c in right.items()} for right in rights]
-        system[0][dim] = field.one
-        try:
-            alpha_inv = {w: c.value for w, c in solve_sparse(system, dim).items()}
-        except SingularMatrixError:
-            return False, {"at": "alpha-inverse"}
-
-        def moved(i):
-            return _hit(field, B.row, alpha_inv, rights[i], left=True)
-
+    field, dim, one = P.field, P.dim, P.field.one.value
+    rights = [_hit(field, B.row, {0: one}, {i: one}, left=False) for i in range(dim)]
+    if any(isinstance(w, tuple) for right in rights for w in right):
+        return False, {"at": "off-basis"}
+    system = [{w: Scalar(field, c) for w, c in right.items()} for right in rights]
+    system[0][dim] = field.one
+    try:
+        alpha_inv = {w: c.value for w, c in solve_sparse(system, dim).items()}
+    except SingularMatrixError:
+        return False, {"at": "alpha-inverse"}
     s4 = d.s4
     conjugate = _conjugation(P, d.modular, d.inv)
 
     def fails(i):
-        if target is not None and i not in rows:
-            return s4[i] != (i, target)
-        return s4[i] is None or conjugate(moved(i)) != ({s4[i][0]: s4[i][1]} if s4[i] else {})
+        moved = _hit(field, B.row, alpha_inv, rights[i], left=True)
+        return s4[i] is None or conjugate(moved) != ({s4[i][0]: s4[i][1]} if s4[i] else {})
 
     return _first(P.basis(), fails)
 
@@ -931,9 +900,10 @@ DERIVED_CHECKS = tuple(_DERIVED)
 
 
 def verify_derived(B: BfaStructure) -> VerificationReport:
-    """The derived identities.  The checks share m, m^{-1} and the powers of
-    S (_Shared).  alpha = t -> phi is the counit (_fixed_by_presentation),
-    so alpha -> x and x <- alpha are the coactions of epsilon = x_0^*."""
+    """The derived identities.  The checks share the shape of delta, m,
+    m^{-1} and the powers of S (_Shared).  alpha = t -> phi is the counit
+    (_fixed_by_presentation), so alpha -> x and x <- alpha are the coactions
+    of epsilon = x_0^*."""
     shared = _Shared(B)
     return VerificationReport(
         [CheckResult(name, *check(B, shared)) for name, check in _DERIVED.items()]
@@ -977,14 +947,14 @@ def is_hopf_comultiplication(B: BfaStructure) -> bool:
 def primitive_space_dim(B: BfaStructure) -> int:
     """Dimension of {x : delta(x) = 1 (x) x + x (x) 1}, computed exactly.
 
-    dim minus the rank of the columns delta(x_v) - 1 (x) x_v - x_v (x) 1 on
-    the key pairs.  A primitive row gives a zero column, so only the rows
-    in B.rows are read.  Support certificate: nonzero columns with pairwise
-    disjoint supports are independent, so their rank is their number.  On a built
-    structure the columns left are -(1 (x) 1) and the column of t, which
-    holds no key (0, 0).  Otherwise the columns are eliminated as rows.
+    dim - 2 in the shape (_construction_shape).  Otherwise dim minus the
+    rank of the columns delta(x_v) - 1 (x) x_v - x_v (x) 1 on the key pairs,
+    eliminated as rows; a primitive row gives a zero column, so only the
+    rows in B.rows are read.
     """
     P = B.presentation
+    if _construction_shape(B):
+        return P.dim - 2
     field, one = P.field, P.field.one.value
     minus_one = field._neg(one)
     columns = []
@@ -992,10 +962,7 @@ def primitive_space_dim(B: BfaStructure) -> int:
         col = _delta(field, B.row, {j: one})
         _add_value(field, col, (0, j), minus_one)
         _add_value(field, col, (j, 0), minus_one)
-        if col:
-            columns.append(col)
-    if sum(map(len, columns)) == len(set().union(*columns)):
-        return P.dim - len(columns)
+        columns.append(col)
     ids: dict = {}  # key pair -> its column in the eliminated rows
     return P.dim - len(rref(
         [{ids.setdefault(k, len(ids)): Scalar(field, c) for k, c in col.items()} for col in columns]

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import qci.scalars
 from helpers import format1_blob
 from qci.algebra import Presentation
 from qci.cli import run
@@ -137,6 +138,22 @@ class TestValidate:
         assert run(["validate", str(bad)]) == 1
         assert capsys.readouterr().err == (
             f"error: cyclotomic order {10**30} exceeds the limit of 1000\n"
+        )
+
+    @pytest.mark.parametrize("p", [1000000016000000063, 2**31])
+    def test_huge_prime_modulus(self, tmp_path, monkeypatch, capsys, p):
+        # refused before trial division, which took seconds at 19 digits
+        def unreachable(p):
+            raise AssertionError(f"modulus {p} was tested")
+
+        monkeypatch.setattr(qci.scalars, "is_prime", unreachable)
+        bad = tmp_path / "huge.json"
+        field = {"kind": "prime", "p": p}
+        q = [["1", "1"], ["1", "1"]]
+        bad.write_text(json.dumps({"field": field, "n": 2, "a": [2, 2], "q": q}))
+        assert run(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: modulus {p} exceeds the limit of {2**31 - 1}\n"
         )
 
     def test_dimension_cap_env(self, tmp_path, monkeypatch, capsys):

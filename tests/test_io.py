@@ -5,6 +5,7 @@ import copy
 import io
 import itertools
 import json
+import random
 import re
 import sys
 from pathlib import Path
@@ -1089,3 +1090,45 @@ def test_mutated_files_fail_only_with_loader_errors(tmp_path_factory, source, da
         code = run(["validate" if source == "presentation" else "verify", str(file)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# digits, JSON punctuation, the root symbol, a control and a non-UTF-8 byte
+OVERWRITES = b'0123456789 ,:[]{}"-./ez\x00\xff'
+
+
+def _byte_mutant(data: bytes, kind: int, rng: random.Random) -> bytes:
+    """data truncated (kind 0), with one byte overwritten by a byte of
+    OVERWRITES (kind 1), or with b"\\xff\\xc3" inserted inside a string
+    literal (kind 2), the place drawn by rng.  The file escapes no quote, so
+    its quotes pair up in order."""
+    if kind == 0:
+        return data[:rng.randrange(len(data))]
+    if kind == 1:
+        i = rng.randrange(len(data))
+        return data[:i] + bytes([rng.choice(OVERWRITES)]) + data[i + 1:]
+    quotes = [i for i, byte in enumerate(data) if byte == ord('"')]
+    k = rng.randrange(len(quotes) // 2)
+    i = rng.randint(quotes[2 * k] + 1, quotes[2 * k + 1])
+    return data[:i] + b"\xff\xc3" + data[i:]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_byte_mutants_fail_only_with_loader_errors(tmp_path, seed):
+    """Seeded byte-level mutants of the d64 golden structure, truncated, with
+    one byte overwritten, or with invalid UTF-8 inside a literal, fail to
+    load only with a QciError, and `qci verify` of each exits 0, 1 or 2
+    with no traceback."""
+    rng = random.Random(seed)
+    data = GOLDEN_STRUCTURE.read_bytes()
+    for n in range(30):
+        file = tmp_path / f"mutant-{n}.json"
+        file.write_bytes(_byte_mutant(data, n % 3, rng))
+        try:
+            load_structure(str(file))
+        except QciError:
+            pass
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["verify", str(file)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

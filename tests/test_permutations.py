@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import identity_permutation, transposition
+from qci import permutations
 from qci.algebra import Presentation
 from qci.demos import example_presentation
 from qci.errors import (
@@ -113,10 +114,11 @@ class TestCompatibility:
         P = presentation(Q, (2, 3), {(1, 2): "1"})
         assert not is_compatible(P, identity_permutation(3))
 
-    def test_enumeration_bound(self):
+    def test_enumeration_bound(self, monkeypatch):
         P = presentation(Q, (2, 2), {(1, 2): "1"})
-        with pytest.raises(TooManyGeneratorsError):
-            enumerate_compatible(P, bound=1)
+        monkeypatch.setattr(permutations, "ENUMERATION_BOUND", 1)
+        with pytest.raises(TooManyGeneratorsError, match="enumeration bound 1"):
+            enumerate_compatible(P)
 
 
 @st.composite

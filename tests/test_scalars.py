@@ -28,6 +28,7 @@ from qci.errors import (
 )
 from qci.scalars import (
     MAX_CYCLOTOMIC_ORDER,
+    MAX_PRIME_MODULUS,
     CyclotomicField,
     PrimeField,
     RationalField,
@@ -110,6 +111,21 @@ class TestFieldConstruction:
             make_field("prime", 6)
         with pytest.raises(NotPrimeError):
             make_field("prime", 1)
+
+    # (10^9 + 7)(10^9 + 9), whose trial division ran for seconds, and the bound + 1
+    @pytest.mark.parametrize("p", [1000000016000000063, MAX_PRIME_MODULUS + 1])
+    def test_prime_modulus_bound(self, monkeypatch, p):
+        # the bound is checked before the modulus is tested by trial division
+        def unreachable(p):
+            raise AssertionError(f"modulus {p} was tested")
+
+        monkeypatch.setattr(qci.scalars, "is_prime", unreachable)
+        message = f"modulus {p} exceeds the limit of {MAX_PRIME_MODULUS}"
+        with pytest.raises(NotPrimeError, match=message):
+            make_field("prime", p)
+
+    def test_largest_prime_modulus(self):
+        assert make_field("prime", MAX_PRIME_MODULUS).describe() == f"prime:{MAX_PRIME_MODULUS}"
 
     @pytest.mark.parametrize("m", [10**30, MAX_CYCLOTOMIC_ORDER + 1])
     def test_cyclotomic_order_bound(self, monkeypatch, m):

@@ -489,7 +489,7 @@ def test_primitive_space_dim_matches_reference_on_draws(field, n, rng):
 @pytest.mark.parametrize("B", REFERENCE_STRUCTURES[:3], ids=lambda B: repr(B.presentation))
 def test_primitive_space_dim_with_overlapping_columns(B):
     """Two middle rows gaining the same term x_u (x) x_u give equal columns,
-    whose supports overlap: the support certificate does not apply, and the
+    whose supports overlap: the structure leaves the shape, and the
     elimination finds them dependent, as the dense kernel does."""
     P = B.presentation
     u, v, w = P.basis()[1:4]
@@ -704,8 +704,8 @@ def derived_entries(B) -> dict:
 )
 def test_derived_checks_match_reference(field, n, kind, rng):
     """The seventeen derived checks on the index-keyed tables of the
-    structure, with S^2, S^4 and h as payload arrays and alpha^{-1} by
-    certificate, give the verdict and detail of their bodies on tuple keys
+    structure, with S^2, S^4 and h as payload arrays and alpha^{-1} = epsilon
+    in the shape, give the verdict and detail of their bodies on tuple keys
     and Scalars, alpha^{-1} solved."""
     P, _ = rand_compatible_involutive_h(rng, field, n, a_hi=3)
     report = decide(P)
@@ -740,16 +740,19 @@ VIEW_PERTURBATIONS = (
     "S coefficient zeroed",
     "S image moved off the basis",
     "two S images swapped",
-    # the premises of the certificates for primitive rows and generator pairs
+    # clauses of the shape (verify._construction_shape): every middle row
+    # primitive, that is not stored, and delta(1) = 1 (x) 1; and the premises
+    # of the per-row certificate of the coalgebra anti-homomorphism and of
+    # the generator certificate of the anti-homomorphism
     "middle row replaced by another primitive row",
     "row 0 coefficient scaled",
     "primitive row terms swapped",
     "S(1) scaled",
     "generator images swapped with non-generators",
-    # the premise "row i is primitive" is "i not in B.rows"
     "primitive row stored explicitly",
-    # the premises of the certificates for delta(t): its terms at 1 and t,
-    # one term per left factor, and m = g_top 1
+    # clauses of the shape on delta(t): term 0 is t (x) 1 and term last is
+    # 1 (x) t, the left factors run down the basis once, so m = 1, and the
+    # right factors are the basis once
     "delta(t) edge term scaled",
     "delta(t) gains a term at 1 or t",
     "delta(t) gains a term at a repeated left factor",
@@ -757,8 +760,8 @@ VIEW_PERTURBATIONS = (
     "delta(t) term split in three",
 )
 
-# Perturbations that break a certificate's premise but no identity: every
-# check still passes, now by evaluation.
+# Perturbations that leave the shape, or break a certificate's premise, but
+# break no identity: every check still passes, now by evaluation.
 HARMLESS_PERTURBATIONS = (
     "primitive row terms swapped",
     "primitive row stored explicitly",
@@ -893,6 +896,97 @@ def test_every_view_perturbation_reaches_the_checks():
     assert set().union(*failed.values()) == set(VIEW_CHECKS)
 
 
+# -- the shape of delta the construction writes -------------------------------------
+
+
+def test_built_and_loaded_structures_have_the_shape(tmp_path):
+    """A built GF(7) d256 structure, its format-1 and format-2 loads, and
+    negate_socle_entry at every middle v have the construction's shape, as
+    has B with a middle coefficient of delta(t) doubled, where
+    antipode-definition fails at that term's v and the checks the shape
+    decides pass."""
+    B = seeded_d256()
+    format2, format1 = tmp_path / "format2.json", tmp_path / "format1.json"
+    save_structure(B, str(format2))
+    format1.write_text(json.dumps(format1_blob(B)))
+    negated = [negate_socle_entry(B, v) for v in B.presentation.basis()[1:-1]]
+    for T in (B, load_structure(str(format2)), load_structure(str(format1)), *negated):
+        assert verify._construction_shape(T)
+    P = B.presentation
+    top = list(B.row(P.dim - 1))
+    u, w, c = top[5]
+    top[5] = (u, w, P.field._add(c, c))
+    T = BfaStructure(P, B.witness, B.g, {**B.rows, P.dim - 1: top}, B.s_img, B.s_coef)
+    assert verify._construction_shape(T)
+    entries = {c.name: (c.passed, c.detail) for c in verify_axioms(T).checks}
+    assert entries["antipode-definition"][1]["v"] == list(P.basis()[5])
+    for name in ("coassociativity", "counit-law", "frobenius-copairing"):
+        assert entries[name] == (True, None)
+    assert primitive_space_dim(T) == P.dim - 2
+
+
+DELTA_PERTURBATIONS = tuple(k for k in VIEW_PERTURBATIONS if "delta" in k or "row" in k)
+
+
+def test_delta_perturbations_leave_the_shape():
+    """On the reference structures every kind of VIEW_PERTURBATIONS that
+    changes delta leaves the shape, but for a middle coefficient of delta(t)
+    scaled by a nonzero factor, which the shape allows; a kind that changes
+    only S keeps it."""
+    rng = random.Random(0)
+    for kind in VIEW_PERTURBATIONS:
+        for B in REFERENCE_STRUCTURES:
+            last, is_zero = B.presentation.dim - 1, B.presentation.field._is_zero
+            for _ in range(6):
+                T = view_perturbation(B, kind, rng)
+                scaled_middle = [
+                    k for k, (t, w) in enumerate(zip(T.row(last), B.row(last)))
+                    if t != w and 0 < k < last and not is_zero(t[2])
+                ]
+                in_shape = kind not in DELTA_PERTURBATIONS or (
+                    kind == "delta coefficient scaled or zeroed"
+                    and T.rows.keys() == B.rows.keys()
+                    and bool(scaled_middle)
+                )
+                assert verify._construction_shape(T) == in_shape, kind
+
+
+def off_shape(B) -> dict:
+    """B with one clause of the shape broken, by name: the terms of delta(t)
+    reversed, its terms 1 and 2 changed, or its term t (x) 1 or 1 (x) t
+    negated."""
+    P = B.presentation
+    last, zero = P.dim - 1, P.field.zero.value
+    top = B.row(last)
+    (u1, w1, c1), (u2, w2, c2) = top[1], top[2]
+
+    def with_top(row):
+        return BfaStructure(P, B.witness, B.g, {**B.rows, last: row}, B.s_img, B.s_coef)
+
+    return {
+        "terms reversed": with_top(top[::-1]),
+        "middle left factors swapped": with_top([top[0], (u2, w1, c1), (u1, w2, c2), *top[3:]]),
+        "middle right factor repeated": with_top([top[0], (u1, w2, c1), *top[2:]]),
+        "middle coefficient zeroed": with_top([top[0], (u1, w1, zero), *top[2:]]),
+        "negated at 1": negate_socle_entry(B, P.zero_vec),
+        "negated at t": negate_socle_entry(B, P.top),
+    }
+
+
+@pytest.mark.parametrize("B", REFERENCE_STRUCTURES, ids=lambda B: repr(B.presentation))
+def test_structures_off_the_shape_are_evaluated(B):
+    """Each of these leaves the shape, and every check that reads delta or
+    S, and the primitive space, then agree with the reference.  Reversing
+    delta(t) changes no identity, so every check still passes."""
+    cases = off_shape(B)
+    for name, T in cases.items():
+        assert not verify._construction_shape(T), name
+        assert delta_and_s_entries(T) == reference_delta_and_s_entries(T), name
+        assert primitive_space_dim(T) == reference_primitive_space_dim(T), name
+    reversed_t = cases["terms reversed"]
+    assert verify_axioms(reversed_t).all_passed and verify_derived(reversed_t).all_passed
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([F2, F7, Q, C8]), st.sampled_from([2, 3]), st.randoms(use_true_random=False))
 def test_coactions_match_reference(field, n, rng):
@@ -915,8 +1009,8 @@ def test_pair_checks_evaluate_subquadratically_many_products(monkeypatch):
 
     A passing structure is decided by the generator certificate of
     antipode-antihomomorphism, whose n dim pairs read their brackets from
-    tables built from the 2 n^2 brackets of generators, and by the
-    one-term certificate of antipode-definition, whose table of
+    tables built from the 2 n^2 brackets of generators, and by one
+    comparison per row of antipode-definition in the shape, whose table of
     bracket(top - v, v) is built from n^2 more.  Reading two brackets for
     each certificate pair made up to 2 n dim + dim, and one bracket per
     basis vector in antipode-definition 2 n^2 + dim.
@@ -943,7 +1037,7 @@ def test_pair_checks_evaluate_subquadratically_many_products(monkeypatch):
     st.randoms(use_true_random=False),
 )
 def test_socle_brackets_match_bracket_value(field, n, rng):
-    """The table of antipode-definition's one-term certificate, built by
+    """The table of antipode-definition, built by
     verify._socle_brackets from n^2 brackets of generators, is
     bracket(top - v, v) for every basis vector v, 2 <= a_i <= 6."""
     P = rand_presentation(rng, field, n, a_hi=6)
@@ -1106,9 +1200,10 @@ def test_hopf_flag_evaluates_few_pairs(monkeypatch, zero_delta, pairs, scalars):
 
 # Payload sums (_add_value) of verify_axioms, verify_derived and
 # primitive_space_dim on a built structure, per term of delta(t):
-# antipode-coalgebra-antihomomorphism expands delta(t) on both sides (2), the
-# column of t sums delta(t) once (1), and a few more terms come from the rows
-# of 1 and t: 3.11 per term at d256 and 3.01 at d4096.  Expanding delta(t) in
+# antipode-coalgebra-antihomomorphism expands delta(t) on both sides (2), and
+# a few more terms come from the rows of 1 and t: 2.03 per term at d256 and
+# 2.00 at d4096.  Summing the column of t in primitive_space_dim as well made
+# 3.11 and 3.01.  Expanding delta(t) in
 # coassociativity (6), summing it in antipode-definition (1) and applying S
 # twice per basis vector in nakayama-via-antipode (2) made 12.07 per term at
 # d256, under the bound of 13 this replaces, with 288 brackets and 512
@@ -1118,14 +1213,14 @@ SUMS_PER_TERM_OF_DELTA_T = 4
 
 @pytest.mark.parametrize("a", [(4, 4, 4, 4), (16, 16, 16)], ids=["d256", "d4096"])
 def test_built_structure_expands_only_the_rows_of_one_and_t(monkeypatch, a):
-    """The certificates decide every primitive row, the row of t in
-    coassociativity and antipode-definition, the primitive rows of the two
-    S-power formulas, the Frobenius copairing and the primitive space: with
-    rref raising, verify_axioms, verify_derived and primitive_space_dim
-    pass, the payload sums are bounded by a constant times the number of
-    terms of delta(t), the brackets by 3 n^2 (the tables of the
-    anti-homomorphism and the antipode definition), and S is applied to
-    elements only for the rows of 1 and t."""
+    """The shape of delta decides coassociativity, counit-law, the
+    Frobenius copairing, the primitive space, the two S-power formulas and
+    each row of antipode-definition by one comparison: with rref raising,
+    verify_axioms, verify_derived and primitive_space_dim pass, the payload
+    sums are bounded by a constant times the number of terms of delta(t),
+    the brackets by 3 n^2 (the tables of the anti-homomorphism and the
+    antipode definition), and S is applied to elements only for the rows of
+    1 and t."""
     B = seeded(a)
     P = B.presentation
 
@@ -1158,7 +1253,7 @@ def test_built_structure_expands_only_the_rows_of_one_and_t(monkeypatch, a):
 
 def test_repeated_right_factor_fails_the_copairing_with_its_rank():
     """Two terms of delta(t) with one right factor leave a column of the
-    copairing matrix empty: the support certificate does not apply, and the
+    copairing matrix empty: the structure leaves the shape, and the
     elimination names rank dim - 1, on seeded_d256 and, against the dense
     rank, on the reference structures."""
     for B in (seeded_d256(), *REFERENCE_STRUCTURES):
@@ -1209,10 +1304,9 @@ def test_presentation_checks_build_few_scalars(monkeypatch):
 
 def test_antipode_power_checks_build_few_scalars(monkeypatch):
     """The four checks that compose S read payload arrays of S^2, S^4 and h,
-    composed once, conjugate by the constant m on payloads, and take
-    alpha^{-1} = epsilon by certificate: they build no Scalar beyond the
-    shared values.  Solving for alpha^{-1} built 769, and composing S on
-    Scalar elements for each v 8447."""
+    composed once, and in the shape take m = 1 and alpha^{-1} = epsilon:
+    they build no Scalar beyond the shared values.  Solving for alpha^{-1}
+    built 769, and composing S on Scalar elements for each v 8447."""
     B = seeded_d256()
     monkeypatch.setattr(
         verify, "_DERIVED", {k: f for k, f in verify._DERIVED.items() if k in COMPOSING_S}
@@ -1252,7 +1346,7 @@ def test_axiom_checks_build_few_scalars(monkeypatch):
 
 def test_units_invert_without_elimination(monkeypatch):
     """m^-1 and the other units of seeded_d256 come from the nilpotent series,
-    and alpha^{-1} from the counit certificate: with rref raising, the
+    and alpha^{-1} = epsilon from the shape: with rref raising, the
     inverses still match the exact solve and the full verify_derived report
     passes."""
     B = seeded_d256()
