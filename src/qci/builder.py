@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from functools import cached_property
 
 from .algebra import Presentation
 from .errors import (
@@ -453,13 +454,14 @@ class BfaStructure:
 
     delta and S have one representation, on keys (key_of) and payloads:
       rows       {i: delta(x_v)}, v = basis[i], as (key u, key w, payload c)
-                 terms, for i = 0 and each i whose row is not the primitive
-                 row 1 (x) x_v + x_v (x) 1; row(i) reads every row
+                 terms, for each i whose row is not the one the construction
+                 writes (row); empty for a built or loaded structure
       s_img[i]   the key of w, where S(x_v) = c x_w
       s_coef[i]  the payload c
     Tables on vectors and Scalars enter through from_tables.  g holds the
     payloads of the socle coefficients in basis order, as in g_table.  The
-    counit is the coefficient-of-1 functional.
+    counit is the coefficient-of-1 functional.  g and s_img are not changed
+    after construction, since the row of t is read from them once.
     """
 
     presentation: Presentation
@@ -469,41 +471,44 @@ class BfaStructure:
     s_img: list
     s_coef: list
 
+    @cached_property
+    def _top(self) -> list:
+        """The construction's delta(t) = sum_v g_v x_{a-1-v} (x) x_{pi(v)},
+        read from g and the S images, built on first use: term k is
+        (last - k, s_img[k], g[k]).  The complement a-1-v of the basis
+        vector at index k is the one at index last - k, and in a built or
+        loaded structure S(x_v) is a multiple of x_{pi(v)}, so s_img[k] is
+        the index of pi(v)."""
+        last = len(self.g) - 1
+        return [(last - k, w, x) for k, (w, x) in enumerate(zip(self.s_img, self.g))]
+
     def row(self, i: int) -> list:
         """delta(x_v), v = basis[i], for a basis index i: the stored row, or
-        else the primitive row [(0, i, 1), (i, 0, 1)].  Row 0 is always
-        stored, so it is never read as primitive."""
+        else the construction's, which is 1 (x) 1 at 0, the row of t at the
+        last index (_top), and the primitive row 1 (x) x_v + x_v (x) 1 in
+        between.  A stored row and the row of t are the structure's own
+        lists, which callers read and do not change."""
+        if i in self.rows:
+            return self.rows[i]
         one = self.presentation.field.one.value
-        return self.rows.get(i, [(0, i, one), (i, 0, one)])
+        if 0 < i < len(self.g) - 1:
+            return [(0, i, one), (i, 0, one)]
+        return self._top if i else [(0, 0, one)]
 
     @classmethod
     def from_tables(cls, P: Presentation, witness, g: dict, delta: dict, s_map: dict):
         """The structure with g = {v: coeff}, delta = {v: [(u, w, coeff)]}
         and s_map = {v: (image, coeff)}, all keyed by basis vectors; rows
-        keeps row 0 and each row that is not the primitive one."""
+        keeps each row that differs from the construction's."""
         images = [s_map[v] for v in P.basis()]
         B = cls(
             P, witness, [g[v].value for v in P.basis()], {},
             [key_of(P, w) for w, _ in images], [c.value for _, c in images],
         )
         rows = ([(key_of(P, u), key_of(P, w), c.value) for u, w, c in delta[v]] for v in P.basis())
-        # B.rows is still empty while this runs, so B.row(i) is the primitive row
-        B.rows = {i: row for i, row in enumerate(rows) if i == 0 or row != B.row(i)}
+        # B.rows is still empty while this runs, so B.row(i) is the construction's row
+        B.rows = {i: row for i, row in enumerate(rows) if row != B.row(i)}
         return B
-
-
-def comultiplication(P: Presentation, images: list, g: list) -> dict:
-    """The rows of delta in the construction that are stored, those of 1
-    and t, for the involution pi with image_indices(P, pi) = images and the
-    payloads g of g_table.
-
-    delta(1) = 1 (x) 1, every middle monomial is primitive, and
-    delta(t) = sum_u g_u x_{a-1-u} (x) x_{pi(u)}; the complement of the
-    basis vector at index i is the one at index dim - 1 - i.
-    """
-    last = P.dim - 1
-    top = [(last - i, k, x) for i, (k, x) in enumerate(zip(images, g))]
-    return {0: [(0, 0, P.field.one.value)], last: top}
 
 
 def build_structure(P: Presentation, w: Witness) -> BfaStructure:
@@ -519,5 +524,4 @@ def build_structure(P: Presentation, w: Witness) -> BfaStructure:
     )
     mul = field._mul
     s_coef = list(map(mul, g, brackets))
-    images = image_indices(P, w.pi)
-    return BfaStructure(P, w, g, comultiplication(P, images, g), images, s_coef)
+    return BfaStructure(P, w, g, {}, image_indices(P, w.pi), s_coef)

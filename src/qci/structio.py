@@ -8,12 +8,15 @@ Two layers of validation on load:
     raise FileSemanticError.
 
 A structure file stores the presentation, pi, c, g and the antipode table s.
-The comultiplication is fixed by pi and g (builder.comultiplication), so
-format 2, the one written, leaves it out and the loader rebuilds it.  A
-format-1 file also carries a delta block; it still loads, and each of its
-rows must equal the rebuilt one.  Loading never re-derives g or s from the
-witness, so a file whose g and s entries were perturbed consistently is
-accepted here and left for the verifier to reject.
+The comultiplication is fixed by pi and g, so format 2, the one written,
+leaves it out, and the loaded structure stores no row of it
+(BfaStructure.row reads each row from g and the images of pi).  A format-1
+file also carries a delta block; it still loads, and each of its rows must
+equal the one BfaStructure.row reads.  Loading never re-derives g or s
+from the witness, so a file whose g and s entries were perturbed
+consistently is accepted here and left for the verifier to reject.  A key
+that does not parse names its place: a g or s key, an s image or a term
+of a delta row.
 
 A structure file repeats a few literals and the dim basis keys many times
 over.  One reader serves every file: it puts each of g, s and the format-1
@@ -33,13 +36,7 @@ import json
 from functools import cached_property
 
 from .algebra import Presentation, basis_keys, parse_vector_key, vector_key
-from .builder import (
-    BfaStructure,
-    Witness,
-    check_witness,
-    comultiplication,
-    image_indices,
-)
+from .builder import BfaStructure, Witness, check_witness, image_indices
 from .errors import (
     FileSemanticError,
     FileSyntaxError,
@@ -223,16 +220,17 @@ class _Keys:
         # canonical order never builds it
         return dict(zip(self.keys, range(len(self.keys))))
 
-    def index(self, text):
+    def index(self, text, where: str):
         """The basis index of the vector text names, or None for a
         well-formed key off the basis; only spellings other than the
-        canonical one (" 0,1", "00,1") are parsed and range-checked."""
+        canonical one (" 0,1", "00,1") are parsed and range-checked.  A
+        malformed key raises 'bad {where}: ...'."""
         i = self._lookup.get(text) if isinstance(text, str) else None
         if i is None:
             try:
                 v = parse_vector_key(str(text), self.n)
             except ValueError as exc:
-                raise FileSyntaxError(str(exc)) from None
+                raise FileSyntaxError(f"bad {where}: {exc}") from None
             i = self._lookup.get(vector_key(v))
         return i
 
@@ -247,7 +245,7 @@ class _Keys:
             return keys, list(obj.values())
         spelled, values = [None] * len(keys), [None] * len(keys)
         for key, value in obj.items():
-            i = self.index(key)
+            i = self.index(key, f"{name} key {key!r}")
             if i is None:
                 raise FileSemanticError(f"{name} key {key!r} is outside the basis")
             if spelled[i] is not None:
@@ -287,8 +285,8 @@ def _nonzero_scalars(field: Field, texts: list, literals: dict, where, zero) -> 
 
 
 def _check_delta_block(block, B: BfaStructure, basis: _Keys, literals: dict):
-    """Check the delta block of a format-1 file against the rows of the
-    rebuilt structure B."""
+    """Check the delta block of a format-1 file against the rows B.row reads,
+    which follow from g and the images of pi."""
     P = B.presentation
     spelled, entries = basis.table(block, "delta")
     given = []
@@ -299,7 +297,7 @@ def _check_delta_block(block, B: BfaStructure, basis: _Keys, literals: dict):
         for row in rows:
             if not isinstance(row, list) or len(row) != 3:
                 raise FileSyntaxError(f"delta[{key}] terms must be [u, w, coeff]")
-            u, w = basis.index(row[0]), basis.index(row[1])
+            u, w = (basis.index(x, f"delta[{key}] term") for x in row[:2])
             if u is None or w is None:
                 raise FileSemanticError(f"delta[{key}] has a term outside the basis")
             coeff = _scalar(P.field, row[2], f"coefficient in delta[{key}]", literals)
@@ -387,7 +385,7 @@ def structure_from_json(obj) -> BfaStructure:
     )
     if g[0] != one or g[-1] != one:
         raise FileSemanticError("g must be 1 at the zero and top vectors")
-    B = BfaStructure(P, witness, g, comultiplication(P, images, g), images, s_coef=[])
+    B = BfaStructure(P, witness, g, {}, images, s_coef=[])
     if version == 1:
         _check_delta_block(obj["delta"], B, basis, literals)
 
@@ -399,7 +397,7 @@ def structure_from_json(obj) -> BfaStructure:
     image_texts, coef_texts = zip(*entries)
     if list(image_texts) != list(map(keys.__getitem__, images)):
         for key, canonical, text, image in zip(s_keys, keys, image_texts, images):
-            i = basis.index(text)
+            i = basis.index(text, f"s[{key}] image")
             if i is None:
                 raise FileSemanticError(f"s[{key}] image is outside the basis")
             if i != image:

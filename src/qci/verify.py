@@ -13,26 +13,29 @@ carry a replayable counterexample.
 
 The checks read delta and S as the structure stores them (BfaStructure):
 rows of (key, key, payload) terms, an image array and a payload array.
-B.rows holds row 0 and every row that is not primitive, 1 (x) x_v +
-x_v (x) 1, and B.row(i) reads any row.  The checks compare payloads, and
-build a Scalar or a tuple only for a failure detail; a check that would
-expand a delta factor or an S image off the basis, which is its own key,
-fails at "off-basis".  S, S^2, S^4 and h_v are payload arrays composed once
-(_Shared), since S sends each monomial to a multiple of one monomial;
-conjugation by m is a scaling when m is a constant (_conjugation).
+B.rows holds every row that differs from the one the construction writes,
+and B.row(i) reads any row: 1 (x) 1 at 0, delta(t) from g and the S images
+at the last index, and the primitive row 1 (x) x_v + x_v (x) 1 in between.
+The checks compare payloads, and build a Scalar or a tuple only for a
+failure detail; a check that would expand a delta factor or an S image off
+the basis, which is its own key, fails at "off-basis".  S, S^2, S^4 and h_v
+are payload arrays composed once (_Shared), since S sends each monomial to
+a multiple of one monomial; conjugation by m is a scaling when m is a
+constant (_conjugation).
 
 One premise, decided once: whether delta has the shape the construction
-writes (_construction_shape), delta(1) = 1 (x) 1, every middle row
-primitive, and delta(t) = sum_v g_v x_{a-1-v} (x) x_{pi(v)} laid out as
-builder.comultiplication lays it out.  Every structure that build_structure
-or load_structure makes has it.  verify_axioms passes it to its checks, and
-_Shared holds it for the derived ones.  Its docstring proves what it
-implies:
+writes (_construction_shape).  No row is stored, so delta(1) = 1 (x) 1,
+every middle row is primitive and delta(t) = sum_v g_v x_{a-1-v} (x)
+x_{pi(v)} as B.row reads it from g and the S images; g is 1 at 1 and t and
+nowhere zero, and the images are a permutation of the basis fixing 1 and
+t.  Every structure that build_structure or load_structure makes has it.
+verify_axioms passes it to its checks, and _Shared holds it for the
+derived ones.  Its docstring proves what it implies:
   - coassociativity, counit-law and frobenius-copairing pass, and
     primitive_space_dim is dim - 2;
-  - a row of antipode-definition is one comparison with one term of
-    delta(t), its bracket from a table built from the brackets of
-    generators (_socle_brackets), not from the builder's
+  - a row of antipode-definition is one comparison of g times a bracket
+    with the S coefficient, the brackets from a table built from the
+    brackets of generators (_socle_brackets), not from the builder's
     Presentation.quadratic_table;
   - m = 1 and alpha^{-1} = epsilon, so nakayama-via-antipode and
     fourth-power-formula read as antipode-square-is-nakayama and
@@ -227,16 +230,23 @@ def _construction_shape(B: BfaStructure) -> bool:
     """Whether delta is the one the construction writes, the premise of
     every check that passes or shortens by its shape.
 
-    With last = dim - 1, the shape is these clauses, spelled here and not
-    read from the builder:
-      (a) B.rows.keys() == {0, last}: every middle row is primitive;
-      (b) B.rows[0] == [(0, 0, 1)]: delta(1) = 1 (x) 1;
-      (c) delta(t) lists its terms as (last - k, r_k, c_k), k = 0 .. last, so
-          its left factors run down the basis, each once;
-      (d) {r_k} == set(range(dim)): its right factors are the basis, each once;
+    With last = dim - 1, the shape is three conditions, none of which walks
+    the terms of delta(t):
+      (i)   B.rows is empty, so every row is the one B.row reads;
+      (ii)  g[0] = g[last] = 1, and no g is zero;
+      (iii) s_img[0] = 0, s_img[last] = last, and s_img, which has dim
+            entries, holds every index once.
+    The clauses the proofs below read follow from how B.row spells the rows:
+      (a) every middle row is primitive, by (i);
+      (b) delta(1) = 1 (x) 1, by (i);
+      (c) delta(t) lists its terms as (last - k, s_img[k], g[k]),
+          k = 0 .. last, by (i), so its left factors run down the basis,
+          each once;
+      (d) its right factors s_img[k] are the basis, each once, by (iii);
       (e) term 0 is (last, 0, 1) and term last is (0, last, 1): t (x) 1 and
-          1 (x) t, so no other term has a factor at 0 or last, by (c), (d);
-      (f) every c_k != 0.
+          1 (x) t, by (ii), (iii), so no other term has a factor at 0 or
+          last, by (c), (d);
+      (f) every coefficient c_k = g[k] is nonzero, by (ii).
     So delta(t) = 1 (x) t + t (x) 1 + sum c_k x_L (x) x_R over the middle k,
     with x_L and x_R primitive by (a).  Then:
       coassociativity: delta(1) = 1 (x) 1 by (b), and a primitive row gives
@@ -257,8 +267,8 @@ def _construction_shape(B: BfaStructure) -> bool:
       m = 1: m = phi -> t sums the terms of delta(t) with right factor t,
         which by (d), (e) is the one term 1 (x) t, so m = m^{-1} = 1.
       frobenius-copairing: row last - k of the matrix of w |-> t <- x_w^*
-        holds c_k at column r_k and nothing else, by (c), so by (d), (f) it
-        is a generalized permutation matrix of rank dim, and it passes.
+        holds c_k at column s_img[k] and nothing else, by (c), so by (d),
+        (f) it is a generalized permutation matrix of rank dim, and it passes.
       primitive_space_dim: the column delta(x_v) - 1 (x) x_v - x_v (x) 1
         vanishes on a primitive row; at 1 it is -(1 (x) 1), and at t the
         middle terms of delta(t), nonzero by (f) since dim >= 4, none at
@@ -267,21 +277,18 @@ def _construction_shape(B: BfaStructure) -> bool:
       antipode-definition: row v = basis[i] sums the terms of delta(t) with
         left factor complement(v), index last - i, which by (c) is the one
         term k = i.  With table[i] = bracket(top - v, v) (_socle_brackets)
-        that sum is table[i] c_i x_{r_i}, nonzero by (f), so the row is the
-        one comparison of (r_i, table[i] c_i) with (s_img[i], s_coef[i]).
+        that sum is table[i] g[i] x_{s_img[i]}, nonzero by (f), so the row
+        is the one comparison of table[i] g[i] with s_coef[i].
     """
-    P, rows = B.presentation, B.rows
+    P, g, s_img = B.presentation, B.g, B.s_img
     field, last = P.field, P.dim - 1
     one = field.one.value
-    if rows.keys() != {0, last} or rows[0] != [(0, 0, one)]:
-        return False
-    top = rows[last]
     return (
-        [u for u, _, _ in top] == list(range(last, -1, -1))
-        and {w for _, w, _ in top} == set(range(P.dim))
-        and top[0] == (last, 0, one)
-        and top[last] == (0, last, one)
-        and not any(field._is_zero(c) for _, _, c in top)
+        not B.rows
+        and g[0] == one == g[last]
+        and (s_img[0], s_img[last]) == (0, last)
+        and not any(map(field._is_zero, g))
+        and set(s_img) == set(range(P.dim))
     )
 
 
@@ -534,22 +541,24 @@ def _antipode_coalgebra_antihomomorphism(B: BfaStructure, shape: bool) -> tuple:
 
     Certificate for primitive rows.  Row 0 is decided first, and its
     epsilon test passes only when S(1) = 1.  Let row i and the row of its
-    image w be primitive (neither i nor w in B.rows; w an index, since a key
-    off the basis has no row).  Then
+    image w be primitive: each of i and w lies strictly between 0 and
+    last = dim - 1 and not in B.rows (w an index, since a key off the basis
+    has no row).  Then
       (S (x) S) delta^op(x_v) = S(x_v) (x) S(1) + S(1) (x) S(x_v)
                               = c (x_w (x) 1 + 1 (x) x_w) = c delta(x_w),
     which is delta S(x_v), so the row passes without expansion.
     """
-    field, rows, row = B.presentation.field, B.rows, B.row
+    field, row = B.presentation.field, B.row
     s_img, s_coef = B.s_img, B.s_coef
     mul, is_zero = field._mul, field._is_zero
     one, zero = field.one.value, field.zero.value
+    expanded = {0, len(s_img) - 1, *B.rows}  # the rows not read as primitive
 
     def fails(i):
         img, coef = s_img[i], s_coef[i]
         if (coef if img == 0 else zero) != (one if i == 0 else zero):
             return {"at": "epsilon"}
-        if isinstance(img, int) and i not in rows and img not in rows:
+        if isinstance(img, int) and i not in expanded and img not in expanded:
             return None
         rhs: dict = {}
         for u, w, c in row(i):
@@ -582,7 +591,7 @@ def _antipode_definition(B: BfaStructure, shape: bool) -> tuple:
     P = B.presentation
     field, basis = P.field, P.basis()
     mul, last = field._mul, len(basis) - 1
-    s_img, s_coef = B.s_img, B.s_coef
+    g, s_img, s_coef = B.g, B.s_img, B.s_coef
     table = _socle_brackets(P)
     top = B.row(last)
     by_left: dict = {}  # left factor key -> [(w, c)] over the terms of delta(t)
@@ -590,7 +599,7 @@ def _antipode_definition(B: BfaStructure, shape: bool) -> tuple:
         by_left.setdefault(u, []).append((w, c))
 
     def fails(i):
-        if shape and top[i][1] == s_img[i] and mul(table[i], top[i][2]) == s_coef[i]:
+        if shape and mul(table[i], g[i]) == s_coef[i]:
             return None
         acc: dict = {}
         for w, c in by_left.get(last - i, ()):
@@ -950,7 +959,7 @@ def primitive_space_dim(B: BfaStructure) -> int:
     dim - 2 in the shape (_construction_shape).  Otherwise dim minus the
     rank of the columns delta(x_v) - 1 (x) x_v - x_v (x) 1 on the key pairs,
     eliminated as rows; a primitive row gives a zero column, so only the
-    rows in B.rows are read.
+    rows of 1 and t and those in B.rows are read.
     """
     P = B.presentation
     if _construction_shape(B):
@@ -958,7 +967,7 @@ def primitive_space_dim(B: BfaStructure) -> int:
     field, one = P.field, P.field.one.value
     minus_one = field._neg(one)
     columns = []
-    for j in B.rows:
+    for j in sorted({0, P.dim - 1, *B.rows}):
         col = _delta(field, B.row, {j: one})
         _add_value(field, col, (0, j), minus_one)
         _add_value(field, col, (j, 0), minus_one)
@@ -970,7 +979,9 @@ def primitive_space_dim(B: BfaStructure) -> int:
 
 
 def negate_socle_entry(B: BfaStructure, v) -> BfaStructure:
-    """A copy of B with the socle coefficient at v negated in g and delta.
+    """A copy of B with the socle coefficient at v negated in g, and so in
+    delta(t), which B.row reads from g; a stored row of t has its term at
+    the complement of v negated as well.
 
     The antipode table is left untouched, so the definition check must
     notice the inconsistency at exactly v.
@@ -979,8 +990,10 @@ def negate_socle_entry(B: BfaStructure, v) -> BfaStructure:
     P = B.presentation
     g = list(B.g)
     i = P.index(v)
-    left, neg = key_of(P, P.complement(v)), P.field._neg
+    neg = P.field._neg
     g[i] = neg(g[i])
     last, rows = P.dim - 1, dict(B.rows)
-    rows[last] = [(u, w, neg(c) if u == left else c) for u, w, c in B.row(last)]
+    if last in rows:
+        left = key_of(P, P.complement(v))
+        rows[last] = [(u, w, neg(c) if u == left else c) for u, w, c in rows[last]]
     return BfaStructure(P, B.witness, g, rows, list(B.s_img), list(B.s_coef))

@@ -18,7 +18,6 @@ from qci.algebra import Presentation, vector_key
 from qci.builder import (
     BfaStructure,
     build_structure,
-    comultiplication,
     decide,
     g_table,
     key_of,
@@ -673,6 +672,39 @@ def reference_functional_left_hit(P: Presentation, a_elem: dict, f: dict) -> dic
     return out
 
 
+def presentation(field, a, entries):
+    """The presentation with q_ij = entries[(i, j)] (1-based, i < j,
+    literals), q_ji its inverse and every other q_ij = 1."""
+    n = len(a)
+    one = field.one
+    q = [[one for _ in range(n)] for _ in range(n)]
+    for (i, j), lit in entries.items():
+        val = field.parse(lit)
+        q[i - 1][j - 1] = val
+        q[j - 1][i - 1] = val.inverse()
+    return Presentation(field, a, q)
+
+
+def built(P):
+    report = decide(P)
+    assert report.exists
+    return build_structure(P, report.witness)
+
+
+_F7, _Q, _C8 = make_field("prime", 7), make_field("rational"), make_field("cyclotomic", 8)
+
+# Small built structures over three kinds of field, with nontrivial
+# involutions, on which tests compare the package with the references.
+REFERENCE_STRUCTURES = [
+    built(presentation(_F7, (2, 2, 2), {(2, 3): "-1"})),
+    built(presentation(_F7, (3, 3), {(1, 2): "-1"})),
+    built(presentation(_Q, (2, 2, 2), {(1, 3): "-1"})),
+    built(presentation(_Q, (3, 3), {(1, 2): "-1"})),
+    built(presentation(_C8, (2, 2, 2), {(1, 2): "z", (1, 3): "-z^3", (2, 3): "z"})),
+    built(presentation(_C8, (3, 3), {(1, 2): "z^2"})),
+]
+
+
 def bare_structure(P: Presentation) -> BfaStructure:
     """P with identity tables: pi = id, every g_v = 1 and S = id.
 
@@ -680,10 +712,8 @@ def bare_structure(P: Presentation) -> BfaStructure:
     structure at all; the checks that read only P and the counit still run
     on it through verify_axioms and verify_derived.
     """
-    one = P.field.one
-    g = [one.value] * P.dim
-    rows = comultiplication(P, list(range(P.dim)), g)
-    return BfaStructure(P, None, g, rows, list(range(P.dim)), [one.value] * P.dim)
+    one = P.field.one.value
+    return BfaStructure(P, None, [one] * P.dim, {}, list(range(P.dim)), [one] * P.dim)
 
 
 PRESENTATION_CHECKS = (

@@ -9,7 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    REFERENCE_STRUCTURES,
     epsilon,
+    format1_blob,
     g_dict,
     identity_permutation,
     monomial,
@@ -49,6 +51,7 @@ from qci.errors import (
 )
 from qci.permutations import Permutation, enumerate_compatible, partition
 from qci.scalars import Scalar, make_field
+from qci.structio import structure_from_json, structure_to_json
 
 Q = make_field("rational")
 F2 = make_field("prime", 2)
@@ -562,6 +565,29 @@ def test_build_structure_scalar_arithmetic_does_not_grow_with_dim(monkeypatch):
     assert all(counts[a] <= 64 for a in ((16, 16, 16), (64, 64), (8, 8, 8, 8)))
 
 
+def _with_loads(structures: dict) -> list:
+    """pytest params of each named structure, then its format-2 and its
+    format-1 load."""
+    return [
+        pytest.param(T, id=f"{name}-{kind}")
+        for name, B in structures.items()
+        for kind, T in (
+            ("built", B),
+            ("format2", structure_from_json(structure_to_json(B))),
+            ("format1", structure_from_json(format1_blob(B))),
+        )
+    ]
+
+
+_P69 = example_presentation("6.9", C8)
+DELTA_SHAPE_INPUTS = _with_loads(
+    {
+        "example-6.9": build_structure(_P69, example_witness("6.9", _P69)),
+        **{f"reference-{i}": B for i, B in enumerate(REFERENCE_STRUCTURES)},
+    }
+)
+
+
 class TestBuildStructure:
     def test_structure_fields(self):
         P = example_presentation("6.9", C8)
@@ -573,20 +599,25 @@ class TestBuildStructure:
         assert epsilon(B, one_elem(P)) == C8.one
         assert epsilon(B, monomial(P, (1, 0, 0))) == C8.zero
 
-    def test_delta_shapes(self):
-        P = example_presentation("6.9", C8)
-        B = build_structure(P, example_witness("6.9", P))
-        assert B.delta[P.zero_vec] == [(P.zero_vec, P.zero_vec, C8.one)]
-        mid = (1, 0, 0)
-        assert sorted(B.delta[mid], key=str) == sorted(
-            [(P.zero_vec, mid, C8.one), (mid, P.zero_vec, C8.one)], key=str
-        )
+    @pytest.mark.parametrize("B", DELTA_SHAPE_INPUTS)
+    def test_delta_shapes(self, B):
+        """delta(1) = 1 (x) 1, every middle monomial is primitive, and
+        delta(t) = sum_u g_u x_{a-1-u} (x) x_{pi(u)}, u over the basis once,
+        read off pi.act and g alone."""
+        P = B.presentation
+        zero, one = P.zero_vec, P.field.one
+        assert B.delta[zero] == [(zero, zero, one)]
+        for mid in P.basis()[1:-1]:
+            assert sorted(B.delta[mid], key=str) == sorted(
+                [(zero, mid, one), (mid, zero, one)], key=str
+            )
         top_row = B.delta[P.top]
         assert len(top_row) == P.dim
         g = g_dict(P, B.g)
         pi = B.witness.pi
-        for u_part, w_part, coeff in top_row:
-            u = tuple(t - x for t, x in zip(P.top, u_part))
+        complements = [tuple(t - x for t, x in zip(P.top, u)) for u, _, _ in top_row]
+        assert sorted(complements) == sorted(P.basis())
+        for u, (_, w_part, coeff) in zip(complements, top_row):
             assert w_part == pi.act(u)
             assert coeff == g[u]
 

@@ -452,6 +452,13 @@ LOADER_MESSAGES = [
         "expected 3 comma-separated entries",
     ),
     (
+        "g-key-entry",
+        BOTH,
+        _put("g", "0,x,1", "1"),
+        S,
+        "bad g key '0,x,1': invalid literal for int() with base 10: 'x'",
+    ),
+    (
         "g-key-outside",
         BOTH,
         _put("g", "0,2,0", "1"),
@@ -504,6 +511,20 @@ LOADER_MESSAGES = [
         _put("delta", "0,1,0", [["0,0", "0,1,0", "1"]]),
         S,
         "expected 3 comma-separated entries",
+    ),
+    (
+        "delta-term-key-named",
+        V1,
+        _put("delta", "0,1,0", [["0,0", "0,1,0", "1"]]),
+        S,
+        "bad delta[0,1,0] term: expected 3 comma-separated entries in '0,0'",
+    ),
+    (
+        "delta-term-right-key",
+        V1,
+        _put("delta", "0,1,0", [["0,0,0", "0,x,0", "1"]]),
+        S,
+        "bad delta[0,1,0] term: invalid literal for int() with base 10: 'x'",
     ),
     (
         "delta-term-outside",
@@ -576,6 +597,20 @@ LOADER_MESSAGES = [
         _put("s", "0,1,0", ["0,0", "1"]),
         S,
         "expected 3 comma-separated entries",
+    ),
+    (
+        "s-image-entry",
+        BOTH,
+        _put("s", "0,1,0", ["0,x,1", "1"]),
+        S,
+        "bad s[0,1,0] image: invalid literal for int() with base 10: 'x'",
+    ),
+    (
+        "s-image-not-string",
+        BOTH,
+        _put("s", "0,1,0", [5, "1"]),
+        S,
+        "bad s[0,1,0] image: expected 3 comma-separated entries in '5'",
     ),
     (
         "s-image-outside",
@@ -756,9 +791,9 @@ def resolved(monkeypatch):
     texts = []
     index = qci.structio._Keys.index
 
-    def recorded(self, text):
+    def recorded(self, text, where):
         texts.append(text)
-        return index(self, text)
+        return index(self, text, where)
 
     monkeypatch.setattr(qci.structio._Keys, "index", recorded)
     return texts
