@@ -126,10 +126,6 @@ class Presentation:
             d *= ai
         return d
 
-    def complement(self, v) -> tuple:
-        """The exponent vector a - 1 - v, whose monomial pairs x_v onto the socle."""
-        return tuple(map(operator.sub, self.top, v))
-
     @property
     def zero_vec(self) -> tuple:
         return (0,) * self.n

@@ -14,6 +14,11 @@ independent routes and insists they agree: route one asks which closed-form
 regime applies to each compatible involution (applicable_regime, the one
 statement of the existence rule), route two searches the signs of the
 scalars directly (solve_c).
+
+A structure (BfaStructure) holds only what the construction leaves free
+once the witness is chosen: the socle coefficients g and the antipode
+coefficients s_coef.  delta and the support of S are read from the witness
+and g, so no other comultiplication or antipode support can be spelled.
 """
 
 from __future__ import annotations
@@ -437,78 +442,51 @@ def g_table(P: Presentation, w: Witness) -> list:
     return route_one
 
 
-def key_of(P: Presentation, v):
-    """The key of v in the tables of a structure: its index in the basis, or
-    v itself off the basis, where it stays representable."""
-    return P.positions().get(v, v)
-
-
-def vector_of(P: Presentation, key) -> tuple:
-    """The vector a key of the tables names, the inverse of key_of."""
-    return P.basis()[key] if isinstance(key, int) else key
-
-
 @dataclass
 class BfaStructure:
-    """A verified-ready structure: presentation, witness, g and the tables.
+    """A structure of the construction: presentation, witness, g and s_coef.
 
-    delta and S have one representation, on keys (key_of) and payloads:
-      rows       {i: delta(x_v)}, v = basis[i], as (key u, key w, payload c)
-                 terms, for each i whose row is not the one the construction
-                 writes (row); empty for a built or loaded structure
-      s_img[i]   the key of w, where S(x_v) = c x_w
-      s_coef[i]  the payload c
-    Tables on vectors and Scalars enter through from_tables.  g holds the
-    payloads of the socle coefficients in basis order, as in g_table.  The
-    counit is the coefficient-of-1 functional.  g and s_img are not changed
-    after construction, since the row of t is read from them once.
+    Once (P, witness) is fixed, the construction fixes delta and the support
+    of S, and only two payload tables in basis order are free:
+      g[i]       the coefficient of x_{a-1-v} (x) x_{pi(v)} in delta(t),
+                 v = basis[i], as in g_table
+      s_coef[i]  the c of S(x_v) = c x_{pi(v)}
+    witness.pi is a compatible involution, as check_witness demands of
+    every witness, so s_img, the basis index of pi(v) for each v, is an
+    involution of the basis fixing 1 and t.  The counit is the
+    coefficient-of-1 functional.  g is not changed after construction,
+    since the row of t is read from it once; dataclasses.replace makes a
+    copy with other tables.
     """
 
     presentation: Presentation
     witness: Witness
     g: list
-    rows: dict
-    s_img: list
     s_coef: list
 
     @cached_property
+    def s_img(self) -> list:
+        """S(x_v) is a multiple of x_{pi(v)}: image_indices of witness.pi."""
+        return image_indices(self.presentation, self.witness.pi)
+
+    @cached_property
     def _top(self) -> list:
-        """The construction's delta(t) = sum_v g_v x_{a-1-v} (x) x_{pi(v)},
-        read from g and the S images, built on first use: term k is
-        (last - k, s_img[k], g[k]).  The complement a-1-v of the basis
-        vector at index k is the one at index last - k, and in a built or
-        loaded structure S(x_v) is a multiple of x_{pi(v)}, so s_img[k] is
-        the index of pi(v)."""
+        """delta(t) = sum_v g_v x_{a-1-v} (x) x_{pi(v)}, built on first use:
+        term k is (last - k, s_img[k], g[k]), since the complement a-1-v of
+        the basis vector at index k is the one at index last - k."""
         last = len(self.g) - 1
         return [(last - k, w, x) for k, (w, x) in enumerate(zip(self.s_img, self.g))]
 
     def row(self, i: int) -> list:
-        """delta(x_v), v = basis[i], for a basis index i: the stored row, or
-        else the construction's, which is 1 (x) 1 at 0, the row of t at the
-        last index (_top), and the primitive row 1 (x) x_v + x_v (x) 1 in
-        between.  A stored row and the row of t are the structure's own
-        lists, which callers read and do not change."""
-        if i in self.rows:
-            return self.rows[i]
+        """delta(x_v), v = basis[i], for a basis index i, as (index, index,
+        payload) terms: 1 (x) 1 at 0, the row of t at the last index (_top),
+        and the primitive row 1 (x) x_v + x_v (x) 1 in between.  The row of
+        t is the structure's own list, which callers read and do not
+        change."""
         one = self.presentation.field.one.value
         if 0 < i < len(self.g) - 1:
             return [(0, i, one), (i, 0, one)]
         return self._top if i else [(0, 0, one)]
-
-    @classmethod
-    def from_tables(cls, P: Presentation, witness, g: dict, delta: dict, s_map: dict):
-        """The structure with g = {v: coeff}, delta = {v: [(u, w, coeff)]}
-        and s_map = {v: (image, coeff)}, all keyed by basis vectors; rows
-        keeps each row that differs from the construction's."""
-        images = [s_map[v] for v in P.basis()]
-        B = cls(
-            P, witness, [g[v].value for v in P.basis()], {},
-            [key_of(P, w) for w, _ in images], [c.value for _, c in images],
-        )
-        rows = ([(key_of(P, u), key_of(P, w), c.value) for u, w, c in delta[v]] for v in P.basis())
-        # B.rows is still empty while this runs, so B.row(i) is the construction's row
-        B.rows = {i: row for i, row in enumerate(rows) if row != B.row(i)}
-        return B
 
 
 def build_structure(P: Presentation, w: Witness) -> BfaStructure:
@@ -522,6 +500,4 @@ def build_structure(P: Presentation, w: Witness) -> BfaStructure:
     brackets = P.quadratic_table(
         [field._inv(x) for x in _socle_powers(P)], _upper(P.n, lambda i, j: q[j][i])
     )
-    mul = field._mul
-    s_coef = list(map(mul, g, brackets))
-    return BfaStructure(P, w, g, {}, image_indices(P, w.pi), s_coef)
+    return BfaStructure(P, w, g, list(map(field._mul, g, brackets)))

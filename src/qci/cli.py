@@ -25,7 +25,6 @@ from .builder import (
     check_witness,
     decide,
     solve_c,
-    vector_of,
 )
 from .demos import EXAMPLE_IDS, default_field, example_presentation, example_witness
 from .errors import (
@@ -267,14 +266,14 @@ def _cmd_construct(args) -> int:
 
 def _structure_tables(B: BfaStructure) -> str:
     P = B.presentation
+    basis = P.basis()
     terms = [
-        f"({Scalar(P.field, c)})*{monomial_name(vector_of(P, u))}(x)"
-        f"{monomial_name(vector_of(P, w))}"
+        f"({Scalar(P.field, c)})*{monomial_name(basis[u])}(x){monomial_name(basis[w])}"
         for u, w, c in B.row(P.dim - 1)
     ]
     lines = [f"Delta({monomial_name(P.top)}) = " + " + ".join(terms)]
-    for v, img, c in list(zip(P.basis(), B.s_img, B.s_coef))[1:]:
-        image = {vector_of(P, img): Scalar(P.field, c)}
+    for v, img, c in list(zip(basis, B.s_img, B.s_coef))[1:]:
+        image = {basis[img]: Scalar(P.field, c)}
         lines.append(f"S({monomial_name(v)}) = " + P.element_to_string(image))
     return "\n".join(lines)
 

@@ -9,14 +9,14 @@ mapping a column index to a nonzero Scalar.  It brings each row to echelon
 form as it arrives and back-substitutes once at the end, in decreasing pivot
 order, so its cost follows the nonzeros it touches rather than the square
 of the rank.  Elimination divides by exact pivots, so every result is exact;
-there are no thresholds anywhere.  The matrices the verifier meets are
-monomial or close to it, so rows stay short.
+there are no thresholds anywhere.
 
 `rank`, `kernel_basis`, `solve_matrix` and `invert` keep the dense interface
 (lists of rows of Scalars) as thin adapters over `rref`.  None of them has
 a caller in the package, and neither has `is_generalized_permutation`; the
-element inverse is a series and needs no solve.  They stay only because the
-benchmark tracer in perfbench/layers.py wraps them by name.
+verifier decides every check on the tables of a structure and eliminates
+nothing.  They stay only because the benchmark tracer in
+perfbench/layers.py wraps them by name.
 """
 
 from __future__ import annotations
@@ -87,16 +87,6 @@ def null_space(field: Field, rows, ncols: int) -> list[dict]:
             if col != pc:
                 basis[col][pc] = -x
     return list(basis.values())
-
-
-def solve_sparse(rows, n: int) -> dict:
-    """Solve A x = b for square A; rows are A's rows with b_i at column n.
-
-    Returns the solution as {index: nonzero Scalar}; raises when A is
-    singular.
-    """
-    reduced = _solved(rows, n)
-    return {i: reduced[i][n] for i in range(n) if n in reduced[i]}
 
 
 def _solved(rows, n: int) -> dict:

@@ -8,11 +8,12 @@ Two layers of validation on load:
     raise FileSemanticError.
 
 A structure file stores the presentation, pi, c, g and the antipode table s.
-The comultiplication is fixed by pi and g, so format 2, the one written,
-leaves it out, and the loaded structure stores no row of it
-(BfaStructure.row reads each row from g and the images of pi).  A format-1
-file also carries a delta block; it still loads, and each of its rows must
-equal the one BfaStructure.row reads.  Loading never re-derives g or s
+A structure holds only g and the coefficients of s (BfaStructure): the
+comultiplication is fixed by pi and g, so format 2, the one written, leaves
+it out, and every image of s must be the pi-image.  A format-1 file also
+carries a delta block; it still loads, and each of its rows must equal the
+one BfaStructure.row reads.  So a delta row or an S image other than the
+construction's is a loader error.  Loading never re-derives g or s
 from the witness, so a file whose g and s entries were perturbed
 consistently is accepted here and left for the verifier to reject.  A key
 that does not parse names its place: a g or s key, an s image or a term
@@ -385,7 +386,8 @@ def structure_from_json(obj) -> BfaStructure:
     )
     if g[0] != one or g[-1] != one:
         raise FileSemanticError("g must be 1 at the zero and top vectors")
-    B = BfaStructure(P, witness, g, {}, images, s_coef=[])
+    B = BfaStructure(P, witness, g, s_coef=[])
+    B.s_img = images  # the pi-images, already read for the s check below
     if version == 1:
         _check_delta_block(obj["delta"], B, basis, literals)
 

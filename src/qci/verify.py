@@ -11,49 +11,34 @@ other pairs scanned, to name the first failing one.  The Hopf flag is
 decided the same way, on the pairs (x_u, 1) and (x_u, x_k).  Failures
 carry a replayable counterexample.
 
-The checks read delta and S as the structure stores them (BfaStructure):
-rows of (key, key, payload) terms, an image array and a payload array.
-B.rows holds every row that differs from the one the construction writes,
-and B.row(i) reads any row: 1 (x) 1 at 0, delta(t) from g and the S images
-at the last index, and the primitive row 1 (x) x_v + x_v (x) 1 in between.
-The checks compare payloads, and build a Scalar or a tuple only for a
-failure detail; a check that would expand a delta factor or an S image off
-the basis, which is its own key, fails at "off-basis".  S, S^2, S^4 and h_v
-are payload arrays composed once (_Shared), since S sends each monomial to
-a multiple of one monomial; conjugation by m is a scaling when m is a
-constant (_conjugation).
+A structure holds only the payload tables g and s_coef (BfaStructure);
+delta and the support of S are the ones the construction writes.  With
+L = dim - 1 and s = B.s_img, the permutation of basis indices v |-> pi(v),
+which fixes 0 and L, B.row spells:
+  (a) delta(1) = 1 (x) 1;
+  (b) delta(x_v) = 1 (x) x_v + x_v (x) 1 for every middle index 0 < v < L;
+  (c) delta(t) = sum_k g[k] x_{L-k} (x) x_{s(k)}, so its left factors run
+      down the basis once and its right factors over the basis once;
+  (d) hence term 0 is c_0 t (x) 1 and term L is c_L 1 (x) t, with
+      c_0 = g[0] and c_L = g[L], and every other term has both factors
+      in the middle.  A term with g[k] = 0 vanishes.
+S(x_v) = s_coef[v] x_{s(v)}.  So each check that reads delta is decided in
+closed form on c_0, c_L and the middle g, and its docstring proves that the
+verdict and the detail are those of evaluating it term by term.  Only
+antipode-coalgebra-antihomomorphism and the Hopf flag sum delta(t).  The
+checks compare payloads, and build a Scalar only for a failure detail.
+S, S^2, S^4 and h_v are payload arrays composed once (_Shared), since S
+sends each monomial to a multiple of one monomial.
 
-One premise, decided once: whether delta has the shape the construction
-writes (_construction_shape).  No row is stored, so delta(1) = 1 (x) 1,
-every middle row is primitive and delta(t) = sum_v g_v x_{a-1-v} (x)
-x_{pi(v)} as B.row reads it from g and the S images; g is 1 at 1 and t and
-nowhere zero, and the images are a permutation of the basis fixing 1 and
-t.  Every structure that build_structure or load_structure makes has it.
-verify_axioms passes it to its checks, and _Shared holds it for the
-derived ones.  Its docstring proves what it implies:
-  - coassociativity, counit-law and frobenius-copairing pass, and
-    primitive_space_dim is dim - 2;
-  - a row of antipode-definition is one comparison of g times a bracket
-    with the S coefficient, the brackets from a table built from the
-    brackets of generators (_socle_brackets), not from the builder's
-    Presentation.quadratic_table;
-  - m = 1 and alpha^{-1} = epsilon, so nakayama-via-antipode and
-    fourth-power-formula read as antipode-square-is-nakayama and
-    antipode-fourth-power-identity.
-Outside the shape these evaluate plainly, through B.row and _hit, so no
-verdict or detail depends on the shape.  antipode-coalgebra-antihomomorphism
-reads the rows instead: a primitive row whose S image is primitive passes
-unexpanded, by its docstring.  So a built structure sums delta(t) only in
-antipode-coalgebra-antihomomorphism, and calls no rref.
-
-Nine checks read only the presentation and the functionals it fixes: the
-counit epsilon = x_0^*, phi = x_top^* and the integral t = x_top.  Eight
-of them hold for every presentation and pass by the proofs in
-_fixed_by_presentation, with no evaluation: counit-algebra-map,
-frobenius-pairing, counit-via-integral, socle-pairing-normalized,
-right-integral, integral-space-dimension, unimodularity and
-left-modular-functional.  The ninth, nakayama-involutive, is decided on
-the n generators.
+Ten checks pass for every structure, by the proofs in
+_fixed_by_presentation, with no evaluation: unit-comultiplication, which
+reads delta(1), and nine that read only the presentation and the
+functionals it fixes (the counit epsilon = x_0^*, phi = x_top^* and the
+integral t = x_top), counit-algebra-map, frobenius-pairing,
+counit-via-integral, socle-pairing-normalized, right-integral,
+integral-space-dimension, unimodularity and left-modular-functional.
+nakayama-involutive reads only the presentation and is decided on the n
+generators.
 
 Each check is one private function returning (passed, detail).  It stops at
 its first failure, in basis order (pairs row by row), and the detail names
@@ -64,15 +49,14 @@ DERIVED_CHECKS are their names.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import Presentation, monomial_name
-from .builder import BfaStructure, key_of, vector_of
-from .errors import NotInvertibleError, SingularMatrixError
-from .linalg import add_term, rref, solve_sparse
+from .algebra import Presentation
+from .builder import BfaStructure
 from .scalars import Scalar
 
 
@@ -109,11 +93,11 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-# -- the tables on keys and payloads ----------------------------------------------
+# -- the tables on indices and payloads --------------------------------------------
 
 
 def _add_value(field, out: dict, key, term) -> None:
-    """out[key] += term on payloads, dropping the entry when it cancels, as add_term."""
+    """out[key] += term on payloads, dropping the entry when it cancels."""
     acc = out.get(key)
     acc = term if acc is None else field._add(acc, term)
     if field._is_zero(acc):
@@ -123,7 +107,7 @@ def _add_value(field, out: dict, key, term) -> None:
 
 
 def _delta(field, row, x: dict) -> dict:
-    """delta(x) on key pairs, for x a payload dict on basis indices and row
+    """delta(x) on index pairs, for x a payload dict on basis indices and row
     the row accessor of the structure (BfaStructure.row)."""
     mul = field._mul
     out: dict = {}
@@ -133,38 +117,18 @@ def _delta(field, row, x: dict) -> dict:
     return out
 
 
-def _hit(field, row, f: dict, x: dict, left: bool) -> dict:
-    """f -> x = sum x_1 f(x_2) when left, else x <- f = sum f(x_1) x_2, with
-    f and x payload dicts on keys, x on the basis, and row the row accessor
-    of the structure: the one implementation of both coactions."""
-    mul = field._mul
-    out: dict = {}
-    for v, c in x.items():
-        for u, w, coeff in row(v):
-            key, arg = (u, w) if left else (w, u)
-            fv = f.get(arg)
-            if fv is not None:
-                _add_value(field, out, key, mul(mul(c, coeff), fv))
-    return out
-
-
-def _element(P: Presentation, x: dict) -> dict:
-    """The Scalar element, keyed by vectors, of a payload dict on keys."""
-    return {vector_of(P, k): Scalar(P.field, c) for k, c in x.items()}
-
-
 def _tensor_mul(P: Presentation, s: dict, t: dict) -> dict:
     """Componentwise product on the tensor square of payload dicts keyed by
-    key pairs: x_u1 (x) x_w1 times x_u2 (x) x_w2 is bracket(u1, u2)
+    index pairs: x_u1 (x) x_w1 times x_u2 (x) x_w2 is bracket(u1, u2)
     bracket(w1, w2) x_{u1+u2} (x) x_{w1+w2}, and 0 when a sum leaves the
     basis."""
-    field, index, bracket = P.field, P.positions(), P.bracket_value
+    field, basis, index, bracket = P.field, P.basis(), P.positions(), P.bracket_value
     mul = field._mul
     out: dict = {}
     for (u1, w1), c1 in s.items():
-        u1, w1 = vector_of(P, u1), vector_of(P, w1)
+        u1, w1 = basis[u1], basis[w1]
         for (u2, w2), c2 in t.items():
-            u2, w2 = vector_of(P, u2), vector_of(P, w2)
+            u2, w2 = basis[u2], basis[w2]
             u = index.get(tuple(map(operator.add, u1, u2)))
             w = index.get(tuple(map(operator.add, w1, w2)))
             if u is not None and w is not None:
@@ -223,75 +187,6 @@ def _socle_brackets(P: Presentation) -> list:
     return out
 
 
-# -- the shape of delta ----------------------------------------------------------
-
-
-def _construction_shape(B: BfaStructure) -> bool:
-    """Whether delta is the one the construction writes, the premise of
-    every check that passes or shortens by its shape.
-
-    With last = dim - 1, the shape is three conditions, none of which walks
-    the terms of delta(t):
-      (i)   B.rows is empty, so every row is the one B.row reads;
-      (ii)  g[0] = g[last] = 1, and no g is zero;
-      (iii) s_img[0] = 0, s_img[last] = last, and s_img, which has dim
-            entries, holds every index once.
-    The clauses the proofs below read follow from how B.row spells the rows:
-      (a) every middle row is primitive, by (i);
-      (b) delta(1) = 1 (x) 1, by (i);
-      (c) delta(t) lists its terms as (last - k, s_img[k], g[k]),
-          k = 0 .. last, by (i), so its left factors run down the basis,
-          each once;
-      (d) its right factors s_img[k] are the basis, each once, by (iii);
-      (e) term 0 is (last, 0, 1) and term last is (0, last, 1): t (x) 1 and
-          1 (x) t, by (ii), (iii), so no other term has a factor at 0 or
-          last, by (c), (d);
-      (f) every coefficient c_k = g[k] is nonzero, by (ii).
-    So delta(t) = 1 (x) t + t (x) 1 + sum c_k x_L (x) x_R over the middle k,
-    with x_L and x_R primitive by (a).  Then:
-      coassociativity: delta(1) = 1 (x) 1 by (b), and a primitive row gives
-        1(x)1(x)x_v + 1(x)x_v(x)1 + x_v(x)1(x)1 on both sides.  At t,
-          (delta (x) id) delta(t) = 1(x)1(x)t + delta(t) (x) 1 + sum c delta(x_L) (x) x_R
-          (id (x) delta) delta(t) = 1 (x) delta(t) + t(x)1(x)1 + sum c x_L (x) delta(x_R)
-        are, term for term, 1(x)1(x)t + 1(x)t(x)1 + t(x)1(x)1 +
-        sum c (1 (x) x_L (x) x_R + x_L (x) 1 (x) x_R + x_L (x) x_R (x) 1),
-        whatever the c are.  So it passes.
-      counit-law, and alpha^{-1} = epsilon: epsilon = x_0^*, so
-        epsilon -> x_v and x_v <- epsilon sum the terms of row v with right,
-        resp. left, factor 0.  Row 0 has the one term 1 (x) 1, a primitive
-        row x_v (x) 1 and 1 (x) x_v, and delta(t) t (x) 1 and 1 (x) t by (e),
-        so epsilon -> x_v = x_v = x_v <- epsilon for every v, and
-        counit-law passes.  alpha = epsilon (_fixed_by_presentation), so the
-        convolution system of alpha^{-1} is the identity, and
-        alpha^{-1} = epsilon.
-      m = 1: m = phi -> t sums the terms of delta(t) with right factor t,
-        which by (d), (e) is the one term 1 (x) t, so m = m^{-1} = 1.
-      frobenius-copairing: row last - k of the matrix of w |-> t <- x_w^*
-        holds c_k at column s_img[k] and nothing else, by (c), so by (d),
-        (f) it is a generalized permutation matrix of rank dim, and it passes.
-      primitive_space_dim: the column delta(x_v) - 1 (x) x_v - x_v (x) 1
-        vanishes on a primitive row; at 1 it is -(1 (x) 1), and at t the
-        middle terms of delta(t), nonzero by (f) since dim >= 4, none at
-        (0, 0).  Nonzero columns on disjoint supports have rank 2, so the
-        space has dimension dim - 2.
-      antipode-definition: row v = basis[i] sums the terms of delta(t) with
-        left factor complement(v), index last - i, which by (c) is the one
-        term k = i.  With table[i] = bracket(top - v, v) (_socle_brackets)
-        that sum is table[i] g[i] x_{s_img[i]}, nonzero by (f), so the row
-        is the one comparison of table[i] g[i] with s_coef[i].
-    """
-    P, g, s_img = B.presentation, B.g, B.s_img
-    field, last = P.field, P.dim - 1
-    one = field.one.value
-    return (
-        not B.rows
-        and g[0] == one == g[last]
-        and (s_img[0], s_img[last]) == (0, last)
-        and not any(map(field._is_zero, g))
-        and set(s_img) == set(range(P.dim))
-    )
-
-
 # -- check helpers -------------------------------------------------------------
 
 
@@ -313,10 +208,13 @@ def _verdict(passed: bool, detail: dict) -> tuple:
     return passed, None if passed else detail
 
 
-def _fixed_by_presentation(B: BfaStructure, shared) -> tuple:
+def _fixed_by_presentation(B: BfaStructure, shared=None) -> tuple:
     """Passes, with no detail, for every structure.
 
-    The eight checks that point here read only the presentation and the
+    unit-comultiplication: delta(1) = 1 (x) 1 as B.row spells it, (a) of
+    the module docstring, whatever g and s_coef are.
+
+    The nine other checks that point here read only the presentation and the
     functionals it fixes, epsilon = x_0^*, phi = x_top^* and t = x_top, and
     each identity holds for every (q, a).  x_u x_v is a bracket times
     x_{u+v} when u + v lies in the basis and 0 otherwise, and a bracket is a
@@ -350,109 +248,90 @@ def _fixed_by_presentation(B: BfaStructure, shared) -> tuple:
 # -- axiom checks ----------------------------------------------------------------
 
 
-def _unit_comultiplication(B: BfaStructure, shape: bool) -> tuple:
-    """delta(1) = 1 (x) 1; a failure prints delta(1), its terms in basis order."""
-    P, one = B.presentation, B.presentation.field.one.value
-    actual = _delta(P.field, B.row, {0: one})
-    terms = {(vector_of(P, u), vector_of(P, w)): c for (u, w), c in actual.items()}
-    text = " + ".join(
-        f"({Scalar(P.field, terms[u, w])})*{monomial_name(u)}(x){monomial_name(w)}"
-        for u, w in sorted(terms)
-    )
-    return _verdict(actual == {(0, 0): one}, {"delta(1)": text or "0"})
+def _coassociativity(B: BfaStructure) -> tuple:
+    """(delta (x) id) delta = (id (x) delta) delta.  Fails at t unless c_0
+    and c_L lie in {0, 1} and every middle g is 0 unless c_0 = c_L = 1.
 
-
-def _coassociativity(B: BfaStructure, shape: bool) -> tuple:
-    """(delta (x) id) delta = (id (x) delta) delta.  It holds in the shape
-    (_construction_shape); otherwise every row is expanded.
-
-    A row holding a factor off the basis fails at "off-basis": delta is no
-    map A -> A (x) A there, and the factor has no row to expand.  The rows it
-    expands may hold such factors; they are keys like any other.
+    By (a) both sides of row 1 are 1(x)1(x)1, and by (a), (b) both sides of
+    a middle row are 1(x)1(x)x_v + 1(x)x_v(x)1 + x_v(x)1(x)1.  At t, by (c),
+    (d), with the sums over the middle k,
+      (delta (x) id) delta(t) = c_0 delta(t) (x) 1 + c_L 1(x)1(x)t
+                                + sum g_k delta(x_{L-k}) (x) x_{s(k)}
+      (id (x) delta) delta(t) = c_0 t(x)1(x)1 + c_L 1 (x) delta(t)
+                                + sum g_k x_{L-k} (x) delta(x_{s(k)}).
+    Expanded by (b), (c), (d), their coefficients on the distinct triples
+    are, left against right:
+      t(x)1(x)1  c_0^2 : c_0            x_{L-k}(x)x_{s(k)}(x)1  c_0 g_k : g_k
+      1(x)t(x)1  c_0 c_L : c_0 c_L      1(x)x_{L-k}(x)x_{s(k)}  g_k : c_L g_k
+      1(x)1(x)t  c_L : c_L^2            x_{L-k}(x)1(x)x_{s(k)}  g_k : g_k
+    The triples are distinct, since the places of the factors 1 and t
+    differ and L - k and s(k) are middle indices, one per k.  So the sides
+    agree exactly when c_0^2 = c_0, c_L^2 = c_L and every middle g_k with
+    (c_0, c_L) != (1, 1) is 0.
     """
-    if shape:
-        return True, None
-    field, row = B.presentation.field, B.row
-    mul = field._mul
-
-    def fails(i):
-        left, right = {}, {}
-        for u, w, c in row(i):
-            if isinstance(u, tuple) or isinstance(w, tuple):
-                return {"at": "off-basis"}
-            for p, q, c2 in row(u):
-                _add_value(field, left, (p, q, w), mul(c, c2))
-            for p, q, c2 in row(w):
-                _add_value(field, right, (u, p, q), mul(c, c2))
-        return left != right
-
-    return _first(B.presentation.basis(), fails)
-
-
-def _counit_law(B: BfaStructure, shape: bool) -> tuple:
-    """(epsilon (x) id) delta = id = (id (x) epsilon) delta, that is
-    x_v <- epsilon = x_v = epsilon -> x_v, with epsilon = x_0^*.  It holds
-    in the shape (_construction_shape)."""
-    if shape:
-        return True, None
-    field, one = B.presentation.field, B.presentation.field.one.value
-    return _first(
-        B.presentation.basis(),
-        lambda i: any(
-            _hit(field, B.row, {0: one}, {i: one}, left) != {i: one} for left in (False, True)
-        ),
-    )
-
-
-def _frobenius_copairing(B: BfaStructure, shape: bool) -> tuple:
-    """Rank of w |-> t <- x_w^*, one row per w: dim in the shape
-    (_construction_shape), and otherwise from rref.  A factor of delta(t)
-    off the basis fails at "off-basis", as in coassociativity."""
-    if shape:
-        return True, None
     P = B.presentation
-    top = B.row(P.dim - 1)
-    if any(isinstance(u, tuple) or isinstance(w, tuple) for u, w, _ in top):
-        return False, {"v": list(P.top), "at": "off-basis"}
-    rows = [{} for _ in range(P.dim)]
-    for u, w, c in top:
-        add_term(rows[u], w, Scalar(P.field, c))
-    r = len(rref(rows))
-    return _verdict(r == P.dim, {"rank": r})
+    field, g = P.field, B.g
+    mul, one = field._mul, field.one.value
+    c0, cL = g[0], g[-1]
+    middle = c0 == one == cL or all(map(field._is_zero, g[1:-1]))
+    return _verdict(mul(c0, c0) == c0 and mul(cL, cL) == cL and middle, {"v": list(P.top)})
 
 
-def _antipode_antihomomorphism(B: BfaStructure, shape: bool) -> tuple:
+def _counit_law(B: BfaStructure) -> tuple:
+    """(epsilon (x) id) delta = id = (id (x) epsilon) delta, that is
+    x_v <- epsilon = x_v = epsilon -> x_v, with epsilon = x_0^*.  Fails at t
+    unless c_0 = c_L = 1.
+
+    x_v <- epsilon sums the right factors of the terms of row v with left
+    factor 1, and epsilon -> x_v the left factors of those with right factor
+    1.  Both are x_v on the rows (a), (b).  By (c), (d) the only term of
+    delta(t) with left factor 1 is c_L 1 (x) t, and the only one with right
+    factor 1 is c_0 t (x) 1, so t <- epsilon = c_L t and epsilon -> t = c_0 t.
+    """
+    P, one = B.presentation, B.presentation.field.one.value
+    return _verdict(B.g[0] == one == B.g[-1], {"v": list(P.top)})
+
+
+def _frobenius_copairing(B: BfaStructure) -> tuple:
+    """Rank of w |-> t <- x_w^*, one row per w: the number of nonzero g.
+
+    t <- x_w^* sums the right factors of the terms of delta(t) with left
+    factor w.  By (c) that is the one term k = L - w, so row w holds g[k] at
+    column s(k) and nothing else, and column s(k) is hit by row L - k alone.
+    A matrix with at most one nonzero entry in each row and each column has
+    as rank the number of its nonzero entries.
+    """
+    P = B.presentation
+    rank = P.dim - sum(map(P.field._is_zero, B.g))
+    return _verdict(rank == P.dim, {"rank": rank})
+
+
+def _antipode_antihomomorphism(B: BfaStructure) -> tuple:
     """S(x_u x_v) = S(x_v) S(x_u).
 
     Generator certificate.  Let S(1) = 1, and let the pair (u, e_k) pass
-    for every basis u and generator x_k.  Then every nonzero image S(x_v),
-    v != 0, lies in the basis: otherwise the pair (v - e_k, e_k) fails, its
-    left side sitting on the off-basis vector and its right side in the
-    basis or zero.  Every pair passes, by induction on |v|; |v| = 0 is
-    S(1) = 1.  For |v| > 0 let k be the last index with v_k > 0 and
-    v' = v - e_k, so that x_v = x_{v'} x_k exactly.  With
+    for every basis u and generator x_k.  Every pair passes, by induction
+    on |v|; |v| = 0 is S(1) = 1.  For |v| > 0 let k be the last index with
+    v_k > 0 and v' = v - e_k, so that x_v = x_{v'} x_k exactly.  With
     x_u x_{v'} = c x_w (c = 0 allowed):
       S(x_u x_v) = c S(x_w x_k) = c S(x_k) S(x_w)              pair (w, e_k)
                  = S(x_k) S(x_u x_{v'}) = S(x_k) S(x_{v'}) S(x_u)   induction
                  = S(x_{v'} x_k) S(x_u) = S(x_v) S(x_u)        pair (v', e_k)
-    The middle steps multiply images as elements of A, which is why the
-    nonzero images must lie in the basis.  The generator pairs are pairs
-    of the grid, so the certificate fails exactly when some pair fails.
+    The generator pairs are pairs of the grid, so the certificate fails
+    exactly when some pair fails.
 
     The brackets of the certificate pairs come from tables built once: the
     bracket is multiplicative in each argument, so bracket(., e_k) and
     bracket(S(e_k), .) are characters on the basis, with the values
     bracket(e_j, e_k) and bracket(S(e_k), e_j) on the generators (_character).
-    The certificate is read when every image lies in the basis and S sends
-    each generator to a generator, the shape a built or loaded structure
-    has; then the sums u + e_k and s(e_k) + s(u) are indices (certified).
+    S sends x_k to a multiple of the generator x_{pi(k)}, so the sums
+    u + e_k and s(e_k) + s(u) are indices (certified).
 
-    Otherwise, or when the certificate fails, the scan below decides every
-    pair that can fail and names the first failing one.  The left side
-    vanishes unless v lies in box(u), the right side unless s(v) + s(u)
-    lies in the basis; those v are found by probing the image vectors w
-    with s(u) + w in the basis, within the bounding box of all images
-    (images outside the basis included).  Each row visits the union in
+    When the certificate fails, the scan below decides every pair that can
+    fail and names the first failing one.  The left side vanishes unless
+    u + v lies in the basis, that is unless v lies in box(u), and so does
+    the right side: s(v) + s(u) = pi(u + v), since pi permutes the
+    coordinates and preserves the exponents.  Each row visits box(u) in
     basis order.
     """
     P = B.presentation
@@ -463,13 +342,13 @@ def _antipode_antihomomorphism(B: BfaStructure, shape: bool) -> tuple:
 
     def antihomomorphic(i, j):
         """S(x_u x_v) == S(x_v) S(x_u) for u, v = basis[i], basis[j], each side
-        compared as None (zero) or (key, payload)."""
+        compared as None (zero) or (index, payload)."""
         u, v = basis[i], basis[j]
         w = index.get(tuple(map(operator.add, u, v)))
         lhs = None
         if w is not None and not is_zero(s_coef[w]):
             lhs = (s_img[w], mul(s_coef[w], bracket(u, v)))
-        iu, iv = s_vec[i], s_vec[j]
+        iu, iv = basis[s_img[i]], basis[s_img[j]]
         w = index.get(tuple(map(operator.add, iv, iu)))
         rhs = None
         if w is not None:
@@ -484,8 +363,6 @@ def _antipode_antihomomorphism(B: BfaStructure, shape: bool) -> tuple:
         s_img[i] + index(e_m) when S(x_k) sits at e_m and s(u)_m < a_m - 1."""
         units = [P.unit_vec(k) for k in range(1, P.n + 1)]
         generators = [index[e] for e in units]
-        if set(map(type, s_img)) != {int} or not all(s_img[g] in generators for g in generators):
-            return False
         for k, g in enumerate(generators):
             sg, cg = s_img[g], s_coef[g]
             m = generators.index(sg)
@@ -505,120 +382,72 @@ def _antipode_antihomomorphism(B: BfaStructure, shape: bool) -> tuple:
                     return False
         return True
 
-    if s_img[0] != 0 or s_coef[0] != field.one.value:
+    if s_coef[0] != field.one.value:
         return False, {"at": "S(1)"}
     if certified():
         return True, None
-    s_vec = [vector_of(P, k) for k in s_img]
-    preimages: dict = {}  # image vector -> basis indices of its preimages
-    for j, img in enumerate(s_vec):
-        preimages.setdefault(img, []).append(j)
-    lo = [min(img[k] for img in preimages) for k in range(P.n)]
-    hi = [max(img[k] for img in preimages) for k in range(P.n)]
     for i, u in enumerate(basis):
-        iu = s_vec[i]
-        box = itertools.product(*(range(ak - uk) for ak, uk in zip(P.a, u)))
-        candidates = {index[v] for v in box}  # the v with u + v in the basis
-        probe = (
-            range(max(lo[k], -iu[k]), min(hi[k], P.a[k] - 1 - iu[k]) + 1)
-            for k in range(P.n)
-        )
-        for w in itertools.product(*probe):
-            candidates.update(preimages.get(w, ()))
-        for j in sorted(candidates):
-            if not antihomomorphic(i, j):
-                return False, {"u": list(u), "v": list(basis[j])}
+        for v in itertools.product(*map(range, map(operator.sub, P.a, u))):
+            if not antihomomorphic(i, index[v]):
+                return False, {"u": list(u), "v": list(v)}
     return True, None
 
 
-def _antipode_coalgebra_antihomomorphism(B: BfaStructure, shape: bool) -> tuple:
+def _antipode_coalgebra_antihomomorphism(B: BfaStructure) -> tuple:
     """epsilon S = epsilon and delta S = (S (x) S) delta^op.
 
-    S(x_v) = c x_w is one term, so epsilon S(x_v) is c when w = 0 and 0
-    otherwise.  An image off the basis has no delta row, so the check fails
-    there at "delta"; a row of delta holding a factor off the basis fails at
-    "off-basis", as in coassociativity.
-
-    Certificate for primitive rows.  Row 0 is decided first, and its
-    epsilon test passes only when S(1) = 1.  Let row i and the row of its
-    image w be primitive: each of i and w lies strictly between 0 and
-    last = dim - 1 and not in B.rows (w an index, since a key off the basis
-    has no row).  Then
+    S(x_v) = c x_{s(v)} is one term, and s fixes 1 and t and permutes the
+    middle indices.  So epsilon S(x_v) = epsilon(x_v) fails only at 1, when
+    S(1) != 1 ("epsilon").  With S(1) = 1, row 1 reads 1 (x) 1 on both
+    sides, by (a).  A middle row passes unexpanded: x_w, w = s(v), is
+    middle, so by (b)
       (S (x) S) delta^op(x_v) = S(x_v) (x) S(1) + S(1) (x) S(x_v)
                               = c (x_w (x) 1 + 1 (x) x_w) = c delta(x_w),
-    which is delta S(x_v), so the row passes without expansion.
+    which is delta S(x_v).  So only row t is summed, term by term.
     """
-    field, row = B.presentation.field, B.row
-    s_img, s_coef = B.s_img, B.s_coef
-    mul, is_zero = field._mul, field._is_zero
-    one, zero = field.one.value, field.zero.value
-    expanded = {0, len(s_img) - 1, *B.rows}  # the rows not read as primitive
-
-    def fails(i):
-        img, coef = s_img[i], s_coef[i]
-        if (coef if img == 0 else zero) != (one if i == 0 else zero):
-            return {"at": "epsilon"}
-        if isinstance(img, int) and i not in expanded and img not in expanded:
-            return None
-        rhs: dict = {}
-        for u, w, c in row(i):
-            if isinstance(u, tuple) or isinstance(w, tuple):
-                return {"at": "off-basis"}
-            _add_value(field, rhs, (s_img[w], s_img[u]), mul(mul(c, s_coef[u]), s_coef[w]))
-        lhs: dict = {}
-        if not is_zero(coef):
-            if isinstance(img, tuple):
-                return {"at": "delta"}
-            for u, w, c in row(img):
-                _add_value(field, lhs, (u, w), mul(coef, c))
-        if lhs != rhs:
-            return {"at": "delta"}
-        return None
-
-    return _first(B.presentation.basis(), fails)
+    P = B.presentation
+    field, s_img, s_coef = P.field, B.s_img, B.s_coef
+    mul = field._mul
+    if s_coef[0] != field.one.value:
+        return False, {"v": list(P.zero_vec), "at": "epsilon"}
+    coef, lhs, rhs = s_coef[-1], {}, {}
+    for u, w, c in B.row(len(s_img) - 1):
+        _add_value(field, lhs, (u, w), mul(coef, c))
+        _add_value(field, rhs, (s_img[w], s_img[u]), mul(mul(c, s_coef[u]), s_coef[w]))
+    return _verdict(lhs == rhs, {"v": list(P.top), "at": "delta"})
 
 
-def _antipode_definition(B: BfaStructure, shape: bool) -> tuple:
+def _antipode_definition(B: BfaStructure) -> tuple:
     """S(x) = sum phi(t_1 x) t_2.
 
     phi = x_top^*, and x_u x_v has the support top exactly when u is the
-    complement top - v, whose index is dim - 1 - index(v); there
+    complement top - v, whose index is L - index(v); there
     phi(x_u x_v) = bracket(top - v, v), table[i] (_socle_brackets).  So
-    row v = basis[i] sums the terms of delta(t) with left factor
-    complement(v), times table[i].  In the shape that is one comparison
-    (_construction_shape); a row that fails it is summed for its detail.
+    row v = basis[i] sums the terms of delta(t) with left factor L - i,
+    times table[i]: by (c) the one term g[i] x_{s(i)}.  It is compared
+    with S(x_v) = s_coef[i] x_{s(i)}: the row passes when
+    table[i] g[i] = s_coef[i], both zero included.
     """
     P = B.presentation
     field, basis = P.field, P.basis()
-    mul, last = field._mul, len(basis) - 1
-    g, s_img, s_coef = B.g, B.s_img, B.s_coef
-    table = _socle_brackets(P)
-    top = B.row(last)
-    by_left: dict = {}  # left factor key -> [(w, c)] over the terms of delta(t)
-    for u, w, c in top:
-        by_left.setdefault(u, []).append((w, c))
+    actual = list(map(field._mul, _socle_brackets(P), B.g))
+    if actual == B.s_coef:
+        return True, None
 
-    def fails(i):
-        if shape and mul(table[i], g[i]) == s_coef[i]:
-            return None
-        acc: dict = {}
-        for w, c in by_left.get(last - i, ()):
-            _add_value(field, acc, w, mul(table[i], c))
-        img, coef = s_img[i], s_coef[i]
-        expected = {} if field._is_zero(coef) else {img: coef}
-        if acc == expected:
-            return None
-        return {
-            "expected": P.element_to_string(_element(P, expected)),
-            "actual": P.element_to_string(_element(P, acc)),
-        }
+    def element(i, x):
+        """x x_{s(i)} as text."""
+        zero = field._is_zero(x)
+        return P.element_to_string({} if zero else {basis[B.s_img[i]]: Scalar(field, x)})
 
-    return _first(basis, fails)
+    return _first(basis, lambda i: actual[i] != B.s_coef[i] and {
+        "expected": element(i, B.s_coef[i]),
+        "actual": element(i, actual[i]),
+    })
 
 
 _AXIOMS = {
     "counit-algebra-map": _fixed_by_presentation,
-    "unit-comultiplication": _unit_comultiplication,
+    "unit-comultiplication": _fixed_by_presentation,
     "coassociativity": _coassociativity,
     "counit-law": _counit_law,
     "frobenius-pairing": _fixed_by_presentation,
@@ -634,19 +463,15 @@ AXIOM_CHECKS = tuple(_AXIOMS)
 def verify_axioms(B: BfaStructure) -> VerificationReport:
     """The defining axioms, every basis pair decided exactly.
 
-    The shape of delta is decided once and passed to every check
-    (_construction_shape).  counit-algebra-map and frobenius-pairing hold
-    for every presentation (_fixed_by_presentation).  The other pair checks
-    evaluate only the pairs where a side can be nonzero given the supports
-    of the tables; on every other pair both sides are zero.  The anti-homomorphism check passes on
-    its generator pairs alone and scans the rest only to locate a failure.
-    Pairs are visited in basis order, row u before row u', so a failure
-    names the first failing pair of the whole dim x dim grid.
+    unit-comultiplication, counit-algebra-map and frobenius-pairing hold
+    for every structure (_fixed_by_presentation), and the checks that read
+    delta are decided on g (the module docstring).  The anti-homomorphism
+    check passes on its generator pairs alone and scans the rest only to
+    locate a failure.  Pairs are visited in basis order, row u before row
+    u', so a failure names the first failing pair of the whole dim x dim
+    grid.
     """
-    shape = _construction_shape(B)
-    return VerificationReport(
-        [CheckResult(name, *check(B, shape)) for name, check in _AXIOMS.items()]
-    )
+    return VerificationReport([CheckResult(name, *check(B)) for name, check in _AXIOMS.items()])
 
 
 # -- derived checks ---------------------------------------------------------------
@@ -655,30 +480,21 @@ def verify_axioms(B: BfaStructure) -> VerificationReport:
 class _Shared:
     """The values the derived checks share, computed once.
 
-    Whether delta has the construction's shape (_construction_shape).
-    m = phi -> t, with phi = x_top^* and t = x_top, as a payload dict on keys
-    and as a Scalar element, and m^{-1} (None when m is not invertible).
-    Entry i of S, S^2 or S^4 is (key of w, c) when the power sends x_v,
-    v = basis[i], to c x_w, c != 0, () when it sends x_v to 0, and None when
-    S met a vector off the basis.  S(x_v) is one term, so S^4 = S^2 S^2
-    entry by entry.  h_v = prod_k h_{e_k}^{v_k}.
+    c_0 = g[0] and c_L = g[L], the coefficients of t (x) 1 and 1 (x) t in
+    delta(t).  Entry i of S, S^2 or S^4 is (index of w, c) when the power
+    sends x_v, v = basis[i], to c x_w, c != 0, and () when it sends x_v to
+    0.  S(x_v) is one term, so S^4 = S^2 S^2 entry by entry.
+    h_v = prod_k h_{e_k}^{v_k}.
     """
 
     def __init__(self, B: BfaStructure):
         P, field = B.presentation, B.presentation.field
-        self.shape = _construction_shape(B)
-        top = {P.dim - 1: field.one.value}
-        self.m = _hit(field, B.row, top, top, left=True)
-        self.modular = _element(P, self.m)
-        try:
-            self.inv = P.invert_element(self.modular)
-        except NotInvertibleError:
-            self.inv = None
+        self.c0, self.cL = B.g[0], B.g[-1]
 
         def then(first: list, second: list) -> list:
             out = []
-            for term in first:  # None and () stay, and a key off the basis gives None
-                image = term and (None if isinstance(term[0], tuple) else second[term[0]])
+            for term in first:  # () stays
+                image = term and second[term[0]]
                 out.append(image and (image[0], field._mul(term[1], image[1])))
             return out
 
@@ -688,168 +504,127 @@ class _Shared:
         self.h = _character(field, P.h_values(), P.a)
 
 
-def _apply(field, table: list, x: dict):
-    """The power of S in table applied to the payload element x on keys,
-    terms that cancel dropped, or None when it is undefined on a key of x."""
-    out: dict = {}
-    for k, c in x.items():
-        term = None if isinstance(k, tuple) else table[k]
-        if term is None:
-            return None
-        if term:
-            _add_value(field, out, term[0], field._mul(c, term[1]))
-    return out
+def _scaled(field, term, c):
+    """The term (w, x) of a power of S times the payload c, () when it vanishes."""
+    if not term or c == field.one.value:
+        return term
+    return () if field._is_zero(c) else (term[0], field._mul(c, term[1]))
 
 
-def _conjugation(P: Presentation, left: dict, right: dict):
-    """x |-> left x right on payload elements x on keys, which may lie off
-    the basis; left and right are Scalar elements.
+def _square_is_nakayama(B: BfaStructure, d: _Shared, c) -> tuple:
+    """(passed, detail) of "S^2(x_v) = h_v x_v for every v", with S^2(t)
+    scaled by the payload c."""
+    P = B.presentation
+    s2, h, last = d.s2, d.h, P.dim - 1
+    top = _scaled(P.field, s2[last], c)
+    return _first(P.basis(), lambda i: (s2[i] if i < last else top) != (i, h[i]))
 
-    When left and right are constants l 1 and r 1, every bracket with the
-    zero vector is 1, so the map is x restricted to the basis (its int
-    keys), times l r.  Other elements are multiplied in by Presentation.mul.
-    """
-    zero, mul = P.zero_vec, P.field._mul
-    if left.keys() == {zero} == right.keys():
-        c = mul(left[zero].value, right[zero].value)
-        return lambda x: {w: mul(cw, c) for w, cw in x.items() if isinstance(w, int)}
 
-    def product(x: dict) -> dict:
-        y = P.mul(P.mul(left, _element(P, x)), right)
-        return {key_of(P, w): cw.value for w, cw in y.items()}
-
-    return product
+def _fourth_power_is(B: BfaStructure, d: _Shared, c) -> tuple:
+    """(passed, detail) of "S^4(x_v) = x_v for every v", with the x_v of t
+    scaled by the payload c."""
+    P = B.presentation
+    s4, last, one = d.s4, P.dim - 1, P.field.one.value
+    top = _scaled(P.field, (last, one), c)
+    return _first(P.basis(), lambda i: s4[i] != ((i, one) if i < last else top))
 
 
 def _unit_via_copairing(B: BfaStructure, d: _Shared) -> tuple:
-    """1 = t <- phi."""
+    """1 = t <- phi.  t <- phi sums the right factors of the terms of
+    delta(t) with left factor t, which by (c), (d) is the one term
+    c_0 t (x) 1: t <- phi = c_0 1."""
     P = B.presentation
-    last, one = P.dim - 1, P.field.one.value
-    recovered = _hit(P.field, B.row, {last: one}, {last: one}, left=False)
-    if recovered == {0: one}:
+    field, c0 = P.field, d.c0
+    if c0 == field.one.value:
         return True, None
-    return False, {"value": P.element_to_string(_element(P, recovered))}
+    value = {} if field._is_zero(c0) else {P.zero_vec: Scalar(field, c0)}
+    return False, {"value": P.element_to_string(value)}
 
 
 def _modular_element(B: BfaStructure, d: _Shared) -> tuple:
-    """m = phi -> t is group-like (and 1 in characteristic 0); a key of m off
-    the basis fails at "off-basis", since delta has no row there."""
-    field, m = B.presentation.field, d.m
-    mul, one = field._mul, field.one.value
-    if m.get(0) != one:
-        return False, {"at": "epsilon"}
-    if any(isinstance(k, tuple) for k in m):
-        return False, {"at": "off-basis"}
-    square = {(u, w): mul(cu, cw) for u, cu in m.items() for w, cw in m.items()}
-    if _delta(field, B.row, m) != square:
-        return False, {"at": "grouplike"}
-    if field.characteristic() == 0 and m != {0: one}:
-        return False, {"at": "char-zero-unit"}
-    return True, None
+    """m = phi -> t is group-like (and 1 in characteristic 0).
+
+    phi -> t sums the left factors of the terms of delta(t) with right
+    factor t, which by (c), (d) is the one term c_L 1 (x) t: m = c_L 1.  So
+    epsilon(m) = c_L, and the check fails at "epsilon" unless c_L = 1.  Then
+    m = 1, which lies in the basis, is 1 in every characteristic, and is
+    group-like by (a).
+    """
+    return _verdict(d.cL == B.presentation.field.one.value, {"at": "epsilon"})
 
 
 def _antipode_of_modular_element(B: BfaStructure, d: _Shared) -> tuple:
-    """S(m) = m^{-1}.  m^{-1} exists only when every key of m lies in the
-    basis, where S is read from the arrays."""
-    if d.inv is None:
+    """S(m) = m^{-1}.  m = c_L 1 (modular-element) has no inverse when
+    c_L = 0.  Otherwise m^{-1} = c_L^{-1} 1, and S(m) = c_L s_coef[0] 1,
+    since s fixes 1."""
+    field, cL = B.presentation.field, d.cL
+    if field._is_zero(cL):
         return False, None
-    P = B.presentation
-    image: dict = {}
-    for k, c in d.m.items():
-        _add_value(P.field, image, B.s_img[k], P.field._mul(c, B.s_coef[k]))
-    return image == {key_of(P, v): c.value for v, c in d.inv.items()}, None
+    return field._mul(cL, B.s_coef[0]) == field._inv(cL), None
 
 
 def _nakayama_via_antipode(B: BfaStructure, d: _Shared) -> tuple:
     """N(x) = m^{-1} S^2(alpha -> x) m.
 
-    alpha -> x_v is epsilon -> x_v, and S is applied to it twice, since its
-    terms can cancel in between.  In the shape, epsilon -> x_v = x_v and
-    m = m^{-1} = 1 (_construction_shape), so row v reads S^2(x_v) = h_v x_v,
-    which is antipode-square-is-nakayama.
+    m = c_L 1 (modular-element): with c_L = 0 there is no m^{-1}, and the
+    check fails at "modular-inverse".  Otherwise m^{-1} x m = x.
+    alpha = epsilon (_fixed_by_presentation), and epsilon -> x_v is x_v on
+    every row but t, and c_0 t at t (counit-law).  So row v compares
+    S^2(x_v) with N(x_v) = h_v x_v, as antipode-square-is-nakayama, with
+    S^2(t) scaled by c_0.
     """
-    if d.shape:
-        return _antipode_square_is_nakayama(B, d)
-    P = B.presentation
-    if d.inv is None:
+    if B.presentation.field._is_zero(d.cL):
         return False, {"at": "modular-inverse"}
-    field, s1, h = P.field, d.s1, d.h
-    one = field.one.value
-    conjugate = _conjugation(P, d.inv, d.modular)
-
-    def fails(i):
-        once = _apply(field, s1, _hit(field, B.row, {0: one}, {i: one}, left=True))
-        twice = None if once is None else _apply(field, s1, once)
-        return twice is None or conjugate(twice) != {i: h[i]}
-
-    return _first(P.basis(), fails)
+    return _square_is_nakayama(B, d, d.c0)
 
 
 def _fourth_power_formula(B: BfaStructure, d: _Shared) -> tuple:
     """S^4(x) = m (alpha^{-1} -> x <- alpha) m^{-1}.
 
-    In the shape, alpha^{-1} = epsilon, epsilon -> x_v = x_v = x_v <- epsilon
-    and m = m^{-1} = 1 (_construction_shape), so row v reads S^4(x_v) = x_v,
-    which is antipode-fourth-power-identity.
-
-    Otherwise alpha = epsilon = x_0^*, so x_v <- alpha is x_v <- epsilon, and
-    alpha^{-1} is solved from the convolution system (alpha * g)(x_v) =
-    epsilon(x_v), which reads, row by row,
-      sum over the terms c x_w of x_v <- alpha of c g(x_w) = [v = 0].
-    A surviving term off the basis fails at "off-basis", since g has no
-    unknown there, and a singular system at "alpha-inverse".
+    With c_L = 0 there is no m^{-1}, and the check fails at
+    "modular-inverse", as nakayama-via-antipode does.  Otherwise
+    m x m^{-1} = x.  alpha = epsilon (_fixed_by_presentation), and
+    x_v <- epsilon is x_v on every row but t, and c_L t at t (counit-law).
+    So the convolution system (alpha * f)(x_v) = epsilon(x_v) for
+    f = alpha^{-1}, which reads sum over the terms c x_w of x_v <- alpha of
+    c f(x_w) = [v = 0], is diagonal with the nonzero entries 1 and c_L,
+    and alpha^{-1} = epsilon.  epsilon -> (c_L t) = c_0 c_L t.  So row v
+    compares S^4(x_v) with x_v, as antipode-fourth-power-identity, with the
+    t of row t scaled by c_0 c_L.
     """
-    if d.shape:
-        return _antipode_fourth_power_identity(B, d)
-    P = B.presentation
-    if d.inv is None:
+    field = B.presentation.field
+    if field._is_zero(d.cL):
         return False, {"at": "modular-inverse"}
-    field, dim, one = P.field, P.dim, P.field.one.value
-    rights = [_hit(field, B.row, {0: one}, {i: one}, left=False) for i in range(dim)]
-    if any(isinstance(w, tuple) for right in rights for w in right):
-        return False, {"at": "off-basis"}
-    system = [{w: Scalar(field, c) for w, c in right.items()} for right in rights]
-    system[0][dim] = field.one
-    try:
-        alpha_inv = {w: c.value for w, c in solve_sparse(system, dim).items()}
-    except SingularMatrixError:
-        return False, {"at": "alpha-inverse"}
-    s4 = d.s4
-    conjugate = _conjugation(P, d.modular, d.inv)
-
-    def fails(i):
-        moved = _hit(field, B.row, alpha_inv, rights[i], left=True)
-        return s4[i] is None or conjugate(moved) != ({s4[i][0]: s4[i][1]} if s4[i] else {})
-
-    return _first(P.basis(), fails)
+    return _fourth_power_is(B, d, field._mul(d.c0, d.cL))
 
 
-def _antipode_graded(B: BfaStructure, d: _Shared) -> tuple:
-    """S preserves total degree."""
-    P = B.presentation
-    basis, is_zero = P.basis(), P.field._is_zero
-    return _first(
-        basis,
-        lambda i: is_zero(B.s_coef[i]) or sum(vector_of(P, B.s_img[i])) != sum(basis[i]),
-    )
+def _nonzero_coefficients(B: BfaStructure, d: _Shared) -> tuple:
+    """antipode-graded, S preserves total degree, and antipode-monomial, the
+    image map is an involution of the basis fixing top: each fails at the
+    first zero coefficient and nowhere else.
+
+    S(x_v) = s_coef[v] x_{s(v)}, and pi(v) has the coordinates of v,
+    permuted, so x_{s(v)} has the degree of x_v.  pi is an involution of
+    the generators preserving the exponents (check_witness), so s is an
+    involution of the basis fixing t.
+    """
+    is_zero = B.presentation.field._is_zero
+    return _first(B.presentation.basis(), lambda i: is_zero(B.s_coef[i]))
 
 
 def _antipode_square_is_nakayama(B: BfaStructure, d: _Shared) -> tuple:
     """S^2 = N, the Nakayama automorphism in closed form: x_v |-> h_v x_v."""
-    s2, h = d.s2, d.h
-    return _first(B.presentation.basis(), lambda i: s2[i] != (i, h[i]))
+    return _square_is_nakayama(B, d, B.presentation.field.one.value)
 
 
 def _antipode_fourth_power_identity(B: BfaStructure, d: _Shared) -> tuple:
     """S^4 = id."""
-    s4, one = d.s4, B.presentation.field.one.value
-    return _first(B.presentation.basis(), lambda i: s4[i] != (i, one))
+    return _fourth_power_is(B, d, B.presentation.field.one.value)
 
 
 def _antipode_fixes_integral(B: BfaStructure, d: _Shared) -> tuple:
-    """S(t) = t."""
-    last = B.presentation.dim - 1
-    return B.s_img[last] == last and B.s_coef[last] == B.presentation.field.one.value, None
+    """S(t) = t: S(t) = s_coef[L] t, since s fixes t."""
+    return B.s_coef[-1] == B.presentation.field.one.value, None
 
 
 def _nakayama_involutive(B: BfaStructure, d: _Shared) -> tuple:
@@ -869,22 +644,6 @@ def _nakayama_involutive(B: BfaStructure, d: _Shared) -> tuple:
     return True, None
 
 
-def _antipode_monomial(B: BfaStructure, d: _Shared) -> tuple:
-    """The image map is an involution of the basis fixing top."""
-    P = B.presentation
-    s_img, dim, is_zero = B.s_img, P.dim, P.field._is_zero
-    found = _first(P.basis(), lambda i: is_zero(B.s_coef[i]) or isinstance(s_img[i], tuple))
-    if not found[0]:
-        return found
-    if sorted(s_img) != list(range(dim)):
-        return False, {"at": "not-a-bijection"}
-    if any(s_img[s_img[i]] != i for i in range(dim)):
-        return False, {"at": "not-an-involution"}
-    if s_img[dim - 1] != dim - 1:
-        return False, {"at": "top-not-fixed"}
-    return True, None
-
-
 _DERIVED = {
     "counit-via-integral": _fixed_by_presentation,
     "socle-pairing-normalized": _fixed_by_presentation,
@@ -897,22 +656,21 @@ _DERIVED = {
     "antipode-of-modular-element": _antipode_of_modular_element,
     "nakayama-via-antipode": _nakayama_via_antipode,
     "fourth-power-formula": _fourth_power_formula,
-    "antipode-graded": _antipode_graded,
+    "antipode-graded": _nonzero_coefficients,
     "antipode-square-is-nakayama": _antipode_square_is_nakayama,
     "antipode-fourth-power-identity": _antipode_fourth_power_identity,
     "antipode-fixes-integral": _antipode_fixes_integral,
     "nakayama-involutive": _nakayama_involutive,
-    "antipode-monomial": _antipode_monomial,
+    "antipode-monomial": _nonzero_coefficients,
 }
 
 DERIVED_CHECKS = tuple(_DERIVED)
 
 
 def verify_derived(B: BfaStructure) -> VerificationReport:
-    """The derived identities.  The checks share the shape of delta, m,
-    m^{-1} and the powers of S (_Shared).  alpha = t -> phi is the counit
-    (_fixed_by_presentation), so alpha -> x and x <- alpha are the coactions
-    of epsilon = x_0^*."""
+    """The derived identities.  The checks share c_0, c_L and the powers of
+    S (_Shared).  alpha = t -> phi is the counit (_fixed_by_presentation),
+    so alpha -> x and x <- alpha are the coactions of epsilon = x_0^*."""
     shared = _Shared(B)
     return VerificationReport(
         [CheckResult(name, *check(B, shared)) for name, check in _DERIVED.items()]
@@ -931,9 +689,8 @@ def is_hopf_comultiplication(B: BfaStructure) -> bool:
                      = delta(x_u x_{v'}) delta(x_k)
                      = delta(x_u) delta(x_{v'}) delta(x_k)          induction
                      = delta(x_u) delta(x_v)                        pair (v', e_k)
-    which uses only that A (x) A is associative.  So no premise
-    delta(1) = 1 (x) 1 is needed and the claim holds for any linear map
-    delta: A -> A (x) A.
+    which uses only that A (x) A is associative, so the claim holds for any
+    linear map delta: A -> A (x) A.
     The certificate pairs are pairs of the grid, so the flag is the one of
     the exhaustive dim x dim scan, from at most (n + 1) dim pairs, each one
     _tensor_mul call on payload dicts.
@@ -954,46 +711,31 @@ def is_hopf_comultiplication(B: BfaStructure) -> bool:
 
 
 def primitive_space_dim(B: BfaStructure) -> int:
-    """Dimension of {x : delta(x) = 1 (x) x + x (x) 1}, computed exactly.
+    """Dimension of {x : delta(x) = 1 (x) x + x (x) 1}, computed exactly:
+    dim - 1, less 1 unless delta(t) = 1 (x) t + t (x) 1.
 
-    dim - 2 in the shape (_construction_shape).  Otherwise dim minus the
-    rank of the columns delta(x_v) - 1 (x) x_v - x_v (x) 1 on the key pairs,
-    eliminated as rows; a primitive row gives a zero column, so only the
-    rows of 1 and t and those in B.rows are read.
+    The column delta(x_v) - 1 (x) x_v - x_v (x) 1 vanishes on a middle row
+    (b), and at 1 it is -(1 (x) 1) (a).  At t it is, by (c), (d),
+    (c_L - 1) 1 (x) t + (c_0 - 1) t (x) 1 + sum g_k x_{L-k} (x) x_{s(k)} over
+    the middle k, with no term at 1 (x) 1.  Nonzero columns on disjoint
+    supports are independent, so the rank is 1, plus 1 when the column of
+    t is nonzero: unless c_0 = c_L = 1 and every middle g is 0.
     """
     P = B.presentation
-    if _construction_shape(B):
-        return P.dim - 2
-    field, one = P.field, P.field.one.value
-    minus_one = field._neg(one)
-    columns = []
-    for j in sorted({0, P.dim - 1, *B.rows}):
-        col = _delta(field, B.row, {j: one})
-        _add_value(field, col, (0, j), minus_one)
-        _add_value(field, col, (j, 0), minus_one)
-        columns.append(col)
-    ids: dict = {}  # key pair -> its column in the eliminated rows
-    return P.dim - len(rref(
-        [{ids.setdefault(k, len(ids)): Scalar(field, c) for k, c in col.items()} for col in columns]
-    ))
+    field, g = P.field, B.g
+    one = field.one.value
+    primitive_t = g[0] == one == g[-1] and all(map(field._is_zero, g[1:-1]))
+    return P.dim - 1 - (not primitive_t)
 
 
 def negate_socle_entry(B: BfaStructure, v) -> BfaStructure:
     """A copy of B with the socle coefficient at v negated in g, and so in
-    delta(t), which B.row reads from g; a stored row of t has its term at
-    the complement of v negated as well.
+    delta(t), which B.row reads from g.
 
     The antipode table is left untouched, so the definition check must
     notice the inconsistency at exactly v.
     """
-    v = tuple(v)
-    P = B.presentation
     g = list(B.g)
-    i = P.index(v)
-    neg = P.field._neg
-    g[i] = neg(g[i])
-    last, rows = P.dim - 1, dict(B.rows)
-    if last in rows:
-        left = key_of(P, P.complement(v))
-        rows[last] = [(u, w, neg(c) if u == left else c) for u, w, c in rows[last]]
-    return BfaStructure(P, B.witness, g, rows, list(B.s_img), list(B.s_coef))
+    i = B.presentation.index(tuple(v))
+    g[i] = B.presentation.field._neg(g[i])
+    return dataclasses.replace(B, g=g)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     REFERENCE_STRUCTURES,
+    complement,
     epsilon,
     format1_blob,
     g_dict,
@@ -508,7 +509,7 @@ def test_tables_match_references(field, n, rng):
     assert g == reference_g_table(P, w)
     B = build_structure(P, w)
     for i, v in enumerate(P.basis()):
-        assert Scalar(field, B.s_coef[i]) == g[v] * reference_bracket(P, P.complement(v), v)
+        assert Scalar(field, B.s_coef[i]) == g[v] * reference_bracket(P, complement(P, v), v)
         assert B.s_img[i] == P.index(w.pi.act(v))
 
 

@@ -674,6 +674,145 @@ def test_loader_message(blobs, version, tamper, exc, fragment):
         structure_from_json(obj)
 
 
+# -- the delta rows and S images a file can spell --------------------------------
+#
+# A structure holds only g and s_coef: delta and the support of S follow from
+# pi and g.  So every change of a delta row or of an S image that a file can
+# spell is a loader error, and its LOADER_MESSAGES row names it.  Those rows
+# name the vector 0,1,0; a case here that fails first at another vector has
+# its message with that vector instead.
+
+MESSAGES = {name: (exc, fragment) for name, _, _, exc, fragment in LOADER_MESSAGES}
+
+
+def _edit(section, key, edit):
+    """A tampering that replaces obj[section][key] with edit(obj[section][key])."""
+
+    def tamper(obj):
+        obj[section][key] = edit(obj[section][key])
+        return obj
+
+    return tamper
+
+
+def _images(**images):
+    """A tampering that sets the S image of each key to the given one, its
+    coefficient kept; keys are spelled with "_" for ","."""
+
+    def tamper(obj):
+        for key, image in images.items():
+            key = key.replace("_", ",")
+            obj["s"][key] = [image, obj["s"][key][1]]
+        return obj
+
+    return tamper
+
+
+def _group_like_x1(obj):
+    """m made 1 + x1, x1 group-like: delta(t) gains x1 (x) t, delta(x1) x1 (x) x1."""
+    obj["delta"]["1,1,1"].append(["1,0,0", "1,1,1", "1"])
+    obj["delta"]["1,0,0"].append(["1,0,0", "1,0,0", "1"])
+    return obj
+
+
+# (label, formats, tampering, LOADER_MESSAGES row, vector named or None) on
+# example 6.9 over Q(zeta_8), where S swaps x2 and x3, and x1 x3 and x1 x2
+SPELLED_TAMPERINGS = [
+    ("delta(1) doubled", V1, _put("delta", "0,0,0", [["0,0,0", "0,0,0", "2"]]),
+     "delta-zero-row", None),
+    ("delta(1) emptied", V1, _put("delta", "0,0,0", []), "delta-zero-row", None),
+    ("delta(x2) gains x2(x)x3", V1,
+     _edit("delta", "0,1,0", lambda r: r + [["0,1,0", "0,0,1", "1"]]),
+     "delta-primitive", "0,1,0"),
+    ("delta(x2) 1(x)x2 doubled", V1, _put("delta", "0,1,0", 0, 2, "2"), "delta-primitive", "0,1,0"),
+    ("delta(x2) term zeroed", V1, _put("delta", "0,1,0", 0, 2, "0"), "delta-zero", "0,1,0"),
+    ("delta(x2) term dropped", V1, _edit("delta", "0,1,0", lambda r: r[1:]),
+     "delta-primitive", "0,1,0"),
+    ("delta(x2) made the row of x3", V1,
+     _put("delta", "0,1,0", [["0,0,0", "0,0,1", "1"], ["0,0,1", "0,0,0", "1"]]),
+     "delta-primitive", "0,1,0"),
+    ("delta(x2) term repeated", V1, _edit("delta", "0,1,0", lambda r: r + [r[0]]),
+     "delta-top-repeat", None),
+    ("delta(x2) gains a factor off the basis", V1,
+     _edit("delta", "0,1,0", lambda r: r + [["2,1,0", "0,0,0", "1"]]),
+     "delta-term-outside", "0,1,0"),
+    ("m made 1 + x1, group-like", V1, _group_like_x1, "delta-primitive", "1,0,0"),
+    ("delta(t) term x1x2 dropped", V1, _edit("delta", "1,1,1", lambda r: r[:1] + r[2:]),
+     "delta-top", None),
+    ("delta(t) gains x1(x)t", V1, _edit("delta", "1,1,1", lambda r: r + [["1,0,0", "1,1,1", "1"]]),
+     "delta-top", None),
+    ("delta(t) term 1(x)t doubled", V1, _put("delta", "1,1,1", 7, 2, "2"), "delta-top", None),
+    ("delta(t) gains a term at a repeated left factor", V1,
+     _edit("delta", "1,1,1", lambda r: r + [["1,1,0", "0,0,1", "1"]]), "delta-top", None),
+    ("delta(t) term split in three", V1,
+     _edit("delta", "1,1,1", lambda r: r + [r[1][:2] + ["1"], r[1][:2] + ["-1"]]),
+     "delta-top-repeat", None),
+    ("delta(t) term zeroed", V1, _put("delta", "1,1,1", 1, 2, "0"), "delta-zero", "1,1,1"),
+    ("delta(t) factor moved off the basis", V1, _put("delta", "1,1,1", 1, 0, "11,11,10"),
+     "delta-term-outside", "1,1,1"),
+    ("S(x1) made x1x2", BOTH, _images(**{"1_0_0": "1,1,0"}), "s-pi-image", "1,0,0"),
+    ("S(x1) made S(x2)", BOTH, _images(**{"1_0_0": "0,0,1"}), "s-pi-image", "1,0,0"),
+    ("S cycles x1, x2, x3", BOTH,
+     _images(**{"1_0_0": "0,1,0", "0_1_0": "0,0,1", "0_0_1": "1,0,0"}), "s-pi-image", "0,0,1"),
+    ("S swaps 1 and t", BOTH, _images(**{"0_0_0": "1,1,1", "1_1_1": "0,0,0"}),
+     "s-pi-image", "0,0,0"),
+    ("two S images swapped", BOTH, _images(**{"0_1_1": "1,1,0", "1_0_1": "0,1,1"}),
+     "s-pi-image", "0,1,1"),
+    ("generator images swapped with non-generators", BOTH,
+     _images(**{"0_0_1": "1,0,1", "1_1_0": "0,1,0"}), "s-pi-image", "0,0,1"),
+    ("S image moved up off the basis", BOTH, _images(**{"0_1_0": "2,0,1"}),
+     "s-image-outside", "0,1,0"),
+    ("S image moved down off the basis", BOTH, _images(**{"0_1_0": "-2,0,1"}),
+     "s-image-outside", "0,1,0"),
+]
+
+
+def _rejected(obj, name, key):
+    """obj fails to load with the message of LOADER_MESSAGES row name, with
+    the vector key in place of 0,1,0."""
+    exc, fragment = MESSAGES[name]
+    if key is not None:
+        fragment = fragment.replace("0,1,0", key)
+    with pytest.raises(exc, match=re.escape(fragment)):
+        structure_from_json(obj)
+
+
+@pytest.mark.parametrize("version, tamper, name, key", _by_format(SPELLED_TAMPERINGS))
+def test_delta_and_image_tamperings_are_loader_errors(blobs, version, tamper, name, key):
+    _rejected(tamper(copy.deepcopy(blobs[version])), name, key)
+
+
+@pytest.mark.parametrize(
+    "row, place, key",
+    [("3,3,3", 0, "3,3,0"), ("0,0,1", 1, "0,0,1")],
+    ids=["delta(t) left factor", "delta(x3) right factor"],
+)
+def test_golden_factor_moved_off_the_basis(row, place, key):
+    """A factor of a row of the golden d64 file moved by 10 in every
+    coordinate, off the basis, is named by its row."""
+    obj = json.loads(GOLDEN_STRUCTURE.read_text())
+    term = next(t for t in obj["delta"][row] if t[place] == key)
+    term[place] = ",".join(str(int(x) + 10) for x in key.split(","))
+    _rejected(obj, "delta-term-outside", row)
+
+
+def test_golden_image_moved_off_the_basis():
+    """An S image of the golden d64 file moved by 10 in every coordinate,
+    off the basis, is named by its key."""
+    obj = json.loads(GOLDEN_STRUCTURE.read_text())
+    image = obj["s"]["1,2,3"][0]
+    obj["s"]["1,2,3"][0] = ",".join(str(int(x) + 10) for x in image.split(","))
+    _rejected(obj, "s-image-outside", "1,2,3")
+
+
+@pytest.mark.parametrize("key", ["0,1,0", "1,1,0", "1,1,1"])
+def test_delta_terms_in_another_order_load_the_same_structure(blob, blob1, key):
+    """A row of delta is a sum: its terms may come in any order."""
+    obj = copy.deepcopy(blob1)
+    obj["delta"][key].reverse()
+    assert structure_to_json(structure_from_json(obj)) == blob
+
+
 @pytest.mark.parametrize("key", ["0,1,0", "0,0,0"])
 def test_repeated_delta_term(blob1, key):
     obj = copy.deepcopy(blob1)

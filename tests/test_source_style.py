@@ -36,8 +36,8 @@ UNREFERENCED = {
     "linalg.invert": "the perfbench tracer wraps it by name",
     "linalg.is_generalized_permutation": "the perfbench tracer wraps it by name",
     "algebra.Presentation.pairing_matrix": "the perfbench tracer wraps it by name",
+    "algebra.Presentation.invert_element": "the perfbench tracer wraps it by name",
     "builder.closed_form_c": "documented API: the literal scalars of each regime",
-    "builder.BfaStructure.from_tables": "documented API: tables on vectors and Scalars",
     "cli._Parser.error": "argparse calls it on a usage error",
 }
 
