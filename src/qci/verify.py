@@ -2,14 +2,13 @@
 
 Every check decides every basis vector (or every basis pair), by
 evaluation or by a proof in a docstring; nothing is sampled and every
-comparison is exact.  A pair check evaluates only the pairs on which one
-of its sides can be nonzero; on the rest both sides vanish by the
-supports of the tables.  The antipode anti-homomorphism is decided on
-the n dim pairs (x_u, x_k) with x_k a generator, which imply every pair
-by induction on word length; only when that certificate fails are the
-other pairs scanned, to name the first failing one.  The Hopf flag is
-decided the same way, on the pairs (x_u, 1) and (x_u, x_k).  Failures
-carry a replayable counterexample.
+comparison is exact.  The antipode anti-homomorphism is decided on the
+n dim pairs (x_u, x_k) with x_k a generator, which imply every pair by
+induction on word length, as one comparison of payload lists per
+generator; only when that certificate fails are the other pairs on which
+a side can be nonzero scanned, to name the first failing one.  The Hopf
+flag is decided on the pairs (x_u, 1) and (x_u, x_k).  Failures carry a
+replayable counterexample.
 
 A structure holds only the payload tables g and s_coef (BfaStructure);
 delta and the support of S are the ones the construction writes.  With
@@ -25,10 +24,10 @@ which fixes 0 and L, B.row spells:
 S(x_v) = s_coef[v] x_{s(v)}.  So each check that reads delta is decided in
 closed form on c_0, c_L and the middle g, and its docstring proves that the
 verdict and the detail are those of evaluating it term by term.  Only
-antipode-coalgebra-antihomomorphism and the Hopf flag sum delta(t).  The
-checks compare payloads, and build a Scalar only for a failure detail.
-S, S^2, S^4 and h_v are payload arrays composed once (_Shared), since S
-sends each monomial to a multiple of one monomial.
+the Hopf flag sums delta(t).  A passing check compares whole payload
+lists, and reads the list of basis vectors, their index or a Scalar only
+for a failure detail.  S^2, S^4 and h_v are payload arrays composed once
+(_Shared), since S sends each monomial to a multiple of one monomial.
 
 Ten checks pass for every structure, by the proofs in
 _fixed_by_presentation, with no evaluation: unit-comultiplication, which
@@ -137,14 +136,15 @@ def _tensor_mul(P: Presentation, s: dict, t: dict) -> dict:
     return out
 
 
-def _character(field, chi, a) -> list:
-    """prod_k chi_k^{v_k} as payloads, for v over the basis of the box a in
-    basis order, chi a sequence of payloads.  A coordinate whose chi_k is 1
-    repeats entries instead of multiplying them: the table is built from the
-    first chi_k != 1 on and then repeated for the coordinates before it."""
+def _character(field, chi, a, first=None) -> list:
+    """first prod_k chi_k^{v_k} as payloads, for v over the basis of the box a
+    in basis order, chi a sequence of payloads and first a payload (1 when
+    None).  A coordinate whose chi_k is 1 repeats entries instead of
+    multiplying them: the table is built from the first chi_k != 1 on and
+    then repeated for the coordinates before it."""
     mul, one = field._mul, field.one.value
     lead = next((k for k, c in enumerate(chi) if c != one), len(chi))
-    out = [one]
+    out = [one if first is None else first]
     for c, ak in zip(chi[lead:], a[lead:]):
         if c == one:
             out = [x for x in out for _ in range(ak)]
@@ -166,16 +166,16 @@ def _socle_brackets(P: Presentation) -> list:
     with psi_k = bracket(., e_k) bracket(e_k, .), a character whose value at
     v is prod_{i<k} psi_k(e_i)^{v_i}.  Coordinate k extends the table at
     each prefix p over the first k coordinates by the powers of the ratio
-    bracket(top, e_k) psi_k(p)^{-1}, tabulated by _character: one _mul per
-    entry, and the ratio tables are together no longer than the result.
+    bracket(top, e_k) psi_k(p)^{-1}, tabulated by _character from the
+    scalar bracket(top, e_k): at most one _mul per entry, and the ratio
+    tables are together no longer than the result.
     """
     field, units = P.field, [P.unit_vec(k) for k in range(1, P.n + 1)]
     mul, inv, bracket, one = field._mul, field._inv, P.bracket_value, field.one.value
     out = [one]
     for k, (ek, ak) in enumerate(zip(units, P.a)):
         psi = [inv(mul(bracket(ei, ek), bracket(ek, ei))) for ei in units[:k]]
-        step = bracket(P.top, ek)
-        ratios = (mul(step, r) for r in _character(field, psi, P.a[:k]))
+        ratios = _character(field, psi, P.a[:k], bracket(P.top, ek))
         out = [
             y
             for x, r in zip(out, ratios)
@@ -306,6 +306,22 @@ def _frobenius_copairing(B: BfaStructure) -> tuple:
     return _verdict(rank == P.dim, {"rank": rank})
 
 
+def _below_top(dim: int, stride: int, ak: int) -> list:
+    """Slices that together visit each basis index with v_k < a_k - 1 once,
+    for the coordinate k with index stride stride = a_{k+1} ... a_n and
+    exponent ak = a_k.
+
+    Those indices are the first (a_k - 1) stride of each block of a_k stride
+    consecutive indices, so they are also the indices o + j a_k stride for o
+    among the first (a_k - 1) stride.  Each slice plus stride visits the
+    indices of v + e_k.  Whichever form takes fewer slices is returned.
+    """
+    period, span = ak * stride, (ak - 1) * stride
+    if dim // period <= span:
+        return [slice(b, b + span) for b in range(0, dim, period)]
+    return [slice(o, dim, period) for o in range(span)]
+
+
 def _antipode_antihomomorphism(B: BfaStructure) -> tuple:
     """S(x_u x_v) = S(x_v) S(x_u).
 
@@ -320,12 +336,28 @@ def _antipode_antihomomorphism(B: BfaStructure) -> tuple:
     The generator pairs are pairs of the grid, so the certificate fails
     exactly when some pair fails.
 
-    The brackets of the certificate pairs come from tables built once: the
-    bracket is multiplicative in each argument, so bracket(., e_k) and
-    bracket(S(e_k), .) are characters on the basis, with the values
-    bracket(e_j, e_k) and bracket(S(e_k), e_j) on the generators (_character).
-    S sends x_k to a multiple of the generator x_{pi(k)}, so the sums
-    u + e_k and s(e_k) + s(u) are indices (certified).
+    The pair (u, e_k) on payloads.  Let i be the index of u, stride_k =
+    a_{k+1} ... a_n the index of e_k, and m = pi(k).  The left side is
+    bracket(u, e_k) S(x_{u+e_k}), and u + e_k lies in the basis exactly when
+    u_k < a_k - 1, at index i + stride_k.  The right side is
+    s_coef[stride_k] s_coef[i] x_{e_m} x_{pi(u)}, since s(i) is the index
+    of pi(u) and S(x_k) = s_coef[stride_k] x_{e_m}.  pi(u) carries u_k at
+    position m, so e_m + pi(u) lies in the basis exactly when
+    u_k < a_k - 1, and then it is pi(u + e_k).  So both sides vanish when
+    u_k = a_k - 1, and otherwise both are multiples of x_{s(i + stride_k)},
+    with the coefficients, zero included,
+      s_coef[i + stride_k] bracket(u, e_k)  and
+      s_coef[stride_k] s_coef[i] bracket(e_m, pi(u)).
+    bracket(u, e_k) is a product of q entries, so it is nonzero, and
+    dividing by it the pair passes exactly when
+      s_coef[i + stride_k] = s_coef[i] rho_k[i],
+      rho_k = s_coef[stride_k] chi_k,
+      chi_k(u) = bracket(e_m, pi(u)) bracket(u, e_k)^{-1}.
+    The bracket is multiplicative in each argument and pi(u) =
+    sum_j u_j e_{pi(j)}, so chi_k is the character with the values
+    bracket(e_m, e_{pi(j)}) bracket(e_j, e_k)^{-1} on the generators, and
+    rho_k is tabulated by _character from the scalar s_coef[stride_k].  The
+    indices with u_k < a_k - 1 are compared as whole slices (_below_top).
 
     When the certificate fails, the scan below decides every pair that can
     fail and names the first failing one.  The left side vanishes unless
@@ -335,8 +367,7 @@ def _antipode_antihomomorphism(B: BfaStructure) -> tuple:
     basis order.
     """
     P = B.presentation
-    basis, index = P.basis(), P.positions()
-    s_img, s_coef = B.s_img, B.s_coef
+    s_coef, dim = B.s_coef, P.dim
     field, bracket = P.field, P.bracket_value
     mul, is_zero = field._mul, field._is_zero
 
@@ -358,27 +389,19 @@ def _antipode_antihomomorphism(B: BfaStructure) -> tuple:
         return lhs == rhs
 
     def certified():
-        """The certificate pairs (u, e_k), on indices: u + e_k is
-        i + index(e_k) when u_k < a_k - 1, and s(e_k) + s(u) is
-        s_img[i] + index(e_m) when S(x_k) sits at e_m and s(u)_m < a_m - 1."""
-        units = [P.unit_vec(k) for k in range(1, P.n + 1)]
-        generators = [index[e] for e in units]
-        for k, g in enumerate(generators):
-            sg, cg = s_img[g], s_coef[g]
-            m = generators.index(sg)
-            lk = _character(field, [bracket(f, units[k]) for f in units], P.a)
-            rk = _character(field, [bracket(units[m], f) for f in units], P.a)
-            ak, am = P.a[k] - 1, P.a[m] - 1
-            for i, u in enumerate(basis):
-                lhs = rhs = None
-                if u[k] < ak and not is_zero(s_coef[i + g]):
-                    lhs = (s_img[i + g], mul(s_coef[i + g], lk[i]))
-                ku = s_img[i]
-                if basis[ku][m] < am:
-                    c = mul(cg, s_coef[i])
-                    if not is_zero(c):
-                        rhs = (ku + sg, mul(c, rk[ku]))
-                if lhs != rhs:
+        """s_coef[i + stride_k] == s_coef[i] rho_k[i] wherever u_k < a_k - 1."""
+        pi, units = B.witness.pi, [P.unit_vec(k) for k in range(1, P.n + 1)]
+        images = [units[pi(k) - 1] for k in range(1, P.n + 1)]
+        for k, (ek, ak) in enumerate(zip(units, P.a)):
+            stride = math.prod(P.a[k + 1:])
+            chi = [
+                mul(bracket(images[k], fj), field._inv(bracket(ej, ek)))
+                for ej, fj in zip(units, images)
+            ]
+            rho = _character(field, chi, P.a, s_coef[stride])
+            for run in _below_top(dim, stride, ak):
+                after = slice(run.start + stride, run.stop + stride, run.step)
+                if s_coef[after] != list(map(mul, s_coef[run], rho[run])):
                     return False
         return True
 
@@ -386,6 +409,7 @@ def _antipode_antihomomorphism(B: BfaStructure) -> tuple:
         return False, {"at": "S(1)"}
     if certified():
         return True, None
+    basis, index, s_img = P.basis(), P.positions(), B.s_img
     for i, u in enumerate(basis):
         for v in itertools.product(*map(range, map(operator.sub, P.a, u))):
             if not antihomomorphic(i, index[v]):
@@ -403,17 +427,29 @@ def _antipode_coalgebra_antihomomorphism(B: BfaStructure) -> tuple:
     middle, so by (b)
       (S (x) S) delta^op(x_v) = S(x_v) (x) S(1) + S(1) (x) S(x_v)
                               = c (x_w (x) 1 + 1 (x) x_w) = c delta(x_w),
-    which is delta S(x_v).  So only row t is summed, term by term.
+    which is delta S(x_v).  So only row t is compared, term by term.
+
+    s is pi on exponent vectors, an involution, and pi(top - v) =
+    top - pi(v) since pi preserves the exponents, so s(L - j) = L - s(j).
+    By (c), delta S(t) = s_coef[L] delta(t) has its term with left factor
+    x_j at k = L - j:
+      s_coef[L] g[L - j] x_j (x) x_{L - s(j)}.
+    delta^op(t) = sum_k g[k] x_{s(k)} (x) x_{L-k}, and S (x) S sends its term
+    k = j to
+      g[j] s_coef[L - j] s_coef[s(j)] x_j (x) x_{L - s(j)},
+    since s(s(j)) = j.  Each side has one term per left index j, and the
+    two terms with left index j sit at the same pair, so no terms add up and
+    the sides agree exactly when, for every j,
+      s_coef[L] g[L - j] = g[j] s_coef[L - j] s_coef[s(j)],
+    zeros included: a term with coefficient 0 is absent from its side.
     """
     P = B.presentation
-    field, s_img, s_coef = P.field, B.s_img, B.s_coef
+    field, g, s_coef = P.field, B.g, B.s_coef
     mul = field._mul
     if s_coef[0] != field.one.value:
         return False, {"v": list(P.zero_vec), "at": "epsilon"}
-    coef, lhs, rhs = s_coef[-1], {}, {}
-    for u, w, c in B.row(len(s_img) - 1):
-        _add_value(field, lhs, (u, w), mul(coef, c))
-        _add_value(field, rhs, (s_img[w], s_img[u]), mul(mul(c, s_coef[u]), s_coef[w]))
+    lhs = list(map(mul, itertools.repeat(s_coef[-1]), reversed(g)))
+    rhs = list(map(mul, g, map(mul, reversed(s_coef), map(s_coef.__getitem__, B.s_img))))
     return _verdict(lhs == rhs, {"v": list(P.top), "at": "delta"})
 
 
@@ -429,10 +465,11 @@ def _antipode_definition(B: BfaStructure) -> tuple:
     table[i] g[i] = s_coef[i], both zero included.
     """
     P = B.presentation
-    field, basis = P.field, P.basis()
+    field = P.field
     actual = list(map(field._mul, _socle_brackets(P), B.g))
     if actual == B.s_coef:
         return True, None
+    basis = P.basis()
 
     def element(i, x):
         """x x_{s(i)} as text."""
@@ -477,56 +514,67 @@ def verify_axioms(B: BfaStructure) -> VerificationReport:
 # -- derived checks ---------------------------------------------------------------
 
 
+def _compose(mul, first: tuple, second: tuple) -> tuple:
+    """second after first, for maps that send each x_v to one multiple of a
+    basis vector, given as (images, coefficients) arrays on indices:
+    x_v |-> c x_w |-> c c' x_{w'}."""
+    (images, coefs), (images2, coefs2) = first, second
+    return (
+        list(map(images2.__getitem__, images)),
+        list(map(mul, coefs, map(coefs2.__getitem__, images))),
+    )
+
+
 class _Shared:
     """The values the derived checks share, computed once.
 
     c_0 = g[0] and c_L = g[L], the coefficients of t (x) 1 and 1 (x) t in
-    delta(t).  Entry i of S, S^2 or S^4 is (index of w, c) when the power
-    sends x_v, v = basis[i], to c x_w, c != 0, and () when it sends x_v to
-    0.  S(x_v) is one term, so S^4 = S^2 S^2 entry by entry.
+    delta(t).  s2 and s4 are S^2 and S^4 as (images, coefficients) arrays:
+    the power sends x_v, v = basis[i], to coefficients[i] x_w, w =
+    basis[images[i]], which is 0 when the coefficient is.  S(x_v) is one
+    term, so S^2 = S S and S^4 = S^2 S^2 entry by entry (_compose).
     h_v = prod_k h_{e_k}^{v_k}.
     """
 
     def __init__(self, B: BfaStructure):
-        P, field = B.presentation, B.presentation.field
+        P, mul = B.presentation, B.presentation.field._mul
         self.c0, self.cL = B.g[0], B.g[-1]
-
-        def then(first: list, second: list) -> list:
-            out = []
-            for term in first:  # () stays
-                image = term and second[term[0]]
-                out.append(image and (image[0], field._mul(term[1], image[1])))
-            return out
-
-        self.s1 = [() if field._is_zero(c) else (w, c) for w, c in zip(B.s_img, B.s_coef)]
-        self.s2 = then(self.s1, self.s1)
-        self.s4 = then(self.s2, self.s2)
-        self.h = _character(field, P.h_values(), P.a)
+        s1 = (B.s_img, B.s_coef)
+        self.s2 = _compose(mul, s1, s1)
+        self.s4 = _compose(mul, self.s2, self.s2)
+        self.h = _character(P.field, P.h_values(), P.a)
 
 
-def _scaled(field, term, c):
-    """The term (w, x) of a power of S times the payload c, () when it vanishes."""
-    if not term or c == field.one.value:
-        return term
-    return () if field._is_zero(c) else (term[0], field._mul(c, term[1]))
+def _power_is(B: BfaStructure, power: tuple, target: list) -> tuple:
+    """(passed, detail) of "the power of S, (images, coefficients) as in
+    _Shared, sends x_v to target[i] x_v for every v = basis[i]".
+
+    Row v compares the term coefficients[i] x_w, 0 when the coefficient
+    is, with target[i] x_v.  They differ when the coefficients do, or when
+    both are nonzero and w != v.  A target is 0 only at t, when the
+    fourth-power-formula scales it by 0, and s, so each power of it, fixes
+    L.  So the row fails exactly when images[i] != i or
+    coefficients[i] != target[i].
+    """
+    images, coefs = power
+    if coefs == target and images == list(range(len(images))):
+        return True, None
+    return _first(B.presentation.basis(), lambda i: images[i] != i or coefs[i] != target[i])
 
 
 def _square_is_nakayama(B: BfaStructure, d: _Shared, c) -> tuple:
     """(passed, detail) of "S^2(x_v) = h_v x_v for every v", with S^2(t)
     scaled by the payload c."""
-    P = B.presentation
-    s2, h, last = d.s2, d.h, P.dim - 1
-    top = _scaled(P.field, s2[last], c)
-    return _first(P.basis(), lambda i: (s2[i] if i < last else top) != (i, h[i]))
+    images, coefs = d.s2
+    scaled = coefs[:-1] + [B.presentation.field._mul(c, coefs[-1])]
+    return _power_is(B, (images, scaled), d.h)
 
 
 def _fourth_power_is(B: BfaStructure, d: _Shared, c) -> tuple:
     """(passed, detail) of "S^4(x_v) = x_v for every v", with the x_v of t
     scaled by the payload c."""
     P = B.presentation
-    s4, last, one = d.s4, P.dim - 1, P.field.one.value
-    top = _scaled(P.field, (last, one), c)
-    return _first(P.basis(), lambda i: s4[i] != ((i, one) if i < last else top))
+    return _power_is(B, d.s4, [P.field.one.value] * (P.dim - 1) + [c])
 
 
 def _unit_via_copairing(B: BfaStructure, d: _Shared) -> tuple:
@@ -608,8 +656,10 @@ def _nonzero_coefficients(B: BfaStructure, d: _Shared) -> tuple:
     the generators preserving the exponents (check_witness), so s is an
     involution of the basis fixing t.
     """
-    is_zero = B.presentation.field._is_zero
-    return _first(B.presentation.basis(), lambda i: is_zero(B.s_coef[i]))
+    field = B.presentation.field
+    if field.zero.value not in B.s_coef:
+        return True, None
+    return _first(B.presentation.basis(), lambda i: field._is_zero(B.s_coef[i]))
 
 
 def _antipode_square_is_nakayama(B: BfaStructure, d: _Shared) -> tuple:

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import operator
 import random
 import tracemalloc
 from functools import cache
@@ -28,6 +29,7 @@ from helpers import (
     rand_compatible_involutive_h,
     rand_presentation,
     rand_vector,
+    reference_antihomomorphism,
     reference_coaction,
     reference_convolution_inverse,
     reference_copairing,
@@ -70,6 +72,7 @@ C4 = make_field("cyclotomic", 4)
 C8 = make_field("cyclotomic", 8)
 Q = make_field("rational")
 F2 = make_field("prime", 2)
+F5 = make_field("prime", 5)
 F7 = make_field("prime", 7)
 
 
@@ -324,6 +327,43 @@ class TestPairChecksAgainstReference:
             failures += not all(e["passed"] for e in expected.values())
         # the tamperings do break the pair checks, so the comparison has teeth
         assert failures >= len(cases) // 2
+
+    @pytest.mark.parametrize(
+        "a, field", [((4, 4, 4, 2), F7), ((2, 3, 2, 3), F5)], ids=["4442-gf7", "2323-gf5"]
+    )
+    def test_antihomomorphism_at_the_edges_of_its_slices(self, a, field):
+        """The certificate compares s_coef on the indices with v_k < a_k - 1
+        against the same indices plus stride_k; top - e_k is the last index
+        that generator k compares, and t the last it compares against.  S
+        scaled by 3 at top - e_k for each k, at t, and on the whole layer
+        v_k = a_k - 1 for each k (which only generator k's comparison
+        reaches: S stays multiplicative in the other coordinates), and S
+        zeroed at the middle basis[dim // 2], one at a time: the check takes
+        the verdict and names the pair of the plain evaluation.  The seeded
+        structures have the involutions (2 3) and (1 3), and (2, 3, 2, 3)
+        has a_k = 2, where top - e_k has v_k = 0 and the scaled layer keeps S
+        an anti-homomorphism."""
+        B = seeded(a, field)
+        P = B.presentation
+
+        def scaled(vectors):
+            return with_tables(B, s_coef={
+                v: times(B, B.s_coef[P.index(v)], 3) for v in vectors
+            })
+
+        cases = [
+            scaled([tuple(map(operator.sub, P.top, P.unit_vec(k)))]) for k in range(1, P.n + 1)
+        ]
+        cases.append(scaled([P.top]))
+        cases += [scaled([v for v in P.basis() if v[k] == ak - 1]) for k, ak in enumerate(a)]
+        cases.append(with_tables(B, s_coef={P.basis()[P.dim // 2]: field.zero.value}))
+        verdicts = []
+        for T in cases:
+            entry = verify_axioms(T).checks[AXIOM_CHECKS.index("antipode-antihomomorphism")]
+            expected = reference_antihomomorphism(T)
+            assert (entry.passed, entry.detail) == expected
+            verdicts.append(expected[0])
+        assert verdicts.count(True) == a.count(2)
 
     def test_structures_cover_nontrivial_involutions(self):
         moved = [
@@ -638,18 +678,22 @@ def test_socle_brackets_match_bracket_value(field, n, rng):
     st.randoms(use_true_random=False),
 )
 def test_bracket_characters_match_bracket_value(field, n, rng):
-    """The tables of the anti-homomorphism certificate: bracket(., e_k) and
-    bracket(w, .) on the basis, built by verify._character from their values
-    on the generators, are bracket_value, for w off the basis too."""
+    """verify._character, built from the values of a character on the
+    generators, is bracket_value on the basis for bracket(., e_k) and
+    bracket(w, .), w off the basis too, and from a first scalar c is c
+    times that table, as the anti-homomorphism certificate builds rho_k."""
     P = rand_presentation(rng, field, n, a_hi=3)
     units = [P.unit_vec(k) for k in range(1, n + 1)]
     w = rand_vector(rng, n)
+    c = rng.choice(unit_pool(field)).value
     for left, right in [(None, e) for e in units] + [(w, None)]:
         def bracket(v):
             return P.bracket_value(v if left is None else left, v if right is None else right)
 
-        table = verify._character(field, [bracket(e) for e in units], P.a)
+        chi = [bracket(e) for e in units]
+        table = verify._character(field, chi, P.a)
         assert table == [bracket(v) for v in P.basis()]
+        assert verify._character(field, chi, P.a, c) == [field._mul(c, x) for x in table]
 
 
 # -- the integral spaces against elimination ------------------------------------
@@ -715,18 +759,18 @@ def test_first_non_involutive_generator_is_the_last_one():
 
 
 @cache
-def seeded(a):
-    """GF(7), exponents a, q_ij (i < j) drawn from 1..6 by Random(1) until
-    decide says Yes."""
+def seeded(a, field=F7):
+    """A prime field (GF(7) by default), exponents a, q_ij (i < j) drawn from
+    its units by Random(1) until decide says Yes."""
     rng = random.Random(1)
-    n, one = len(a), F7.one
+    n, one = len(a), field.one
     while True:
         q = [[one] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                q[i][j] = F7.from_int(rng.randint(1, 6))
+                q[i][j] = field.from_int(rng.randint(1, field.p - 1))
                 q[j][i] = q[i][j].inverse()
-        P = Presentation(F7, a, q)
+        P = Presentation(field, a, q)
         report = decide(P)
         if report.exists:
             return build_structure(P, report.witness)
@@ -777,27 +821,35 @@ def test_hopf_flag_evaluates_few_pairs(monkeypatch):
 
 
 # Payload sums (_add_value) of verify_axioms, verify_derived and
-# primitive_space_dim on a built structure, per term of delta(t):
-# antipode-coalgebra-antihomomorphism sums delta(t) on both sides (2), and
-# no other check sums a row, since the rest are decided on g.  Expanding the
-# rows of 1 and t there as well made 2.03 per term at d256 and 2.00 at
-# d4096, under the bound of 4 this replaces, and summing the column of t in
-# primitive_space_dim 3.11 and 3.01.  Expanding delta(t) in coassociativity
-# (6), summing it in antipode-definition (1) and applying S twice per basis
-# vector in nakayama-via-antipode (2) made 12.07 per term at d256, with 288
-# brackets and 512 applications of S; expanding every primitive row as well
-# made 26.95.
-SUMS_PER_TERM_OF_DELTA_T = 2
+# primitive_space_dim on a built structure, per term of delta(t): none, since
+# antipode-coalgebra-antihomomorphism compares the row of t as two payload
+# lists and the rest are decided on g.  Summing delta(t) into two dicts there
+# made 2.00 per term, and expanding the rows of 1 and t as well 2.03 at d256
+# and 2.00 at d4096; summing the column of t in primitive_space_dim made
+# 3.11 and 3.01.  Expanding delta(t) in coassociativity (6), summing it in
+# antipode-definition (1) and applying S twice per basis vector in
+# nakayama-via-antipode (2) made 12.07 per term at d256, with 288 brackets
+# and 512 applications of S; expanding every primitive row as well made
+# 26.95.
+SUMS_PER_TERM_OF_DELTA_T = 0
+
+
+def counting(calls: dict, name: str, original):
+    """original, counting its calls in calls[name]."""
+    def wrapper(*args):
+        calls[name] += 1
+        return original(*args)
+
+    return wrapper
 
 
 @pytest.mark.parametrize("a", [(4, 4, 4, 4), (16, 16, 16)], ids=["d256", "d4096"])
-def test_built_structure_expands_only_the_row_of_t(monkeypatch, a):
-    """The checks that read delta are decided on g, and each row of
-    antipode-definition by one comparison: with rref raising,
-    verify_axioms, verify_derived and primitive_space_dim pass, the payload
-    sums are those of summing delta(t) on both sides of
-    antipode-coalgebra-antihomomorphism, and the brackets are bounded by
-    3 n^2 (the tables of the anti-homomorphism and the antipode
+def test_built_structure_sums_no_payload(monkeypatch, a):
+    """The checks that read delta are decided on g, and the row of t and
+    each row of antipode-definition by one comparison of payload lists:
+    with rref raising, verify_axioms, verify_derived and
+    primitive_space_dim pass with no payload sum, and the brackets are
+    bounded by 3 n^2 (the tables of the anti-homomorphism and the antipode
     definition)."""
     B = seeded(a)
     P = B.presentation
@@ -807,23 +859,65 @@ def test_built_structure_expands_only_the_row_of_t(monkeypatch, a):
 
     monkeypatch.setattr(linalg, "rref", no_elimination)
     calls = {"sums": 0, "brackets": 0}
-
-    def counted(name, original):
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(verify, "_add_value", counted("sums", verify._add_value))
+    monkeypatch.setattr(verify, "_add_value", counting(calls, "sums", verify._add_value))
     monkeypatch.setattr(
-        Presentation, "bracket_value", counted("brackets", Presentation.bracket_value)
+        Presentation, "bracket_value", counting(calls, "brackets", Presentation.bracket_value)
     )
     assert verify_axioms(B).all_passed
     assert verify_derived(B).all_passed
     assert primitive_space_dim(B) == P.dim - 2
     assert calls["sums"] <= SUMS_PER_TERM_OF_DELTA_T * len(B.row(P.dim - 1))
     assert calls["brackets"] <= 3 * P.n ** 2
+
+
+# Field._mul calls of verify_axioms, verify_derived and primitive_space_dim
+# on a passing built structure are at most (2 n + C) dim, with this C, the
+# smallest integer both shapes meet.  The certificate of
+# antipode-antihomomorphism takes about two per basis vector and generator:
+# one to tabulate rho_k and one to compare the slices.  Measured: 3 024 at
+# d256 (11.81 per basis vector, n = 4) and 39 094 at d4096 (9.54, n = 3).
+# Two tables and three products per certificate pair, and S^2 and S^4 as
+# lists of tuples, made 4 879 (19.06) and 62 396 (15.23).
+PRODUCTS_BESIDE_THE_CERTIFICATE = 4
+
+
+@pytest.mark.parametrize("a", [(4, 4, 4, 4), (16, 16, 16)], ids=["d256", "d4096"])
+def test_passing_verify_multiplies_few_payloads(monkeypatch, a):
+    """A count gate on the payload products of a passing verification: every
+    check compares whole payload lists, each built with a bounded number of
+    products per basis vector."""
+    B = seeded(a)
+    P = B.presentation
+    calls = {"products": 0}
+    field_type = type(P.field)
+    monkeypatch.setattr(field_type, "_mul", counting(calls, "products", field_type._mul))
+    assert verify_axioms(B).all_passed
+    assert verify_derived(B).all_passed
+    assert primitive_space_dim(B) == P.dim - 2
+    assert calls["products"] <= (2 * P.n + PRODUCTS_BESIDE_THE_CERTIFICATE) * P.dim
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+@pytest.mark.parametrize("a", [(4, 4, 4, 4), (16, 16, 16)], ids=["d256", "d4096"])
+def test_passing_verify_builds_no_basis(tmp_path, a, source):
+    """verify_axioms, verify_derived and primitive_space_dim pass on a
+    structure built afresh or loaded from a format-2 file without building
+    the list of basis vectors, their index or the row of t: every check
+    compares payload arrays and reads the basis only to name a failure.
+    The Hopf flag, which multiplies delta(x_u) delta(x_v) on exponent
+    vectors, still builds all three and is left out here."""
+    seed = seeded(a)
+    P = seed.presentation
+    B = build_structure(Presentation(P.field, P.a, P.q), seed.witness)
+    if source == "loaded":
+        path = tmp_path / "structure.json"
+        save_structure(B, str(path))
+        B = load_structure(str(path))
+    P = B.presentation
+    assert verify_axioms(B).all_passed
+    assert verify_derived(B).all_passed
+    assert primitive_space_dim(B) == P.dim - 2
+    assert (P._basis, P._index, "_top" in B.__dict__) == (None, None, False)
 
 
 def test_zeroed_g_fails_the_copairing_with_its_rank():
@@ -969,10 +1063,14 @@ def test_built_and_loaded_structures_hold_the_same_tables(tmp_path):
 # -- memory gate on one seeded d4096 file -----------------------------------------
 
 
-# A full verification of seeded((16, 16, 16)), loaded from its file, peaked
-# at 2.07 MiB of traced allocations over a 0.22 MiB loaded structure (Python
-# 3.11.7), which stores no row of delta and builds the row of t from g and
-# the S images during the verification.  Storing the rows of 1 and t read
+# A full verification of seeded((16, 16, 16)), loaded from its file, peaks
+# at 0.77 MiB of traced allocations over a 0.22 MiB loaded structure (Python
+# 3.11.7), with the checks comparing payload lists and only the Hopf flag
+# building the basis, its index and the row of t; 1.75 MiB in the same
+# sitting when the certificate pairs, the row of t and S^2, S^4 were walked
+# as tuples and dicts.  An earlier sitting read 2.07 MiB for that verifier,
+# which builds the row of t from g and the S images during the
+# verification.  Storing the rows of 1 and t read
 # the same peak over 0.61 MiB, and 3.72 MiB when coassociativity expanded
 # delta(t).  In an earlier
 # sitting, storing every primitive row read 4.53-4.65 MiB over 1.42-1.54 MiB;
