@@ -454,9 +454,8 @@ class BfaStructure:
     witness.pi is a compatible involution, as check_witness demands of
     every witness, so s_img, the basis index of pi(v) for each v, is an
     involution of the basis fixing 1 and t.  The counit is the
-    coefficient-of-1 functional.  g is not changed after construction,
-    since the row of t is read from it once; dataclasses.replace makes a
-    copy with other tables.
+    coefficient-of-1 functional.  dataclasses.replace makes a copy with
+    other tables.
     """
 
     presentation: Presentation
@@ -469,24 +468,17 @@ class BfaStructure:
         """S(x_v) is a multiple of x_{pi(v)}: image_indices of witness.pi."""
         return image_indices(self.presentation, self.witness.pi)
 
-    @cached_property
-    def _top(self) -> list:
-        """delta(t) = sum_v g_v x_{a-1-v} (x) x_{pi(v)}, built on first use:
-        term k is (last - k, s_img[k], g[k]), since the complement a-1-v of
-        the basis vector at index k is the one at index last - k."""
-        last = len(self.g) - 1
-        return [(last - k, w, x) for k, (w, x) in enumerate(zip(self.s_img, self.g))]
-
     def row(self, i: int) -> list:
         """delta(x_v), v = basis[i], for a basis index i, as (index, index,
-        payload) terms: 1 (x) 1 at 0, the row of t at the last index (_top),
-        and the primitive row 1 (x) x_v + x_v (x) 1 in between.  The row of
-        t is the structure's own list, which callers read and do not
-        change."""
-        one = self.presentation.field.one.value
-        if 0 < i < len(self.g) - 1:
-            return [(0, i, one), (i, 0, one)]
-        return self._top if i else [(0, 0, one)]
+        payload) terms: 1 (x) 1 at 0, the primitive row 1 (x) x_v + x_v (x) 1
+        in between, and at the last index the row of t,
+        delta(t) = sum_v g_v x_{a-1-v} (x) x_{pi(v)}, spelled on each call:
+        term k is (last - k, s_img[k], g[k]), since the complement a-1-v of
+        the basis vector at index k is the one at index last - k."""
+        one, last = self.presentation.field.one.value, len(self.g) - 1
+        if i == last:
+            return [(last - k, w, x) for k, (w, x) in enumerate(zip(self.s_img, self.g))]
+        return [(0, i, one), (i, 0, one)] if i else [(0, 0, one)]
 
 
 def build_structure(P: Presentation, w: Witness) -> BfaStructure:

@@ -7,8 +7,8 @@ n dim pairs (x_u, x_k) with x_k a generator, which imply every pair by
 induction on word length, as one comparison of payload lists per
 generator; only when that certificate fails are the other pairs on which
 a side can be nonzero scanned, to name the first failing one.  The Hopf
-flag is decided on the pairs (x_u, 1) and (x_u, x_k).  Failures carry a
-replayable counterexample.
+flag is decided in closed form on a, the characteristic, pi and g.
+Failures carry a replayable counterexample.
 
 A structure holds only the payload tables g and s_coef (BfaStructure);
 delta and the support of S are the ones the construction writes.  With
@@ -23,11 +23,12 @@ which fixes 0 and L, B.row spells:
       in the middle.  A term with g[k] = 0 vanishes.
 S(x_v) = s_coef[v] x_{s(v)}.  So each check that reads delta is decided in
 closed form on c_0, c_L and the middle g, and its docstring proves that the
-verdict and the detail are those of evaluating it term by term.  Only
-the Hopf flag sums delta(t).  A passing check compares whole payload
-lists, and reads the list of basis vectors, their index or a Scalar only
-for a failure detail.  S^2, S^4 and h_v are payload arrays composed once
-(_Shared), since S sends each monomial to a multiple of one monomial.
+verdict and the detail are those of evaluating it term by term; the Hopf
+flag's docstring proves its closed form the same way.  A passing check
+compares whole payload lists, and reads the list of basis vectors, their
+index or a Scalar only for a failure detail.  s is an involution, so S^2
+and S^4 send each x_v to a multiple of itself: they are kept as
+coefficient lists, and h_v as a payload array, computed once (_Shared).
 
 Ten checks pass for every structure, by the proofs in
 _fixed_by_presentation, with no evaluation: unit-comultiplication, which
@@ -93,47 +94,6 @@ class VerificationReport:
 
 
 # -- the tables on indices and payloads --------------------------------------------
-
-
-def _add_value(field, out: dict, key, term) -> None:
-    """out[key] += term on payloads, dropping the entry when it cancels."""
-    acc = out.get(key)
-    acc = term if acc is None else field._add(acc, term)
-    if field._is_zero(acc):
-        out.pop(key, None)
-    else:
-        out[key] = acc
-
-
-def _delta(field, row, x: dict) -> dict:
-    """delta(x) on index pairs, for x a payload dict on basis indices and row
-    the row accessor of the structure (BfaStructure.row)."""
-    mul = field._mul
-    out: dict = {}
-    for v, c in x.items():
-        for u, w, coeff in row(v):
-            _add_value(field, out, (u, w), mul(c, coeff))
-    return out
-
-
-def _tensor_mul(P: Presentation, s: dict, t: dict) -> dict:
-    """Componentwise product on the tensor square of payload dicts keyed by
-    index pairs: x_u1 (x) x_w1 times x_u2 (x) x_w2 is bracket(u1, u2)
-    bracket(w1, w2) x_{u1+u2} (x) x_{w1+w2}, and 0 when a sum leaves the
-    basis."""
-    field, basis, index, bracket = P.field, P.basis(), P.positions(), P.bracket_value
-    mul = field._mul
-    out: dict = {}
-    for (u1, w1), c1 in s.items():
-        u1, w1 = basis[u1], basis[w1]
-        for (u2, w2), c2 in t.items():
-            u2, w2 = basis[u2], basis[w2]
-            u = index.get(tuple(map(operator.add, u1, u2)))
-            w = index.get(tuple(map(operator.add, w1, w2)))
-            if u is not None and w is not None:
-                c = mul(mul(mul(c1, c2), bracket(u1, u2)), bracket(w1, w2))
-                _add_value(field, out, (u, w), c)
-    return out
 
 
 def _character(field, chi, a, first=None) -> list:
@@ -514,60 +474,39 @@ def verify_axioms(B: BfaStructure) -> VerificationReport:
 # -- derived checks ---------------------------------------------------------------
 
 
-def _compose(mul, first: tuple, second: tuple) -> tuple:
-    """second after first, for maps that send each x_v to one multiple of a
-    basis vector, given as (images, coefficients) arrays on indices:
-    x_v |-> c x_w |-> c c' x_{w'}."""
-    (images, coefs), (images2, coefs2) = first, second
-    return (
-        list(map(images2.__getitem__, images)),
-        list(map(mul, coefs, map(coefs2.__getitem__, images))),
-    )
-
-
 class _Shared:
     """The values the derived checks share, computed once.
 
     c_0 = g[0] and c_L = g[L], the coefficients of t (x) 1 and 1 (x) t in
-    delta(t).  s2 and s4 are S^2 and S^4 as (images, coefficients) arrays:
-    the power sends x_v, v = basis[i], to coefficients[i] x_w, w =
-    basis[images[i]], which is 0 when the coefficient is.  S(x_v) is one
-    term, so S^2 = S S and S^4 = S^2 S^2 entry by entry (_compose).
+    delta(t).  s2 and s4 are the coefficient lists of S^2 and S^4: s is an
+    involution (BfaStructure), so S^2(x_v) = s_coef[i] s_coef[s(i)] x_v and
+    S^4(x_v) = s2[i]^2 x_v, v = basis[i], each 0 when its coefficient is.
     h_v = prod_k h_{e_k}^{v_k}.
     """
 
     def __init__(self, B: BfaStructure):
         P, mul = B.presentation, B.presentation.field._mul
         self.c0, self.cL = B.g[0], B.g[-1]
-        s1 = (B.s_img, B.s_coef)
-        self.s2 = _compose(mul, s1, s1)
-        self.s4 = _compose(mul, self.s2, self.s2)
+        self.s2 = list(map(mul, B.s_coef, map(B.s_coef.__getitem__, B.s_img)))
+        self.s4 = list(map(mul, self.s2, self.s2))
         self.h = _character(P.field, P.h_values(), P.a)
 
 
-def _power_is(B: BfaStructure, power: tuple, target: list) -> tuple:
-    """(passed, detail) of "the power of S, (images, coefficients) as in
-    _Shared, sends x_v to target[i] x_v for every v = basis[i]".
-
-    Row v compares the term coefficients[i] x_w, 0 when the coefficient
-    is, with target[i] x_v.  They differ when the coefficients do, or when
-    both are nonzero and w != v.  A target is 0 only at t, when the
-    fourth-power-formula scales it by 0, and s, so each power of it, fixes
-    L.  So the row fails exactly when images[i] != i or
-    coefficients[i] != target[i].
-    """
-    images, coefs = power
-    if coefs == target and images == list(range(len(images))):
+def _power_is(B: BfaStructure, coefs: list, target: list) -> tuple:
+    """(passed, detail) of "the power of S with the coefficient list coefs
+    (_Shared) sends x_v to target[i] x_v for every v = basis[i]": row v
+    compares coefs[i] x_v with target[i] x_v, so it fails exactly when
+    coefs[i] != target[i]."""
+    if coefs == target:
         return True, None
-    return _first(B.presentation.basis(), lambda i: images[i] != i or coefs[i] != target[i])
+    return _first(B.presentation.basis(), lambda i: coefs[i] != target[i])
 
 
 def _square_is_nakayama(B: BfaStructure, d: _Shared, c) -> tuple:
     """(passed, detail) of "S^2(x_v) = h_v x_v for every v", with S^2(t)
     scaled by the payload c."""
-    images, coefs = d.s2
-    scaled = coefs[:-1] + [B.presentation.field._mul(c, coefs[-1])]
-    return _power_is(B, (images, scaled), d.h)
+    scaled = d.s2[:-1] + [B.presentation.field._mul(c, d.s2[-1])]
+    return _power_is(B, scaled, d.h)
 
 
 def _fourth_power_is(B: BfaStructure, d: _Shared, c) -> tuple:
@@ -728,10 +667,11 @@ def verify_derived(B: BfaStructure) -> VerificationReport:
 
 
 def is_hopf_comultiplication(B: BfaStructure) -> bool:
-    """Whether delta is multiplicative for the componentwise tensor product.
+    """Whether delta is multiplicative for the componentwise tensor product:
+    exactly when a = (2, 2), the characteristic is 2, pi = id and every g
+    is 1.
 
-    Decided on the pairs (u, v) with v in {0, e_1, ..., e_n}, u in basis
-    order, stopping at the first failing pair.  These imply every pair by
+    The pairs (x_u, x_v) with v in {0, e_1, ..., e_n} imply every pair by
     induction on |v|; |v| = 0 is the pair (u, 0).  For |v| > 0 let k be the
     last index with v_k > 0 and v' = v - e_k, so that x_v = x_{v'} x_k
     exactly.  With x_u x_{v'} = c x_w (c = 0 allowed):
@@ -739,25 +679,39 @@ def is_hopf_comultiplication(B: BfaStructure) -> bool:
                      = delta(x_u x_{v'}) delta(x_k)
                      = delta(x_u) delta(x_{v'}) delta(x_k)          induction
                      = delta(x_u) delta(x_v)                        pair (v', e_k)
-    which uses only that A (x) A is associative, so the claim holds for any
-    linear map delta: A -> A (x) A.
-    The certificate pairs are pairs of the grid, so the flag is the one of
-    the exhaustive dim x dim scan, from at most (n + 1) dim pairs, each one
-    _tensor_mul call on payload dicts.
+    which uses only that A (x) A is associative.  The pairs (u, 0) and
+    (0, e_k) hold by (a).  For a middle u, x_u x_k is b x_w with
+    w = u + e_k and b = bracket(u, e_k) nonzero, or 0 when w leaves the
+    basis, and by (b)
+      delta(x_u) delta(x_k) = 1 (x) x_u x_k + x_u x_k (x) 1
+                              + x_u (x) x_k + x_k (x) x_u.
+    Unless w = top, delta(x_u x_k) is the first two terms, by (b), so the
+    pair holds exactly when x_u (x) x_k + x_k (x) x_u = 0: never for
+    u != e_k, two distinct terms with coefficient 1, and for u = e_k, where
+    it reads 2 x_k (x) x_k = 0, exactly in characteristic 2.
+
+    The presentation forces n >= 2 and every a_i >= 2, so every e_j is
+    middle.  Unless a = (2, 2) there are j != k with e_j + e_k != top, and
+    the pair (e_j, e_k) fails.  Let a = (2, 2): the basis is 1, x_2, x_1, t
+    and L = 3.  The pairs (e_k, e_k) hold exactly in characteristic 2, and
+    the only such field of qci is GF(2), in which every bracket is 1.
+    There the pairs (e_1, e_2) and (e_2, e_1), with w = top, hold exactly
+    when
+      delta(t) = t (x) 1 + x_1 (x) x_2 + x_2 (x) x_1 + 1 (x) t.
+    By (c), delta(t) = g[0] t (x) 1 + g[1] x_1 (x) x_{s(1)}
+    + g[2] x_2 (x) x_{s(2)} + g[3] 1 (x) t, which is that exactly when
+    s(1) = 1, that is pi = id, and every g is 1.  Then the pairs (t, e_k)
+    hold: t x_k = 0, and delta(t) delta(x_k) holds t (x) x_k and
+    x_k (x) t twice each, once from t (x) 1 or 1 (x) t and once from a
+    middle term, so it vanishes in characteristic 2.
     """
-    P = B.presentation
-    field, basis, index = P.field, P.basis(), P.positions()
-    one = field.one.value
-    factors = [0] + [index[P.unit_vec(k)] for k in range(1, P.n + 1)]
-    deltas = [(basis[j], _delta(field, B.row, {j: one})) for j in factors]
-    for i, u in enumerate(basis):
-        du = _delta(field, B.row, {i: one})
-        for v, dv in deltas:
-            w = index.get(tuple(map(operator.add, u, v)))
-            lhs = {} if w is None else _delta(field, B.row, {w: P.bracket_value(u, v)})
-            if lhs != _tensor_mul(P, du, dv):
-                return False
-    return True
+    P, one = B.presentation, B.presentation.field.one.value
+    return (
+        P.a == (2, 2)
+        and P.field.characteristic() == 2
+        and B.witness.pi(1) == 1
+        and all(x == one for x in B.g)
+    )
 
 
 def primitive_space_dim(B: BfaStructure) -> int:

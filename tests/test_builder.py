@@ -1,6 +1,7 @@
 """Witness equations, closed forms, the decision procedure, and g tables."""
 
 import itertools
+import math
 import random
 import re
 
@@ -416,6 +417,89 @@ class TestDecide:
             set(rec) == {"pi", "intrinsic_condition", "solver_found_c"}
             for rec in data["involutions"]
         )
+
+
+def brute_force_witness(p: int, a: tuple, q: list, pi: tuple) -> bool:
+    """Whether some c in (GF(p)*)^n satisfies the two witness equations for
+    the involution pi (0-based images), tried on every c, on integers mod p
+    and with no normalization:
+      c_i c_{pi(i)} = h_{e_i} = prod_j q_ij^{a_j - 1}, and
+      q_pi prod_i c_i^{a_i - 1} = 1, where
+      q_pi = prod_{j<k} bracket(pi e_k, pi e_j)^{(a_k - 1)(a_j - 1)} and
+      bracket(u, v) = prod_{i<j} q_ij^{u_j v_i}."""
+    n = len(a)
+
+    def bracket(u, v):
+        out = 1
+        for i, j in itertools.combinations(range(n), 2):
+            out = out * pow(q[i][j], u[j] * v[i], p) % p
+        return out
+
+    unit = [[int(i == k) for i in range(n)] for k in range(n)]
+    h = [math.prod(pow(q[i][j], a[j] - 1, p) for j in range(n)) % p for i in range(n)]
+    q_pi = 1
+    for j, k in itertools.combinations(range(n), 2):
+        q_pi = q_pi * pow(bracket(unit[pi[k]], unit[pi[j]]), (a[k] - 1) * (a[j] - 1), p) % p
+    return any(
+        all(c[i] * c[pi[i]] % p == h[i] for i in range(n))
+        and q_pi * math.prod(pow(ci, ai - 1, p) for ci, ai in zip(c, a)) % p == 1
+        for c in itertools.product(range(1, p), repeat=n)
+    )
+
+
+def third_route(P: Presentation) -> list:
+    """(pi, brute_force_witness) for each compatible involution of P over
+    GF(p), found among all permutations on integers mod p:
+    a_{pi(i)} = a_i and q_{pi(i) pi(j)} = q_ji."""
+    n, a, q = P.n, P.a, [list(row) for row in P.q_values]
+    out = []
+    for pi in itertools.permutations(range(n)):
+        if all(
+            pi[pi[i]] == i and a[pi[i]] == a[i] and q[pi[i]][pi[j]] == q[j][i]
+            for i in range(n)
+            for j in range(n)
+        ):
+            out.append((Permutation(k + 1 for k in pi), brute_force_witness(P.field.p, a, q, pi)))
+    return out
+
+
+def draw_prime_presentation(rng: random.Random, p: int, n: int, involutive: bool):
+    """A presentation over GF(p) with a compatible involution and every
+    a_i <= 4, with an involutive Nakayama automorphism when asked."""
+    sample = rand_compatible_involutive_h if involutive else rand_compatible
+    return sample(rng, make_field("prime", p), n, a_hi=4)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.sampled_from([2, 3]),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_brute_force_over_every_c_agrees_with_both_routes(p, n, involutive, rng):
+    """A third route for decide: for every compatible involution, a c solving
+    the witness equations exists exactly when a regime applies and exactly
+    when solve_c finds one."""
+    P = draw_prime_presentation(rng, p, n, involutive)
+    routes = third_route(P)
+    assert routes
+    for pi, exists in routes:
+        assert (applicable_regime(P, pi) is not None) == exists, (P, pi)
+        assert (solve_c(P, pi) is not None) == exists, (P, pi)
+
+
+def test_the_third_route_draws_reach_both_answers():
+    """Fixed draws of the sampler above reach both answers of the brute
+    force, so the test above compares the routes on Yes and on No."""
+    rng = random.Random(0)
+    draws = itertools.product((3, 5, 13), (2, 3), (False, True))
+    answers = {
+        exists
+        for p, n, involutive in draws
+        for _, exists in third_route(draw_prime_presentation(rng, p, n, involutive))
+    }
+    assert answers == {False, True}
 
 
 class TestGTable:

@@ -22,6 +22,7 @@ from helpers import (
     failing,
     format1_blob,
     g_dict,
+    identity_permutation,
     monomial,
     one_elem,
     phi_of,
@@ -45,6 +46,7 @@ from helpers import (
     reference_tensor_mul,
     t_elem,
     tensor_product,
+    transposition,
     unit_pool,
 )
 from hypothesis import assume, given, settings
@@ -52,7 +54,7 @@ from hypothesis import strategies as st
 
 from qci import linalg, verify
 from qci.algebra import Presentation
-from qci.builder import BfaStructure, build_structure, decide
+from qci.builder import BfaStructure, Witness, build_structure, decide
 from qci.demos import example_presentation, example_structure, example_witness
 from qci.errors import NotInvertibleError
 from qci.verify import (
@@ -64,6 +66,7 @@ from qci.verify import (
     verify_axioms,
     verify_derived,
 )
+from qci.permutations import is_compatible
 from qci.scalars import Scalar, make_field
 from qci.structio import load_structure, save_structure
 
@@ -418,6 +421,46 @@ class TestHopfCertificateAgainstReference:
         T = rng.choice([T for _, T in g_perturbations(B)])
         for S in (B, T):
             assert is_hopf_comultiplication(S) == reference_is_hopf(S)
+
+
+# The exhaustive (2, 2) grid of the Hopf flag: q_12 runs over every unit of
+# each prime field and over the listed units of Q and Q(zeta_4), pi over
+# id and the swap where compatible, and each entry of g over G_LITERALS, read
+# in the field (so GF(2) and GF(3) repeat entries and keep the distinct
+# ones).  S is the identity table, which the flag does not read.
+HOPF_GRID = [
+    (F2, ["1"]),
+    (make_field("prime", 3), ["1", "2"]),
+    (F5, ["1", "2", "3", "4"]),
+    (Q, ["1", "-1", "2", "1/2"]),
+    (C4, ["1", "-1", "z", "-z", "2"]),
+]
+G_LITERALS = ("0", "1", "-1", "2")
+HOPF_GRID_STRUCTURES = 5220  # 32 + 324 + 1536 + 1536 + 1792, by field
+
+
+def test_hopf_flag_on_the_two_by_two_grid():
+    """On every structure of HOPF_GRID the flag equals the exhaustive scan,
+    and it holds exactly for GF(2), pi = id and every g = 1, the closed
+    form; the count pins the grid, so that a shrunken one shows."""
+    hopf, count = [], 0
+    for field, units in HOPF_GRID:
+        entries = list(dict.fromkeys(field.parse(x).value for x in G_LITERALS))
+        one = field.one.value
+        for q12 in units:
+            P = presentation(field, (2, 2), {(1, 2): q12})
+            for pi in (identity_permutation(2), transposition(2, 1, 2)):
+                if not is_compatible(P, pi):
+                    continue
+                for g in itertools.product(entries, repeat=P.dim):
+                    B = BfaStructure(P, Witness(pi, ()), list(g), [one] * P.dim)
+                    flag = is_hopf_comultiplication(B)
+                    assert flag == reference_is_hopf(B), (field, q12, pi, g)
+                    count += 1
+                    if flag:
+                        hopf.append((field, q12, pi, g))
+    assert hopf == [(F2, "1", identity_permutation(2), (1, 1, 1, 1))]
+    assert count == HOPF_GRID_STRUCTURES
 
 
 @pytest.mark.parametrize("B", REFERENCE_STRUCTURES, ids=lambda B: repr(B.presentation))
@@ -799,34 +842,14 @@ def count_scalars(monkeypatch, field) -> dict:
     return calls
 
 
-def test_hopf_flag_evaluates_few_pairs(monkeypatch):
-    """At most (n + 1) dim pairs, each one _tensor_mul call; the built
-    structure fails at its seventh pair.  The products run on payloads and
-    build no Scalar; on Scalar elements they built 73."""
-    B = seeded_d256()
-    P = B.presentation
-    pairs = 7
-    calls = count_scalars(monkeypatch, B.presentation.field)
-    calls["tensor_mul"] = 0
-    original = verify._tensor_mul
-
-    def counted(*args):
-        calls["tensor_mul"] += 1
-        return original(*args)
-
-    monkeypatch.setattr(verify, "_tensor_mul", counted)
-    assert is_hopf_comultiplication(B) is False
-    assert calls == {"scalar": 0, "tensor_mul": pairs}
-    assert pairs <= (P.n + 1) * P.dim
-
-
-# Payload sums (_add_value) of verify_axioms, verify_derived and
-# primitive_space_dim on a built structure, per term of delta(t): none, since
-# antipode-coalgebra-antihomomorphism compares the row of t as two payload
-# lists and the rest are decided on g.  Summing delta(t) into two dicts there
-# made 2.00 per term, and expanding the rows of 1 and t as well 2.03 at d256
-# and 2.00 at d4096; summing the column of t in primitive_space_dim made
-# 3.11 and 3.01.  Expanding delta(t) in coassociativity (6), summing it in
+# Payload sums (Field._add) of verify_axioms, verify_derived, the Hopf flag
+# and primitive_space_dim on a built structure, per term of delta(t): none,
+# since antipode-coalgebra-antihomomorphism compares the row of t as two
+# payload lists, the Hopf flag is decided in closed form and the rest are
+# decided on g.  Summing delta(t) into two dicts there made 2.00 per term,
+# and expanding the rows of 1 and t as well 2.03 at d256 and 2.00 at d4096;
+# summing the column of t in primitive_space_dim made 3.11 and 3.01.
+# Expanding delta(t) in coassociativity (6), summing it in
 # antipode-definition (1) and applying S twice per basis vector in
 # nakayama-via-antipode (2) made 12.07 per term at d256, with 288 brackets
 # and 512 applications of S; expanding every primitive row as well made
@@ -847,7 +870,7 @@ def counting(calls: dict, name: str, original):
 def test_built_structure_sums_no_payload(monkeypatch, a):
     """The checks that read delta are decided on g, and the row of t and
     each row of antipode-definition by one comparison of payload lists:
-    with rref raising, verify_axioms, verify_derived and
+    with rref raising, verify_axioms, verify_derived, the Hopf flag and
     primitive_space_dim pass with no payload sum, and the brackets are
     bounded by 3 n^2 (the tables of the anti-homomorphism and the antipode
     definition)."""
@@ -859,12 +882,14 @@ def test_built_structure_sums_no_payload(monkeypatch, a):
 
     monkeypatch.setattr(linalg, "rref", no_elimination)
     calls = {"sums": 0, "brackets": 0}
-    monkeypatch.setattr(verify, "_add_value", counting(calls, "sums", verify._add_value))
+    field_type = type(P.field)
+    monkeypatch.setattr(field_type, "_add", counting(calls, "sums", field_type._add))
     monkeypatch.setattr(
         Presentation, "bracket_value", counting(calls, "brackets", Presentation.bracket_value)
     )
     assert verify_axioms(B).all_passed
     assert verify_derived(B).all_passed
+    assert is_hopf_comultiplication(B) is False
     assert primitive_space_dim(B) == P.dim - 2
     assert calls["sums"] <= SUMS_PER_TERM_OF_DELTA_T * len(B.row(P.dim - 1))
     assert calls["brackets"] <= 3 * P.n ** 2
@@ -899,13 +924,13 @@ def test_passing_verify_multiplies_few_payloads(monkeypatch, a):
 
 @pytest.mark.parametrize("source", ["built", "loaded"])
 @pytest.mark.parametrize("a", [(4, 4, 4, 4), (16, 16, 16)], ids=["d256", "d4096"])
-def test_passing_verify_builds_no_basis(tmp_path, a, source):
-    """verify_axioms, verify_derived and primitive_space_dim pass on a
-    structure built afresh or loaded from a format-2 file without building
-    the list of basis vectors, their index or the row of t: every check
-    compares payload arrays and reads the basis only to name a failure.
-    The Hopf flag, which multiplies delta(x_u) delta(x_v) on exponent
-    vectors, still builds all three and is left out here."""
+def test_passing_verify_builds_no_basis(monkeypatch, tmp_path, a, source):
+    """verify_axioms, verify_derived, the Hopf flag and primitive_space_dim
+    pass on a structure built afresh or loaded from a format-2 file without
+    building the list of basis vectors or their index, and without reading
+    a row of delta: every check compares payload arrays and reads the basis
+    only to name a failure, and the Hopf flag, decided in closed form,
+    builds no Scalar either."""
     seed = seeded(a)
     P = seed.presentation
     B = build_structure(Presentation(P.field, P.a, P.q), seed.witness)
@@ -914,10 +939,18 @@ def test_passing_verify_builds_no_basis(tmp_path, a, source):
         save_structure(B, str(path))
         B = load_structure(str(path))
     P = B.presentation
+
+    def no_row(self, i):
+        raise AssertionError("BfaStructure.row called")
+
+    monkeypatch.setattr(BfaStructure, "row", no_row)
     assert verify_axioms(B).all_passed
     assert verify_derived(B).all_passed
+    calls = count_scalars(monkeypatch, P.field)
+    assert is_hopf_comultiplication(B) is False
+    assert calls == {"scalar": 0}
     assert primitive_space_dim(B) == P.dim - 2
-    assert (P._basis, P._index, "_top" in B.__dict__) == (None, None, False)
+    assert (P._basis, P._index) == (None, None)
 
 
 def test_zeroed_g_fails_the_copairing_with_its_rank():
@@ -973,8 +1006,9 @@ def test_presentation_checks_build_few_scalars(monkeypatch):
 
 
 def test_antipode_power_checks_build_few_scalars(monkeypatch):
-    """The four checks that compose S read payload arrays of S^2, S^4 and h,
-    composed once, and read m and alpha^{-1} off c_0 and c_L: they build no
+    """The four checks that compose S read the coefficient lists of S^2 and
+    S^4 and the array h, computed once, and read m and alpha^{-1} off c_0
+    and c_L: they build no
     Scalar beyond the shared values.  Solving for alpha^{-1}
     built 769, and composing S on Scalar elements for each v 8447."""
     B = seeded_d256()
