@@ -256,12 +256,12 @@ class Presentation:
     def h_values(self) -> tuple:
         """The payloads of h_{e_i} = prod_j q_ij^{a_j - 1} (q_ii = 1 is skipped)."""
         if self._h_values is None:
-            power, q = self.field._pow, self.q_values
+            mul, power, q = self.field._mul, self.field._pow, self.q_values
             columns = [
                 {q[i][j]: power(q[i][j], e) for i in range(self.n) if i != j}
                 for j, e in enumerate(self.top)
             ]
-            self._h_values = _h_payloads(self.field, q, columns)
+            self._h_values = tuple(_h_payload(mul, i, row, columns) for i, row in enumerate(q))
         return self._h_values
 
     def h_generators(self) -> list:
@@ -326,20 +326,16 @@ class Presentation:
         return f"Presentation(n={self.n}, a={self.a}, field={self.field.describe()})"
 
 
-def _h_payloads(field: Field, q_values: tuple, columns: list) -> tuple:
-    """h_{e_i} = prod_{j != i} q_ij^{a_j - 1} as payloads, the factors taken
-    in increasing j; columns[j] maps each payload q_ij, i != j, to its power
-    q_ij^{a_j - 1}."""
-    mul = field._mul
-    out = []
-    for i, row in enumerate(q_values):
-        acc = None
-        for j, x in enumerate(row):
-            if j != i:
-                power = columns[j][x]
-                acc = power if acc is None else mul(acc, power)
-        out.append(acc)
-    return tuple(out)
+def _h_payload(mul, i: int, row: tuple, columns: list):
+    """h_{e_i} = prod_{j != i} q_ij^{a_j - 1} as a payload, read from row i
+    of q_values, the factors taken in increasing j; columns[j] maps each
+    payload q_ij, i != j, to its power q_ij^{a_j - 1}."""
+    acc = None
+    for j, x in enumerate(row):
+        if j != i:
+            power = columns[j][x]
+            acc = power if acc is None else mul(acc, power)
+    return acc
 
 
 def q_grid(field: Field, a):
@@ -351,22 +347,29 @@ def q_grid(field: Field, a):
     q_ji = q_ij^{-1} and q_ii = 1.  The grid is validated once, not once per
     row: the shape by one Presentation of a with q = 1, which reads the cap
     once, and each unit u once, that it is nonzero and that u u^{-1} = 1.
-    Each row is then set up from those Scalars and their payloads.
+
+    Each row is set up from tables built once per grid.  Row i of q, its
+    row of payloads and h_{e_i} depend only on the units of the n - 1 pairs
+    that touch generator i, so table i holds the triple (row of Scalars, row
+    of payloads, h_{e_i}) for each choice of those units: n (p - 1)^(n - 1)
+    entries in all.  A grid row is then n lookups, by the unit indices of
+    its pairs.
 
     Certificate that _validate passes on every row: the row has the
     validated a (n >= 2, each a_i >= 2, dim within the cap read for the
-    grid); q is n x n by construction and each entry is field.one or a
-    checked unit or inverse, all Scalars of `field`; these are nonzero, the
-    diagonal is one, and q_ij q_ji = u u^{-1} = 1.  q_values holds the
+    grid); q is n x n by construction, and entry (i, j) of table i is
+    field.one on the diagonal, the checked unit u of pair (i, j) for i < j
+    and its checked inverse u^{-1} for i > j, all Scalars of `field`.  These
+    are nonzero, the diagonal is one, and since tables i and j read the same
+    unit of pair (i, j), q_ij q_ji = u u^{-1} = 1.  q_values holds the
     payloads of exactly these entries, as _validate would return them.
 
-    Each row's h payloads are set from one table of the powers x^(a_j - 1)
-    of every unit and inverse payload x, built once per grid.  Certificate
-    that they equal h_values() of the row: h_{e_i} multiplies q_ij^(a_j - 1)
-    over j != i, and every such q_ij of a row is a unit u or its inverse
-    u^{-1} of the grid, so its power is a table entry, the one field._pow
-    returns; _h_payloads multiplies the same factors in the same order for
-    both.
+    Certificate that the h payloads equal h_values() of the row: h_{e_i}
+    multiplies q_ij^(a_j - 1) over j != i, and every such q_ij is a unit u
+    or its inverse u^{-1} of the grid, so its power is an entry of the power
+    table, the one field._pow returns; _h_payload multiplies the same
+    factors in the same order for both, on row i of q_values, which is the
+    payload row stored beside it.
     """
     if field.kind != "prime":
         raise ValueError(f"q_grid needs a prime field, got {field.describe()}")
@@ -382,23 +385,34 @@ def q_grid(field: Field, a):
         u_inv = u.inverse()
         if mul(u.value, u_inv.value) != one_value:
             raise BadReciprocalError(f"grid unit {u} times its inverse must be 1")
-        units.append((u, u_inv, u.value, u_inv.value))
+        units.append(((u, u.value), (u_inv, u_inv.value)))
     table = {
-        e: {x: field._pow(x, e) for unit in units for x in unit[2:]} for e in set(shape.top)
+        e: {x: field._pow(x, e) for pair in units for _, x in pair} for e in set(shape.top)
     }
     columns = [table[e] for e in shape.top]
     n = shape.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for choice in itertools.product(units, repeat=len(pairs)):
-        q = [[one] * n for _ in range(n)]
-        values = [[one_value] * n for _ in range(n)]
-        for (i, j), (u, u_inv, x, x_inv) in zip(pairs, reversed(choice)):
-            q[i][j], q[j][i] = u, u_inv
-            values[i][j], values[j][i] = x, x_inv
+    # the unit of pair k sits at index len(pairs) - 1 - k of a product tuple
+    slot = {pair: len(pairs) - 1 - k for k, pair in enumerate(pairs)}
+    lookups = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        rows = {}
+        for choice in itertools.product(range(len(units)), repeat=n - 1):
+            q_row, values = [one] * n, [one_value] * n
+            for j, k in zip(others, choice):
+                q_row[j], values[j] = units[k][j < i]
+            values = tuple(values)
+            # itemgetter of one index returns the index itself, not a 1-tuple
+            key = choice if n > 2 else choice[0]
+            rows[key] = (tuple(q_row), values, _h_payload(mul, i, values, columns))
+        get = operator.itemgetter(*(slot[min(i, j), max(i, j)] for j in others))
+        lookups.append((rows, get))
+    for choice in itertools.product(range(len(units)), repeat=len(pairs)):
+        q, values, h = zip(*[rows[get(choice)] for rows, get in lookups])
         P = Presentation.__new__(Presentation)
-        values = tuple(map(tuple, values))
-        P._setup(field, shape.a, tuple(map(tuple, q)), values)
-        P._h_values = _h_payloads(field, values, columns)
+        P._setup(field, shape.a, q, values)
+        P._h_values = h
         yield P
 
 

@@ -104,19 +104,38 @@ def enumerate_compatible(P: Presentation, involutions_only: bool = True) -> list
     """All compatible permutations (involutions by default), in lexicographic
     order of their image tuples.
 
-    One recursion fills the least unfilled position i, trying images in
-    increasing order, so the results come out sorted.  i takes an unused
-    image j of equal exponent whose q entries agree with every filled pair
-    (k, pi(k)): q_{j pi(k)} = q_{ki}; as in is_compatible, the condition for
-    (k, i) follows from it.  For involutions j then takes i back; every
-    earlier position is used by then, so j is i or a later position.  j -> i
-    agrees as well: its condition with a filled pair (k, pi(k)) is that of
-    i -> j with (pi(k), k), by reciprocity.
+    Every compatible pi has h_{pi(i)} = h_i^{-1}, where h_i = h_{e_i} =
+    prod_{l != i} q_il^{a_l - 1}.  Reindex the product over m != pi(i) by
+    m = pi(l), l != i: compatibility gives q_{pi(i) pi(l)} = q_li and
+    a_{pi(l)} = a_l, so h_{pi(i)} = prod_{l != i} q_li^{a_l - 1} = h_i^{-1},
+    since q_li = q_il^{-1}.  So position i takes an image j only among its
+    partners, the j with a_j = a_i and h_j h_i = 1, computed once per call,
+    and if some i has no partner no permutation is compatible and the result
+    is [].  The prune loses nothing: it drops only images that no compatible
+    pi takes.
+
+    One recursion fills the least unfilled position i, trying its partners
+    in increasing order, so the results come out sorted.  i takes an unused
+    partner j whose q entries agree with every filled pair (k, pi(k)):
+    q_{j pi(k)} = q_{ki}; as in is_compatible, the condition for (k, i)
+    follows from it.  For involutions j then takes i back; every earlier
+    position is used by then, so j is i or a later position.  j -> i agrees
+    as well: its condition with a filled pair (k, pi(k)) is that of i -> j
+    with (pi(k), k), by reciprocity.
     """
     n = P.n
     if n > ENUMERATION_BOUND:
         raise TooManyGeneratorsError(f"n = {n} exceeds the enumeration bound {ENUMERATION_BOUND}")
-    a, q = P.a, P.q_values
+    a, q, h = P.a, P.q_values, P.h_values()
+    mul, one = P.field._mul, P.field.one.value
+    partners = []
+    for i, hi in enumerate(h):
+        start = i if involutions_only else 0
+        # the early return needs every partner; the recursion tries j >= start
+        every = [j for j in range(n) if a[j] == a[i] and mul(h[j], hi) == one]
+        if not every:
+            return []
+        partners.append([j for j in every if j >= start])
     columns = list(zip(*q))  # columns[i][k] = q[k][i]
     images = [None] * n  # 0-based: images[i] = pi(i + 1) - 1 once filled
     used = [False] * n  # the images taken so far
@@ -129,9 +148,9 @@ def enumerate_compatible(P: Presentation, involutions_only: bool = True) -> list
         if i == n:
             results.append(Permutation([k + 1 for k in images]))
             return
-        ai, column = a[i], columns[i]
-        for j in range(i if involutions_only else 0, n):
-            if used[j] or a[j] != ai:
+        column = columns[i]
+        for j in partners[i]:
+            if used[j]:
                 continue
             row = q[j]
             for k, image in filled:

@@ -25,8 +25,9 @@ delta block in basis order once (_Keys.table), by position when its keys
 are the canonical ones in the order save_structure writes, else by
 resolving each key, and then runs every check once on whole lists: one type
 set, one parse per distinct literal, one zero test per distinct payload,
-one comparison of the image texts.  Only a check that fails walks the
-entries, to name the first bad one.  The memos live only for the call that
+one comparison of the image texts, one comparison of each delta row with
+its canonical spelling.  Only a check that fails walks the entries, to
+name the first bad one.  The memos live only for the call that
 builds them.  Saving likewise spells each basis key and formats each
 distinct scalar once, and writes the compact text of one json.dumps call.
 """
@@ -287,11 +288,30 @@ def _nonzero_scalars(field: Field, texts: list, literals: dict, where, zero) -> 
 
 def _check_delta_block(block, B: BfaStructure, basis: _Keys, literals: dict):
     """Check the delta block of a format-1 file against the rows B.row reads,
-    which follow from g and the images of pi."""
+    which follow from g and the images of pi.
+
+    Each row is first compared, as a whole list, with the row of B spelled
+    as save_structure spells keys and scalars.  A row equal to it passes
+    every check below: its keys are canonical and name its own indices, its
+    coefficient texts parse back to the payloads of B.row, which are nonzero
+    (g is), and its terms are those of B.row, each once.  So only the rows
+    that differ are walked, term by term, in basis order: first their shape,
+    keys and coefficients, then their terms against B.row, and the first
+    fault named is the one a walk over every row would name.
+    """
     P = B.presentation
+    keys = basis.keys
+    one = P.field.one.value
+    text = {x: str(Scalar(P.field, x)) for x in {one, *B.g}}
     spelled, entries = basis.table(block, "delta")
+    differ = [
+        i
+        for i, rows in enumerate(entries)
+        if rows != [[keys[u], keys[w], text[x]] for u, w, x in B.row(i)]
+    ]
     given = []
-    for key, rows in zip(spelled, entries):
+    for i in differ:
+        key, rows = spelled[i], entries[i]
         if not isinstance(rows, list):
             raise FileSyntaxError(f"delta[{key}] must be a list of terms")
         terms = []
@@ -305,22 +325,22 @@ def _check_delta_block(block, B: BfaStructure, basis: _Keys, literals: dict):
             if coeff.is_zero():
                 raise FileSemanticError(f"delta[{key}] has a zero coefficient")
             terms.append((u, w, coeff.value))
-        given.append(terms)
+        given.append((i, terms))
     wrong_row = {
         0: "delta at the zero vector must be 1 (x) 1",
         P.dim - 1: "delta at the top vector disagrees with g",
     }
     # in basis order: the zero row first, the top row last
-    for i, terms in enumerate(given):
+    for i, terms in given:
         row = {}
         for u, w, coeff in terms:
             if (u, w) in row:
-                raise FileSemanticError(f"delta[{basis.keys[i]}] repeats a tensor term")
+                raise FileSemanticError(f"delta[{keys[i]}] repeats a tensor term")
             row[(u, w)] = coeff
         if row != {(u, w): coeff for u, w, coeff in B.row(i)}:
             raise FileSemanticError(
                 wrong_row.get(i)
-                or f"delta[{basis.keys[i]}] must be primitive below the top vector"
+                or f"delta[{keys[i]}] must be primitive below the top vector"
             )
 
 

@@ -1295,6 +1295,52 @@ def reference_enumerate_compatible(P: Presentation, involutions_only: bool = Tru
     ]
 
 
+def prune_kind(P: Presentation) -> str:
+    """How the Nakayama signature prunes the images tried for P, recomputed
+    from reference_h_generators: "early" when some i has no partner j (a_j
+    = a_i and h_j h_i = 1), "partial" when every i has one but some index
+    of equal exponent is no partner of some i, else "none"."""
+    h, a, one = reference_h_generators(P), P.a, P.field.one
+    partners = [
+        [j for j in range(P.n) if a[j] == a[i] and h[j] * h[i] == one] for i in range(P.n)
+    ]
+    if not all(partners):
+        return "early"
+    same = [[j for j in range(P.n) if a[j] == a[i]] for i in range(P.n)]
+    return "partial" if partners != same else "none"
+
+
+def rejecting_clause(P: Presentation, pi: Permutation) -> str | None:
+    """The clause of the existence rule that rejects pi, or None when a
+    regime accepts it, recomputed from the h values, partition and whether
+    the field holds sqrt(-1):
+      nakayama-gate          some h_{e_i}^2 != 1;
+      not-compatible         pi is no compatible involution;
+      root-no-anchor         sqrt(-1) present, i1 and i3 empty, and i4 or
+                             |j3| != 0 mod 4;
+      no-root-i3-or-i4       sqrt(-1) absent, i3 or i4 nonempty;
+      no-root-no-anchor      sqrt(-1) absent, i1 empty, |j3| != 0 mod 4.
+    Characteristic 2 and symmetric presentations reject no compatible
+    involution."""
+    one = P.field.one
+    h = reference_h_generators(P)
+    if any(x * x != one for x in h):
+        return "nakayama-gate"
+    if not pi.is_involution() or not reference_is_compatible(P, pi):
+        return "not-compatible"
+    if P.field.characteristic() == 2 or all(x == one for x in h):
+        return None
+    rep = partition(P, pi)
+    unanchored = len(rep.j3) % 4 != 0
+    if reference_sqrt_minus_one(P.field) is not None:
+        if rep.i1 or rep.i3 or not (rep.i4 or unanchored):
+            return None
+        return "root-no-anchor"
+    if rep.i3 or rep.i4:
+        return "no-root-i3-or-i4"
+    return "no-root-no-anchor" if not rep.i1 and unanchored else None
+
+
 def suite_bracket_on_generators(rng: random.Random, trials: int) -> int:
     """bracket(e_j,e_k) = bracket(e_k,e_j) q_kj and the explicit 1/q_kj table."""
     count = 0

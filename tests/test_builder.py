@@ -1,5 +1,6 @@
 """Witness equations, closed forms, the decision procedure, and g tables."""
 
+import collections
 import itertools
 import math
 import random
@@ -23,11 +24,12 @@ from helpers import (
     rand_compatible_involutive_h,
     reference_bracket,
     reference_g_table,
+    rejecting_clause,
     s_elem,
     t_elem,
     t_vec,
 )
-from qci.algebra import Presentation
+from qci.algebra import Presentation, q_grid
 from qci.builder import (
     BfaStructure,
     Regime,
@@ -500,6 +502,43 @@ def test_the_third_route_draws_reach_both_answers():
         for _, exists in third_route(draw_prime_presentation(rng, p, n, involutive))
     }
     assert answers == {False, True}
+
+
+def test_each_rejecting_clause_leaves_no_c():
+    """Every involution of S_n on the q grids of GF(3) and GF(5), n = 2, 3 and
+    each a_i in {2, 3, 4}: applicable_regime rejects it exactly when
+    rejecting_clause names a clause, and for a compatible involution the
+    brute force over every c finds a witness exactly when no clause does.
+    So each clause that rejects leaves no c at all (the normalization of
+    solve_c loses nothing), and the counts per clause are pinned, so a
+    shrunken grid or a clause no longer reached shows."""
+    counts = collections.Counter()
+    for p, n in itertools.product((3, 5), (2, 3)):
+        field = make_field("prime", p)
+        involutions = [
+            pi
+            for pi in map(Permutation, itertools.permutations(range(1, n + 1)))
+            if pi.is_involution()
+        ]
+        for a in itertools.product((2, 3, 4), repeat=n):
+            for P in q_grid(field, a):
+                exists = dict(third_route(P))
+                for pi in involutions:
+                    clause = rejecting_clause(P, pi)
+                    assert (applicable_regime(P, pi) is None) == (clause is not None), (P, pi)
+                    if pi in exists:
+                        assert exists[pi] == (clause is None), (P, pi, clause)
+                    counts[clause, pi in exists] += 1
+    # (clause, whether pi is compatible): every clause occurs
+    assert counts == {
+        (None, True): 626,
+        ("nakayama-gate", True): 196,
+        ("nakayama-gate", False): 4828,
+        ("not-compatible", False): 2030,
+        ("root-no-anchor", True): 26,
+        ("no-root-i3-or-i4", True): 164,
+        ("no-root-no-anchor", True): 14,
+    }
 
 
 class TestGTable:

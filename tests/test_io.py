@@ -1002,14 +1002,28 @@ def test_over_long_literal_in_a_presentation(blob):
 
 @pytest.mark.parametrize("source", ["blob1", "golden"])
 def test_format1_files_read_g_and_s_positionally(blob1, resolved, source):
-    # the only keys resolved are the u and w of the delta terms
+    # every delta row is spelled as B.row spells it, so each is compared as a
+    # whole list and no key is resolved
     if source == "golden":
         obj = json.loads(GOLDEN_STRUCTURE.read_text())
         assert format1_blob(load_structure(str(GOLDEN_STRUCTURE))) == obj
     else:
-        obj = blob1
         assert format1_blob(structure_from_json(copy.deepcopy(blob1))) == blob1
-    assert resolved == [key for rows in obj["delta"].values() for u, w, _ in rows for key in (u, w)]
+    assert resolved == []
+
+
+def test_format1_walks_only_the_rows_that_differ(blob1, resolved):
+    """A delta row spelled otherwise, here the top row with its terms in
+    reverse order and one key respelled, still loads to the same structure;
+    only that row is walked term by term, so its keys are the only ones
+    resolved."""
+    obj = copy.deepcopy(blob1)
+    top = list(obj["delta"])[-1]
+    rows = obj["delta"][top][::-1]
+    rows[0] = [" " + rows[0][0], *rows[0][1:]]
+    obj["delta"][top] = rows
+    assert format1_blob(structure_from_json(obj)) == blob1
+    assert resolved == [key for u, w, _ in rows for key in (u, w)]
 
 
 G_S_FAULTS = [case for case in LOADER_MESSAGES if case[0][:2] in ("g-", "s-")]

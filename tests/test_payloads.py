@@ -7,7 +7,9 @@ an equal but distinct field object, and compares with the Scalar-level
 references in helpers.
 """
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     h_of,
+    prune_kind,
     rand_compatible,
     rand_compatible_involutive_h,
     rand_presentation,
@@ -97,13 +100,55 @@ def test_h_matches_reference(P, vs):
 @settings(max_examples=150, deadline=None)
 @given(presentations(), st.data())
 def test_compatibility_matches_reference(P, data):
+    assert_enumeration_matches_reference(P)
+    images = data.draw(st.permutations(range(1, P.n + 1)))
+    pi = Permutation(images)
+    assert is_compatible(P, pi) == reference_is_compatible(P, pi)
+
+
+def assert_enumeration_matches_reference(P):
     for involutions_only in (True, False):
         assert enumerate_compatible(P, involutions_only) == reference_enumerate_compatible(
             P, involutions_only
         )
-    images = data.draw(st.permutations(range(1, P.n + 1)))
-    pi = Permutation(images)
-    assert is_compatible(P, pi) == reference_is_compatible(P, pi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations())
+def test_compatible_permutations_invert_the_nakayama_signature(P):
+    """The lemma the prune of enumerate_compatible rests on: every compatible
+    pi has a_{pi(i)} = a_i and h_{pi(i)} h_i = 1, on the permutations it
+    returns and on every one the brute force finds."""
+    h, one = reference_h_generators(P), P.field.one
+    found = enumerate_compatible(P, involutions_only=False)
+    every = reference_enumerate_compatible(P, involutions_only=False)
+    for pi in found + every:
+        for i in range(1, P.n + 1):
+            assert P.a[pi(i) - 1] == P.a[i - 1]
+            assert h[pi(i) - 1] * h[i - 1] == one
+
+
+def fixed_draws() -> list:
+    """Seeded draws of each shape of presentations() over each of FIELDS, for
+    n = 2, 3, 4: 63 presentations."""
+    rng = random.Random(0)
+    draws = []
+    for (kind, param), n in itertools.product(FIELDS, (2, 3, 4)):
+        field = make_field(kind, param)
+        draws.append(rand_presentation(rng, field, n))
+        draws.append(rand_compatible(rng, field, n)[0])
+        draws.append(rand_compatible_involutive_h(rng, field, n)[0])
+    return draws
+
+
+def test_fixed_draws_reach_both_prunes():
+    """On a fixed list of draws like those of test_compatibility_matches_reference,
+    the oracle holds, and the Nakayama signature both ends the enumeration
+    early (some i has no partner) and prunes some images without ending it."""
+    draws = fixed_draws()
+    for P in draws:
+        assert_enumeration_matches_reference(P)
+    assert Counter(map(prune_kind, draws)) == {"early": 9, "partial": 16, "none": 38}
 
 
 def test_twin_field_entries_change_nothing():

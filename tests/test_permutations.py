@@ -1,12 +1,14 @@
 """Permutation action, compatibility, enumeration, and index partitions."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import identity_permutation, transposition
+from helpers import identity_permutation, prune_kind, transposition
 from qci import permutations
 from qci.algebra import Presentation
 from qci.demos import example_presentation
@@ -143,13 +145,36 @@ class TestEnumerationOracle:
     @settings(max_examples=300, deadline=None)
     @given(P=gf5_presentations(), involutions_only=st.booleans())
     def test_matches_filtered_permutations(self, P, involutions_only):
-        # itertools.permutations yields the image tuples in lexicographic order
-        expected = [
-            pi
-            for pi in map(Permutation, itertools.permutations(range(1, P.n + 1)))
-            if is_compatible(P, pi) and (pi.is_involution() or not involutions_only)
-        ]
-        assert enumerate_compatible(P, involutions_only) == expected
+        assert enumerate_compatible(P, involutions_only) == filtered(P, involutions_only)
+
+    def test_fixed_list_reaches_both_prunes(self):
+        """On 40 seeded presentations in the style of gf5_presentations, the
+        oracle holds, and the Nakayama signature both ends the enumeration
+        early and prunes some images without ending it."""
+        rng = random.Random(0)
+        draws = []
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            literals = rng.sample(("1", "-1", "2", "3"), rng.randint(1, 4))
+            sizes = rng.sample((2, 3), rng.randint(1, 2))
+            a = [rng.choice(sizes) for _ in range(n)]
+            pairs = itertools.combinations(range(1, n + 1), 2)
+            draws.append(presentation(F5, a, {pair: rng.choice(literals) for pair in pairs}))
+        for P in draws:
+            for involutions_only in (True, False):
+                assert enumerate_compatible(P, involutions_only) == filtered(P, involutions_only)
+        assert Counter(map(prune_kind, draws)) == {"early": 11, "partial": 16, "none": 13}
+
+
+def filtered(P, involutions_only):
+    """The compatible permutations (involutions when asked) among all of
+    S_n; itertools.permutations yields the image tuples in lexicographic
+    order."""
+    return [
+        pi
+        for pi in map(Permutation, itertools.permutations(range(1, P.n + 1)))
+        if is_compatible(P, pi) and (pi.is_involution() or not involutions_only)
+    ]
 
 
 class TestQPi:
