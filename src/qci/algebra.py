@@ -156,17 +156,11 @@ class Presentation:
 
     def bracket(self, u, v) -> Scalar:
         """The scalar prod_{i<j} q_ij^{u_j v_i} on arbitrary integer vectors:
-        bracket_value(u, v) as a Scalar, field.one for the empty product."""
-        out = self._bracket_product(u, v)
-        return self.field.one if out is None else Scalar(self.field, out)
+        bracket_value(u, v) as a Scalar."""
+        return Scalar(self.field, self.bracket_value(u, v))
 
     def bracket_value(self, u, v):
-        """The payload of bracket(u, v)."""
-        out = self._bracket_product(u, v)
-        return self.field.one.value if out is None else out
-
-    def _bracket_product(self, u, v):
-        """The payload of bracket(u, v), or None for the empty product.
+        """The payload of bracket(u, v), field.one.value for the empty product.
 
         The payload of each power q_ij^e is cached; terms with v_i = 0 are
         skipped.
@@ -185,7 +179,7 @@ class Presentation:
                         if power is None:
                             power = powers[(i, j, e)] = field._pow(self.q_values[i][j], e)
                         out = power if out is None else field._mul(out, power)
-        return out
+        return field.one.value if out is None else out
 
     def quadratic_table(self, lin, quad) -> list:
         """prod_i lin_i^{v_i} prod_{i<j} quad_ij^{v_i v_j} as payloads, for v

@@ -38,7 +38,6 @@ from .errors import (
     WitnessInvalidError,
 )
 from .permutations import (
-    PartitionReport,
     Permutation,
     enumerate_compatible,
     is_compatible,
@@ -153,39 +152,48 @@ class Regime(Enum):
     REAL_NO_ANCHOR = "real-no-anchor"
 
 
+def regime_family(P: Presentation) -> str:
+    """The case split of the existence rule on (q, a), in its order:
+    characteristic 2, then symmetric, then whether sqrt(-1) exists."""
+    if P.field.characteristic() == 2:
+        return "char-two"
+    if P.is_symmetric():
+        return "symmetric"
+    if P.field.sqrt_minus_one() is not None:
+        return "sqrt-minus-one-present"
+    return "sqrt-minus-one-absent"
+
+
 def applicable_regime(P: Presentation, pi: Permutation):
     """The regime whose closed form applies to this involution, or None.
 
     This is the existence rule: scalars c completing pi to a witness exist
     exactly when a regime applies.  decide() checks it against solve_c.
 
-    The "no i4" clause never rejects an involution that i1 or i3 would not
-    already accept, because i4 nonempty forces i1 u i3 nonempty.  For fixed
-    i, h_{e_i} = prod_j q_ij^{a_j - 1}.  A moved pair {j, pi(j)} contributes
-    q_ij^{a_j - 1} q_{i pi(j)}^{a_j - 1} = 1, since compatibility gives
-    q_{i pi(j)} = q_ji = q_ij^{-1} and a_{pi(j)} = a_j.  A fixed j has
-    q_ij = q_ji, so q_ij = +-1 and contributes -1 only when q_ij = -1 and
-    a_j is even.  Hence h_{e_i} = -1 needs a fixed j with a_j even: j lies
-    in i1 or i3.
+    The case split on (q, a) is regime_family's.  With sqrt(-1) present no
+    "no i4" clause is needed: it would never reject an involution that i1
+    or i3 does not already accept, because i4 nonempty forces i1 u i3
+    nonempty.  For fixed i, h_{e_i} = prod_j q_ij^{a_j - 1}.  A moved pair
+    {j, pi(j)} contributes q_ij^{a_j - 1} q_{i pi(j)}^{a_j - 1} = 1, since
+    compatibility gives q_{i pi(j)} = q_ji = q_ij^{-1} and a_{pi(j)} = a_j.
+    A fixed j has q_ij = q_ji, so q_ij = +-1 and contributes -1 only when
+    q_ij = -1 and a_j is even.  Hence h_{e_i} = -1 needs a fixed j with a_j
+    even: j lies in i1 or i3.
     """
     if not P.nakayama_is_involution():
         return None
     if not pi.is_involution() or not is_compatible(P, pi):
         return None
-    if P.field.characteristic() == 2:
-        return Regime.CHAR_TWO
-    if P.is_symmetric():
-        return Regime.SYMMETRIC
+    family = regime_family(P)
+    if family in ("char-two", "symmetric"):
+        return Regime(family)
     rep = partition(P, pi)
-    has_root = P.field.sqrt_minus_one() is not None
-    if has_root:
+    if family == "sqrt-minus-one-present":
         if rep.i1:
             return Regime.IMAG_ANCHOR_H_PLUS
         if rep.i3:
             return Regime.IMAG_ANCHOR_H_MINUS
-        if not rep.i4 and len(rep.j3) % 4 == 0:
-            return Regime.IMAG_NO_ANCHOR
-        return None
+        return Regime.IMAG_NO_ANCHOR if len(rep.j3) % 4 == 0 else None
     if rep.i3 or rep.i4:
         return None
     if rep.i1:
@@ -237,7 +245,7 @@ def closed_form_c(P: Presentation, pi: Permutation, regime: Regime):
         minus = regime == Regime.IMAG_ANCHOR_H_MINUS
         if minus or regime in (Regime.IMAG_ANCHOR_H_PLUS, Regime.REAL_ANCHOR):
             anchor = min(rep.i3 if minus else rep.i1)
-            rest = rep.q_pi
+            rest = q_pi(P, pi)
             for i in range(1, n + 1):
                 if i != anchor:
                     rest = rest * c[i] ** (P.a[i - 1] - 1)
@@ -294,16 +302,6 @@ class DecisionReport:
         }
 
 
-def regime_family(P: Presentation) -> str:
-    if P.field.characteristic() == 2:
-        return "char-two"
-    if P.is_symmetric():
-        return "symmetric"
-    if P.field.sqrt_minus_one() is not None:
-        return "sqrt-minus-one-present"
-    return "sqrt-minus-one-absent"
-
-
 def decide(P: Presentation) -> DecisionReport:
     """Decide existence of a witness, cross-checking two routes per involution.
 
@@ -335,7 +333,6 @@ def decide(P: Presentation) -> DecisionReport:
         found = c is not None
         report.involutions.append(InvolutionRecord(pi, intrinsic, found))
         if intrinsic != found:
-            report.cross_check_ok = False
             raise CrossCheckError(
                 f"intrinsic condition ({intrinsic}) and sign search ({found}) "
                 f"disagree for pi = {pi}"

@@ -27,13 +27,7 @@ from .builder import (
     solve_c,
 )
 from .demos import EXAMPLE_IDS, default_field, example_presentation, example_witness
-from .errors import (
-    CrossCheckError,
-    FileSemanticError,
-    FileSyntaxError,
-    QciError,
-    WitnessInvalidError,
-)
+from .errors import CrossCheckError, QciError
 from .permutations import Permutation, enumerate_compatible
 from .scalars import Scalar, multiplicative_order, parse_field_descriptor
 from .structio import load_presentation, load_structure, open_output, save_structure
@@ -132,9 +126,6 @@ def run(argv) -> int:
         return 1
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (0, None) else 1
-    except (FileSyntaxError, FileSemanticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CrossCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
@@ -249,11 +240,7 @@ def _witness_from_args(P: Presentation, args):
 
 def _cmd_construct(args) -> int:
     P = load_presentation(args.file)
-    try:
-        witness, reason = _witness_from_args(P, args)
-    except WitnessInvalidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    witness, reason = _witness_from_args(P, args)
     if witness is None:
         print(f"no structure exists: {reason}")
         return 0

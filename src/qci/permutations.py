@@ -206,7 +206,6 @@ class PartitionReport:
     i3: tuple
     i4: tuple
     j3: tuple
-    q_pi: Scalar
     char_two: bool
 
 
@@ -218,9 +217,8 @@ def partition(P: Presentation, pi: Permutation) -> PartitionReport:
         raise NotCompatibleError(f"{pi} does not preserve the presentation")
     fixed = pi.fixed_points()
     moved = pi.moved_points()
-    qp = q_pi(P, pi)
     if P.field.characteristic() == 2:
-        return PartitionReport(pi, fixed, moved, (), (), (), (), (), qp, True)
+        return PartitionReport(pi, fixed, moved, (), (), (), (), (), True)
     one = P.field.one
     minus_one = -one
     h = P.h_generators()
@@ -240,5 +238,5 @@ def partition(P: Presentation, pi: Permutation) -> PartitionReport:
         else:
             (i3 if even else i4).append(i)
     return PartitionReport(
-        pi, fixed, moved, tuple(i1), tuple(i2), tuple(i3), tuple(i4), tuple(j3), qp, False
+        pi, fixed, moved, tuple(i1), tuple(i2), tuple(i3), tuple(i4), tuple(j3), False
     )

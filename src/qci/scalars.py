@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 
 from .errors import (
@@ -24,20 +24,6 @@ from .errors import (
 )
 
 
-def is_prime(p: int) -> bool:
-    """Deterministic trial-division primality test; moduli stay small here."""
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 # ---------------------------------------------------------------------------
 # integer polynomials as coefficient lists, degree 0 first
 
@@ -47,9 +33,6 @@ def _trim(coeffs):
     while i > 0 and coeffs[i - 1] == 0:
         i -= 1
     return coeffs[:i]
-
-
-_cyclotomic_cache: dict[int, tuple[Fraction, ...]] = {}
 
 
 def _prime_factors(m: int) -> list:
@@ -66,6 +49,12 @@ def _prime_factors(m: int) -> list:
     return primes
 
 
+def is_prime(p: int) -> bool:
+    """Deterministic trial-division primality test; moduli stay small here."""
+    return p >= 2 and _prime_factors(p) == [p]
+
+
+@cache
 def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
     """Coefficients of the m-th cyclotomic polynomial, degree 0 first.
 
@@ -74,8 +63,6 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
     divide exactly by those with mu(e) = -1; every partial quotient is a
     polynomial because the full quotient is.
     """
-    if m in _cyclotomic_cache:
-        return _cyclotomic_cache[m]
     terms = [(m, 1)]  # (m/e, mu(e)) for each squarefree divisor e of m
     for q in _prime_factors(m):
         terms += [(d // q, -mu) for d, mu in terms]
@@ -92,9 +79,7 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
             for i in range(len(out)):
                 out[i] = (out[i - d] if i >= d else 0) - coeffs[i]
             coeffs = out
-    result = tuple(Fraction(c) for c in coeffs)
-    _cyclotomic_cache[m] = result
-    return result
+    return tuple(Fraction(c) for c in coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +367,8 @@ class PrimeField(Field):
         return hash(("prime", self.p))
 
 
-# is_prime and multiplicative_order divide by every odd d up to sqrt(p), so
-# moduli are bounded before the primality test
+# is_prime and multiplicative_order factor by trial division up to sqrt(p),
+# so moduli are bounded before the primality test
 MAX_PRIME_MODULUS = 2**31 - 1
 
 # the reduction table of Q(zeta_m) holds up to about deg(Phi_m)^2 entries, so

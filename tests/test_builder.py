@@ -409,6 +409,13 @@ class TestDecide:
             assert report.witness.pi == Permutation((1, 3, 2))
             check_witness(P, report.witness)
 
+    def test_routes_disagree_when_the_search_finds_nothing(self, monkeypatch):
+        # the regime rule accepts [1,3,2], the first involution of 6.9
+        monkeypatch.setattr("qci.builder.solve_c", lambda P, pi: None)
+        message = "intrinsic condition (True) and sign search (False) disagree for pi = [1,3,2]"
+        with pytest.raises(CrossCheckError, match=re.escape(message) + "$"):
+            decide(example_presentation("6.9", C8))
+
     def test_report_json_shape(self):
         data = decide(minus_pair(C4)).to_json()
         assert data["exists"] is True

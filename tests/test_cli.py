@@ -244,6 +244,13 @@ class TestDecide:
         assert "decision: No" in out
         assert "reason: no-involution-admits-scalars" in out
 
+    def test_routes_disagreeing_is_an_internal_error(self, p69, monkeypatch, capsys):
+        monkeypatch.setattr("qci.builder.solve_c", lambda P, pi: None)
+        assert run(["decide", p69]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "internal error: intrinsic condition (True)")
+
     def test_json(self, p_no, capsys):
         assert run(["decide", p_no, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -275,11 +282,26 @@ class TestConstruct:
         assert code == 0
 
     def test_invalid_c_rejected(self, p69, tmp_path, capsys):
+        # "--c -1,1,1" would be refused by argparse, which reads -1,1,1 as a flag
         out_path = tmp_path / "s.json"
-        code = run(
-            ["construct", p69, "--pi", "[1,3,2]", "--c", "-1,1,1", "--out", str(out_path)]
-        )
+        code = run(["construct", p69, "--pi", "[1,3,2]", "--c=-1,1,1", "--out", str(out_path)])
         assert code == 1
+        assert capsys.readouterr().err == "error: q_pi * prod c_i^(a_i - 1) != 1\n"
+        assert not out_path.exists()
+
+    def test_explicit_pi_past_a_failed_gate(self, tmp_path, capsys):
+        # h_1 = 2 over Q, so h^2 != 1
+        path = tmp_path / "gate.json"
+        save_presentation(presentation(Q, (2, 2), {(1, 2): "2"}), str(path))
+        out_path = tmp_path / "s.json"
+        assert run(["construct", str(path), "--pi", "[1,2]", "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == "no structure exists: nakayama-not-involutive\n"
+        assert not out_path.exists()
+
+    def test_explicit_pi_without_scalars(self, p_no, tmp_path, capsys):
+        out_path = tmp_path / "s.json"
+        assert run(["construct", p_no, "--pi", "[1,2]", "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == "no structure exists: no scalars exist for pi = [1,2]\n"
         assert not out_path.exists()
 
     @pytest.mark.parametrize("text", ["[1,x,3]", "[1,1,2]", ""])

@@ -245,7 +245,7 @@ def test_exponents_are_not_coerced(a):
     "entries, reason, scalars",
     [
         ((2, 1, 1), "nakayama-not-involutive", 1),  # only the field's sqrt(-1)
-        ((2, 14, 2), None, 30),  # Yes, witness pi = [3,2,1]
+        ((2, 14, 2), None, 27),  # Yes, witness pi = [3,2,1]
     ],
     ids=["nakayama-gate", "yes"],
 )

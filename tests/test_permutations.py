@@ -200,7 +200,6 @@ class TestPartition:
         assert rep.i1 == (1,)
         assert rep.j3 == (2, 3)
         assert rep.i2 == rep.i3 == rep.i4 == ()
-        assert rep.q_pi == C8.one
         assert not rep.char_two
 
     def test_i4_split(self):

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qci"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qci"
 MAX_LINE = 100
 
 
@@ -27,16 +28,18 @@ def test_cli_does_no_arithmetic():
     assert [token for token in forbidden if token in source] == []
 
 
+TRACER = "the perfbench tracer wraps it by name"
+
 # Functions and methods in src/ that no other code there names and __all__
 # does not list, each kept for the reason given.
 UNREFERENCED = {
-    "linalg.rank": "the perfbench tracer wraps it by name",
-    "linalg.kernel_basis": "the perfbench tracer wraps it by name",
-    "linalg.solve_matrix": "the perfbench tracer wraps it by name",
-    "linalg.invert": "the perfbench tracer wraps it by name",
-    "linalg.is_generalized_permutation": "the perfbench tracer wraps it by name",
-    "algebra.Presentation.pairing_matrix": "the perfbench tracer wraps it by name",
-    "algebra.Presentation.invert_element": "the perfbench tracer wraps it by name",
+    "linalg.rank": TRACER,
+    "linalg.kernel_basis": TRACER,
+    "linalg.solve_matrix": TRACER,
+    "linalg.invert": TRACER,
+    "linalg.is_generalized_permutation": TRACER,
+    "algebra.Presentation.pairing_matrix": TRACER,
+    "algebra.Presentation.invert_element": TRACER,
     "builder.closed_form_c": "documented API: the literal scalars of each regime",
     "cli._Parser.error": "argparse calls it on a usage error",
 }
@@ -91,6 +94,16 @@ def test_every_function_is_used_exported_or_allowed():
     assert [name for name in unreferenced(trees) if name not in UNREFERENCED] == []
     defined = {f"{module}.{qualname}" for module, qualname, _ in definitions(trees)}
     assert sorted(set(UNREFERENCED) - defined) == []
+
+
+def test_tracer_pinned_functions_are_named_by_the_tracer():
+    """A function kept only because the perfbench tracer wraps it is named,
+    quoted, in perfbench/layers.py; once the tracer drops the name, the
+    function is dead code and its UNREFERENCED row must go with it."""
+    layers = (ROOT / "perfbench" / "layers.py").read_text(encoding="utf-8")
+    pinned = [name for name, reason in UNREFERENCED.items() if reason == TRACER]
+    assert pinned
+    assert [name for name in pinned if f'"{name.rsplit(".", 1)[1]}"' not in layers] == []
 
 
 def test_a_helper_left_behind_is_found():
