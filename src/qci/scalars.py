@@ -36,7 +36,8 @@ def _trim(coeffs):
 
 
 def _prime_factors(m: int) -> list:
-    """The distinct primes dividing m, in increasing order, by trial division."""
+    """The distinct primes dividing m, in increasing order, by trial division
+    by 2 and then by odd q only."""
     primes, q = [], 2
     while m > 1:
         if q * q > m:
@@ -45,7 +46,7 @@ def _prime_factors(m: int) -> list:
             primes.append(q)
             while m % q == 0:
                 m //= q
-        q += 1
+        q = 3 if q == 2 else q + 2
     return primes
 
 

@@ -7,35 +7,38 @@ Two layers of validation on load:
     equations, boundary coefficients of g, non-monomial antipode rows, ...)
     raise FileSemanticError.
 
-A structure file stores the presentation, pi, c, g and the antipode table s.
-A structure holds only g and the coefficients of s (BfaStructure): the
-comultiplication is fixed by pi and g, so format 2, the one written, leaves
-it out, and every image of s must be the pi-image.  A format-1 file also
-carries a delta block; it still loads, and each of its rows must equal the
-one BfaStructure.row reads.  So a delta row or an S image other than the
-construction's is a loader error.  Loading never re-derives g or s
-from the witness, so a file whose g and s entries were perturbed
-consistently is accepted here and left for the verifier to reject.  A key
-that does not parse names its place: a g or s key, an s image or a term
-of a delta row.
+A structure file stores the presentation, pi, c and the two tables a
+structure holds (BfaStructure): g and the coefficients of s.  Once (pi, c)
+is fixed, the construction fixes the comultiplication (from pi and g) and
+the support of S (S(x_v) is a multiple of x_{pi(v)}), so neither is written.
+Format 3, the one written, stores g and s as lists of dim scalar strings in
+basis order: no vector key and no S image, so reading it resolves no key and
+builds no key table, and a key is spelled only to name a failing entry.
 
-A structure file repeats a few literals and the dim basis keys many times
-over.  One reader serves every file: it puts each of g, s and the format-1
-delta block in basis order once (_Keys.table), by position when its keys
-are the canonical ones in the order save_structure writes, else by
-resolving each key, and then runs every check once on whole lists: one type
-set, one parse per distinct literal, one zero test per distinct payload,
-one comparison of the image texts, one comparison of each delta row with
-its canonical spelling.  Only a check that fails walks the entries, to
-name the first bad one.  The memos live only for the call that
-builds them.  Saving likewise spells each basis key and formats each
-distinct scalar once, and writes the compact text of one json.dumps call.
+Formats 1 and 2 still load.  They key g and s by vector and write each S
+image, which must be the pi-image; format 1 also carries a delta block,
+each of whose rows must equal the one BfaStructure.row reads.  So a delta
+row or an S image other than the construction's is a loader error there.  A
+key that does not parse names its place: a g or s key, an s image or a term
+of a delta row.  Loading never re-derives g or s from the witness, so a
+file whose g and s entries were perturbed consistently is accepted here and
+left for the verifier to reject.
+
+One reader serves every file.  It puts each format-1/2 table in basis order
+once (_Keys.table), by position when its keys are the canonical ones in the
+order the format-2 writer used, else by resolving each key, and then runs
+every check once on whole lists: one type set, one parse per distinct
+literal, one zero test per distinct payload, one comparison of the image
+texts, one comparison of each delta row with its canonical spelling.  Only a
+check that fails walks the entries, to name the first bad one.  The memos
+live only for the call that builds them.  Saving formats each distinct
+scalar once and writes the compact text of one json.dumps call.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cached_property, partial
 
 from .algebra import Presentation, basis_keys, parse_vector_key, vector_key
 from .builder import BfaStructure, Witness, check_witness, image_indices
@@ -49,10 +52,11 @@ from .errors import (
 from .permutations import Permutation
 from .scalars import Field, Scalar, make_field
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 SECTIONS = {
     1: ("presentation", "pi", "c", "g", "delta", "s"),
     2: ("presentation", "pi", "c", "g", "s"),
+    3: ("presentation", "pi", "c", "g", "s"),
 }
 
 
@@ -189,7 +193,6 @@ def _read_json(path: str):
 
 def structure_to_json(B: BfaStructure) -> dict:
     P = B.presentation
-    keys = basis_keys(P.a)
     c = [ci.value for ci in B.witness.c]
     # payload -> text, each distinct payload formatted once; all scalars of B
     # share one field
@@ -199,8 +202,8 @@ def structure_to_json(B: BfaStructure) -> dict:
         "presentation": presentation_to_json(P),
         "pi": list(B.witness.pi.images),
         "c": [text[x] for x in c],
-        "g": dict(zip(keys, map(text.__getitem__, B.g))),
-        "s": {key: [keys[w], text[x]] for key, w, x in zip(keys, B.s_img, B.s_coef)},
+        "g": list(map(text.__getitem__, B.g)),
+        "s": list(map(text.__getitem__, B.s_coef)),
     }
 
 
@@ -291,10 +294,11 @@ def _check_delta_block(block, B: BfaStructure, basis: _Keys, literals: dict):
     which follow from g and the images of pi.
 
     Each row is first compared, as a whole list, with the row of B spelled
-    as save_structure spells keys and scalars.  A row equal to it passes
-    every check below: its keys are canonical and name its own indices, its
-    coefficient texts parse back to the payloads of B.row, which are nonzero
-    (g is), and its terms are those of B.row, each once.  So only the rows
+    canonically: keys as basis_keys, scalars as save_structure spells them.
+    A row equal to it passes every check below: its keys are canonical and
+    name its own indices, its coefficient texts parse back to the payloads
+    of B.row, which are nonzero (g is), and its terms are those of B.row,
+    each once.  So only the rows
     that differ are walked, term by term, in basis order: first their shape,
     keys and coefficients, then their terms against B.row, and the first
     fault named is the one a walk over every row would name.
@@ -344,12 +348,56 @@ def _check_delta_block(block, B: BfaStructure, basis: _Keys, literals: dict):
             )
 
 
+def _key_at(a, i: int) -> str:
+    """vector_key of the basis vector at index i: the digits of i in the mixed
+    radix a, spelled only to name an entry of a format-3 table."""
+    digits = []
+    for ai in reversed(a):
+        i, d = divmod(i, ai)
+        digits.append(d)
+    return vector_key(digits[::-1])
+
+
+def _array(obj, name: str, dim: int) -> list:
+    """A format-3 table: a list of dim entries, one per basis vector, in
+    basis order."""
+    if not isinstance(obj, list):
+        raise FileSyntaxError(f"{name} must be a list of scalar strings in basis order")
+    if len(obj) != dim:
+        raise FileSemanticError(
+            f"{name} must have {dim} entries, one per basis vector, got {len(obj)}"
+        )
+    return obj
+
+
+def _s_coefficients(obj, basis: _Keys, images: list) -> tuple[list, list]:
+    """The keys as spelled and the coefficient texts of the s table of a
+    format-1 or format-2 file, in basis order, once its rows have the shape
+    [image, coeff] and each image is the pi-image."""
+    s_keys, entries = basis.table(obj, "s")
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        for key, entry in zip(s_keys, entries):
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise FileSyntaxError(f"s[{key}] must be [image, coeff]")
+    image_texts, coef_texts = zip(*entries)
+    keys = basis.keys
+    if list(image_texts) != list(map(keys.__getitem__, images)):
+        for key, canonical, text, image in zip(s_keys, keys, image_texts, images):
+            i = basis.index(text, f"s[{key}] image")
+            if i is None:
+                raise FileSemanticError(f"s[{key}] image is outside the basis")
+            if i != image:
+                raise FileSemanticError(f"s[{canonical}] must land on the pi-image")
+    return s_keys, list(coef_texts)
+
+
 def structure_from_json(obj) -> BfaStructure:
     """The structure a file's JSON object describes.
 
-    Each table is put in basis order once (_Keys.table); every check then
-    runs once on the whole lists, and walks the entries only to name the
-    first one that fails it.
+    A format-3 table is a list in basis order already.  A format-1 or
+    format-2 table is put in basis order once (_Keys.table).  Every check
+    then runs once on the whole lists, and walks the entries only to name
+    the first one that fails it.
     """
     if not isinstance(obj, dict):
         raise FileSyntaxError("structure must be an object")
@@ -358,14 +406,14 @@ def structure_from_json(obj) -> BfaStructure:
     version = _int(obj["format"], "format")
     if version not in SECTIONS:
         raise FileSyntaxError(
-            f"unknown structure format {version}: qci reads formats 1 and 2"
+            f"unknown structure format {version}: qci reads formats 1, 2 and 3"
         )
     for key in SECTIONS[version]:
         if key not in obj:
             raise FileSyntaxError(f"structure is missing {key!r}")
-    if version == 2 and "delta" in obj:
+    if version > 1 and "delta" in obj:
         raise FileSyntaxError(
-            "a format-2 structure has no 'delta': it follows from pi and g"
+            f"a format-{version} structure has no 'delta': it follows from pi and g"
         )
     literals = {}
     P = presentation_from_json(obj["presentation"], literals)
@@ -392,44 +440,42 @@ def structure_from_json(obj) -> BfaStructure:
     except WitnessInvalidError as exc:
         raise FileSemanticError(str(exc)) from None
 
-    basis = _Keys(P)
-    keys = basis.keys
-    images = image_indices(P, pi)
-
-    g_keys, g_texts = basis.table(obj["g"], "g")
+    # key(i) spells basis vector i canonically; g_key(i) and s_key(i) as the
+    # file does
+    if version == 3:
+        g_key = key = partial(_key_at, P.a)
+        g_texts = _array(obj["g"], "g", P.dim)
+    else:
+        basis = _Keys(P)
+        key = basis.keys.__getitem__
+        g_keys, g_texts = basis.table(obj["g"], "g")
+        g_key = g_keys.__getitem__
     g = _nonzero_scalars(
         field,
         g_texts,
         literals,
-        lambda i: f"g[{g_keys[i]}]",
-        lambda i: f"g[{keys[i]}] must be nonzero",
+        lambda i: f"g[{g_key(i)}]",
+        lambda i: f"g[{key(i)}] must be nonzero",
     )
     if g[0] != one or g[-1] != one:
         raise FileSemanticError("g must be 1 at the zero and top vectors")
     B = BfaStructure(P, witness, g, s_coef=[])
-    B.s_img = images  # the pi-images, already read for the s check below
-    if version == 1:
-        _check_delta_block(obj["delta"], B, basis, literals)
 
-    s_keys, entries = basis.table(obj["s"], "s")
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
-        for key, entry in zip(s_keys, entries):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise FileSyntaxError(f"s[{key}] must be [image, coeff]")
-    image_texts, coef_texts = zip(*entries)
-    if list(image_texts) != list(map(keys.__getitem__, images)):
-        for key, canonical, text, image in zip(s_keys, keys, image_texts, images):
-            i = basis.index(text, f"s[{key}] image")
-            if i is None:
-                raise FileSemanticError(f"s[{key}] image is outside the basis")
-            if i != image:
-                raise FileSemanticError(f"s[{canonical}] must land on the pi-image")
+    if version == 3:
+        s_key = key
+        s_texts = _array(obj["s"], "s", P.dim)
+    else:
+        B.s_img = image_indices(P, pi)  # the images the s table must spell
+        if version == 1:
+            _check_delta_block(obj["delta"], B, basis, literals)
+        s_keys, s_texts = _s_coefficients(obj["s"], basis, B.s_img)
+        s_key = s_keys.__getitem__
     B.s_coef = _nonzero_scalars(
         field,
-        coef_texts,
+        s_texts,
         literals,
-        lambda i: f"coefficient in s[{s_keys[i]}]",
-        lambda i: f"s[{keys[i]}] has a zero coefficient",
+        lambda i: f"coefficient in s[{s_key(i)}]",
+        lambda i: f"s[{key(i)}] has a zero coefficient",
     )
     if B.s_coef[-1] != one:
         raise FileSemanticError("s must fix the top monomial with coefficient 1")

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from functools import cache, cached_property
 
-from qci.algebra import Presentation, monomial_name, vector_key
+from qci.algebra import Presentation, basis_keys, monomial_name, vector_key
 from qci.builder import BfaStructure, Witness, build_structure, decide, g_table
 from qci.errors import NotInvertibleError, SingularMatrixError
 from qci.linalg import add_term, null_space, rref
@@ -382,9 +382,19 @@ def reference_primitive_space_dim(B) -> int:
 # element arithmetic the package itself does not need
 
 
+def format2_blob(B) -> dict:
+    """B as a format-2 structure file: the format-3 texts keyed by basis
+    vector, each s entry [image, coefficient] with the pi-image's key."""
+    obj = {**structure_to_json(B), "format": 2}
+    keys = basis_keys(B.presentation.a)
+    obj["g"] = dict(zip(keys, obj["g"]))
+    obj["s"] = {key: [keys[w], x] for key, w, x in zip(keys, B.s_img, obj["s"])}
+    return obj
+
+
 def format1_blob(B) -> dict:
     """B as a format-1 structure file: format 2 plus the delta block before s."""
-    obj = {**structure_to_json(B), "format": 1}
+    obj = {**format2_blob(B), "format": 1}
     s_block = obj.pop("s")
     obj["delta"] = {
         vector_key(v): [[vector_key(u), vector_key(w), str(c)] for u, w, c in rows]

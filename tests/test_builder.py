@@ -15,6 +15,7 @@ from helpers import (
     complement,
     epsilon,
     format1_blob,
+    format2_blob,
     g_dict,
     identity_permutation,
     monomial,
@@ -697,14 +698,15 @@ def test_build_structure_scalar_arithmetic_does_not_grow_with_dim(monkeypatch):
 
 
 def _with_loads(structures: dict) -> list:
-    """pytest params of each named structure, then its format-2 and its
-    format-1 load."""
+    """pytest params of each named structure, then its format-3, its format-2
+    and its format-1 load."""
     return [
         pytest.param(T, id=f"{name}-{kind}")
         for name, B in structures.items()
         for kind, T in (
             ("built", B),
-            ("format2", structure_from_json(structure_to_json(B))),
+            ("format3", structure_from_json(structure_to_json(B))),
+            ("format2", structure_from_json(format2_blob(B))),
             ("format1", structure_from_json(format1_blob(B))),
         )
     ]

@@ -387,7 +387,7 @@ class TestVerify:
         s_path = tmp_path / "s.json"
         run(["construct", p69, "--out", str(s_path)])
         obj = json.loads(s_path.read_text())
-        target = "0,1,0"
+        target = 2  # the basis index of 0,1,0 in a format-3 list
         obj["g"][target] = C8.format(-C8.parse(obj["g"][target]))
         s_path.write_text(json.dumps(obj))
         capsys.readouterr()
@@ -398,7 +398,7 @@ class TestVerify:
         s_path = tmp_path / "s.json"
         run(["construct", p69, "--out", str(s_path)])
         obj = json.loads(s_path.read_text())
-        obj["g"]["0,0,0"] = "2"
+        obj["g"][0] = "2"
         s_path.write_text(json.dumps(obj))
         assert run(["verify", str(s_path)]) == 1
 
@@ -423,7 +423,7 @@ class TestVerify:
         s_path = tmp_path / "s.json"
         run(["construct", p69, "--out", str(s_path)])
         obj = json.loads(s_path.read_text())
-        obj["g"]["0,1,0"] = "9" * 5000
+        obj["g"][2] = "9" * 5000  # the entry of 0,1,0
         s_path.write_text(json.dumps(obj))
         capsys.readouterr()
         assert run(["verify", str(s_path)]) == 1

@@ -4,7 +4,8 @@ The structure file and the expected reports live in tests/data/golden.  The
 reports were captured with the dense elimination kernel; any change to a
 verdict, a counterexample location or a detail string shows up here.  The
 structure file is in format 1, with its delta block; each case re-saves it
-in format 2 before `qci verify` reads it.
+in format 3 before `qci verify` reads it.  d64-gf7.structure.v3.json is that
+file re-saved, and `qci verify --json` of it is the untampered report.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ from qci.verify import negate_socle_entry
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 STRUCTURE = GOLDEN / "d64-gf7.structure.json"
+STRUCTURE_V3 = GOLDEN / "d64-gf7.structure.v3.json"
 
 
 def double_s_coefficient(B: BfaStructure, v) -> BfaStructure:
@@ -56,12 +58,13 @@ def test_report_is_byte_identical(case, tmp_path):
     assert verify_report(case, tmp_path) == expected
 
 
-def test_format1_file_resaves_as_format2(tmp_path):
+def test_format1_file_resaves_as_format3(tmp_path):
     first = load_structure(str(STRUCTURE))
     path = tmp_path / "resaved.json"
     save_structure(first, str(path))
     assert json.loads(STRUCTURE.read_text())["format"] == 1
-    assert json.loads(path.read_text())["format"] == 2
+    assert json.loads(path.read_text())["format"] == 3
+    assert path.read_bytes() == STRUCTURE_V3.read_bytes()
     second = load_structure(str(path))
     assert second.witness == first.witness
     assert second.g == first.g
@@ -69,4 +72,11 @@ def test_format1_file_resaves_as_format2(tmp_path):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert run(["verify", str(path), "--json"]) == 0
+    assert out.getvalue() == (GOLDEN / "untampered.verify.json").read_text()
+
+
+def test_format3_golden_verifies_to_the_untampered_report():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["verify", str(STRUCTURE_V3), "--json"]) == 0
     assert out.getvalue() == (GOLDEN / "untampered.verify.json").read_text()

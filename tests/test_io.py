@@ -1,4 +1,5 @@
-"""Save/load round trips and the two-layer file validation."""
+"""Save/load round trips and the two-layer file validation, on files of
+formats 1, 2 and 3."""
 
 import contextlib
 import copy
@@ -8,6 +9,7 @@ import json
 import random
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,13 @@ from hypothesis import strategies as st
 import qci.algebra
 import qci.scalars
 import qci.structio
-from helpers import failing, format1_blob, g_dict, rand_compatible_involutive_h
+from helpers import (
+    failing,
+    format1_blob,
+    format2_blob,
+    g_dict,
+    rand_compatible_involutive_h,
+)
 from qci.algebra import Presentation, basis_keys, vector_key
 from qci.builder import build_structure, decide
 from qci.cli import run
@@ -37,9 +45,9 @@ from qci.structio import (
 )
 from qci.verify import verify_axioms
 
-GOLDEN_STRUCTURE = (
-    Path(__file__).resolve().parent / "data" / "golden" / "d64-gf7.structure.json"
-)
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+GOLDEN_STRUCTURE = GOLDEN / "d64-gf7.structure.json"
+GOLDEN_STRUCTURE_V3 = GOLDEN / "d64-gf7.structure.v3.json"
 C8 = make_field("cyclotomic", 8)
 Q = make_field("rational")
 F7 = make_field("prime", 7)
@@ -55,14 +63,36 @@ def gf7_structure(a, upper):
     return build_structure(P, decide(P).witness)
 
 
+def gf7_d4096():
+    """GF(7), a = (8,8,8,8): the longest keys at dim 4096."""
+    return gf7_structure(
+        (8, 8, 8, 8),
+        {(1, 2): 4, (1, 3): 5, (1, 4): 6, (2, 3): 3, (2, 4): 6, (3, 4): 1},
+    )
+
+
+def load_peak(path) -> int:
+    """The tracemalloc peak, in bytes, of one load_structure of path."""
+    tracemalloc.start()
+    try:
+        load_structure(str(path))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def file_literals(obj) -> set:
     """Every scalar literal of a structure blob: q, c, g, delta (format 1) and s."""
+    if obj["format"] == 3:
+        g, s = set(obj["g"]), set(obj["s"])
+    else:
+        g, s = set(obj["g"].values()), {coeff for _, coeff in obj["s"].values()}
     return (
         {e for row in obj["presentation"]["q"] for e in row}
         | set(obj["c"])
-        | set(obj["g"].values())
+        | g
         | {term[2] for rows in obj.get("delta", {}).values() for term in rows}
-        | {coeff for _, coeff in obj["s"].values()}
+        | s
     )
 
 
@@ -73,7 +103,8 @@ def structure():
 
 @pytest.fixture
 def blob(structure):
-    return structure_to_json(structure)
+    """The structure as a format-2 file, g and s keyed by vector."""
+    return format2_blob(structure)
 
 
 @pytest.fixture
@@ -83,8 +114,14 @@ def blob1(structure):
 
 
 @pytest.fixture
-def blobs(blob, blob1):
-    return {1: blob1, 2: blob}
+def blob3(structure):
+    """The same structure as the format-3 file save_structure writes."""
+    return structure_to_json(structure)
+
+
+@pytest.fixture
+def blobs(blob, blob1, blob3):
+    return {1: blob1, 2: blob, 3: blob3}
 
 
 class TestFieldBlock:
@@ -183,31 +220,28 @@ class TestStructureRoundTrip:
         ids=["gf7", "cyclotomic-8"],
     )
     def test_resave_is_byte_identical(self, tmp_path, build):
-        # format 2 is the one-line text of json.dumps with its default
-        # separators, without delta, and a newline; the save side memoizes
-        # key spellings and scalar texts, so the bytes must equal a plain
+        # format 3 is the one-line text of json.dumps with its default
+        # separators, without delta, and a newline: g and the coefficients
+        # of S as lists in basis order, with no key and no S image.  The
+        # save side memoizes scalar texts, so the bytes must equal a plain
         # spelling of every entry
         B = build()
         basis = B.presentation.basis()
         g = g_dict(B.presentation, B.g)
-
-        def spell(v):
-            return ",".join(str(x) for x in v)
-
         plain = {
-            "format": 2,
+            "format": 3,
             "presentation": presentation_to_json(B.presentation),
             "pi": list(B.witness.pi.images),
             "c": [str(c) for c in B.witness.c],
-            "g": {spell(v): str(g[v]) for v in basis},
-            "s": {spell(v): [spell(B.s_map[v][0]), str(B.s_map[v][1])] for v in basis},
+            "g": [str(g[v]) for v in basis],
+            "s": [str(B.s_map[v][1]) for v in basis],
         }
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         save_structure(B, str(first))
         save_structure(load_structure(str(first)), str(second))
         text = first.read_text()
         assert text == json.dumps(plain) + "\n"
-        assert text.startswith('{"format": 2, "presentation": {"field": {"kind": ')
+        assert text.startswith('{"format": 3, "presentation": {"field": {"kind": ')
         assert text.count("\n") == 1
         assert second.read_bytes() == first.read_bytes()
 
@@ -232,15 +266,11 @@ class TestStructureRoundTrip:
 
 class TestFormat2Files:
     def test_d4096_file_is_small(self, tmp_path):
-        # GF(7), a = (8,8,8,8): the longest keys at dim 4096; a format-1
-        # file of this structure took 1.2 MB
-        B = gf7_structure(
-            (8, 8, 8, 8),
-            {(1, 2): 4, (1, 3): 5, (1, 4): 6, (2, 3): 3, (2, 4): 6, (3, 4): 1},
-        )
+        # an early format-1 file of this structure took 1.2 MB
+        B = gf7_d4096()
         assert B.presentation.dim == 4096
         path = tmp_path / "d4096.json"
-        save_structure(B, str(path))
+        path.write_text(json.dumps(format2_blob(B)) + "\n")
         assert "delta" not in json.loads(path.read_text())
         assert path.stat().st_size < 250_000
 
@@ -263,6 +293,73 @@ class TestFormat2Files:
         path.write_bytes(b'\xff\xfe{"format": 2}')
         with pytest.raises(FileSyntaxError, match="not valid UTF-8"):
             load(str(path))
+
+
+class TestFormat3Files:
+    def test_d4096_file_is_small(self, tmp_path):
+        # 41 211 bytes, against 184 571 in format 2: no key and no S image
+        B = gf7_d4096()
+        path = tmp_path / "d4096.json"
+        save_structure(B, str(path))
+        obj = json.loads(path.read_text())
+        assert (obj["format"], len(obj["g"]), len(obj["s"])) == (3, 4096, 4096)
+        assert path.stat().st_size < 50_000
+
+    def test_golden_is_the_format1_golden_resaved(self, tmp_path):
+        path = tmp_path / "resaved.json"
+        B = load_structure(str(GOLDEN_STRUCTURE))
+        save_structure(B, str(path))
+        assert path.read_bytes() == GOLDEN_STRUCTURE_V3.read_bytes()
+        assert load_structure(str(GOLDEN_STRUCTURE_V3)) == B
+
+    def test_clean_load_resolves_no_key(self, tmp_path, monkeypatch):
+        """A format-3 load spells no basis key and builds no key table."""
+        B = gf7_d4096()
+        path = tmp_path / "d4096.json"
+        save_structure(B, str(path))
+
+        def never(*args):
+            raise AssertionError("a format-3 load reached the key tables")
+
+        monkeypatch.setattr(qci.structio, "basis_keys", never)
+        monkeypatch.setattr(qci.structio, "_Keys", never)
+        assert load_structure(str(path)) == B
+        assert load_structure(str(GOLDEN_STRUCTURE_V3)).presentation.dim == 64
+
+    @pytest.mark.parametrize(
+        "table, value",
+        [("g", "0"), ("g", "z+"), ("g", 1), ("s", "0"), ("s", "z+"), ("s", None)],
+    )
+    def test_each_entry_is_named_as_in_format2(self, table, value):
+        """A fault at any entry of a table of the d64 golden file raises the
+        message of the same fault in format 2, its key spelled from the
+        position."""
+        v3 = json.loads(GOLDEN_STRUCTURE_V3.read_text())
+        v2 = format2_blob(structure_from_json(copy.deepcopy(v3)))
+        for i, key in enumerate(basis_keys(v2["presentation"]["a"])):
+            obj = copy.deepcopy(v3)
+            obj[table][i] = value
+            if table == "g":
+                mutant = _put("g", key, value)(copy.deepcopy(v2))
+            else:
+                mutant = _put("s", key, 1, value)(copy.deepcopy(v2))
+            messages = []
+            for blob in (obj, mutant):
+                with pytest.raises(QciError) as info:
+                    structure_from_json(blob)
+                messages.append((type(info.value), str(info.value)))
+            assert messages[0] == messages[1]
+
+    def test_load_peak_is_a_third_of_format2(self, tmp_path):
+        """The tracemalloc peak of load_structure on the d4096 format-3 file
+        is at most a third of the peak on the same structure in format 2
+        (0.13 MiB against 1.79 MiB, Python 3.11.7)."""
+        B = gf7_d4096()
+        v2, v3 = tmp_path / "v2.json", tmp_path / "v3.json"
+        v2.write_text(json.dumps(format2_blob(B)) + "\n")
+        save_structure(B, str(v3))
+        peak2, peak3 = load_peak(v2), load_peak(v3)
+        assert 3 * peak3 <= peak2, f"{peak3 / 2**20:.2f} MiB against {peak2 / 2**20:.2f}"
 
 
 class TestStructureSemantics:
@@ -332,16 +429,18 @@ class TestStructureSemantics:
         with pytest.raises(FileSemanticError, match="top"):
             structure_from_json(obj)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_consistent_perturbation_loads_then_fails_verification(
         self, blobs, version
     ):
         # negate g at an interior vector (and, in format 1, the matching top
         # tensor term): the file is self-consistent, so loading succeeds; the
-        # antipode definition check must then fail.
+        # antipode definition check must then fail.  0,1,0 is entry 2 of a
+        # format-3 list.
         obj = copy.deepcopy(blobs[version])
         target = "0,1,0"
-        obj["g"][target] = C8.format(-C8.parse(obj["g"][target]))
+        place = 2 if version == 3 else target
+        obj["g"][place] = C8.format(-C8.parse(obj["g"][place]))
         for idx, (u, w, coeff) in enumerate(obj.get("delta", {}).get("1,1,1", [])):
             comp = [1 - int(x) for x in u.split(",")]
             if ",".join(str(x) for x in comp) == target:
@@ -388,29 +487,41 @@ def _repeat_first_top_term(obj):
     return obj
 
 
+def _pop(section):
+    """A tampering that drops the last entry of the list obj[section]."""
+
+    def tamper(obj):
+        obj[section].pop()
+        return obj
+
+    return tamper
+
+
 S, M = FileSyntaxError, FileSemanticError
-BOTH, V1, V2 = (1, 2), (1,), (2,)
+BOTH, ALL, V1, V2, V3 = (1, 2), (1, 2, 3), (1,), (2,), (3,)
 
 # each case reaches exactly one raise; the rows follow the order of the
-# checks.  The second entry names the file formats the case is run on.
+# checks.  The second entry names the file formats the case is run on.  The
+# format-3 rows index g and s by position: 0,1,0 is entry 2 of the basis of
+# (2,2,2), and 1,1,1 is entry 7.
 LOADER_MESSAGES = [
-    ("not-object", BOTH, lambda obj: [obj], S, "structure must be an object"),
-    ("missing-format", BOTH, _drop("format"), S, "structure is missing 'format'"),
+    ("not-object", ALL, lambda obj: [obj], S, "structure must be an object"),
+    ("missing-format", ALL, _drop("format"), S, "structure is missing 'format'"),
     (
         "format-not-integer",
-        BOTH,
+        ALL,
         _put("format", "2"),
         S,
         "bad format: expected a JSON integer, got '2'",
     ),
     (
         "format-unknown",
-        BOTH,
-        _put("format", 3),
+        ALL,
+        _put("format", 4),
         S,
-        "unknown structure format 3: qci reads formats 1 and 2",
+        "unknown structure format 4: qci reads formats 1, 2 and 3",
     ),
-    ("missing-section", BOTH, _drop("s"), S, "structure is missing 's'"),
+    ("missing-section", ALL, _drop("s"), S, "structure is missing 's'"),
     ("v1-without-delta", V1, _drop("delta"), S, "structure is missing 'delta'"),
     (
         "v2-with-delta",
@@ -419,20 +530,27 @@ LOADER_MESSAGES = [
         S,
         "a format-2 structure has no 'delta': it follows from pi and g",
     ),
-    ("pi-entry", BOTH, _put("pi", [1, "x", 2]), S, "bad pi"),
+    (
+        "v3-with-delta",
+        V3,
+        _put("delta", {}),
+        S,
+        "a format-3 structure has no 'delta': it follows from pi and g",
+    ),
+    ("pi-entry", ALL, _put("pi", [1, "x", 2]), S, "bad pi"),
     (
         "pi-not-permutation",
-        BOTH,
+        ALL,
         _put("pi", [1, 1, 3]),
         S,
         "is not a permutation of 1..3",
     ),
-    ("pi-size", BOTH, _put("pi", [1, 2]), M, "pi must permute exactly the generators"),
-    ("c-scalar", BOTH, _put("c", 0, "z+"), S, "bad c entry"),
-    ("c-length", BOTH, _put("c", ["1", "1"]), M, "c must have one entry per generator"),
+    ("pi-size", ALL, _put("pi", [1, 2]), M, "pi must permute exactly the generators"),
+    ("c-scalar", ALL, _put("c", 0, "z+"), S, "bad c entry"),
+    ("c-length", ALL, _put("c", ["1", "1"]), M, "c must have one entry per generator"),
     (
         "witness",
-        BOTH,
+        ALL,
         _put("c", ["-1", "1", "1"]),
         M,
         "q_pi * prod c_i^(a_i - 1) != 1",
@@ -647,20 +765,87 @@ LOADER_MESSAGES = [
         M,
         "s must fix the top monomial with coefficient 1",
     ),
+    (
+        "v3-g-not-list",
+        V3,
+        _put("g", {}),
+        S,
+        "g must be a list of scalar strings in basis order",
+    ),
+    (
+        "v3-g-length",
+        V3,
+        _pop("g"),
+        M,
+        "g must have 8 entries, one per basis vector, got 7",
+    ),
+    (
+        "v3-g-not-string",
+        V3,
+        _put("g", 2, 1),
+        S,
+        "bad g[0,1,0]: expected a scalar string, got 1",
+    ),
+    ("v3-g-scalar", V3, _put("g", 2, "z+"), S, "bad g[0,1,0]"),
+    ("v3-g-zero", V3, _put("g", 2, "0"), M, "g[0,1,0] must be nonzero"),
+    (
+        "v3-g-zero-boundary",
+        V3,
+        _put("g", 0, "2"),
+        M,
+        "g must be 1 at the zero and top vectors",
+    ),
+    (
+        "v3-g-top-boundary",
+        V3,
+        _put("g", 7, "2"),
+        M,
+        "g must be 1 at the zero and top vectors",
+    ),
+    (
+        "v3-s-not-list",
+        V3,
+        _put("s", None),
+        S,
+        "s must be a list of scalar strings in basis order",
+    ),
+    (
+        "v3-s-length",
+        V3,
+        _put("s", ["1"] * 9),
+        M,
+        "s must have 8 entries, one per basis vector, got 9",
+    ),
+    (
+        "v3-s-not-string",
+        V3,
+        _put("s", 2, None),
+        S,
+        "bad coefficient in s[0,1,0]: expected a scalar string, got None",
+    ),
+    ("v3-s-scalar", V3, _put("s", 2, "z+"), S, "bad coefficient in s[0,1,0]"),
+    ("v3-s-zero", V3, _put("s", 2, "0"), M, "s[0,1,0] has a zero coefficient"),
+    (
+        "v3-s-top",
+        V3,
+        _put("s", 7, "-1"),
+        M,
+        "s must fix the top monomial with coefficient 1",
+    ),
 ]
 
 
 def _by_format(cases):
     """pytest params of (version, *rest) per (id, versions, *rest) case.
 
-    A case run on format 1 keeps its bare id; a format-2 run of a case that
-    also runs on format 1 gets the suffix -v2.
+    The run on the first format a case names keeps its bare id; a run of the
+    same case on a later format k gets the suffix -vk.
     """
     return [
         pytest.param(
             version,
             *rest,
-            id=name if version == 1 or versions == V2 else f"{name}-v2",
+            id=name if version == versions[0] else f"{name}-v{version}",
         )
         for name, versions, *rest in cases
         for version in versions
@@ -810,7 +995,7 @@ def test_delta_terms_in_another_order_load_the_same_structure(blob, blob1, key):
     """A row of delta is a sum: its terms may come in any order."""
     obj = copy.deepcopy(blob1)
     obj["delta"][key].reverse()
-    assert structure_to_json(structure_from_json(obj)) == blob
+    assert format2_blob(structure_from_json(obj)) == blob
 
 
 @pytest.mark.parametrize("key", ["0,1,0", "0,0,0"])
@@ -862,17 +1047,19 @@ def test_one_alias_per_vector_loads(blob):
     obj = copy.deepcopy(blob)
     obj["g"]["00,1,0"] = obj["g"].pop("0,1,0")
     obj["s"]["0,1, 0"] = obj["s"].pop("0,1,0")
-    assert structure_to_json(structure_from_json(obj)) == blob
+    assert format2_blob(structure_from_json(obj)) == blob
 
 
 # scalars are taken only as JSON strings: no number, bool or null
 NOT_STRINGS = [1, 1.0, True, None]
 SCALAR_SITES = [
-    ("q", BOTH, ("presentation", "q", 0, 1), "bad scalar in presentation"),
-    ("c", BOTH, ("c", 0), "bad c entry"),
+    ("q", ALL, ("presentation", "q", 0, 1), "bad scalar in presentation"),
+    ("c", ALL, ("c", 0), "bad c entry"),
     ("g", BOTH, ("g", "0,1,0"), "bad g[0,1,0]"),
     ("delta", V1, ("delta", "0,1,0", 0, 2), "bad coefficient in delta[0,1,0]"),
     ("s", BOTH, ("s", "0,1,0", 1), "bad coefficient in s[0,1,0]"),
+    ("v3-g", V3, ("g", 2), "bad g[0,1,0]"),
+    ("v3-s", V3, ("s", 2), "bad coefficient in s[0,1,0]"),
 ]
 
 
@@ -885,14 +1072,15 @@ def test_scalars_must_be_strings(blobs, version, path, where, value):
         structure_from_json(obj)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_load_parses_each_distinct_text_once(tmp_path, monkeypatch, version):
     B = gf7_structure((8, 8, 8), {(1, 2): 5, (1, 3): 3, (2, 3): 2})
     path = tmp_path / "s.json"
-    if version == 1:
-        path.write_text(json.dumps(format1_blob(B)))
-    else:
+    if version == 3:
         save_structure(B, str(path))
+    else:
+        blob = format1_blob(B) if version == 1 else format2_blob(B)
+        path.write_text(json.dumps(blob))
     blob = json.loads(path.read_text())
     calls = {"scalar": 0, "key": 0}
     parse_scalar = qci.scalars._parse_scalar
@@ -939,7 +1127,7 @@ def resolved(monkeypatch):
 
 
 def test_canonical_file_is_read_positionally(blob, resolved):
-    assert structure_to_json(structure_from_json(copy.deepcopy(blob))) == blob
+    assert format2_blob(structure_from_json(copy.deepcopy(blob))) == blob
     assert resolved == []
 
 
@@ -948,7 +1136,7 @@ def test_reversed_key_order_loads_through_the_per_key_reader(blob, resolved):
     obj["g"] = dict(reversed(obj["g"].items()))
     obj["s"] = dict(reversed(obj["s"].items()))
     assert list(obj["s"])[0] == "1,1,1"
-    assert structure_to_json(structure_from_json(obj)) == blob
+    assert format2_blob(structure_from_json(obj)) == blob
     assert resolved == list(obj["g"]) + list(obj["s"])
 
 
@@ -956,7 +1144,7 @@ def test_alias_image_loads_through_the_per_key_reader(blob, resolved):
     obj = copy.deepcopy(blob)
     assert obj["s"]["0,0,1"][0] == "0,1,0"
     obj["s"]["0,0,1"][0] = "00,1,0"
-    assert structure_to_json(structure_from_json(obj)) == blob
+    assert format2_blob(structure_from_json(obj)) == blob
     assert resolved == [image for image, _ in obj["s"].values()]
 
 
@@ -1039,7 +1227,7 @@ def test_a_fault_is_named_alike_in_either_key_order(case, version, reordered):
     """One fault of g or s raises the same message in a canonical file and
     in the same file with some of its tables in reversed key order."""
     _, _, tamper, exc, fragment = case
-    blob = structure_to_json(example_structure("6.9", C8))
+    blob = format2_blob(example_structure("6.9", C8))
     canonical = tamper(format1_blob(structure_from_json(blob)) if version == 1 else blob)
     reversed_obj = copy.deepcopy(canonical)
     for name in reordered:
@@ -1057,10 +1245,7 @@ def test_d4096_load_and_save_spell_no_key_and_parse_each_literal_once(tmp_path, 
     # a canonical file at the dimension cap resolves no key and parses each
     # distinct literal once, and saving it again spells no key through
     # vector_key
-    B = gf7_structure(
-        (8, 8, 8, 8),
-        {(1, 2): 4, (1, 3): 5, (1, 4): 6, (2, 3): 3, (2, 4): 6, (3, 4): 1},
-    )
+    B = gf7_d4096()
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     save_structure(B, str(first))
     calls = {"vector_key": 0, "index": 0, "_parse_scalar": 0}
@@ -1161,7 +1346,7 @@ def test_structure_round_trip(drawn):
 @settings(max_examples=60, deadline=None)
 @given(yes_presentations())
 def test_format1_round_trip(drawn):
-    # a format-1 file loads to the same structure, and saves as format 2
+    # a format-1 file loads to the same structure, and saves as format 3
     B = build_structure(*drawn)
     loaded = structure_from_json(_through_text(format1_blob(B)))
     assert structure_to_json(loaded) == structure_to_json(B)
@@ -1179,7 +1364,7 @@ def _respell(rng, key: str) -> str:
 @given(yes_presentations(), st.randoms(use_true_random=False), st.sampled_from([1, 2]))
 def test_noncanonical_keys_load(drawn, rng, version):
     B = build_structure(*drawn)
-    blob = structure_to_json(B)
+    blob = format2_blob(B)
     obj = {
         **(format1_blob(B) if version == 1 else blob),
         "g": {_respell(rng, k): text for k, text in blob["g"].items()},
@@ -1195,7 +1380,7 @@ def test_noncanonical_keys_load(drawn, rng, version):
             ]
             for k, rows in obj["delta"].items()
         }
-    assert structure_to_json(structure_from_json(_through_text(obj))) == blob
+    assert format2_blob(structure_from_json(_through_text(obj))) == blob
 
 
 # -- a loader fuzzer ----------------------------------------------------------
@@ -1249,18 +1434,23 @@ def _mutate(obj, path, kind, value):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["structure-1", "structure-2", "presentation"]), st.data())
+@given(
+    st.sampled_from(["structure-1", "structure-2", "structure-3", "presentation"]),
+    st.data(),
+)
 def test_mutated_files_fail_only_with_loader_errors(tmp_path_factory, source, data):
-    """A mutant of the d64 golden structure (format 1 or 2) or of the
+    """A mutant of the d64 golden structure (format 1, 2 or 3) or of the
     presentation of example 6.9 over Q(zeta_8) fails to load only with a
     QciError, and `qci verify` or `qci validate` of it exits 0, 1 or 2 with
     no traceback."""
     if source == "presentation":
         obj = presentation_to_json(example_presentation("6.9", C8))
+    elif source == "structure-3":
+        obj = json.loads(GOLDEN_STRUCTURE_V3.read_text())
     else:
         obj = json.loads(GOLDEN_STRUCTURE.read_text())
         if source == "structure-2":
-            obj = structure_to_json(structure_from_json(obj))
+            obj = format2_blob(structure_from_json(obj))
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         path = data.draw(st.sampled_from(list(_nodes(obj))))
         kind = data.draw(st.sampled_from(MUTATIONS))
@@ -1300,14 +1490,9 @@ def _byte_mutant(data: bytes, kind: int, rng: random.Random) -> bytes:
     return data[:i] + b"\xff\xc3" + data[i:]
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_byte_mutants_fail_only_with_loader_errors(tmp_path, seed):
-    """Seeded byte-level mutants of the d64 golden structure, truncated, with
-    one byte overwritten, or with invalid UTF-8 inside a literal, fail to
-    load only with a QciError, and `qci verify` of each exits 0, 1 or 2
-    with no traceback."""
+def _check_byte_mutants(golden: Path, tmp_path, seed: int) -> None:
     rng = random.Random(seed)
-    data = GOLDEN_STRUCTURE.read_bytes()
+    data = golden.read_bytes()
     for n in range(30):
         file = tmp_path / f"mutant-{n}.json"
         file.write_bytes(_byte_mutant(data, n % 3, rng))
@@ -1320,3 +1505,18 @@ def test_byte_mutants_fail_only_with_loader_errors(tmp_path, seed):
             code = run(["verify", str(file)])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_byte_mutants_fail_only_with_loader_errors(tmp_path, seed):
+    """Seeded byte-level mutants of the d64 golden structure, truncated, with
+    one byte overwritten, or with invalid UTF-8 inside a literal, fail to
+    load only with a QciError, and `qci verify` of each exits 0, 1 or 2
+    with no traceback."""
+    _check_byte_mutants(GOLDEN_STRUCTURE, tmp_path, seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_format3_byte_mutants_fail_only_with_loader_errors(tmp_path, seed):
+    """The same for byte-level mutants of the format-3 d64 golden file."""
+    _check_byte_mutants(GOLDEN_STRUCTURE_V3, tmp_path, seed)

@@ -127,6 +127,14 @@ class TestFieldConstruction:
     def test_largest_prime_modulus(self):
         assert make_field("prime", MAX_PRIME_MODULUS).describe() == f"prime:{MAX_PRIME_MODULUS}"
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**5 - 1))
+    def test_prime_factors_match_naive_trial_division(self, m):
+        # _prime_factors skips even q after 2; naive division tries every q
+        naive = [q for q in range(2, m + 1) if m % q == 0 and all(q % d for d in range(2, q))]
+        assert qci.scalars._prime_factors(m) == naive
+        assert is_prime(m) == (naive == [m])
+
     @pytest.mark.parametrize("m", [10**30, MAX_CYCLOTOMIC_ORDER + 1])
     def test_cyclotomic_order_bound(self, monkeypatch, m):
         # the bound is checked before Phi_m is computed

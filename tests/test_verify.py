@@ -21,6 +21,7 @@ from helpers import (
     dual_functional,
     failing,
     format1_blob,
+    format2_blob,
     g_dict,
     identity_permutation,
     monomial,
@@ -926,7 +927,7 @@ def test_passing_verify_multiplies_few_payloads(monkeypatch, a):
 @pytest.mark.parametrize("a", [(4, 4, 4, 4), (16, 16, 16)], ids=["d256", "d4096"])
 def test_passing_verify_builds_no_basis(monkeypatch, tmp_path, a, source):
     """verify_axioms, verify_derived, the Hopf flag and primitive_space_dim
-    pass on a structure built afresh or loaded from a format-2 file without
+    pass on a structure built afresh or loaded from a format-3 file without
     building the list of basis vectors or their index, and without reading
     a row of delta: every check compares payload arrays and reads the basis
     only to name a failure, and the Hopf flag, decided in closed form,
@@ -1080,16 +1081,17 @@ def test_units_invert_without_elimination(monkeypatch):
 def test_built_and_loaded_structures_hold_the_same_tables(tmp_path):
     """A structure holds the presentation, the witness, g and s_coef and
     nothing else.  A built d4096 structure and the same structure loaded
-    from a format-2 and from a format-1 file hold the same tables, and read
-    the same S images and row of t from them."""
+    from a format-3, a format-2 and a format-1 file hold the same tables, and
+    read the same S images and row of t from them."""
     B = seeded((16, 16, 16))
     fields = [f.name for f in dataclasses.fields(BfaStructure)]
     assert fields == ["presentation", "witness", "g", "s_coef"]
     last = B.presentation.dim - 1
-    format2, format1 = tmp_path / "format2.json", tmp_path / "format1.json"
-    save_structure(B, str(format2))
-    format1.write_text(json.dumps(format1_blob(B)))
-    for T in (load_structure(str(format2)), load_structure(str(format1))):
+    paths = [tmp_path / f"format{k}.json" for k in (3, 2, 1)]
+    save_structure(B, str(paths[0]))
+    paths[1].write_text(json.dumps(format2_blob(B)))
+    paths[2].write_text(json.dumps(format1_blob(B)))
+    for T in map(load_structure, map(str, paths)):
         assert [getattr(T, name) for name in fields] == [getattr(B, name) for name in fields]
         assert (T.s_img, T.row(last)) == (B.s_img, B.row(last))
 
@@ -1097,9 +1099,11 @@ def test_built_and_loaded_structures_hold_the_same_tables(tmp_path):
 # -- memory gate on one seeded d4096 file -----------------------------------------
 
 
-# A full verification of seeded((16, 16, 16)), loaded from its file, peaks
-# at 0.77 MiB of traced allocations over a 0.22 MiB loaded structure (Python
-# 3.11.7), with the checks comparing payload lists and only the Hopf flag
+# A full verification of seeded((16, 16, 16)), loaded from its format-3
+# file, peaks at 0.38 MiB of traced allocations over a 0.07 MiB loaded
+# structure (Python 3.11.7; the same peak over 0.22 MiB from a format-2
+# file, whose load also tabulates the S images).  An earlier sitting read
+# 0.77 MiB, with the checks comparing payload lists and only the Hopf flag
 # building the basis, its index and the row of t; 1.75 MiB in the same
 # sitting when the certificate pairs, the row of t and S^2, S^4 were walked
 # as tuples and dicts.  An earlier sitting read 2.07 MiB for that verifier,
